@@ -25,8 +25,8 @@ const (
 	// SequentialEngine runs every core on the calling goroutine — the
 	// reference engine.
 	SequentialEngine
-	// ParallelEngine runs each socket's cores on a dedicated goroutine
-	// with round barriers.
+	// ParallelEngine deals the sockets to at most GOMAXPROCS goroutines,
+	// the caller's among them, with round barriers.
 	ParallelEngine
 )
 

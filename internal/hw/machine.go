@@ -697,11 +697,10 @@ func (m *Machine) foldCoreSamplesAtomic(c *coreState, socket numa.SocketID) {
 // ApplyCoherenceTo applies buffered coherence events from the given cores
 // (in the given order) to target's LLC only, skipping cores that live on
 // target — a socket's own store walks do not invalidate its own cache.
-// The parallel engine has every socket run this against its own LLC at a
-// round barrier, so the apply phase parallelizes across targets while each
-// LLC still sees events in the canonical core order. Buffers are left in
-// place (other targets still need them); clear them afterwards with
-// ClearCoherence at the same barrier.
+// The engine's coordinator runs this for every socket at a round barrier,
+// once no batch is in flight, so each LLC sees events in the canonical
+// core order. Buffers are left in place (other targets still need them);
+// clear them afterwards with ClearCoherence at the same barrier.
 func (m *Machine) ApplyCoherenceTo(target numa.SocketID, cores []numa.CoreID) {
 	llc := m.llcs[target]
 	owned := m.singleWriter

@@ -1,7 +1,10 @@
 package workloads
 
 import (
+	"fmt"
 	"reflect"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -15,6 +18,18 @@ import (
 // engineRun executes one workload on a fresh kernel under the given engine
 // mode and returns the full Result, including the raw per-core counters.
 func engineRun(t *testing.T, mk func() Workload, mode Mode, sockets, coresPerSocket, ops int) *Result {
+	t.Helper()
+	env, w := engineEnv(t, mk, sockets, coresPerSocket)
+	res, err := RunWith(env, w, ops, EngineConfig{Mode: mode})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// engineEnv sets one workload up on a fresh kernel, scheduled on the first
+// coresPerSocket cores of every socket.
+func engineEnv(t *testing.T, mk func() Workload, sockets, coresPerSocket int) (*Env, Workload) {
 	t.Helper()
 	k := kernel.New(kernel.Config{
 		Topology:      numa.NewTopology(sockets, coresPerSocket),
@@ -38,11 +53,63 @@ func engineRun(t *testing.T, mk func() Workload, mode Mode, sockets, coresPerSoc
 	if err := w.Setup(env); err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunWith(env, w, ops, EngineConfig{Mode: mode})
-	if err != nil {
-		t.Fatal(err)
+	return env, w
+}
+
+// forEachGOMAXPROCS runs f as one subtest per GOMAXPROCS setting in 1..4,
+// restoring the setting afterwards. On 4 sockets these give the parallel
+// engine shards of {0,1,2,3}, {0,1}{2,3}, the uneven {0,1}{2}{3}, and one
+// socket per goroutine.
+func forEachGOMAXPROCS(t *testing.T, f func(t *testing.T)) {
+	for _, procs := range []int{1, 2, 3, 4} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			f(t)
+		})
 	}
-	return res
+}
+
+func TestShardBounds(t *testing.T) {
+	cases := []struct {
+		groups, workers int
+		want            []int
+	}{
+		{4, 1, []int{0, 4}},
+		{4, 2, []int{0, 2, 4}},
+		{4, 3, []int{0, 2, 3, 4}},
+		{4, 4, []int{0, 1, 2, 3, 4}},
+		{5, 3, []int{0, 2, 4, 5}},
+	}
+	for _, c := range cases {
+		if got := shardBounds(c.groups, c.workers); !slices.Equal(got, c.want) {
+			t.Errorf("shardBounds(%d, %d) = %v, want %v", c.groups, c.workers, got, c.want)
+		}
+	}
+}
+
+// TestParallelJoinsHelpers: RunWith returns only after every helper
+// goroutine has finished, so none is left spinning once the run is over.
+// The runtime drops a goroutine from NumGoroutine a moment after its last
+// statement, so a read can catch a joined helper mid-teardown: the count,
+// read right after the run returns, must be back at or below the baseline
+// after at least one of five runs. Helpers that unwind only after RunWith
+// returns fail every run.
+func TestParallelJoinsHelpers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	env, w := engineEnv(t, func() Workload { return NewGUPS() }, 4, 1)
+	baseline := runtime.NumGoroutine()
+	var after []int
+	for range 5 {
+		if _, err := RunWith(env, w, 2000, EngineConfig{Mode: Parallel}); err != nil {
+			t.Fatal(err)
+		}
+		n := runtime.NumGoroutine()
+		if n <= baseline {
+			return
+		}
+		after = append(after, n)
+	}
+	t.Errorf("goroutines right after five parallel runs: %v, want %d", after, baseline)
 }
 
 // TestParallelMatchesSequential is the engine's determinism contract: the
@@ -75,14 +142,17 @@ func TestParallelMatchesSequential(t *testing.T) {
 
 // TestParallelMatchesSequentialSharedLLC pins the harder half of the
 // contract: multiple cores per socket share an LLC, so the engine must
-// serialize same-socket cores in canonical order to stay deterministic.
+// serialize same-socket cores in canonical order to stay deterministic,
+// however the sockets are dealt to goroutines.
 func TestParallelMatchesSequentialSharedLLC(t *testing.T) {
 	mk := func() Workload { return NewGUPS() }
 	seq := engineRun(t, mk, Sequential, 4, 2, 2000)
-	par := engineRun(t, mk, Parallel, 4, 2, 2000)
-	if !reflect.DeepEqual(seq, par) {
-		t.Errorf("parallel result diverged with 2 cores/socket:\nseq: %+v\npar: %+v", seq, par)
-	}
+	forEachGOMAXPROCS(t, func(t *testing.T) {
+		par := engineRun(t, mk, Parallel, 4, 2, 2000)
+		if !reflect.DeepEqual(seq, par) {
+			t.Errorf("parallel result diverged with 2 cores/socket:\nseq: %+v\npar: %+v", seq, par)
+		}
+	})
 }
 
 // TestParallelRepeatable: two parallel runs with identical inputs must be
@@ -139,29 +209,30 @@ func policyRun(t *testing.T, policyName string, mode Mode, ops int) (*Result, []
 
 // TestPolicyDeterminismAcrossEngines extends the determinism contract to
 // the policy engine: identical counters AND identical policy action logs
-// across Sequential, Parallel and Auto on a 4-socket GUPS run whose
-// OnDemand policy replicates mid-run.
+// across Sequential, Parallel and Auto, under every GOMAXPROCS in 1..4, on
+// a 4-socket GUPS run whose OnDemand policy replicates mid-run.
 func TestPolicyDeterminismAcrossEngines(t *testing.T) {
 	const ops = 4000
 	seqRes, seqLog, seqTL := policyRun(t, "ondemand", Sequential, ops)
-	parRes, parLog, parTL := policyRun(t, "ondemand", Parallel, ops)
-	autoRes, autoLog, autoTL := policyRun(t, "ondemand", Auto, ops)
-
 	if len(seqLog) == 0 {
 		t.Fatal("OnDemand never acted: the determinism check is vacuous")
 	}
-	if !reflect.DeepEqual(seqRes, parRes) {
-		t.Errorf("parallel counters diverged from sequential:\nseq: %+v\npar: %+v", seqRes, parRes)
-	}
-	if !reflect.DeepEqual(seqRes, autoRes) {
-		t.Errorf("auto counters diverged from sequential:\nseq: %+v\nauto: %+v", seqRes, autoRes)
-	}
-	if !reflect.DeepEqual(seqLog, parLog) || !reflect.DeepEqual(seqLog, autoLog) {
-		t.Errorf("action logs diverged:\nseq:  %v\npar:  %v\nauto: %v", seqLog, parLog, autoLog)
-	}
-	if !reflect.DeepEqual(seqTL, parTL) || !reflect.DeepEqual(seqTL, autoTL) {
-		t.Errorf("replica timelines diverged:\nseq:  %v\npar:  %v\nauto: %v", seqTL, parTL, autoTL)
-	}
+	forEachGOMAXPROCS(t, func(t *testing.T) {
+		parRes, parLog, parTL := policyRun(t, "ondemand", Parallel, ops)
+		autoRes, autoLog, autoTL := policyRun(t, "ondemand", Auto, ops)
+		if !reflect.DeepEqual(seqRes, parRes) {
+			t.Errorf("parallel counters diverged from sequential:\nseq: %+v\npar: %+v", seqRes, parRes)
+		}
+		if !reflect.DeepEqual(seqRes, autoRes) {
+			t.Errorf("auto counters diverged from sequential:\nseq: %+v\nauto: %+v", seqRes, autoRes)
+		}
+		if !reflect.DeepEqual(seqLog, parLog) || !reflect.DeepEqual(seqLog, autoLog) {
+			t.Errorf("action logs diverged:\nseq:  %v\npar:  %v\nauto: %v", seqLog, parLog, autoLog)
+		}
+		if !reflect.DeepEqual(seqTL, parTL) || !reflect.DeepEqual(seqTL, autoTL) {
+			t.Errorf("replica timelines diverged:\nseq:  %v\npar:  %v\nauto: %v", seqTL, parTL, autoTL)
+		}
+	})
 }
 
 // TestStaticPolicyIsCounterTransparent: attaching the Static policy engine

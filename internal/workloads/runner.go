@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"sync"
 
 	"github.com/mitosis-project/mitosis-sim/internal/hw"
 	"github.com/mitosis-project/mitosis-sim/internal/numa"
@@ -72,8 +73,9 @@ const (
 	// Sequential runs every core on the calling goroutine, in canonical
 	// order — the reference engine.
 	Sequential
-	// Parallel runs each socket's cores on a dedicated goroutine, with
-	// round barriers keeping the result identical to Sequential.
+	// Parallel deals the socket groups to at most GOMAXPROCS goroutines,
+	// the caller's among them, with round barriers keeping the result
+	// identical to Sequential.
 	Parallel
 )
 
@@ -153,14 +155,22 @@ func RunKeepStatsWith(env *Env, w Workload, opsPerThread int, cfg EngineConfig) 
 //
 // Execution proceeds in rounds. Each round, every core executes one chunk
 // of operations via Machine.AccessBatch — per-core state (TLB, PSC, RNG,
-// counters) is fully sharded, and each socket's cores run serialized in
-// canonical order on their socket's goroutine, so the shared per-socket
-// LLC sees a deterministic access sequence. Store walks buffer their
-// cross-socket line invalidations; at the round barrier each socket
-// applies the buffered events (again in canonical core order) to its own
-// LLC. No state crosses sockets mid-round except the page-table A/D bits
-// and AutoNUMA samples, whose update order cannot affect any counter —
-// which is why Sequential and Parallel modes are counter-identical.
+// counters) is fully sharded. In Parallel mode the socket groups are dealt
+// in canonical order to at most GOMAXPROCS goroutines, the coordinator
+// being one of them, and each socket's cores run serialized in canonical
+// order on the one goroutine that owns the socket, so the shared
+// per-socket LLC sees a deterministic access sequence. Store walks buffer
+// their cross-socket line invalidations; at the round barrier the
+// coordinator alone applies the buffered events to every socket's LLC
+// (again in canonical core order), clears them and folds the AutoNUMA
+// samples. No state crosses sockets mid-round except the page-table A/D
+// bits and AutoNUMA samples, whose update order cannot affect any counter
+// — which is why Sequential and Parallel modes are counter-identical.
+//
+// The coordinator hands each round to its helpers through spin-then-park
+// gates, so on a host with a spare CPU the groups' compute overlaps
+// instead of taking turns (measured in DESIGN.md, "Why rounds instead of
+// free-running cores").
 //
 // Operation generation stays on the driving goroutine: workload Step
 // closures are single-threaded by contract, and generating in canonical
@@ -253,7 +263,7 @@ func run(env *Env, w Workload, opsPerThread int, reset bool, cfg EngineConfig) (
 				buf[i].VA, buf[i].Write = step()
 			}
 		}
-		eng.round(n, parallel)
+		eng.round(n)
 		// Errors surface in canonical order so both modes report the
 		// same failure for the same inputs.
 		for ti, c := range eng.cores {
@@ -266,7 +276,7 @@ func run(env *Env, w Workload, opsPerThread int, reset bool, cfg EngineConfig) (
 		if cfg.Ticker != nil && round%tickEvery == 0 {
 			// The barrier has fully closed: no batch in flight anywhere,
 			// coherence applied and cleared. Kernel-side policy work is
-			// safe here in both modes (parallel workers are parked).
+			// safe here in both modes (helpers wait on their start gates).
 			if err := cfg.Ticker.Tick(round); err != nil {
 				// The partial counters ride along with the error: a fault
 				// tick that kills the running process still attributes the
@@ -327,11 +337,18 @@ type engine struct {
 	// does not rescan the group list per socket.
 	busySocket []bool
 
-	compute []chan int // per worker: ops this round; closed = exit
-	done    []chan struct{}
-	apply   []chan struct{}
-	applied []chan struct{}
+	// Parallel mode: the coordinator computes groups [0, lead) itself and
+	// each helper computes its own contiguous run of the rest.
+	lead    int
+	helpers []helper
+	ops     int    // this round's chunk, published by the start gates
+	seq     uint64 // rounds handed to the current helpers
+	wg      sync.WaitGroup
 }
+
+// helper is one compute goroutine's pair of gates: start carries the
+// round from the coordinator, done carries it back.
+type helper struct{ start, done *gate }
 
 // rebuildBusy recomputes the busy-socket mask from the current groups.
 func (e *engine) rebuildBusy() {
@@ -346,11 +363,13 @@ func (e *engine) rebuildBusy() {
 	}
 }
 
-// computeGroup runs one round's batches for group g.
-func (e *engine) computeGroup(g, n int) {
-	for _, ti := range e.groups[g] {
-		if e.errs[ti] == nil {
-			e.errs[ti] = e.m.AccessBatch(e.cores[ti], e.bufs[ti][:n])
+// computeGroups runs one round's batches for groups [lo, hi).
+func (e *engine) computeGroups(lo, hi, n int) {
+	for _, group := range e.groups[lo:hi] {
+		for _, ti := range group {
+			if e.errs[ti] == nil {
+				e.errs[ti] = e.m.AccessBatch(e.cores[ti], e.bufs[ti][:n])
+			}
 		}
 	}
 }
@@ -365,88 +384,89 @@ func (e *engine) applyIdle() {
 	}
 }
 
-// round executes one chunk on every core plus the coherence barrier.
-// In parallel mode the coordinator goroutine doubles as group 0's worker,
-// so a machine with n busy sockets needs only n-1 handoff pairs per phase.
-func (e *engine) round(n int, parallel bool) {
-	if !parallel {
-		for g := range e.groups {
-			e.computeGroup(g, n)
+// round executes one chunk on every core plus the coherence barrier. With
+// helpers running, the coordinator computes its own groups while they
+// compute theirs; the barrier is the coordinator's alone in both modes.
+func (e *engine) round(n int) {
+	if len(e.helpers) == 0 {
+		e.computeGroups(0, len(e.groups), n)
+	} else {
+		e.ops = n
+		e.seq++
+		for _, h := range e.helpers {
+			h.start.signal(e.seq)
 		}
-		for _, s := range e.sockets {
-			e.m.ApplyCoherenceTo(s, e.cores)
+		e.computeGroups(0, e.lead, n)
+		for _, h := range e.helpers {
+			h.done.wait(e.seq)
 		}
-		e.applyIdle()
-		e.m.ClearCoherence(e.cores)
-		e.m.FoldSampling(e.cores)
-		return
 	}
-	for _, c := range e.compute {
-		c <- n
+	// Every batch of the round has completed and the helpers are waiting
+	// on their start gates: apply coherence to every LLC in canonical
+	// order, drop the applied events so the next round's batches start
+	// from empty buffers, and fold the round's AutoNUMA samples.
+	for _, s := range e.sockets {
+		e.m.ApplyCoherenceTo(s, e.cores)
 	}
-	e.computeGroup(0, n)
-	for _, c := range e.done {
-		<-c
-	}
-	// Every batch of the round has completed: release the apply phase.
-	for _, c := range e.apply {
-		c <- struct{}{}
-	}
-	e.m.ApplyCoherenceTo(e.sockets[0], e.cores)
 	e.applyIdle()
-	for _, c := range e.applied {
-		<-c
-	}
-	// Every target socket has applied this round's events: drop them so
-	// the next round's batches start from empty buffers. The coordinator
-	// then folds the round's AutoNUMA samples in canonical core order (the
-	// workers are parked, so the fold is single-threaded).
 	e.m.ClearCoherence(e.cores)
 	e.m.FoldSampling(e.cores)
 }
 
-// startWorkers launches one goroutine per socket group except group 0,
-// which the coordinator runs itself.
+// shardBounds deals n socket groups, in canonical order, to w goroutines
+// as contiguous runs, the first n%w of them one group longer. Shard i is
+// groups [b[i], b[i+1]).
+func shardBounds(n, w int) []int {
+	b := make([]int, w+1)
+	for i := range w {
+		b[i+1] = b[i] + n/w
+		if i < n%w {
+			b[i+1]++
+		}
+	}
+	return b
+}
+
+// startWorkers deals the socket groups to min(groups, GOMAXPROCS)
+// goroutines, the coordinator being the first, so each socket's cores and
+// LLC still belong to exactly one goroutine during compute.
 func (e *engine) startWorkers() {
-	n := len(e.groups) - 1
-	e.compute = make([]chan int, n)
-	e.done = make([]chan struct{}, n)
-	e.apply = make([]chan struct{}, n)
-	e.applied = make([]chan struct{}, n)
-	for i := 0; i < n; i++ {
-		e.compute[i] = make(chan int)
-		e.done[i] = make(chan struct{})
-		e.apply[i] = make(chan struct{})
-		e.applied[i] = make(chan struct{})
-		go func(i, g int) {
-			for ops := range e.compute[i] {
-				e.computeGroup(g, ops)
-				e.done[i] <- struct{}{}
-				// Compute everywhere has finished once the
-				// coordinator releases the apply phase; applying to
-				// this socket's LLC is now race-free.
-				<-e.apply[i]
-				e.m.ApplyCoherenceTo(e.sockets[g], e.cores)
-				e.applied[i] <- struct{}{}
+	b := shardBounds(len(e.groups), min(len(e.groups), runtime.GOMAXPROCS(0)))
+	e.lead = b[1]
+	e.seq = 0
+	e.helpers = make([]helper, len(b)-2)
+	for i := range e.helpers {
+		h := helper{start: newGate(), done: newGate()}
+		e.helpers[i] = h
+		lo, hi := b[i+1], b[i+2]
+		e.wg.Add(1)
+		go func() {
+			defer e.wg.Done()
+			for r := uint64(1); h.start.wait(r) != gateStop; r++ {
+				e.computeGroups(lo, hi, e.ops)
+				h.done.signal(r)
 			}
-		}(i, i+1)
+		}()
 	}
 }
 
-// stopWorkers shuts the worker goroutines down.
+// stopWorkers shuts the helper goroutines down and returns once every one
+// has exited.
 func (e *engine) stopWorkers() {
-	for _, c := range e.compute {
-		close(c)
+	for _, h := range e.helpers {
+		h.start.signal(gateStop)
 	}
+	e.wg.Wait()
+	e.helpers = nil
 }
 
 // rebind re-targets the engine at the process's new core set after a
 // policy tick migrated it. Thread identity is positional: thread i moves
 // from old core i to new core i, keeping its Step generator. In parallel
-// mode the per-socket workers are torn down and relaunched for the new
-// socket grouping; the parallel/sequential choice itself is fixed for the
-// run (counters are mode-independent by the determinism contract, so this
-// only affects host-side scheduling).
+// mode the helpers are joined and relaunched for the new socket grouping;
+// the parallel/sequential choice itself is fixed for the run (counters
+// are mode-independent by the determinism contract, so this only affects
+// host-side scheduling).
 func (e *engine) rebind(env *Env, w Workload, newCores []numa.CoreID, parallel bool) error {
 	if len(newCores) == 0 {
 		return fmt.Errorf("workloads: process descheduled mid-run by policy tick")
