@@ -548,7 +548,8 @@ func BenchmarkMicroSweepCellFresh(b *testing.B) {
 // BenchmarkMicroSweepCellPooled recycles one system via Reset between
 // cells, the sweep worker's steady state. Compare allocs/op against
 // BenchmarkMicroSweepCellFresh: pooling must allocate measurably less per
-// cell (it skips frame metadata, bitmaps and cache arrays).
+// cell (it skips the boot's bitmaps and cache arrays, and keeps the frame
+// metadata chunks a fresh machine creates on first allocation).
 func BenchmarkMicroSweepCellPooled(b *testing.B) {
 	b.ReportAllocs()
 	sc := sweepCellScenario()

@@ -109,6 +109,9 @@ func (c Churn) normalize() Churn {
 
 // Validate checks the spec for structural errors.
 func (c Churn) Validate() error {
+	if err := c.Machine.checkShape(); err != nil {
+		return fmt.Errorf("churn: %w", err)
+	}
 	n := c.normalize()
 	if n.Fragmentation < 0 || n.Fragmentation >= 1 {
 		return fmt.Errorf("churn: fragmentation %v out of [0,1)", n.Fragmentation)

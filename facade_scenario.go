@@ -424,12 +424,8 @@ func (pl PlacementSpec) validate(where string, sockets, coresPerSocket, nodes in
 // MarshalJSON and UnmarshalJSON.
 func (sc Scenario) Validate() error {
 	m := sc.Machine.normalize()
-	if sc.Machine.Sockets < 0 || sc.Machine.CoresPerSocket < 0 {
-		return fmt.Errorf("scenario %q: machine sockets/cores must be non-negative", sc.Name)
-	}
-	if mem := sc.Machine.MemoryPerNode; mem != 0 && mem < 2<<20 {
-		return fmt.Errorf("scenario %q: machine memory_per_node %d is below one 2MB block; use at least %d (or 0 for the 4GB default)",
-			sc.Name, mem, 2<<20)
+	if err := sc.Machine.checkShape(); err != nil {
+		return fmt.Errorf("scenario %q: %w", sc.Name, err)
 	}
 	if sc.Fragmentation < 0 || sc.Fragmentation >= 1 {
 		return fmt.Errorf("scenario %q: fragmentation %v outside [0,1)", sc.Name, sc.Fragmentation)

@@ -140,6 +140,9 @@ func (sw Sweep) normalized() Sweep {
 // phrased to be fixable. Individual cells additionally pass full Scenario
 // validation when run.
 func (sw Sweep) Validate() error {
+	if err := sw.Machine.checkShape(); err != nil {
+		return fmt.Errorf("sweep %q: %w", sw.Name, err)
+	}
 	sw = sw.normalized()
 	m := sw.Machine.normalize()
 	if len(sw.Workloads) == 0 {
@@ -180,6 +183,11 @@ func (sw Sweep) Validate() error {
 			if int(t.Home) >= m.Sockets {
 				return fmt.Errorf("sweep %q: tiers %q: home socket %d out of range [0,%d)", sw.Name, ts, t.Home, m.Sockets)
 			}
+		}
+		cell := m
+		cell.Tiers = ts
+		if err := cell.checkShape(); err != nil {
+			return fmt.Errorf("sweep %q: tiers %q: %w", sw.Name, ts, err)
 		}
 	}
 	for _, tp := range sw.TierPolicies {

@@ -70,12 +70,14 @@ import (
 // Machine section of a Scenario, so it serializes.
 type SystemConfig struct {
 	// Sockets and CoresPerSocket shape the machine; zero selects the
-	// paper's 4-socket/14-core evaluation platform.
+	// paper's 4-socket/14-core evaluation platform. Validation caps
+	// sockets plus tier nodes at 64 and cores per socket at 256.
 	Sockets        int `json:"sockets,omitempty"`
 	CoresPerSocket int `json:"cores_per_socket,omitempty"`
 	// MemoryPerNode is each node's capacity in bytes, rounded down to
 	// whole 2MB blocks; zero — or a value below one block — selects 4GB.
-	// Scenario validation rejects non-zero values below 2MB.
+	// Scenario validation rejects non-zero values below 2MB, above 1 TiB,
+	// or above 16 TiB summed over all nodes.
 	MemoryPerNode uint64 `json:"memory_per_node,omitempty"`
 	// THP enables transparent huge pages.
 	THP bool `json:"thp,omitempty"`
@@ -197,6 +199,51 @@ func renderTiers(tiers []numa.TierNode) string {
 	return strings.Join(parts, ",")
 }
 
+// Machine-shape limits. They keep every machine that passes validation
+// bootable on an ordinary host: boot costs about 0.5 MB of host heap per
+// 14-core socket, a few KB per further core, and 74 MB per TiB of
+// simulated memory (one allocation bit and one poison bit per 4KB frame, a
+// chunk pointer and a free count per 2MB group), so the 16 TiB limit
+// bounds a boot at about 1.2 GB. Frame metadata is not part of boot: it is
+// created for the 2MB groups a run allocates.
+const (
+	maxNodes          = 64       // sockets plus tier nodes
+	maxCoresPerSocket = 256      // cores per socket
+	maxMemoryPerNode  = 1 << 40  // 1 TiB a node
+	maxMachineMemory  = 16 << 40 // 16 TiB over all nodes
+)
+
+// checkShape returns an error, phrased to be fixable, when the machine's
+// size cannot boot: negative counts, memory per node below one 2MB block,
+// or a size beyond the limits above. Malformed tier strings are left to
+// the tier checks. Scenario, sweep and churn validation return its error;
+// NewSystem panics with it.
+func (c SystemConfig) checkShape() error {
+	if c.Sockets < 0 || c.CoresPerSocket < 0 {
+		return fmt.Errorf("machine sockets/cores must be non-negative")
+	}
+	if mem := c.MemoryPerNode; mem != 0 && mem < 2<<20 {
+		return fmt.Errorf("machine memory_per_node %d is below one 2MB block; use at least %d (or 0 for the 4GB default)", mem, 2<<20)
+	}
+	n := c.normalize()
+	tiers, _ := parseTiers(n.Tiers)
+	nodes := n.Sockets + len(tiers)
+	if nodes > maxNodes {
+		return fmt.Errorf("machine sockets %d plus %d tier nodes exceed the limit of %d NUMA nodes", n.Sockets, len(tiers), maxNodes)
+	}
+	if n.CoresPerSocket > maxCoresPerSocket {
+		return fmt.Errorf("machine cores_per_socket %d exceeds the limit of %d", n.CoresPerSocket, maxCoresPerSocket)
+	}
+	if n.MemoryPerNode > maxMemoryPerNode {
+		return fmt.Errorf("machine memory_per_node %d exceeds the limit of %d (1 TiB)", n.MemoryPerNode, maxMemoryPerNode)
+	}
+	if total := n.MemoryPerNode * uint64(nodes); total > maxMachineMemory {
+		return fmt.Errorf("machine memory %d (%d nodes x memory_per_node %d) exceeds the limit of %d (16 TiB); use fewer or smaller nodes",
+			total, nodes, n.MemoryPerNode, maxMachineMemory)
+	}
+	return nil
+}
+
 // nodes returns the normalized machine's total memory node count
 // (DRAM nodes plus tier nodes) — the range node-valued spec fields
 // validate against.
@@ -215,9 +262,14 @@ type System struct {
 	procs map[string]*Proc
 }
 
-// NewSystem boots a machine.
+// NewSystem boots a machine. It panics on a machine shape that scenario
+// validation rejects, other than memory below one 2MB block (which
+// selects the default).
 func NewSystem(cfg SystemConfig) *System {
 	norm := cfg.normalize()
+	if err := norm.checkShape(); err != nil {
+		panic(fmt.Sprintf("mitosis: invalid SystemConfig: %v", err))
+	}
 	levels := uint8(0)
 	if norm.FiveLevel {
 		levels = 5

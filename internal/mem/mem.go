@@ -193,15 +193,17 @@ type PhysMem struct {
 	// divide on the access hot path; -1 otherwise.
 	nodeShift int
 	nodes     []nodeState
-	meta      []FrameMeta
-	// tables holds the payload of every page-table frame, indexed by
-	// frame number. A flat slice (rather than a map) lets concurrent page
-	// walkers read table pointers while the allocator publishes new ones:
-	// distinct elements never alias, and a newly written element becomes
-	// visible to walkers through the atomic PTE store that links the new
-	// table into a parent entry (release/acquire via pt.WriteEntryRaw /
-	// pt.ReadEntry).
-	tables []*[PTEntries]uint64
+	// chunks holds the frame metadata and page-table payloads of each 2MB
+	// group, indexed by global group number (frame / HugeFrames); nil for
+	// a group none of whose frames was ever handed out. A group's entry is
+	// written once, under its node's mutex, before the allocator returns
+	// the group's first frame, and is never cleared. Concurrent page
+	// walkers read it without a lock: a walker reaches a frame only
+	// through the atomic PTE store that linked it into a parent entry
+	// (release/acquire via pt.WriteEntryRaw / pt.ReadEntry), and that store
+	// follows the chunk's creation and the payload store into it. Distinct
+	// payload slots never alias.
+	chunks []*groupChunk
 	// poison is a machine-wide bitmap of frames carrying an uncorrectable
 	// ECC error (one bit per frame, atomic word ops): injection marks a
 	// bit, recovery clears it when the frame is retired. Accessed lock-free
@@ -212,6 +214,26 @@ type PhysMem struct {
 	// per batch to stay zero-cost when no fault is in flight.
 	poisonCount atomic.Int64
 }
+
+// groupChunk holds the metadata and page-table payload slots of the
+// HugeFrames frames of one 2MB group. Chunks are created when the
+// allocator first hands out a frame of their group, so host memory follows
+// the frames a run touches, not the machine's capacity; they are never
+// freed, which keeps every Meta pointer valid for the life of the PhysMem.
+// The payload pointers come first so the garbage collector's scan of a
+// chunk ends where the pointer-free metadata begins.
+type groupChunk struct {
+	tables [HugeFrames]*[PTEntries]uint64
+	meta   [HugeFrames]FrameMeta
+}
+
+// pristineMeta is a whole group of never-allocated frames' metadata.
+var pristineMeta = func() (m [HugeFrames]FrameMeta) {
+	for i := range m {
+		m[i].ReplicaNext = NilFrame
+	}
+	return m
+}()
 
 // Config configures a PhysMem.
 type Config struct {
@@ -235,12 +257,8 @@ func New(cfg Config) *PhysMem {
 		topo:          cfg.Topology,
 		framesPerNode: cfg.FramesPerNode,
 		nodes:         make([]nodeState, n),
-		meta:          make([]FrameMeta, cfg.FramesPerNode*uint64(n)),
-		tables:        make([]*[PTEntries]uint64, cfg.FramesPerNode*uint64(n)),
+		chunks:        make([]*groupChunk, cfg.FramesPerNode/HugeFrames*uint64(n)),
 		poison:        make([]uint64, (cfg.FramesPerNode*uint64(n)+63)/64),
-	}
-	for i := range pm.meta {
-		pm.meta[i].ReplicaNext = NilFrame
 	}
 	pm.nodeShift = -1
 	if cfg.FramesPerNode&(cfg.FramesPerNode-1) == 0 {
@@ -293,7 +311,7 @@ func (pm *PhysMem) NodeOf(f FrameID) numa.NodeID {
 // mapping so the access path skips the frame->node computation.
 func (pm *PhysMem) NodeOfRange(f FrameID, frames uint64) numa.NodeID {
 	last := uint64(f) + frames - 1
-	if frames == 0 || last >= uint64(len(pm.meta)) {
+	if frames == 0 || last >= pm.TotalFrames() {
 		return numa.InvalidNode
 	}
 	n := pm.NodeOf(f)
@@ -304,10 +322,14 @@ func (pm *PhysMem) NodeOfRange(f FrameID, frames uint64) numa.NodeID {
 }
 
 // Meta returns the metadata for frame f. The pointer stays valid for the
-// lifetime of the PhysMem.
+// lifetime of the PhysMem. A frame that was never allocated reads as free;
+// the first Meta call on one creates its group's chunk.
 func (pm *PhysMem) Meta(f FrameID) *FrameMeta {
-	pm.checkFrame(f)
-	return &pm.meta[f]
+	c := pm.chunk(f)
+	if c == nil {
+		c = pm.touch(f)
+	}
+	return &c.meta[f%HugeFrames]
 }
 
 // Table returns the 512-entry payload of page-table frame f. It panics if f
@@ -316,12 +338,62 @@ func (pm *PhysMem) Meta(f FrameID) *FrameMeta {
 // check) keeps this hot-path lookup free of the metadata the allocator
 // mutates, so concurrent walkers only touch the published table pointer.
 func (pm *PhysMem) Table(f FrameID) *[PTEntries]uint64 {
-	pm.checkFrame(f)
-	t := pm.tables[f]
-	if t == nil {
-		panic(fmt.Sprintf("mem: frame %d holds %v, not a page table", f, pm.meta[f].Kind))
+	if c := pm.chunk(f); c != nil {
+		if t := c.tables[f%HugeFrames]; t != nil {
+			return t
+		}
 	}
-	return t
+	panic(frameError{pm, f})
+}
+
+// chunk returns the chunk of frame f's group, nil if no frame of the group
+// was ever allocated. Small enough to inline: Table and the replica-ring
+// walk through Meta pay one load for it.
+func (pm *PhysMem) chunk(f FrameID) *groupChunk {
+	g := uint64(f) / HugeFrames
+	if g >= uint64(len(pm.chunks)) {
+		panic(frameError{pm, f})
+	}
+	return pm.chunks[g]
+}
+
+// touch returns the chunk of frame f's group, creating it if no frame of
+// the group was ever allocated.
+func (pm *PhysMem) touch(f FrameID) *groupChunk {
+	ns := pm.node(pm.NodeOf(f))
+	ns.mu.Lock()
+	defer ns.mu.Unlock()
+	return pm.ensureChunk(uint64(f) / HugeFrames)
+}
+
+// ensureChunk returns the chunk of global group g, creating it on first
+// use; the caller holds the owning node's mutex.
+func (pm *PhysMem) ensureChunk(g uint64) *groupChunk {
+	c := pm.chunks[g]
+	if c == nil {
+		c = &groupChunk{meta: pristineMeta}
+		pm.chunks[g] = c
+	}
+	return c
+}
+
+// frameError is the panic value of a frame number beyond physical memory,
+// or of a frame read as a page table that holds none. It formats only
+// when printed, so the checks that raise it stay cheap enough to inline.
+type frameError struct {
+	pm *PhysMem
+	f  FrameID
+}
+
+func (e frameError) Error() string {
+	if total := e.pm.TotalFrames(); uint64(e.f) >= total {
+		return fmt.Sprintf("mem: frame %d out of range [0,%d)", e.f, total)
+	}
+	kind := KindFree
+	if c := e.pm.chunks[uint64(e.f)/HugeFrames]; c != nil {
+		kind = c.meta[e.f%HugeFrames].Kind
+	}
+	return fmt.Sprintf("mem: frame %d holds %v, not a page table", e.f, kind)
 }
 
 // ProvisionTable attaches 512-entry table storage to an allocated data
@@ -336,13 +408,15 @@ func (pm *PhysMem) ProvisionTable(f FrameID) *[PTEntries]uint64 {
 	ns := pm.node(pm.NodeOf(f))
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	if pm.meta[f].Kind == KindFree {
+	c := pm.chunk(f)
+	if c == nil || c.meta[f%HugeFrames].Kind == KindFree {
 		panic(fmt.Sprintf("mem: provisioning table storage on free frame %d", f))
 	}
-	if pm.tables[f] == nil {
-		pm.tables[f] = ns.takeTable()
+	t := &c.tables[f%HugeFrames]
+	if *t == nil {
+		*t = ns.takeTable()
 	}
-	return pm.tables[f]
+	return *t
 }
 
 // SampleAccess records n data accesses to frame f from the given socket
@@ -351,8 +425,7 @@ func (pm *PhysMem) ProvisionTable(f FrameID) *[PTEntries]uint64 {
 // canonical core order) at round barriers, so FrameMeta sees no concurrent
 // mutation and the fold needs no atomics.
 func (pm *PhysMem) SampleAccess(f FrameID, socket numa.SocketID, local bool, n uint32) {
-	pm.checkFrame(f)
-	m := &pm.meta[f]
+	m := pm.Meta(f)
 	m.AccessSocket = int32(socket)
 	if local {
 		m.LocalAccesses += n
@@ -366,8 +439,7 @@ func (pm *PhysMem) SampleAccess(f FrameID, socket numa.SocketID, local bool, n u
 // discipline (hand-rolled concurrent batch loops) fold their per-core
 // buffers with atomics instead, trading hot-path speed for safety.
 func (pm *PhysMem) SampleAccessAtomic(f FrameID, socket numa.SocketID, local bool, n uint32) {
-	pm.checkFrame(f)
-	m := &pm.meta[f]
+	m := pm.Meta(f)
 	atomic.StoreInt32(&m.AccessSocket, int32(socket))
 	if local {
 		atomic.AddUint32(&m.LocalAccesses, n)
@@ -503,8 +575,7 @@ func (pm *PhysMem) AllocData(n numa.NodeID) (FrameID, error) {
 	if err != nil {
 		return NilFrame, err
 	}
-	m := &pm.meta[f]
-	m.Kind = KindData
+	pm.chunk(f).meta[f%HugeFrames].Kind = KindData
 	ns.allocData++
 	return f, nil
 }
@@ -522,10 +593,10 @@ func (pm *PhysMem) AllocPageTable(n numa.NodeID, level uint8) (FrameID, error) {
 	if err != nil {
 		return NilFrame, err
 	}
-	m := &pm.meta[f]
-	m.Kind = KindPageTable
-	m.PTLevel = level
-	pm.tables[f] = ns.takeTable()
+	c := pm.chunk(f)
+	c.meta[f%HugeFrames].Kind = KindPageTable
+	c.meta[f%HugeFrames].PTLevel = level
+	c.tables[f%HugeFrames] = ns.takeTable()
 	ns.allocPT++
 	return f, nil
 }
@@ -555,14 +626,14 @@ func (pm *PhysMem) AllocHuge(n numa.NodeID) (FrameID, error) {
 	}
 	ns.nextGroup = (g + 1) % groups
 	base := ns.base + FrameID(uint64(g)*HugeFrames)
+	c := pm.ensureChunk(uint64(base) / HugeFrames)
 	for off := FrameID(0); off < HugeFrames; off++ {
-		f := base + off
-		pm.setBit(ns, uint64(f-ns.base))
-		m := &pm.meta[f]
+		pm.setBit(ns, uint64(base+off-ns.base))
+		m := &c.meta[off]
 		m.Kind = KindData
 		m.HugeTail = off != 0
 	}
-	pm.meta[base].HugeHead = true
+	c.meta[0].HugeHead = true
 	ns.groupFree[g] = 0
 	maskClear(ns.freeMask, g)
 	ns.free -= HugeFrames
@@ -578,10 +649,11 @@ func (pm *PhysMem) Free(f FrameID) {
 	ns := pm.node(n)
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	m := &pm.meta[f]
-	if m.Kind == KindFree {
+	c := pm.chunk(f)
+	if c == nil || c.meta[f%HugeFrames].Kind == KindFree {
 		panic(fmt.Sprintf("mem: double free of frame %d", f))
 	}
+	m, t := &c.meta[f%HugeFrames], &c.tables[f%HugeFrames]
 	if m.HugeHead || m.HugeTail {
 		panic(fmt.Sprintf("mem: frame %d belongs to a huge page; use FreeHuge", f))
 	}
@@ -593,9 +665,9 @@ func (pm *PhysMem) Free(f FrameID) {
 	}
 	// Data frames may carry provisioned guest-table storage; drop it so a
 	// reused frame never exposes a stale payload.
-	if t := pm.tables[f]; t != nil {
-		ns.recycleTable(t)
-		pm.tables[f] = nil
+	if *t != nil {
+		ns.recycleTable(*t)
+		*t = nil
 	}
 	if pm.Poisoned(f) {
 		// ECC page-offline: a poisoned frame never returns to the free
@@ -628,16 +700,17 @@ func (pm *PhysMem) FreeHuge(base FrameID) {
 	ns := pm.node(n)
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	if !pm.meta[base].HugeHead {
+	c := pm.chunk(base)
+	if c == nil || base%HugeFrames != 0 || !c.meta[0].HugeHead {
 		panic(fmt.Sprintf("mem: frame %d is not a huge-page head", base))
 	}
 	retired := uint64(0)
 	for off := FrameID(0); off < HugeFrames; off++ {
 		f := base + off
-		m := &pm.meta[f]
-		if t := pm.tables[f]; t != nil {
+		m := &c.meta[off]
+		if t := c.tables[off]; t != nil {
 			ns.recycleTable(t)
-			pm.tables[f] = nil
+			c.tables[off] = nil
 		}
 		if pm.Poisoned(f) {
 			// A poisoned member retires in place; the rest of the block
@@ -670,12 +743,13 @@ func (pm *PhysMem) SplitHuge(base FrameID) {
 	ns := pm.node(pm.NodeOf(base))
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	if !pm.meta[base].HugeHead {
+	c := pm.chunk(base)
+	if c == nil || base%HugeFrames != 0 || !c.meta[0].HugeHead {
 		panic(fmt.Sprintf("mem: frame %d is not a huge-page head", base))
 	}
-	pm.meta[base].HugeHead = false
-	for off := FrameID(1); off < HugeFrames; off++ {
-		pm.meta[base+off].HugeTail = false
+	c.meta[0].HugeHead = false
+	for off := 1; off < HugeFrames; off++ {
+		c.meta[off].HugeTail = false
 	}
 }
 
@@ -785,6 +859,8 @@ func (ns *nodeState) firstGroupFrom(start int, pick func(free, frag uint64) uint
 	return -1
 }
 
+// takeFromGroup hands out the lowest free frame of node-local group g,
+// creating the group's chunk on its first allocation.
 func (pm *PhysMem) takeFromGroup(ns *nodeState, g int) FrameID {
 	base := uint64(g) * HugeFrames
 	wbase := base / 64
@@ -797,6 +873,9 @@ func (pm *PhysMem) takeFromGroup(ns *nodeState, g int) FrameID {
 			ns.groupFree[g]--
 			ns.free--
 			if wasFull {
+				// A group that never held an allocation is whole, so
+				// only this transition can meet it without a chunk.
+				pm.ensureChunk(uint64(ns.base)/HugeFrames + uint64(g))
 				maskClear(ns.freeMask, g)
 				maskSet(ns.partialMask, g)
 			}
@@ -832,14 +911,14 @@ func (pm *PhysMem) Reset() {
 			for w := base / 64; w < base/64+HugeFrames/64; w++ {
 				ns.bitmap[w] = 0
 			}
-			for off := uint64(0); off < HugeFrames; off++ {
-				f := ns.base + FrameID(base+off)
-				if t := pm.tables[f]; t != nil {
+			c := pm.chunks[uint64(ns.base)/HugeFrames+uint64(g)]
+			for off := range c.tables {
+				if t := c.tables[off]; t != nil {
 					ns.recycleTable(t)
-					pm.tables[f] = nil
+					c.tables[off] = nil
 				}
-				pm.meta[f] = FrameMeta{Kind: KindFree, ReplicaNext: NilFrame}
 			}
+			c.meta = pristineMeta
 			ns.groupFree[g] = HugeFrames
 		}
 		for w := range ns.partialMask {
@@ -891,8 +970,8 @@ func (pm *PhysMem) node(n numa.NodeID) *nodeState {
 }
 
 func (pm *PhysMem) checkFrame(f FrameID) {
-	if uint64(f) >= uint64(len(pm.meta)) {
-		panic(fmt.Sprintf("mem: frame %d out of range [0,%d)", f, len(pm.meta)))
+	if uint64(f)/HugeFrames >= uint64(len(pm.chunks)) {
+		panic(frameError{pm, f})
 	}
 }
 
