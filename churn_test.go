@@ -2,7 +2,9 @@ package mitosis
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
+	"runtime"
 	"testing"
 )
 
@@ -19,12 +21,28 @@ func testChurn() Churn {
 	}
 }
 
-// TestChurnDeterministicAcrossWorkersAndLock pins the churn engine's
-// contract: the simulated outcome — counters, spawn/exit counts and the
-// full fault-latency histogram — is bit-identical for any host worker
-// count and for either fault-lock mode. Only host-side throughput may
-// differ.
-func TestChurnDeterministicAcrossWorkersAndLock(t *testing.T) {
+// churnVariants are the Workers settings a churn outcome must not depend
+// on: the parallel engine (0 and 2) and the sequential one (1).
+var churnVariants = []int{0, 1, 2}
+
+// forEachGOMAXPROCS runs f as one subtest per GOMAXPROCS setting in 1..4,
+// restoring the setting afterwards. On 4 sockets the parallel engine then
+// deals the sockets as {0,1,2,3}, {0,1}{2,3}, the uneven {0,1}{2}{3}, and
+// one socket per goroutine.
+func forEachGOMAXPROCS(t *testing.T, f func(t *testing.T)) {
+	for _, procs := range []int{1, 2, 3, 4} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			f(t)
+		})
+	}
+}
+
+// TestChurnDeterministicAcrossWorkers pins the churn driver's contract:
+// the simulated outcome — counters, spawn/exit counts and the full
+// fault-latency histogram — is bit-identical for every Workers value and
+// GOMAXPROCS. Only host-side throughput may differ.
+func TestChurnDeterministicAcrossWorkers(t *testing.T) {
 	ref, err := RunChurn(testChurn())
 	if err != nil {
 		t.Fatal(err)
@@ -40,23 +58,21 @@ func TestChurnDeterministicAcrossWorkersAndLock(t *testing.T) {
 	if ref.P99 <= ref.P50 {
 		t.Errorf("p99 %d not above p50 %d; THP tail missing from the distribution", ref.P99, ref.P50)
 	}
-	for _, alt := range []Churn{
-		func() Churn { c := testChurn(); c.Workers = 1; return c }(),
-		func() Churn { c := testChurn(); c.Workers = 2; return c }(),
-		func() Churn { c := testChurn(); c.GlobalLock = true; return c }(),
-		func() Churn { c := testChurn(); c.GlobalLock = true; c.Workers = 1; return c }(),
-	} {
-		got, err := RunChurn(alt)
-		if err != nil {
-			t.Fatal(err)
+	forEachGOMAXPROCS(t, func(t *testing.T) {
+		for _, workers := range churnVariants {
+			alt := testChurn()
+			alt.Workers = workers
+			got, err := RunChurn(alt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.DeterministicEquals(ref) {
+				t.Errorf("workers=%d diverged from reference:\nref: ops=%d faults=%d cycles=%d hist=%v\ngot: ops=%d faults=%d cycles=%d hist=%v",
+					workers, ref.Ops, ref.Faults, ref.Cycles, ref.FaultHist,
+					got.Ops, got.Faults, got.Cycles, got.FaultHist)
+			}
 		}
-		if !got.DeterministicEquals(ref) {
-			t.Errorf("workers=%d globalLock=%v diverged from reference:\nref: ops=%d faults=%d cycles=%d hist=%v\ngot: ops=%d faults=%d cycles=%d hist=%v",
-				alt.Workers, alt.GlobalLock,
-				ref.Ops, ref.Faults, ref.Cycles, ref.FaultHist,
-				got.Ops, got.Faults, got.Cycles, got.FaultHist)
-		}
-	}
+	})
 }
 
 // TestChurnValidate rejects structurally impossible specs.

@@ -129,7 +129,7 @@ func renderDecl(fset *token.FileSet, d ast.Decl) []string {
 					typ = " " + render(fset, s.Type)
 				}
 				// Values are part of the surface: changing ScenarioVersion
-				// or AllSockets is a break the gate must catch.
+				// is a break the gate must catch.
 				val := ""
 				if len(s.Values) > 0 {
 					var vs []string

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	mitosis-bench [-ops N] [-seed S] [-quick] [-json DIR] [-policy LIST] [experiment ...]
+//	mitosis-bench [-ops N] [-seed S] [-quick] [-json DIR] [-policy LIST] [-baseline FILE [-tolerance X]] [experiment ...]
 //	mitosis-bench -replay FILE
 //
 // Experiments: fig1 fig3 fig4 fig6 fig9a fig9b fig10a fig10b fig11
@@ -14,11 +14,14 @@
 // (simulated ops per wall-clock second) for the TLB-hit fast path, the
 // TLB-miss walk path, the fault-storm populate path and the parallel
 // engine on GUPS, writing the trajectory to BENCH_perf.json.
-// -perf-baseline FILE additionally fills each row's baseline/speedup
-// columns from a previous BENCH_perf.json and fails the run when any row
-// regresses below (1 - perf-tolerance) x its baseline; the default
-// tolerance (0.7) is deliberately generous — baselines travel between
-// hosts, so only structural slowdowns should trip CI, not host noise.
+//
+// -baseline FILE compares the requested target named by FILE's "target"
+// field — perf, sweep or churn, the targets that keep a host-throughput
+// baseline — against that committed record: it fills the target's
+// baseline columns and fails the run when throughput drops below
+// (1 - tolerance) x the baseline. The default -tolerance (0.7) is
+// deliberately generous — baselines travel between hosts, so only
+// structural slowdowns should trip CI, not host noise.
 //
 // With -json DIR, every target additionally writes DIR/BENCH_<target>.json
 // containing the wall-clock time of the target, the simulator throughput
@@ -46,10 +49,9 @@
 // bit-for-bit.
 //
 // The churn target (opt-in, like sweep) runs the datacenter-churn
-// multi-process fault storm under both the sharded per-process fault lock
-// and the legacy global lock, reporting the host-throughput ratio and the
-// simulated fault-latency tail (p50/p95/p99); -churn-baseline FILE
-// compares against a committed BENCH_churn.json like -sweep-baseline.
+// multi-process fault storm on the round engine, reporting its host
+// throughput and the simulated fault-latency tail (p50/p95/p99), and
+// cross-checks the run against the sequential engine bit-for-bit.
 //
 // -cpuprofile FILE and -memprofile FILE write runtime/pprof profiles of
 // the whole invocation for digging into simulator hot paths.
@@ -102,7 +104,7 @@ var targets = []targetInfo{
 	{"faults", "fault-injection kill-vs-recover ladder: MCE failover, node offlining, OOM, replayable via BENCH_fault.json"},
 	{"engine", "execution-engine throughput benchmark (sequential vs parallel)"},
 	{"perf", "simulator hot-path host-throughput trajectory (BENCH_perf.json)"},
-	{"churn", "multi-process churn: sharded vs global fault lock + tail latency, replayable via BENCH_churn.json (not in \"all\")"},
+	{"churn", "multi-process churn fault storm: host throughput + tail latency, replayable via BENCH_churn.json (not in \"all\")"},
 	{"sweep", "fleet-scale pooled scenario grid, replayable via BENCH_sweep.json (not in \"all\")"},
 }
 
@@ -142,16 +144,12 @@ func realMain() int {
 	policyList := flag.String("policy", "", "comma-separated replication policies for the policy target (empty = all)")
 	replay := flag.String("replay", "", "replay the record in FILE (BENCH_scenario.json, BENCH_sweep.json or bare scenario JSON) and verify counters")
 	replayCell := flag.Int("cell", -1, "with -replay on a sweep record: replay only this cell index (-1 = all cells)")
-	perfBaseline := flag.String("perf-baseline", "", "BENCH_perf.json to compare the perf target against (fills baseline columns, fails on regression)")
-	perfTolerance := flag.Float64("perf-tolerance", 0.7, "allowed fractional throughput drop vs -perf-baseline before the perf target fails")
+	baseline := flag.String("baseline", "", "BENCH_<target>.json record to compare the requested target it names against (perf, sweep or churn; fails on regression)")
+	tolerance := flag.Float64("tolerance", 0.7, "allowed fractional throughput drop vs -baseline before the target fails")
 	list := flag.Bool("list", false, "list experiment targets with descriptions and exit")
 	cells := flag.Int("cells", 0, "sweep: truncate the grid to its first N cells (0 = all)")
-	workers := flag.Int("workers", 0, "sweep: worker-pool size (0 = host CPU count)")
+	workers := flag.Int("workers", 0, "sweep: worker-pool size (0 = host CPU count); churn: 1 runs the sequential engine")
 	serial := flag.Bool("serial", false, "sweep: also run the serial fresh-build loop for the speedup figure (doubles runtime)")
-	sweepBaseline := flag.String("sweep-baseline", "", "BENCH_sweep.json to compare the sweep target's throughput against (fails on regression)")
-	sweepTolerance := flag.Float64("sweep-tolerance", 0.7, "allowed fractional throughput drop vs -sweep-baseline before the sweep target fails")
-	churnBaseline := flag.String("churn-baseline", "", "BENCH_churn.json to compare the churn target's throughput against (fails on regression)")
-	churnTolerance := flag.Float64("churn-tolerance", 0.7, "allowed fractional throughput drop vs -churn-baseline before the churn target fails")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to FILE")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile (taken at exit) to FILE")
 	flag.Parse()
@@ -237,6 +235,14 @@ func realMain() int {
 			}
 		}
 	}
+	var base *baselineRecord
+	if *baseline != "" {
+		var err error
+		if base, err = loadBaseline(*baseline, requested); err != nil {
+			fmt.Fprintf(os.Stderr, "mitosis-bench: -baseline: %v\n", err)
+			return 2
+		}
+	}
 
 	sweepOpt := experiments.SweepOptions{
 		Quick:   *quick,
@@ -257,29 +263,11 @@ func realMain() int {
 			return 1
 		}
 		wall := time.Since(start)
-		if target == "perf" && *perfBaseline != "" {
-			pb := payload.(*experiments.PerfBench)
-			if err := comparePerf(pb, *perfBaseline, *perfTolerance); err != nil {
-				fmt.Fprintf(os.Stderr, "mitosis-bench: perf: %v\n", err)
+		if base != nil && target == base.Target {
+			if out, err = baselines[target](payload, base.Result, *tolerance); err != nil {
+				fmt.Fprintf(os.Stderr, "mitosis-bench: %s: vs %s: %v\n", target, base.path, err)
 				return 1
 			}
-			out = pb.String()
-		}
-		if target == "sweep" && *sweepBaseline != "" {
-			sb := payload.(*experiments.SweepBench)
-			if err := compareSweep(sb, *sweepBaseline, *sweepTolerance); err != nil {
-				fmt.Fprintf(os.Stderr, "mitosis-bench: sweep: %v\n", err)
-				return 1
-			}
-			out = sb.String()
-		}
-		if target == "churn" && *churnBaseline != "" {
-			cb := payload.(*experiments.ChurnBench)
-			if err := compareChurn(cb, *churnBaseline, *churnTolerance); err != nil {
-				fmt.Fprintf(os.Stderr, "mitosis-bench: churn: %v\n", err)
-				return 1
-			}
-			out = cb.String()
 		}
 		fmt.Println(out)
 		fmt.Printf("[%s completed in %v]\n\n", target, wall.Round(time.Millisecond))
@@ -456,71 +444,61 @@ func run(cfg experiments.Config, target string, policies []string, sweepOpt expe
 	}
 }
 
-// comparePerf fills pb's baseline columns from the BENCH_perf.json at
-// path and fails when any row regressed beyond tolerance.
-func comparePerf(pb *experiments.PerfBench, path string, tolerance float64) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var rec struct {
-		Result experiments.PerfBench `json:"result"`
-	}
-	if err := json.Unmarshal(data, &rec); err != nil {
-		return fmt.Errorf("%s: %v", path, err)
-	}
-	if len(rec.Result.Rows) == 0 {
-		return fmt.Errorf("%s carries no perf rows", path)
-	}
-	pb.ApplyBaseline(&rec.Result)
-	if errs := pb.Compare(&rec.Result, tolerance); len(errs) > 0 {
-		msgs := make([]string, len(errs))
-		for i, e := range errs {
-			msgs[i] = e.Error()
-		}
-		return fmt.Errorf("throughput regressed vs %s:\n  %s", path, strings.Join(msgs, "\n  "))
-	}
-	return nil
+// baselineRecord is a -baseline file: a committed BENCH_<target>.json.
+type baselineRecord struct {
+	path   string
+	Target string          `json:"target"`
+	Result json.RawMessage `json:"result"`
 }
 
-// compareSweep fills sb's baseline column from the BENCH_sweep.json at
-// path and fails when the pooled throughput regressed beyond tolerance.
-func compareSweep(sb *experiments.SweepBench, path string, tolerance float64) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var rec struct {
-		Result experiments.SweepBench `json:"result"`
-	}
-	if err := json.Unmarshal(data, &rec); err != nil {
-		return fmt.Errorf("%s: %v", path, err)
-	}
-	sb.ApplyBaseline(&rec.Result)
-	if err := sb.Compare(&rec.Result, tolerance); err != nil {
-		return fmt.Errorf("vs %s: %w", path, err)
-	}
-	return nil
+// baselines maps each target that keeps a host-throughput baseline to the
+// comparison of its payload against a committed record's result, which
+// returns the payload's output with the baseline columns filled.
+var baselines = map[string]func(payload any, result json.RawMessage, tolerance float64) (string, error){
+	"perf":  compareWith[experiments.PerfBench],
+	"sweep": compareWith[experiments.SweepBench],
+	"churn": compareWith[experiments.ChurnBench],
 }
 
-// compareChurn fills cb's baseline column from the BENCH_churn.json at
-// path and fails when the sharded throughput regressed beyond tolerance.
-func compareChurn(cb *experiments.ChurnBench, path string, tolerance float64) error {
+// loadBaseline reads a -baseline record and checks that it names one of
+// the requested targets and that the target keeps a baseline.
+func loadBaseline(path string, requested []string) (*baselineRecord, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	var rec struct {
-		Result experiments.ChurnBench `json:"result"`
+	rec := &baselineRecord{path: path}
+	if err := json.Unmarshal(data, rec); err != nil {
+		return nil, fmt.Errorf("%s: %v", path, err)
 	}
-	if err := json.Unmarshal(data, &rec); err != nil {
-		return fmt.Errorf("%s: %v", path, err)
+	if !slices.Contains(requested, rec.Target) {
+		return nil, fmt.Errorf("%s is a %q record, but no requested target is %q", path, rec.Target, rec.Target)
 	}
-	cb.ApplyBaseline(&rec.Result)
-	if err := cb.Compare(&rec.Result, tolerance); err != nil {
-		return fmt.Errorf("vs %s: %w", path, err)
+	if baselines[rec.Target] == nil {
+		return nil, fmt.Errorf("%s is a %q record, and target %q keeps no baseline (perf, sweep and churn do)", path, rec.Target, rec.Target)
 	}
-	return nil
+	return rec, nil
+}
+
+// compareWith decodes a baseline result as a T, fills the payload's
+// baseline columns from it and fails when the payload regressed beyond
+// tolerance.
+func compareWith[T any, P interface {
+	*T
+	fmt.Stringer
+	ApplyBaseline(*T)
+	Compare(*T, float64) error
+}](payload any, result json.RawMessage, tolerance float64) (string, error) {
+	var ref T
+	if err := json.Unmarshal(result, &ref); err != nil {
+		return "", err
+	}
+	cur := payload.(P)
+	cur.ApplyBaseline(&ref)
+	if err := cur.Compare(&ref, tolerance); err != nil {
+		return "", err
+	}
+	return cur.String(), nil
 }
 
 // runReplay re-executes a serialized record. A BENCH_scenario.json record

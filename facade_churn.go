@@ -9,6 +9,7 @@ import (
 	"github.com/mitosis-project/mitosis-sim/internal/kernel"
 	"github.com/mitosis-project/mitosis-sim/internal/numa"
 	"github.com/mitosis-project/mitosis-sim/internal/pt"
+	"github.com/mitosis-project/mitosis-sim/internal/workloads"
 )
 
 // Churn describes a datacenter-churn run: a stream of short-lived
@@ -18,14 +19,15 @@ import (
 // barrier and the next process of the stream spawns in its place. Faults
 // from different sockets therefore always belong to *different* processes
 // — exactly the multi-process contention the sharded per-process fault
-// lock removes and the legacy global lock serializes.
+// lock lets proceed in parallel.
 //
-// The run is deterministic: spawn and exit happen only at round barriers
+// The run executes on the round engine, with spawn and exit as its barrier
+// hook. It is deterministic: spawn and exit happen only at round barriers
 // in canonical socket order, each process allocates data and page-table
 // pages on its own socket's node (first-touch), and every simulated
 // counter — including the fault-latency histogram — is bit-identical for
-// any Workers count and either lock mode. Only host-side throughput
-// changes with the lock, which is what the churn benchmark measures.
+// any Workers value and GOMAXPROCS. Only host-side throughput changes,
+// which is what the churn benchmark measures.
 type Churn struct {
 	// Name labels the run in records.
 	Name string `json:"name"`
@@ -68,12 +70,10 @@ type Churn struct {
 	Pressure float64 `json:"pressure,omitempty"`
 	// Seed drives the fragmentation pattern (default 42).
 	Seed int64 `json:"seed"`
-	// GlobalLock selects the legacy machine-wide fault lock instead of
-	// the sharded per-process locks: the measurement baseline.
-	GlobalLock bool `json:"global_lock,omitempty"`
-	// Workers is the number of host goroutines driving sockets: 0 = one
-	// per active socket, 1 = fully sequential. Simulated outcomes are
-	// identical for every value.
+	// Workers selects the engine: 1 runs the sequential engine, any other
+	// value the parallel one, which deals the active sockets to at most
+	// GOMAXPROCS goroutines. Simulated outcomes are identical for every
+	// value.
 	Workers int `json:"workers,omitempty"`
 }
 
@@ -100,9 +100,6 @@ func (c Churn) normalize() Churn {
 	}
 	if c.Sockets <= 0 || c.Sockets > c.Machine.Sockets {
 		c.Sockets = c.Machine.Sockets
-	}
-	if c.Workers <= 0 || c.Workers > c.Sockets {
-		c.Workers = c.Sockets
 	}
 	return c
 }
@@ -145,8 +142,9 @@ func (c Churn) Validate() error {
 }
 
 // ChurnResult is a churn run's outcome. Every field except the Host*
-// figures and WallSec is deterministic — bit-identical across Workers
-// counts and lock modes — and is what replay verification compares.
+// figures, WallSec and Workers is deterministic — bit-identical across
+// Workers values and GOMAXPROCS — and is what replay verification
+// compares.
 type ChurnResult struct {
 	// Churn is the normalized spec the run executed; the record replays
 	// from it alone.
@@ -176,13 +174,11 @@ type ChurnResult struct {
 	WallSec          float64 `json:"wall_sec"`
 	HostOpsPerSec    float64 `json:"host_ops_per_sec"`
 	HostFaultsPerSec float64 `json:"host_faults_per_sec"`
-	// Workers is the worker count actually used.
+	// Workers is how many goroutines drove the run.
 	Workers int `json:"workers"`
 }
 
-// churnSlot is one socket's live-process state. The coordinator mutates it
-// only at barriers; the socket's worker reads and advances cursors only
-// between barriers — the start/done channel handshake orders the two.
+// churnSlot is one socket's live-process state.
 type churnSlot struct {
 	socket numa.SocketID
 	cores  []numa.CoreID
@@ -195,11 +191,109 @@ type churnSlot struct {
 	// next[i] is the index of cores[i]'s next untouched page; pages are
 	// dealt to cores round-robin (core i owns pages i, i+C, i+2C, ...).
 	next []int
-	ops  []hw.AccessOp // reusable batch buffer
-	done bool          // live proc touched all its pages
+	live bool // the process issued ops this round
 }
 
-// RunChurn executes a churn run. See Churn for the determinism contract.
+// churnDriver is the round loop's driver for a churn run. Every active
+// socket's cores are threads for the whole run, socket by socket; a
+// socket whose process is gone issues empty batches. Its barrier hook
+// retires, in canonical socket order, each process that issued nothing in
+// the round — it has touched all its pages — and spawns the stream's next
+// process in its place.
+type churnDriver struct {
+	k       *kernel.Kernel
+	c       Churn
+	slots   []*churnSlot
+	perSlot int // cores per socket: thread ti is core ti%perSlot of slot ti/perSlot
+
+	spawned, exited int
+}
+
+// spawn starts the stream's next process on sl's socket.
+func (d *churnDriver) spawn(sl *churnSlot) error {
+	k, c := d.k, d.c
+	p, err := k.CreateProcess(kernel.ProcessOpts{
+		Name: fmt.Sprintf("%s-%d", c.Name, d.spawned),
+		Home: sl.socket,
+	})
+	if err != nil {
+		return err
+	}
+	if err := k.RunOn(p, sl.cores); err != nil {
+		return err
+	}
+	// Two regions: one that always demand-faults 4KB pages and, when
+	// the spec asks for it, a THP-backed one whose 2MB zeroing storms
+	// populate the histogram's expensive tail. Under fragmentation a
+	// huge block may fail contiguous allocation and fall back to 4KB —
+	// deterministically, since the fragmentation mask is fixed at boot.
+	base, err := k.Mmap(p, uint64(c.PagesPerProc)*4096, kernel.MmapOpts{Writable: true})
+	if err != nil {
+		return err
+	}
+	sl.hugeBase = 0
+	if c.HugePages > 0 {
+		hb, err := k.Mmap(p, uint64(c.HugePages)*4096, kernel.MmapOpts{Writable: true, THP: true})
+		if err != nil {
+			return err
+		}
+		sl.hugeBase = hb
+	}
+	sl.proc, sl.base = p, base
+	for i := range sl.next {
+		sl.next[i] = i
+	}
+	d.spawned++
+	return nil
+}
+
+// Batch deals the thread's next chunk of untouched pages as stores.
+func (d *churnDriver) Batch(ti int, buf []hw.AccessOp) int {
+	sl, i := d.slots[ti/d.perSlot], ti%d.perSlot
+	if sl.proc == nil {
+		return 0
+	}
+	total := d.c.PagesPerProc + d.c.HugePages
+	n := 0
+	for ; n < len(buf) && sl.next[i] < total; n++ {
+		idx := sl.next[i]
+		va := sl.base + pt.VirtAddr(uint64(idx)*4096)
+		if idx >= d.c.PagesPerProc {
+			va = sl.hugeBase + pt.VirtAddr(uint64(idx-d.c.PagesPerProc)*4096)
+		}
+		buf[n] = hw.AccessOp{VA: va, Write: true}
+		sl.next[i] += d.perSlot
+	}
+	if n > 0 {
+		sl.live = true
+	}
+	return n
+}
+
+// Barrier retires finished processes in canonical socket order, spawning
+// replacements while the stream lasts, and ends the run once no socket
+// hosts a process.
+func (d *churnDriver) Barrier(int) ([]numa.CoreID, bool, error) {
+	running := false
+	for _, sl := range d.slots {
+		if sl.proc != nil && !sl.live {
+			d.k.DestroyProcess(sl.proc)
+			sl.proc = nil
+			d.exited++
+			if d.spawned < d.c.Procs {
+				if err := d.spawn(sl); err != nil {
+					return nil, true, err
+				}
+			}
+		}
+		sl.live = false
+		running = running || sl.proc != nil
+	}
+	return nil, !running, nil
+}
+
+// RunChurn executes a churn run on the round engine. See Churn for the
+// determinism contract.
 func RunChurn(c Churn) (*ChurnResult, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -217,7 +311,6 @@ func RunChurn(c Churn) (*ChurnResult, error) {
 			k.Mem().Fragment(numa.NodeID(n), c.Fragmentation, r)
 		}
 	}
-	k.SetGlobalFaultLock(c.GlobalLock)
 	if c.Pressure > 0 {
 		// Leave node 0 only the unpressured share of one process's
 		// footprint above the floor: the storm crosses it Pressure of the
@@ -232,198 +325,36 @@ func RunChurn(c Churn) (*ChurnResult, error) {
 		}
 	}
 
-	slots := make([]*churnSlot, c.Sockets)
-	for s := range slots {
-		cores := topo.CoresOf(numa.SocketID(s))
-		slots[s] = &churnSlot{
-			socket: numa.SocketID(s),
-			cores:  cores,
-			next:   make([]int, len(cores)),
-			ops:    make([]hw.AccessOp, 0, c.Chunk),
-		}
-	}
-
-	spawned, exited := 0, 0
-	spawn := func(sl *churnSlot) error {
-		p, err := k.CreateProcess(kernel.ProcessOpts{
-			Name: fmt.Sprintf("%s-%d", c.Name, spawned),
-			Home: sl.socket,
-		})
-		if err != nil {
-			return err
-		}
-		if err := k.RunOn(p, sl.cores); err != nil {
-			return err
-		}
-		// Two regions: one that always demand-faults 4KB pages and, when
-		// the spec asks for it, a THP-backed one whose 2MB zeroing storms
-		// populate the histogram's expensive tail. Under fragmentation a
-		// huge block may fail contiguous allocation and fall back to 4KB —
-		// deterministically, since the fragmentation mask is fixed at boot.
-		base, err := k.Mmap(p, uint64(c.PagesPerProc)*4096, kernel.MmapOpts{Writable: true})
-		if err != nil {
-			return err
-		}
-		sl.hugeBase = 0
-		if c.HugePages > 0 {
-			hb, err := k.Mmap(p, uint64(c.HugePages)*4096, kernel.MmapOpts{Writable: true, THP: true})
-			if err != nil {
-				return err
-			}
-			sl.hugeBase = hb
-		}
-		sl.proc, sl.base, sl.done = p, base, false
-		for i := range sl.next {
-			sl.next[i] = i
-		}
-		spawned++
-		return nil
-	}
-	// retire destroys a finished process at a barrier and spawns its
-	// replacement while the stream lasts.
-	retire := func(sl *churnSlot) error {
-		m.DrainCoherence(sl.cores)
-		k.DestroyProcess(sl.proc)
-		sl.proc = nil
-		exited++
-		if spawned < c.Procs {
-			return spawn(sl)
-		}
-		return nil
-	}
-	// round advances one slot by one chunk per core, in canonical core
-	// order. It runs on the slot's worker goroutine.
-	totalPages := c.PagesPerProc + c.HugePages
-	round := func(sl *churnSlot) error {
-		live := false
-		for i, core := range sl.cores {
-			sl.ops = sl.ops[:0]
-			for n := 0; n < c.Chunk && sl.next[i] < totalPages; n++ {
-				idx := sl.next[i]
-				var va pt.VirtAddr
-				if idx < c.PagesPerProc {
-					va = sl.base + pt.VirtAddr(uint64(idx)*4096)
-				} else {
-					va = sl.hugeBase + pt.VirtAddr(uint64(idx-c.PagesPerProc)*4096)
-				}
-				sl.ops = append(sl.ops, hw.AccessOp{VA: va, Write: true})
-				sl.next[i] += len(sl.cores)
-			}
-			if len(sl.ops) == 0 {
-				continue
-			}
-			live = true
-			if err := m.AccessBatch(core, sl.ops); err != nil {
-				return err
-			}
-		}
-		if !live {
-			sl.done = true
-		}
-		return nil
+	d := &churnDriver{k: k, c: c, perSlot: topo.CoresPerSocket()}
+	var cores []numa.CoreID
+	for s := range c.Sockets {
+		sl := &churnSlot{socket: numa.SocketID(s), cores: topo.CoresOf(numa.SocketID(s)), next: make([]int, d.perSlot)}
+		d.slots = append(d.slots, sl)
+		cores = append(cores, sl.cores...)
 	}
 
 	start := time.Now()
-	m.BeginSingleWriter()
-	for s := 0; s < c.Sockets && spawned < c.Procs; s++ {
-		if err := spawn(slots[s]); err != nil {
-			m.EndSingleWriter()
+	for _, sl := range d.slots[:min(c.Sockets, c.Procs)] {
+		if err := d.spawn(sl); err != nil {
 			return nil, err
 		}
 	}
-	// Persistent per-socket workers; the coordinator drives rounds and
-	// performs all spawn/exit mutations at the barriers between them.
-	// Workers capped below the socket count simply multiplex slots.
-	type workerCh struct {
-		start chan []*churnSlot
-		done  chan error
+	mode := workloads.Parallel
+	if c.Workers == 1 {
+		mode = workloads.Sequential
 	}
-	var workers []workerCh
-	if c.Workers > 1 {
-		workers = make([]workerCh, c.Workers)
-		for w := range workers {
-			workers[w] = workerCh{start: make(chan []*churnSlot), done: make(chan error, 1)}
-			go func(ch workerCh) {
-				for batch := range ch.start {
-					var err error
-					for _, sl := range batch {
-						if e := round(sl); e != nil && err == nil {
-							err = e
-						}
-					}
-					ch.done <- err
-				}
-			}(workers[w])
-		}
-	}
-	var runErr error
-	for {
-		active := make([]*churnSlot, 0, len(slots))
-		for _, sl := range slots {
-			if sl.proc != nil {
-				active = append(active, sl)
-			}
-		}
-		if len(active) == 0 {
-			break
-		}
-		if workers == nil {
-			for _, sl := range active {
-				if err := round(sl); err != nil {
-					runErr = err
-					break
-				}
-			}
-		} else {
-			// Deal active slots to workers round-robin; each worker runs
-			// its share serially, so every socket still has exactly one
-			// goroutine driving it (the single-writer LLC discipline).
-			batches := make([][]*churnSlot, len(workers))
-			for i, sl := range active {
-				w := i % len(workers)
-				batches[w] = append(batches[w], sl)
-			}
-			for w := range workers {
-				if len(batches[w]) > 0 {
-					workers[w].start <- batches[w]
-				}
-			}
-			for w := range workers {
-				if len(batches[w]) > 0 {
-					if err := <-workers[w].done; err != nil && runErr == nil {
-						runErr = err
-					}
-				}
-			}
-		}
-		if runErr != nil {
-			break
-		}
-		// Barrier: retire finished processes in canonical socket order.
-		for _, sl := range active {
-			if sl.done {
-				if err := retire(sl); err != nil {
-					runErr = err
-					break
-				}
-			}
-		}
-		if runErr != nil {
-			break
-		}
-	}
-	if workers != nil {
-		for w := range workers {
-			close(workers[w].start)
-		}
-	}
-	m.EndSingleWriter()
-	if runErr != nil {
-		return nil, runErr
+	// A core touches at most its share of a process's pages in one round,
+	// so an oversized chunk runs the same rounds without the buffers it
+	// names.
+	perCore := (c.PagesPerProc + c.HugePages + d.perSlot - 1) / d.perSlot
+	loop := workloads.Loop{Name: "churn", Mode: mode, Batch: min(c.Chunk, perCore)}
+	workers, err := loop.Run(m, cores, d)
+	if err != nil {
+		return nil, err
 	}
 	wall := time.Since(start).Seconds()
 
-	res := &ChurnResult{Churn: c, Spawned: spawned, Exited: exited, Workers: c.Workers, WallSec: wall}
+	res := &ChurnResult{Churn: c, Spawned: d.spawned, Exited: d.exited, Workers: workers, WallSec: wall}
 	for core := 0; core < topo.Cores(); core++ {
 		st := m.Stats(numa.CoreID(core))
 		res.Ops += st.Ops

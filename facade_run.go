@@ -582,7 +582,9 @@ func (s *System) Run(sc Scenario, opts ...RunOpt) (*RunResult, error) {
 				if chunk <= 0 {
 					chunk = workloads.DefaultChunk
 				}
-				rounds := (ph.Ops + chunk - 1) / chunk
+				// ceil(Ops/chunk), written so a chunk near MaxInt
+				// cannot overflow (Ops > 0 here).
+				rounds := (ph.Ops-1)/chunk + 1
 				rp.tickBase += rounds
 				faultBase += rounds
 				if wres != nil {

@@ -28,8 +28,7 @@ const (
 type PlacementSpec struct {
 	// Sockets lists the sockets the process runs on, one worker group per
 	// socket, in order (the first is the home socket). Empty means every
-	// socket. Unlike the deprecated ProcessConfig.Sockets int, []int{0}
-	// explicitly selects socket 0.
+	// socket. []int{0} explicitly selects socket 0.
 	Sockets []int `json:"sockets,omitempty"`
 	// CoresPerSocket is the number of worker cores per listed socket
 	// (default 1 — the experiments' placement).
@@ -439,7 +438,7 @@ func (sc Scenario) Validate() error {
 			return fmt.Errorf("scenario %q: tier %d home socket %d out of range [0,%d)", sc.Name, i, tn.Home, m.Sockets)
 		}
 	}
-	hs, err := effectiveHardware(m)
+	hs, err := ParseHardware(m.Hardware)
 	if err != nil {
 		return fmt.Errorf("scenario %q: machine hardware: %w", sc.Name, err)
 	}
@@ -494,9 +493,6 @@ func (sc Scenario) Validate() error {
 			if p.Replication.wants() {
 				return fmt.Errorf("%s: host replication spec set on a virtualized process; use vm.replication (%q/%q/%q) instead", where,
 					VMReplicationGPT, VMReplicationEPT, VMReplicationBoth)
-			}
-			if sc.Machine.FiveLevel {
-				return fmt.Errorf("%s: vm requires 4-level paging (guest tables are 4-level); drop machine five_level", where)
 			}
 			if hs.Backend == HardwareX8664LA57 {
 				return fmt.Errorf("%s: vm requires 4-level paging (guest tables are 4-level); use a 4-level hardware backend", where)

@@ -168,9 +168,6 @@ func (sw Sweep) Validate() error {
 			return fmt.Errorf("sweep %q: fragmentation %v outside [0,1)", sw.Name, f)
 		}
 	}
-	if slices.Contains(sw.Virt, true) && m.FiveLevel {
-		return fmt.Errorf("sweep %q: virt cells require 4-level paging; drop machine five_level", sw.Name)
-	}
 	for _, ts := range sw.Tiers {
 		if ts == "" {
 			continue
@@ -203,7 +200,7 @@ func (sw Sweep) Validate() error {
 		if hw != "" {
 			cellMachine.Hardware = hw
 		}
-		hs, err := effectiveHardware(cellMachine)
+		hs, err := ParseHardware(cellMachine.Hardware)
 		if err != nil {
 			return fmt.Errorf("sweep %q: hardware %q: %w", sw.Name, hw, err)
 		}

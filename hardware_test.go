@@ -60,10 +60,7 @@ func TestHardwareValidation(t *testing.T) {
 	}{
 		{"unknown backend", func(s *Scenario) { s.Machine.Hardware = "pdp11" }, "unknown"},
 		{"victima with L2", func(s *Scenario) { s.Machine.Hardware = "victima:l2=64/8" }, "l2"},
-		{"five_level contradiction", func(s *Scenario) {
-			s.Machine.Hardware = HardwareX8664
-			s.Machine.FiveLevel = true
-		}, "five_level"},
+		{"la57 bad L2 geometry", func(s *Scenario) { s.Machine.Hardware = "x8664la57:l2=60/8" }, "multiple of ways"},
 		{"malformed spec", func(s *Scenario) { s.Machine.Hardware = "x8664:l2=?" }, "/-separated"},
 	}
 	for _, c := range cases {
@@ -85,30 +82,6 @@ func TestHardwareValidation(t *testing.T) {
 	vm.Machine.Hardware = HardwareVictima
 	if err := vm.Validate(); err != nil {
 		t.Errorf("victima + vm rejected: %v", err)
-	}
-}
-
-// TestEffectiveHardwareFoldsFiveLevel pins the legacy switch: five_level
-// with no hardware string selects the LA57 backend, and an explicit LA57
-// string is equivalent.
-func TestEffectiveHardwareFoldsFiveLevel(t *testing.T) {
-	hs, err := effectiveHardware(SystemConfig{FiveLevel: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hs.Backend != HardwareX8664LA57 {
-		t.Errorf("five_level folded to %q, want %q", hs.Backend, HardwareX8664LA57)
-	}
-	hs, err = effectiveHardware(SystemConfig{FiveLevel: true, Hardware: HardwareX8664LA57})
-	if err != nil || hs.Backend != HardwareX8664LA57 {
-		t.Errorf("five_level + la57 = (%+v, %v)", hs, err)
-	}
-	if _, err := effectiveHardware(SystemConfig{FiveLevel: true, Hardware: HardwareVictima}); err == nil {
-		t.Error("five_level + victima accepted")
-	}
-	hs, err = effectiveHardware(SystemConfig{})
-	if err != nil || hs != (HardwareSpec{}) {
-		t.Errorf("zero machine resolved to (%+v, %v), want the legacy default", hs, err)
 	}
 }
 

@@ -13,9 +13,9 @@ import (
 // machine, each fault-storming a 1MB 4KB region plus an 8MB THP region
 // before exiting. Every fault belongs to a different process per socket,
 // so the run concentrates exactly the multi-process fault contention the
-// sharded per-process fault lock removes; the THP region gives the
-// fault-latency histogram its heavy tail (a 2MB zeroing storm costs ~128x
-// a 4KB fault), so p99 sits two orders of magnitude above p50.
+// sharded per-process fault lock lets proceed in parallel; the THP region
+// gives the fault-latency histogram its heavy tail (a 2MB zeroing storm
+// costs ~128x a 4KB fault), so p99 sits two orders of magnitude above p50.
 func CanonicalChurn() mitosis.Churn {
 	return mitosis.Churn{
 		Name:          "canonical",
@@ -37,23 +37,19 @@ func QuickChurn() mitosis.Churn {
 }
 
 // ChurnBench is the churn target's machine-readable payload: the full
-// replayable sharded-lock ChurnResult plus the host-side throughput
-// comparison against the same run under the legacy global fault lock.
+// replayable ChurnResult plus its host-side throughput.
 type ChurnBench struct {
 	// HostCPUs is runtime.NumCPU() on the measuring host — the context for
-	// judging Speedup: with a single host CPU the sharded and global runs
-	// serialize identically and the ratio only reflects lock overhead, not
-	// the parallelism the sharding buys on a multi-core host.
+	// judging the throughput: with a single host CPU the parallel engine's
+	// goroutines take turns on it.
 	HostCPUs int `json:"host_cpus"`
-	// Workers is the number of host goroutines driving sockets.
+	// Workers is how many goroutines drove the measured run.
 	Workers int `json:"workers"`
-	// ShardedOpsPerSec is the per-process-lock run's simulated ops per host
-	// second (best of churnReps) — the figure CI diffs against baseline.
-	ShardedOpsPerSec float64 `json:"sharded_ops_per_sec"`
-	// GlobalOpsPerSec is the same run under the machine-wide fault lock.
-	GlobalOpsPerSec float64 `json:"global_ops_per_sec"`
-	// Speedup is ShardedOpsPerSec / GlobalOpsPerSec.
-	Speedup float64 `json:"speedup_vs_global"`
+	// OpsPerSec is the run's simulated ops per host second (best of
+	// churnReps) — the figure CI diffs against baseline. Its key predates
+	// the removal of the global fault lock and is kept so committed
+	// records stay baselines.
+	OpsPerSec float64 `json:"sharded_ops_per_sec"`
 	// Faults and the percentiles summarize the (deterministic) simulated
 	// fault-latency distribution; the full histogram is in Churn.FaultHist.
 	Faults uint64 `json:"faults"`
@@ -62,7 +58,7 @@ type ChurnBench struct {
 	P99    uint64 `json:"fault_p99_cycles"`
 	// BaselineOpsPerSec is filled by ApplyBaseline from a reference record.
 	BaselineOpsPerSec float64 `json:"baseline_ops_per_sec,omitempty"`
-	// Churn is the sharded run's full result: normalized spec, counters,
+	// Churn is the measured run's full result: normalized spec, counters,
 	// histogram. It replays bit-identically from Churn.Churn.
 	Churn *mitosis.ChurnResult `json:"churn"`
 }
@@ -71,86 +67,73 @@ type ChurnBench struct {
 type ChurnOptions struct {
 	// Quick selects the 16-process QuickChurn instead of CanonicalChurn.
 	Quick bool
-	// Workers overrides the host goroutine count (0 = one per socket).
+	// Workers sets Churn.Workers: 1 runs the sequential engine, any other
+	// value the parallel one.
 	Workers int
 }
 
-// churnReps is the number of repetitions per lock mode; the best one is
+// churnReps is the number of measured repetitions; the best one is
 // reported, stripping host-scheduler noise like the perf target does.
 const churnReps = 5
 
-// RunChurn executes the canonical (or quick) churn run under both fault-lock
-// modes and cross-checks that every repetition of either mode reproduces the
-// same simulated outcome bit-for-bit — the sharding's determinism contract —
-// before reporting the host-side throughput ratio.
+// RunChurn executes the canonical (or quick) churn run churnReps times,
+// cross-checks every repetition and a sequential-engine run for the same
+// simulated outcome bit-for-bit — the engine's determinism contract — and
+// reports the best host throughput.
 func RunChurn(opt ChurnOptions) (*ChurnBench, error) {
 	spec := CanonicalChurn()
 	if opt.Quick {
 		spec = QuickChurn()
 	}
-	if opt.Workers > 0 {
-		spec.Workers = opt.Workers
+	spec.Workers = opt.Workers
+	seq := spec
+	seq.Workers = 1
+	ref, err := mitosis.RunChurn(seq)
+	if err != nil {
+		return nil, err
 	}
-	measure := func(global bool) (*mitosis.ChurnResult, error) {
-		s := spec
-		s.GlobalLock = global
-		var best *mitosis.ChurnResult
-		for rep := 0; rep < churnReps; rep++ {
-			r, err := mitosis.RunChurn(s)
-			if err != nil {
-				return nil, err
-			}
-			if best == nil || r.HostOpsPerSec > best.HostOpsPerSec {
-				best = r
-			}
+	var best *mitosis.ChurnResult
+	for range churnReps {
+		r, err := mitosis.RunChurn(spec)
+		if err != nil {
+			return nil, err
 		}
-		return best, nil
+		if !r.DeterministicEquals(ref) {
+			return nil, fmt.Errorf("churn %q: the run on %d goroutines disagrees with the sequential engine on simulated outcome", spec.Name, r.Workers)
+		}
+		if best == nil || r.HostOpsPerSec > best.HostOpsPerSec {
+			best = r
+		}
 	}
-	sharded, err := measure(false)
-	if err != nil {
-		return nil, err
-	}
-	global, err := measure(true)
-	if err != nil {
-		return nil, err
-	}
-	if !sharded.DeterministicEquals(global) {
-		return nil, fmt.Errorf("churn %q: sharded and global-lock runs disagree on simulated outcome — the fault-lock sharding changed behavior", spec.Name)
-	}
-	b := &ChurnBench{
-		HostCPUs:         runtime.NumCPU(),
-		Workers:          sharded.Workers,
-		ShardedOpsPerSec: sharded.HostOpsPerSec,
-		GlobalOpsPerSec:  global.HostOpsPerSec,
-		Faults:           sharded.Faults,
-		P50:              sharded.P50,
-		P95:              sharded.P95,
-		P99:              sharded.P99,
-		Churn:            sharded,
-	}
-	if global.HostOpsPerSec > 0 {
-		b.Speedup = sharded.HostOpsPerSec / global.HostOpsPerSec
-	}
-	return b, nil
+	return &ChurnBench{
+		HostCPUs:  runtime.NumCPU(),
+		Workers:   best.Workers,
+		OpsPerSec: best.HostOpsPerSec,
+		Faults:    best.Faults,
+		P50:       best.P50,
+		P95:       best.P95,
+		P99:       best.P99,
+		Churn:     best,
+	}, nil
 }
 
 // ApplyBaseline fills the baseline column from a reference record.
 func (b *ChurnBench) ApplyBaseline(ref *ChurnBench) {
-	b.BaselineOpsPerSec = ref.ShardedOpsPerSec
+	b.BaselineOpsPerSec = ref.OpsPerSec
 }
 
-// Compare returns an error when the sharded throughput regressed below
+// Compare returns an error when the throughput regressed below
 // (1-tolerance) x the reference's. Like the perf and sweep tolerances it is
 // deliberately generous: baselines travel between hosts, so only structural
 // slowdowns should trip CI.
 func (b *ChurnBench) Compare(ref *ChurnBench, tolerance float64) error {
-	if ref.ShardedOpsPerSec <= 0 {
+	if ref.OpsPerSec <= 0 {
 		return fmt.Errorf("churn baseline carries no throughput")
 	}
-	floor := ref.ShardedOpsPerSec * (1 - tolerance)
-	if b.ShardedOpsPerSec < floor {
+	floor := ref.OpsPerSec * (1 - tolerance)
+	if b.OpsPerSec < floor {
 		return fmt.Errorf("churn throughput %.0f ops/s below %.0f (baseline %.0f, tolerance %.0f%%)",
-			b.ShardedOpsPerSec, floor, ref.ShardedOpsPerSec, tolerance*100)
+			b.OpsPerSec, floor, ref.OpsPerSec, tolerance*100)
 	}
 	return nil
 }
@@ -158,16 +141,14 @@ func (b *ChurnBench) Compare(ref *ChurnBench, tolerance float64) error {
 func (b *ChurnBench) String() string {
 	var s strings.Builder
 	c := b.Churn
-	fmt.Fprintf(&s, "Datacenter churn %q: %d procs over %d sockets, %d workers (host CPUs: %d)\n",
+	fmt.Fprintf(&s, "Datacenter churn %q: %d procs over %d sockets, %d goroutines (host CPUs: %d)\n",
 		c.Churn.Name, c.Spawned, c.Churn.Sockets, b.Workers, b.HostCPUs)
-	fmt.Fprintf(&s, "  sharded fault lock: %12.0f sim-ops/s  (%.3fs wall, %d faults)\n",
-		b.ShardedOpsPerSec, c.WallSec, b.Faults)
-	fmt.Fprintf(&s, "  global fault lock:  %12.0f sim-ops/s\n", b.GlobalOpsPerSec)
-	fmt.Fprintf(&s, "  sharded/global: %.2fx\n", b.Speedup)
+	fmt.Fprintf(&s, "  throughput: %12.0f sim-ops/s  (%.3fs wall, %d faults)\n",
+		b.OpsPerSec, c.WallSec, b.Faults)
 	fmt.Fprintf(&s, "  fault latency (sim cycles): p50=%d p95=%d p99=%d\n", b.P50, b.P95, b.P99)
 	if b.BaselineOpsPerSec > 0 {
 		fmt.Fprintf(&s, "  baseline: %.0f sim-ops/s (%.2fx)\n",
-			b.BaselineOpsPerSec, b.ShardedOpsPerSec/b.BaselineOpsPerSec)
+			b.BaselineOpsPerSec, b.OpsPerSec/b.BaselineOpsPerSec)
 	}
 	return s.String()
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -67,12 +68,15 @@ func (p *PerfBench) ApplyBaseline(ref *PerfBench) {
 
 // Compare checks every row that has a counterpart in ref against that
 // reference with the given fractional tolerance: a row fails when its
-// throughput drops below (1-tolerance) x the reference. It returns one
-// error per failing row. The tolerance is deliberately generous — the
+// throughput drops below (1-tolerance) x the reference. Its error joins
+// one error per failing row. The tolerance is deliberately generous — the
 // reference may have been recorded on a different host — so only
 // structural regressions (a hot path growing a lock, an O(n) scan, an
 // allocation) trip it, not host noise.
-func (p *PerfBench) Compare(ref *PerfBench, tolerance float64) []error {
+func (p *PerfBench) Compare(ref *PerfBench, tolerance float64) error {
+	if len(ref.Rows) == 0 {
+		return fmt.Errorf("perf baseline carries no rows")
+	}
 	var errs []error
 	for i := range p.Rows {
 		row := &p.Rows[i]
@@ -86,7 +90,7 @@ func (p *PerfBench) Compare(ref *PerfBench, tolerance float64) []error {
 				row.Name, row.OpsPerSec, floor, r.OpsPerSec, int(tolerance*100)))
 		}
 	}
-	return errs
+	return errors.Join(errs...)
 }
 
 // perfBatch is the batch length of the micro rows: long enough to amortize

@@ -124,13 +124,6 @@ type Kernel struct {
 	// processes selecting victims and tearing replica rings down. Two
 	// concurrent OOM faults must not collapse the same victim twice.
 	reclaimMu sync.Mutex
-	// globalFault is the machine-wide fault lock of the pre-sharding
-	// design, kept as a measurement baseline: SetGlobalFaultLock(true)
-	// aliases every process's fault lock to this one mutex so the churn
-	// benchmark can quantify exactly what sharding buys (BENCH_churn.json
-	// records both modes). Simulated outcomes are identical either way.
-	globalFault     sync.Mutex
-	globalFaultLock bool
 
 	nextPID  int
 	nextVMID int
@@ -226,7 +219,6 @@ func (k *Kernel) Reset() {
 	k.nextPID = 1
 	k.nextVMID = 0
 	k.nextIntlv = 0
-	k.globalFaultLock = false
 	k.sysctl = core.Sysctl{}
 	k.thp = false
 	k.cost.ClearLoads()
@@ -284,24 +276,3 @@ func (k *Kernel) Process(pid int) *Process { return k.procs[pid] }
 
 // CurrentOn returns the process scheduled on core, or nil.
 func (k *Kernel) CurrentOn(c numa.CoreID) *Process { return k.current[c].Load() }
-
-// SetGlobalFaultLock selects between the sharded per-process fault locks
-// (the default) and the legacy machine-wide fault lock. With the global
-// lock, every process's fault path serializes on one mutex — the
-// pre-sharding mmap_sem behaviour kept as the churn benchmark's baseline.
-// Simulated counters are identical in both modes (the lock only changes
-// host-side concurrency); call it only at quiescence.
-func (k *Kernel) SetGlobalFaultLock(on bool) {
-	k.globalFaultLock = on
-	for _, p := range k.procs {
-		if on {
-			p.faultLock = &k.globalFault
-		} else {
-			p.faultLock = &p.ownFaultMu
-		}
-	}
-}
-
-// GlobalFaultLock reports whether the legacy machine-wide fault lock is
-// selected instead of the sharded per-process locks.
-func (k *Kernel) GlobalFaultLock() bool { return k.globalFaultLock }

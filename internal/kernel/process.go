@@ -128,7 +128,7 @@ type Process struct {
 	nextMmap  pt.VirtAddr
 	intlvNext int
 
-	// ownFaultMu is the process's own fault lock — its mmap_sem. The fault
+	// faultLock is the process's own fault lock — its mmap_sem. The fault
 	// path serializes per process: concurrent faults from this process's
 	// cores queue here, while faults of other processes proceed on their
 	// own locks. All mutable per-process state the fault path touches
@@ -136,11 +136,7 @@ type Process struct {
 	// it; the shared structures below it (per-node frame allocators,
 	// page-cache pools) carry their own locks. See DESIGN.md "Lock
 	// hierarchy".
-	ownFaultMu sync.Mutex
-	// faultLock is the lock the fault path actually takes: normally
-	// &ownFaultMu, but aliased to the kernel's one global mutex when the
-	// legacy machine-wide fault lock is selected (SetGlobalFaultLock).
-	faultLock *sync.Mutex
+	faultLock sync.Mutex
 	// faultCore is the core whose fault this process is currently handling
 	// (valid only under faultLock; -1 otherwise). Memory-pressure reclaim
 	// may tear down this process's own replicas when its only busy core is
@@ -171,11 +167,6 @@ func (k *Kernel) CreateProcess(opts ProcessOpts) (*Process, error) {
 		dataLocality: opts.DataLocality,
 		nextMmap:     mmapBase,
 		faultCore:    -1,
-	}
-	if k.globalFaultLock {
-		p.faultLock = &k.globalFault
-	} else {
-		p.faultLock = &p.ownFaultMu
 	}
 	k.nextPID++
 

@@ -72,12 +72,10 @@ func (k *Kernel) reclaimReplicas(caller *Process) uint64 {
 		if !p.space.Replicated() {
 			continue
 		}
-		// Exclude the victim's own fault path. The caller's lock (own
-		// process, or every process in global-fault-lock mode, where all
-		// processes alias one mutex the caller already holds) is exempt:
-		// the exclusion it provides is already in force.
+		// Exclude the victim's own fault path. The caller's own lock is
+		// exempt: the caller already holds it.
 		locked := false
-		if caller == nil || p.faultLock != caller.faultLock {
+		if p != caller {
 			if !p.faultLock.TryLock() {
 				continue
 			}

@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"math"
+	"runtime"
 	"sync/atomic"
 	"time"
 )
@@ -12,6 +13,8 @@ import (
 const gateSpin = 200 * time.Microsecond
 
 // gateClockEvery is the number of spin iterations between clock reads.
+// Each read also yields the P, so a waiter that spins through a round
+// does not keep the runtime's GC workers and other goroutines off its CPU.
 const gateClockEvery = 256
 
 // gateMaxBackoff caps the number of waits a gate parks at once after its
@@ -73,8 +76,11 @@ func (g *gate) wait(r uint64) uint64 {
 				g.penalty = 0
 				return v
 			}
-			if i%gateClockEvery == 0 && !time.Now().Before(deadline) {
-				break
+			if i%gateClockEvery == 0 {
+				if !time.Now().Before(deadline) {
+					break
+				}
+				runtime.Gosched()
 			}
 		}
 		g.penalty = min(2*g.penalty+1, gateMaxBackoff)

@@ -2,9 +2,7 @@ package workloads
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
-	"sync"
 
 	"github.com/mitosis-project/mitosis-sim/internal/hw"
 	"github.com/mitosis-project/mitosis-sim/internal/numa"
@@ -151,26 +149,10 @@ func RunKeepStatsWith(env *Env, w Workload, opsPerThread int, cfg EngineConfig) 
 	return run(env, w, opsPerThread, false, cfg)
 }
 
-// run drives the batched execution engine.
-//
-// Execution proceeds in rounds. Each round, every core executes one chunk
-// of operations via Machine.AccessBatch — per-core state (TLB, PSC, RNG,
-// counters) is fully sharded. In Parallel mode the socket groups are dealt
-// in canonical order to at most GOMAXPROCS goroutines, the coordinator
-// being one of them, and each socket's cores run serialized in canonical
-// order on the one goroutine that owns the socket, so the shared
-// per-socket LLC sees a deterministic access sequence. Store walks buffer
-// their cross-socket line invalidations; at the round barrier the
-// coordinator alone applies the buffered events to every socket's LLC
-// (again in canonical core order), clears them and folds the AutoNUMA
-// samples. No state crosses sockets mid-round except the page-table A/D
-// bits and AutoNUMA samples, whose update order cannot affect any counter
-// — which is why Sequential and Parallel modes are counter-identical.
-//
-// The coordinator hands each round to its helpers through spin-then-park
-// gates, so on a host with a spare CPU the groups' compute overlaps
-// instead of taking turns (measured in DESIGN.md, "Why rounds instead of
-// free-running cores").
+// run drives one workload phase through the round loop: a phaseDriver
+// generates each thread's ops from its Step closure and, at the barriers,
+// counts the phase down, runs the ticker on its cadence and rebinds the
+// threads when a tick migrated the process.
 //
 // Operation generation stays on the driving goroutine: workload Step
 // closures are single-threaded by contract, and generating in canonical
@@ -180,26 +162,23 @@ func run(env *Env, w Workload, opsPerThread int, reset bool, cfg EngineConfig) (
 	if len(cores) == 0 {
 		return nil, fmt.Errorf("workloads: process not scheduled")
 	}
-	steps := make([]Step, len(cores))
+	d := &phaseDriver{env: env, w: w, remaining: opsPerThread, ticker: cfg.Ticker, tickEvery: cfg.TickEvery}
 	for i := range cores {
-		steps[i] = w.NewThread(env, i)
+		d.steps = append(d.steps, w.NewThread(env, i))
 	}
-	m := env.K.Machine()
-	for _, c := range cores {
-		m.SetDataLocality(c, w.DataLocality())
-		m.SetWalkOverlap(c, w.WalkOverlap())
-	}
+	d.setCores(cores)
 	if reset {
-		m.ResetStats()
+		env.K.Machine().ResetStats()
 	}
-
 	chunk := cfg.Chunk
 	if chunk <= 0 {
 		chunk = DefaultChunk
 	}
-	tickEvery := cfg.TickEvery
-	if tickEvery <= 0 {
-		tickEvery = 1
+	// No thread issues more than the phase's ops in a round, so an
+	// oversized chunk runs the same rounds without the buffers it names.
+	d.chunk = min(chunk, opsPerThread)
+	if d.tickEvery <= 0 {
+		d.tickEvery = 1
 	}
 	if rs, ok := cfg.Ticker.(runStarter); ok {
 		rs.RunStart()
@@ -207,290 +186,80 @@ func run(env *Env, w Workload, opsPerThread int, reset bool, cfg EngineConfig) (
 	if re, ok := cfg.Ticker.(runEnder); ok {
 		defer re.RunEnd()
 	}
-	topo := env.K.Topology()
-	groups, groupSockets := groupBySocket(topo, cores)
-	parallel := false
-	switch cfg.Mode {
-	case Parallel:
-		parallel = true
-	case Auto:
-		parallel = len(groups) > 1 && runtime.GOMAXPROCS(0) > 1
-	}
-
-	bufs := make([][]hw.AccessOp, len(cores))
-	for i := range bufs {
-		bufs[i] = make([]hw.AccessOp, chunk)
-	}
-	errs := make([]error, len(cores))
-
-	eng := &engine{
-		m: m, cores: cores, groups: groups, sockets: groupSockets,
-		allSockets: topo.Sockets(), bufs: bufs, errs: errs,
-	}
-	eng.rebuildBusy()
-	// The engine's round discipline (each socket's cores driven by one
-	// goroutine, coherence applied only at barriers) is exactly the
-	// machine's single-writer contract, so both modes run the lock-free
-	// LLC path for the whole run.
-	m.BeginSingleWriter()
-	defer m.EndSingleWriter()
-	if parallel {
-		// Pin the cores for the whole run so the kernel's memory-pressure
-		// reclaim treats them as busy even between a worker's batches.
-		m.BeginConcurrent(eng.cores)
-		eng.startWorkers()
-		// eng.cores may be rebound by policy ticks; release whatever set
-		// is current at exit.
-		defer func() {
-			eng.stopWorkers()
-			m.EndConcurrent(eng.cores)
-		}()
-	}
-
-	// participated accumulates every core the run executed on, in order of
-	// first appearance — policy ticks may migrate the process mid-run, and
-	// the result must cover the counters left on the old cores too.
-	participated := slices.Clone(eng.cores)
-	remaining := opsPerThread
-	round := 0
-	for remaining > 0 {
-		n := min(chunk, remaining)
-		// Generate this round's ops in canonical core order.
-		for ti := range eng.cores {
-			buf := bufs[ti][:n]
-			step := steps[ti]
-			for i := range buf {
-				buf[i].VA, buf[i].Write = step()
-			}
-		}
-		eng.round(n)
-		// Errors surface in canonical order so both modes report the
-		// same failure for the same inputs.
-		for ti, c := range eng.cores {
-			if errs[ti] != nil {
-				return nil, fmt.Errorf("workloads: %s op on core %d: %w", w.Name(), c, errs[ti])
-			}
-		}
-		remaining -= n
-		round++
-		if cfg.Ticker != nil && round%tickEvery == 0 {
-			// The barrier has fully closed: no batch in flight anywhere,
-			// coherence applied and cleared. Kernel-side policy work is
-			// safe here in both modes (helpers wait on their start gates).
-			if err := cfg.Ticker.Tick(round); err != nil {
+	if opsPerThread > 0 {
+		loop := Loop{Name: w.Name(), Mode: cfg.Mode, Batch: d.chunk}
+		if _, err := loop.Run(env.K.Machine(), cores, d); err != nil {
+			if d.tickFailed {
 				// The partial counters ride along with the error: a fault
 				// tick that kills the running process still attributes the
 				// work it did before dying.
-				return Collect(env, participated), fmt.Errorf("workloads: policy tick at round %d: %w", round, err)
+				return Collect(env, d.participated), err
 			}
-			if newCores := env.P.Cores(); !slices.Equal(newCores, eng.cores) {
-				if err := eng.rebind(env, w, newCores, parallel); err != nil {
-					return nil, err
-				}
-				for _, c := range eng.cores {
-					if !slices.Contains(participated, c) {
-						participated = append(participated, c)
-					}
-				}
-			}
+			return nil, err
 		}
 	}
-	return Collect(env, participated), nil
+	return Collect(env, d.participated), nil
 }
 
-// groupBySocket groups core indices by socket, in order of first
-// appearance; within a group the cores keep their list order. The nested
-// group/core order is the canonical order of the run.
-func groupBySocket(topo *numa.Topology, cores []numa.CoreID) ([][]int, []numa.SocketID) {
-	var groups [][]int
-	var groupSockets []numa.SocketID
-	groupOf := make([]int, topo.Sockets())
-	for i := range groupOf {
-		groupOf[i] = -1
-	}
-	for i, c := range cores {
-		s := topo.SocketOf(c)
-		g := groupOf[s]
-		if g < 0 {
-			g = len(groups)
-			groupOf[s] = g
-			groups = append(groups, nil)
-			groupSockets = append(groupSockets, s)
-		}
-		groups[g] = append(groups[g], i)
-	}
-	return groups, groupSockets
+// phaseDriver is the round loop's driver for one workload phase.
+type phaseDriver struct {
+	env       *Env
+	w         Workload
+	steps     []Step
+	cores     []numa.CoreID
+	chunk     int
+	remaining int
+	ticker    RoundTicker
+	tickEvery int
+	// participated accumulates every core the run executed on, in order of
+	// first appearance — policy ticks may migrate the process mid-run, and
+	// the result must cover the counters left on the old cores too.
+	participated []numa.CoreID
+	tickFailed   bool
 }
 
-// engine holds one run's scheduling state.
-type engine struct {
-	m          *hw.Machine
-	cores      []numa.CoreID
-	groups     [][]int // core indices per socket group, canonical order
-	sockets    []numa.SocketID
-	allSockets int
-	bufs       [][]hw.AccessOp
-	errs       []error
-
-	// busySocket[s] reports whether socket s runs any core of this run —
-	// precomputed once per run/rebind so the per-round idle-socket apply
-	// does not rescan the group list per socket.
-	busySocket []bool
-
-	// Parallel mode: the coordinator computes groups [0, lead) itself and
-	// each helper computes its own contiguous run of the rest.
-	lead    int
-	helpers []helper
-	ops     int    // this round's chunk, published by the start gates
-	seq     uint64 // rounds handed to the current helpers
-	wg      sync.WaitGroup
-}
-
-// helper is one compute goroutine's pair of gates: start carries the
-// round from the coordinator, done carries it back.
-type helper struct{ start, done *gate }
-
-// rebuildBusy recomputes the busy-socket mask from the current groups.
-func (e *engine) rebuildBusy() {
-	if e.busySocket == nil {
-		e.busySocket = make([]bool, e.allSockets)
-	}
-	for s := range e.busySocket {
-		e.busySocket[s] = false
-	}
-	for _, gs := range e.sockets {
-		e.busySocket[gs] = true
-	}
-}
-
-// computeGroups runs one round's batches for groups [lo, hi).
-func (e *engine) computeGroups(lo, hi, n int) {
-	for _, group := range e.groups[lo:hi] {
-		for _, ti := range group {
-			if e.errs[ti] == nil {
-				e.errs[ti] = e.m.AccessBatch(e.cores[ti], e.bufs[ti][:n])
-			}
+// setCores binds the threads to cores and applies the workload's
+// per-core cache and overlap models to them.
+func (d *phaseDriver) setCores(cores []numa.CoreID) {
+	d.cores = slices.Clone(cores)
+	m := d.env.K.Machine()
+	for _, c := range d.cores {
+		m.SetDataLocality(c, d.w.DataLocality())
+		m.SetWalkOverlap(c, d.w.WalkOverlap())
+		if !slices.Contains(d.participated, c) {
+			d.participated = append(d.participated, c)
 		}
 	}
 }
 
-// applyIdle applies buffered coherence to sockets that run no cores (their
-// LLCs may still cache lines of the shared page-table).
-func (e *engine) applyIdle() {
-	for s := 0; s < e.allSockets; s++ {
-		if !e.busySocket[s] {
-			e.m.ApplyCoherenceTo(numa.SocketID(s), e.cores)
-		}
+// Batch generates the thread's next chunk, or what is left of the phase.
+func (d *phaseDriver) Batch(ti int, buf []hw.AccessOp) int {
+	buf = buf[:min(len(buf), d.remaining)]
+	step := d.steps[ti]
+	for i := range buf {
+		buf[i].VA, buf[i].Write = step()
 	}
+	return len(buf)
 }
 
-// round executes one chunk on every core plus the coherence barrier. With
-// helpers running, the coordinator computes its own groups while they
-// compute theirs; the barrier is the coordinator's alone in both modes.
-func (e *engine) round(n int) {
-	if len(e.helpers) == 0 {
-		e.computeGroups(0, len(e.groups), n)
-	} else {
-		e.ops = n
-		e.seq++
-		for _, h := range e.helpers {
-			h.start.signal(e.seq)
-		}
-		e.computeGroups(0, e.lead, n)
-		for _, h := range e.helpers {
-			h.done.wait(e.seq)
-		}
+// Barrier counts the round off the phase and runs the ticker on its
+// cadence; if a tick moved the process, the threads follow it.
+func (d *phaseDriver) Barrier(round int) ([]numa.CoreID, bool, error) {
+	d.remaining -= min(d.chunk, d.remaining)
+	done := d.remaining == 0
+	if d.ticker == nil || round%d.tickEvery != 0 {
+		return nil, done, nil
 	}
-	// Every batch of the round has completed and the helpers are waiting
-	// on their start gates: apply coherence to every LLC in canonical
-	// order, drop the applied events so the next round's batches start
-	// from empty buffers, and fold the round's AutoNUMA samples.
-	for _, s := range e.sockets {
-		e.m.ApplyCoherenceTo(s, e.cores)
+	if err := d.ticker.Tick(round); err != nil {
+		d.tickFailed = true
+		return nil, true, fmt.Errorf("workloads: policy tick at round %d: %w", round, err)
 	}
-	e.applyIdle()
-	e.m.ClearCoherence(e.cores)
-	e.m.FoldSampling(e.cores)
-}
-
-// shardBounds deals n socket groups, in canonical order, to w goroutines
-// as contiguous runs, the first n%w of them one group longer. Shard i is
-// groups [b[i], b[i+1]).
-func shardBounds(n, w int) []int {
-	b := make([]int, w+1)
-	for i := range w {
-		b[i+1] = b[i] + n/w
-		if i < n%w {
-			b[i+1]++
-		}
+	cores := d.env.P.Cores()
+	if slices.Equal(cores, d.cores) {
+		return nil, done, nil
 	}
-	return b
-}
-
-// startWorkers deals the socket groups to min(groups, GOMAXPROCS)
-// goroutines, the coordinator being the first, so each socket's cores and
-// LLC still belong to exactly one goroutine during compute.
-func (e *engine) startWorkers() {
-	b := shardBounds(len(e.groups), min(len(e.groups), runtime.GOMAXPROCS(0)))
-	e.lead = b[1]
-	e.seq = 0
-	e.helpers = make([]helper, len(b)-2)
-	for i := range e.helpers {
-		h := helper{start: newGate(), done: newGate()}
-		e.helpers[i] = h
-		lo, hi := b[i+1], b[i+2]
-		e.wg.Add(1)
-		go func() {
-			defer e.wg.Done()
-			for r := uint64(1); h.start.wait(r) != gateStop; r++ {
-				e.computeGroups(lo, hi, e.ops)
-				h.done.signal(r)
-			}
-		}()
-	}
-}
-
-// stopWorkers shuts the helper goroutines down and returns once every one
-// has exited.
-func (e *engine) stopWorkers() {
-	for _, h := range e.helpers {
-		h.start.signal(gateStop)
-	}
-	e.wg.Wait()
-	e.helpers = nil
-}
-
-// rebind re-targets the engine at the process's new core set after a
-// policy tick migrated it. Thread identity is positional: thread i moves
-// from old core i to new core i, keeping its Step generator. In parallel
-// mode the helpers are joined and relaunched for the new socket grouping;
-// the parallel/sequential choice itself is fixed for the run (counters
-// are mode-independent by the determinism contract, so this only affects
-// host-side scheduling).
-func (e *engine) rebind(env *Env, w Workload, newCores []numa.CoreID, parallel bool) error {
-	if len(newCores) == 0 {
-		return fmt.Errorf("workloads: process descheduled mid-run by policy tick")
-	}
-	if len(newCores) != len(e.cores) {
-		return fmt.Errorf("workloads: policy tick changed thread count %d -> %d mid-run",
-			len(e.cores), len(newCores))
-	}
-	if parallel {
-		e.stopWorkers()
-		e.m.EndConcurrent(e.cores)
-	}
-	e.cores = slices.Clone(newCores)
-	for _, c := range e.cores {
-		e.m.SetDataLocality(c, w.DataLocality())
-		e.m.SetWalkOverlap(c, w.WalkOverlap())
-	}
-	e.groups, e.sockets = groupBySocket(env.K.Topology(), e.cores)
-	e.rebuildBusy()
-	if parallel {
-		e.m.BeginConcurrent(e.cores)
-		e.startWorkers()
-	}
-	return nil
+	d.setCores(cores)
+	return d.cores, done, nil
 }
 
 // Collect gathers the machine counters for the given cores into a Result.

@@ -43,8 +43,8 @@ func TestRunLeaksNoGoroutines(t *testing.T) {
 	if _, err := RunSweep(sw, WithSweepWorkers(4)); err != nil {
 		t.Fatal(err)
 	}
-	// The churn engine keeps persistent per-socket worker goroutines for
-	// the duration of each run; repeated runs must wind them all down.
+	// Churn runs on the parallel engine too, whose helper goroutines live
+	// for the duration of each run; repeated runs must wind them all down.
 	ch := Churn{
 		Name:         "leak",
 		Machine:      sc.Machine,

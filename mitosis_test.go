@@ -8,7 +8,7 @@ import (
 
 func TestQuickstartFlow(t *testing.T) {
 	sys := NewSystem(SystemConfig{Sockets: 4, CoresPerSocket: 2, MemoryPerNode: 256 << 20})
-	p, err := sys.Launch(ProcessConfig{Name: "app", Sockets: AllSockets})
+	p, err := sys.Spawn(ProcSpec{Name: "app"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestQuickstartFlow(t *testing.T) {
 func TestAccessBatchFacade(t *testing.T) {
 	mkProc := func() (*System, *Proc, uint64) {
 		sys := NewSystem(SystemConfig{Sockets: 4, CoresPerSocket: 2, MemoryPerNode: 256 << 20})
-		p, err := sys.Launch(ProcessConfig{Name: "batch", Sockets: AllSockets})
+		p, err := sys.Spawn(ProcSpec{Name: "batch"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +88,7 @@ func TestAccessBatchFacade(t *testing.T) {
 
 func TestMigrationFlow(t *testing.T) {
 	sys := NewSystem(SystemConfig{Sockets: 2, CoresPerSocket: 2, MemoryPerNode: 512 << 20})
-	p, err := sys.Launch(ProcessConfig{Name: "app", Sockets: 0})
+	p, err := sys.Spawn(ProcSpec{Name: "app", Placement: PlacementSpec{Sockets: []int{0}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestMigrationFlow(t *testing.T) {
 
 func TestCollapse(t *testing.T) {
 	sys := NewSystem(SystemConfig{Sockets: 2, CoresPerSocket: 1, MemoryPerNode: 128 << 20})
-	p, err := sys.Launch(ProcessConfig{Name: "app", Sockets: AllSockets})
+	p, err := sys.Spawn(ProcSpec{Name: "app"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestAttachPolicyFacade(t *testing.T) {
 		t.Fatalf("Policies() = %v", got)
 	}
 	sys := NewSystem(SystemConfig{Sockets: 4, CoresPerSocket: 1, MemoryPerNode: 256 << 20})
-	p, err := sys.Launch(ProcessConfig{Name: "app", Sockets: AllSockets})
+	p, err := sys.Spawn(ProcSpec{Name: "app"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package mitosis
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"reflect"
 	"strings"
@@ -276,9 +277,9 @@ func TestRunObserver(t *testing.T) {
 	}
 }
 
-// TestSpawnExplicitSockets: the ProcSpec placement fixes the
-// ProcessConfig.Sockets footgun — []int{0} is explicitly socket 0, and
-// other sockets work too.
+// TestSpawnExplicitSockets: the ProcSpec placement names sockets
+// explicitly — []int{0} is socket 0, and other sockets work too — and
+// registers each spawned process by name.
 func TestSpawnExplicitSockets(t *testing.T) {
 	sys := NewSystem(SystemConfig{Sockets: 4, CoresPerSocket: 2, MemoryPerNode: 128 << 20})
 	p0, err := sys.Spawn(ProcSpec{Name: "on-zero", Placement: PlacementSpec{Sockets: []int{0}}})
@@ -287,6 +288,9 @@ func TestSpawnExplicitSockets(t *testing.T) {
 	}
 	if cores := p0.Process().Cores(); len(cores) != 1 || sys.Kernel().Topology().SocketOf(cores[0]) != 0 {
 		t.Errorf("explicit socket 0 landed on cores %v", cores)
+	}
+	if sys.Proc("on-zero") != p0 {
+		t.Error("Spawn did not register the process by name")
 	}
 	p2, err := sys.Spawn(ProcSpec{Name: "on-two", Placement: PlacementSpec{Sockets: []int{2}, CoresPerSocket: 2}})
 	if err != nil {
@@ -298,16 +302,48 @@ func TestSpawnExplicitSockets(t *testing.T) {
 	if _, err := sys.Spawn(ProcSpec{Name: "bad", Placement: PlacementSpec{Sockets: []int{11}}}); err == nil {
 		t.Error("out-of-range socket accepted")
 	}
-	// The deprecated shim still works and registers by name.
-	pl, err := sys.Launch(ProcessConfig{Name: "legacy", Sockets: 1})
+}
+
+// TestOversizedChunk: a round length beyond what any thread can issue in
+// one round runs the same rounds as the largest useful one — a phase's
+// ops per thread, or a churn process's pages per core — without sizing
+// buffers by it or overflowing the round clock.
+func TestOversizedChunk(t *testing.T) {
+	sc := NewScenario("test/oversized-chunk",
+		OnMachine(SystemConfig{Sockets: 4, CoresPerSocket: 1, MemoryPerNode: 128 << 20, Hardware: testBackend()}),
+		WithProc(NewProc("gups", GUPS(InSuite("wm"), Scaled(1.0/32)),
+			OnSockets(0, 1), WithPTNode(2), UnderPolicy("ondemand"),
+			WithPhases(Warmup(100), Measure(100)),
+		)),
+	)
+	ref, err := Run(sc, WithChunk(100))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys.Proc("legacy") != pl {
-		t.Error("Launch did not register the process by name")
+	for _, chunk := range []int{1 << 40, math.MaxInt} {
+		rr, err := Run(sc, WithChunk(chunk))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rr.Phases, ref.Phases) || !reflect.DeepEqual(rr.Policies, ref.Policies) {
+			t.Errorf("chunk %d diverged from chunk 100:\ngot:  %+v %+v\nwant: %+v %+v", chunk, rr.Phases, rr.Policies, ref.Phases, ref.Policies)
+		}
 	}
-	if cores := pl.Process().Cores(); sys.Kernel().Topology().SocketOf(cores[0]) != 1 {
-		t.Errorf("legacy Sockets:1 landed on %v", cores)
+
+	c := testChurn()
+	c.Chunk = (c.PagesPerProc + c.HugePages + c.Machine.CoresPerSocket - 1) / c.Machine.CoresPerSocket
+	want, err := RunChurn(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Chunk = 1 << 40
+	got, err := RunChurn(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.DeterministicEquals(want) {
+		t.Errorf("churn chunk 1<<40 diverged from one process's pages per core:\ngot:  ops=%d faults=%d cycles=%d\nwant: ops=%d faults=%d cycles=%d",
+			got.Ops, got.Faults, got.Cycles, want.Ops, want.Faults, want.Cycles)
 	}
 }
 
@@ -354,7 +390,7 @@ func TestSystemRunMachineMismatch(t *testing.T) {
 // replication state call it implicitly after hand-rolled batches.
 func TestQuiesce(t *testing.T) {
 	sys := NewSystem(SystemConfig{Sockets: 4, CoresPerSocket: 1, MemoryPerNode: 128 << 20})
-	p, err := sys.Launch(ProcessConfig{Name: "app", Sockets: AllSockets})
+	p, err := sys.Spawn(ProcSpec{Name: "app"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,12 +482,7 @@ func TestVirtScenarioValidationErrors(t *testing.T) {
 			node := 0
 			s.Processes[0].Phases = []PhaseSpec{{Ops: 10, MovePT: &node}}
 		}, "virtualized process recovers locality"},
-		{"vm five level", func(s *Scenario) {
-			// Clear any matrix-injected backend: this case pins the legacy
-			// five_level switch, not a backend contradiction.
-			s.Machine.Hardware = ""
-			s.Machine.FiveLevel = true
-		}, "vm requires 4-level paging"},
+		{"vm five level", func(s *Scenario) { s.Machine.Hardware = HardwareX8664LA57 }, "vm requires 4-level paging"},
 	}
 	for _, tc := range cases {
 		sc := testVirtScenario()
