@@ -188,9 +188,9 @@ func main() {
 		}
 		feng = k.AttachFaultEngine(plan, []*kernel.Process{p}, []string{w.Name()})
 	}
-	// The scenario engine's round clock: one round per DefaultChunk ops
-	// per core, so a plan's r<N> rounds line up with scenario plans.
-	roundsPerSnap := uint64((*interval + workloads.DefaultChunk - 1) / workloads.DefaultChunk)
+	// Each snapshot interval is one engine run at the default chunk, so a
+	// plan's r<N> rounds line up with scenario plans.
+	roundsPerSnap := workloads.Rounds(*interval, 0)
 
 	for snap := 0; snap < *snapshots; snap++ {
 		if snap > 0 {
@@ -199,7 +199,7 @@ func main() {
 			}
 		}
 		if feng != nil {
-			if err := feng.Tick(uint64(snap)*roundsPerSnap, p); err != nil {
+			if err := feng.Tick(uint64(snap*roundsPerSnap), p); err != nil {
 				// Recovery killed the process (SIGBUS or OOM): render the
 				// post-mortem fault report and stop — there is no table
 				// left to snapshot.

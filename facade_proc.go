@@ -202,27 +202,13 @@ func (pr *Proc) CollapseReplicas() error {
 	return pr.p.SetReplicationMask(nil)
 }
 
-// Policies lists the built-in replication policies usable with
-// AttachPolicy and PolicySpec: "static" (the sysctl-mask baseline, never
-// acts at runtime), "ondemand" (numaPTE-style: replicate to a socket when
-// its remote page-walk cycles cross a threshold, deprecate cold replicas)
-// and "costadaptive" (Phoenix-style: price replication against thread
-// migration with the machine's cost model).
+// Policies lists the built-in replication policies PolicySpec accepts:
+// "static" (the sysctl-mask baseline, never acts at runtime), "ondemand"
+// (numaPTE-style: replicate to a socket when its remote page-walk cycles
+// cross a threshold, deprecate cold replicas) and "costadaptive"
+// (Phoenix-style: price replication against thread migration with the
+// machine's cost model).
 func Policies() []string { return core.PolicyNames() }
-
-// AttachPolicy installs the named telemetry-driven replication policy on
-// the process and returns its engine. Scenario runs wire the engine into
-// the round barriers automatically (ProcSpec.Policy); for hand-rolled
-// AccessBatch loops, call engine.Tick at your own quiescent points. The
-// engine also mediates memory-pressure replica reclaim for the process.
-func (pr *Proc) AttachPolicy(name string) (*kernel.PolicyEngine, error) {
-	pr.sys.Quiesce()
-	pol, err := pr.sys.k.NewPolicy(name)
-	if err != nil {
-		return nil, err
-	}
-	return pr.sys.k.AttachPolicy(pr.p, pol, kernel.PolicyEngineConfig{}), nil
-}
 
 // Migrate moves the process to another socket. Data always follows (as
 // commodity NUMA balancing would eventually arrange); page-tables follow

@@ -104,7 +104,8 @@ type SocketTick struct {
 type TickEvent struct {
 	Process string
 	Phase   string
-	// Round is the 1-based engine round the barrier closed.
+	// Round is the barrier's process round: 1-based and counted across
+	// the process's phases, the clock its policy's action log uses.
 	Round int
 	// Replicas is the number of nodes holding a copy of the page-table
 	// (primary included) after this tick's policy actions.
@@ -254,8 +255,8 @@ type PolicyOutcome struct {
 	// Actions is the applied action log ("r12:replicate(node 1)", ...),
 	// identical across engine modes.
 	Actions []string `json:"actions,omitempty"`
-	// ReplicaTimeline is the change-point-compressed replica count per
-	// policy tick.
+	// ReplicaTimeline is the replica count's change points over the
+	// policy's ticks, each stamped with the round of the tick that saw it.
 	ReplicaTimeline []ReplicaTick `json:"replica_timeline,omitempty"`
 	// BackgroundCycles is the copy work background replication did off
 	// the critical path.
@@ -418,11 +419,6 @@ func (s *System) Run(sc Scenario, opts ...RunOpt) (*RunResult, error) {
 		w    workloads.Workload
 		eng  *kernel.PolicyEngine
 		teng *kernel.TierEngine
-		// tickBase offsets the engine's per-phase round counter so the
-		// policy's action log, the replica timeline and observer events
-		// all share one cumulative round clock across the process's
-		// phases.
-		tickBase int
 	}
 	var procs []*runProc
 	for i := range sc.Processes {
@@ -481,10 +477,9 @@ func (s *System) Run(sc Scenario, opts ...RunOpt) (*RunResult, error) {
 		k.SetInterference(numa.NodeID(n), true)
 	}
 
-	// The fault engine addresses processes by spawn order and fires on a
-	// run-global cumulative round clock that advances across all
-	// processes and phases in execution order — the key to bit-identical
-	// injection regardless of engine mode or sweep worker count.
+	// The fault engine addresses processes by spawn order and fires on the
+	// clock's run round — the key to bit-identical injection regardless of
+	// engine mode or sweep worker count.
 	var fe *kernel.FaultEngine
 	faultPlan, err := fault.ParsePlan(sc.Faults)
 	if err != nil {
@@ -499,8 +494,10 @@ func (s *System) Run(sc Scenario, opts ...RunOpt) (*RunResult, error) {
 		}
 		fe = k.AttachFaultEngine(faultPlan, kprocs, names)
 	}
-	faultBase := 0
 
+	// clk is the run's round clock at the last barrier of the phases run
+	// so far; the process round restarts with each process.
+	var clk roundClock
 	for pidx, rp := range procs {
 		if fe != nil {
 			if _, dead := fe.Killed(pidx); dead {
@@ -509,6 +506,7 @@ func (s *System) Run(sc Scenario, opts ...RunOpt) (*RunResult, error) {
 				continue
 			}
 		}
+		clk.proc = 0
 		for pi, ph := range rp.spec.Phases {
 			phaseName := ph.Name
 			if phaseName == "" {
@@ -538,30 +536,16 @@ func (s *System) Run(sc Scenario, opts ...RunOpt) (*RunResult, error) {
 			}
 			res := PhaseResult{Process: rp.spec.Name, Phase: phaseName, Warmup: ph.Warmup}
 			if ph.Ops > 0 {
-				ecfg := workloads.EngineConfig{
-					Mode:      rc.mode.mode(),
-					Chunk:     rc.chunk,
-					TickEvery: rp.spec.Policy.TickEvery,
-				}
+				ecfg := workloads.EngineConfig{Mode: rc.mode.mode(), Chunk: rc.chunk}
 				if rp.eng != nil || rp.teng != nil || rc.obs != nil || fe != nil {
-					t := &runTicker{
-						engine: rp.eng, tier: rp.teng, obs: rc.obs, m: m,
-						topo: topo, p: rp.pr.p, process: rp.spec.Name,
-						phase: phaseName, base: rp.tickBase,
-						fault: fe, faultBase: faultBase,
+					ecfg.Hook = &runTicker{
+						base: clk, p: rp.pr.p,
+						fault: fe, policy: rp.eng, tier: rp.teng,
+						policyEvery: rp.spec.Policy.TickEvery,
+						tierEvery:   rp.spec.Tiering.TickEvery,
+						obs:         rc.obs, m: m, topo: topo,
+						process: rp.spec.Name, phase: phaseName,
 					}
-					if rp.teng != nil || fe != nil {
-						// The replication and tiering engines may want
-						// different cadences, and the fault engine must see
-						// every barrier; run the ticker every round and
-						// apply each period on the phase-local round
-						// inside it. Without them the engine-level
-						// TickEvery governs, exactly as before.
-						t.policyEvery = rp.spec.Policy.TickEvery
-						t.tierEvery = rp.spec.Tiering.TickEvery
-						ecfg.TickEvery = 1
-					}
-					ecfg.Ticker = t
 				}
 				var wres *workloads.Result
 				var err error
@@ -574,19 +558,10 @@ func (s *System) Run(sc Scenario, opts ...RunOpt) (*RunResult, error) {
 				if err != nil && !killed {
 					return fail(err)
 				}
-				// Advance the cumulative round clocks by this phase's
-				// scheduled rounds (the engine restarts its counter per
-				// run; a killed phase still consumed its slot in the
-				// plan's clock, keeping later events deterministic).
-				chunk := rc.chunk
-				if chunk <= 0 {
-					chunk = workloads.DefaultChunk
-				}
-				// ceil(Ops/chunk), written so a chunk near MaxInt
-				// cannot overflow (Ops > 0 here).
-				rounds := (ph.Ops-1)/chunk + 1
-				rp.tickBase += rounds
-				faultBase += rounds
+				// The clock moves to the phase's last scheduled barrier:
+				// a killed phase still consumed its slot in the plan's
+				// clock, keeping later events deterministic.
+				clk = clk.at(workloads.Rounds(ph.Ops, rc.chunk))
 				if wres != nil {
 					res.Counters = countersOf(wres)
 					res.PerSocket = socketCountersOf(m, topo)
@@ -619,7 +594,9 @@ func (s *System) Run(sc Scenario, opts ...RunOpt) (*RunResult, error) {
 		for _, rec := range rp.eng.ActionLog() {
 			out.Actions = append(out.Actions, rec.String())
 		}
-		out.ReplicaTimeline = compressTimeline(rp.eng.ReplicaTimeline())
+		for _, c := range rp.eng.ReplicaTimeline() {
+			out.ReplicaTimeline = append(out.ReplicaTimeline, ReplicaTick(c))
+		}
 		rr.Policies = append(rr.Policies, out)
 	}
 	for _, rp := range procs {
@@ -725,49 +702,48 @@ func socketCountersOf(m *hw.Machine, topo *numa.Topology) []SocketCounters {
 	return out
 }
 
-// compressTimeline reduces a per-tick replica-count series to its change
-// points (tick is 1-based).
-func compressTimeline(tl []int) []ReplicaTick {
-	var out []ReplicaTick
-	for i, v := range tl {
-		if i == 0 || tl[i-1] != v {
-			out = append(out, ReplicaTick{Round: i + 1, Replicas: v})
-		}
-	}
-	return out
+// roundClock is a run's one round clock: the engine's round within the
+// current phase, the process's round across its phases, and the run's
+// round across every process's phases in execution order. Every stamp a
+// run logs comes from it: policy and tier actions and the replica
+// timeline use the process round, fault events the run round, observer
+// events the process round.
+type roundClock struct {
+	phase, proc, run int
 }
 
-// runTicker is the engine ticker Run installs: it forwards the round
-// barrier to the process's policy engine (if any) and streams telemetry
-// to the observer (if any).
+// at returns the clock at the barrier closing round (1-based) of the phase
+// that starts after c.
+func (c roundClock) at(round int) roundClock {
+	return roundClock{phase: round, proc: c.proc + round, run: c.run + round}
+}
+
+// runTicker is the barrier hook Run installs for one phase. At every
+// barrier it ticks the fault engine, then the policy engine, then the tier
+// engine, then the observer; the policy and tier engines each apply their
+// own tick_every to the phase round. Faults fire first so the other
+// engines see the post-recovery machine.
 type runTicker struct {
-	engine         *kernel.PolicyEngine
-	tier           *kernel.TierEngine
+	// base is the clock before the phase's first round.
+	base roundClock
+	p    *kernel.Process
+
+	fault                  *kernel.FaultEngine
+	policy                 *kernel.PolicyEngine
+	tier                   *kernel.TierEngine
+	policyEvery, tierEvery int
+
 	obs            Observer
 	m              *hw.Machine
 	topo           *numa.Topology
-	p              *kernel.Process
 	process, phase string
-	// base is the cumulative round count of the process's earlier phases;
-	// it keeps the action log, timeline and observer events on one clock.
-	base int
-	// fault is the run's fault engine (nil without a plan); faultBase is
-	// the run-global cumulative round count across ALL processes'
-	// earlier phases — the clock fault events key on.
-	fault     *kernel.FaultEngine
-	faultBase int
-	// policyEvery / tierEvery gate the engines on the phase-local round
-	// when the two want different cadences (0 or 1: every invocation — the
-	// engine-level TickEvery already set the cadence).
-	policyEvery, tierEvery int
-
-	prev []hw.CoreStats
+	prev           []hw.CoreStats
 }
 
 // RunStart resynchronizes snapshots at the start of the run.
 func (t *runTicker) RunStart() {
-	if t.engine != nil {
-		t.engine.RunStart()
+	if t.policy != nil {
+		t.policy.RunStart()
 	}
 	if t.obs != nil {
 		t.prev = make([]hw.CoreStats, t.topo.Sockets())
@@ -779,31 +755,30 @@ func (t *runTicker) RunStart() {
 
 // RunEnd forwards run-end cleanup to the policy engine.
 func (t *runTicker) RunEnd() {
-	if t.engine != nil {
-		t.engine.RunEnd()
+	if t.policy != nil {
+		t.policy.RunEnd()
 	}
 }
 
-// Tick implements workloads.RoundTicker. The engine restarts its round
-// counter every phase; adding base puts policy logs and observer events
-// on one cumulative clock for the whole scenario run.
+// due reports whether an engine with tick period every ticks at the
+// phase's round (a period of 0 or 1 ticks every round).
+func due(round, every int) bool { return every <= 1 || round%every == 0 }
+
+// Tick implements workloads.BarrierHook.
 func (t *runTicker) Tick(round int) error {
-	local := round
-	round += t.base
-	// Faults fire first: the policy and tiering engines tick against the
-	// post-recovery machine, observing what the failure left behind.
+	now := t.base.at(round)
 	if t.fault != nil {
-		if err := t.fault.Tick(uint64(local+t.faultBase), t.p); err != nil {
+		if err := t.fault.Tick(uint64(now.run), t.p); err != nil {
 			return err
 		}
 	}
-	if t.engine != nil && (t.policyEvery <= 1 || local%t.policyEvery == 0) {
-		if err := t.engine.Tick(round); err != nil {
+	if t.policy != nil && due(now.phase, t.policyEvery) {
+		if err := t.policy.Tick(now.proc); err != nil {
 			return err
 		}
 	}
-	if t.tier != nil && (t.tierEvery <= 1 || local%t.tierEvery == 0) {
-		if err := t.tier.Tick(round); err != nil {
+	if t.tier != nil && due(now.phase, t.tierEvery) {
+		if err := t.tier.Tick(now.proc); err != nil {
 			return err
 		}
 	}
@@ -814,12 +789,12 @@ func (t *runTicker) Tick(round int) error {
 	ev := TickEvent{
 		Process:  t.process,
 		Phase:    t.phase,
-		Round:    round,
+		Round:    now.proc,
 		Replicas: len(replicas),
 		Sockets:  make([]SocketTick, t.topo.Sockets()),
 	}
-	if t.engine != nil {
-		ev.InFlight = t.engine.InFlight()
+	if t.policy != nil {
+		ev.InFlight = t.policy.InFlight()
 	}
 	for s := 0; s < t.topo.Sockets(); s++ {
 		cur := t.m.SocketStats(numa.SocketID(s))

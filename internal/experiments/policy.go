@@ -23,8 +23,8 @@ type PolicyRow struct {
 	FinalReplicaNodes []int `json:"final_replica_nodes"`
 	// Actions is the applied action log (dynamic policies only).
 	Actions []string `json:"actions,omitempty"`
-	// ReplicaTimeline is the change-point-compressed replica count per
-	// policy tick (dynamic policies only).
+	// ReplicaTimeline is the replica count's change points over the
+	// policy's ticks, stamped with tick rounds (dynamic policies only).
 	ReplicaTimeline []mitosis.ReplicaTick `json:"replica_timeline,omitempty"`
 	// BackgroundKCycles is the copy work done off the critical path by the
 	// policy engine's background replication (dynamic policies only).

@@ -69,16 +69,11 @@ type FaultStats struct {
 	RecoveryCycles numa.Cycles `json:"recoveryCycles,omitempty"`
 }
 
-// FaultActionRecord is one line of the fault engine's deterministic
-// action log: the cumulative round it fired on plus what happened.
-type FaultActionRecord struct {
-	Round  uint64 `json:"round"`
-	Action string `json:"action"`
-}
+// recoveryNote is one line of what the fault engine injected or how it
+// recovered, the Action of its log records.
+type recoveryNote string
 
-func (r FaultActionRecord) String() string {
-	return fmt.Sprintf("r%d:%s", r.Round, r.Action)
-}
+func (n recoveryNote) String() string { return string(n) }
 
 // ReplicaHealth is one process's replica redundancy state after a run,
 // as rendered by ptdump -faults.
@@ -106,7 +101,7 @@ type FaultEngine struct {
 	names []string
 
 	stats  FaultStats
-	log    []FaultActionRecord
+	log    []ActionRecord
 	killed map[int]string // proc index -> "sigbus" | "oom"
 }
 
@@ -127,7 +122,7 @@ func (k *Kernel) AttachFaultEngine(plan *fault.Plan, procs []*Process, names []s
 func (e *FaultEngine) Stats() FaultStats { return e.stats }
 
 // ActionLog returns the deterministic recovery log in firing order.
-func (e *FaultEngine) ActionLog() []FaultActionRecord { return e.log }
+func (e *FaultEngine) ActionLog() []ActionRecord { return e.log }
 
 // Pending reports how many plan events have not fired (scheduled past
 // the last barrier the run reached).
@@ -550,5 +545,5 @@ func (e *FaultEngine) name(i int) string {
 }
 
 func (e *FaultEngine) logf(round uint64, format string, args ...any) {
-	e.log = append(e.log, FaultActionRecord{Round: round, Action: fmt.Sprintf(format, args...)})
+	e.log = append(e.log, ActionRecord{Round: int(round), Action: recoveryNote(fmt.Sprintf(format, args...))})
 }

@@ -18,12 +18,14 @@ type PolicyEngineConfig struct {
 	StepPages int
 }
 
-// ActionRecord is one applied policy action tagged with the round it fired
-// on. The record sequence is part of the engine's determinism contract:
-// identical runs produce identical logs regardless of engine mode.
+// ActionRecord is one entry of a barrier engine's action log: what the
+// policy, tier or fault engine did, stamped with the round it ticked on.
+// Action is a core.Action, a tier.Action or a fault-recovery note. The
+// record sequence is part of the engines' determinism contract: identical
+// runs produce identical logs regardless of engine mode.
 type ActionRecord struct {
 	Round  int
-	Action core.Action
+	Action fmt.Stringer
 }
 
 func (r ActionRecord) String() string {
@@ -47,8 +49,16 @@ type PolicyEngine struct {
 	prev     []hw.CoreStats // per-socket cumulative snapshot at last tick
 	inflight []*bgJob       // in node order of creation (deterministic)
 	log      []ActionRecord
-	timeline []int
+	timeline []ReplicaChange
 	bgCycles numa.Cycles
+}
+
+// ReplicaChange is one change point of a policy engine's replica-count
+// timeline: from the tick at Round on, Replicas nodes held a copy of the
+// table (primary included).
+type ReplicaChange struct {
+	Round    int
+	Replicas int
 }
 
 // bgJob is one in-flight background replication.
@@ -58,9 +68,10 @@ type bgJob struct {
 }
 
 // AttachPolicy installs a policy engine for p. The engine is returned to be
-// passed as the workload engine's round ticker (workloads.EngineConfig);
-// it also registers with the process so memory-pressure reclaim can consult
-// the policy. Attaching replaces any previous engine.
+// ticked at the workload engine's round barriers (it is a
+// workloads.BarrierHook); it also registers with the process so
+// memory-pressure reclaim can consult the policy. Attaching replaces any
+// previous engine.
 func (k *Kernel) AttachPolicy(p *Process, pol core.ReplicationPolicy, cfg PolicyEngineConfig) *PolicyEngine {
 	if cfg.StepPages <= 0 {
 		cfg.StepPages = 64
@@ -95,9 +106,10 @@ func (e *PolicyEngine) Policy() core.ReplicationPolicy { return e.policy }
 // ActionLog returns the applied actions in order.
 func (e *PolicyEngine) ActionLog() []ActionRecord { return e.log }
 
-// ReplicaTimeline returns, per tick, the number of nodes holding a copy of
-// the table (primary included) after the tick's actions were applied.
-func (e *PolicyEngine) ReplicaTimeline() []int { return e.timeline }
+// ReplicaTimeline returns the change points of the number of nodes holding
+// a copy of the table after each tick's actions were applied, stamped with
+// the ticks' rounds; the first tick is always a change point.
+func (e *PolicyEngine) ReplicaTimeline() []ReplicaChange { return e.timeline }
 
 // BackgroundCycles returns the cycles the background replication kthreads
 // have consumed so far (off the application's critical path).
@@ -106,7 +118,7 @@ func (e *PolicyEngine) BackgroundCycles() numa.Cycles { return e.bgCycles }
 // InFlight returns the number of incremental replications in progress.
 func (e *PolicyEngine) InFlight() int { return len(e.inflight) }
 
-// RunStart implements the workload engine's optional run-start hook: the
+// RunStart implements the workload engine's run-start hook: the
 // per-socket snapshots resynchronize with the machine's current counters,
 // so the first tick's telemetry covers only the run (not Setup work, and
 // not stale pre-ResetStats values — reusing an engine across runs would
@@ -117,7 +129,7 @@ func (e *PolicyEngine) RunStart() {
 	}
 }
 
-// RunEnd implements the workload engine's optional run-end hook: leftover
+// RunEnd implements the workload engine's run-end hook: leftover
 // in-flight replications are aborted (partial replicas torn down), so the
 // process does not stay pinned against memory-pressure reclaim after the
 // run. The policy re-requests the replica next run if the signal persists.
@@ -162,8 +174,8 @@ func (e *PolicyEngine) AbortAllInflight() int {
 	return aborted
 }
 
-// Tick implements workloads.RoundTicker: it runs one policy tick at a round
-// barrier. round is the 1-based engine round the barrier closed.
+// Tick implements workloads.BarrierHook: it runs one policy tick at a
+// round barrier. round stamps the tick's actions and timeline entry.
 func (e *PolicyEngine) Tick(round int) error {
 	e.advanceInflight()
 	t := e.telemetry(round)
@@ -176,7 +188,10 @@ func (e *PolicyEngine) Tick(round int) error {
 			e.log = append(e.log, ActionRecord{Round: round, Action: a})
 		}
 	}
-	e.timeline = append(e.timeline, len(e.p.ReplicaNodes()))
+	n := len(e.p.ReplicaNodes())
+	if len(e.timeline) == 0 || e.timeline[len(e.timeline)-1].Replicas != n {
+		e.timeline = append(e.timeline, ReplicaChange{Round: round, Replicas: n})
+	}
 	return nil
 }
 

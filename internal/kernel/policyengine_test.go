@@ -77,7 +77,7 @@ func TestPolicyEngineOnDemandReplicatesAndDeprecates(t *testing.T) {
 	}
 	var sawReplicate bool
 	for _, rec := range eng.ActionLog() {
-		if rec.Action.Kind == core.ActionReplicate && rec.Action.Node == 2 {
+		if a := rec.Action.(core.Action); a.Kind == core.ActionReplicate && a.Node == 2 {
 			sawReplicate = true
 		}
 	}
@@ -99,19 +99,27 @@ func TestPolicyEngineOnDemandReplicatesAndDeprecates(t *testing.T) {
 	}
 	var sawDrop bool
 	for _, rec := range eng.ActionLog() {
-		if rec.Action.Kind == core.ActionDrop && rec.Action.Node == 2 {
+		if a := rec.Action.(core.Action); a.Kind == core.ActionDrop && a.Node == 2 {
 			sawDrop = true
 		}
 	}
 	if !sawDrop {
 		t.Errorf("action log %v missing drop->node2", eng.ActionLog())
 	}
-	// Timeline tracked the build-up and the deprecation.
+	// Timeline tracked the build-up and the deprecation, as change points
+	// stamped with the rounds of the ticks that saw them.
 	tl := eng.ReplicaTimeline()
-	if len(tl) != 20 {
-		t.Fatalf("timeline has %d points, want 20", len(tl))
+	if len(tl) < 3 || tl[0] != (ReplicaChange{Round: 1, Replicas: 1}) {
+		t.Fatalf("timeline %v: want the first tick's single copy, a rise and a fall", tl)
 	}
-	if slices.Max(tl) < 2 || tl[len(tl)-1] != 1 {
+	peak := 0
+	for i, c := range tl {
+		if c.Round > 20 || i > 0 && (c.Round <= tl[i-1].Round || c.Replicas == tl[i-1].Replicas) {
+			t.Errorf("timeline %v: entry %d is not a change point of ticks 1-20", tl, i)
+		}
+		peak = max(peak, c.Replicas)
+	}
+	if peak < 2 || tl[len(tl)-1].Replicas != 1 {
 		t.Errorf("timeline %v: want a rise to >=2 copies and a return to 1", tl)
 	}
 }
@@ -132,7 +140,7 @@ func TestPolicyEngineCostAdaptiveMigratesThreads(t *testing.T) {
 	}
 	var sawMigrate bool
 	for _, rec := range eng.ActionLog() {
-		if rec.Action.Kind == core.ActionMigrate && rec.Action.Socket == 0 {
+		if a := rec.Action.(core.Action); a.Kind == core.ActionMigrate && a.Socket == 0 {
 			sawMigrate = true
 		}
 	}

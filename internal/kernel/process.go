@@ -248,12 +248,6 @@ func (p *Process) Cores() []numa.CoreID { return p.cores }
 // Home returns the process's home socket.
 func (p *Process) Home() numa.SocketID { return p.home }
 
-// SetDataPolicy changes the data placement policy for future faults.
-func (p *Process) SetDataPolicy(pol DataPolicy, bindNode numa.NodeID) {
-	p.dataPolicy = pol
-	p.bindNode = bindNode
-}
-
 // SetPTPolicy changes the page-table placement policy for future
 // allocations (the paper's forced-socket knob).
 func (p *Process) SetPTPolicy(pol PTPolicy, node numa.NodeID) {
@@ -269,9 +263,6 @@ func (p *Process) SetReplicationMask(nodes []numa.NodeID) error {
 	p.requestedMask = slices.Clone(nodes)
 	return p.applyReplication()
 }
-
-// ReplicationMask returns the process's requested mask.
-func (p *Process) ReplicationMask() []numa.NodeID { return p.requestedMask }
 
 func (p *Process) applyReplication() error {
 	k := p.kernel

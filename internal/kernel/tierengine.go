@@ -19,17 +19,6 @@ type TierEngineConfig struct {
 	Tracker tier.TrackerConfig
 }
 
-// TierActionRecord is one applied tier action tagged with its round — the
-// tier analogue of ActionRecord, with the same determinism contract.
-type TierActionRecord struct {
-	Round  int
-	Action tier.Action
-}
-
-func (r TierActionRecord) String() string {
-	return fmt.Sprintf("r%d:%v", r.Round, r.Action)
-}
-
 // TierEngine ticks a tier.Policy for one process at the round barriers of
 // the workload engine, implementing the memtier Tracker/Policy/Mover split:
 //
@@ -55,7 +44,7 @@ type TierEngine struct {
 	tracker *tier.Tracker
 	cfg     TierEngineConfig
 
-	log       []TierActionRecord
+	log       []ActionRecord
 	hist      tier.Histogram // last tick's histogram
 	promoted  uint64         // 4KB pages promoted
 	demoted   uint64         // 4KB pages demoted
@@ -82,7 +71,7 @@ func (k *Kernel) AttachTierPolicy(p *Process, pol tier.Policy, cfg TierEngineCon
 func (e *TierEngine) Policy() tier.Policy { return e.policy }
 
 // ActionLog returns the applied actions in order.
-func (e *TierEngine) ActionLog() []TierActionRecord { return e.log }
+func (e *TierEngine) ActionLog() []ActionRecord { return e.log }
 
 // Histogram returns the last tick's per-tier hot/cold histogram.
 func (e *TierEngine) Histogram() tier.Histogram { return e.hist }
@@ -93,7 +82,8 @@ func (e *TierEngine) Moved() (promoted, demoted uint64, ptMoves int) {
 	return e.promoted, e.demoted, e.ptMoves
 }
 
-// Tick implements workloads.RoundTicker.
+// Tick runs one tiering tick at a round barrier; round stamps the tick's
+// actions.
 func (e *TierEngine) Tick(round int) error {
 	t := e.snapshot(round)
 	budget := e.cfg.StepPages
@@ -106,7 +96,7 @@ func (e *TierEngine) Tick(round int) error {
 			return err
 		}
 		if applied {
-			e.log = append(e.log, TierActionRecord{Round: round, Action: a})
+			e.log = append(e.log, ActionRecord{Round: round, Action: a})
 			switch a.Kind {
 			case tier.Promote:
 				e.promoted += pages

@@ -167,11 +167,46 @@ func TestParallelRepeatable(t *testing.T) {
 	}
 }
 
+// countHook counts a run's barrier ticks and checks that every barrier
+// ticks it once, in round order, between RunStart and RunEnd.
+type countHook struct {
+	t              *testing.T
+	started, ended bool
+	ticks          int
+}
+
+func (h *countHook) RunStart() { h.started = true }
+func (h *countHook) RunEnd()   { h.ended = true }
+
+func (h *countHook) Tick(round int) error {
+	h.ticks++
+	if !h.started || h.ended || round != h.ticks {
+		h.t.Errorf("tick %d at round %d (started %v, ended %v)", h.ticks, round, h.started, h.ended)
+	}
+	return nil
+}
+
+// TestRoundsCountsBarriers: Rounds is the number of barriers a run ticks
+// its hook at, for any op count and chunk — the count every round clock
+// above the engine advances by.
+func TestRoundsCountsBarriers(t *testing.T) {
+	env, w := engineEnv(t, func() Workload { return NewGUPS() }, 2, 1)
+	for _, tc := range []struct{ ops, chunk int }{{1, 0}, {32, 0}, {33, 0}, {100, 7}, {5, 1000}} {
+		h := &countHook{t: t}
+		if _, err := RunWith(env, w, tc.ops, EngineConfig{Mode: Sequential, Chunk: tc.chunk, Hook: h}); err != nil {
+			t.Fatal(err)
+		}
+		if want := Rounds(tc.ops, tc.chunk); h.ticks != want || !h.ended {
+			t.Errorf("ops %d chunk %d: %d ticks (ended %v), Rounds says %d", tc.ops, tc.chunk, h.ticks, h.ended, want)
+		}
+	}
+}
+
 // policyRun executes GUPS on a 4-socket machine with a replication-policy
 // engine ticking at the round barriers, under the given engine mode. The
 // table skews to socket 0 (InitSingle first-touch), so sockets 1-3 walk
 // remote until the policy replicates to them.
-func policyRun(t *testing.T, policyName string, mode Mode, ops int) (*Result, []kernel.ActionRecord, []int) {
+func policyRun(t *testing.T, policyName string, mode Mode, ops int) (*Result, []kernel.ActionRecord, []kernel.ReplicaChange) {
 	t.Helper()
 	k := kernel.New(kernel.Config{
 		Topology:      numa.NewTopology(4, 1),
@@ -200,7 +235,7 @@ func policyRun(t *testing.T, policyName string, mode Mode, ops int) (*Result, []
 		t.Fatal(err)
 	}
 	eng := k.AttachPolicy(p, pol, kernel.PolicyEngineConfig{StepPages: 8})
-	res, err := RunWith(env, w, ops, EngineConfig{Mode: mode, Ticker: eng})
+	res, err := RunWith(env, w, ops, EngineConfig{Mode: mode, Hook: eng})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +324,7 @@ func TestPolicyMigrationRebindsEngine(t *testing.T) {
 			t.Fatal(err)
 		}
 		eng := k.AttachPolicy(p, pol, kernel.PolicyEngineConfig{})
-		res, err := RunWith(env, w, 3000, EngineConfig{Mode: mode, Ticker: eng})
+		res, err := RunWith(env, w, 3000, EngineConfig{Mode: mode, Hook: eng})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -347,7 +382,7 @@ func TestPolicyEngineReuseAcrossRuns(t *testing.T) {
 	// StepPages 1 keeps a copy in flight across many ticks, so the first
 	// short run ends with unfinished jobs.
 	eng := k.AttachPolicy(p, pol, kernel.PolicyEngineConfig{StepPages: 1})
-	if _, err := RunWith(env, w, 96, EngineConfig{Mode: Sequential, Ticker: eng}); err != nil {
+	if _, err := RunWith(env, w, 96, EngineConfig{Mode: Sequential, Hook: eng}); err != nil {
 		t.Fatal(err)
 	}
 	if eng.InFlight() != 0 {
@@ -358,7 +393,7 @@ func TestPolicyEngineReuseAcrossRuns(t *testing.T) {
 	// Second run with the same engine: ResetStats has zeroed the counters
 	// the engine snapshotted. Deltas must stay sane — a few replicate
 	// actions at most, never a flood from underflowed telemetry.
-	if _, err := RunWith(env, w, 96, EngineConfig{Mode: Sequential, Ticker: eng}); err != nil {
+	if _, err := RunWith(env, w, 96, EngineConfig{Mode: Sequential, Hook: eng}); err != nil {
 		t.Fatal(err)
 	}
 	newActions := len(eng.ActionLog()) - firstActions
@@ -367,7 +402,7 @@ func TestPolicyEngineReuseAcrossRuns(t *testing.T) {
 			newActions, eng.ActionLog())
 	}
 	for _, rec := range eng.ActionLog() {
-		if rec.Action.Kind == core.ActionMigrate {
+		if rec.Action.(core.Action).Kind == core.ActionMigrate {
 			t.Errorf("spurious migration from a multi-socket process: %v", rec)
 		}
 	}

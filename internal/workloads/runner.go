@@ -83,24 +83,24 @@ const (
 // land with at most one round of latency.
 const DefaultChunk = 32
 
-// RoundTicker runs kernel-side policy work at the engine's round barriers
-// — the deterministic quiescent points where no access batch is in flight,
-// so replication state, CR3s and the scheduler may be touched freely.
-// kernel.PolicyEngine implements it.
-//
-// A ticker may additionally implement RunStart() (called once after the
-// counter reset, before the first round — snapshot resynchronization) and
-// RunEnd() (called when the run finishes, successfully or not — cleanup of
-// in-flight background work). Both hooks run at quiescent points.
-type RoundTicker interface {
-	// Tick is called after round (1-based) has fully completed: batches
-	// executed, coherence applied and cleared. An error aborts the run.
+// BarrierHook runs kernel-side work at the engine's round barriers — the
+// deterministic quiescent points where no access batch is in flight, so
+// replication state, CR3s and the scheduler may be touched freely.
+// kernel.PolicyEngine implements it, and so does the scenario facade's
+// composite of the fault, policy and tier engines and the observer.
+type BarrierHook interface {
+	// RunStart is called once after the counter reset, before the first
+	// round: snapshots resynchronize here.
+	RunStart()
+	// Tick is called at every barrier, after round (1-based, counted from
+	// the start of the run) has fully completed: batches executed,
+	// coherence applied and cleared. A hook that works on a cadence
+	// applies it to round itself. An error aborts the run.
 	Tick(round int) error
+	// RunEnd is called when the run finishes, successfully or not:
+	// in-flight background work is cleaned up here.
+	RunEnd()
 }
-
-// runStarter and runEnder are the optional RoundTicker lifecycle hooks.
-type runStarter interface{ RunStart() }
-type runEnder interface{ RunEnd() }
 
 // EngineConfig tunes the batched execution engine.
 type EngineConfig struct {
@@ -111,14 +111,27 @@ type EngineConfig struct {
 	// are only comparable between runs with equal chunks: the chunk is
 	// the modeled cross-socket invalidation latency.
 	Chunk int
-	// Ticker, if set, fires at round barriers (every TickEvery rounds) —
-	// the clock of the replication-policy engine. Ticks run identically
+	// Hook, if set, ticks at every round barrier. Ticks run identically
 	// in Sequential and Parallel modes, preserving the determinism
 	// contract. If a tick migrates the process, the engine rebinds its
 	// threads to the new cores for the next round.
-	Ticker RoundTicker
-	// TickEvery is the tick period in rounds (default 1: every barrier).
-	TickEvery int
+	Hook BarrierHook
+}
+
+// Rounds is the number of rounds, and so of barriers, a run of
+// opsPerThread operations per thread takes at the given chunk
+// (DefaultChunk when chunk <= 0). Every round clock built on top of the
+// engine advances by it.
+func Rounds(opsPerThread, chunk int) int {
+	if opsPerThread <= 0 {
+		return 0
+	}
+	if chunk <= 0 {
+		chunk = DefaultChunk
+	}
+	// ceil(opsPerThread/chunk), written so a chunk near MaxInt cannot
+	// overflow.
+	return (opsPerThread-1)/chunk + 1
 }
 
 // Run executes opsPerThread operations of w on every core the process is
@@ -130,13 +143,6 @@ func Run(env *Env, w Workload, opsPerThread int) (*Result, error) {
 	return run(env, w, opsPerThread, true, EngineConfig{})
 }
 
-// RunKeepStats is Run without the counter reset: the result includes all
-// cycles accumulated since the last reset, so initialization is measured
-// too (the paper's Table 6 end-to-end configuration).
-func RunKeepStats(env *Env, w Workload, opsPerThread int) (*Result, error) {
-	return run(env, w, opsPerThread, false, EngineConfig{})
-}
-
 // RunWith is Run under an explicit engine configuration. Sequential and
 // Parallel produce bit-identical Results for the same inputs: the engine's
 // determinism contract (see DESIGN.md).
@@ -144,15 +150,17 @@ func RunWith(env *Env, w Workload, opsPerThread int, cfg EngineConfig) (*Result,
 	return run(env, w, opsPerThread, true, cfg)
 }
 
-// RunKeepStatsWith is RunKeepStats under an explicit engine configuration.
+// RunKeepStatsWith is RunWith without the counter reset: the result
+// includes all cycles accumulated since the last reset, so initialization
+// is measured too (the paper's Table 6 end-to-end configuration).
 func RunKeepStatsWith(env *Env, w Workload, opsPerThread int, cfg EngineConfig) (*Result, error) {
 	return run(env, w, opsPerThread, false, cfg)
 }
 
 // run drives one workload phase through the round loop: a phaseDriver
 // generates each thread's ops from its Step closure and, at the barriers,
-// counts the phase down, runs the ticker on its cadence and rebinds the
-// threads when a tick migrated the process.
+// counts the phase down, ticks the hook and rebinds the threads when a
+// tick migrated the process.
 //
 // Operation generation stays on the driving goroutine: workload Step
 // closures are single-threaded by contract, and generating in canonical
@@ -162,7 +170,7 @@ func run(env *Env, w Workload, opsPerThread int, reset bool, cfg EngineConfig) (
 	if len(cores) == 0 {
 		return nil, fmt.Errorf("workloads: process not scheduled")
 	}
-	d := &phaseDriver{env: env, w: w, remaining: opsPerThread, ticker: cfg.Ticker, tickEvery: cfg.TickEvery}
+	d := &phaseDriver{env: env, w: w, remaining: opsPerThread, hook: cfg.Hook}
 	for i := range cores {
 		d.steps = append(d.steps, w.NewThread(env, i))
 	}
@@ -177,14 +185,9 @@ func run(env *Env, w Workload, opsPerThread int, reset bool, cfg EngineConfig) (
 	// No thread issues more than the phase's ops in a round, so an
 	// oversized chunk runs the same rounds without the buffers it names.
 	d.chunk = min(chunk, opsPerThread)
-	if d.tickEvery <= 0 {
-		d.tickEvery = 1
-	}
-	if rs, ok := cfg.Ticker.(runStarter); ok {
-		rs.RunStart()
-	}
-	if re, ok := cfg.Ticker.(runEnder); ok {
-		defer re.RunEnd()
+	if d.hook != nil {
+		d.hook.RunStart()
+		defer d.hook.RunEnd()
 	}
 	if opsPerThread > 0 {
 		loop := Loop{Name: w.Name(), Mode: cfg.Mode, Batch: d.chunk}
@@ -209,8 +212,7 @@ type phaseDriver struct {
 	cores     []numa.CoreID
 	chunk     int
 	remaining int
-	ticker    RoundTicker
-	tickEvery int
+	hook      BarrierHook
 	// participated accumulates every core the run executed on, in order of
 	// first appearance — policy ticks may migrate the process mid-run, and
 	// the result must cover the counters left on the old cores too.
@@ -242,17 +244,17 @@ func (d *phaseDriver) Batch(ti int, buf []hw.AccessOp) int {
 	return len(buf)
 }
 
-// Barrier counts the round off the phase and runs the ticker on its
-// cadence; if a tick moved the process, the threads follow it.
+// Barrier counts the round off the phase and ticks the hook; if the tick
+// moved the process, the threads follow it.
 func (d *phaseDriver) Barrier(round int) ([]numa.CoreID, bool, error) {
 	d.remaining -= min(d.chunk, d.remaining)
 	done := d.remaining == 0
-	if d.ticker == nil || round%d.tickEvery != 0 {
+	if d.hook == nil {
 		return nil, done, nil
 	}
-	if err := d.ticker.Tick(round); err != nil {
+	if err := d.hook.Tick(round); err != nil {
 		d.tickFailed = true
-		return nil, true, fmt.Errorf("workloads: policy tick at round %d: %w", round, err)
+		return nil, true, fmt.Errorf("workloads: barrier tick at round %d: %w", round, err)
 	}
 	cores := d.env.P.Cores()
 	if slices.Equal(cores, d.cores) {

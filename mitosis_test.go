@@ -134,48 +134,12 @@ func TestCollapse(t *testing.T) {
 	}
 }
 
-// TestAttachPolicyFacade: the facade exposes the telemetry-driven policy
-// engine; ticking it manually after batches replicates on demand.
+// TestAttachPolicyFacade: the facade lists the built-in replication
+// policies a PolicySpec can name. Attaching and acting are covered by the
+// scenario tests (unknown names in TestScenarioValidationErrors, ondemand
+// acting in TestRunDeterminismAcrossModes).
 func TestAttachPolicyFacade(t *testing.T) {
 	if got := Policies(); !slices.Equal(got, []string{"static", "ondemand", "costadaptive"}) {
 		t.Fatalf("Policies() = %v", got)
-	}
-	sys := NewSystem(SystemConfig{Sockets: 4, CoresPerSocket: 1, MemoryPerNode: 256 << 20})
-	p, err := sys.Spawn(ProcSpec{Name: "app"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base, err := p.Mmap(16<<20, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.AttachPolicy("nope"); err == nil {
-		t.Fatal("unknown policy accepted")
-	}
-	eng, err := p.AttachPolicy("ondemand")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Workers 1-3 sweep pages of a table whose pages first-touched on
-	// socket 0 (Mmap populate runs there): remote walks everywhere else.
-	for round := 1; round <= 10; round++ {
-		for w := 1; w < 4; w++ {
-			ops := make([]AccessOp, 128)
-			for i := range ops {
-				ops[i] = AccessOp{VA: base + uint64(w*997+i*4096+round*512*4096)%(16<<20), Write: true}
-			}
-			if err := p.AccessBatch(w, ops); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := eng.Tick(round); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(eng.ActionLog()) == 0 {
-		t.Fatal("policy never acted on remote-heavy workers")
-	}
-	if !p.Stats().Replicated {
-		t.Error("no replicas after on-demand ticks")
 	}
 }

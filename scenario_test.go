@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"github.com/mitosis-project/mitosis-sim/internal/workloads"
 )
 
 // testBackend is the translation backend the suite runs under:
@@ -242,38 +244,92 @@ func TestRunDeterminismAcrossModes(t *testing.T) {
 	}
 }
 
-// TestRunObserver: the observer sees every round barrier with consistent
-// deltas, and observing does not change the counters.
-func TestRunObserver(t *testing.T) {
+// gupsEvery8 is testScenario's gups process alone, its policy ticking
+// every 8 rounds, under the given fault plan.
+func gupsEvery8(faults string) Scenario {
 	sc := testScenario()
-	var ticks int
-	var opsSeen uint64
-	obs := ObserverFunc(func(ev TickEvent) {
-		ticks++
-		for _, st := range ev.Sockets {
-			opsSeen += st.Ops
-		}
-	})
-	withObs, err := Run(sc, WithEngine(SequentialEngine), WithObserver(obs))
+	sc.Processes = sc.Processes[:1]
+	sc.Processes[0].Policy.TickEvery = 8
+	sc.Faults = faults
+	return sc
+}
+
+// TestRunObserver: the observer sees every round barrier with consistent
+// deltas, whatever else is attached, and observing does not change the
+// counters.
+func TestRunObserver(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		sc   Scenario
+	}{
+		{"two processes", testScenario()},
+		{"policy every 8 rounds", gupsEvery8("")},
+		// The fault plan's only event never fires; it must not change
+		// what the observer sees.
+		{"policy every 8 rounds, idle fault plan", gupsEvery8("poison-data:r100000:p0:g5")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var ticks int
+			var opsSeen uint64
+			obs := ObserverFunc(func(ev TickEvent) {
+				ticks++
+				for _, st := range ev.Sockets {
+					opsSeen += st.Ops
+				}
+			})
+			withObs, err := Run(tc.sc, WithEngine(SequentialEngine), WithObserver(obs))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rounds int
+			for _, p := range tc.sc.Processes {
+				for _, ph := range p.Phases {
+					rounds += workloads.Rounds(ph.Ops, 0)
+				}
+			}
+			if ticks != rounds {
+				t.Errorf("observer ticked %d times, the phases ran %d rounds", ticks, rounds)
+			}
+			var totalOps uint64
+			for _, ph := range withObs.Phases {
+				totalOps += ph.Counters.Ops
+			}
+			if opsSeen != totalOps {
+				t.Errorf("observer saw %d ops, results carry %d", opsSeen, totalOps)
+			}
+			plain, err := Run(tc.sc, WithEngine(SequentialEngine))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(plain.Phases, withObs.Phases) {
+				t.Error("observing changed the counters")
+			}
+		})
+	}
+}
+
+// TestReplicaTimelineRounds: the replica timeline is stamped with the
+// rounds the policy ticked on, the same clock as its action log, and an
+// idle fault plan changes neither.
+func TestReplicaTimelineRounds(t *testing.T) {
+	rr, err := Run(gupsEvery8(""), WithEngine(SequentialEngine))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ticks == 0 {
-		t.Fatal("observer never ticked")
+	po := rr.Policies[0]
+	if len(po.Actions) == 0 || !strings.HasPrefix(po.Actions[0], "r8:replicate->") {
+		t.Fatalf("actions %v: want a replicate at the first tick, round 8", po.Actions)
 	}
-	var totalOps uint64
-	for _, ph := range withObs.Phases {
-		totalOps += ph.Counters.Ops
+	want := []ReplicaTick{{Round: 8, Replicas: 1}, {Round: 16, Replicas: 2}}
+	if !reflect.DeepEqual(po.ReplicaTimeline, want) {
+		t.Errorf("replica timeline %v, want %v", po.ReplicaTimeline, want)
 	}
-	if opsSeen != totalOps {
-		t.Errorf("observer saw %d ops, results carry %d", opsSeen, totalOps)
-	}
-	plain, err := Run(sc, WithEngine(SequentialEngine))
+	faulted, err := Run(gupsEvery8("poison-data:r100000:p0:g5"), WithEngine(SequentialEngine))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(plain.Phases, withObs.Phases) {
-		t.Error("observing changed the counters")
+	if !reflect.DeepEqual(faulted.Policies, rr.Policies) || !reflect.DeepEqual(faulted.Phases, rr.Phases) {
+		t.Errorf("an idle fault plan changed the run:\nwithout: %+v\nwith:    %+v", rr.Policies, faulted.Policies)
 	}
 }
 
