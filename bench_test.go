@@ -21,6 +21,7 @@ import (
 	"github.com/mitosis-project/mitosis-sim/internal/numa"
 	"github.com/mitosis-project/mitosis-sim/internal/pt"
 	"github.com/mitosis-project/mitosis-sim/internal/pvops"
+	"github.com/mitosis-project/mitosis-sim/internal/tier"
 	"github.com/mitosis-project/mitosis-sim/internal/translate"
 	"github.com/mitosis-project/mitosis-sim/internal/workloads"
 )
@@ -415,6 +416,47 @@ func BenchmarkMicroReplicateTable(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkMicroTierTick measures one tiering-engine tick: a 10,240-page
+// GUPS (1/8 scale) on socket 0 of a two-socket machine with a CXL
+// expander, ticked after set-up with hotcold-ptpin. A tick walks every
+// mapped page into the tracker and hands the snapshot to the policy; from
+// the fourth tick the unsampled pages are cold and the mover demotes 64 of
+// them a tick. Every 60 ticks the machine is booted afresh, untimed.
+func BenchmarkMicroTierTick(b *testing.B) {
+	b.ReportAllocs()
+	const ticksPerBoot = 60
+	var te *kernel.TierEngine
+	for i := 0; i < b.N; i++ {
+		if i%ticksPerBoot == 0 {
+			b.StopTimer()
+			te = newTierTickEngine(b)
+			b.StartTimer()
+		}
+		if err := te.Tick(i%ticksPerBoot + 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// newTierTickEngine boots BenchmarkMicroTierTick's machine, sets up its
+// GUPS and attaches the tiering engine.
+func newTierTickEngine(b *testing.B) *kernel.TierEngine {
+	sys := mitosis.NewSystem(mitosis.SystemConfig{Sockets: 2, CoresPerSocket: 2, MemoryPerNode: 256 << 20, Tiers: "cxl@0"})
+	pr, err := sys.Spawn(mitosis.NewProc("gups", mitosis.GUPS(), mitosis.OnSockets(0)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	k, p := sys.Kernel(), pr.Process()
+	if err := workloads.Scale(workloads.NewGUPS(), 1.0/8).Setup(workloads.NewEnv(k, p, k.THP(), 42)); err != nil {
+		b.Fatal(err)
+	}
+	pol, err := tier.NewPolicy("hotcold-ptpin")
+	if err != nil {
+		b.Fatal(err)
+	}
+	return k.AttachTierPolicy(p, pol, kernel.TierEngineConfig{})
 }
 
 // TestHotPathZeroAlloc pins the allocation-free contract of the TLB-hit

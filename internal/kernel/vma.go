@@ -74,17 +74,8 @@ func (p *Process) ForEachMappedPage(fn func(va pt.VirtAddr, frame mem.FrameID, s
 	}
 }
 
-// forEachMapped walks v's address range and invokes fn for every present
-// leaf translation, stepping by the mapping's page size.
+// forEachMapped invokes fn for every present leaf translation overlapping
+// v's address range, in VA order, in one depth-first pass over the table.
 func (p *Process) forEachMapped(v *VMA, fn func(va pt.VirtAddr, leaf pt.PTE, size pt.PageSize)) {
-	t := p.mapper.Table()
-	for va := v.Start; va < v.End; {
-		leaf, size, ok := t.Lookup(va)
-		if !ok {
-			va += pt.VirtAddr(pt.Size4K.Bytes())
-			continue
-		}
-		fn(pt.PageBase(va, size), leaf, size)
-		va = pt.PageBase(va, size) + pt.VirtAddr(size.Bytes())
-	}
+	p.mapper.Table().VisitLeaves(v.Start, v.End, fn)
 }

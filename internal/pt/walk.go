@@ -2,6 +2,7 @@ package pt
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"github.com/mitosis-project/mitosis-sim/internal/mem"
 )
@@ -165,6 +166,51 @@ func (t *Table) Lookup(va VirtAddr) (leaf PTE, size PageSize, ok bool) {
 		frame = e.Frame()
 	}
 	panic("pt: walk descended past level 1")
+}
+
+// VisitLeaves calls fn for every present leaf mapping that overlaps
+// [start, end), in ascending VA order, with the page base, the leaf entry
+// and the page size; a huge leaf covering start is reported at its base,
+// below start. The leaves are those a Lookup at each 4KB step of the range
+// finds, stepping past every leaf found, but the walk goes depth-first: it
+// reads each table page once and skips every non-present subtree. fn must
+// not modify the table. A PS bit above level 3 panics, as in Lookup.
+func (t *Table) VisitLeaves(start, end VirtAddr, fn func(va VirtAddr, leaf PTE, size PageSize)) {
+	if start < end {
+		t.visitLeaves(t.root, t.levels, 0, start, end, fn)
+	}
+}
+
+// visitLeaves visits the table page at frame, which maps the VAs from base
+// at the given level, from the entry covering start (or its first entry)
+// up to end.
+func (t *Table) visitLeaves(frame mem.FrameID, level uint8, base, start, end VirtAddr, fn func(VirtAddr, PTE, PageSize)) {
+	tbl := t.pm.Table(frame)
+	shift := PageShift4K + EntryBits*uint64(level-1)
+	i := 0
+	if start > base {
+		i = int((start - base) >> shift)
+	}
+	for ; i < mem.PTEntries; i++ {
+		va := base + VirtAddr(i)<<shift
+		if va >= end {
+			return
+		}
+		e := PTE(atomic.LoadUint64(&tbl[i]))
+		switch {
+		case !e.Present():
+		case level == 1:
+			fn(va, e, Size4K)
+		case e.Huge():
+			size, ok := SizeAtLevel(level)
+			if !ok {
+				panic(fmt.Sprintf("pt: PS bit set at level %d", level))
+			}
+			fn(va, e, size)
+		default:
+			t.visitLeaves(e.Frame(), level-1, va, start, end, fn)
+		}
+	}
 }
 
 // Visit walks the whole tree in depth-first order, calling fn for every

@@ -52,6 +52,7 @@ type HotColdConfig struct {
 // bounded prefix per tick.
 type HotCold struct {
 	cfg HotColdConfig
+	out []Action // Decide's result, reused by the next Decide
 }
 
 // NewHotCold builds the policy.
@@ -62,7 +63,7 @@ func (h *HotCold) Name() string { return "hotcold-" + h.cfg.PT.String() }
 
 // Decide implements Policy.
 func (h *HotCold) Decide(t *Telemetry) []Action {
-	var out []Action
+	out := h.out[:0]
 	// Page-table placement first: a moving table repoints every walker, so
 	// it should not queue behind data moves in the per-tick budget.
 	switch h.cfg.PT {
@@ -97,6 +98,7 @@ func (h *HotCold) Decide(t *Telemetry) []Action {
 			out = append(out, Action{Kind: Demote, VA: pv.VA, Size: pv.Size, Target: target})
 		}
 	}
+	h.out = out
 	return out
 }
 

@@ -151,7 +151,8 @@ func (a Action) String() string {
 // the engine ticks it at round barriers in every engine mode, and the
 // resulting action sequence is part of the replayable counter stream. The
 // mover bounds how many of the returned actions are applied per tick;
-// policies should emit candidates in priority order.
+// policies should emit candidates in priority order. The returned slice is
+// valid until the next Decide, so a policy may reuse it across ticks.
 type Policy interface {
 	Name() string
 	Decide(t *Telemetry) []Action

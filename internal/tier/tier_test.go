@@ -1,6 +1,8 @@
 package tier
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 
 	"github.com/mitosis-project/mitosis-sim/internal/numa"
@@ -33,9 +35,88 @@ func TestTrackerDecayAndClassification(t *testing.T) {
 	if idle != 0 || cold {
 		t.Fatalf("resample: idle=%d cold=%v, want 0/false", idle, cold)
 	}
-	tr.Forget(va)
-	if tr.Tracked() != 0 {
-		t.Fatalf("Forget left %d pages tracked", tr.Tracked())
+}
+
+// mapTracker is the map-keyed tracker the block tracker replaced, kept as
+// its reference.
+type mapTracker struct {
+	cfg   TrackerConfig
+	pages map[pt.VirtAddr]pageState
+}
+
+func (t *mapTracker) Observe(va pt.VirtAddr, samples uint32) (score uint64, idle int, hot, cold bool) {
+	st := t.pages[va]
+	st.score -= st.score / 4
+	st.score += uint64(samples)
+	if samples == 0 {
+		st.idle++
+	} else {
+		st.idle = 0
+	}
+	t.pages[va] = st
+	return st.score, st.idle, st.score >= t.cfg.HotThreshold, st.idle >= t.cfg.ColdTicks
+}
+
+// TestTrackerMatchesMap drives the block tracker and the map reference with
+// one seeded sequence of observations of 4KB and huge page bases across
+// several 2MB blocks: ticks that sweep the pages in VA order, as the
+// engine does, and bursts in random order. Pages sampled rarely run long
+// idle streaks before their next sample.
+func TestTrackerMatchesMap(t *testing.T) {
+	cfg := TrackerConfig{HotThreshold: 8, ColdTicks: 4}
+	tr := NewTracker(cfg)
+	ref := &mapTracker{cfg: tr.Config(), pages: make(map[pt.VirtAddr]pageState)}
+	rng := rand.New(rand.NewSource(17))
+
+	type page struct {
+		va   pt.VirtAddr
+		heat int // out of 100: the chance a tick samples the page
+	}
+	var pages []page
+	// Block 0's base equals the tracker's zero cache key.
+	for _, blk := range []struct {
+		base pt.VirtAddr
+		huge bool // one 2MB page rather than scattered 4KB pages
+	}{{0, false}, {0x40000000, false}, {0x40200000, true}, {0x40600000, false}, {0x7f0000000, false}, {0x7f0200000, true}} {
+		if blk.huge {
+			pages = append(pages, page{blk.base, 20})
+			continue
+		}
+		for i := 0; i < 512; i++ {
+			if rng.Intn(4) == 0 {
+				pages = append(pages, page{blk.base + pt.VirtAddr(i)<<pt.PageShift4K, []int{1, 5, 30, 90}[rng.Intn(4)]})
+			}
+		}
+	}
+	pages = append(pages, page{0xc0000000, 20}) // a 1GB page
+	sort.Slice(pages, func(i, j int) bool { return pages[i].va < pages[j].va })
+
+	check := func(va pt.VirtAddr, samples uint32) {
+		t.Helper()
+		s, i, h, c := tr.Observe(va, samples)
+		rs, ri, rh, rc := ref.Observe(va, samples)
+		if s != rs || i != ri || h != rh || c != rc {
+			t.Fatalf("Observe(%#x, %d) = (%d, %d, %v, %v), map reference (%d, %d, %v, %v)",
+				uint64(va), samples, s, i, h, c, rs, ri, rh, rc)
+		}
+	}
+	sample := func(p page) uint32 {
+		if rng.Intn(100) >= p.heat {
+			return 0
+		}
+		return uint32(1 + rng.Intn(20))
+	}
+	for tick := 0; tick < 200; tick++ {
+		if tick%10 == 9 {
+			for n := 0; n < 500; n++ {
+				p := pages[rng.Intn(len(pages))]
+				check(p.va, sample(p))
+			}
+			continue
+		}
+		for _, p := range pages {
+			check(p.va, sample(p))
+		}
 	}
 }
 

@@ -28,6 +28,14 @@ type pageState struct {
 	idle  int
 }
 
+// blockPages is the number of 4KB pages a tracker block covers: one 2MB
+// region, so a block is 8KB of state.
+const blockPages = 1 << pt.EntryBits
+
+// block holds the states of the 4KB pages of one 2MB region, indexed by
+// page. A page never observed holds the zero state.
+type block [blockPages]pageState
+
 // Tracker maintains per-page hotness from the AutoNUMA access samples the
 // engine folds into mem.FrameMeta at round barriers. It adds no per-access
 // state of its own: the engine feeds it the folded per-page sample counts
@@ -35,24 +43,33 @@ type pageState struct {
 // score per page — deterministic by construction (integer arithmetic, no
 // clocks), and iteration-order-free (state is only ever read through the
 // engine's VA-ordered walk).
+//
+// History is keyed by page-base VA and kept in 2MB blocks of per-4KB-page
+// states, found through a map keyed by the block's base with the last
+// block cached in front: the engine observes pages in VA order, so a tick
+// costs one map lookup per 2MB of mapped range. A page's history outlives
+// an unmap of it; a page mapped again at the same VA resumes it.
 type Tracker struct {
-	cfg   TrackerConfig
-	pages map[pt.VirtAddr]pageState
+	cfg    TrackerConfig
+	blocks map[pt.VirtAddr]*block
+	// lastBase and last cache the most recently observed block.
+	lastBase pt.VirtAddr
+	last     *block
 }
 
 // NewTracker builds a tracker; zero-value config fields take defaults.
 func NewTracker(cfg TrackerConfig) *Tracker {
-	return &Tracker{cfg: cfg.withDefaults(), pages: make(map[pt.VirtAddr]pageState)}
+	return &Tracker{cfg: cfg.withDefaults(), blocks: make(map[pt.VirtAddr]*block)}
 }
 
 // Config returns the tracker's effective configuration.
 func (t *Tracker) Config() TrackerConfig { return t.cfg }
 
-// Observe folds one tick's sample count for the page at va into its score
-// (quarter-life decay: score -= score/4, then += samples) and returns the
-// updated score, idle streak and classification.
+// Observe folds one tick's sample count for the page based at va into its
+// score (quarter-life decay: score -= score/4, then += samples) and returns
+// the updated score, idle streak and classification.
 func (t *Tracker) Observe(va pt.VirtAddr, samples uint32) (score uint64, idle int, hot, cold bool) {
-	st := t.pages[va]
+	st := t.state(va)
 	st.score -= st.score / 4
 	st.score += uint64(samples)
 	if samples == 0 {
@@ -60,12 +77,20 @@ func (t *Tracker) Observe(va pt.VirtAddr, samples uint32) (score uint64, idle in
 	} else {
 		st.idle = 0
 	}
-	t.pages[va] = st
 	return st.score, st.idle, st.score >= t.cfg.HotThreshold, st.idle >= t.cfg.ColdTicks
 }
 
-// Forget drops the page's history (unmap).
-func (t *Tracker) Forget(va pt.VirtAddr) { delete(t.pages, va) }
-
-// Tracked returns the number of pages with history.
-func (t *Tracker) Tracked() int { return len(t.pages) }
+// state returns the history of the 4KB page at va, creating its block on
+// first use.
+func (t *Tracker) state(va pt.VirtAddr) *pageState {
+	base := pt.PageBase(va, pt.Size2M)
+	if t.last == nil || base != t.lastBase {
+		b := t.blocks[base]
+		if b == nil {
+			b = new(block)
+			t.blocks[base] = b
+		}
+		t.lastBase, t.last = base, b
+	}
+	return &t.last[(va-base)>>pt.PageShift4K]
+}
