@@ -15,6 +15,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -207,9 +208,21 @@ func (inj *Injector) Due(round uint64) []Event {
 // Pending reports how many events have not fired yet.
 func (inj *Injector) Pending() int { return len(inj.events) - inj.next }
 
+// kindFields lists the field prefixes each kind takes besides r<round>:
+// the fields Event.String renders for it.
+var kindFields = map[Kind]string{
+	PoisonData:  "pg",
+	PoisonPT:    "pn",
+	OfflineNode: "n",
+	Pressure:    "nf",
+}
+
 // ParsePlan parses the plan DSL: ';'-separated events, each a
 // ':'-separated list of a kind name followed by fields — r<round>,
-// p<proc>, n<node>, g<page>, f<frames> — in any order. Examples:
+// p<proc>, n<node>, g<page>, f<frames> — in any order. An event takes
+// only the fields its kind uses (see Event), and no value may exceed
+// math.MaxInt, so every plan ParsePlan accepts renders back to an equal
+// plan through String. Examples:
 //
 //	poison-pt:r8:p0:n1            poison proc 0's PT root on node 1 at round 8
 //	poison-data:r8:p0:g5          poison proc 0's 5th mapped page
@@ -237,9 +250,18 @@ func ParsePlan(s string) (*Plan, error) {
 			if len(f) < 2 {
 				return nil, fmt.Errorf("fault: event %d %q: bad field %q", i, raw, f)
 			}
+			if strings.IndexByte("rpngf", f[0]) < 0 {
+				return nil, fmt.Errorf("fault: event %d %q: unknown field prefix %q", i, raw, f)
+			}
+			if f[0] != 'r' && strings.IndexByte(kindFields[kind], f[0]) < 0 {
+				return nil, fmt.Errorf("fault: event %d %q: %s takes no %c<N> field", i, raw, kind, f[0])
+			}
 			v, err := strconv.ParseUint(f[1:], 10, 64)
 			if err != nil {
 				return nil, fmt.Errorf("fault: event %d %q: field %q: %w", i, raw, f, err)
+			}
+			if v > math.MaxInt {
+				return nil, fmt.Errorf("fault: event %d %q: field %q: value above %d", i, raw, f, math.MaxInt)
 			}
 			switch f[0] {
 			case 'r':
@@ -252,8 +274,6 @@ func ParsePlan(s string) (*Plan, error) {
 				e.Page = int(v)
 			case 'f':
 				e.Frames = v
-			default:
-				return nil, fmt.Errorf("fault: event %d %q: unknown field prefix %q", i, raw, f)
 			}
 		}
 		if !haveRound {

@@ -31,11 +31,16 @@ func TestParseRoundTrip(t *testing.T) {
 
 func TestParseErrors(t *testing.T) {
 	for _, bad := range []string{
-		"explode:r1",         // unknown kind
-		"poison-pt:p0:n1",    // missing round
-		"poison-pt:r8:x9",    // unknown field prefix
-		"poison-pt:r8:p",     // empty field value
-		"poison-pt:r8:pzero", // non-numeric
+		"explode:r1",                              // unknown kind
+		"poison-pt:p0:n1",                         // missing round
+		"poison-pt:r8:x9",                         // unknown field prefix
+		"poison-pt:r8:p",                          // empty field value
+		"poison-pt:r8:pzero",                      // non-numeric
+		"poison-data:r8:p0:g5:n3",                 // field the kind does not use
+		"offline:r1:p0:n1",                        // field the kind does not use
+		"offline:r1:n18446744073709551615",        // node above math.MaxInt
+		"poison-pt:r8:p9223372036854775808:n1",    // proc above math.MaxInt
+		"pressure:r18446744073709551615:n0:f4096", // round above math.MaxInt
 	} {
 		if _, err := ParsePlan(bad); err == nil {
 			t.Errorf("ParsePlan(%q): want error, got nil", bad)
@@ -104,4 +109,31 @@ func TestInjectorCursor(t *testing.T) {
 	if got := inj.Due(100); len(got) != 0 {
 		t.Fatalf("refire: %v", got)
 	}
+}
+
+// FuzzParsePlan checks that ParsePlan never panics and that every plan it
+// accepts renders through String to a plan it parses back equal.
+func FuzzParsePlan(f *testing.F) {
+	for _, seed := range []string{
+		"poison-pt:r8:p0:n1",
+		"poison-data:r8:p0:g5",
+		"offline:r12:n1",
+		"pressure:r4:n0:f4096",
+		"poison-pt:r8:p0:n1;poison-data:r8:p1:g5;offline:r12:n2;pressure:r4:n0:f4096",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		p, err := ParsePlan(s)
+		if err != nil {
+			return
+		}
+		back, err := ParsePlan(p.String())
+		if err != nil {
+			t.Fatalf("ParsePlan(%q) = %q, which does not parse: %v", s, p.String(), err)
+		}
+		if !reflect.DeepEqual(back, p) {
+			t.Fatalf("ParsePlan(%q) = %+v, but its rendering %q parses to %+v", s, p, p.String(), back)
+		}
+	})
 }

@@ -143,6 +143,8 @@ type Process struct {
 	// the faulting one — that core is parked in the handler and re-reads
 	// CR3 when its walk retries.
 	faultCore numa.CoreID
+	// ctx is the context opCtx hands out (see there for why one suffices).
+	ctx pvops.OpCtx
 
 	// Meter accumulates the kernel work done on behalf of the process.
 	Meter pvops.Meter
@@ -281,9 +283,17 @@ func (p *Process) applyReplication() error {
 }
 
 // opCtx returns the kernel execution context for work done on behalf of
-// the process, billed to its meter, executing on its home socket.
+// the process, billed to its meter, executing on its home socket. It is
+// the process's one reusable context, rewritten on every call, so the
+// demand-fault path allocates none. That is safe because every caller
+// holds the process's fault lock or runs at a quiescent point, so no two
+// goroutines use it at once; and a nested call made while an outer caller
+// still holds the context (reclaim collapsing the faulting process's own
+// replicas) rewrites the same socket and meter, since the home socket
+// changes only in RunOn, which no holder calls.
 func (p *Process) opCtx() *pvops.OpCtx {
-	return &pvops.OpCtx{Socket: p.home, Meter: &p.Meter}
+	p.ctx = pvops.OpCtx{Socket: p.home, Meter: &p.Meter}
+	return &p.ctx
 }
 
 // place returns the page-table placement for a fault handled on socket s.

@@ -71,15 +71,23 @@ type Table struct {
 }
 
 // NewTable wraps an existing root frame as a page-table view. The root
-// frame must hold a page-table page of the given top level.
+// frame must hold a page-table page of the given top level. NewTable
+// stays small enough to inline, so a short-lived view that a caller builds
+// and drops (Mapper.Table on the fault path) lives on the caller's stack.
 func NewTable(pm *mem.PhysMem, root mem.FrameID, levels uint8) *Table {
+	checkRoot(pm, root, levels)
+	return &Table{pm: pm, root: root, levels: levels}
+}
+
+// checkRoot panics unless levels is 4 or 5 and root holds a page-table
+// page.
+func checkRoot(pm *mem.PhysMem, root mem.FrameID, levels uint8) {
 	if levels != 4 && levels != 5 {
 		panic(fmt.Sprintf("pt: levels must be 4 or 5, got %d", levels))
 	}
 	if pm.Meta(root).Kind != mem.KindPageTable {
 		panic(fmt.Sprintf("pt: root frame %d is not a page-table page", root))
 	}
-	return &Table{pm: pm, root: root, levels: levels}
 }
 
 // Root returns the root (CR3) frame.

@@ -65,7 +65,7 @@ type Region struct {
 	Size uint64
 }
 
-// Contains returns an address inside the region at the given byte offset.
+// At returns the address inside the region at the given byte offset.
 func (r Region) At(off uint64) pt.VirtAddr {
 	if off >= r.Size {
 		panic(fmt.Sprintf("workloads: offset %d outside region of %d bytes", off, r.Size))
@@ -114,15 +114,19 @@ func (e *Env) Region(name string) Region {
 // InitRegion touches every page of the region with writes, from the cores
 // dictated by style, faulting memory in with first-touch semantics.
 func (e *Env) InitRegion(name string, style InitStyle) error {
-	r := e.Region(name)
+	return e.initRegion(e.Region(name), style, e.touchRange)
+}
+
+// initRegion splits r among the initializing cores style names and runs
+// touch over each core's share in turn.
+func (e *Env) initRegion(r Region, style InitStyle, touch func(core numa.CoreID, base pt.VirtAddr, size uint64) error) error {
 	cores := e.P.Cores()
 	if len(cores) == 0 {
 		return fmt.Errorf("workloads: process not scheduled")
 	}
-	step := uint64(pt.Size4K.Bytes())
 	switch style {
 	case InitSingle:
-		return e.touchRange(cores[0], r.Base, r.Size, step)
+		return touch(cores[0], r.Base, r.Size)
 	case InitPartitioned:
 		// One initializing core per socket present in the core set.
 		perSocket := map[numa.SocketID]numa.CoreID{}
@@ -136,7 +140,7 @@ func (e *Env) InitRegion(name string, style InitStyle) error {
 			}
 		}
 		n := uint64(len(order))
-		chunk := (r.Size/n + step - 1) / step * step
+		chunk := (r.Size/n + initStep - 1) / initStep * initStep
 		for i, c := range order {
 			start := uint64(i) * chunk
 			if start >= r.Size {
@@ -146,7 +150,7 @@ func (e *Env) InitRegion(name string, style InitStyle) error {
 			if start+size > r.Size {
 				size = r.Size - start
 			}
-			if err := e.touchRange(c, r.Base+pt.VirtAddr(start), size, step); err != nil {
+			if err := touch(c, r.Base+pt.VirtAddr(start), size); err != nil {
 				return err
 			}
 		}
@@ -156,35 +160,43 @@ func (e *Env) InitRegion(name string, style InitStyle) error {
 	}
 }
 
-// touchRange writes one op per page of [base, base+size) through the batch
-// API: initialization is single-threaded, so each batch's buffered
-// invalidations are drained before the next core takes over, preserving
-// the per-op engine's cache state exactly.
-func (e *Env) touchRange(core numa.CoreID, base pt.VirtAddr, size, step uint64) error {
-	m := e.K.Machine()
-	const batch = 512
-	ops := make([]hw.AccessOp, 0, batch)
-	flush := func() error {
-		if len(ops) == 0 {
-			return nil
-		}
-		err := m.AccessBatch(core, ops)
-		m.DrainCoherence([]numa.CoreID{core})
-		if err != nil {
-			return fmt.Errorf("workloads: init touch on core %d: %w", core, err)
-		}
-		ops = ops[:0]
-		return nil
+// initStep is the stride of initialization writes: one per 4 KB page.
+const initStep = uint64(1) << pt.PageShift4K
+
+// touchBatch is the length of an initialization round: the writes one
+// core issues between coherence barriers.
+const touchBatch = 512
+
+// touchRange writes once to every page of [base, base+size) from core, on
+// the round loop: one thread, Sequential mode, touchBatch writes a round.
+// Each barrier applies the round's buffered invalidations to the other
+// sockets' LLCs and folds its AutoNUMA samples before the next round, so
+// the caches end up as under the per-op engine, and the walks run inside
+// the loop's single-writer bracket on the lock-free LLC path.
+func (e *Env) touchRange(core numa.CoreID, base pt.VirtAddr, size uint64) error {
+	l := Loop{Name: "init touch", Mode: Sequential, Batch: touchBatch}
+	d := &touchDriver{next: base, end: base + pt.VirtAddr(size)}
+	_, err := l.Run(e.K.Machine(), []numa.CoreID{core}, d)
+	return err
+}
+
+// touchDriver feeds touchRange's write stream to the round loop, a full
+// batch a round, and ends the run once the range is covered.
+type touchDriver struct {
+	next, end pt.VirtAddr
+}
+
+func (d *touchDriver) Batch(_ int, buf []hw.AccessOp) int {
+	n := 0
+	for ; n < len(buf) && d.next < d.end; n++ {
+		buf[n] = hw.AccessOp{VA: d.next, Write: true}
+		d.next += pt.VirtAddr(initStep)
 	}
-	for off := uint64(0); off < size; off += step {
-		ops = append(ops, hw.AccessOp{VA: base + pt.VirtAddr(off), Write: true})
-		if len(ops) == batch {
-			if err := flush(); err != nil {
-				return err
-			}
-		}
-	}
-	return flush()
+	return n
+}
+
+func (d *touchDriver) Barrier(int) ([]numa.CoreID, bool, error) {
+	return nil, d.next >= d.end, nil
 }
 
 // rng derives a deterministic per-thread generator.
