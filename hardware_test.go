@@ -7,21 +7,24 @@ import (
 	"testing"
 )
 
+// hardwareRoundTripSpecs are the specs TestHardwareSpecStringRoundTrip
+// pins and FuzzParseHardware seeds from.
+var hardwareRoundTripSpecs = []HardwareSpec{
+	{},
+	{Backend: HardwareX8664},
+	{Backend: HardwareX8664LA57},
+	{Backend: HardwareVictima},
+	{Backend: HardwareX8664, NoPSC: true},
+	{Backend: HardwareX8664LA57, L1TLB4K: 32, L1TLB4KWays: 8},
+	{Backend: HardwareX8664, L2TLB: 128, L2TLBWays: 8, PSCL2: 4, PSCL3: 2, PSCL4: 1},
+	{Backend: HardwareVictima, L1TLB4K: 8, L1TLB4KWays: 2, L1TLB2M: 4, L1TLB2MWays: 2},
+}
+
 // TestHardwareSpecStringRoundTrip pins the canonical string form: every
 // spec survives String -> ParseHardware unchanged, and the string is the
 // normalized SystemConfig.Hardware value the sweep pool keys on.
 func TestHardwareSpecStringRoundTrip(t *testing.T) {
-	specs := []HardwareSpec{
-		{},
-		{Backend: HardwareX8664},
-		{Backend: HardwareX8664LA57},
-		{Backend: HardwareVictima},
-		{Backend: HardwareX8664, NoPSC: true},
-		{Backend: HardwareX8664LA57, L1TLB4K: 32, L1TLB4KWays: 8},
-		{Backend: HardwareX8664, L2TLB: 128, L2TLBWays: 8, PSCL2: 4, PSCL3: 2, PSCL4: 1},
-		{Backend: HardwareVictima, L1TLB4K: 8, L1TLB4KWays: 2, L1TLB2M: 4, L1TLB2MWays: 2},
-	}
-	for _, spec := range specs {
+	for _, spec := range hardwareRoundTripSpecs {
 		s := spec.String()
 		back, err := ParseHardware(s)
 		if err != nil {
@@ -50,6 +53,38 @@ func TestHardwareSpecStringRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzParseHardware: ParseHardware never panics, and every string it
+// accepts renders through String to a canonical form that parses back to
+// a spec rendering the same string, with the same validation verdict.
+func FuzzParseHardware(f *testing.F) {
+	for _, spec := range hardwareRoundTripSpecs {
+		f.Add(spec.String())
+	}
+	f.Add("x8664:l2=512/512")
+	f.Add("x8664:psc=300/16/8/4")
+	f.Add("victima:l14k=8/2, psc=0/0/0/0")
+	verdict := func(h HardwareSpec) bool {
+		return h == (HardwareSpec{}) || h.translateSpec().Validate() == nil
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		h, err := ParseHardware(s)
+		if err != nil {
+			return
+		}
+		canon := h.String()
+		back, err := ParseHardware(canon)
+		if err != nil {
+			t.Fatalf("ParseHardware(%q) accepted, but its rendering %q fails: %v", s, canon, err)
+		}
+		if again := back.String(); again != canon {
+			t.Fatalf("%q renders %q, which re-renders as %q", s, canon, again)
+		}
+		if verdict(h) != verdict(back) {
+			t.Fatalf("%q and its rendering %q get different validation verdicts", s, canon)
+		}
+	})
+}
+
 // TestHardwareValidation drives the spec-level invariants through
 // Scenario.Validate, where geometry errors must surface.
 func TestHardwareValidation(t *testing.T) {
@@ -62,6 +97,11 @@ func TestHardwareValidation(t *testing.T) {
 		{"victima with L2", func(s *Scenario) { s.Machine.Hardware = "victima:l2=64/8" }, "l2"},
 		{"la57 bad L2 geometry", func(s *Scenario) { s.Machine.Hardware = "x8664la57:l2=60/8" }, "multiple of ways"},
 		{"malformed spec", func(s *Scenario) { s.Machine.Hardware = "x8664:l2=?" }, "/-separated"},
+		// Recency is a uint8 permutation: a 512-way set or a 300-entry PSC
+		// row would silently keep only 256 entries.
+		{"512-way L2", func(s *Scenario) { s.Machine.Hardware = "x8664:l2=512/512" }, "above 256"},
+		{"300-entry PDE row", func(s *Scenario) { s.Machine.Hardware = "x8664:psc=300/16/8/4" }, "above 256"},
+		{"512-way victima L1", func(s *Scenario) { s.Machine.Hardware = "victima:l14k=512/512" }, "above 256"},
 	}
 	for _, c := range cases {
 		sc := testScenario()
@@ -69,6 +109,14 @@ func TestHardwareValidation(t *testing.T) {
 		err := sc.Validate()
 		if err == nil || !strings.Contains(strings.ToLower(err.Error()), c.want) {
 			t.Errorf("%s: Validate() = %v, want error containing %q", c.name, err, c.want)
+		}
+	}
+
+	for _, hw := range []string{"x8664:l2=256/256", "x8664la57:psc=256/1/1/1"} {
+		sc := testScenario()
+		sc.Machine.Hardware = hw
+		if err := sc.Validate(); err != nil {
+			t.Errorf("%s: Validate() = %v, want the 256-wide geometry accepted", hw, err)
 		}
 	}
 

@@ -700,9 +700,13 @@ func (m *Machine) foldCoreSamplesAtomic(c *coreState, socket numa.SocketID) {
 // The engine's coordinator runs this for every socket at a round barrier,
 // once no batch is in flight, so each LLC sees events in the canonical
 // core order. Buffers are left in place (other targets still need them);
-// clear them afterwards with ClearCoherence at the same barrier.
+// clear them afterwards with ClearCoherence at the same barrier. A target
+// LLC that holds no lines has nothing to invalidate and is skipped.
 func (m *Machine) ApplyCoherenceTo(target numa.SocketID, cores []numa.CoreID) {
 	llc := m.llcs[target]
+	if llc.Resident() == 0 {
+		return
+	}
 	owned := m.singleWriter
 	for _, core := range cores {
 		if m.topo.SocketOf(core) == target {

@@ -35,34 +35,54 @@ func DefaultLLCConfig() LLCConfig {
 	return LLCConfig{Lines: 64, Ways: 8}
 }
 
+// llcSet is one set: the ways' line IDs packed side by side, a valid
+// mask, and the recency permutation. Validity cannot ride in the line ID
+// the way the TLB's and PSC's tags carry it: every 64-bit value is a
+// possible line (Victima's block lines set bit 63, and frame 0 is
+// allocatable, so LineOf(0, 0) is 0).
 type llcSet struct {
 	lines []LineID
-	valid []bool
-	order []uint8 // recency permutation: order[0] is the MRU slot index
+	order []uint8 // recency permutation: order[0] is the MRU way
+	valid uint64  // bit w set while way w holds a line
 }
 
-// touch moves recency position oi to MRU.
-func (s *llcSet) touch(oi int) {
-	if oi == 0 {
-		return
+// find returns the way holding id, or -1. It checks the MRU way first,
+// then the line IDs in way order: a line is resident in at most one way
+// of its set, so the first match in way order is the one a scan in
+// recency order finds.
+func (s *llcSet) find(id LineID) int {
+	if w := int(s.order[0]); s.lines[w] == id && s.valid&bit(w) != 0 {
+		return w
 	}
-	idx := s.order[oi]
-	copy(s.order[1:oi+1], s.order[:oi])
-	s.order[0] = idx
+	for w, line := range s.lines {
+		if line == id && s.valid&bit(w) != 0 {
+			return w
+		}
+	}
+	return -1
 }
+
+// bit is way w's valid-mask bit (w < 64).
+func bit(w int) uint64 { return 1 << (w & 63) }
 
 // LLC models one socket's last-level cache for page-table lines, with
 // set-associative LRU and cross-socket write invalidation: when a page
 // walker on another socket updates Accessed/Dirty bits in a line, cached
 // copies elsewhere are invalidated (MESI ownership transfer). This
 // coherence traffic is what keeps multi-socket workloads missing the LLC on
-// page walks even when the table would fit.
+// page walks even when the table would fit. Each set packs its line IDs
+// next to a valid mask (at most 64 ways), and the cache counts its
+// resident lines, so an invalidation aimed at an empty cache returns at
+// once.
 type LLC struct {
-	// mu guards sets and Stats: an LLC is shared by every core of its
-	// socket, and remote sockets' write walks invalidate lines in it.
+	// mu guards sets, resident and Stats: an LLC is shared by every core
+	// of its socket, and remote sockets' write walks invalidate lines in
+	// it.
 	mu   sync.Mutex
 	sets []llcSet
 	mask uint64
+	// resident counts the valid lines across all sets.
+	resident int
 	// Stats counts cache behaviour. Read it (or assign to it) only at
 	// quiescent points; concurrent updates go through the methods below.
 	Stats LLCStats
@@ -75,28 +95,47 @@ type LLCStats struct {
 	Invalidates uint64
 }
 
-// NewLLC builds a cache from cfg.
+// maxLLCWays is the widest set a uint64 valid mask holds.
+const maxLLCWays = 64
+
+// NewLLC builds a cache from cfg. It panics on bad geometry, including
+// sets wider than the 64 ways a set's valid mask holds.
 func NewLLC(cfg LLCConfig) *LLC {
 	if cfg.Lines <= 0 || cfg.Ways <= 0 || cfg.Lines%cfg.Ways != 0 {
 		panic(fmt.Sprintf("mmucache: LLC lines (%d) must be a positive multiple of ways (%d)", cfg.Lines, cfg.Ways))
+	}
+	if cfg.Ways > maxLLCWays {
+		panic(fmt.Sprintf("mmucache: LLC ways (%d) above %d", cfg.Ways, maxLLCWays))
 	}
 	n := cfg.Lines / cfg.Ways
 	if n&(n-1) != 0 {
 		panic(fmt.Sprintf("mmucache: LLC set count %d must be a power of two", n))
 	}
 	l := &LLC{sets: make([]llcSet, n), mask: uint64(n - 1)}
+	lines, order := make([]LineID, cfg.Lines), make([]uint8, cfg.Lines)
 	for i := range l.sets {
-		l.sets[i].lines = make([]LineID, cfg.Ways)
-		l.sets[i].valid = make([]bool, cfg.Ways)
-		l.sets[i].order = make([]uint8, cfg.Ways)
-		for w := range l.sets[i].order {
-			l.sets[i].order[w] = uint8(w)
-		}
+		lo, hi := i*cfg.Ways, (i+1)*cfg.Ways
+		l.sets[i].lines, l.sets[i].order = lines[lo:hi:hi], order[lo:hi:hi]
+		identity(l.sets[i].order)
 	}
 	return l
 }
 
 func (l *LLC) set(id LineID) *llcSet { return &l.sets[uint64(id)&l.mask] }
+
+// fill installs id in the set's LRU way, which becomes the MRU.
+func (l *LLC) fill(s *llcSet, id LineID) {
+	w := int(evict(s.order))
+	if s.valid&bit(w) == 0 {
+		s.valid |= bit(w)
+		l.resident++
+	}
+	s.lines[w] = id
+}
+
+// Resident returns the number of lines the cache holds. Like Stats, read
+// it only at quiescent points or under the single-writer discipline.
+func (l *LLC) Resident() int { return l.resident }
 
 // Access looks up line id, inserting it on a miss. It returns true on hit.
 // This locked path supports arbitrary cross-goroutine interleavings (the
@@ -121,18 +160,12 @@ func (l *LLC) AccessOwned(id LineID) bool { return l.access(id) }
 
 func (l *LLC) access(id LineID) bool {
 	s := l.set(id)
-	for oi, idx := range s.order {
-		if s.valid[idx] && s.lines[idx] == id {
-			// LRU move-to-front (index rotation only).
-			s.touch(oi)
-			l.Stats.Hits++
-			return true
-		}
+	if w := s.find(id); w >= 0 {
+		promote(s.order, uint8(w))
+		l.Stats.Hits++
+		return true
 	}
-	last := len(s.order) - 1
-	idx := s.order[last]
-	s.lines[idx], s.valid[idx] = id, true
-	s.touch(last)
+	l.fill(s, id)
 	l.Stats.Misses++
 	return false
 }
@@ -155,12 +188,10 @@ func (l *LLC) ProbeOwned(id LineID) bool { return l.probe(id) }
 
 func (l *LLC) probe(id LineID) bool {
 	s := l.set(id)
-	for oi, idx := range s.order {
-		if s.valid[idx] && s.lines[idx] == id {
-			s.touch(oi)
-			l.Stats.Hits++
-			return true
-		}
+	if w := s.find(id); w >= 0 {
+		promote(s.order, uint8(w))
+		l.Stats.Hits++
+		return true
 	}
 	l.Stats.Misses++
 	return false
@@ -181,16 +212,11 @@ func (l *LLC) InsertOwned(id LineID) { l.insert(id) }
 
 func (l *LLC) insert(id LineID) {
 	s := l.set(id)
-	for oi, idx := range s.order {
-		if s.valid[idx] && s.lines[idx] == id {
-			s.touch(oi)
-			return
-		}
+	if w := s.find(id); w >= 0 {
+		promote(s.order, uint8(w))
+		return
 	}
-	last := len(s.order) - 1
-	idx := s.order[last]
-	s.lines[idx], s.valid[idx] = id, true
-	s.touch(last)
+	l.fill(s, id)
 }
 
 // Invalidate drops line id if present (a writer on another socket took
@@ -208,25 +234,28 @@ func (l *LLC) Invalidate(id LineID) {
 func (l *LLC) InvalidateOwned(id LineID) { l.invalidate(id) }
 
 func (l *LLC) invalidate(id LineID) {
+	if l.resident == 0 {
+		return
+	}
 	s := l.set(id)
-	for i := range s.lines {
-		if s.valid[i] && s.lines[i] == id {
-			s.valid[i] = false
+	for w, line := range s.lines {
+		if line == id && s.valid&bit(w) != 0 {
+			s.valid &^= bit(w)
+			l.resident--
 			l.Stats.Invalidates++
-			break
+			return
 		}
 	}
 }
 
-// Flush empties the cache.
+// Flush empties the cache; recency order is kept.
 func (l *LLC) Flush() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for i := range l.sets {
-		for j := range l.sets[i].valid {
-			l.sets[i].valid[j] = false
-		}
+		l.sets[i].valid = 0
 	}
+	l.resident = 0
 }
 
 // Reset restores the LLC to its just-built state: lines invalidated, LRU
@@ -238,13 +267,10 @@ func (l *LLC) Reset() {
 	defer l.mu.Unlock()
 	for i := range l.sets {
 		s := &l.sets[i]
-		for j := range s.valid {
-			s.lines[j] = 0
-			s.valid[j] = false
-		}
-		for w := range s.order {
-			s.order[w] = uint8(w)
-		}
+		clear(s.lines)
+		s.valid = 0
+		identity(s.order)
 	}
+	l.resident = 0
 	l.Stats = LLCStats{}
 }

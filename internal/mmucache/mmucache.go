@@ -45,22 +45,43 @@ func DefaultPSCConfig() PSCConfig {
 	return c
 }
 
-type pscEntry struct {
-	tag   uint64 // VA prefix, identifying one entry at this level
-	child mem.FrameID
-	valid bool
-}
-
-// PSC is one core's set of paging-structure caches with LRU replacement
-// (small fully-associative arrays, like real MMU caches). Recency lives in
-// a per-level order vector (order[0] = MRU slot index) so LRU updates move
-// index bytes, not entries; the permutation matches the shift-down
-// representation exactly, keeping hits and evictions bit-identical.
+// PSC is one core's set of paging-structure caches with LRU replacement:
+// one small fully-associative row per level, like real MMU caches. Each
+// row packs its tag words side by side and checks its MRU way before the
+// rest (see pscRow), with hits and evictions bit-identical to a
+// shift-down LRU scanned in recency order.
 type PSC struct {
-	levels [pt.MaxLevels + 1][]pscEntry
-	order  [pt.MaxLevels + 1][]uint8
+	rows [pt.MaxLevels + 1]pscRow
 	// Stats counts hits by level.
 	Stats PSCStats
+}
+
+// pscRow is one level's cache. Each way keeps one packed tag word (the VA
+// prefix with bit 63 set while the way is valid, 0 when empty; a prefix
+// stays below 2^55 for any 64-bit VA) next to its child frame. A lookup
+// checks the MRU way first, then the tag words in way order: a tag is
+// unique within its row (InsertFresh follows a miss), so the first match
+// in way order is the entry a scan in recency order finds. Recency lives
+// in a byte permutation (order[0] is the MRU way) whose move-to-front
+// matches the shift-down representation exactly, keeping hits and
+// evictions bit-identical.
+type pscRow struct {
+	tags  []uint64
+	child []mem.FrameID
+	order []uint8
+}
+
+// find returns the way holding tag, or -1.
+func (r *pscRow) find(tag uint64) int {
+	if w := r.order[0]; r.tags[w] == tag {
+		return int(w)
+	}
+	for w, t := range r.tags {
+		if t == tag {
+			return w
+		}
+	}
+	return -1
 }
 
 // PSCStats counts PSC behaviour.
@@ -69,37 +90,71 @@ type PSCStats struct {
 	Misses uint64
 }
 
-// NewPSC builds the caches from cfg.
+// MaxPSCEntries is the widest row NewPSC accepts: recency is a uint8
+// permutation of the row's ways.
+const MaxPSCEntries = 256
+
+// validTag marks a PSC tag word in use.
+const validTag = 1 << 63
+
+// NewPSC builds the caches from cfg. It panics on a row wider than 256
+// entries, which a uint8 recency permutation cannot order.
 func NewPSC(cfg PSCConfig) *PSC {
 	p := &PSC{}
 	for l := 2; l <= pt.MaxLevels; l++ {
-		if n := cfg.EntriesPerLevel[l]; n > 0 {
-			p.levels[l] = make([]pscEntry, n)
-			p.order[l] = make([]uint8, n)
-			for w := range p.order[l] {
-				p.order[l][w] = uint8(w)
-			}
+		n := cfg.EntriesPerLevel[l]
+		if n > MaxPSCEntries {
+			panic(fmt.Sprintf("mmucache: PSC level %d: %d entries above %d", l, n, MaxPSCEntries))
+		}
+		if n > 0 {
+			p.rows[l] = pscRow{tags: make([]uint64, n), child: make([]mem.FrameID, n), order: make([]uint8, n)}
+			identity(p.rows[l].order)
 		}
 	}
 	return p
 }
 
-// touch moves recency position oi of level l to MRU.
-func (p *PSC) touch(l uint8, oi int) {
-	if oi == 0 {
+// identity resets a recency permutation to way order.
+func identity(order []uint8) {
+	for w := range order {
+		order[w] = uint8(w)
+	}
+}
+
+// promote makes way w the MRU of a recency permutation; the ways ahead of
+// it move back one place.
+func promote(order []uint8, w uint8) {
+	prev := order[0]
+	if prev == w {
 		return
 	}
-	order := p.order[l]
-	idx := order[oi]
-	copy(order[1:oi+1], order[:oi])
-	order[0] = idx
+	order[0] = w
+	for i := 1; ; i++ {
+		cur := order[i]
+		order[i] = prev
+		if cur == w {
+			return
+		}
+		prev = cur
+	}
+}
+
+// evict returns the LRU way of a recency permutation after making it the
+// MRU: the way a fill overwrites.
+func evict(order []uint8) uint8 {
+	last := len(order) - 1
+	w := order[last]
+	copy(order[1:], order[:last])
+	order[0] = w
+	return w
 }
 
 // tagOf extracts the VA prefix that identifies the level-l entry covering
-// va: all VA bits above the level's own index boundary.
+// va (all VA bits above the level's own index boundary), as a valid tag
+// word.
 func tagOf(va pt.VirtAddr, level uint8) uint64 {
 	shift := uint(pt.PageShift4K + pt.EntryBits*(int(level)-1))
-	return uint64(va) >> shift
+	return uint64(va)>>shift | validTag
 }
 
 // Lookup finds the deepest cached paging structure for va at or below
@@ -109,18 +164,14 @@ func tagOf(va pt.VirtAddr, level uint8) uint64 {
 func (p *PSC) Lookup(va pt.VirtAddr, startLevel uint8) (resumeLevel uint8, child mem.FrameID, ok bool) {
 	// Deeper levels (smaller l) skip more of the walk; search from 2 up.
 	for l := uint8(2); l <= startLevel; l++ {
-		arr := p.levels[l]
-		if arr == nil {
+		r := &p.rows[l]
+		if r.tags == nil {
 			continue
 		}
-		tag := tagOf(va, l)
-		for oi, idx := range p.order[l] {
-			if e := &arr[idx]; e.valid && e.tag == tag {
-				child := e.child
-				p.touch(l, oi)
-				p.Stats.Hits[l]++
-				return l - 1, child, true
-			}
+		if w := r.find(tagOf(va, l)); w >= 0 {
+			promote(r.order, uint8(w))
+			p.Stats.Hits[l]++
+			return l - 1, r.child[w], true
 		}
 	}
 	p.Stats.Misses++
@@ -133,22 +184,18 @@ func (p *PSC) Insert(va pt.VirtAddr, level uint8, child mem.FrameID) {
 	if level < 2 || level > pt.MaxLevels {
 		panic(fmt.Sprintf("mmucache: PSC insert at level %d", level))
 	}
-	arr := p.levels[level]
-	if arr == nil {
+	r := &p.rows[level]
+	if r.tags == nil {
 		return
 	}
 	tag := tagOf(va, level)
-	order := p.order[level]
-	for oi, idx := range order {
-		if e := &arr[idx]; e.valid && e.tag == tag {
-			e.child = child
-			p.touch(level, oi)
-			return
-		}
+	if w := r.find(tag); w >= 0 {
+		r.child[w] = child
+		promote(r.order, uint8(w))
+		return
 	}
-	last := len(order) - 1
-	arr[order[last]] = pscEntry{tag: tag, child: child, valid: true}
-	p.touch(level, last)
+	w := evict(r.order)
+	r.tags[w], r.child[w] = tag, child
 }
 
 // InsertFresh is Insert for entries the walker knows are absent: every
@@ -159,22 +206,18 @@ func (p *PSC) InsertFresh(va pt.VirtAddr, level uint8, child mem.FrameID) {
 	if level < 2 || level > pt.MaxLevels {
 		panic(fmt.Sprintf("mmucache: PSC insert at level %d", level))
 	}
-	arr := p.levels[level]
-	if arr == nil {
+	r := &p.rows[level]
+	if r.tags == nil {
 		return
 	}
-	order := p.order[level]
-	last := len(order) - 1
-	arr[order[last]] = pscEntry{tag: tagOf(va, level), child: child, valid: true}
-	p.touch(level, last)
+	w := evict(r.order)
+	r.tags[w], r.child[w] = tagOf(va, level), child
 }
 
-// Flush empties all levels (context switch).
+// Flush empties all levels (context switch); recency order is kept.
 func (p *PSC) Flush() {
-	for l := range p.levels {
-		for i := range p.levels[l] {
-			p.levels[l][i] = pscEntry{}
-		}
+	for l := range p.rows {
+		clear(p.rows[l].tags)
 	}
 }
 
@@ -182,13 +225,11 @@ func (p *PSC) Flush() {
 // permutations back to identity, counters zeroed. This is the reuse path
 // for recycling a machine between independent runs.
 func (p *PSC) Reset() {
-	for l := range p.levels {
-		for i := range p.levels[l] {
-			p.levels[l][i] = pscEntry{}
-		}
-		for w := range p.order[l] {
-			p.order[l][w] = uint8(w)
-		}
+	for l := range p.rows {
+		r := &p.rows[l]
+		clear(r.tags)
+		clear(r.child)
+		identity(r.order)
 	}
 	p.Stats = PSCStats{}
 }

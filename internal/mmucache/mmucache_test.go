@@ -176,7 +176,8 @@ func TestLLCConfigValidation(t *testing.T) {
 	bad := []LLCConfig{
 		{Lines: 0, Ways: 4},
 		{Lines: 7, Ways: 4},
-		{Lines: 24, Ways: 4}, // 6 sets: not a power of two
+		{Lines: 24, Ways: 4},    // 6 sets: not a power of two
+		{Lines: 128, Ways: 128}, // wider than a set's 64-bit valid mask
 	}
 	for i, cfg := range bad {
 		func() {
@@ -188,4 +189,19 @@ func TestLLCConfigValidation(t *testing.T) {
 			NewLLC(cfg)
 		}()
 	}
+}
+
+// A PSC row wider than a uint8 recency permutation can order panics
+// instead of silently keeping 256 tags; 256 itself builds.
+func TestPSCConfigValidation(t *testing.T) {
+	var cfg PSCConfig
+	cfg.EntriesPerLevel[2] = 256
+	NewPSC(cfg)
+	cfg.EntriesPerLevel[2] = 300
+	defer func() {
+		if recover() == nil {
+			t.Error("NewPSC accepted a 300-entry row")
+		}
+	}()
+	NewPSC(cfg)
 }

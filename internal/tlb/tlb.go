@@ -64,8 +64,6 @@ type Entry struct {
 	// translation. numa.InvalidNode when the mapping spans nodes (or the
 	// inserter did not know): consumers then recompute per access.
 	Node numa.NodeID
-	// valid marks the slot as in use.
-	valid bool
 }
 
 // frameOffMask[s] extracts the 4KB-frame offset of a VA inside a mapping
@@ -88,75 +86,98 @@ type Stats struct {
 	PageInval uint64
 }
 
-// set is one associative set. LRU ordering lives in a separate index
-// vector (order[0] is the MRU slot index) so move-to-front shuffles bytes
-// instead of whole Entry structs — the recency permutation is exactly the
-// one the classic shift-down representation maintains, so hits, evictions
-// and every counter are bit-identical, at a fraction of the memmove cost.
+// validTag marks a tag word in use. A key (VPN<<2 | size) stays below
+// 2^55 for any 64-bit VA, so bit 63 is free, and an empty way's word (0)
+// never equals a search tag.
+const validTag = 1 << 63
+
+// tagOf packs a translation's key into its valid tag word.
+func tagOf(vpn uint64, size pt.PageSize) uint64 {
+	return vpn<<2 | uint64(size) | validTag
+}
+
+// sizeOfTag recovers the page size from a tag word.
+func sizeOfTag(tag uint64) pt.PageSize { return pt.PageSize(tag & 3) }
+
+// set is one associative set. Each way keeps one packed tag word
+// (tags[w]: VPN<<2 | size with bit 63 set, or 0 when empty) next to its
+// payload (slots[w]), so a probe compares consecutive words instead of
+// loading whole entries. A probe checks the MRU way first, then the tag
+// words in way order; a tag is unique within its set (fills that skip
+// the same-key scan follow a miss), so the first match in way order is
+// the entry a scan in recency order finds. Recency lives in a separate
+// byte permutation (order[0] is the MRU way) whose move-to-front is
+// exactly the classic shift-down update, so hits, evictions and every
+// counter are bit-identical to a shift-down LRU.
 type set struct {
+	tags  []uint64
 	slots []Entry
 	order []uint8
 }
 
-// touch moves the slot at recency position oi to MRU.
-func (s *set) touch(oi int) {
-	if oi == 0 {
+// lookup returns the way holding tag, touching it, or -1. The MRU check
+// is small enough to inline into the caller, so a repeat hit makes no
+// call; lookupScan covers the rest.
+func (s *set) lookup(tag uint64) int {
+	if w := s.order[0]; s.tags[w] == tag {
+		return int(w)
+	}
+	return s.lookupScan(tag)
+}
+
+// lookupScan is lookup past the MRU way: it compares the tag words in
+// way order and promotes a match to MRU.
+func (s *set) lookupScan(tag uint64) int {
+	w := s.scan(tag)
+	if w >= 0 {
+		s.promote(uint8(w))
+	}
+	return w
+}
+
+// scan returns the way holding tag, or -1, comparing the tag words in way
+// order.
+func (s *set) scan(tag uint64) int {
+	for w, t := range s.tags {
+		if t == tag {
+			return w
+		}
+	}
+	return -1
+}
+
+// promote makes way w the MRU; the ways ahead of it in recency order
+// move back one place.
+func (s *set) promote(w uint8) {
+	prev := s.order[0]
+	if prev == w {
 		return
 	}
-	idx := s.order[oi]
-	copy(s.order[1:oi+1], s.order[:oi])
-	s.order[0] = idx
+	s.order[0] = w
+	for i := 1; ; i++ {
+		cur := s.order[i]
+		s.order[i] = prev
+		if cur == w {
+			return
+		}
+		prev = cur
+	}
 }
 
-func (s *set) lookup(vpn uint64, size pt.PageSize) (*Entry, bool) {
-	for oi, idx := range s.order {
-		e := &s.slots[idx]
-		if e.valid && e.VPN == vpn && e.Size == size {
-			s.touch(oi)
-			return e, true
-		}
-	}
-	return nil, false
-}
-
-// insert installs e, replacing an existing mapping of the same VPN/size
-// (replaced=true) or evicting the LRU slot (evicted is the pushed-out
-// entry, possibly invalid).
-func (s *set) insert(e Entry) (evicted Entry, replaced bool) {
-	for oi, idx := range s.order {
-		se := &s.slots[idx]
-		if se.valid && se.VPN == e.VPN && se.Size == e.Size {
-			*se = e
-			s.touch(oi)
-			return Entry{}, true
-		}
-	}
+// fill installs e under tag in the LRU way, which becomes the MRU, and
+// returns the tag word it overwrote (0 if the way was empty).
+func (s *set) fill(tag uint64, e Entry) (evicted uint64) {
 	last := len(s.order) - 1
-	idx := s.order[last]
-	evicted = s.slots[idx]
-	s.slots[idx] = e
-	s.touch(last)
-	return evicted, false
-}
-
-func (s *set) invalidate(vpn uint64, size pt.PageSize) bool {
-	for i := range s.slots {
-		if s.slots[i].valid && s.slots[i].VPN == vpn && s.slots[i].Size == size {
-			s.slots[i] = Entry{}
-			return true
-		}
-	}
-	return false
+	w := s.order[last]
+	evicted = s.tags[w]
+	s.tags[w], s.slots[w] = tag, e
+	copy(s.order[1:], s.order[:last])
+	s.order[0] = w
+	return evicted
 }
 
 // mru returns the most-recently-used slot (what insert just installed).
 func (s *set) mru() *Entry { return &s.slots[s.order[0]] }
-
-func (s *set) flush() {
-	for i := range s.slots {
-		s.slots[i] = Entry{}
-	}
-}
 
 // array is one set-associative translation array with per-page-size
 // population counters: pop[s] is the number of valid entries of size s
@@ -164,44 +185,69 @@ func (s *set) flush() {
 // associative probe for that size class entirely — the common single-size
 // process pays one probe per lookup instead of one per (size, level).
 // Skipped probes would have missed anyway, so hit/miss counters and LRU
-// state are bit-identical to the always-probe behaviour.
+// state are bit-identical to the always-probe behaviour. The sets' tags,
+// slots and order slices are windows onto three backing arrays.
 type array struct {
-	sets []set
-	mask uint64
-	pop  [3]uint32
+	sets  []set
+	mask  uint64
+	pop   [3]uint32
+	tags  []uint64
+	slots []Entry
+	order []uint8
 }
+
+// MaxWays is the widest set New accepts: recency is a uint8
+// permutation of the ways.
+const MaxWays = 256
 
 func newArray(entries, ways int, name string) *array {
 	if entries <= 0 || ways <= 0 || entries%ways != 0 {
 		panic(fmt.Sprintf("tlb: %s: entries (%d) must be a positive multiple of ways (%d)", name, entries, ways))
 	}
+	if ways > MaxWays {
+		panic(fmt.Sprintf("tlb: %s: ways (%d) above %d", name, ways, MaxWays))
+	}
 	n := entries / ways
 	if n&(n-1) != 0 {
 		panic(fmt.Sprintf("tlb: %s: set count %d must be a power of two", name, n))
 	}
-	a := &array{sets: make([]set, n), mask: uint64(n - 1)}
+	a := &array{
+		sets:  make([]set, n),
+		mask:  uint64(n - 1),
+		tags:  make([]uint64, entries),
+		slots: make([]Entry, entries),
+		order: make([]uint8, entries),
+	}
 	for i := range a.sets {
-		a.sets[i].slots = make([]Entry, ways)
-		a.sets[i].order = make([]uint8, ways)
+		lo, hi := i*ways, (i+1)*ways
+		a.sets[i] = set{tags: a.tags[lo:hi:hi], slots: a.slots[lo:hi:hi], order: a.order[lo:hi:hi]}
+	}
+	a.resetOrder()
+	return a
+}
+
+// resetOrder restores every set's identity recency permutation.
+func (a *array) resetOrder() {
+	for i := range a.sets {
 		for w := range a.sets[i].order {
 			a.sets[i].order[w] = uint8(w)
 		}
 	}
-	return a
 }
 
 func (a *array) set(vpn uint64) *set { return &a.sets[vpn&a.mask] }
 
-// insert installs e into the right set, maintaining population counters.
+// insert installs e into the right set, replacing an existing mapping of
+// the same VPN/size or evicting the LRU way, and maintains the
+// population counters.
 func (a *array) insert(e Entry) {
-	evicted, replaced := a.set(e.VPN).insert(e)
-	if replaced {
+	s := a.set(e.VPN)
+	tag := tagOf(e.VPN, e.Size)
+	if w := s.lookup(tag); w >= 0 {
+		s.slots[w] = e
 		return
 	}
-	if evicted.valid {
-		a.pop[evicted.Size]--
-	}
-	a.pop[e.Size]++
+	a.fill(s, tag, e)
 }
 
 // insertFresh is insert for translations known to be absent (the hardware
@@ -209,14 +255,13 @@ func (a *array) insert(e Entry) {
 // and goes straight to LRU eviction. Behaviour is identical to insert for
 // absent keys.
 func (a *array) insertFresh(e Entry) {
-	s := a.set(e.VPN)
-	last := len(s.order) - 1
-	idx := s.order[last]
-	if s.slots[idx].valid {
-		a.pop[s.slots[idx].Size]--
+	a.fill(a.set(e.VPN), tagOf(e.VPN, e.Size), e)
+}
+
+func (a *array) fill(s *set, tag uint64, e Entry) {
+	if evicted := s.fill(tag, e); evicted != 0 {
+		a.pop[sizeOfTag(evicted)]--
 	}
-	s.slots[idx] = e
-	s.touch(last)
 	a.pop[e.Size]++
 }
 
@@ -225,32 +270,28 @@ func (a *array) invalidate(vpn uint64, size pt.PageSize) bool {
 	if a.pop[size] == 0 {
 		return false
 	}
-	if a.set(vpn).invalidate(vpn, size) {
-		a.pop[size]--
-		return true
+	s := a.set(vpn)
+	w := s.scan(tagOf(vpn, size))
+	if w < 0 {
+		return false
 	}
-	return false
+	s.tags[w] = 0
+	a.pop[size]--
+	return true
 }
 
+// flush empties every way; recency order is kept.
 func (a *array) flush() {
-	for i := range a.sets {
-		a.sets[i].flush()
-	}
+	clear(a.tags)
 	a.pop = [3]uint32{}
 }
 
 // reset restores the array to its just-built state: empty slots, identity
 // recency permutation, zero population.
 func (a *array) reset() {
-	for i := range a.sets {
-		s := &a.sets[i]
-		for j := range s.slots {
-			s.slots[j] = Entry{}
-		}
-		for w := range s.order {
-			s.order[w] = uint8(w)
-		}
-	}
+	clear(a.tags)
+	clear(a.slots)
+	a.resetOrder()
 	a.pop = [3]uint32{}
 }
 
@@ -293,25 +334,28 @@ func (t *TLB) Lookup(va pt.VirtAddr) (*Entry, HitLevel) {
 	vpn4k := uint64(va) >> pt.PageShift4K
 
 	if t.l1x4k.pop[pt.Size4K] != 0 {
-		if e, ok := t.l1x4k.set(vpn4k).lookup(vpn4k, pt.Size4K); ok {
+		s := t.l1x4k.set(vpn4k)
+		if w := s.lookup(tagOf(vpn4k, pt.Size4K)); w >= 0 {
 			t.Stats.L1Hits++
-			return e, HitL1
+			return &s.slots[w], HitL1
 		}
 	}
 	// 1GB mappings share the 2MB arrays but keep their own VPN granularity
 	// and Size, so Entry.Frame composes the in-page offset with a 1GB mask.
 	if t.l1x2m.pop[pt.Size2M] != 0 {
 		vpn2m := uint64(va) >> 21
-		if e, ok := t.l1x2m.set(vpn2m).lookup(vpn2m, pt.Size2M); ok {
+		s := t.l1x2m.set(vpn2m)
+		if w := s.lookup(tagOf(vpn2m, pt.Size2M)); w >= 0 {
 			t.Stats.L1Hits++
-			return e, HitL1
+			return &s.slots[w], HitL1
 		}
 	}
 	if t.l1x2m.pop[pt.Size1G] != 0 {
 		vpn1g := uint64(va) >> 30
-		if e, ok := t.l1x2m.set(vpn1g).lookup(vpn1g, pt.Size1G); ok {
+		s := t.l1x2m.set(vpn1g)
+		if w := s.lookup(tagOf(vpn1g, pt.Size1G)); w >= 0 {
 			t.Stats.L1Hits++
-			return e, HitL1
+			return &s.slots[w], HitL1
 		}
 	}
 	if t.l2 == nil {
@@ -319,28 +363,28 @@ func (t *TLB) Lookup(va pt.VirtAddr) (*Entry, HitLevel) {
 		return nil, Miss
 	}
 	if t.l2.pop[pt.Size4K] != 0 {
-		if e, ok := t.l2.set(vpn4k).lookup(vpn4k, pt.Size4K); ok {
+		s := t.l2.set(vpn4k)
+		if w := s.lookup(tagOf(vpn4k, pt.Size4K)); w >= 0 {
 			t.Stats.L2Hits++
-			hit := *e
-			t.l1x4k.insert(hit)
+			t.l1x4k.insert(s.slots[w])
 			return t.l1x4k.set(vpn4k).mru(), HitL2
 		}
 	}
 	if t.l2.pop[pt.Size2M] != 0 {
 		vpn2m := uint64(va) >> 21
-		if e, ok := t.l2.set(vpn2m).lookup(vpn2m, pt.Size2M); ok {
+		s := t.l2.set(vpn2m)
+		if w := s.lookup(tagOf(vpn2m, pt.Size2M)); w >= 0 {
 			t.Stats.L2Hits++
-			hit := *e
-			t.l1x2m.insert(hit)
+			t.l1x2m.insert(s.slots[w])
 			return t.l1x2m.set(vpn2m).mru(), HitL2
 		}
 	}
 	if t.l2.pop[pt.Size1G] != 0 {
 		vpn1g := uint64(va) >> 30
-		if e, ok := t.l2.set(vpn1g).lookup(vpn1g, pt.Size1G); ok {
+		s := t.l2.set(vpn1g)
+		if w := s.lookup(tagOf(vpn1g, pt.Size1G)); w >= 0 {
 			t.Stats.L2Hits++
-			hit := *e
-			t.l1x2m.insert(hit)
+			t.l1x2m.insert(s.slots[w])
 			return t.l1x2m.set(vpn1g).mru(), HitL2
 		}
 	}
@@ -364,7 +408,7 @@ func (t *TLB) Insert(va pt.VirtAddr, leaf pt.PTE, size pt.PageSize) {
 // is skipped.
 func (t *TLB) InsertMapped(va pt.VirtAddr, leaf pt.PTE, size pt.PageSize, node numa.NodeID) {
 	vpn := uint64(va) >> uint(shiftOf(size))
-	e := Entry{VPN: vpn, Leaf: leaf, Size: size, Node: node, valid: true}
+	e := Entry{VPN: vpn, Leaf: leaf, Size: size, Node: node}
 	if size == pt.Size4K {
 		t.l1x4k.insertFresh(e)
 	} else {

@@ -156,6 +156,8 @@ func TestConfigValidation(t *testing.T) {
 		{L1Entries4K: 0, L1Ways4K: 1, L1Entries2M: 2, L1Ways2M: 1, L2Entries: 4, L2Ways: 1},
 		{L1Entries4K: 3, L1Ways4K: 2, L1Entries2M: 2, L1Ways2M: 1, L2Entries: 4, L2Ways: 1},
 		{L1Entries4K: 6, L1Ways4K: 2, L1Entries2M: 2, L1Ways2M: 1, L2Entries: 4, L2Ways: 1}, // 3 sets: not pow2
+		// Wider than a uint8 recency permutation can order.
+		{L1Entries4K: 16, L1Ways4K: 4, L1Entries2M: 8, L1Ways2M: 4, L2Entries: 512, L2Ways: 512},
 	}
 	for i, cfg := range cases {
 		func() {
@@ -220,5 +222,29 @@ func TestNoFabricatedTranslations(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// A 256-way set is the widest a uint8 recency permutation orders, and it
+// keeps all 256 translations.
+func TestWidestSetKeepsEveryWay(t *testing.T) {
+	tl := New(Config{L1Entries4K: 4, L1Ways4K: 4, L1Entries2M: 4, L1Ways2M: 4, L2Entries: 256, L2Ways: 256})
+	const pages = 256
+	for i := 0; i < pages; i++ {
+		va := pt.VirtAddr(uint64(i) << pt.PageShift4K)
+		if _, hit := tl.Lookup(va); hit != Miss {
+			t.Fatalf("page %d hit before its fill", i)
+		}
+		tl.InsertMapped(va, pt.NewPTE(mem.FrameID(100+i), pt.FlagPresent), pt.Size4K, 0)
+	}
+	for i := 0; i < pages; i++ {
+		va := pt.VirtAddr(uint64(i) << pt.PageShift4K)
+		e, hit := tl.Lookup(va)
+		if hit == Miss {
+			t.Fatalf("page %d of %d evicted from a %d-way set", i, pages, pages)
+		}
+		if e.Frame(va) != mem.FrameID(100+i) {
+			t.Fatalf("page %d: frame %d", i, e.Frame(va))
+		}
 	}
 }

@@ -225,6 +225,9 @@ func (s Spec) resolve() (tlb.Config, mmucache.PSCConfig, error) {
 		if n < 0 {
 			return tlbCfg, pscCfg, fmt.Errorf("translate: PSC level %d: negative entry count %d", l, n)
 		}
+		if n > mmucache.MaxPSCEntries {
+			return tlbCfg, pscCfg, fmt.Errorf("translate: PSC level %d: %d entries above %d", l, n, mmucache.MaxPSCEntries)
+		}
 	}
 	return tlbCfg, pscCfg, nil
 }
@@ -237,6 +240,9 @@ func checkArray(name string, entries, ways int, allowZero bool) error {
 	}
 	if entries <= 0 || ways <= 0 || entries%ways != 0 {
 		return fmt.Errorf("translate: %s: entries (%d) must be a positive multiple of ways (%d)", name, entries, ways)
+	}
+	if ways > tlb.MaxWays {
+		return fmt.Errorf("translate: %s: ways (%d) above %d", name, ways, tlb.MaxWays)
 	}
 	if n := entries / ways; n&(n-1) != 0 {
 		return fmt.Errorf("translate: %s: set count %d must be a power of two", name, n)
