@@ -110,7 +110,6 @@ func (pr *Proc) Process() *kernel.Process { return pr.p }
 
 // Mmap maps an anonymous region of the given size and returns its base.
 func (pr *Proc) Mmap(size uint64, populate bool) (uint64, error) {
-	pr.sys.Quiesce()
 	va, err := pr.sys.k.Mmap(pr.p, size, kernel.MmapOpts{
 		Writable: true,
 		THP:      pr.sys.k.THP(),
@@ -121,26 +120,20 @@ func (pr *Proc) Mmap(size uint64, populate bool) (uint64, error) {
 
 // Munmap unmaps the region starting at base.
 func (pr *Proc) Munmap(base uint64) error {
-	pr.sys.Quiesce()
 	return pr.sys.k.Munmap(pr.p, pt.VirtAddr(base))
 }
 
 // Access executes one memory operation on the process's first core.
 func (pr *Proc) Access(va uint64, write bool) error {
-	cores := pr.p.Cores()
-	if len(cores) == 0 {
+	if len(pr.p.Cores()) == 0 {
 		return fmt.Errorf("mitosis: process not scheduled")
 	}
-	return pr.sys.k.Machine().Access(cores[0], pt.VirtAddr(va), write)
+	return pr.AccessOn(0, va, write)
 }
 
 // AccessOn executes one memory operation on the process's idx-th worker.
 func (pr *Proc) AccessOn(worker int, va uint64, write bool) error {
-	cores := pr.p.Cores()
-	if worker < 0 || worker >= len(cores) {
-		return fmt.Errorf("mitosis: worker %d out of range [0,%d)", worker, len(cores))
-	}
-	return pr.sys.k.Machine().Access(cores[worker], pt.VirtAddr(va), write)
+	return pr.AccessBatch(worker, []AccessOp{{VA: va, Write: write}})
 }
 
 // AccessOp is one memory operation of a batch: a virtual address and the
@@ -152,13 +145,12 @@ type AccessOp struct {
 
 // AccessBatch executes a batch of memory operations on the process's
 // idx-th worker, amortizing the simulator's per-op overhead. It is
-// equivalent to (but much faster than) calling AccessOn per element.
-// Batches for different workers may run concurrently from their own
-// goroutines; such runs are race-free but not bit-reproducible (use Run
-// with a Scenario for deterministic parallel runs). The batch drains the
-// invalidations its own stores buffered, but not those of batches other
-// workers ran concurrently — System.Quiesce drains everyone, and the
-// facade methods that require a quiescent machine call it implicitly.
+// equivalent to (but much faster than) calling AccessOn per element. The
+// batch ends with a barrier on its worker's core: the cross-socket
+// invalidations its stores caused have reached the other sockets' caches,
+// and its AutoNUMA samples are folded, by the time it returns. Like every
+// System method it runs on the goroutine driving the System; Run with a
+// Scenario is the parallel, deterministic path.
 func (pr *Proc) AccessBatch(worker int, ops []AccessOp) error {
 	cores := pr.p.Cores()
 	if worker < 0 || worker >= len(cores) {
@@ -169,8 +161,10 @@ func (pr *Proc) AccessBatch(worker int, ops []AccessOp) error {
 		hops[i] = hw.AccessOp{VA: pt.VirtAddr(op.VA), Write: op.Write}
 	}
 	m := pr.sys.k.Machine()
+	m.BeginSingleWriter()
 	err := m.AccessBatch(cores[worker], hops)
-	m.DrainCoherence([]numa.CoreID{cores[worker]})
+	m.DrainCoherence(cores[worker : worker+1])
+	m.EndSingleWriter()
 	return err
 }
 
@@ -178,7 +172,6 @@ func (pr *Proc) AccessBatch(worker int, ops []AccessOp) error {
 // numactl --pgtablerepl=all. Replicas go on socket DRAM only: a walker
 // never benefits from a copy on a CPU-less slow-tier node.
 func (pr *Proc) ReplicatePageTables() error {
-	pr.sys.Quiesce()
 	nodes := make([]numa.NodeID, pr.sys.k.Topology().DRAMNodes())
 	for i := range nodes {
 		nodes[i] = numa.NodeID(i)
@@ -188,7 +181,6 @@ func (pr *Proc) ReplicatePageTables() error {
 
 // ReplicateOn enables replication on the given NUMA nodes only.
 func (pr *Proc) ReplicateOn(nodes ...int) error {
-	pr.sys.Quiesce()
 	ns := make([]numa.NodeID, len(nodes))
 	for i, n := range nodes {
 		ns[i] = numa.NodeID(n)
@@ -198,7 +190,6 @@ func (pr *Proc) ReplicateOn(nodes ...int) error {
 
 // CollapseReplicas disables replication, returning to a single table.
 func (pr *Proc) CollapseReplicas() error {
-	pr.sys.Quiesce()
 	return pr.p.SetReplicationMask(nil)
 }
 
@@ -214,7 +205,6 @@ func Policies() []string { return core.PolicyNames() }
 // commodity NUMA balancing would eventually arrange); page-tables follow
 // only when migratePT is true — the capability Mitosis adds.
 func (pr *Proc) Migrate(socket int, migratePT bool) error {
-	pr.sys.Quiesce()
 	return pr.sys.k.MigrateProcess(pr.p, numa.SocketID(socket), kernel.MigrateOpts{
 		Data:       true,
 		PageTables: migratePT,
@@ -225,7 +215,6 @@ func (pr *Proc) Migrate(socket int, migratePT bool) error {
 // paper's Figure 3 layout: per level x per socket, pages and remote-entry
 // fractions.
 func (pr *Proc) PageTableDump() string {
-	pr.sys.Quiesce()
 	return pt.Snapshot(pr.p.Table()).Format()
 }
 
@@ -244,7 +233,6 @@ type Stats struct {
 
 // Stats aggregates the process's counters across its cores.
 func (pr *Proc) Stats() Stats {
-	pr.sys.Quiesce()
 	var st Stats
 	m := pr.sys.k.Machine()
 	var walkMem, walkRemote uint64
@@ -268,6 +256,5 @@ func (pr *Proc) Stats() Stats {
 
 // ResetStats zeroes the machine counters (e.g., after initialization).
 func (pr *Proc) ResetStats() {
-	pr.sys.Quiesce()
 	pr.sys.k.Machine().ResetStats()
 }

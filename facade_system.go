@@ -51,6 +51,10 @@
 //	p.Access(base, true)                     // runs against the simulated MMU
 //	fmt.Println(sys.Report(p))
 //
+// A System is driven by one goroutine: each access call ends at a barrier
+// on its worker's core, so the machine is coherent between calls, and the
+// next call may inspect or change it. Run is the parallel path.
+//
 // The internal packages carry the full implementation. See DESIGN.md for
 // the architecture and EXPERIMENTS.md for the scenario-spec walkthrough and
 // the paper-versus-measured results.
@@ -328,24 +332,6 @@ func (s *System) Config() SystemConfig { return s.cfg }
 // Proc returns the process with the given name, if it was created through
 // this facade (Spawn or a scenario Run); nil otherwise.
 func (s *System) Proc(name string) *Proc { return s.procs[name] }
-
-// Quiesce drains every core's buffered cross-socket coherence events,
-// bringing the machine to the same state a round barrier of the execution
-// engine would. AccessBatch defers the page-table line invalidations a
-// worker's stores cause on *other* sockets; Quiesce flushes all of them —
-// including batches issued by sibling workers — so state inspection and
-// replication-state changes observe a coherent machine. Facade methods that
-// require quiescence call it implicitly; call it directly after hand-rolled
-// AccessBatch loops. It must not be called while a batch is in flight on
-// another goroutine.
-func (s *System) Quiesce() {
-	topo := s.k.Topology()
-	all := make([]numa.CoreID, 0, topo.Cores())
-	for sock := 0; sock < topo.Sockets(); sock++ {
-		all = append(all, topo.CoresOf(numa.SocketID(sock))...)
-	}
-	s.k.Machine().DrainCoherence(all)
-}
 
 // Report renders a short human-readable counter summary.
 func (s *System) Report(pr *Proc) string {

@@ -287,6 +287,41 @@ func TestFaultDeterminismAcrossModes(t *testing.T) {
 	}
 }
 
+// TestPressureReclaimAcrossModes: a pressure wave's reclaim rung runs at
+// a round barrier, where no batch is in flight, so it collapses the same
+// replicas whether or not the engine pinned the running process's cores
+// for a concurrent run (Parallel, and Auto on a multi-CPU host).
+func TestPressureReclaimAcrossModes(t *testing.T) {
+	sc := NewScenario("test/pressure-modes",
+		OnMachine(faultMachine()),
+		WithSeed(7),
+		WithFaults("pressure:r8:n0:f1000000"),
+		WithProc(NewProc("gups", GUPS(InSuite("wm"), Scaled(1.0/32)),
+			OnSockets(0, 1),
+			WithReplication(ReplicationSpec{Nodes: []int{0, 1, 2}, Eager: true}),
+			WithPhases(Measure(2000)))))
+	var ref *RunResult
+	for _, mode := range []EngineMode{SequentialEngine, ParallelEngine, AutoEngine} {
+		rr, err := Run(sc, WithEngine(mode))
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		if rr.Faults == nil || rr.Faults.ReclaimedFrames == 0 {
+			t.Fatalf("%v: the reclaim rung freed nothing: %+v", mode, rr.Faults)
+		}
+		if ref == nil {
+			ref = rr
+			continue
+		}
+		if !reflect.DeepEqual(ref.Phases, rr.Phases) {
+			t.Errorf("%v: phase counters diverged:\nseq: %+v\ngot: %+v", mode, ref.Phases, rr.Phases)
+		}
+		if !reflect.DeepEqual(ref.Faults, rr.Faults) {
+			t.Errorf("%v: fault outcome diverged:\nseq: %+v\ngot: %+v", mode, ref.Faults, rr.Faults)
+		}
+	}
+}
+
 // TestChurnPressureStorm: the churn Pressure knob sizes node 0 to exhaust
 // mid-storm, so socket 0's demand faults reclaim frames from node 1 —
 // fattening the latency tail — while outcomes stay bit-identical across

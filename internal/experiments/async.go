@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/mitosis-project/mitosis-sim/internal/core"
+	"github.com/mitosis-project/mitosis-sim/internal/hw"
 	"github.com/mitosis-project/mitosis-sim/internal/kernel"
 	"github.com/mitosis-project/mitosis-sim/internal/metrics"
 	"github.com/mitosis-project/mitosis-sim/internal/numa"
@@ -49,46 +50,30 @@ func RunAblationAsyncReplication(cfg Config) (*metrics.Table, error) {
 		appCore := p.Cores()[0]
 		var blocked, copyWork numa.Cycles
 		if background {
-			type job struct {
-				ir  *core.IncrementalReplication
-				ctx *pvops.OpCtx
-			}
-			var jobs []job
+			d := &copyDriver{next: w.NewThread(env, 0)}
 			for n := 1; n < k.Topology().Nodes(); n++ {
 				ir, ctx, err := k.StartBackgroundReplication(p, numa.NodeID(n))
 				if err != nil {
 					return nil, err
 				}
-				jobs = append(jobs, job{ir, ctx})
+				d.jobs = append(d.jobs, copyJob{ir, ctx})
 			}
 			// The application keeps running while the kthreads copy —
 			// that is the point of the design.
-			steps := w.NewThread(env, 0)
-			done := false
-			for !done {
-				done = true
-				for _, j := range jobs {
-					if !j.ir.Done() {
-						if _, err := j.ir.Step(j.ctx, 8); err != nil {
-							return nil, err
-						}
-						done = false
-					}
-				}
-				for i := 0; i < 64; i++ {
-					va, wr := steps()
-					if err := k.Machine().Access(appCore, va, wr); err != nil {
-						return nil, err
-					}
-				}
+			if err := d.step(); err != nil {
+				return nil, err
+			}
+			loop := workloads.Loop{Name: w.Name(), Mode: workloads.Sequential, Batch: asyncSlice}
+			if _, err := loop.Run(k.Machine(), []numa.CoreID{appCore}, d); err != nil {
+				return nil, err
 			}
 			// Publishing the replicas is the only moment the app blocks.
 			before := k.Machine().Stats(appCore).Cycles
-			for _, j := range jobs {
+			for _, j := range d.jobs {
 				k.FinishBackgroundReplication(p, j.ir)
 			}
 			blocked = k.Machine().Stats(appCore).Cycles - before
-			for _, j := range jobs {
+			for _, j := range d.jobs {
 				copyWork += j.ctx.Meter.Cycles
 			}
 		} else {
@@ -114,4 +99,53 @@ func RunAblationAsyncReplication(cfg Config) (*metrics.Table, error) {
 			fmt.Sprintf("%.0f", float64(res.TotalCycles)/float64(res.Ops)))
 	}
 	return t, nil
+}
+
+// asyncSlice is how many ops the application issues between two steps of
+// the background copies.
+const asyncSlice = 64
+
+// copyJob is one background replication and the kthread context its copy
+// cycles are billed to.
+type copyJob struct {
+	ir  *core.IncrementalReplication
+	ctx *pvops.OpCtx
+}
+
+// copyDriver runs the application's thread on the round loop, one slice
+// of ops a round, while the background copies proceed: each barrier steps
+// every unfinished copy by one batch of pages, and the run ends after the
+// first slice that ran with every copy finished.
+type copyDriver struct {
+	next    workloads.Step
+	jobs    []copyJob
+	copying bool // the last step found a copy unfinished
+}
+
+// step advances every unfinished copy by one batch.
+func (d *copyDriver) step() error {
+	d.copying = false
+	for _, j := range d.jobs {
+		if !j.ir.Done() {
+			if _, err := j.ir.Step(j.ctx, 8); err != nil {
+				return err
+			}
+			d.copying = true
+		}
+	}
+	return nil
+}
+
+func (d *copyDriver) Batch(_ int, buf []hw.AccessOp) int {
+	for i := range buf {
+		buf[i].VA, buf[i].Write = d.next()
+	}
+	return len(buf)
+}
+
+func (d *copyDriver) Barrier(int) ([]numa.CoreID, bool, error) {
+	if !d.copying {
+		return nil, true, nil
+	}
+	return nil, false, d.step()
 }

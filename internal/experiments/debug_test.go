@@ -5,11 +5,10 @@ import (
 	"testing"
 
 	"github.com/mitosis-project/mitosis-sim/internal/numa"
-	"github.com/mitosis-project/mitosis-sim/internal/workloads"
 )
 
 // TestDebugMSCanneal prints walker behaviour for calibration work. Run
-// explicitly with: go test -run TestDebugMSCanneal -v -tags debug
+// explicitly with: MITOSIS_DEBUG=1 go test -run TestDebugMSCanneal -v
 func TestDebugMSCanneal(t *testing.T) {
 	if os.Getenv("MITOSIS_DEBUG") == "" {
 		t.Skip("calibration debug only; set MITOSIS_DEBUG=1 to run")
@@ -23,14 +22,15 @@ func TestDebugMSCanneal(t *testing.T) {
 		t.Logf("%s: makespan=%d total=%d walk=%d (%.1f%%) walks=%d memacc=%d llchit=%d remote=%d",
 			pol.Name, res.Cycles, res.TotalCycles, res.WalkCycles,
 			res.WalkCycleFraction()*100, res.Walks, res.WalkMemAccesses,
-			res.WalkLLCHits, res.RemoteWalkAccesses)
-		for i, s := range res.PerCore {
+			res.WalkLLCHits, res.WalkRemoteAccesses)
+		// The measured phase is the scenario's last engine run, so the
+		// machine still holds its per-core counters.
+		for i, c := range firstProcess(k).Cores() {
+			s := k.Machine().Stats(c)
 			t.Logf("  core[%d]: cycles=%d walk=%d walks=%d rem=%d mem=%d llc=%d faults=%d",
 				i, s.Cycles, s.WalkCycles, s.Walks, s.WalkRemoteAccesses,
 				s.WalkMemAccesses, s.WalkLLCHits, s.Faults)
 		}
-		_ = k
-		_ = workloads.Run
 	}
 }
 
@@ -48,7 +48,7 @@ func TestDebugMS2MCanneal(t *testing.T) {
 		}
 		t.Logf("%s: ops=%d makespan=%d walk%%=%.1f walks=%d memacc=%d llchit=%d remote=%d",
 			pol.Name, res.Ops, res.Cycles, res.WalkCycleFraction()*100,
-			res.Walks, res.WalkMemAccesses, res.WalkLLCHits, res.RemoteWalkAccesses)
+			res.Walks, res.WalkMemAccesses, res.WalkLLCHits, res.WalkRemoteAccesses)
 		for s := 0; s < 4; s++ {
 			ls := k.Machine().LLCStats(numa.SocketID(s))
 			t.Logf("  llc[%d]: hits=%d misses=%d inval=%d", s, ls.Hits, ls.Misses, ls.Invalidates)

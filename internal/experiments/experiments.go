@@ -112,29 +112,6 @@ func engineMode(m workloads.Mode) mitosis.EngineMode {
 	}
 }
 
-// resultFrom converts a measured phase back into the internal counter
-// shape the figure drivers consume. The raw per-core counters are read
-// off the machine: valid because the measured phase is the scenario's
-// final engine run, so the machine still holds exactly its counters.
-func resultFrom(ph *mitosis.PhaseResult, k *kernel.Kernel) *workloads.Result {
-	c := ph.Counters
-	res := &workloads.Result{
-		Cycles:             numa.Cycles(c.Cycles),
-		WalkCycles:         numa.Cycles(c.WalkCycles),
-		TotalCycles:        numa.Cycles(c.TotalCycles),
-		Walks:              c.Walks,
-		Ops:                c.Ops,
-		RemoteWalkAccesses: c.WalkRemoteAccesses,
-		WalkMemAccesses:    c.WalkMemAccesses,
-		WalkLLCHits:        c.WalkLLCHits,
-		RemoteWalkCycles:   numa.Cycles(c.RemoteWalkCycles),
-	}
-	for _, core := range firstProcess(k).Cores() {
-		res.PerCore = append(res.PerCore, k.Machine().Stats(core))
-	}
-	return res
-}
-
 // workload instantiates a scaled copy of the named workload. A zero Scale
 // (unfilled config) means unscaled.
 func (c Config) workload(w workloads.Workload) workloads.Workload {

@@ -89,22 +89,20 @@ type coreState struct {
 	// heap escape — the zero-alloc contract of the batched hot path.
 	delta CoreStats
 	// pending buffers the page-table lines this core's store walks took
-	// exclusive ownership of since the last coherence apply. The batch
-	// engine applies them to other sockets' LLCs at round barriers (a
-	// deterministic point); the single-op Access path applies them
-	// immediately. Events accumulate across batches until an apply step
-	// clears them.
+	// exclusive ownership of since the last coherence apply. A barrier
+	// (DrainCoherence, or the ApplyCoherenceTo/ClearCoherence pair)
+	// applies them to other sockets' LLCs at a deterministic point; events
+	// accumulate across batches until then.
 	pending []mmucache.LineID
 	// samples buffers this core's AutoNUMA access samples (one per data
-	// access). Like pending, the batch engine folds them into FrameMeta at
-	// round barriers in canonical core order (FoldSampling), so the hot
-	// path appends to a core-private slice instead of hammering two
-	// atomics on a shared frame-metadata cache line per op; the single-op
-	// Access path folds immediately. Fold order reproduces the sequential
-	// engine's update order exactly, so AutoNUMA observes identical state
-	// at every quiescent point.
+	// access). Like pending, a barrier folds them into FrameMeta in
+	// canonical core order (FoldSampling), so the hot path appends to a
+	// core-private slice instead of updating a shared frame-metadata cache
+	// line per op. Fold order reproduces the sequential engine's update
+	// order exactly, so AutoNUMA observes identical state at every
+	// quiescent point.
 	samples []sample
-	// busy is 1 while an Access or AccessBatch executes on this core;
+	// busy is 1 while an AccessBatch executes on this core;
 	// engaged is 1 for the whole duration of a parallel engine run
 	// (BeginConcurrent/EndConcurrent), covering the instants between a
 	// worker's consecutive batches. The kernel's fault path consults
@@ -414,50 +412,35 @@ type AccessOp struct {
 	Write bool
 }
 
-// Access executes one memory operation on core at va. It consults the
-// translation caches, walks the page-table on a miss (taking page faults
-// through the fault handler as needed), charges all cycle costs, and
-// samples data-frame access statistics for the kernel's NUMA balancer.
-// Cross-socket coherence (store walks invalidating page-table lines
-// cached by other sockets) is applied immediately, so a sequence of
-// Access calls behaves exactly like the original per-op engine.
-//
-// Access and AccessBatch on the same core are not safe for concurrent use;
-// different cores may run concurrently (the parallel engine's contract —
-// see DESIGN.md for which operations additionally require quiescence).
+// Access executes one memory operation on core at va: a batch of one op
+// followed by a barrier on core (DrainCoherence), so cross-socket
+// coherence (store walks invalidating page-table lines cached by other
+// sockets) and the op's AutoNUMA sample take effect before it returns.
+// A sequence of Access calls therefore behaves exactly like the original
+// per-op engine. Call it only where DrainCoherence may run: from the one
+// goroutine driving the machine, with no batch in flight on any core.
 func (m *Machine) Access(core numa.CoreID, va pt.VirtAddr, write bool) error {
-	c := m.core(core)
-	if c.tctx.CR3 == mem.NilFrame {
-		return ErrNoContext
-	}
-	socket := c.tctx.Socket
-	armed := m.pm.PoisonCount() > 0
-	c.busy.Store(1)
-	err := m.accessOne(c, core, socket, c.tctx.Home, va, write, armed, &c.stats)
-	c.busy.Store(0)
-	for _, line := range c.pending {
-		m.invalidateOthers(socket, line)
-	}
-	c.pending = c.pending[:0]
-	if m.singleWriter {
-		m.foldCoreSamples(c, socket)
-	} else {
-		// Inline accesses may run concurrently on other cores; fold with
-		// atomics like the pre-engine sampling path.
-		m.foldCoreSamplesAtomic(c, socket)
-	}
+	op := [1]AccessOp{{VA: va, Write: write}}
+	err := m.AccessBatch(core, op[:])
+	m.DrainCoherence([]numa.CoreID{core})
 	return err
 }
 
 // AccessBatch executes a batch of memory operations on core, amortizing the
 // per-op overhead (core/context resolution, stats plumbing) across the
-// batch. Cross-socket invalidations triggered by store walks are NOT
-// applied inline: they accumulate in the core's coherence buffer — across
-// batches, until the caller runs an apply step — DrainCoherence for the
-// simple case, or the ApplyCoherenceTo/ClearCoherence pair the parallel
-// engine uses at round barriers. Deferring the invalidations to a
-// deterministic point is what makes concurrent per-core batches produce
-// bit-identical counters to a sequential run.
+// batch. It consults the translation caches, walks the page-table on a miss
+// (taking page faults through the fault handler as needed), and charges all
+// cycle costs. Cross-socket invalidations triggered by store walks and the
+// AutoNUMA access samples are NOT applied inline: they accumulate in the
+// core's buffers — across batches, until the caller runs a barrier
+// (DrainCoherence, or the ApplyCoherenceTo/ClearCoherence/FoldSampling
+// steps it is made of). Deferring both to a deterministic point is what
+// makes concurrent per-core batches produce bit-identical counters to a
+// sequential run.
+//
+// AccessBatch on the same core is not safe for concurrent use; different
+// cores may run concurrently (the parallel engine's contract — see
+// DESIGN.md for which operations additionally require quiescence).
 //
 // On error, ops executed before the failing one remain charged, mirroring a
 // partially executed instruction stream.
@@ -479,17 +462,10 @@ func (m *Machine) AccessBatch(core numa.CoreID, ops []AccessOp) error {
 	}
 	c.stats.Merge(&c.delta)
 	c.busy.Store(0)
-	if !m.singleWriter {
-		// Outside the engine's barrier discipline there is no later
-		// quiescent fold point this path can rely on (and concurrent
-		// batches on other cores may be in flight): fold this batch's
-		// samples now, atomically.
-		m.foldCoreSamplesAtomic(c, socket)
-	}
 	return err
 }
 
-// CoreBusy reports whether core is executing an Access/AccessBatch or is
+// CoreBusy reports whether core is executing an AccessBatch or is
 // enrolled in a concurrent engine run. The kernel's memory-pressure path
 // uses it to avoid tearing down page-table replicas (and reloading CR3)
 // under cores that may be mid-batch. The per-batch busy flag alone would
@@ -520,12 +496,12 @@ func (m *Machine) EndConcurrent(cores []numa.CoreID) {
 	}
 }
 
-// accessOne is the shared per-op path of Access and AccessBatch. Cycle and
-// counter charges go to st (the caller's accumulator); coherence ownership
-// events go to c.pending, AutoNUMA samples to c.samples. home is socket's
-// local memory node, resolved once per call by the caller. The backend
-// handles the translation caches and the walk; the machine charges the
-// pipeline, scales walk latency by the core's overlap model, and runs the
+// accessOne is AccessBatch's per-op path. Cycle and counter charges go to
+// st (the caller's accumulator); coherence ownership events go to
+// c.pending, AutoNUMA samples to c.samples. home is socket's local memory
+// node, resolved once per call by the caller. The backend handles the
+// translation caches and the walk; the machine charges the pipeline,
+// scales walk latency by the core's overlap model, and runs the
 // statistical data-cache model.
 func (m *Machine) accessOne(c *coreState, core numa.CoreID, socket numa.SocketID, home numa.NodeID, va pt.VirtAddr, write bool, armed bool, st *CoreStats) error {
 	st.Ops++
@@ -633,30 +609,18 @@ func (m *Machine) walk(c *coreState, core numa.CoreID, va pt.VirtAddr, write boo
 	}
 }
 
-// invalidateOthers drops the line from every socket's LLC except the owner.
-func (m *Machine) invalidateOthers(owner numa.SocketID, line mmucache.LineID) {
-	for s := range m.llcs {
-		if numa.SocketID(s) != owner {
-			m.llcs[s].Invalidate(line)
-		}
-	}
-}
-
-// DrainCoherence applies the coherence events buffered by AccessBatch on
-// the given cores, in core order, then clears the buffers, and folds the
-// cores' buffered AutoNUMA samples into frame metadata in the same order.
-// Call it at a quiescent point (no batch in flight on any core). The order
-// is part of the determinism contract: a fixed core list yields a fixed
-// sequence of LLC invalidations and metadata updates.
+// DrainCoherence is the barrier: it applies the coherence events the given
+// cores buffered to every socket's LLC (ApplyCoherenceTo, in core order),
+// clears the buffers and folds the cores' AutoNUMA samples into frame
+// metadata in the same order. Call it at a quiescent point (no batch in
+// flight on any core). The order is part of the determinism contract: a
+// fixed core list yields a fixed sequence of LLC invalidations and
+// metadata updates.
 func (m *Machine) DrainCoherence(cores []numa.CoreID) {
-	for _, core := range cores {
-		c := m.core(core)
-		owner := m.topo.SocketOf(core)
-		for _, line := range c.pending {
-			m.invalidateOthers(owner, line)
-		}
-		c.pending = c.pending[:0]
+	for s := range m.llcs {
+		m.ApplyCoherenceTo(numa.SocketID(s), cores)
 	}
+	m.ClearCoherence(cores)
 	m.FoldSampling(cores)
 }
 
@@ -670,28 +634,11 @@ func (m *Machine) DrainCoherence(cores []numa.CoreID) {
 func (m *Machine) FoldSampling(cores []numa.CoreID) {
 	for _, core := range cores {
 		c := m.core(core)
-		m.foldCoreSamples(c, m.topo.SocketOf(core))
+		for _, s := range c.samples {
+			m.pm.SampleAccess(s.frame, c.tctx.Socket, s.local, s.count)
+		}
+		c.samples = c.samples[:0]
 	}
-}
-
-func (m *Machine) foldCoreSamples(c *coreState, socket numa.SocketID) {
-	if len(c.samples) == 0 {
-		return
-	}
-	for _, s := range c.samples {
-		m.pm.SampleAccess(s.frame, socket, s.local, s.count)
-	}
-	c.samples = c.samples[:0]
-}
-
-func (m *Machine) foldCoreSamplesAtomic(c *coreState, socket numa.SocketID) {
-	if len(c.samples) == 0 {
-		return
-	}
-	for _, s := range c.samples {
-		m.pm.SampleAccessAtomic(s.frame, socket, s.local, s.count)
-	}
-	c.samples = c.samples[:0]
 }
 
 // ApplyCoherenceTo applies buffered coherence events from the given cores
@@ -709,10 +656,11 @@ func (m *Machine) ApplyCoherenceTo(target numa.SocketID, cores []numa.CoreID) {
 	}
 	owned := m.singleWriter
 	for _, core := range cores {
-		if m.topo.SocketOf(core) == target {
+		c := m.core(core)
+		if c.tctx.Socket == target {
 			continue
 		}
-		for _, line := range m.core(core).pending {
+		for _, line := range c.pending {
 			if owned {
 				llc.InvalidateOwned(line)
 			} else {

@@ -129,17 +129,23 @@ func reclaimVictims(p *Process) []numa.NodeID {
 	return mask
 }
 
-// replicaHolderBusy reports whether p's replicas are pinned: a core is
-// currently executing an access batch, or an incremental replication is
-// mid-copy (its job queue holds frames a collapse would free). When p is
-// the caller's own process, the core whose fault is being handled is
-// exempt — it is parked in the handler and re-reads CR3 on walk retry.
-// faultCore is per-process state guarded by the process's fault lock,
-// which the caller holds for its own process on the fault path (and which
-// reclaim TryLocks for every other candidate before calling this).
+// replicaHolderBusy reports whether p's replicas are pinned: an
+// incremental replication is mid-copy (its job queue holds frames a
+// collapse would free), or, on the fault path, a core is currently
+// executing an access batch. The quiescent entry (caller == nil: a round
+// barrier or a direct call) has no batch in flight by definition, so a run
+// that pinned its cores with BeginConcurrent does not count as busy there.
+// When p is the caller's own process, the core whose fault is being
+// handled is exempt — it is parked in the handler and re-reads CR3 on walk
+// retry. faultCore is per-process state guarded by the process's fault
+// lock, which the caller holds for its own process on the fault path (and
+// which reclaim TryLocks for every other candidate before calling this).
 func (k *Kernel) replicaHolderBusy(p, caller *Process) bool {
 	if p.bgRepl > 0 {
 		return true
+	}
+	if caller == nil {
+		return false
 	}
 	exempt := numa.CoreID(-1)
 	if p == caller {

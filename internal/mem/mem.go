@@ -434,20 +434,6 @@ func (pm *PhysMem) SampleAccess(f FrameID, socket numa.SocketID, local bool, n u
 	}
 }
 
-// SampleAccessAtomic is SampleAccess for non-quiescent folds: callers that
-// drive cores from multiple goroutines without the engine's barrier
-// discipline (hand-rolled concurrent batch loops) fold their per-core
-// buffers with atomics instead, trading hot-path speed for safety.
-func (pm *PhysMem) SampleAccessAtomic(f FrameID, socket numa.SocketID, local bool, n uint32) {
-	m := pm.Meta(f)
-	atomic.StoreInt32(&m.AccessSocket, int32(socket))
-	if local {
-		atomic.AddUint32(&m.LocalAccesses, n)
-	} else {
-		atomic.AddUint32(&m.RemoteAccesses, n)
-	}
-}
-
 // FreeFrames returns the number of free frames on node n.
 func (pm *PhysMem) FreeFrames(n numa.NodeID) uint64 {
 	ns := pm.node(n)

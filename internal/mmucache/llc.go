@@ -138,10 +138,10 @@ func (l *LLC) fill(s *llcSet, id LineID) {
 func (l *LLC) Resident() int { return l.resident }
 
 // Access looks up line id, inserting it on a miss. It returns true on hit.
-// This locked path supports arbitrary cross-goroutine interleavings (the
-// legacy inline Machine.Access route and hand-rolled concurrent batch
-// loops). The explicit unlocks keep this walk-path hot spot free of defer
-// overhead.
+// This locked path supports arbitrary cross-goroutine interleavings, for
+// callers that drive cores outside the single-writer bracket (in this
+// module, only tests). The explicit unlocks keep this walk-path hot spot
+// free of defer overhead.
 func (l *LLC) Access(id LineID) bool {
 	l.mu.Lock()
 	hit := l.access(id)

@@ -72,7 +72,7 @@ type Loop struct {
 // once every helper has exited.
 func (l Loop) Run(m *hw.Machine, cores []numa.CoreID, d Driver) (int, error) {
 	topo := m.Topology()
-	eng := &engine{m: m, allSockets: topo.Sockets(), goroutines: 1}
+	eng := &engine{m: m, goroutines: 1}
 	eng.bind(topo, cores)
 	parallel := false
 	switch l.Mode {
@@ -135,9 +135,8 @@ func (l Loop) Run(m *hw.Machine, cores []numa.CoreID, d Driver) (int, error) {
 // groupBySocket groups core indices by socket, in order of first
 // appearance; within a group the cores keep their list order. The nested
 // group/core order is the canonical order of the run.
-func groupBySocket(topo *numa.Topology, cores []numa.CoreID) ([][]int, []numa.SocketID) {
+func groupBySocket(topo *numa.Topology, cores []numa.CoreID) [][]int {
 	var groups [][]int
-	var groupSockets []numa.SocketID
 	groupOf := make([]int, topo.Sockets())
 	for i := range groupOf {
 		groupOf[i] = -1
@@ -149,28 +148,20 @@ func groupBySocket(topo *numa.Topology, cores []numa.CoreID) ([][]int, []numa.So
 			g = len(groups)
 			groupOf[s] = g
 			groups = append(groups, nil)
-			groupSockets = append(groupSockets, s)
 		}
 		groups[g] = append(groups[g], i)
 	}
-	return groups, groupSockets
+	return groups
 }
 
 // engine holds one run's scheduling state.
 type engine struct {
-	m          *hw.Machine
-	cores      []numa.CoreID
-	groups     [][]int // core indices per socket group, canonical order
-	sockets    []numa.SocketID
-	allSockets int
-	bufs       [][]hw.AccessOp
-	lens       []int // this round's batch length per thread
-	errs       []error
-
-	// busySocket[s] reports whether socket s runs any core of this run —
-	// precomputed once per run/rebind so the per-round idle-socket apply
-	// does not rescan the group list per socket.
-	busySocket []bool
+	m      *hw.Machine
+	cores  []numa.CoreID
+	groups [][]int // core indices per socket group, canonical order
+	bufs   [][]hw.AccessOp
+	lens   []int // this round's batch length per thread
+	errs   []error
 
 	// Parallel mode: the coordinator computes groups [0, lead) itself and
 	// each helper computes its own contiguous run of the rest.
@@ -199,18 +190,10 @@ func (h *helper) claim(r uint64) bool {
 	return old < r && h.claimed.CompareAndSwap(old, r)
 }
 
-// bind points the engine at a core set: it regroups the cores by socket
-// and recomputes the busy-socket mask.
+// bind points the engine at a core set, regrouping the cores by socket.
 func (e *engine) bind(topo *numa.Topology, cores []numa.CoreID) {
 	e.cores = slices.Clone(cores)
-	e.groups, e.sockets = groupBySocket(topo, e.cores)
-	if e.busySocket == nil {
-		e.busySocket = make([]bool, e.allSockets)
-	}
-	clear(e.busySocket)
-	for _, gs := range e.sockets {
-		e.busySocket[gs] = true
-	}
+	e.groups = groupBySocket(topo, e.cores)
 }
 
 // computeGroups runs one round's batches for groups [lo, hi).
@@ -220,16 +203,6 @@ func (e *engine) computeGroups(lo, hi int) {
 			if n := e.lens[ti]; n > 0 && e.errs[ti] == nil {
 				e.errs[ti] = e.m.AccessBatch(e.cores[ti], e.bufs[ti][:n])
 			}
-		}
-	}
-}
-
-// applyIdle applies buffered coherence to sockets that run no cores (their
-// LLCs may still cache lines of the shared page-table).
-func (e *engine) applyIdle() {
-	for s := 0; s < e.allSockets; s++ {
-		if !e.busySocket[s] {
-			e.m.ApplyCoherenceTo(numa.SocketID(s), e.cores)
 		}
 	}
 }
@@ -258,15 +231,11 @@ func (e *engine) round() {
 		}
 	}
 	// Every batch of the round has completed and the helpers are waiting
-	// on their start gates: apply coherence to every LLC in canonical
-	// order, drop the applied events so the next round's batches start
-	// from empty buffers, and fold the round's AutoNUMA samples.
-	for _, s := range e.sockets {
-		e.m.ApplyCoherenceTo(s, e.cores)
-	}
-	e.applyIdle()
-	e.m.ClearCoherence(e.cores)
-	e.m.FoldSampling(e.cores)
+	// on their start gates: the machine's barrier applies coherence to
+	// every LLC in canonical order, drops the applied events so the next
+	// round's batches start from empty buffers, and folds the round's
+	// AutoNUMA samples.
+	e.m.DrainCoherence(e.cores)
 }
 
 // shardBounds deals n socket groups, in canonical order, to w goroutines

@@ -1,6 +1,7 @@
 package mitosis
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"os"
@@ -8,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/mitosis-project/mitosis-sim/internal/numa"
 	"github.com/mitosis-project/mitosis-sim/internal/workloads"
 )
 
@@ -47,6 +49,45 @@ func testScenario() Scenario {
 			WithPhases(Measure(2000)),
 		)),
 	)
+}
+
+// FuzzScenarioJSON: decoding a Scenario never panics, and every document
+// the decoder accepts re-marshals to bytes that decode and re-marshal
+// identically.
+func FuzzScenarioJSON(f *testing.F) {
+	for _, sc := range []Scenario{
+		testScenario(),
+		testTierScenario(),
+		testVirtScenario(),
+		faultScenario("fuzz/faults", "poison-pt:r8:p0:n1;offline:r20:n2", true),
+	} {
+		data, err := json.Marshal(sc)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var sc Scenario
+		if json.Unmarshal(data, &sc) != nil {
+			return
+		}
+		out, err := json.Marshal(sc)
+		if err != nil {
+			t.Fatalf("accepted document fails to re-marshal: %v\n%s", err, data)
+		}
+		var back Scenario
+		if err := json.Unmarshal(out, &back); err != nil {
+			t.Fatalf("re-marshaled document fails to decode: %v\n%s", err, out)
+		}
+		again, err := json.Marshal(back)
+		if err != nil {
+			t.Fatalf("decoded re-marshal fails to marshal: %v", err)
+		}
+		if !bytes.Equal(out, again) {
+			t.Fatalf("re-marshal not byte-identical:\n%s\n%s", out, again)
+		}
+	})
 }
 
 func TestScenarioJSONRoundTrip(t *testing.T) {
@@ -441,10 +482,11 @@ func TestSystemRunMachineMismatch(t *testing.T) {
 	}
 }
 
-// TestQuiesce: draining all cores' buffered coherence is safe at any
-// quiescent point and idempotent; facade methods that inspect or mutate
-// replication state call it implicitly after hand-rolled batches.
-func TestQuiesce(t *testing.T) {
+// TestAccessBatchDrainsOnReturn: Proc.AccessBatch ends with a barrier on
+// its worker's core, so the page-table lines its store walks took
+// exclusively have left the other sockets' LLCs by the time the call
+// returns, while the worker's own socket keeps its copies.
+func TestAccessBatchDrainsOnReturn(t *testing.T) {
 	sys := NewSystem(SystemConfig{Sockets: 4, CoresPerSocket: 1, MemoryPerNode: 128 << 20})
 	p, err := sys.Spawn(ProcSpec{Name: "app"})
 	if err != nil {
@@ -454,23 +496,37 @@ func TestQuiesce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ops := make([]AccessOp, 256)
-	for w := 0; w < 4; w++ {
-		for i := range ops {
-			ops[i] = AccessOp{VA: base + uint64(w*4096+i*64)%(8<<20), Write: true}
-		}
-		if err := p.AccessBatch(w, ops); err != nil {
+	m := sys.Kernel().Machine()
+	reads := make([]AccessOp, 64)
+	writes := make([]AccessOp, len(reads))
+	for i := range reads {
+		reads[i] = AccessOp{VA: base + uint64(i)*4096}
+		writes[i] = AccessOp{VA: reads[i].VA, Write: true}
+	}
+	// Workers 1-3 read-walk the pages, caching their leaf lines on
+	// sockets 1-3.
+	for w := 1; w < 4; w++ {
+		if err := p.AccessBatch(w, reads); err != nil {
 			t.Fatal(err)
 		}
 	}
-	sys.Quiesce()
-	sys.Quiesce() // idempotent
-	before := p.Stats()
-	sys.Quiesce()
-	if after := p.Stats(); before != after {
-		t.Errorf("Quiesce changed counters: %+v vs %+v", before, after)
+	var before [4]uint64
+	for s := range before {
+		before[s] = m.LLCStats(numa.SocketID(s)).Invalidates
 	}
-	if err := p.ReplicatePageTables(); err != nil { // quiesces implicitly
+	// Worker 0's store walks take the same lines exclusively.
+	if err := p.AccessBatch(0, writes); err != nil {
+		t.Fatal(err)
+	}
+	for s := 1; s < 4; s++ {
+		if got := m.LLCStats(numa.SocketID(s)).Invalidates; got == before[s] {
+			t.Errorf("socket %d: no invalidations had landed when AccessBatch returned", s)
+		}
+	}
+	if got := m.LLCStats(0).Invalidates; got != before[0] {
+		t.Errorf("socket 0 invalidated %d of its own lines", got-before[0])
+	}
+	if err := p.ReplicatePageTables(); err != nil {
 		t.Fatal(err)
 	}
 	if !p.Stats().Replicated {

@@ -62,6 +62,39 @@ func TestTierScenarioJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzParseTiers: parseTiers never panics; every SystemConfig.Tiers
+// string it accepts renders through renderTiers to a form that re-parses
+// to the same rendering; and a scenario that validates with the string
+// boots a machine with one node per socket and tier.
+func FuzzParseTiers(f *testing.F) {
+	for _, s := range []string{"", "cxl@0", "cxl@0,nvm@1", " cxl@0 , nvm@0", "nvm@3", "cxl", "hbm@0", "cxl@5", "cxl@-1", "cxl@01", "cxl@0,,nvm@1"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		tiers, err := parseTiers(s)
+		if err != nil {
+			return
+		}
+		canon := renderTiers(tiers)
+		back, err := parseTiers(canon)
+		if err != nil {
+			t.Fatalf("parseTiers(%q) accepted, but its rendering %q fails: %v", s, canon, err)
+		}
+		if again := renderTiers(back); again != canon {
+			t.Fatalf("%q renders %q, which re-renders as %q", s, canon, again)
+		}
+		sc := NewScenario("fuzz/tiers",
+			OnMachine(SystemConfig{Sockets: 2, CoresPerSocket: 1, MemoryPerNode: 16 << 20, Tiers: s}),
+			WithProc(NewProc("gups", GUPS(InSuite("wm"), Scaled(1.0/32)), OnSockets(0))))
+		if sc.Validate() != nil {
+			return
+		}
+		if got, want := NewSystem(sc.Machine).Kernel().Topology().Nodes(), 2+len(tiers); got != want {
+			t.Fatalf("%q validates, but the machine booted %d nodes, want %d", s, got, want)
+		}
+	})
+}
+
 func TestTierScenarioValidationErrors(t *testing.T) {
 	cases := []struct {
 		name string
