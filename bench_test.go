@@ -268,7 +268,9 @@ func BenchmarkMicroAccessTLBHit(b *testing.B) {
 
 // BenchmarkMicroAccessBatchTLBHit measures the batched fast path: the same
 // L1-TLB-hit op stream issued through AccessBatch, which amortizes the
-// per-op context and stats overhead.
+// per-op context and stats overhead. Like BenchmarkMicroAccessTLBMiss it
+// runs the way workloads.Loop does: inside the single-writer bracket,
+// with a barrier after every batch.
 func BenchmarkMicroAccessBatchTLBHit(b *testing.B) {
 	b.ReportAllocs()
 	k := kernel.New(kernel.Config{FramesPerNode: 1 << 16})
@@ -289,17 +291,23 @@ func BenchmarkMicroAccessBatchTLBHit(b *testing.B) {
 	for i := range ops {
 		ops[i] = hw.AccessOp{VA: base}
 	}
+	cores := []numa.CoreID{0}
+	m.BeginSingleWriter()
+	defer m.EndSingleWriter()
 	b.ResetTimer()
 	for done := 0; done < b.N; done += chunk {
 		if err := m.AccessBatch(0, ops); err != nil {
 			b.Fatal(err)
 		}
+		m.DrainCoherence(cores)
 	}
-	m.DrainCoherence([]numa.CoreID{0})
 }
 
 // BenchmarkMicroAccessTLBMiss measures a full simulated page walk per
-// operation (random batched accesses over a large region).
+// operation (random batched accesses over a large region). It runs the
+// way workloads.Loop does: inside the single-writer bracket, so walks take
+// the lock-free LLC path, with a barrier after every batch, so the core's
+// sample buffer stays one batch long.
 func BenchmarkMicroAccessTLBMiss(b *testing.B) {
 	b.ReportAllocs()
 	k := kernel.New(kernel.Config{FramesPerNode: 1 << 18})
@@ -319,6 +327,9 @@ func BenchmarkMicroAccessTLBMiss(b *testing.B) {
 	rng := uint64(12345)
 	const chunk = 512
 	ops := make([]hw.AccessOp, chunk)
+	cores := []numa.CoreID{0}
+	m.BeginSingleWriter()
+	defer m.EndSingleWriter()
 	b.ResetTimer()
 	for done := 0; done < b.N; done += chunk {
 		for i := range ops {
@@ -328,8 +339,8 @@ func BenchmarkMicroAccessTLBMiss(b *testing.B) {
 		if err := m.AccessBatch(0, ops); err != nil {
 			b.Fatal(err)
 		}
+		m.DrainCoherence(cores)
 	}
-	m.DrainCoherence([]numa.CoreID{0})
 }
 
 // BenchmarkMicroEngineParallelGUPS measures the full parallel engine on a
@@ -503,9 +514,11 @@ func BenchmarkMicroInitRegion(b *testing.B) {
 // sample/coherence buffers, steady-state batches must not allocate at all
 // — an allocation per op is exactly the kind of structural regression the
 // perf bench target exists to catch, and AllocsPerRun catches it without
-// wall-clock noise.
+// wall-clock noise. A second stream of random loads and stores over a
+// larger region (BenchmarkMicroAccessTLBMiss's stream) pins the walk path
+// the same way.
 func TestHotPathZeroAlloc(t *testing.T) {
-	testHotPathZeroAlloc(t, nil)
+	testHotPathZeroAlloc(t, translate.Spec{})
 }
 
 // TestHotPathZeroAllocBackends extends the allocation-free contract to
@@ -515,12 +528,12 @@ func TestHotPathZeroAlloc(t *testing.T) {
 func TestHotPathZeroAllocBackends(t *testing.T) {
 	for _, name := range []string{translate.BackendX8664LA57, translate.BackendVictima} {
 		t.Run(name, func(t *testing.T) {
-			testHotPathZeroAlloc(t, &translate.Spec{Backend: name})
+			testHotPathZeroAlloc(t, translate.Spec{Backend: name})
 		})
 	}
 }
 
-func testHotPathZeroAlloc(t *testing.T, hardware *translate.Spec) {
+func testHotPathZeroAlloc(t *testing.T, hardware translate.Spec) {
 	k := kernel.New(kernel.Config{FramesPerNode: 1 << 16, Hardware: hardware})
 	p, err := k.CreateProcess(kernel.ProcessOpts{Name: "zeroalloc", Home: 0})
 	if err != nil {
@@ -549,14 +562,20 @@ func testHotPathZeroAlloc(t *testing.T, hardware *translate.Spec) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	const missSize = 16 << 20
+	missBase, err := k.Mmap(p, missSize, kernel.MmapOpts{Writable: true, Populate: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	m := k.Machine()
 	m.BeginSingleWriter()
 	defer m.EndSingleWriter()
+	// Eight pages fit each core's L1 TLB, so after the warmup every op hits.
 	ops := make([]hw.AccessOp, 512)
 	ops2 := make([]hw.AccessOp, 512)
 	for i := range ops {
-		ops[i] = hw.AccessOp{VA: base + pt.VirtAddr(i%256)<<12}
-		ops2[i] = hw.AccessOp{VA: base2 + pt.VirtAddr(i%256)<<12}
+		ops[i] = hw.AccessOp{VA: base + pt.VirtAddr(i%8)<<12}
+		ops2[i] = hw.AccessOp{VA: base2 + pt.VirtAddr(i%8)<<12}
 	}
 	// Warmup: grow the sample/coherence buffers and fill both TLBs.
 	if err := m.AccessBatch(0, ops); err != nil {
@@ -566,6 +585,7 @@ func testHotPathZeroAlloc(t *testing.T, hardware *translate.Spec) {
 		t.Fatal(err)
 	}
 	m.DrainCoherence([]numa.CoreID{0, core2})
+	walks := m.Stats(0).Walks + m.Stats(core2).Walks
 	allocs := testing.AllocsPerRun(100, func() {
 		if err := m.AccessBatch(0, ops); err != nil {
 			t.Fatal(err)
@@ -577,6 +597,41 @@ func testHotPathZeroAlloc(t *testing.T, hardware *translate.Spec) {
 	})
 	if allocs != 0 {
 		t.Errorf("TLB-hit AccessBatch path allocates %.1f times per batch, want 0", allocs)
+	}
+	if d := m.Stats(0).Walks + m.Stats(core2).Walks - walks; d != 0 {
+		t.Errorf("TLB-hit stream walked %d times, want 0", d)
+	}
+
+	// The TLB-miss stream. Warmup stores to every page of the region once,
+	// which sizes the coherence buffer and creates victima's per-core block
+	// payloads for the whole region.
+	cores := []numa.CoreID{0}
+	for off := uint64(0); off < missSize; off += uint64(len(ops)) << 12 {
+		for i := range ops {
+			ops[i] = hw.AccessOp{VA: missBase + pt.VirtAddr(off) + pt.VirtAddr(i)<<12, Write: true}
+		}
+		if err := m.AccessBatch(0, ops); err != nil {
+			t.Fatal(err)
+		}
+		m.DrainCoherence(cores)
+	}
+	rng := uint64(12345)
+	before := m.Stats(0)
+	allocs = testing.AllocsPerRun(100, func() {
+		for i := range ops {
+			rng = rng*6364136223846793005 + 1442695040888963407
+			ops[i] = hw.AccessOp{VA: missBase + pt.VirtAddr(rng%missSize)&^63, Write: i%2 == 1}
+		}
+		if err := m.AccessBatch(0, ops); err != nil {
+			t.Fatal(err)
+		}
+		m.DrainCoherence(cores)
+	})
+	if allocs != 0 {
+		t.Errorf("TLB-miss AccessBatch path allocates %.1f times per batch, want 0", allocs)
+	}
+	if d := m.Stats(0).Sub(before); d.Walks*2 < d.Ops {
+		t.Errorf("TLB-miss stream walked %d times in %d ops, want at least half", d.Walks, d.Ops)
 	}
 }
 

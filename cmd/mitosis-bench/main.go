@@ -1,5 +1,5 @@
 // mitosis-bench regenerates the Mitosis paper's tables and figures on the
-// simulated machine and benchmarks the simulator's own execution engine.
+// simulated machine and benchmarks the simulator's own hot paths.
 //
 // Usage:
 //
@@ -7,8 +7,8 @@
 //	mitosis-bench -replay FILE
 //
 // Experiments: fig1 fig3 fig4 fig6 fig9a fig9b fig10a fig10b fig11
-// table4 table5 table6 ablations engine policy scenario virt tier hwcmp
-// perf, or "all" (default).
+// table4 table5 table6 ablations policy scenario virt tier hwcmp faults
+// perf, or "all" (default); churn and sweep run only when named.
 //
 // The perf target measures the simulator's own hot-path host throughput
 // (simulated ops per wall-clock second) for the TLB-hit fast path, the
@@ -25,13 +25,13 @@
 //
 // With -json DIR, every target additionally writes DIR/BENCH_<target>.json
 // containing the wall-clock time of the target, the simulator throughput
-// (for the engine benchmark), and the structured simulated-cycle results —
-// the machine-readable perf trajectory tracked across commits. The policy
-// target's records carry per-run policy names, replica-count timelines,
-// remote-walk-cycle fractions and the exact declarative scenario each row
-// was measured from, so BENCH_policy.json tracks replication-policy
-// regressions. -policy restricts the policy target to a comma-separated
-// subset of none,static,ondemand,costadaptive.
+// (for the perf, sweep and churn targets), and the structured
+// simulated-cycle results — the machine-readable perf trajectory tracked
+// across commits. The policy target's records carry per-run policy names,
+// replica-count timelines, remote-walk-cycle fractions and the exact
+// declarative scenario each row was measured from, so BENCH_policy.json
+// tracks replication-policy regressions. -policy restricts the policy
+// target to a comma-separated subset of none,static,ondemand,costadaptive.
 //
 // The scenario target runs the canonical declarative scenario and embeds
 // its full spec in BENCH_scenario.json; the virt target renders the
@@ -102,7 +102,6 @@ var targets = []targetInfo{
 	{"tier", "CXL tier recovery ladder plus the canonical tiered scenario record (BENCH_tier.json)"},
 	{"hwcmp", "translation-backend comparison: x8664 vs la57 vs victima, replayable via BENCH_hw.json"},
 	{"faults", "fault-injection kill-vs-recover ladder: MCE failover, node offlining, OOM, replayable via BENCH_fault.json"},
-	{"engine", "execution-engine throughput benchmark (sequential vs parallel)"},
 	{"perf", "simulator hot-path host-throughput trajectory (BENCH_perf.json)"},
 	{"churn", "multi-process churn fault storm: host throughput + tail latency, replayable via BENCH_churn.json (not in \"all\")"},
 	{"sweep", "fleet-scale pooled scenario grid, replayable via BENCH_sweep.json (not in \"all\")"},
@@ -296,7 +295,7 @@ type benchRecord struct {
 	// name, replica-count timeline and remote-walk-cycle fraction.
 	Policy string `json:"policy,omitempty"`
 	// Result carries the target's structured simulated-cycle output
-	// (figure bars, table rows, or the engine benchmark record).
+	// (figure bars, table rows, or a throughput record).
 	Result any `json:"result"`
 }
 
@@ -370,9 +369,6 @@ func run(cfg experiments.Config, target string, policies []string, sweepOpt expe
 	case "table6":
 		t, err := experiments.RunTable6(cfg)
 		return str(t, err)
-	case "engine":
-		r, err := experiments.RunEngineBench(cfg)
-		return str(r, err)
 	case "perf":
 		r, err := experiments.RunPerfBench(cfg)
 		return str(r, err)

@@ -110,13 +110,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	var kcfg kernel.Config
-	if *hardware != "" {
-		spec := translate.Spec{Backend: *hardware}
-		if err := spec.Validate(); err != nil {
-			log.Fatalf("ptdump: -hardware: %v", err)
-		}
-		kcfg.Hardware = &spec
+	kcfg := kernel.Config{Hardware: translate.Spec{Backend: *hardware}}
+	if err := kcfg.Hardware.Validate(); err != nil {
+		log.Fatalf("ptdump: -hardware: %v", err)
 	}
 	if *tiers != "" {
 		tn, err := parseTiers(*tiers)

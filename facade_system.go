@@ -67,7 +67,6 @@ import (
 	"github.com/mitosis-project/mitosis-sim/internal/core"
 	"github.com/mitosis-project/mitosis-sim/internal/kernel"
 	"github.com/mitosis-project/mitosis-sim/internal/numa"
-	"github.com/mitosis-project/mitosis-sim/internal/translate"
 )
 
 // SystemConfig describes a simulated machine + kernel. It doubles as the
@@ -279,11 +278,6 @@ func NewSystem(cfg SystemConfig) *System {
 	if err != nil {
 		panic(fmt.Sprintf("mitosis: invalid SystemConfig.Hardware: %v", err))
 	}
-	var hwSpec *translate.Spec
-	if hs != (HardwareSpec{}) {
-		ts := hs.translateSpec()
-		hwSpec = &ts
-	}
 	topo := numa.NewTopology(norm.Sockets, norm.CoresPerSocket)
 	if len(tiers) > 0 {
 		topo = numa.NewTieredTopology(norm.Sockets, norm.CoresPerSocket, tiers)
@@ -291,7 +285,7 @@ func NewSystem(cfg SystemConfig) *System {
 	k := kernel.New(kernel.Config{
 		Topology:      topo,
 		FramesPerNode: norm.MemoryPerNode / 4096,
-		Hardware:      hwSpec,
+		Hardware:      hs.translateSpec(),
 	})
 	k.SetTHP(cfg.THP)
 	// The facade's workflow is per-process replication control.

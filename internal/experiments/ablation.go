@@ -8,6 +8,7 @@ import (
 	"github.com/mitosis-project/mitosis-sim/internal/metrics"
 	"github.com/mitosis-project/mitosis-sim/internal/mmucache"
 	"github.com/mitosis-project/mitosis-sim/internal/numa"
+	"github.com/mitosis-project/mitosis-sim/internal/translate"
 	"github.com/mitosis-project/mitosis-sim/internal/workloads"
 )
 
@@ -63,6 +64,14 @@ func RunAblationPropagation(cfg Config) (*metrics.Table, error) {
 	return t, nil
 }
 
+// fiveLevelHardware is the five-level ablation's pair of machines: 4-level
+// x86-64 and 5-level LA57 paging, both with the paging-structure caches
+// off so every walk reads every level.
+var fiveLevelHardware = [...]translate.Spec{
+	{Backend: translate.BackendX8664, PSC: &mmucache.PSCConfig{}},
+	{Backend: translate.BackendX8664LA57, PSC: &mmucache.PSCConfig{}},
+}
+
 // RunAblationFiveLevel quantifies the walk-cost amplification of Intel
 // 5-level paging (§1: the 4-access penalty "will grow to 5") and shows
 // that Mitosis recovers proportionally more. MMU paging-structure caches
@@ -76,11 +85,12 @@ func RunAblationFiveLevel(cfg Config) (*metrics.Table, error) {
 		Note:    "walk cycles per op with page-tables remote+loaded, and with Mitosis migration",
 		Columns: []string{"Levels", "RPI-LD walk cyc/op", "+M walk cyc/op", "recovered"},
 	}
-	for _, levels := range []uint8{4, 5} {
+	for _, spec := range fiveLevelHardware {
+		var levels int
 		var walkPerOp [2]float64
 		for i, migrate := range []bool{false, true} {
-			noPSC := mmucache.PSCConfig{}
-			k := kernel.New(kernel.Config{FramesPerNode: cfg.FramesPerNode, Levels: levels, PSC: &noPSC})
+			k := kernel.New(kernel.Config{FramesPerNode: cfg.FramesPerNode, Hardware: spec})
+			levels = k.HardwareGeometry().Levels
 			w := cfg.workload(workloads.NewGUPS())
 			nodeB := k.Topology().NodeOf(wmSocketB)
 			p, err := k.CreateProcess(kernel.ProcessOpts{

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	mitosis "github.com/mitosis-project/mitosis-sim"
+	"github.com/mitosis-project/mitosis-sim/internal/kernel"
+	"github.com/mitosis-project/mitosis-sim/internal/numa"
 )
 
 // Quick-mode smoke tests: the experiments must run end-to-end without
@@ -221,6 +223,38 @@ func TestAblationsQuick(t *testing.T) {
 	}
 	if _, err := RunAblationVirtualization(Quick()); err != nil {
 		t.Errorf("virtualization: %v", err)
+	}
+}
+
+// TestFiveLevelHardwareWalksItsGeometry checks that each machine of the
+// five-level ablation reports the geometry it walks: with the
+// paging-structure caches off, a cold walk reads one entry per level.
+func TestFiveLevelHardwareWalksItsGeometry(t *testing.T) {
+	for i, want := range []struct{ levels, vaBits int }{{4, 48}, {5, 57}} {
+		k := kernel.New(kernel.Config{FramesPerNode: 1 << 12, Hardware: fiveLevelHardware[i]})
+		if g := k.HardwareGeometry(); g.Levels != want.levels || g.VABits != want.vaBits {
+			t.Errorf("machine %d reports %d levels and %d-bit reach, want %d and %d", i, g.Levels, g.VABits, want.levels, want.vaBits)
+		}
+		p, err := k.CreateProcess(kernel.ProcessOpts{Name: "walk", Home: 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := k.RunOn(p, []numa.CoreID{0}); err != nil {
+			t.Fatal(err)
+		}
+		base, err := k.Mmap(p, 4096, kernel.MmapOpts{Populate: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := k.Machine()
+		before := m.Stats(0)
+		if err := m.Access(0, base, false); err != nil {
+			t.Fatal(err)
+		}
+		d := m.Stats(0).Sub(before)
+		if reads := d.WalkMemAccesses + d.WalkLLCHits; d.Walks != 1 || reads != uint64(want.levels) {
+			t.Errorf("machine %d: %d walks reading %d entries, want 1 reading %d", i, d.Walks, reads, want.levels)
+		}
 	}
 }
 

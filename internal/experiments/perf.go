@@ -140,6 +140,12 @@ func RunPerfBench(cfg Config) (*PerfBench, error) {
 // perfReps is the number of repetitions per row; the best one is reported.
 const perfReps = 5
 
+// perfEngineChunk is the gups-parallel row's round length: long rounds
+// amortize the barrier cost, which is what a throughput run wants (the
+// figure experiments keep the default short rounds for tighter coherence
+// latency).
+const perfEngineChunk = 256
+
 // perfProc builds a single-core process with a populated region of the
 // given size on node 0.
 func perfProc(framesPerNode uint64, size uint64) (*kernel.Kernel, pt.VirtAddr, error) {
@@ -266,7 +272,7 @@ func perfParallelGUPS(cfg Config) (PerfRow, error) {
 	}
 	start := time.Now()
 	res, err := workloads.RunWith(env, w, cfg.Ops,
-		workloads.EngineConfig{Mode: workloads.Parallel, Chunk: engineBenchChunk})
+		workloads.EngineConfig{Mode: workloads.Parallel, Chunk: perfEngineChunk})
 	if err != nil {
 		return PerfRow{}, err
 	}

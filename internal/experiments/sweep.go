@@ -84,9 +84,6 @@ type SweepOptions struct {
 	// Serial additionally runs the serial fresh-build comparison loop to
 	// fill SerialFreshOpsPerSec/Speedup (doubles the target's runtime).
 	Serial bool
-	// Progress, when non-nil, receives per-cell completion events from the
-	// pooled run.
-	Progress func(mitosis.SweepEvent)
 }
 
 // RunSweep executes the canonical (or quick) sweep grid on the pooled
@@ -101,14 +98,7 @@ func RunSweep(opt SweepOptions) (*SweepBench, error) {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	pooledOpts := []mitosis.SweepOpt{
-		mitosis.WithSweepWorkers(workers),
-		mitosis.WithSweepLimit(opt.Cells),
-	}
-	if opt.Progress != nil {
-		pooledOpts = append(pooledOpts, mitosis.WithSweepProgress(opt.Progress))
-	}
-	pooled, err := mitosis.RunSweep(sw, pooledOpts...)
+	pooled, err := mitosis.RunSweep(sw, mitosis.WithSweepWorkers(workers), mitosis.WithSweepLimit(opt.Cells))
 	if err != nil {
 		return nil, err
 	}

@@ -5,11 +5,10 @@ import (
 	"testing"
 
 	"github.com/mitosis-project/mitosis-sim/internal/mem"
-	"github.com/mitosis-project/mitosis-sim/internal/mmucache"
 	"github.com/mitosis-project/mitosis-sim/internal/numa"
 	"github.com/mitosis-project/mitosis-sim/internal/pt"
 	"github.com/mitosis-project/mitosis-sim/internal/pvops"
-	"github.com/mitosis-project/mitosis-sim/internal/tlb"
+	"github.com/mitosis-project/mitosis-sim/internal/translate"
 )
 
 type fixture struct {
@@ -26,20 +25,23 @@ func newFixture(t testing.TB) *fixture {
 	topo := numa.NewTopology(4, 2)
 	pm := mem.New(mem.Config{Topology: topo, FramesPerNode: 8192})
 	cost := numa.NewCostModel(topo, numa.DefaultCostParams())
-	m := New(Config{
-		Topology: topo,
-		Cost:     cost,
-		Mem:      pm,
-		TLB:      tlb.DefaultConfig(),
-		PSC:      mmucache.DefaultPSCConfig(),
-		LLC:      mmucache.DefaultLLCConfig(),
-	})
+	m := New(Config{Topology: topo, Cost: cost, Mem: pm, Backend: newBackend(t, translate.Spec{}, topo, cost, pm)})
 	ctx := &pvops.OpCtx{Socket: 0}
 	mp, err := pvops.NewMapper(ctx, pm, pvops.NewNative(pm, cost), 4, pvops.PTPlacement{Primary: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return &fixture{topo: topo, pm: pm, cost: cost, m: m, mp: mp, ctx: ctx}
+}
+
+// newBackend builds the translation backend spec describes.
+func newBackend(t testing.TB, spec translate.Spec, topo *numa.Topology, cost *numa.CostModel, pm *mem.PhysMem) translate.Backend {
+	t.Helper()
+	be, err := translate.New(spec, translate.Deps{Topo: topo, Cost: cost, Mem: pm})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return be
 }
 
 func (fx *fixture) mapPage(t testing.TB, va pt.VirtAddr, node numa.NodeID) mem.FrameID {
@@ -52,6 +54,22 @@ func (fx *fixture) mapPage(t testing.TB, va pt.VirtAddr, node numa.NodeID) mem.F
 		t.Fatal(err)
 	}
 	return f
+}
+
+// TestNewRequiresBackend: the machine has no default translation
+// hardware; a Config without a Backend is a programming error.
+func TestNewRequiresBackend(t *testing.T) {
+	topo := numa.NewTopology(1, 1)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New without a Backend did not panic")
+		}
+	}()
+	New(Config{
+		Topology: topo,
+		Cost:     numa.NewCostModel(topo, numa.DefaultCostParams()),
+		Mem:      mem.New(mem.Config{Topology: topo, FramesPerNode: 1024}),
+	})
 }
 
 func TestAccessRequiresContext(t *testing.T) {

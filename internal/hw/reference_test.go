@@ -115,18 +115,8 @@ func newRefRig(t *testing.T, sockets int) *refRig {
 	topo := numa.NewTopology(sockets, 2)
 	pm := mem.New(mem.Config{Topology: topo, FramesPerNode: 1 << 14})
 	cost := numa.NewCostModel(topo, numa.DefaultCostParams())
-	cfg := Config{
-		Topology: topo, Cost: cost, Mem: pm,
-		TLB: tlb.DefaultConfig(), PSC: mmucache.DefaultPSCConfig(), LLC: mmucache.DefaultLLCConfig(),
-	}
-	if b := os.Getenv("MITOSIS_TEST_BACKEND"); b != "" {
-		be, err := translate.New(translate.Spec{Backend: b}, translate.Deps{Topo: topo, Cost: cost, Mem: pm})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Backend = be
-	}
-	m := New(cfg)
+	spec := translate.Spec{Backend: os.Getenv("MITOSIS_TEST_BACKEND")}
+	m := New(Config{Topology: topo, Cost: cost, Mem: pm, Backend: newBackend(t, spec, topo, cost, pm)})
 	ctx := &pvops.OpCtx{}
 	levels := m.Backend().Levels()
 	mp, err := pvops.NewMapper(ctx, pm, pvops.NewNative(pm, cost), levels, pvops.PTPlacement{Primary: 0})

@@ -62,7 +62,7 @@ func (k *Kernel) AutoNUMAScan(p *Process, cfg AutoNUMAConfig) int {
 		}
 	}
 	if migrated > 0 {
-		core := k.callCore(p, 0, false)
+		core := k.callCore(p)
 		k.machine.AddCycles(core, drainMeterCycles(p))
 	}
 	return migrated
@@ -99,7 +99,7 @@ func (k *Kernel) migrateDataPage(p *Process, va pt.VirtAddr, size pt.PageSize, t
 	}
 	p.Meter.Cycles += pages * k.costs.PageCopy
 	p.freeDataPage(old, size)
-	core := k.callCore(p, 0, false)
+	core := k.callCore(p)
 	k.machine.ShootdownPage(core, va, p.cores)
 	return nil
 }
@@ -129,7 +129,7 @@ func (k *Kernel) MigrateData(p *Process, target numa.NodeID) int {
 		}
 	}
 	if moved > 0 {
-		core := k.callCore(p, 0, false)
+		core := k.callCore(p)
 		k.machine.AddCycles(core, drainMeterCycles(p))
 	}
 	return moved

@@ -24,13 +24,10 @@ import (
 )
 
 // testHardware is the translation backend CI's matrix selects via
-// MITOSIS_TEST_BACKEND (nil = the default x8664 compat path), so the
+// MITOSIS_TEST_BACKEND ("" = the default x8664 backend), so the
 // equivalence battery runs once per backend.
-func testHardware() *translate.Spec {
-	if b := os.Getenv("MITOSIS_TEST_BACKEND"); b != "" {
-		return &translate.Spec{Backend: b}
-	}
-	return nil
+func testHardware() translate.Spec {
+	return translate.Spec{Backend: os.Getenv("MITOSIS_TEST_BACKEND")}
 }
 
 // giantVA is where the synthetic 1GB mapping lives: far above the mmap

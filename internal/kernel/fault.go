@@ -165,7 +165,7 @@ func (k *Kernel) SplitTHP(p *Process, va pt.VirtAddr) error {
 		return fmt.Errorf("%w: no 2MB mapping at %#x", ErrBadAddress, uint64(va))
 	}
 	ctx := p.opCtx()
-	core := k.callCore(p, 0, false)
+	core := k.callCore(p)
 	socket := k.topo.SocketOf(core)
 	if err := p.mapper.SplitHuge(ctx, pt.PageBase(va, pt.Size2M), p.place(socket)); err != nil {
 		return err

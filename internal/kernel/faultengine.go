@@ -233,7 +233,7 @@ func (e *FaultEngine) poisonData(round uint64, ev fault.Event) {
 	// free below retires the poisoned frame instead of recycling it.
 	p.Meter.Cycles += e.k.costs.FaultEntry
 	p.freeDataPage(leaf, t.size)
-	e.k.machine.ShootdownPage(e.k.callCore(p, 0, false), t.va, p.cores)
+	e.k.machine.ShootdownPage(e.k.callCore(p), t.va, p.cores)
 	e.charge(p)
 	e.stats.DataDiscards++
 	e.logf(round, "mce pid %d data va %#x (%v) on node %d: page discarded, frame retired",
@@ -534,7 +534,7 @@ func (e *FaultEngine) charge(p *Process) {
 		return
 	}
 	e.stats.RecoveryCycles += cy
-	e.k.machine.AddCycles(e.k.callCore(p, 0, false), cy)
+	e.k.machine.AddCycles(e.k.callCore(p), cy)
 }
 
 func (e *FaultEngine) name(i int) string {

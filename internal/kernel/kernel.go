@@ -19,9 +19,7 @@ import (
 	"github.com/mitosis-project/mitosis-sim/internal/core"
 	"github.com/mitosis-project/mitosis-sim/internal/hw"
 	"github.com/mitosis-project/mitosis-sim/internal/mem"
-	"github.com/mitosis-project/mitosis-sim/internal/mmucache"
 	"github.com/mitosis-project/mitosis-sim/internal/numa"
-	"github.com/mitosis-project/mitosis-sim/internal/tlb"
 	"github.com/mitosis-project/mitosis-sim/internal/translate"
 )
 
@@ -76,26 +74,13 @@ func DefaultCosts() Costs {
 type Config struct {
 	// Topology of the machine. Defaults to the paper's 4-socket Xeon.
 	Topology *numa.Topology
-	// CostParams for the memory hierarchy. Defaults to DefaultCostParams.
-	CostParams *numa.CostParams
 	// FramesPerNode is each node's memory capacity. Defaults to 1M frames
 	// (4GB per node).
 	FramesPerNode uint64
-	// TLB, PSC, LLC size the hardware caches; zero values select the
-	// scaled defaults.
-	TLB *tlb.Config
-	PSC *mmucache.PSCConfig
-	LLC *mmucache.LLCConfig
-	// Costs are the kernel path costs; zero value selects DefaultCosts.
-	Costs *Costs
-	// Levels is the paging depth (4 or 5). Defaults to 4. Ignored when
-	// Hardware is set: the backend dictates the depth.
-	Levels uint8
-	// Hardware selects a translation-hardware backend by spec. nil keeps
-	// the default x86-64 4-level backend sized by TLB/PSC above. When
-	// set, the spec's TLB/PSC geometry overrides Config.TLB/Config.PSC
-	// and the paging depth comes from the backend (5 for x8664la57).
-	Hardware *translate.Spec
+	// Hardware selects and sizes the translation hardware; the zero value
+	// is the default x86-64 4-level backend. The paging depth comes from
+	// the backend (5 for x8664la57).
+	Hardware translate.Spec
 }
 
 // Kernel is the simulated OS instance plus the hardware it manages.
@@ -142,50 +127,17 @@ func New(cfg Config) *Kernel {
 	if topo == nil {
 		topo = numa.FourSocketXeon()
 	}
-	params := numa.DefaultCostParams()
-	if cfg.CostParams != nil {
-		params = *cfg.CostParams
-	}
-	cost := numa.NewCostModel(topo, params)
+	cost := numa.NewCostModel(topo, numa.DefaultCostParams())
 	frames := cfg.FramesPerNode
 	if frames == 0 {
 		frames = 1 << 20 // 4GB per node
 	}
 	pm := mem.New(mem.Config{Topology: topo, FramesPerNode: frames})
-	tlbCfg := tlb.DefaultConfig()
-	if cfg.TLB != nil {
-		tlbCfg = *cfg.TLB
+	thw, err := translate.New(cfg.Hardware, translate.Deps{Topo: topo, Cost: cost, Mem: pm})
+	if err != nil {
+		panic("kernel: invalid hardware spec: " + err.Error())
 	}
-	pscCfg := mmucache.DefaultPSCConfig()
-	if cfg.PSC != nil {
-		pscCfg = *cfg.PSC
-	}
-	llcCfg := mmucache.DefaultLLCConfig()
-	if cfg.LLC != nil {
-		llcCfg = *cfg.LLC
-	}
-	costs := DefaultCosts()
-	if cfg.Costs != nil {
-		costs = *cfg.Costs
-	}
-	levels := cfg.Levels
-	if levels == 0 {
-		levels = 4
-	}
-	var thw translate.Backend
-	if cfg.Hardware != nil {
-		var err error
-		thw, err = translate.New(*cfg.Hardware, translate.Deps{Topo: topo, Cost: cost, Mem: pm})
-		if err != nil {
-			panic("kernel: invalid hardware spec: " + err.Error())
-		}
-		levels = thw.Levels()
-	}
-	machine := hw.New(hw.Config{
-		Topology: topo, Cost: cost, Mem: pm,
-		TLB: tlbCfg, PSC: pscCfg, LLC: llcCfg,
-		Backend: thw,
-	})
+	machine := hw.New(hw.Config{Topology: topo, Cost: cost, Mem: pm, Backend: thw})
 	cache := mem.NewPageCache(pm, 0)
 	k := &Kernel{
 		topo:    topo,
@@ -194,8 +146,8 @@ func New(cfg Config) *Kernel {
 		machine: machine,
 		backend: core.NewBackend(pm, cost, cache),
 		cache:   cache,
-		costs:   costs,
-		levels:  levels,
+		costs:   DefaultCosts(),
+		levels:  thw.Levels(),
 		nextPID: 1,
 		procs:   make(map[int]*Process),
 		current: make([]atomic.Pointer[Process], topo.Cores()),
@@ -261,9 +213,6 @@ func (k *Kernel) SetTHP(on bool) { k.thp = on }
 
 // THP reports whether transparent huge pages are enabled.
 func (k *Kernel) THP() bool { return k.thp }
-
-// Levels returns the paging depth in use.
-func (k *Kernel) Levels() uint8 { return k.levels }
 
 // HardwareGeometry returns the translation backend's geometry descriptor
 // (backend name, paging depth, VA reach, TLB and PSC sizing).

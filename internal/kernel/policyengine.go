@@ -400,7 +400,7 @@ func (k *Kernel) DropReplica(p *Process, node numa.NodeID) (bool, error) {
 	p.requestedMask = slices.Clone(p.space.Mask())
 	k.reloadContexts(p)
 	if len(p.cores) > 0 {
-		k.machine.AddCycles(k.callCore(p, 0, false), drainMeterCycles(p))
+		k.machine.AddCycles(k.callCore(p), drainMeterCycles(p))
 	}
 	return true, nil
 }

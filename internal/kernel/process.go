@@ -276,7 +276,7 @@ func (p *Process) applyReplication() error {
 	// Eager replication stalls the caller: the copy cost lands on the
 	// process's core (contrast with StartBackgroundReplication).
 	if len(p.cores) > 0 {
-		k.machine.AddCycles(k.callCore(p, 0, false), drainMeterCycles(p))
+		k.machine.AddCycles(k.callCore(p), drainMeterCycles(p))
 	}
 	k.reloadContexts(p)
 	return nil

@@ -136,7 +136,7 @@ func (k *Kernel) MigratePT(p *Process, target numa.NodeID, keepOrigin bool) erro
 		return fmt.Errorf("kernel: page-table migration: %w", err)
 	}
 	k.reloadContexts(p)
-	if core := k.callCore(p, 0, false); len(p.cores) > 0 {
+	if core := k.callCore(p); len(p.cores) > 0 {
 		k.machine.AddCycles(core, drainMeterCycles(p))
 	}
 	return nil

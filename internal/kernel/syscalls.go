@@ -21,12 +21,6 @@ type MmapOpts struct {
 	// choose. Page-table pages left behind by an earlier unmap of the
 	// same range are reused, as in a steady-state address space.
 	At pt.VirtAddr
-	// Core is the core on which the call executes; population faults are
-	// attributed to its socket. Defaults to the process's first core or
-	// the home socket's first core.
-	Core numa.CoreID
-	// Valid marks Core as explicitly set.
-	Valid bool
 }
 
 // Mmap creates a new VMA of length bytes and returns its base address.
@@ -35,7 +29,7 @@ func (k *Kernel) Mmap(p *Process, length uint64, opts MmapOpts) (pt.VirtAddr, er
 	if length == 0 {
 		return 0, fmt.Errorf("kernel: mmap of zero length")
 	}
-	core := k.callCore(p, opts.Core, opts.Valid)
+	core := k.callCore(p)
 	length = roundUp(length, pt.Size4K.Bytes())
 	base := p.nextMmap
 	if opts.At != 0 {
@@ -82,7 +76,7 @@ func (k *Kernel) Munmap(p *Process, va pt.VirtAddr) error {
 	if v == nil || v.Start != va {
 		return fmt.Errorf("%w: munmap(%#x)", ErrBadAddress, uint64(va))
 	}
-	core := k.callCore(p, 0, false)
+	core := k.callCore(p)
 	ctx := p.opCtx()
 	k.machine.AddCycles(core, k.costs.SyscallEntry)
 
@@ -117,7 +111,7 @@ func (k *Kernel) Mprotect(p *Process, va pt.VirtAddr, writable bool) error {
 	if v == nil || v.Start != va {
 		return fmt.Errorf("%w: mprotect(%#x)", ErrBadAddress, uint64(va))
 	}
-	core := k.callCore(p, 0, false)
+	core := k.callCore(p)
 	ctx := p.opCtx()
 	k.machine.AddCycles(core, k.costs.SyscallEntry)
 
@@ -136,11 +130,9 @@ func (k *Kernel) Mprotect(p *Process, va pt.VirtAddr, writable bool) error {
 	return nil
 }
 
-// callCore resolves which core executes a syscall for p.
-func (k *Kernel) callCore(p *Process, c numa.CoreID, valid bool) numa.CoreID {
-	if valid {
-		return c
-	}
+// callCore resolves which core executes a syscall for p: its first core,
+// or the home socket's first core when p is not scheduled.
+func (k *Kernel) callCore(p *Process) numa.CoreID {
 	if len(p.cores) > 0 {
 		return p.cores[0]
 	}

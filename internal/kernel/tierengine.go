@@ -110,7 +110,7 @@ func (e *TierEngine) Tick(round int) error {
 	// Data moves bill the process meter; drain it to the canonical core so
 	// both engine modes charge the same core at the same barrier.
 	if len(e.p.cores) > 0 {
-		e.k.machine.AddCycles(e.k.callCore(e.p, 0, false), drainMeterCycles(e.p))
+		e.k.machine.AddCycles(e.k.callCore(e.p), drainMeterCycles(e.p))
 	}
 	return nil
 }

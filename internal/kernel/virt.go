@@ -275,6 +275,6 @@ func (k *Kernel) finishVMOp(p *Process) {
 	k.reloadContexts(p)
 	cy := drainMeterCycles(p) + p.vm.vm.DrainCycles()
 	if len(p.cores) > 0 {
-		k.machine.AddCycles(k.callCore(p, 0, false), cy)
+		k.machine.AddCycles(k.callCore(p), cy)
 	}
 }

@@ -1,0 +1,84 @@
+package translate_test
+
+import (
+	"errors"
+	"fmt"
+	"testing"
+
+	"github.com/mitosis-project/mitosis-sim/internal/hw"
+	"github.com/mitosis-project/mitosis-sim/internal/kernel"
+	"github.com/mitosis-project/mitosis-sim/internal/numa"
+	"github.com/mitosis-project/mitosis-sim/internal/pt"
+	"github.com/mitosis-project/mitosis-sim/internal/translate"
+)
+
+// TestSyscallsLeaveNoStaleTranslation checks the range shootdowns of
+// mprotect and munmap on every backend. Two cores on two sockets store to
+// every page of a populated region, so both cache writable translations.
+// After mprotect(read-only) a store must fault on both cores, and after
+// munmap any access must. The regions sit on each side of the 33-page
+// full-flush threshold, mapped with 4 KB pages and with THP.
+func TestSyscallsLeaveNoStaleTranslation(t *testing.T) {
+	for _, backend := range []string{translate.BackendX8664, translate.BackendX8664LA57, translate.BackendVictima} {
+		for _, size := range []pt.PageSize{pt.Size4K, pt.Size2M} {
+			for _, pages := range []int{8, 64} {
+				t.Run(fmt.Sprintf("%s/%dx%v", backend, pages, size), func(t *testing.T) {
+					testSyscallShootdowns(t, backend, size, pages)
+				})
+			}
+		}
+	}
+}
+
+func testSyscallShootdowns(t *testing.T, backend string, size pt.PageSize, pages int) {
+	k := kernel.New(kernel.Config{
+		Topology:      numa.NewTopology(2, 1),
+		FramesPerNode: 1 << 16,
+		Hardware:      translate.Spec{Backend: backend},
+	})
+	thp := size == pt.Size2M
+	k.SetTHP(thp)
+	p, err := k.CreateProcess(kernel.ProcessOpts{Name: "shootdown", Home: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cores := []numa.CoreID{0, 1}
+	if err := k.RunOn(p, cores); err != nil {
+		t.Fatal(err)
+	}
+	base, err := k.Mmap(p, uint64(pages)*size.Bytes(), kernel.MmapOpts{Writable: true, THP: thp, Populate: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, got, ok := p.Table().Lookup(base); !ok || got != size {
+		t.Fatalf("region mapped with %v pages (present %v), want %v", got, ok, size)
+	}
+	m := k.Machine()
+	// each runs access on every page on every core and checks its outcome.
+	each := func(what string, write, wantFault bool) {
+		t.Helper()
+		for _, c := range cores {
+			for i := range pages {
+				err := m.Access(c, base+pt.VirtAddr(uint64(i)*size.Bytes()), write)
+				ok := err == nil
+				if wantFault {
+					ok = errors.Is(err, hw.ErrSegfault)
+				}
+				if !ok {
+					t.Fatalf("%s: core %d page %d: err %v, want fault %v", what, c, i, err, wantFault)
+				}
+			}
+		}
+	}
+	each("store before mprotect", true, false)
+	if err := k.Mprotect(p, base, false); err != nil {
+		t.Fatal(err)
+	}
+	each("store after mprotect(ro)", true, true)
+	each("load after mprotect(ro)", false, false)
+	if err := k.Munmap(p, base); err != nil {
+		t.Fatal(err)
+	}
+	each("load after munmap", false, true)
+	each("store after munmap", true, true)
+}

@@ -105,9 +105,9 @@ func TestSetupMatchesBatchAndDrain(t *testing.T) {
 					w   *GUPS
 				}
 				boot := func() twin {
-					var hardware *translate.Spec
-					if b := os.Getenv("MITOSIS_TEST_BACKEND"); b != "" && !(virtualized && b == translate.BackendX8664LA57) {
-						hardware = &translate.Spec{Backend: b}
+					var hardware translate.Spec
+					if b := os.Getenv("MITOSIS_TEST_BACKEND"); !(virtualized && b == translate.BackendX8664LA57) {
+						hardware.Backend = b
 					}
 					k := kernel.New(kernel.Config{Topology: numa.NewTopology(2, 2), FramesPerNode: 1 << 15, Hardware: hardware})
 					opts := kernel.ProcessOpts{Name: "equiv", Home: 0}
