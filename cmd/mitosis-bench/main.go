@@ -1,33 +1,21 @@
 // mitosis-bench regenerates the Mitosis paper's tables and figures on the
-// simulated machine and benchmarks the simulator's own hot paths.
+// simulated machine.
 //
 // Usage:
 //
-//	mitosis-bench [-ops N] [-seed S] [-quick] [-json DIR] [-policy LIST] [-baseline FILE [-tolerance X]] [experiment ...]
+//	mitosis-bench [-ops N] [-seed S] [-quick] [-json DIR] [-policy LIST] [experiment ...]
 //	mitosis-bench -replay FILE
 //
 // Experiments: fig1 fig3 fig4 fig6 fig9a fig9b fig10a fig10b fig11
-// table4 table5 table6 ablations policy scenario virt tier hwcmp faults
-// perf, or "all" (default); churn and sweep run only when named.
-//
-// The perf target measures the simulator's own hot-path host throughput
-// (simulated ops per wall-clock second) for the TLB-hit fast path, the
-// TLB-miss walk path, the fault-storm populate path and the parallel
-// engine on GUPS, writing the trajectory to BENCH_perf.json.
-//
-// -baseline FILE compares the requested target named by FILE's "target"
-// field — perf, sweep or churn, the targets that keep a host-throughput
-// baseline — against that committed record: it fills the target's
-// baseline columns and fails the run when throughput drops below
-// (1 - tolerance) x the baseline. The default -tolerance (0.7) is
-// deliberately generous — baselines travel between hosts, so only
-// structural slowdowns should trip CI, not host noise.
+// table4 table5 table6 ablations policy scenario virt tier hwcmp faults,
+// or "all" (default); churn and sweep run only when named. The
+// simulator's own host speed is measured by the BenchmarkMicro* Go
+// benchmarks of the root package, not by a target.
 //
 // With -json DIR, every target additionally writes DIR/BENCH_<target>.json
 // containing the wall-clock time of the target, the simulator throughput
-// (for the perf, sweep and churn targets), and the structured
-// simulated-cycle results — the machine-readable perf trajectory tracked
-// across commits. The policy target's records carry per-run policy names,
+// (for the sweep and churn targets), and the structured simulated-cycle
+// results. The policy target's records carry per-run policy names,
 // replica-count timelines, remote-walk-cycle fractions and the exact
 // declarative scenario each row was measured from, so BENCH_policy.json
 // tracks replication-policy regressions. -policy restricts the policy
@@ -102,7 +90,6 @@ var targets = []targetInfo{
 	{"tier", "CXL tier recovery ladder plus the canonical tiered scenario record (BENCH_tier.json)"},
 	{"hwcmp", "translation-backend comparison: x8664 vs la57 vs victima, replayable via BENCH_hw.json"},
 	{"faults", "fault-injection kill-vs-recover ladder: MCE failover, node offlining, OOM, replayable via BENCH_fault.json"},
-	{"perf", "simulator hot-path host-throughput trajectory (BENCH_perf.json)"},
 	{"churn", "multi-process churn fault storm: host throughput + tail latency, replayable via BENCH_churn.json (not in \"all\")"},
 	{"sweep", "fleet-scale pooled scenario grid, replayable via BENCH_sweep.json (not in \"all\")"},
 }
@@ -143,12 +130,9 @@ func realMain() int {
 	policyList := flag.String("policy", "", "comma-separated replication policies for the policy target (empty = all)")
 	replay := flag.String("replay", "", "replay the record in FILE (BENCH_scenario.json, BENCH_sweep.json or bare scenario JSON) and verify counters")
 	replayCell := flag.Int("cell", -1, "with -replay on a sweep record: replay only this cell index (-1 = all cells)")
-	baseline := flag.String("baseline", "", "BENCH_<target>.json record to compare the requested target it names against (perf, sweep or churn; fails on regression)")
-	tolerance := flag.Float64("tolerance", 0.7, "allowed fractional throughput drop vs -baseline before the target fails")
 	list := flag.Bool("list", false, "list experiment targets with descriptions and exit")
 	cells := flag.Int("cells", 0, "sweep: truncate the grid to its first N cells (0 = all)")
 	workers := flag.Int("workers", 0, "sweep: worker-pool size (0 = host CPU count); churn: 1 runs the sequential engine")
-	serial := flag.Bool("serial", false, "sweep: also run the serial fresh-build loop for the speedup figure (doubles runtime)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to FILE")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile (taken at exit) to FILE")
 	flag.Parse()
@@ -234,20 +218,10 @@ func realMain() int {
 			}
 		}
 	}
-	var base *baselineRecord
-	if *baseline != "" {
-		var err error
-		if base, err = loadBaseline(*baseline, requested); err != nil {
-			fmt.Fprintf(os.Stderr, "mitosis-bench: -baseline: %v\n", err)
-			return 2
-		}
-	}
-
 	sweepOpt := experiments.SweepOptions{
 		Quick:   *quick,
 		Cells:   *cells,
 		Workers: *workers,
-		Serial:  *serial,
 	}
 	churnOpt := experiments.ChurnOptions{
 		Quick:   *quick,
@@ -262,12 +236,6 @@ func realMain() int {
 			return 1
 		}
 		wall := time.Since(start)
-		if base != nil && target == base.Target {
-			if out, err = baselines[target](payload, base.Result, *tolerance); err != nil {
-				fmt.Fprintf(os.Stderr, "mitosis-bench: %s: vs %s: %v\n", target, base.path, err)
-				return 1
-			}
-		}
 		fmt.Println(out)
 		fmt.Printf("[%s completed in %v]\n\n", target, wall.Round(time.Millisecond))
 		if *jsonDir != "" {
@@ -369,9 +337,6 @@ func run(cfg experiments.Config, target string, policies []string, sweepOpt expe
 	case "table6":
 		t, err := experiments.RunTable6(cfg)
 		return str(t, err)
-	case "perf":
-		r, err := experiments.RunPerfBench(cfg)
-		return str(r, err)
 	case "policy":
 		pc, err := experiments.RunPolicyComparison(cfg, policies)
 		return str(pc, err)
@@ -438,63 +403,6 @@ func run(cfg experiments.Config, target string, policies []string, sweepOpt expe
 	default:
 		return "", nil, fmt.Errorf("unknown experiment %q", target)
 	}
-}
-
-// baselineRecord is a -baseline file: a committed BENCH_<target>.json.
-type baselineRecord struct {
-	path   string
-	Target string          `json:"target"`
-	Result json.RawMessage `json:"result"`
-}
-
-// baselines maps each target that keeps a host-throughput baseline to the
-// comparison of its payload against a committed record's result, which
-// returns the payload's output with the baseline columns filled.
-var baselines = map[string]func(payload any, result json.RawMessage, tolerance float64) (string, error){
-	"perf":  compareWith[experiments.PerfBench],
-	"sweep": compareWith[experiments.SweepBench],
-	"churn": compareWith[experiments.ChurnBench],
-}
-
-// loadBaseline reads a -baseline record and checks that it names one of
-// the requested targets and that the target keeps a baseline.
-func loadBaseline(path string, requested []string) (*baselineRecord, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	rec := &baselineRecord{path: path}
-	if err := json.Unmarshal(data, rec); err != nil {
-		return nil, fmt.Errorf("%s: %v", path, err)
-	}
-	if !slices.Contains(requested, rec.Target) {
-		return nil, fmt.Errorf("%s is a %q record, but no requested target is %q", path, rec.Target, rec.Target)
-	}
-	if baselines[rec.Target] == nil {
-		return nil, fmt.Errorf("%s is a %q record, and target %q keeps no baseline (perf, sweep and churn do)", path, rec.Target, rec.Target)
-	}
-	return rec, nil
-}
-
-// compareWith decodes a baseline result as a T, fills the payload's
-// baseline columns from it and fails when the payload regressed beyond
-// tolerance.
-func compareWith[T any, P interface {
-	*T
-	fmt.Stringer
-	ApplyBaseline(*T)
-	Compare(*T, float64) error
-}](payload any, result json.RawMessage, tolerance float64) (string, error) {
-	var ref T
-	if err := json.Unmarshal(result, &ref); err != nil {
-		return "", err
-	}
-	cur := payload.(P)
-	cur.ApplyBaseline(&ref)
-	if err := cur.Compare(&ref, tolerance); err != nil {
-		return "", err
-	}
-	return cur.String(), nil
 }
 
 // runReplay re-executes a serialized record. A BENCH_scenario.json record

@@ -4,14 +4,13 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"github.com/mitosis-project/mitosis-sim/internal/experiments"
 )
 
 func TestTargetRegistry(t *testing.T) {
-	for _, name := range []string{"fig1", "perf", "sweep", "scenario"} {
+	for _, name := range []string{"fig1", "churn", "sweep", "scenario"} {
 		if !knownTarget(name) {
 			t.Errorf("target %q missing from registry", name)
 		}
@@ -84,34 +83,5 @@ func TestSweepRecordReplay(t *testing.T) {
 	}
 	if err := runReplay(badPath, 2); err == nil {
 		t.Error("replay accepted a corrupted record")
-	}
-}
-
-// TestBaselineTargetMismatch: -baseline applies to the requested target
-// its record names; a record of an unrequested target, or of a target
-// that keeps no baseline, is an error before anything runs.
-func TestBaselineTargetMismatch(t *testing.T) {
-	dir := t.TempDir()
-	write := func(target string) string {
-		path := filepath.Join(dir, "BENCH_"+target+".json")
-		data, err := json.Marshal(benchRecord{Target: target, Result: map[string]any{}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	churn, scenario := write("churn"), write("scenario")
-	if _, err := loadBaseline(churn, []string{"perf", "sweep"}); err == nil || !strings.Contains(err.Error(), "no requested target") {
-		t.Errorf("churn record with perf and sweep requested: %v, want a no-matching-target error", err)
-	}
-	if _, err := loadBaseline(scenario, []string{"scenario"}); err == nil || !strings.Contains(err.Error(), "keeps no baseline") {
-		t.Errorf("scenario record: %v, want a keeps-no-baseline error", err)
-	}
-	rec, err := loadBaseline(churn, []string{"perf", "churn"})
-	if err != nil || rec.Target != "churn" {
-		t.Errorf("churn record with churn requested = (%+v, %v)", rec, err)
 	}
 }

@@ -464,7 +464,6 @@ type SweepEvent struct {
 type SweepResult struct {
 	Sweep   Sweep `json:"sweep"`
 	Workers int   `json:"workers"`
-	Pooled  bool  `json:"pooled"`
 	// WallSec is the whole sweep's host wall time.
 	WallSec float64 `json:"wall_sec"`
 	// SimOps sums simulated operations across cells.
@@ -499,7 +498,6 @@ func (r *SweepResult) OutcomesJSON() ([]byte, error) {
 // sweepConfig collects RunSweep options.
 type sweepConfig struct {
 	workers     int
-	pool        bool
 	limit       int
 	shuffleSeed int64
 	obs         func(SweepEvent)
@@ -512,11 +510,6 @@ type SweepOpt func(*sweepConfig)
 // WithSweepWorkers sets the worker-pool size (default: the host CPU
 // count). Cell outcomes are identical for any worker count.
 func WithSweepWorkers(n int) SweepOpt { return func(c *sweepConfig) { c.workers = n } }
-
-// WithSweepPooling toggles machine recycling (default on): workers reuse
-// one pooled, Reset system per worker instead of booting a fresh machine
-// per cell. Off exists for benchmarking the fresh-build path.
-func WithSweepPooling(on bool) SweepOpt { return func(c *sweepConfig) { c.pool = on } }
 
 // WithSweepLimit truncates the run to the first n cells of the grid
 // (quick CI subsets). 0 = all cells.
@@ -532,15 +525,15 @@ func WithSweepShuffle(seed int64) SweepOpt { return func(c *sweepConfig) { c.shu
 func WithSweepProgress(f func(SweepEvent)) SweepOpt { return func(c *sweepConfig) { c.obs = f } }
 
 // RunSweep executes the sweep's cells on a worker pool and aggregates the
-// results. Each worker holds one system (pooled and recycled via Reset
-// between cells, unless pooling is off) and runs independent scenarios;
-// per-cell results stream over an internal channel to a collector that
-// fires progress events and assembles the index-ordered result. Cell
-// outcomes are bit-identical for any worker count, dispatch order, and
-// pooling setting; a cell failure is recorded in its CellResult rather
-// than aborting the sweep.
+// results. Each worker holds one system, pooled and recycled via Reset
+// between cells, and runs independent scenarios; per-cell results stream
+// over an internal channel to a collector that fires progress events and
+// assembles the index-ordered result. Cell outcomes are bit-identical for
+// any worker count and dispatch order, and to a fresh boot per cell
+// (ReplayCell); a cell failure is recorded in its CellResult rather than
+// aborting the sweep.
 func RunSweep(sw Sweep, opts ...SweepOpt) (*SweepResult, error) {
-	cfg := sweepConfig{workers: runtime.NumCPU(), pool: true}
+	cfg := sweepConfig{workers: runtime.NumCPU()}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -582,15 +575,29 @@ func RunSweep(sw Sweep, opts ...SweepOpt) (*SweepResult, error) {
 		go func() {
 			defer wg.Done()
 			var sys *System
-			if cfg.pool {
-				defer func() {
-					if sys != nil {
-						sys.Release()
-					}
-				}()
+			defer func() {
+				if sys != nil {
+					sys.Release()
+				}
+			}()
+			// pooled hands each cell this worker's system, Reset after
+			// its previous cell. The tier and hardware axes give cells
+			// different machine shapes: a mismatched system is parked in
+			// its own pool (another worker on a same-shape cell picks it
+			// up) and a matching one acquired.
+			pooled := func(cfg SystemConfig) *System {
+				if sys != nil && sys.Config() != cfg.normalize() {
+					sys.Release()
+					sys = nil
+				}
+				if sys == nil {
+					sys = AcquireSystem(cfg)
+				}
+				return sys
 			}
 			for idx := range jobs {
-				results <- norm.runCell(idx, mode, &sys, cfg.pool)
+				results <- norm.runCell(idx, mode, pooled)
+				sys.Reset()
 			}
 		}()
 	}
@@ -606,7 +613,6 @@ func RunSweep(sw Sweep, opts ...SweepOpt) (*SweepResult, error) {
 	res := &SweepResult{
 		Sweep:   norm,
 		Workers: cfg.workers,
-		Pooled:  cfg.pool,
 		Cells:   make([]CellResult, total),
 	}
 	done := 0
@@ -628,11 +634,10 @@ func RunSweep(sw Sweep, opts ...SweepOpt) (*SweepResult, error) {
 	return res, nil
 }
 
-// runCell executes one cell on the worker's system. With pooling, *sysp
-// is acquired on first use and Reset after every run so each cell sees a
-// machine indistinguishable from a fresh boot; without, every cell boots
-// its own system (the path the speedup benchmark compares against).
-func (sw Sweep) runCell(idx int, mode EngineMode, sysp **System, pool bool) CellResult {
+// runCell executes one cell on the system that system returns for the
+// cell's machine: a pooled one in RunSweep, a freshly booted one in
+// ReplayCell. Either is indistinguishable from a fresh boot.
+func (sw Sweep) runCell(idx int, mode EngineMode, system func(SystemConfig) *System) CellResult {
 	ax := sw.axes(idx)
 	sc := sw.cell(idx, ax)
 	cr := CellResult{
@@ -653,26 +658,7 @@ func (sw Sweep) runCell(idx int, mode EngineMode, sysp **System, pool bool) Cell
 		cr.TierPolicy = ax.tierPolicy
 	}
 	begin := time.Now()
-	var sys *System
-	if pool {
-		// The tier axis gives cells genuinely different machine shapes;
-		// park a mismatched system in its own pool (another worker on a
-		// same-shape cell will pick it up) and acquire a matching one.
-		if *sysp != nil && (*sysp).Config() != sc.Machine.normalize() {
-			(*sysp).Release()
-			*sysp = nil
-		}
-		if *sysp == nil {
-			*sysp = AcquireSystem(sc.Machine)
-		}
-		sys = *sysp
-	} else {
-		sys = NewSystem(sc.Machine)
-	}
-	rr, err := sys.Run(sc, WithEngine(mode))
-	if pool {
-		sys.Reset()
-	}
+	rr, err := system(sc.Machine).Run(sc, WithEngine(mode))
 	cr.HostNS = time.Since(begin).Nanoseconds()
 	if err != nil {
 		cr.Error = err.Error()
@@ -716,8 +702,7 @@ func (sw Sweep) ReplayCell(idx int) (CellResult, error) {
 	if err != nil {
 		return CellResult{}, err
 	}
-	var sys *System
-	return norm.runCell(idx, mode, &sys, false), nil
+	return norm.runCell(idx, mode, NewSystem), nil
 }
 
 // systemPools recycles booted systems per normalized machine

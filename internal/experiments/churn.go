@@ -46,9 +46,8 @@ type ChurnBench struct {
 	// Workers is how many goroutines drove the measured run.
 	Workers int `json:"workers"`
 	// OpsPerSec is the run's simulated ops per host second (best of
-	// churnReps) — the figure CI diffs against baseline. Its key predates
-	// the removal of the global fault lock and is kept so committed
-	// records stay baselines.
+	// churnReps). Its key predates the removal of the global fault lock;
+	// renaming it waits for the next record schema change.
 	OpsPerSec float64 `json:"sharded_ops_per_sec"`
 	// Faults and the percentiles summarize the (deterministic) simulated
 	// fault-latency distribution; the full histogram is in Churn.FaultHist.
@@ -56,8 +55,6 @@ type ChurnBench struct {
 	P50    uint64 `json:"fault_p50_cycles"`
 	P95    uint64 `json:"fault_p95_cycles"`
 	P99    uint64 `json:"fault_p99_cycles"`
-	// BaselineOpsPerSec is filled by ApplyBaseline from a reference record.
-	BaselineOpsPerSec float64 `json:"baseline_ops_per_sec,omitempty"`
 	// Churn is the measured run's full result: normalized spec, counters,
 	// histogram. It replays bit-identically from Churn.Churn.
 	Churn *mitosis.ChurnResult `json:"churn"`
@@ -73,7 +70,7 @@ type ChurnOptions struct {
 }
 
 // churnReps is the number of measured repetitions; the best one is
-// reported, stripping host-scheduler noise like the perf target does.
+// reported, stripping host-scheduler noise.
 const churnReps = 5
 
 // RunChurn executes the canonical (or quick) churn run churnReps times,
@@ -117,27 +114,6 @@ func RunChurn(opt ChurnOptions) (*ChurnBench, error) {
 	}, nil
 }
 
-// ApplyBaseline fills the baseline column from a reference record.
-func (b *ChurnBench) ApplyBaseline(ref *ChurnBench) {
-	b.BaselineOpsPerSec = ref.OpsPerSec
-}
-
-// Compare returns an error when the throughput regressed below
-// (1-tolerance) x the reference's. Like the perf and sweep tolerances it is
-// deliberately generous: baselines travel between hosts, so only structural
-// slowdowns should trip CI.
-func (b *ChurnBench) Compare(ref *ChurnBench, tolerance float64) error {
-	if ref.OpsPerSec <= 0 {
-		return fmt.Errorf("churn baseline carries no throughput")
-	}
-	floor := ref.OpsPerSec * (1 - tolerance)
-	if b.OpsPerSec < floor {
-		return fmt.Errorf("churn throughput %.0f ops/s below %.0f (baseline %.0f, tolerance %.0f%%)",
-			b.OpsPerSec, floor, ref.OpsPerSec, tolerance*100)
-	}
-	return nil
-}
-
 func (b *ChurnBench) String() string {
 	var s strings.Builder
 	c := b.Churn
@@ -146,9 +122,5 @@ func (b *ChurnBench) String() string {
 	fmt.Fprintf(&s, "  throughput: %12.0f sim-ops/s  (%.3fs wall, %d faults)\n",
 		b.OpsPerSec, c.WallSec, b.Faults)
 	fmt.Fprintf(&s, "  fault latency (sim cycles): p50=%d p95=%d p99=%d\n", b.P50, b.P95, b.P99)
-	if b.BaselineOpsPerSec > 0 {
-		fmt.Fprintf(&s, "  baseline: %.0f sim-ops/s (%.2fx)\n",
-			b.BaselineOpsPerSec, b.OpsPerSec/b.BaselineOpsPerSec)
-	}
 	return s.String()
 }

@@ -46,29 +46,19 @@ func QuickSweep() mitosis.Sweep {
 }
 
 // SweepBench is the sweep target's machine-readable payload: the full
-// replayable SweepResult plus the host-side throughput comparison between
-// the pooled worker-pool runner and a serial fresh-build loop over the
-// same cells.
+// replayable SweepResult plus the pooled runner's host throughput.
 type SweepBench struct {
 	// HostCPUs is runtime.NumCPU() on the measuring host — the context for
-	// judging Speedup (a pool cannot beat the serial loop by more than the
-	// host's parallelism plus the pooling savings).
+	// judging the throughput.
 	HostCPUs int `json:"host_cpus"`
-	// Workers is the pool size the pooled run used.
+	// Workers is the pool size the run used.
 	Workers int `json:"workers"`
-	// Cells is the number of cells both runners executed.
+	// Cells is the number of cells the run executed.
 	Cells int `json:"cells"`
-	// PooledOpsPerSec is the pooled worker-pool run's aggregate simulated
-	// ops per host second — the figure CI diffs against its baseline.
+	// PooledOpsPerSec is the worker-pool run's aggregate simulated ops
+	// per host second.
 	PooledOpsPerSec float64 `json:"pooled_ops_per_sec"`
-	// SerialFreshOpsPerSec is the same grid run on one worker booting a
-	// fresh machine per cell (zero when the comparison loop was skipped).
-	SerialFreshOpsPerSec float64 `json:"serial_fresh_ops_per_sec,omitempty"`
-	// Speedup is PooledOpsPerSec / SerialFreshOpsPerSec.
-	Speedup float64 `json:"speedup,omitempty"`
-	// BaselineOpsPerSec is filled by ApplyBaseline from a reference record.
-	BaselineOpsPerSec float64 `json:"baseline_ops_per_sec,omitempty"`
-	// Sweep is the pooled run: normalized spec, per-cell outcomes, host
+	// Sweep is the run: normalized spec, per-cell outcomes, host
 	// throughput. Every cell replays bit-identically from Sweep.Sweep.
 	Sweep *mitosis.SweepResult `json:"sweep"`
 }
@@ -81,14 +71,10 @@ type SweepOptions struct {
 	Cells int
 	// Workers sets the pool size (0 = host CPU count).
 	Workers int
-	// Serial additionally runs the serial fresh-build comparison loop to
-	// fill SerialFreshOpsPerSec/Speedup (doubles the target's runtime).
-	Serial bool
 }
 
 // RunSweep executes the canonical (or quick) sweep grid on the pooled
-// worker-pool runner and, optionally, the serial fresh-build loop the
-// speedup figure compares against.
+// worker-pool runner. A failed cell fails the target.
 func RunSweep(opt SweepOptions) (*SweepBench, error) {
 	sw := CanonicalSweep()
 	if opt.Quick {
@@ -98,59 +84,24 @@ func RunSweep(opt SweepOptions) (*SweepBench, error) {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	pooled, err := mitosis.RunSweep(sw, mitosis.WithSweepWorkers(workers), mitosis.WithSweepLimit(opt.Cells))
+	res, err := mitosis.RunSweep(sw, mitosis.WithSweepWorkers(workers), mitosis.WithSweepLimit(opt.Cells))
 	if err != nil {
 		return nil, err
 	}
-	if pooled.Errors > 0 {
-		for _, c := range pooled.Cells {
+	if res.Errors > 0 {
+		for _, c := range res.Cells {
 			if c.Error != "" {
 				return nil, fmt.Errorf("sweep cell %d (%s): %s", c.Index, c.Name, c.Error)
 			}
 		}
 	}
-	b := &SweepBench{
+	return &SweepBench{
 		HostCPUs:        runtime.NumCPU(),
-		Workers:         pooled.Workers,
-		Cells:           len(pooled.Cells),
-		PooledOpsPerSec: pooled.HostOpsPerSec,
-		Sweep:           pooled,
-	}
-	if opt.Serial {
-		serial, err := mitosis.RunSweep(sw,
-			mitosis.WithSweepWorkers(1),
-			mitosis.WithSweepPooling(false),
-			mitosis.WithSweepLimit(opt.Cells))
-		if err != nil {
-			return nil, err
-		}
-		b.SerialFreshOpsPerSec = serial.HostOpsPerSec
-		if serial.HostOpsPerSec > 0 {
-			b.Speedup = pooled.HostOpsPerSec / serial.HostOpsPerSec
-		}
-	}
-	return b, nil
-}
-
-// ApplyBaseline fills the baseline column from a reference record.
-func (b *SweepBench) ApplyBaseline(ref *SweepBench) {
-	b.BaselineOpsPerSec = ref.PooledOpsPerSec
-}
-
-// Compare returns an error when the pooled throughput regressed below
-// (1-tolerance) x the reference's. Like the perf target's tolerance it is
-// deliberately generous: baselines travel between hosts, so only
-// structural slowdowns should trip CI.
-func (b *SweepBench) Compare(ref *SweepBench, tolerance float64) error {
-	if ref.PooledOpsPerSec <= 0 {
-		return fmt.Errorf("sweep baseline carries no throughput")
-	}
-	floor := ref.PooledOpsPerSec * (1 - tolerance)
-	if b.PooledOpsPerSec < floor {
-		return fmt.Errorf("sweep throughput %.0f ops/s below %.0f (baseline %.0f, tolerance %.0f%%)",
-			b.PooledOpsPerSec, floor, ref.PooledOpsPerSec, tolerance*100)
-	}
-	return nil
+		Workers:         res.Workers,
+		Cells:           len(res.Cells),
+		PooledOpsPerSec: res.HostOpsPerSec,
+		Sweep:           res,
+	}, nil
 }
 
 func (b *SweepBench) String() string {
@@ -159,13 +110,5 @@ func (b *SweepBench) String() string {
 		b.Sweep.Sweep.Name, b.Cells, b.Workers, b.HostCPUs)
 	fmt.Fprintf(&s, "  pooled worker pool:  %12.0f sim-ops/s  (%.2fs wall, %d sim-ops)\n",
 		b.PooledOpsPerSec, b.Sweep.WallSec, b.Sweep.SimOps)
-	if b.SerialFreshOpsPerSec > 0 {
-		fmt.Fprintf(&s, "  serial fresh-build:  %12.0f sim-ops/s\n", b.SerialFreshOpsPerSec)
-		fmt.Fprintf(&s, "  speedup: %.2fx\n", b.Speedup)
-	}
-	if b.BaselineOpsPerSec > 0 {
-		fmt.Fprintf(&s, "  baseline: %.0f sim-ops/s (%.2fx)\n",
-			b.BaselineOpsPerSec, b.PooledOpsPerSec/b.BaselineOpsPerSec)
-	}
 	return s.String()
 }

@@ -83,11 +83,9 @@ type coreState struct {
 	// exposed (dependent pointer chases), lower = partially hidden.
 	walkOverlap float64
 	rng         uint64
-	stats       CoreStats
-	// delta accumulates one batch's counters. It lives on the core (not
-	// the batch's stack) so pointing tctx.Stats at it never forces a
-	// heap escape — the zero-alloc contract of the batched hot path.
-	delta CoreStats
+	// stats are the core's counters: batches charge them in place, and
+	// tctx.Stats points at them for the backend's walk counters.
+	stats CoreStats
 	// pending buffers the page-table lines this core's store walks took
 	// exclusive ownership of since the last coherence apply. A barrier
 	// (DrainCoherence, or the ApplyCoherenceTo/ClearCoherence pair)
@@ -216,6 +214,7 @@ func New(cfg Config) *Machine {
 			Home:    m.topo.NodeOf(socket),
 			CR3:     mem.NilFrame,
 			LLC:     m.llcs[socket],
+			Stats:   &c.stats,
 			Pending: &c.pending,
 		}
 		c.xc = cfg.Backend.NewCore(i)
@@ -362,7 +361,6 @@ func (m *Machine) Reset() {
 		c.walkOverlap = 1.0
 		c.rng = rngSeed(i)
 		c.stats = CoreStats{}
-		c.delta = CoreStats{}
 		c.faultLat = FaultLatHist{}
 		c.pending = c.pending[:0]
 		c.samples = c.samples[:0]
@@ -415,10 +413,10 @@ func (m *Machine) Access(core numa.CoreID, va pt.VirtAddr, write bool) error {
 }
 
 // AccessBatch executes a batch of memory operations on core, amortizing the
-// per-op overhead (core/context resolution, stats plumbing) across the
-// batch. It consults the translation caches, walks the page-table on a miss
-// (taking page faults through the fault handler as needed), and charges all
-// cycle costs. Cross-socket invalidations triggered by store walks and the
+// per-op overhead (core and context resolution) across the batch. It
+// consults the translation caches, walks the page-table on a miss (taking
+// page faults through the fault handler as needed), and charges all cycle
+// costs. Cross-socket invalidations triggered by store walks and the
 // AutoNUMA access samples are NOT applied inline: they accumulate in the
 // core's buffers — across batches, until the caller runs a barrier
 // (DrainCoherence, or the ApplyCoherenceTo/ClearCoherence/FoldSampling
@@ -441,14 +439,12 @@ func (m *Machine) AccessBatch(core numa.CoreID, ops []AccessOp) error {
 	home := c.tctx.Home
 	armed := m.pm.PoisonCount() > 0
 	c.busy.Store(1)
-	c.delta = CoreStats{}
 	var err error
 	for i := range ops {
-		if err = m.accessOne(c, core, socket, home, ops[i].VA, ops[i].Write, armed, &c.delta); err != nil {
+		if err = m.accessOne(c, core, socket, home, ops[i].VA, ops[i].Write, armed); err != nil {
 			break
 		}
 	}
-	c.stats.Merge(&c.delta)
 	c.busy.Store(0)
 	return err
 }
@@ -485,16 +481,16 @@ func (m *Machine) EndConcurrent(cores []numa.CoreID) {
 }
 
 // accessOne is AccessBatch's per-op path. Cycle and counter charges go to
-// st (the caller's accumulator); coherence ownership events go to
-// c.pending, AutoNUMA samples to c.samples. home is socket's local memory
-// node, resolved once per call by the caller. The backend handles the
+// c.stats; coherence ownership events go to c.pending, AutoNUMA samples
+// to c.samples. home is socket's local memory node, resolved once per call
+// by the caller. The backend handles the
 // translation caches and the walk; the machine charges the pipeline,
 // scales walk latency by the core's overlap model, and runs the
 // statistical data-cache model.
-func (m *Machine) accessOne(c *coreState, core numa.CoreID, socket numa.SocketID, home numa.NodeID, va pt.VirtAddr, write bool, armed bool, st *CoreStats) error {
+func (m *Machine) accessOne(c *coreState, core numa.CoreID, socket numa.SocketID, home numa.NodeID, va pt.VirtAddr, write bool, armed bool) error {
+	st := &c.stats
 	st.Ops++
 	cycles := m.cPipeline
-	c.tctx.Stats = st
 
 	// MCE guard, armed only while poisoned frames exist: a walk starting
 	// from a poisoned root traps before translating.

@@ -29,7 +29,7 @@ func (m *Machine) refAccess(core numa.CoreID, va pt.VirtAddr, write bool) error 
 	socket := c.tctx.Socket
 	armed := m.pm.PoisonCount() > 0
 	c.busy.Store(1)
-	err := m.accessOne(c, core, socket, c.tctx.Home, va, write, armed, &c.stats)
+	err := m.accessOne(c, core, socket, c.tctx.Home, va, write, armed)
 	c.busy.Store(0)
 	for _, line := range c.pending {
 		m.refInvalidateOthers(socket, line)

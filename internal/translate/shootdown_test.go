@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"github.com/mitosis-project/mitosis-sim/internal/core"
 	"github.com/mitosis-project/mitosis-sim/internal/hw"
 	"github.com/mitosis-project/mitosis-sim/internal/kernel"
 	"github.com/mitosis-project/mitosis-sim/internal/numa"
@@ -17,7 +18,9 @@ import (
 // every page of a populated region, so both cache writable translations.
 // After mprotect(read-only) a store must fault on both cores, and after
 // munmap any access must. The regions sit on each side of the 33-page
-// full-flush threshold, mapped with 4 KB pages and with THP.
+// full-flush threshold, mapped with 4 KB pages and with THP. The remask
+// case unmaps while a core runs on another root than the one it cached
+// the region under.
 func TestSyscallsLeaveNoStaleTranslation(t *testing.T) {
 	for _, backend := range []string{translate.BackendX8664, translate.BackendX8664LA57, translate.BackendVictima} {
 		for _, size := range []pt.PageSize{pt.Size4K, pt.Size2M} {
@@ -26,6 +29,63 @@ func TestSyscallsLeaveNoStaleTranslation(t *testing.T) {
 					testSyscallShootdowns(t, backend, size, pages)
 				})
 			}
+		}
+		t.Run(backend+"/remask", func(t *testing.T) {
+			testShootdownAcrossRoots(t, backend)
+		})
+	}
+}
+
+// testShootdownAcrossRoots: a core on socket 1 reads 8 pages on the
+// process's primary root. Replicating onto nodes 0 and 1 moves the core
+// to its socket's replica, munmap runs there, and dropping the replica
+// moves the core back to the primary root. A load of an unmapped page
+// must then fault, not hit a translation cached under the primary.
+func testShootdownAcrossRoots(t *testing.T, backend string) {
+	k := kernel.New(kernel.Config{
+		Topology:      numa.NewTopology(2, 1),
+		FramesPerNode: 1 << 16,
+		Hardware:      translate.Spec{Backend: backend},
+	})
+	k.Sysctl().Mode = core.ModePerProcess
+	p, err := k.CreateProcess(kernel.ProcessOpts{Name: "remask", Home: 0, PTPolicy: kernel.PTFixed, PTNode: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := k.Topology().FirstCoreOf(1)
+	if err := k.RunOn(p, []numa.CoreID{c}); err != nil {
+		t.Fatal(err)
+	}
+	const pages = 8
+	base, err := k.Mmap(p, pages*pt.Size4K.Bytes(), kernel.MmapOpts{Writable: true, Populate: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := k.Machine()
+	primary := m.ContextRoot(c)
+	for i := range pages {
+		if err := m.Access(c, base+pt.VirtAddr(uint64(i)*pt.Size4K.Bytes()), false); err != nil {
+			t.Fatalf("load of page %d: %v", i, err)
+		}
+	}
+	if err := p.SetReplicationMask([]numa.NodeID{0, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if m.ContextRoot(c) == primary {
+		t.Fatal("replication did not move the core to its socket's replica")
+	}
+	if err := k.Munmap(p, base); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.SetReplicationMask(nil); err != nil {
+		t.Fatal(err)
+	}
+	if m.ContextRoot(c) != primary {
+		t.Fatalf("core runs on root %d after dropping the replica, want the primary %d", m.ContextRoot(c), primary)
+	}
+	for i := range pages {
+		if err := m.Access(c, base+pt.VirtAddr(uint64(i)*pt.Size4K.Bytes()), false); !errors.Is(err, hw.ErrSegfault) {
+			t.Fatalf("load of unmapped page %d: err %v, want a fault", i, err)
 		}
 	}
 }

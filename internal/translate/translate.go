@@ -77,8 +77,8 @@ type Ctx struct {
 	// discipline).
 	LLC   *mmucache.LLC
 	Owned bool
-	// Stats receives this call's counter increments — the machine
-	// points it at the live accumulator before every Probe/WalkOnce.
+	// Stats receives the backend's counter increments: the machine
+	// points it at the core's counters.
 	Stats *CoreStats
 	// Pending buffers the page-table lines store walks took exclusive
 	// ownership of; the machine applies them to other sockets' LLCs at

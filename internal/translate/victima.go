@@ -52,7 +52,7 @@ func (b *victima) NewCore(i int) Core {
 	return &victimaCore{
 		walkerCore: walkerCore{w: &b.walker, psc: mmucache.NewPSC(b.pscCfg)},
 		tlb:        tlb.New(b.tlbCfg),
-		blocks:     make(map[victimaKey]*victimaBlock),
+		blocks:     make(map[uint64]*victimaBlock),
 	}
 }
 
@@ -76,9 +76,13 @@ type victimaKey struct {
 // both fall back to a walk and refill, which is the software-managed
 // fill path Victima replaces the hardware L2 with.
 type victimaBlock struct {
+	key   victimaKey
 	leaf  [victimaBlockPages]pt.PTE
 	node  [victimaBlockPages]numa.NodeID
 	valid uint8
+	// next chains the payloads other roots hold for the same block
+	// number.
+	next *victimaBlock
 }
 
 // lineOf derives the block's LLC line ID. Bit 63 keeps block lines
@@ -93,10 +97,13 @@ func (k victimaKey) lineOf() mmucache.LineID {
 type victimaCore struct {
 	walkerCore
 	tlb *tlb.TLB
-	// blocks maps block keys to their per-core payloads. Map reads and
+	// blocks maps a block number to the chain of payloads this core
+	// holds for it, one per root that filled it, so a shootdown reaches
+	// every root's slot without scanning other blocks. Map reads and
 	// in-place slot updates are allocation-free, keeping the batched
-	// steady state zero-alloc; only first-touch of a block allocates.
-	blocks map[victimaKey]*victimaBlock
+	// steady state zero-alloc; only the first fill of a block under a
+	// root allocates.
+	blocks map[uint64]*victimaBlock
 	// scratch backs the entry pointer Probe returns on a block hit
 	// (valid until the next operation, like a TLB set slot).
 	scratch tlb.Entry
@@ -106,6 +113,16 @@ func (c *victimaCore) keyOf(ctx *Ctx, va pt.VirtAddr) (victimaKey, uint) {
 	vpn := uint64(va) >> pt.PageShift4K
 	return victimaKey{root: ctx.CR3, groot: ctx.GuestRoot, block: vpn / victimaBlockPages},
 		uint(vpn % victimaBlockPages)
+}
+
+// find returns the payload held for key, or nil.
+func (c *victimaCore) find(key victimaKey) *victimaBlock {
+	for p := c.blocks[key.block]; p != nil; p = p.next {
+		if p.key == key {
+			return p
+		}
+	}
+	return nil
 }
 
 func (c *victimaCore) Probe(ctx *Ctx, va pt.VirtAddr, write bool) (*tlb.Entry, numa.Cycles, bool) {
@@ -123,8 +140,8 @@ func (c *victimaCore) Probe(ctx *Ctx, va pt.VirtAddr, write bool) (*tlb.Entry, n
 	}
 	// L1 missed: probe the software-managed block in the socket's LLC.
 	key, slot := c.keyOf(ctx, va)
-	p, ok := c.blocks[key]
-	if !ok || p.valid&(1<<slot) == 0 {
+	p := c.find(key)
+	if p == nil || p.valid&(1<<slot) == 0 {
 		return nil, 0, false
 	}
 	leaf := p.leaf[slot]
@@ -158,10 +175,10 @@ func (c *victimaCore) Fill(ctx *Ctx, va pt.VirtAddr, leaf pt.PTE, size pt.PageSi
 		return
 	}
 	key, slot := c.keyOf(ctx, va)
-	p, ok := c.blocks[key]
-	if !ok {
-		p = &victimaBlock{}
-		c.blocks[key] = p
+	p := c.find(key)
+	if p == nil {
+		p = &victimaBlock{key: key, next: c.blocks[key.block]}
+		c.blocks[key.block] = p
 	}
 	p.leaf[slot] = leaf
 	p.node[slot] = node
@@ -176,17 +193,31 @@ func (c *victimaCore) Fill(ctx *Ctx, va pt.VirtAddr, leaf pt.PTE, size pt.PageSi
 	}
 }
 
-// dropSlot invalidates the software block slot covering va, if held.
+// dropSlot invalidates the software block slot covering va under the
+// loaded root, if held.
 func (c *victimaCore) dropSlot(ctx *Ctx, va pt.VirtAddr) {
 	key, slot := c.keyOf(ctx, va)
-	if p, ok := c.blocks[key]; ok {
+	if p := c.find(key); p != nil {
 		p.valid &^= 1 << slot
+	}
+}
+
+// shootSlot invalidates the slot covering va under every root this core
+// holds the block for. Blocks outlive a root switch, and a core switches
+// between roots of one address space when its socket's replica comes and
+// goes: a root it returns to must not hit a translation the OS removed
+// under another. A slot another address space holds at the same block
+// number is dropped too, which costs it one refill walk.
+func (c *victimaCore) shootSlot(va pt.VirtAddr) {
+	vpn := uint64(va) >> pt.PageShift4K
+	for p := c.blocks[vpn/victimaBlockPages]; p != nil; p = p.next {
+		p.valid &^= 1 << (vpn % victimaBlockPages)
 	}
 }
 
 func (c *victimaCore) ShootdownPage(ctx *Ctx, va pt.VirtAddr) {
 	c.tlb.InvalidatePage(va)
-	c.dropSlot(ctx, va)
+	c.shootSlot(va)
 	c.psc.Flush()
 }
 
@@ -202,7 +233,7 @@ func (c *victimaCore) ShootdownRange(ctx *Ctx, vas []pt.VirtAddr) {
 	// of the hardware flush threshold: the OS knows exactly which
 	// blocks it remapped.
 	for _, va := range vas {
-		c.dropSlot(ctx, va)
+		c.shootSlot(va)
 	}
 	c.psc.Flush()
 }

@@ -83,8 +83,8 @@ func TestSweepCellGenerator(t *testing.T) {
 }
 
 // TestSweepDeterministicAcrossWorkers is the seed-ladder contract: the
-// same spec produces byte-identical cell outcomes for any worker count,
-// dispatch order, and pooling setting.
+// same spec produces byte-identical cell outcomes for any worker count and
+// dispatch order.
 func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	sw := testSweep()
 	ref, err := RunSweep(sw, WithSweepWorkers(1))
@@ -109,7 +109,6 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	}{
 		{"workers=4", []SweepOpt{WithSweepWorkers(4)}},
 		{"workers=4+shuffle", []SweepOpt{WithSweepWorkers(4), WithSweepShuffle(99)}},
-		{"workers=3+nopool", []SweepOpt{WithSweepWorkers(3), WithSweepPooling(false)}},
 		{"workers=1+again", []SweepOpt{WithSweepWorkers(1)}},
 	}
 	for _, v := range variants {
