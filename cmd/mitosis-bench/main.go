@@ -514,18 +514,15 @@ func runReplay(path string, cell int) error {
 }
 
 // replayRunResult reruns a recorded RunResult's embedded scenario with
-// its recorded engine mode and round length and verifies every
-// deterministic field reproduces bit-for-bit. The Hardware echo is
-// informational and not compared — the scenario spec itself pins the
-// backend the rerun boots.
+// its recorded engine mode and verifies every deterministic field
+// reproduces bit-for-bit. The Hardware echo is informational and not
+// compared — the scenario spec itself pins the backend the rerun boots.
 func replayRunResult(orig *mitosis.RunResult) error {
 	mode, err := mitosis.ParseEngineMode(orig.Engine)
 	if err != nil {
 		return err
 	}
-	// Engine mode and round length are both part of the record: the chunk
-	// is the modeled coherence latency, so a replay must reuse it.
-	rr, err := mitosis.Run(orig.Scenario, mitosis.WithEngine(mode), mitosis.WithChunk(orig.Chunk))
+	rr, err := mitosis.Run(orig.Scenario, mitosis.WithEngine(mode))
 	if err != nil {
 		return err
 	}

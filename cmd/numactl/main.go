@@ -110,12 +110,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\n%s: %d ops on %d worker(s)\n", w.Name(), res.Ops, len(cores))
-	fmt.Printf("  runtime (makespan):   %d cycles\n", res.Cycles)
-	fmt.Printf("  page walks:           %d (%.1f%% of cycles)\n", res.Walks, res.WalkCycleFraction()*100)
-	fmt.Printf("  walker DRAM accesses: %d (%.0f%% remote)\n", res.WalkMemAccesses,
-		pct(res.RemoteWalkAccesses, res.WalkMemAccesses))
-	fmt.Printf("  walker LLC hits:      %d\n", res.WalkLLCHits)
+	t := &res.Total
+	fmt.Printf("\n%s: %d ops on %d worker(s)\n", w.Name(), t.Ops, len(cores))
+	fmt.Printf("  runtime (makespan):   %d cycles\n", res.Makespan)
+	fmt.Printf("  page walks:           %d (%.1f%% of cycles)\n", t.Walks, t.WalkCycleFraction()*100)
+	fmt.Printf("  walker DRAM accesses: %d (%.0f%% remote)\n", t.WalkMemAccesses,
+		pct(t.WalkRemoteAccesses, t.WalkMemAccesses))
+	fmt.Printf("  walker LLC hits:      %d\n", t.WalkLLCHits)
 }
 
 func parseMask(s string, nodes int) ([]numa.NodeID, error) {

@@ -184,9 +184,9 @@ func main() {
 		}
 		feng = k.AttachFaultEngine(plan, []*kernel.Process{p}, []string{w.Name()})
 	}
-	// Each snapshot interval is one engine run at the default chunk, so a
-	// plan's r<N> rounds line up with scenario plans.
-	roundsPerSnap := workloads.Rounds(*interval, 0)
+	// Each snapshot interval is one engine run, so a plan's r<N> rounds
+	// line up with scenario plans.
+	roundsPerSnap := workloads.Rounds(*interval)
 
 	for snap := 0; snap < *snapshots; snap++ {
 		if snap > 0 {

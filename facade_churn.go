@@ -354,14 +354,13 @@ func RunChurn(c Churn) (*ChurnResult, error) {
 	}
 	wall := time.Since(start).Seconds()
 
-	res := &ChurnResult{Churn: c, Spawned: d.spawned, Exited: d.exited, Workers: workers, WallSec: wall}
+	var sum hw.CoreStats
 	for core := 0; core < topo.Cores(); core++ {
 		st := m.Stats(numa.CoreID(core))
-		res.Ops += st.Ops
-		res.Faults += st.Faults
-		res.Cycles += uint64(st.Cycles)
-		res.FaultCycles += uint64(st.FaultCycles)
+		sum.Merge(&st)
 	}
+	res := &ChurnResult{Churn: c, Spawned: d.spawned, Exited: d.exited, Workers: workers, WallSec: wall,
+		Ops: sum.Ops, Faults: sum.Faults, Cycles: uint64(sum.Cycles), FaultCycles: uint64(sum.FaultCycles)}
 	hist := m.FaultLatency()
 	res.FaultHist = make([]uint64, len(hist))
 	copy(res.FaultHist, hist[:])

@@ -233,24 +233,25 @@ type Stats struct {
 
 // Stats aggregates the process's counters across its cores.
 func (pr *Proc) Stats() Stats {
-	var st Stats
 	m := pr.sys.k.Machine()
-	var walkMem, walkRemote uint64
+	var sum hw.CoreStats
 	for _, c := range pr.p.Cores() {
 		cs := m.Stats(c)
-		st.Ops += cs.Ops
-		st.Cycles += uint64(cs.Cycles)
-		st.WalkCycles += uint64(cs.WalkCycles)
-		st.Walks += cs.Walks
-		walkMem += cs.WalkMemAccesses
-		walkRemote += cs.WalkRemoteAccesses
+		sum.Merge(&cs)
 	}
-	if walkMem > 0 {
-		st.RemoteWalkFraction = float64(walkRemote) / float64(walkMem)
+	st := Stats{
+		Ops:        sum.Ops,
+		Cycles:     uint64(sum.Cycles),
+		WalkCycles: uint64(sum.WalkCycles),
+		Walks:      sum.Walks,
+		// More than one holder node means replicas exist — in the host
+		// table, or (for virtualized processes) in the guest/nested
+		// dimensions.
+		Replicated: len(pr.p.ReplicaNodes()) > 1,
 	}
-	// More than one holder node means replicas exist — in the host table,
-	// or (for virtualized processes) in the guest/nested dimensions.
-	st.Replicated = len(pr.p.ReplicaNodes()) > 1
+	if sum.WalkMemAccesses > 0 {
+		st.RemoteWalkFraction = float64(sum.WalkRemoteAccesses) / float64(sum.WalkMemAccesses)
+	}
 	return st
 }
 

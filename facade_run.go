@@ -67,23 +67,17 @@ func (m EngineMode) mode() workloads.Mode {
 	}
 }
 
-// RunOpt tunes one Run invocation (host-side knobs only; nothing an
-// option changes may alter the counters except Chunk, which is part of
-// the modeled coherence latency).
+// RunOpt tunes one Run invocation. Options are host-side knobs only: no
+// option changes a counter.
 type RunOpt func(*runConfig)
 
 type runConfig struct {
-	mode  EngineMode
-	chunk int
-	obs   Observer
+	mode EngineMode
+	obs  Observer
 }
 
 // WithEngine selects the engine scheduling mode (default AutoEngine).
 func WithEngine(m EngineMode) RunOpt { return func(c *runConfig) { c.mode = m } }
-
-// WithChunk sets the engine round length in ops per core (default 32).
-// Results are only comparable between runs with equal chunks.
-func WithChunk(n int) RunOpt { return func(c *runConfig) { c.chunk = n } }
 
 // WithObserver streams round-barrier telemetry to o during the run.
 func WithObserver(o Observer) RunOpt { return func(c *runConfig) { c.obs = o } }
@@ -324,15 +318,11 @@ type FaultOutcome struct {
 
 // RunResult is a scenario run's complete record: the exact (normalized)
 // spec that produced it, per-phase counters, and policy telemetry. It
-// serializes; replaying Result.Scenario in the same engine mode and with
-// the same Chunk reproduces every counter bit-for-bit.
+// serializes; replaying Result.Scenario in the same engine mode
+// reproduces every counter bit-for-bit.
 type RunResult struct {
 	Scenario Scenario `json:"scenario"`
 	Engine   string   `json:"engine"`
-	// Chunk is the engine round length the run used (0 = the default);
-	// it is part of the modeled coherence latency, so replays must pass
-	// it back via WithChunk.
-	Chunk int `json:"chunk,omitempty"`
 	// Hardware echoes the translation-backend geometry the run executed
 	// on, so records are self-describing. Informational: replay
 	// comparison ignores it (old records carry none).
@@ -403,7 +393,7 @@ func (s *System) Run(sc Scenario, opts ...RunOpt) (*RunResult, error) {
 	k := s.k
 	topo := k.Topology()
 	m := k.Machine()
-	rr := &RunResult{Scenario: sc, Engine: rc.mode.String(), Chunk: rc.chunk, Hardware: s.Hardware()}
+	rr := &RunResult{Scenario: sc, Engine: rc.mode.String(), Hardware: s.Hardware()}
 
 	if sc.Fragmentation > 0 {
 		r := rand.New(rand.NewSource(sc.Seed))
@@ -536,7 +526,7 @@ func (s *System) Run(sc Scenario, opts ...RunOpt) (*RunResult, error) {
 			}
 			res := PhaseResult{Process: rp.spec.Name, Phase: phaseName, Warmup: ph.Warmup}
 			if ph.Ops > 0 {
-				ecfg := workloads.EngineConfig{Mode: rc.mode.mode(), Chunk: rc.chunk}
+				ecfg := workloads.EngineConfig{Mode: rc.mode.mode()}
 				if rp.eng != nil || rp.teng != nil || rc.obs != nil || fe != nil {
 					ecfg.Hook = &runTicker{
 						base: clk, p: rp.pr.p,
@@ -561,7 +551,7 @@ func (s *System) Run(sc Scenario, opts ...RunOpt) (*RunResult, error) {
 				// The clock moves to the phase's last scheduled barrier:
 				// a killed phase still consumed its slot in the plan's
 				// clock, keeping later events deterministic.
-				clk = clk.at(workloads.Rounds(ph.Ops, rc.chunk))
+				clk = clk.at(workloads.Rounds(ph.Ops))
 				if wres != nil {
 					res.Counters = countersOf(wres)
 					res.PerSocket = socketCountersOf(m, topo)
@@ -656,23 +646,24 @@ func (s *System) applyMask(pr *Proc, r ReplicationSpec) error {
 	return pr.ReplicateOn(r.Nodes...)
 }
 
-// countersOf converts an engine result.
+// countersOf projects an engine result onto the public counters.
 func countersOf(res *workloads.Result) Counters {
+	t := &res.Total
 	return Counters{
-		Ops:                res.Ops,
-		Walks:              res.Walks,
-		Cycles:             uint64(res.Cycles),
-		TotalCycles:        uint64(res.TotalCycles),
-		WalkCycles:         uint64(res.WalkCycles),
-		RemoteWalkCycles:   uint64(res.RemoteWalkCycles),
-		GuestWalkCycles:    uint64(res.GuestWalkCycles),
-		NestedWalkCycles:   uint64(res.NestedWalkCycles),
-		WalkMemAccesses:    res.WalkMemAccesses,
-		WalkRemoteAccesses: res.RemoteWalkAccesses,
-		WalkLLCHits:        res.WalkLLCHits,
-		TierWalkAccesses:   res.TierWalkAccesses,
-		TierWalkCycles:     uint64(res.TierWalkCycles),
-		TierDataAccesses:   res.TierDataAccesses,
+		Ops:                t.Ops,
+		Walks:              t.Walks,
+		Cycles:             uint64(res.Makespan),
+		TotalCycles:        uint64(t.Cycles),
+		WalkCycles:         uint64(t.WalkCycles),
+		RemoteWalkCycles:   uint64(t.WalkRemoteCycles),
+		GuestWalkCycles:    uint64(t.GuestWalkCycles),
+		NestedWalkCycles:   uint64(t.NestedWalkCycles),
+		WalkMemAccesses:    t.WalkMemAccesses,
+		WalkRemoteAccesses: t.WalkRemoteAccesses,
+		WalkLLCHits:        t.WalkLLCHits,
+		TierWalkAccesses:   t.WalkTierAccesses,
+		TierWalkCycles:     uint64(t.WalkTierCycles),
+		TierDataAccesses:   t.DataTierAccesses,
 	}
 }
 

@@ -81,10 +81,6 @@ type Sweep struct {
 	// guest and nested tables. Cells spanning the whole machine use node
 	// 0. This gives replication policies remote-walk pressure to act on.
 	StrandPT bool `json:"strand_pt,omitempty"`
-	// Engine is the per-cell engine mode ("sequential", "parallel",
-	// "auto"). Default "sequential": sweep parallelism comes from running
-	// cells concurrently, not from sharding one cell.
-	Engine string `json:"engine,omitempty"`
 }
 
 // normalized resolves the sweep's defaults, so two sweeps generate the
@@ -129,9 +125,6 @@ func (sw Sweep) normalized() Sweep {
 	}
 	if sw.MeasureOps == 0 {
 		sw.MeasureOps = 2048
-	}
-	if sw.Engine == "" {
-		sw.Engine = SequentialEngine.String()
 	}
 	return sw
 }
@@ -243,9 +236,6 @@ func (sw Sweep) Validate() error {
 	}
 	if sw.WarmupOps < 0 || sw.MeasureOps <= 0 {
 		return fmt.Errorf("sweep %q: warmup_ops %d / measure_ops %d invalid", sw.Name, sw.WarmupOps, sw.MeasureOps)
-	}
-	if _, err := ParseEngineMode(sw.Engine); err != nil {
-		return fmt.Errorf("sweep %q: %w", sw.Name, err)
 	}
 	return nil
 }
@@ -437,7 +427,6 @@ type CellResult struct {
 	Hardware      string  `json:"hardware,omitempty"`
 	Faults        string  `json:"faults,omitempty"`
 	Seed          int64   `json:"seed"`
-	Engine        string  `json:"engine"`
 	// Outcome is empty when Error is set.
 	Outcome CellOutcome `json:"outcome"`
 	// SimOps is the cell's total simulated operations (all phases).
@@ -551,11 +540,6 @@ func RunSweep(sw Sweep, opts ...SweepOpt) (*SweepResult, error) {
 	if cfg.workers > total {
 		cfg.workers = total
 	}
-	mode, err := ParseEngineMode(norm.Engine)
-	if err != nil {
-		return nil, err
-	}
-
 	order := make([]int, total)
 	for i := range order {
 		order[i] = i
@@ -596,7 +580,7 @@ func RunSweep(sw Sweep, opts ...SweepOpt) (*SweepResult, error) {
 				return sys
 			}
 			for idx := range jobs {
-				results <- norm.runCell(idx, mode, pooled)
+				results <- norm.runCell(idx, pooled)
 				sys.Reset()
 			}
 		}()
@@ -636,8 +620,9 @@ func RunSweep(sw Sweep, opts ...SweepOpt) (*SweepResult, error) {
 
 // runCell executes one cell on the system that system returns for the
 // cell's machine: a pooled one in RunSweep, a freshly booted one in
-// ReplayCell. Either is indistinguishable from a fresh boot.
-func (sw Sweep) runCell(idx int, mode EngineMode, system func(SystemConfig) *System) CellResult {
+// ReplayCell. Either is indistinguishable from a fresh boot. Cells run on
+// the sequential engine: a sweep's parallelism is its cells.
+func (sw Sweep) runCell(idx int, system func(SystemConfig) *System) CellResult {
 	ax := sw.axes(idx)
 	sc := sw.cell(idx, ax)
 	cr := CellResult{
@@ -652,13 +637,12 @@ func (sw Sweep) runCell(idx int, mode EngineMode, system func(SystemConfig) *Sys
 		Hardware:      ax.hardware,
 		Faults:        ax.faults,
 		Seed:          ax.seed,
-		Engine:        mode.String(),
 	}
 	if ax.tierPolicy != "" && ax.tierPolicy != "none" {
 		cr.TierPolicy = ax.tierPolicy
 	}
 	begin := time.Now()
-	rr, err := system(sc.Machine).Run(sc, WithEngine(mode))
+	rr, err := system(sc.Machine).Run(sc, WithEngine(SequentialEngine))
 	cr.HostNS = time.Since(begin).Nanoseconds()
 	if err != nil {
 		cr.Error = err.Error()
@@ -698,11 +682,7 @@ func (sw Sweep) ReplayCell(idx int) (CellResult, error) {
 	if idx < 0 || idx >= norm.Cells() {
 		return CellResult{}, fmt.Errorf("sweep %q: cell %d out of range [0,%d)", norm.Name, idx, norm.Cells())
 	}
-	mode, err := ParseEngineMode(norm.Engine)
-	if err != nil {
-		return CellResult{}, err
-	}
-	return norm.runCell(idx, mode, NewSystem), nil
+	return norm.runCell(idx, NewSystem), nil
 }
 
 // systemPools recycles booted systems per normalized machine

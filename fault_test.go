@@ -3,6 +3,7 @@ package mitosis
 import (
 	"encoding/json"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -18,19 +19,41 @@ func faultMachine() SystemConfig {
 // plan; replicated pins page-table replicas on nodes 0..2 eagerly (so
 // they exist before any event fires).
 func faultScenario(name, plan string, replicated bool) Scenario {
-	opts := []ProcOpt{
-		OnSockets(0),
-		WithPhases(Warmup(500), Measure(2000)),
-	}
+	opts := []ProcOpt{OnSockets(0)}
 	if replicated {
 		opts = append(opts, WithReplication(ReplicationSpec{Nodes: []int{0, 1, 2}, Eager: true}))
 	}
+	return faultProcScenario(name, plan, opts...)
+}
+
+// faultProcScenario is a single GUPS process placed and configured by
+// opts, warmed up for 500 ops and measured for 2000, under the given
+// fault plan.
+func faultProcScenario(name, plan string, opts ...ProcOpt) Scenario {
+	opts = append(opts, WithPhases(Warmup(500), Measure(2000)))
 	return NewScenario(name,
 		OnMachine(faultMachine()),
 		WithSeed(7),
 		WithFaults(plan),
 		WithProc(NewProc("gups", GUPS(InSuite("wm"), Scaled(1.0/32)), opts...)),
 	)
+}
+
+// faultModesPlan mixes every fault kind in one plan.
+const faultModesPlan = "poison-data:r4:p0:g3;poison-pt:r8:p0:n1;pressure:r10:n2:f16;offline:r16:n2"
+
+// checkOfflineEmpty fails t unless node is offline and holds no mapped
+// page-table or data frame.
+func checkOfflineEmpty(t *testing.T, sys *System, node int, fo *FaultOutcome) {
+	t.Helper()
+	pm := sys.k.Mem()
+	n := numa.NodeID(node)
+	if !pm.NodeOffline(n) {
+		t.Errorf("node %d not marked offline", node)
+	}
+	if pt, data := pm.AllocatedPT(n), pm.AllocatedData(n); pt != 0 || data != 0 {
+		t.Errorf("offline node %d still holds %d PT + %d data frames (actions %v)", node, pt, data, fo.Actions)
+	}
 }
 
 func TestFaultScenarioJSONRoundTrip(t *testing.T) {
@@ -187,14 +210,8 @@ func TestFaultNodeOffline(t *testing.T) {
 	if len(fo.Killed) != 0 {
 		t.Errorf("offline killed procs: %+v", fo.Killed)
 	}
-	pm := sys.k.Mem()
-	if !pm.NodeOffline(numa.NodeID(1)) {
-		t.Error("node 1 not marked offline")
-	}
 	// The invariant: an offlined node holds zero mapped frames.
-	if pt, data := pm.AllocatedPT(numa.NodeID(1)), pm.AllocatedData(numa.NodeID(1)); pt != 0 || data != 0 {
-		t.Errorf("offline node still holds %d PT + %d data frames (actions %v)", pt, data, fo.Actions)
-	}
+	checkOfflineEmpty(t, sys, 1, fo)
 	// The replica on node 1 is gone, so the process reports degraded.
 	if len(fo.Health) != 1 || fo.Health[0].State != "degraded" {
 		t.Errorf("health = %+v, want degraded", fo.Health)
@@ -243,47 +260,115 @@ func TestFaultPressureLadder(t *testing.T) {
 	}
 }
 
-// TestFaultDeterminismAcrossModes: the acceptance bar — one plan mixing
-// every fault kind produces bit-identical results (counters, fault
-// outcome, action log) in all three engine modes, and replaying the
-// recorded scenario JSON reproduces them.
+// TestFaultDeterminismAcrossModes: the acceptance bar — each case's plan
+// produces bit-identical results (counters, policy and fault outcomes,
+// action logs) in all three engine modes, and replaying the recorded
+// scenario JSON reproduces them. Each case also checks, in every mode,
+// the recovery its plan must have taken.
 func TestFaultDeterminismAcrossModes(t *testing.T) {
-	sc := faultScenario("test/fault-modes",
-		"poison-data:r4:p0:g3;poison-pt:r8:p0:n1;pressure:r10:n2:f16;offline:r16:n2", true)
-	var ref *RunResult
-	for _, mode := range []EngineMode{SequentialEngine, ParallelEngine, AutoEngine} {
-		rr, err := Run(sc, WithEngine(mode))
-		if err != nil {
-			t.Fatalf("%v: %v", mode, err)
-		}
-		if rr.Faults == nil || rr.Faults.Injected != 4 {
-			t.Fatalf("%v: faults = %+v", mode, rr.Faults)
-		}
-		if ref == nil {
-			ref = rr
-			continue
-		}
-		if !reflect.DeepEqual(ref.Phases, rr.Phases) {
-			t.Errorf("%v: phase counters diverged:\nseq: %+v\ngot: %+v", mode, ref.Phases, rr.Phases)
-		}
-		if !reflect.DeepEqual(ref.Faults, rr.Faults) {
-			t.Errorf("%v: fault outcome diverged:\nseq: %+v\ngot: %+v", mode, ref.Faults, rr.Faults)
-		}
-	}
-	data, err := json.Marshal(ref.Scenario)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var replayed Scenario
-	if err := json.Unmarshal(data, &replayed); err != nil {
-		t.Fatal(err)
-	}
-	rr, err := Run(replayed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ref.Phases, rr.Phases) || !reflect.DeepEqual(ref.Faults, rr.Faults) {
-		t.Error("JSON replay diverged from the original run")
+	// A one-page copy step keeps ondemand's background replication of the
+	// stranded table in flight for several rounds.
+	ondemandSlow := WithPolicySpec(PolicySpec{Name: "ondemand", StepPages: 1})
+	for _, tc := range []struct {
+		name  string
+		sc    Scenario
+		check func(t *testing.T, sys *System, fo *FaultOutcome)
+	}{{
+		name: "every kind",
+		sc:   faultScenario("test/fault-modes", faultModesPlan, true),
+		check: func(t *testing.T, sys *System, fo *FaultOutcome) {
+			if fo.Injected != 4 {
+				t.Errorf("injected %d, want 4 (actions %v)", fo.Injected, fo.Actions)
+			}
+		},
+	}, {
+		// The node goes offline while the policy's replica for it is
+		// still being copied: the copy is aborted, not completed onto
+		// dead memory.
+		name: "offline under background replication",
+		sc:   faultProcScenario("test/fault-offline-inflight", "offline:r4:n1", OnSockets(0, 1), WithPTNode(2), ondemandSlow),
+		check: func(t *testing.T, sys *System, fo *FaultOutcome) {
+			if fo.AbortedReplications != 1 {
+				t.Errorf("aborted %d replications, want 1 (actions %v)", fo.AbortedReplications, fo.Actions)
+			}
+			if want := []string{"r4:node 1 offline"}; !reflect.DeepEqual(fo.Actions, want) {
+				t.Errorf("actions %q, want %q", fo.Actions, want)
+			}
+			checkOfflineEmpty(t, sys, 1, fo)
+		},
+	}, {
+		// The primary table is stranded on the node that goes offline, so
+		// it moves to the lowest online node.
+		name: "offline primary node",
+		sc:   faultProcScenario("test/fault-offline-primary", "offline:r8:n2", OnSockets(0), WithPTNode(2)),
+		check: func(t *testing.T, sys *System, fo *FaultOutcome) {
+			want := []string{"r8:node 2 offline", "r8:offline node 2: pid 1 primary migrated to node 0"}
+			if !reflect.DeepEqual(fo.Actions, want) {
+				t.Errorf("actions %q, want %q", fo.Actions, want)
+			}
+			if len(fo.Health) != 1 || !reflect.DeepEqual(fo.Health[0].Nodes, []int{0}) {
+				t.Errorf("health = %+v, want the table on node 0 alone", fo.Health)
+			}
+			checkOfflineEmpty(t, sys, 2, fo)
+		},
+	}, {
+		// A floor above the node's whole frame count: reclaim frees too
+		// little, so the second rung aborts the in-flight replication
+		// before the third OOM-kills.
+		name: "pressure aborts background replication",
+		sc:   faultProcScenario("test/fault-pressure-inflight", "pressure:r4:n0:f1000000", OnSockets(0), WithPTNode(2), ondemandSlow),
+		check: func(t *testing.T, sys *System, fo *FaultOutcome) {
+			if fo.AbortedReplications != 1 || fo.OOMKills != 1 {
+				t.Errorf("aborted %d replications, %d OOM kills; want 1 and 1 (actions %v)", fo.AbortedReplications, fo.OOMKills, fo.Actions)
+			}
+			if !slices.Contains(fo.Actions, "r4:pressure node 0: pid 1 aborted 1 in-flight replications") {
+				t.Errorf("actions %q lack the second rung's abort", fo.Actions)
+			}
+		},
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var ref *RunResult
+			for _, mode := range []EngineMode{SequentialEngine, ParallelEngine, AutoEngine} {
+				sys := NewSystem(tc.sc.Machine)
+				rr, err := sys.Run(tc.sc, WithEngine(mode))
+				if err != nil {
+					t.Fatalf("%v: %v", mode, err)
+				}
+				if rr.Faults == nil {
+					t.Fatalf("%v: RunResult.Faults missing", mode)
+				}
+				tc.check(t, sys, rr.Faults)
+				if ref == nil {
+					ref = rr
+					continue
+				}
+				if !reflect.DeepEqual(ref.Phases, rr.Phases) {
+					t.Errorf("%v: phase counters diverged:\nseq: %+v\ngot: %+v", mode, ref.Phases, rr.Phases)
+				}
+				if !reflect.DeepEqual(ref.Policies, rr.Policies) {
+					t.Errorf("%v: policy outcome diverged:\nseq: %+v\ngot: %+v", mode, ref.Policies, rr.Policies)
+				}
+				if !reflect.DeepEqual(ref.Faults, rr.Faults) {
+					t.Errorf("%v: fault outcome diverged:\nseq: %+v\ngot: %+v", mode, ref.Faults, rr.Faults)
+				}
+			}
+			data, err := json.Marshal(ref.Scenario)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var replayed Scenario
+			if err := json.Unmarshal(data, &replayed); err != nil {
+				t.Fatal(err)
+			}
+			rr, err := Run(replayed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(ref.Phases, rr.Phases) || !reflect.DeepEqual(ref.Policies, rr.Policies) ||
+				!reflect.DeepEqual(ref.Faults, rr.Faults) {
+				t.Error("JSON replay diverged from the original run")
+			}
+		})
 	}
 }
 

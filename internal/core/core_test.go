@@ -8,6 +8,7 @@ import (
 	"github.com/mitosis-project/mitosis-sim/internal/numa"
 	"github.com/mitosis-project/mitosis-sim/internal/pt"
 	"github.com/mitosis-project/mitosis-sim/internal/pvops"
+	"github.com/mitosis-project/mitosis-sim/internal/translate"
 )
 
 type fixture struct {
@@ -570,15 +571,15 @@ func TestEffectiveMask(t *testing.T) {
 func TestAutoPolicy(t *testing.T) {
 	p := DefaultAutoPolicy()
 	// Short-running process: never recommended.
-	if p.Recommend(Sample{Ops: 10, TotalCycles: 1000, WalkCycles: 900, Walks: 10}) {
+	if p.Recommend(&translate.CoreStats{Ops: 10, Cycles: 1000, WalkCycles: 900, Walks: 10}) {
 		t.Error("recommended for short-running process")
 	}
 	// Long-running with heavy walk overhead: recommended.
-	if !p.Recommend(Sample{Ops: 1e6, TotalCycles: 1e9, WalkCycles: 3e8, Walks: 1e6}) {
+	if !p.Recommend(&translate.CoreStats{Ops: 1e6, Cycles: 1e9, WalkCycles: 3e8, Walks: 1e6}) {
 		t.Error("not recommended despite 30% walk cycles")
 	}
 	// Long-running but TLB-friendly: not recommended.
-	if p.Recommend(Sample{Ops: 1e6, TotalCycles: 1e9, WalkCycles: 1e6, Walks: 100}) {
+	if p.Recommend(&translate.CoreStats{Ops: 1e6, Cycles: 1e9, WalkCycles: 1e6, Walks: 100}) {
 		t.Error("recommended despite negligible walk share")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/mitosis-project/mitosis-sim/internal/numa"
+	"github.com/mitosis-project/mitosis-sim/internal/translate"
 )
 
 // SysctlMode is the system-wide Mitosis policy state (§6.1): the Linux
@@ -102,27 +103,14 @@ func DefaultAutoPolicy() AutoPolicy {
 	}
 }
 
-// Sample is a point-in-time reading of a process's translation behaviour,
-// produced from hardware counters (package metrics in this simulator).
-type Sample struct {
-	// Ops is the number of operations executed so far.
-	Ops uint64
-	// TotalCycles is the process's total execution cycles.
-	TotalCycles numa.Cycles
-	// WalkCycles is the cycles the page walker was active.
-	WalkCycles numa.Cycles
-	// Walks is the number of page walks performed.
-	Walks uint64
-}
-
-// Recommend reports whether the sample crosses the policy's thresholds and
-// the process should have its page-tables replicated.
-func (p *AutoPolicy) Recommend(s Sample) bool {
-	if s.Ops < p.MinOps || s.TotalCycles == 0 {
+// Recommend reports whether a process whose cores' counters sum to s
+// crosses the policy's thresholds and should have its page-tables
+// replicated.
+func (p *AutoPolicy) Recommend(s *translate.CoreStats) bool {
+	if s.Ops < p.MinOps || s.Cycles == 0 {
 		return false
 	}
-	ratio := float64(s.WalkCycles) / float64(s.TotalCycles)
-	if ratio < p.WalkCycleRatio {
+	if s.WalkCycleFraction() < p.WalkCycleRatio {
 		return false
 	}
 	walksPerM := float64(s.Walks) / (float64(s.Ops) / 1e6)

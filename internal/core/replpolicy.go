@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"github.com/mitosis-project/mitosis-sim/internal/numa"
+	"github.com/mitosis-project/mitosis-sim/internal/translate"
 )
 
 // This file defines the pluggable replication-policy surface. The paper's
@@ -77,21 +78,11 @@ type SocketSample struct {
 	// or a complete replica (its cores walk locally).
 	HasReplica bool
 
-	// Counter deltas over the tick interval.
-	Ops                uint64
-	Cycles             numa.Cycles
-	WalkCycles         numa.Cycles
-	Walks              uint64
-	WalkMemAccesses    uint64
-	WalkRemoteAccesses uint64
-	// WalkRemoteCycles is the raw DRAM latency of remote page-table reads
-	// (pre overlap scaling) — the signal numaPTE-style policies threshold.
-	WalkRemoteCycles numa.Cycles
-	DataMemAccesses  uint64
-	// DataRemoteAccesses counts data DRAM accesses that crossed the
-	// interconnect — the thread-vs-table placement signal Phoenix-style
-	// cost models weigh.
-	DataRemoteAccesses uint64
+	// CoreStats is the socket's counter delta over the tick interval.
+	// numaPTE-style policies threshold WalkRemoteCycles; Phoenix-style
+	// cost models weigh DataRemoteAccesses, the thread-vs-table placement
+	// signal.
+	translate.CoreStats
 }
 
 // RemoteWalkCycleFraction returns the fraction of the socket's cycles spent

@@ -117,11 +117,11 @@ func RunAblationFiveLevel(cfg Config) (*metrics.Table, error) {
 				}
 			}
 			k.SetInterference(nodeB, true)
-			res, err := workloads.RunWith(env, w, cfg.Ops, cfg.engine())
+			res, err := workloads.Run(env, w, cfg.Ops)
 			if err != nil {
 				return nil, err
 			}
-			walkPerOp[i] = float64(res.WalkCycles) / float64(res.Ops)
+			walkPerOp[i] = float64(res.Total.WalkCycles) / float64(res.Total.Ops)
 		}
 		t.AddRow(fmt.Sprintf("%d", levels),
 			fmt.Sprintf("%.0f", walkPerOp[0]),
@@ -205,20 +205,14 @@ func RunAblationAutoPolicy(cfg Config) (*metrics.Table, error) {
 	}
 	policy := core.DefaultAutoPolicy()
 
-	before, err := workloads.RunWith(env, w, cfg.Ops, cfg.engine())
+	before, err := workloads.Run(env, w, cfg.Ops)
 	if err != nil {
 		return nil, err
 	}
-	sample := core.Sample{
-		Ops:         before.Ops,
-		TotalCycles: before.TotalCycles,
-		WalkCycles:  before.WalkCycles,
-		Walks:       before.Walks,
-	}
-	recommended := policy.Recommend(sample)
+	recommended := policy.Recommend(&before.Total)
 	t.AddRow("before",
-		fmt.Sprintf("%.0f", float64(before.TotalCycles)/float64(before.Ops)),
-		metrics.Pct(before.WalkCycleFraction()),
+		fmt.Sprintf("%.0f", float64(before.Total.Cycles)/float64(before.Total.Ops)),
+		metrics.Pct(before.Total.WalkCycleFraction()),
 		fmt.Sprintf("%v (policy: %v)", p.Space().Replicated(), recommended))
 
 	if recommended {
@@ -226,13 +220,13 @@ func RunAblationAutoPolicy(cfg Config) (*metrics.Table, error) {
 			return nil, err
 		}
 	}
-	after, err := workloads.RunWith(env, w, cfg.Ops, cfg.engine())
+	after, err := workloads.Run(env, w, cfg.Ops)
 	if err != nil {
 		return nil, err
 	}
 	t.AddRow("after",
-		fmt.Sprintf("%.0f", float64(after.TotalCycles)/float64(after.Ops)),
-		metrics.Pct(after.WalkCycleFraction()),
+		fmt.Sprintf("%.0f", float64(after.Total.Cycles)/float64(after.Total.Ops)),
+		metrics.Pct(after.Total.WalkCycleFraction()),
 		fmt.Sprintf("%v", p.Space().Replicated()))
 	return t, nil
 }

@@ -43,7 +43,7 @@ func RunAblationAsyncReplication(cfg Config) (*metrics.Table, error) {
 		if err := w.Setup(env); err != nil {
 			return nil, err
 		}
-		if _, err := workloads.RunWith(env, w, cfg.Warmup, cfg.engine()); err != nil {
+		if _, err := workloads.Run(env, w, cfg.Warmup()); err != nil {
 			return nil, err
 		}
 
@@ -85,7 +85,7 @@ func RunAblationAsyncReplication(cfg Config) (*metrics.Table, error) {
 			copyWork = blocked
 		}
 
-		res, err := workloads.RunWith(env, w, cfg.Ops, cfg.engine())
+		res, err := workloads.Run(env, w, cfg.Ops)
 		if err != nil {
 			return nil, err
 		}
@@ -96,7 +96,7 @@ func RunAblationAsyncReplication(cfg Config) (*metrics.Table, error) {
 		t.AddRow(mode,
 			fmt.Sprintf("%.0f", float64(blocked)/1e3),
 			fmt.Sprintf("%.0f", float64(copyWork)/1e3),
-			fmt.Sprintf("%.0f", float64(res.TotalCycles)/float64(res.Ops)))
+			fmt.Sprintf("%.0f", float64(res.Total.Cycles)/float64(res.Total.Ops)))
 	}
 	return t, nil
 }

@@ -35,9 +35,6 @@ type Config struct {
 	// Ops is the measured operation count per thread. 0 selects the
 	// default (80k).
 	Ops int
-	// WarmupOps run before measurement to reach steady state. 0 selects
-	// Ops/4.
-	Warmup int
 	// Seed drives all randomness.
 	Seed int64
 	// FramesPerNode sizes each node's memory. 0 selects 1M frames (4GB).
@@ -46,16 +43,11 @@ type Config struct {
 	// calibrated scale; quick tests use smaller values (shapes are then
 	// not meaningful).
 	Scale float64
-	// Engine selects the execution engine mode for measured runs. The
-	// default (workloads.Auto) parallelizes multi-socket runs; results
-	// are identical across modes by the engine's determinism contract.
-	Engine workloads.Mode
 }
 
-// engine returns the run configuration for this experiment config.
-func (c Config) engine() workloads.EngineConfig {
-	return workloads.EngineConfig{Mode: c.Engine}
-}
+// Warmup is the operation count per thread run before measurement to
+// reach steady state: a quarter of Ops.
+func (c Config) Warmup() int { return c.Ops / 4 }
 
 // Quick returns a configuration for fast smoke runs (unit tests).
 func Quick() Config {
@@ -65,9 +57,6 @@ func Quick() Config {
 func (c Config) fill() Config {
 	if c.Ops == 0 {
 		c.Ops = 80000
-	}
-	if c.Warmup == 0 {
-		c.Warmup = c.Ops / 4
 	}
 	if c.Seed == 0 {
 		c.Seed = 42
@@ -98,18 +87,6 @@ func (c Config) machine(thp bool) mitosis.SystemConfig {
 		frames = 512
 	}
 	return mitosis.SystemConfig{MemoryPerNode: frames * 4096, THP: thp}
-}
-
-// engineMode maps the internal engine mode to the public facade's.
-func engineMode(m workloads.Mode) mitosis.EngineMode {
-	switch m {
-	case workloads.Sequential:
-		return mitosis.SequentialEngine
-	case workloads.Parallel:
-		return mitosis.ParallelEngine
-	default:
-		return mitosis.AutoEngine
-	}
 }
 
 // workload instantiates a scaled copy of the named workload. A zero Scale

@@ -51,7 +51,7 @@ func HwScenario(cfg Config, hardware, config string) mitosis.Scenario {
 	opts := []mitosis.ProcOpt{
 		mitosis.OnSockets(0),
 		mitosis.WithPTNode(1),
-		mitosis.WithPhases(mitosis.Warmup(cfg.Warmup), mitosis.Measure(cfg.Ops)),
+		mitosis.WithPhases(mitosis.Warmup(cfg.Warmup()), mitosis.Measure(cfg.Ops)),
 	}
 	if config == "replicated" {
 		opts = append(opts, mitosis.WithReplication(mitosis.ReplicationSpec{All: true}))
@@ -91,7 +91,7 @@ func RunHwCompare(cfg Config) (*HwResult, error) {
 	for _, hw := range HwBackends() {
 		for _, config := range HwConfigs() {
 			sc := HwScenario(cfg, hw, config)
-			rr, err := mitosis.Run(sc, mitosis.WithEngine(engineMode(cfg.Engine)))
+			rr, err := mitosis.Run(sc)
 			if err != nil {
 				return nil, runErr("hwcmp "+sc.Name, err)
 			}

@@ -135,7 +135,7 @@ func runPolicyRow(cfg Config, name string) (PolicyRow, error) {
 	cfg = cfg.fill()
 	row := PolicyRow{Policy: name}
 	sc := PolicyScenario(cfg, name)
-	rr, err := mitosis.Run(sc, mitosis.WithEngine(engineMode(cfg.Engine)))
+	rr, err := mitosis.Run(sc)
 	if err != nil {
 		return row, err
 	}

@@ -49,7 +49,7 @@ func MSScenario(cfg Config, name string, pol MSPolicy, thp bool) mitosis.Scenari
 	measure := mitosis.Measure(cfg.Ops)
 	measure.AutoNUMA = pol.AutoNUMA
 	opts := []mitosis.ProcOpt{
-		mitosis.WithPhases(mitosis.Warmup(cfg.Warmup), measure),
+		mitosis.WithPhases(mitosis.Warmup(cfg.Warmup()), measure),
 	}
 	if pol.Interleave {
 		opts = append(opts, mitosis.WithDataPolicy(mitosis.PlaceInterleave))
@@ -73,7 +73,7 @@ func msRun(cfg Config, name string, pol MSPolicy, thp bool) (mitosis.Counters, *
 	cfg = cfg.fill()
 	sc := MSScenario(cfg, name, pol, thp)
 	sys := mitosis.NewSystem(sc.Machine)
-	rr, err := sys.Run(sc, mitosis.WithEngine(engineMode(cfg.Engine)))
+	rr, err := sys.Run(sc)
 	if err != nil {
 		return mitosis.Counters{}, nil, runErr("ms "+name+"/"+pol.Name, err)
 	}
@@ -131,7 +131,7 @@ func WMScenario(cfg Config, name string, c WMConfig, thp bool, fragmentation flo
 	if c.RemoteData {
 		dataNode = nodeB
 	}
-	warmup := mitosis.Warmup(cfg.Warmup)
+	warmup := mitosis.Warmup(cfg.Warmup())
 	if c.MitosisMigrate {
 		// Mitosis migrates the stranded tables back to A before warmup
 		// and pins future page-table allocations there.
@@ -164,7 +164,7 @@ func wmRun(cfg Config, name string, c WMConfig, thp bool, fragmentation float64)
 	cfg = cfg.fill()
 	sc := WMScenario(cfg, name, c, thp, fragmentation)
 	sys := mitosis.NewSystem(sc.Machine)
-	rr, err := sys.Run(sc, mitosis.WithEngine(engineMode(cfg.Engine)))
+	rr, err := sys.Run(sc)
 	if err != nil {
 		return mitosis.Counters{}, nil, runErr("wm "+name+"/"+c.Name, err)
 	}

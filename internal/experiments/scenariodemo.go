@@ -24,7 +24,7 @@ func DemoScenario(cfg Config) mitosis.Scenario {
 			mitosis.WithDataBind(0),
 			mitosis.WithPTNode(1),
 			mitosis.UnderPolicy("ondemand"),
-			mitosis.WithPhases(mitosis.Warmup(cfg.Warmup), mitosis.Measure(cfg.Ops)),
+			mitosis.WithPhases(mitosis.Warmup(cfg.Warmup()), mitosis.Measure(cfg.Ops)),
 		)),
 		mitosis.WithProc(mitosis.NewProc("pagerank-ms",
 			mitosis.Analytics("PageRank", mitosis.InSuite("wm"), mitosis.Scaled(cfg.Scale)),
@@ -45,7 +45,7 @@ type ScenarioResult struct {
 func RunScenario(cfg Config) (*ScenarioResult, error) {
 	cfg = cfg.fill()
 	sc := DemoScenario(cfg)
-	rr, err := mitosis.Run(sc, mitosis.WithEngine(engineMode(cfg.Engine)))
+	rr, err := mitosis.Run(sc)
 	if err != nil {
 		return nil, runErr("scenario demo", err)
 	}

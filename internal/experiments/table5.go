@@ -154,7 +154,7 @@ func RunTable6(cfg Config) (*metrics.Table, error) {
 				mitosis.WithProc(mitosis.NewProc(name,
 					mitosis.NamedWorkload(name, mitosis.InSuite("wm"), mitosis.Scaled(cfg.Scale)),
 					opts...)))
-			rr, err := mitosis.Run(sc, mitosis.WithEngine(engineMode(cfg.Engine)))
+			rr, err := mitosis.Run(sc)
 			if err != nil {
 				return nil, err
 			}

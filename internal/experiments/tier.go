@@ -70,7 +70,7 @@ func TierScenario(cfg Config, config string) mitosis.Scenario {
 	cfg = cfg.fill()
 	opts := []mitosis.ProcOpt{
 		mitosis.OnSockets(0),
-		mitosis.WithPhases(mitosis.Warmup(cfg.Warmup), mitosis.Measure(cfg.Ops)),
+		mitosis.WithPhases(mitosis.Warmup(cfg.Warmup()), mitosis.Measure(cfg.Ops)),
 	}
 	if config != "local" {
 		opts = append(opts, mitosis.WithPTNode(tierNodeIndex))
@@ -101,7 +101,7 @@ func TierScenario(cfg Config, config string) mitosis.Scenario {
 // tierRun executes one ladder rung and returns its full result.
 func tierRun(cfg Config, config string) (*mitosis.RunResult, error) {
 	sc := TierScenario(cfg, config)
-	rr, err := mitosis.Run(sc, mitosis.WithEngine(engineMode(cfg.Engine)))
+	rr, err := mitosis.Run(sc)
 	if err != nil {
 		return nil, runErr("tier "+config, err)
 	}
@@ -170,7 +170,7 @@ func TierBenchScenario(cfg Config) mitosis.Scenario {
 		base := []mitosis.ProcOpt{
 			mitosis.OnSockets(0),
 			mitosis.WithPTNode(tierNodeIndex),
-			mitosis.WithPhases(mitosis.Warmup(cfg.Warmup), mitosis.Measure(cfg.Ops)),
+			mitosis.WithPhases(mitosis.Warmup(cfg.Warmup()), mitosis.Measure(cfg.Ops)),
 		}
 		return mitosis.NewProc(name,
 			mitosis.GUPS(mitosis.InSuite("wm"), mitosis.Scaled(cfg.Scale)),
@@ -197,7 +197,7 @@ func TierBenchScenario(cfg Config) mitosis.Scenario {
 				StepPages:    tierStepPages,
 				HotThreshold: 2,
 			}),
-			mitosis.WithPhases(mitosis.Warmup(cfg.Warmup), mitosis.Measure(cfg.Ops)),
+			mitosis.WithPhases(mitosis.Warmup(cfg.Warmup()), mitosis.Measure(cfg.Ops)),
 		)),
 	)
 }
@@ -207,7 +207,7 @@ func TierBenchScenario(cfg Config) mitosis.Scenario {
 func RunTierScenario(cfg Config) (*TierResult, error) {
 	cfg = cfg.fill()
 	sc := TierBenchScenario(cfg)
-	rr, err := mitosis.Run(sc, mitosis.WithEngine(engineMode(cfg.Engine)))
+	rr, err := mitosis.Run(sc)
 	if err != nil {
 		return nil, runErr("tier scenario", err)
 	}

@@ -54,7 +54,7 @@ func VirtScenario(cfg Config, mode string) mitosis.Scenario {
 			mitosis.OnSockets(0),
 			mitosis.WithDataBind(virtHomeNode),
 			mitosis.WithVM(mitosis.VMSpec{HomeNode: virtHomeNode, Replication: mode}),
-			mitosis.WithPhases(mitosis.Warmup(cfg.Warmup), mitosis.Measure(cfg.Ops)),
+			mitosis.WithPhases(mitosis.Warmup(cfg.Warmup()), mitosis.Measure(cfg.Ops)),
 		)),
 	)
 }
@@ -63,7 +63,7 @@ func VirtScenario(cfg Config, mode string) mitosis.Scenario {
 // counters.
 func virtRun(cfg Config, mode string) (mitosis.Counters, error) {
 	sc := VirtScenario(cfg, mode)
-	rr, err := mitosis.Run(sc, mitosis.WithEngine(engineMode(cfg.Engine)))
+	rr, err := mitosis.Run(sc)
 	if err != nil {
 		return mitosis.Counters{}, runErr("virt "+mode, err)
 	}
@@ -166,7 +166,7 @@ func VirtBenchScenario(cfg Config) mitosis.Scenario {
 func RunVirtScenario(cfg Config) (*VirtResult, error) {
 	cfg = cfg.fill()
 	sc := VirtBenchScenario(cfg)
-	rr, err := mitosis.Run(sc, mitosis.WithEngine(engineMode(cfg.Engine)))
+	rr, err := mitosis.Run(sc)
 	if err != nil {
 		return nil, runErr("virt scenario", err)
 	}

@@ -379,18 +379,6 @@ func (m *Machine) AddCycles(core numa.CoreID, cy numa.Cycles) {
 	m.core(core).stats.Cycles += cy
 }
 
-// MaxCycles returns the highest cycle count across the given cores — the
-// makespan of a parallel phase.
-func (m *Machine) MaxCycles(cores []numa.CoreID) numa.Cycles {
-	var maxCy numa.Cycles
-	for _, c := range cores {
-		if cy := m.core(c).stats.Cycles; cy > maxCy {
-			maxCy = cy
-		}
-	}
-	return maxCy
-}
-
 // AccessOp is one memory operation of a batch: a virtual address and the
 // load/store direction.
 type AccessOp struct {

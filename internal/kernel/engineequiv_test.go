@@ -110,7 +110,7 @@ func TestEngineEquivalence1GFragmented(t *testing.T) {
 		if err != nil {
 			t.Fatalf("mode %v: %v", mode, err)
 		}
-		if res.Walks == 0 {
+		if res.Total.Walks == 0 {
 			t.Fatalf("mode %v: no page walks — stress mix not exercising the TLB-miss path", mode)
 		}
 		if ref == nil {

@@ -260,24 +260,15 @@ func (e *PolicyEngine) telemetry(round int) *core.Telemetry {
 	for s := 0; s < topo.Sockets(); s++ {
 		sid := numa.SocketID(s)
 		cur := k.machine.SocketStats(sid)
-		d := cur.Sub(e.prev[s])
-		e.prev[s] = cur
 		node := topo.NodeOf(sid)
 		t.Sockets[s] = core.SocketSample{
-			Socket:             sid,
-			Node:               node,
-			RunsCores:          e.runsOn(sid),
-			HasReplica:         slices.Contains(replicated, node),
-			Ops:                d.Ops,
-			Cycles:             d.Cycles,
-			WalkCycles:         d.WalkCycles,
-			Walks:              d.Walks,
-			WalkMemAccesses:    d.WalkMemAccesses,
-			WalkRemoteAccesses: d.WalkRemoteAccesses,
-			WalkRemoteCycles:   d.WalkRemoteCycles,
-			DataMemAccesses:    d.DataMemAccesses,
-			DataRemoteAccesses: d.DataRemoteAccesses,
+			Socket:     sid,
+			Node:       node,
+			RunsCores:  e.runsOn(sid),
+			HasReplica: slices.Contains(replicated, node),
+			CoreStats:  cur.Sub(e.prev[s]),
 		}
+		e.prev[s] = cur
 	}
 	return t
 }

@@ -67,10 +67,8 @@ func (s *CoreStats) WalkCycleFraction() float64 {
 	return float64(s.WalkCycles) / float64(s.Cycles)
 }
 
-// Merge adds o's counters into s. The machine's batch path accumulates
-// a whole batch into a scratch CoreStats and merges once, so the hot
-// loop touches one cache line instead of re-loading the core's
-// long-lived stats.
+// Merge adds o's counters into s: the one way counters of several cores
+// are summed (a socket's, a run's, a process's).
 func (s *CoreStats) Merge(o *CoreStats) {
 	s.Ops += o.Ops
 	s.Cycles += o.Cycles

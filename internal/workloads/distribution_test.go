@@ -131,7 +131,7 @@ func TestSequentialWorkloadsHaveLowTLBPressure(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return float64(res.Walks) / float64(res.Ops)
+		return float64(res.Total.Walks) / float64(res.Total.Ops)
 	}
 	stream := missRate(shrink(NewSTREAM()))
 	gups := missRate(shrink(NewGUPS()))

@@ -133,8 +133,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 			if !reflect.DeepEqual(seq, par) {
 				t.Errorf("parallel result diverged from sequential:\nseq: %+v\npar: %+v", seq, par)
 			}
-			if seq.Ops != 4*4000 {
-				t.Errorf("Ops = %d, want %d", seq.Ops, 4*4000)
+			if seq.Total.Ops != 4*4000 {
+				t.Errorf("Ops = %d, want %d", seq.Total.Ops, 4*4000)
 			}
 		})
 	}
@@ -187,17 +187,17 @@ func (h *countHook) Tick(round int) error {
 }
 
 // TestRoundsCountsBarriers: Rounds is the number of barriers a run ticks
-// its hook at, for any op count and chunk — the count every round clock
-// above the engine advances by.
+// its hook at, for any op count — the count every round clock above the
+// engine advances by.
 func TestRoundsCountsBarriers(t *testing.T) {
 	env, w := engineEnv(t, func() Workload { return NewGUPS() }, 2, 1)
-	for _, tc := range []struct{ ops, chunk int }{{1, 0}, {32, 0}, {33, 0}, {100, 7}, {5, 1000}} {
+	for _, ops := range []int{1, 32, 33, 100, 5} {
 		h := &countHook{t: t}
-		if _, err := RunWith(env, w, tc.ops, EngineConfig{Mode: Sequential, Chunk: tc.chunk, Hook: h}); err != nil {
+		if _, err := RunWith(env, w, ops, EngineConfig{Mode: Sequential, Hook: h}); err != nil {
 			t.Fatal(err)
 		}
-		if want := Rounds(tc.ops, tc.chunk); h.ticks != want || !h.ended {
-			t.Errorf("ops %d chunk %d: %d ticks (ended %v), Rounds says %d", tc.ops, tc.chunk, h.ticks, h.ended, want)
+		if want := Rounds(ops); h.ticks != want || !h.ended {
+			t.Errorf("ops %d: %d ticks (ended %v), Rounds says %d", ops, h.ticks, h.ended, want)
 		}
 	}
 }

@@ -8,56 +8,17 @@ import (
 	"github.com/mitosis-project/mitosis-sim/internal/numa"
 )
 
-// Result aggregates one run's hardware counters.
+// Result is one run's hardware counters: each core's, their sum, and the
+// makespan.
 type Result struct {
-	// Cycles is the makespan: the maximum per-core cycle count.
-	Cycles numa.Cycles
-	// WalkCycles is the summed page-walk cycles across cores.
-	WalkCycles numa.Cycles
-	// TotalCycles is the summed cycles across cores.
-	TotalCycles numa.Cycles
-	// Walks is the total number of page walks.
-	Walks uint64
-	// Ops is the total operations executed.
-	Ops uint64
-	// RemoteWalkAccesses / WalkMemAccesses / WalkLLCHits aggregate the
-	// walker's memory behaviour.
-	RemoteWalkAccesses uint64
-	WalkMemAccesses    uint64
-	WalkLLCHits        uint64
-	// RemoteWalkCycles is the raw DRAM latency of remote page-table reads
-	// (pre overlap scaling) — the walk-locality signal policies tick on.
-	RemoteWalkCycles numa.Cycles
-	// TierWalkAccesses / TierWalkCycles / TierDataAccesses aggregate the
-	// accesses served by slow-tier (CXL/NVM) nodes; zero on flat machines.
-	TierWalkAccesses uint64
-	TierWalkCycles   numa.Cycles
-	TierDataAccesses uint64
-	// GuestWalkCycles / NestedWalkCycles split two-dimensional walk reads
-	// by dimension for virtualized runs (raw, pre overlap scaling); zero
-	// for native runs.
-	GuestWalkCycles  numa.Cycles
-	NestedWalkCycles numa.Cycles
-	// PerCore retains the raw counters.
+	// PerCore holds each participating core's counters, in order of first
+	// participation.
 	PerCore []hw.CoreStats
-}
-
-// WalkCycleFraction returns aggregate walk cycles over aggregate cycles —
-// the hashed fraction of the paper's runtime bars.
-func (r *Result) WalkCycleFraction() float64 {
-	if r.TotalCycles == 0 {
-		return 0
-	}
-	return float64(r.WalkCycles) / float64(r.TotalCycles)
-}
-
-// RemoteWalkCycleFraction returns remote page-table DRAM cycles over
-// aggregate cycles — the locality metric replication policies optimize.
-func (r *Result) RemoteWalkCycleFraction() float64 {
-	if r.TotalCycles == 0 {
-		return 0
-	}
-	return float64(r.RemoteWalkCycles) / float64(r.TotalCycles)
+	// Total is the Merge of PerCore. Total.Cycles sums cycles across cores;
+	// the run's length is Makespan.
+	Total hw.CoreStats
+	// Makespan is the maximum per-core cycle count.
+	Makespan numa.Cycles
 }
 
 // Mode selects how the execution engine schedules the simulated cores.
@@ -77,10 +38,11 @@ const (
 	Parallel
 )
 
-// DefaultChunk is the engine's default round length: ops per core between
-// coherence barriers. It matches the original per-op engine's round-robin
-// interleave granularity, so cross-socket page-table line invalidations
-// land with at most one round of latency.
+// DefaultChunk is the engine's round length: ops per core between
+// coherence barriers, and so the modeled cross-socket invalidation
+// latency. It matches the original per-op engine's round-robin interleave
+// granularity, so cross-socket page-table line invalidations land with at
+// most one round of latency.
 const DefaultChunk = 32
 
 // BarrierHook runs kernel-side work at the engine's round barriers — the
@@ -106,11 +68,6 @@ type BarrierHook interface {
 type EngineConfig struct {
 	// Mode is the scheduling mode (default Auto).
 	Mode Mode
-	// Chunk is the number of operations each core executes per round
-	// (default DefaultChunk). Both modes use the same chunk, and results
-	// are only comparable between runs with equal chunks: the chunk is
-	// the modeled cross-socket invalidation latency.
-	Chunk int
 	// Hook, if set, ticks at every round barrier. Ticks run identically
 	// in Sequential and Parallel modes, preserving the determinism
 	// contract. If a tick migrates the process, the engine rebinds its
@@ -119,19 +76,15 @@ type EngineConfig struct {
 }
 
 // Rounds is the number of rounds, and so of barriers, a run of
-// opsPerThread operations per thread takes at the given chunk
-// (DefaultChunk when chunk <= 0). Every round clock built on top of the
-// engine advances by it.
-func Rounds(opsPerThread, chunk int) int {
+// opsPerThread operations per thread takes. Every round clock built on
+// top of the engine advances by it.
+func Rounds(opsPerThread int) int {
 	if opsPerThread <= 0 {
 		return 0
 	}
-	if chunk <= 0 {
-		chunk = DefaultChunk
-	}
-	// ceil(opsPerThread/chunk), written so a chunk near MaxInt cannot
-	// overflow.
-	return (opsPerThread-1)/chunk + 1
+	// ceil(opsPerThread/DefaultChunk), written so an op count near MaxInt
+	// cannot overflow.
+	return (opsPerThread-1)/DefaultChunk + 1
 }
 
 // Run executes opsPerThread operations of w on every core the process is
@@ -178,13 +131,9 @@ func run(env *Env, w Workload, opsPerThread int, reset bool, cfg EngineConfig) (
 	if reset {
 		env.K.Machine().ResetStats()
 	}
-	chunk := cfg.Chunk
-	if chunk <= 0 {
-		chunk = DefaultChunk
-	}
-	// No thread issues more than the phase's ops in a round, so an
-	// oversized chunk runs the same rounds without the buffers it names.
-	d.chunk = min(chunk, opsPerThread)
+	// No thread issues more than the phase's ops in a round, so a short
+	// phase runs the same rounds with shorter buffers.
+	d.chunk = min(DefaultChunk, opsPerThread)
 	if d.hook != nil {
 		d.hook.RunStart()
 		defer d.hook.RunEnd()
@@ -271,22 +220,8 @@ func Collect(env *Env, cores []numa.CoreID) *Result {
 	for _, c := range cores {
 		s := m.Stats(c)
 		res.PerCore = append(res.PerCore, s)
-		if s.Cycles > res.Cycles {
-			res.Cycles = s.Cycles
-		}
-		res.TotalCycles += s.Cycles
-		res.WalkCycles += s.WalkCycles
-		res.Walks += s.Walks
-		res.Ops += s.Ops
-		res.RemoteWalkAccesses += s.WalkRemoteAccesses
-		res.WalkMemAccesses += s.WalkMemAccesses
-		res.WalkLLCHits += s.WalkLLCHits
-		res.RemoteWalkCycles += s.WalkRemoteCycles
-		res.GuestWalkCycles += s.GuestWalkCycles
-		res.NestedWalkCycles += s.NestedWalkCycles
-		res.TierWalkAccesses += s.WalkTierAccesses
-		res.TierWalkCycles += s.WalkTierCycles
-		res.TierDataAccesses += s.DataTierAccesses
+		res.Total.Merge(&s)
+		res.Makespan = max(res.Makespan, s.Cycles)
 	}
 	return res
 }

@@ -82,13 +82,13 @@ func TestAllWorkloadsSetupAndRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Ops != 4000 {
-				t.Errorf("Ops = %d, want 4000", res.Ops)
+			if res.Total.Ops != 4000 {
+				t.Errorf("Ops = %d, want 4000", res.Total.Ops)
 			}
-			if res.Cycles == 0 {
+			if res.Makespan == 0 {
 				t.Error("no cycles accumulated")
 			}
-			if res.Walks == 0 {
+			if res.Total.Walks == 0 {
 				t.Errorf("%s: no page walks at all — footprint fits the TLB?", w.Name())
 			}
 		})
@@ -168,7 +168,7 @@ func TestDeterministicRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Cycles
+		return res.Makespan
 	}
 	if a, b := run(), run(); a != b {
 		t.Errorf("two identical runs diverged: %d vs %d cycles", a, b)

@@ -3,7 +3,6 @@ package mitosis
 import (
 	"bytes"
 	"encoding/json"
-	"math"
 	"os"
 	"reflect"
 	"strings"
@@ -254,24 +253,6 @@ func TestRunDeterminismAcrossModes(t *testing.T) {
 		t.Error("JSON replay diverged from the original run")
 	}
 
-	// A non-default chunk is part of the record: replaying with the
-	// recorded chunk reproduces the counters; the default chunk would
-	// shift the policy's tick rounds.
-	chunked, err := Run(sc, WithEngine(SequentialEngine), WithChunk(512))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if chunked.Chunk != 512 {
-		t.Errorf("RunResult.Chunk = %d, want 512", chunked.Chunk)
-	}
-	rechunked, err := Run(chunked.Scenario, WithEngine(SequentialEngine), WithChunk(chunked.Chunk))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(chunked.Phases, rechunked.Phases) {
-		t.Error("replay with the recorded chunk diverged")
-	}
-
 	// Measured picks the non-warmup phase.
 	m := ref.Measured("gups")
 	if m == nil || m.Phase != "measure" || m.Warmup {
@@ -282,6 +263,69 @@ func TestRunDeterminismAcrossModes(t *testing.T) {
 	}
 	if len(m.PerSocket) != 4 {
 		t.Errorf("per-socket breakdown has %d sockets, want 4", len(m.PerSocket))
+	}
+}
+
+// TestCountersMatchPerSocket: a phase's Counters (its process's cores)
+// and PerSocket (every socket's cores) are two projections of one counter
+// record, so with one process on the machine the sockets sum to the
+// process on every field both carry. The scenarios cover a policy's
+// background copies, 2D walks, a slow tier and fault recovery.
+func TestCountersMatchPerSocket(t *testing.T) {
+	virt := testVirtScenario()
+	virt.Processes[0].VM.Replication = VMReplicationBoth
+	tiered := testTierScenario()
+	tiered.Processes = tiered.Processes[:1]
+	for _, tc := range []struct {
+		name string
+		sc   Scenario
+	}{
+		{"native", NewScenario("test/counters-native",
+			OnMachine(SystemConfig{Sockets: 4, CoresPerSocket: 2, MemoryPerNode: 256 << 20, Hardware: testBackend()}),
+			WithSeed(7),
+			WithProc(NewProc("gups", GUPS(InSuite("wm"), Scaled(1.0/32)),
+				OnSockets(0, 1), WithPTNode(2), UnderPolicy("ondemand"),
+				WithPhases(Warmup(500), Measure(2000)))))},
+		{"virt", virt},
+		{"tiered", tiered},
+		{"faults", faultScenario("test/counters-faults", faultModesPlan, true)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rr, err := Run(tc.sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ph := range rr.Phases {
+				var sum Counters
+				for _, s := range ph.PerSocket {
+					sum.Ops += s.Ops
+					sum.Walks += s.Walks
+					sum.TotalCycles += s.Cycles
+					sum.WalkCycles += s.WalkCycles
+					sum.RemoteWalkCycles += s.RemoteWalkCycles
+					sum.GuestWalkCycles += s.GuestWalkCycles
+					sum.NestedWalkCycles += s.NestedWalkCycles
+					sum.WalkMemAccesses += s.WalkMemAccesses
+					sum.WalkRemoteAccesses += s.WalkRemoteAccesses
+					sum.TierWalkAccesses += s.WalkTierAccesses
+					sum.TierDataAccesses += s.DataTierAccesses
+				}
+				c := ph.Counters
+				shared := Counters{
+					Ops: c.Ops, Walks: c.Walks, TotalCycles: c.TotalCycles, WalkCycles: c.WalkCycles,
+					RemoteWalkCycles: c.RemoteWalkCycles, GuestWalkCycles: c.GuestWalkCycles,
+					NestedWalkCycles: c.NestedWalkCycles, WalkMemAccesses: c.WalkMemAccesses,
+					WalkRemoteAccesses: c.WalkRemoteAccesses, TierWalkAccesses: c.TierWalkAccesses,
+					TierDataAccesses: c.TierDataAccesses,
+				}
+				if shared != sum {
+					t.Errorf("%s/%s: Counters %+v, PerSocket sums to %+v", ph.Process, ph.Phase, shared, sum)
+				}
+				if c.Ops == 0 {
+					t.Errorf("%s/%s: no ops", ph.Process, ph.Phase)
+				}
+			}
+		})
 	}
 }
 
@@ -325,7 +369,7 @@ func TestRunObserver(t *testing.T) {
 			var rounds int
 			for _, p := range tc.sc.Processes {
 				for _, ph := range p.Phases {
-					rounds += workloads.Rounds(ph.Ops, 0)
+					rounds += workloads.Rounds(ph.Ops)
 				}
 			}
 			if ticks != rounds {
@@ -401,32 +445,11 @@ func TestSpawnExplicitSockets(t *testing.T) {
 	}
 }
 
-// TestOversizedChunk: a round length beyond what any thread can issue in
-// one round runs the same rounds as the largest useful one — a phase's
-// ops per thread, or a churn process's pages per core — without sizing
-// buffers by it or overflowing the round clock.
+// TestOversizedChunk: a churn round length beyond what any core can issue
+// in one round runs the same rounds as the largest useful one — a churn
+// process's pages per core — without sizing buffers by it or overflowing
+// the round clock.
 func TestOversizedChunk(t *testing.T) {
-	sc := NewScenario("test/oversized-chunk",
-		OnMachine(SystemConfig{Sockets: 4, CoresPerSocket: 1, MemoryPerNode: 128 << 20, Hardware: testBackend()}),
-		WithProc(NewProc("gups", GUPS(InSuite("wm"), Scaled(1.0/32)),
-			OnSockets(0, 1), WithPTNode(2), UnderPolicy("ondemand"),
-			WithPhases(Warmup(100), Measure(100)),
-		)),
-	)
-	ref, err := Run(sc, WithChunk(100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, chunk := range []int{1 << 40, math.MaxInt} {
-		rr, err := Run(sc, WithChunk(chunk))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(rr.Phases, ref.Phases) || !reflect.DeepEqual(rr.Policies, ref.Policies) {
-			t.Errorf("chunk %d diverged from chunk 100:\ngot:  %+v %+v\nwant: %+v %+v", chunk, rr.Phases, rr.Policies, ref.Phases, ref.Policies)
-		}
-	}
-
 	c := testChurn()
 	c.Chunk = (c.PagesPerProc + c.HugePages + c.Machine.CoresPerSocket - 1) / c.Machine.CoresPerSocket
 	want, err := RunChurn(c)

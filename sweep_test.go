@@ -46,7 +46,6 @@ func TestSweepValidate(t *testing.T) {
 		{func(s *Sweep) { s.Fragmentation = []float64{1.5} }, "fragmentation"},
 		{func(s *Sweep) { s.BaseSeed = -1; s.SeedStride = 1; s.SeedRungs = 3 }, "seed 0"},
 		{func(s *Sweep) { s.MeasureOps = -5 }, "measure_ops"},
-		{func(s *Sweep) { s.Engine = "warp" }, "engine mode"},
 		{func(s *Sweep) { s.Machine.Hardware = HardwareX8664LA57 }, "4-level"},
 	}
 	for _, c := range cases {
