@@ -514,7 +514,6 @@ func BenchmarkMicroReplicateTable(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		k := kernel.New(kernel.Config{FramesPerNode: 1 << 17})
-		k.Sysctl().Mode = core.ModePerProcess
 		p, err := k.CreateProcess(kernel.ProcessOpts{Name: "rep", Home: 0})
 		if err != nil {
 			b.Fatal(err)

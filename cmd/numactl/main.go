@@ -2,7 +2,9 @@
 // extension (Listing 2): it launches a named workload on the simulated
 // machine under the requested data placement, CPU binding and — the
 // addition — page-table replication mask, then reports the hardware
-// counters.
+// counters. The launch is a one-process scenario run through the public
+// facade: the workload's set-up, the replication mask, then one measured
+// phase of -ops operations per worker.
 //
 // Usage:
 //
@@ -18,19 +20,18 @@ import (
 	"strconv"
 	"strings"
 
-	"github.com/mitosis-project/mitosis-sim/internal/core"
-	"github.com/mitosis-project/mitosis-sim/internal/kernel"
-	"github.com/mitosis-project/mitosis-sim/internal/numa"
+	mitosis "github.com/mitosis-project/mitosis-sim"
 	"github.com/mitosis-project/mitosis-sim/internal/workloads"
 )
 
 func main() {
 	interleave := flag.Bool("interleave", false, "interleave data pages across all nodes")
 	membind := flag.Int("membind", -1, "bind data pages to one node")
-	cpunode := flag.Int("cpunodebind", 0, "run on this socket")
+	cpunode := flag.Int("cpunodebind", 0, "run on this socket (ignored with -all)")
 	all := flag.Bool("all", false, "run one worker on every socket")
-	repl := flag.String("pgtablerepl", "", "replicate page-tables: 'all' or a node list like 0,2")
-	replShort := flag.String("r", "", "alias for --pgtablerepl")
+	var mask string
+	flag.StringVar(&mask, "pgtablerepl", "", "replicate page-tables: 'all' or a node list like 0,2")
+	flag.StringVar(&mask, "r", "", "alias for --pgtablerepl")
 	thp := flag.Bool("thp", false, "enable transparent huge pages")
 	ops := flag.Int("ops", 100000, "operations per worker")
 	flag.Parse()
@@ -40,102 +41,81 @@ func main() {
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
-	scenario := "wm"
+	suite := "wm"
 	if *all {
-		scenario = "ms"
+		suite = "ms"
 	}
-	w := workloads.ByName(flag.Arg(0), scenario)
+	w := workloads.ByName(flag.Arg(0), suite)
 	if w == nil {
 		log.Fatalf("unknown workload %q", flag.Arg(0))
 	}
+	if w.Name() == "STREAM" {
+		// STREAM has no suite variants; the facade rejects a suite for it.
+		suite = ""
+	}
 
-	k := kernel.New(kernel.Config{})
-	k.SetTHP(*thp)
-	k.Sysctl().Mode = core.ModePerProcess
-	k.Sysctl().PageCacheTarget = 64
-	k.ApplySysctl()
-
-	opts := kernel.ProcessOpts{
-		Name:         w.Name(),
-		Home:         numa.SocketID(*cpunode),
-		DataLocality: w.DataLocality(),
+	opts := []mitosis.ProcOpt{mitosis.WithPhases(mitosis.Measure(*ops))}
+	if !*all {
+		opts = append(opts, mitosis.OnSockets(*cpunode))
 	}
 	switch {
 	case *interleave:
-		opts.DataPolicy = kernel.Interleave
+		opts = append(opts, mitosis.WithDataPolicy(mitosis.PlaceInterleave))
 	case *membind >= 0:
-		opts.DataPolicy = kernel.Bind
-		opts.BindNode = numa.NodeID(*membind)
-	}
-	p, err := k.CreateProcess(opts)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	topo := k.Topology()
-	var cores []numa.CoreID
-	if *all {
-		for s := 0; s < topo.Sockets(); s++ {
-			cores = append(cores, topo.FirstCoreOf(numa.SocketID(s)))
-		}
-	} else {
-		cores = []numa.CoreID{topo.FirstCoreOf(numa.SocketID(*cpunode))}
-	}
-	if err := k.RunOn(p, cores); err != nil {
-		log.Fatal(err)
-	}
-
-	env := workloads.NewEnv(k, p, *thp, 42)
-	fmt.Printf("initializing %s (%d MB)...\n", w.Name(), w.Footprint()>>20)
-	if err := w.Setup(env); err != nil {
-		log.Fatal(err)
-	}
-
-	mask := *repl
-	if mask == "" {
-		mask = *replShort
+		opts = append(opts, mitosis.WithDataBind(*membind))
 	}
 	if mask != "" {
-		nodes, err := parseMask(mask, topo.Nodes())
+		r, err := parseMask(mask)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := p.SetReplicationMask(nodes); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("page-table replicas on nodes %v\n", p.ReplicaNodes())
+		opts = append(opts, mitosis.WithReplication(r))
+	}
+	sc := mitosis.NewScenario("numactl",
+		mitosis.OnMachine(mitosis.SystemConfig{THP: *thp}),
+		mitosis.WithProc(mitosis.NewProc(w.Name(), mitosis.NamedWorkload(w.Name(), mitosis.InSuite(suite)), opts...)))
+	if err := sc.Validate(); err != nil {
+		log.Fatal(err)
 	}
 
-	res, err := workloads.Run(env, w, *ops)
+	fmt.Printf("initializing %s (%d MB)...\n", w.Name(), w.Footprint()>>20)
+	rr, err := mitosis.Run(sc)
 	if err != nil {
 		log.Fatal(err)
 	}
-	t := &res.Total
-	fmt.Printf("\n%s: %d ops on %d worker(s)\n", w.Name(), t.Ops, len(cores))
-	fmt.Printf("  runtime (makespan):   %d cycles\n", res.Makespan)
-	fmt.Printf("  page walks:           %d (%.1f%% of cycles)\n", t.Walks, t.WalkCycleFraction()*100)
-	fmt.Printf("  walker DRAM accesses: %d (%.0f%% remote)\n", t.WalkMemAccesses,
-		pct(t.WalkRemoteAccesses, t.WalkMemAccesses))
-	fmt.Printf("  walker LLC hits:      %d\n", t.WalkLLCHits)
+	ph := rr.Measured("")
+	if mask != "" {
+		fmt.Printf("page-table replicas on nodes %v\n", ph.ReplicaNodes)
+	}
+	workers := 1
+	if *all {
+		workers = rr.Scenario.Machine.Sockets
+	}
+	c := &ph.Counters
+	fmt.Printf("\n%s: %d ops on %d worker(s)\n", w.Name(), c.Ops, workers)
+	fmt.Printf("  runtime (makespan):   %d cycles\n", c.Cycles)
+	fmt.Printf("  page walks:           %d (%.1f%% of cycles)\n", c.Walks, c.WalkCycleFraction()*100)
+	fmt.Printf("  walker DRAM accesses: %d (%.0f%% remote)\n", c.WalkMemAccesses,
+		pct(c.WalkRemoteAccesses, c.WalkMemAccesses))
+	fmt.Printf("  walker LLC hits:      %d\n", c.WalkLLCHits)
 }
 
-func parseMask(s string, nodes int) ([]numa.NodeID, error) {
+// parseMask turns a --pgtablerepl value into a replication spec: "all"
+// or a comma-separated node list. Scenario validation range-checks the
+// nodes.
+func parseMask(s string) (mitosis.ReplicationSpec, error) {
 	if s == "all" {
-		out := make([]numa.NodeID, nodes)
-		for i := range out {
-			out[i] = numa.NodeID(i)
-		}
-		return out, nil
+		return mitosis.ReplicationSpec{All: true}, nil
 	}
-	var out []numa.NodeID
+	var nodes []int
 	for _, part := range strings.Split(s, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 0 || n >= nodes {
-			return nil, fmt.Errorf("numactl: bad node %q in mask", part)
+		if err != nil {
+			return mitosis.ReplicationSpec{}, fmt.Errorf("numactl: bad node %q in mask", part)
 		}
-		out = append(out, numa.NodeID(n))
+		nodes = append(nodes, n)
 	}
-	return out, nil
+	return mitosis.ReplicationSpec{Nodes: nodes}, nil
 }
 
 func pct(a, b uint64) float64 {

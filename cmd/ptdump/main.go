@@ -11,10 +11,11 @@
 // page-table on a chosen node so the tier placement of the table itself
 // is visible in the dump.
 //
-// -hardware selects the translation backend the machine boots (x8664,
-// x8664la57 or victima); -geometry prints the booted backend's geometry
-// — name, walk levels, VA reach, TLB arrays and paging-structure cache
-// rows — and exits without running a workload.
+// -hardware selects the translation hardware the machine boots: any
+// SystemConfig.Hardware string, a backend name (x8664, x8664la57 or
+// victima) optionally with sizing overrides; -geometry prints the booted
+// backend's geometry — name, walk levels, VA reach, TLB arrays and
+// paging-structure cache rows — and exits without running a workload.
 //
 // -faults takes a fault plan in the scenario DSL
 // (kind:r<N>[:p<N>][:n<N>][:g<N>][:f<N>], ';'-separated; kinds
@@ -23,6 +24,12 @@
 // matching the scenario engine's round length — and every snapshot then
 // appends a fault report: retired (poisoned) frames per node, offline
 // nodes, the process's replica health, and the recovery action log.
+//
+// The machine and the process are described as a one-process scenario and
+// validated by the public facade, so a bad -tiers, -hardware, -ptnode or
+// -faults value fails with the facade's error. ptdump then boots the
+// machine with mitosis.NewSystem and spawns the process from that spec;
+// the snapshot loop drives the kernel underneath.
 //
 // Usage:
 //
@@ -39,7 +46,7 @@ import (
 	"sort"
 	"strings"
 
-	"github.com/mitosis-project/mitosis-sim/internal/core"
+	mitosis "github.com/mitosis-project/mitosis-sim"
 	"github.com/mitosis-project/mitosis-sim/internal/fault"
 	"github.com/mitosis-project/mitosis-sim/internal/kernel"
 	"github.com/mitosis-project/mitosis-sim/internal/mem"
@@ -48,43 +55,6 @@ import (
 	"github.com/mitosis-project/mitosis-sim/internal/translate"
 	"github.com/mitosis-project/mitosis-sim/internal/workloads"
 )
-
-// ptdumpSockets mirrors the default machine (the paper's 4-socket Xeon)
-// when -tiers replaces the topology with a tiered one.
-const (
-	ptdumpSockets = 4
-	ptdumpCores   = 14
-)
-
-// parseTiers parses the -tiers flag: comma-separated kind@socket entries,
-// e.g. "cxl@0,nvm@1", matching the facade's SystemConfig.Tiers syntax.
-func parseTiers(s string) ([]numa.TierNode, error) {
-	var out []numa.TierNode
-	for i, part := range strings.Split(s, ",") {
-		kind, homeStr, ok := strings.Cut(strings.TrimSpace(part), "@")
-		if !ok {
-			return nil, fmt.Errorf("tier %d %q: want kind@socket", i, part)
-		}
-		var tk numa.MemTier
-		switch kind {
-		case "cxl":
-			tk = numa.TierCXL
-		case "nvm":
-			tk = numa.TierNVM
-		default:
-			return nil, fmt.Errorf("tier %d: unknown kind %q (want cxl or nvm)", i, kind)
-		}
-		var home int
-		if _, err := fmt.Sscanf(homeStr, "%d", &home); err != nil || fmt.Sprint(home) != homeStr {
-			return nil, fmt.Errorf("tier %d: bad home socket %q", i, homeStr)
-		}
-		if home < 0 || home >= ptdumpSockets {
-			return nil, fmt.Errorf("tier %d: home socket %d out of range [0,%d)", i, home, ptdumpSockets)
-		}
-		out = append(out, numa.TierNode{Kind: tk, Home: numa.SocketID(home)})
-	}
-	return out, nil
-}
 
 func main() {
 	name := flag.String("workload", "Memcached", "workload name (paper Table 1)")
@@ -95,7 +65,7 @@ func main() {
 	replicate := flag.Bool("replicate", false, "enable Mitosis replication on all sockets")
 	tiers := flag.String("tiers", "", "slow-tier nodes as kind@socket, e.g. cxl@0,nvm@1")
 	ptnode := flag.Int("ptnode", -1, "pin page-table allocation to this node (default: home socket)")
-	hardware := flag.String("hardware", "", "translation backend: x8664, x8664la57 or victima (default x8664)")
+	hardware := flag.String("hardware", "", "translation hardware: a SystemConfig.Hardware string, e.g. x8664, x8664la57 or victima (default x8664)")
 	geometry := flag.Bool("geometry", false, "print the booted translation-hardware geometry and exit")
 	faults := flag.String("faults", "", "fault plan (e.g. poison-pt:r100:p0:n1;offline:r200:n2), fired at snapshot boundaries")
 	flag.Parse()
@@ -110,66 +80,38 @@ func main() {
 		os.Exit(2)
 	}
 
-	kcfg := kernel.Config{Hardware: translate.Spec{Backend: *hardware}}
-	if err := kcfg.Hardware.Validate(); err != nil {
-		log.Fatalf("ptdump: -hardware: %v", err)
+	opts := []mitosis.ProcOpt{mitosis.WithPhases(mitosis.Measure(*interval))}
+	if *scenario == "wm" {
+		opts = append(opts, mitosis.OnSockets(0))
 	}
-	if *tiers != "" {
-		tn, err := parseTiers(*tiers)
-		if err != nil {
-			log.Fatalf("ptdump: -tiers: %v", err)
-		}
-		kcfg.Topology = numa.NewTieredTopology(ptdumpSockets, ptdumpCores, tn)
+	if *ptnode >= 0 {
+		opts = append(opts, mitosis.WithPTNode(*ptnode))
 	}
-	k := kernel.New(kcfg)
+	sc := mitosis.NewScenario("ptdump",
+		mitosis.OnMachine(mitosis.SystemConfig{THP: *thp, Tiers: *tiers, Hardware: *hardware}),
+		mitosis.WithFaults(*faults),
+		mitosis.WithProc(mitosis.NewProc(w.Name(), mitosis.NamedWorkload(w.Name()), opts...)))
+	if err := sc.Validate(); err != nil {
+		log.Fatalf("ptdump: %v", err)
+	}
+	sys := mitosis.NewSystem(sc.Machine)
+	k := sys.Kernel()
 	if *geometry {
 		printGeometry(k.HardwareGeometry())
 		return
 	}
-	k.SetTHP(*thp)
-	k.Sysctl().Mode = core.ModePerProcess
-	k.Sysctl().PageCacheTarget = 64
-	k.ApplySysctl()
-
-	popts := kernel.ProcessOpts{
-		Name: w.Name(), Home: 0, DataLocality: w.DataLocality(),
-	}
-	if *ptnode >= 0 {
-		if *ptnode >= k.Topology().Nodes() {
-			log.Fatalf("ptdump: -ptnode %d out of range [0,%d)", *ptnode, k.Topology().Nodes())
-		}
-		popts.PTPolicy = kernel.PTFixed
-		popts.PTNode = numa.NodeID(*ptnode)
-	}
-	p, err := k.CreateProcess(popts)
+	pr, err := sys.Spawn(sc.Processes[0])
 	if err != nil {
 		log.Fatal(err)
 	}
-	topo := k.Topology()
-	var cores []numa.CoreID
-	if *scenario == "wm" {
-		cores = []numa.CoreID{topo.FirstCoreOf(0)}
-	} else {
-		for s := 0; s < topo.Sockets(); s++ {
-			cores = append(cores, topo.FirstCoreOf(numa.SocketID(s)))
-		}
-	}
-	if err := k.RunOn(p, cores); err != nil {
-		log.Fatal(err)
-	}
+	p, topo := pr.Process(), k.Topology()
 	env := workloads.NewEnv(k, p, *thp, 42)
 	fmt.Printf("initializing %s (%d MB)...\n", w.Name(), w.Footprint()>>20)
 	if err := w.Setup(env); err != nil {
 		log.Fatal(err)
 	}
 	if *replicate {
-		// Replicas go on socket DRAM only: a walker never benefits from a
-		// copy on a CPU-less slow-tier node.
-		nodes := make([]numa.NodeID, topo.DRAMNodes())
-		for i := range nodes {
-			nodes[i] = numa.NodeID(i)
-		}
-		if err := p.SetReplicationMask(nodes); err != nil {
+		if err := pr.ReplicatePageTables(); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -177,9 +119,6 @@ func main() {
 	if *faults != "" {
 		plan, err := fault.ParsePlan(*faults)
 		if err != nil {
-			log.Fatalf("ptdump: -faults: %v", err)
-		}
-		if err := plan.Validate(1, topo.Nodes()); err != nil {
 			log.Fatalf("ptdump: -faults: %v", err)
 		}
 		feng = k.AttachFaultEngine(plan, []*kernel.Process{p}, []string{w.Name()})

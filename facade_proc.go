@@ -194,7 +194,7 @@ func (pr *Proc) CollapseReplicas() error {
 }
 
 // Policies lists the built-in replication policies PolicySpec accepts:
-// "static" (the sysctl-mask baseline, never acts at runtime), "ondemand"
+// "static" (the per-process mask baseline, never acts at runtime), "ondemand"
 // (numaPTE-style: replicate to a socket when its remote page-walk cycles
 // cross a threshold, deprecate cold replicas) and "costadaptive"
 // (Phoenix-style: price replication against thread migration with the

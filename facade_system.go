@@ -10,8 +10,8 @@
 // data migration, and a scheduler. On top of that substrate it implements
 // the paper's contribution: transparent page-table replication and
 // migration behind a PV-Ops-style interception layer, with the paper's
-// system-wide and per-process policies and the telemetry-driven runtime
-// policy engine.
+// per-process replication control and the telemetry-driven runtime policy
+// engine.
 //
 // # Scenarios
 //
@@ -64,7 +64,6 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/mitosis-project/mitosis-sim/internal/core"
 	"github.com/mitosis-project/mitosis-sim/internal/kernel"
 	"github.com/mitosis-project/mitosis-sim/internal/numa"
 )
@@ -283,35 +282,28 @@ func NewSystem(cfg SystemConfig) *System {
 		topo = numa.NewTieredTopology(norm.Sockets, norm.CoresPerSocket, tiers)
 	}
 	k := kernel.New(kernel.Config{
-		Topology:      topo,
-		FramesPerNode: norm.MemoryPerNode / 4096,
-		Hardware:      hs.translateSpec(),
+		Topology:        topo,
+		FramesPerNode:   norm.MemoryPerNode / 4096,
+		Hardware:        hs.translateSpec(),
+		THP:             norm.THP,
+		PageCacheTarget: 64,
 	})
-	k.SetTHP(cfg.THP)
-	// The facade's workflow is per-process replication control.
-	k.Sysctl().Mode = core.ModePerProcess
-	k.Sysctl().PageCacheTarget = 64
-	k.ApplySysctl()
 	return &System{k: k, cfg: norm, procs: make(map[string]*Proc)}
 }
 
 // Reset restores the system to the state NewSystem returned it in: no
-// processes, pristine memory, caches and counters, boot-time sysctl. A
-// reset system runs any scenario with counters bit-identical to a freshly
-// booted system — that is the contract the sweep runner's machine
-// recycling relies on, and what makes Reset cheaper than a reboot: the
-// machine's large allocations (frame metadata, bitmaps, cache arrays)
-// survive and are rewound in place, with cost proportional to the
-// previous run's footprint.
+// processes, pristine memory, caches and counters, the boot page-cache
+// reservation. A reset system runs any scenario with counters
+// bit-identical to a freshly booted system — that is the contract the
+// sweep runner's machine recycling relies on, and what makes Reset
+// cheaper than a reboot: the machine's large allocations (frame metadata,
+// bitmaps, cache arrays) survive and are rewound in place, with cost
+// proportional to the previous run's footprint.
 //
 // Call it only at quiescence: never while a Run or an access batch is in
 // flight on another goroutine.
 func (s *System) Reset() {
 	s.k.Reset()
-	s.k.SetTHP(s.cfg.THP)
-	s.k.Sysctl().Mode = core.ModePerProcess
-	s.k.Sysctl().PageCacheTarget = 64
-	s.k.ApplySysctl()
 	clear(s.procs)
 }
 

@@ -291,7 +291,8 @@ func TestFaultDeterminismAcrossModes(t *testing.T) {
 			if fo.AbortedReplications != 1 {
 				t.Errorf("aborted %d replications, want 1 (actions %v)", fo.AbortedReplications, fo.Actions)
 			}
-			if want := []string{"r4:node 1 offline"}; !reflect.DeepEqual(fo.Actions, want) {
+			want := []string{"r4:node 1 offline", "r4:offline node 1: pid 1 aborted 1 in-flight replications"}
+			if !reflect.DeepEqual(fo.Actions, want) {
 				t.Errorf("actions %q, want %q", fo.Actions, want)
 			}
 			checkOfflineEmpty(t, sys, 1, fo)
@@ -323,6 +324,48 @@ func TestFaultDeterminismAcrossModes(t *testing.T) {
 			}
 			if !slices.Contains(fo.Actions, "r4:pressure node 0: pid 1 aborted 1 in-flight replications") {
 				t.Errorf("actions %q lack the second rung's abort", fo.Actions)
+			}
+		},
+	}, {
+		// A floor just above what reclaim frees: the frames the aborted
+		// copy releases must reach the node's free count, not the
+		// page-cache pool rung 1 drained, so the ladder ends at rung 2.
+		name: "pressure met by the abort rung",
+		sc:   faultProcScenario("test/fault-pressure-abort", "pressure:r4:n0:f62974", OnSockets(0), WithPTNode(2), ondemandSlow),
+		check: func(t *testing.T, sys *System, fo *FaultOutcome) {
+			if fo.AbortedReplications != 1 || fo.OOMKills != 0 {
+				t.Errorf("aborted %d replications, %d OOM kills; want 1 and 0 (actions %v)", fo.AbortedReplications, fo.OOMKills, fo.Actions)
+			}
+		},
+	}, {
+		// One frame lower, reclaim alone meets the floor. This guards the
+		// case above: if the scenario's memory use shifts, one of the two
+		// fails instead of both passing without reaching rung 2's check.
+		name: "pressure met by reclaim",
+		sc:   faultProcScenario("test/fault-pressure-reclaim", "pressure:r4:n0:f62973", OnSockets(0), WithPTNode(2), ondemandSlow),
+		check: func(t *testing.T, sys *System, fo *FaultOutcome) {
+			if fo.ReclaimedFrames == 0 || fo.AbortedReplications != 0 || fo.OOMKills != 0 {
+				t.Errorf("reclaimed %d frames, aborted %d replications, %d OOM kills; want >0, 0 and 0 (actions %v)",
+					fo.ReclaimedFrames, fo.AbortedReplications, fo.OOMKills, fo.Actions)
+			}
+		},
+	}, {
+		// The OOM victim is idle (its phases are over): its teardown must
+		// return its page-table frames to the node too, so the one kill
+		// meets a floor a few frames below the node's capacity.
+		name: "pressure kills an idle victim",
+		sc: NewScenario("test/fault-pressure-idle",
+			OnMachine(faultMachine()),
+			WithSeed(7),
+			WithFaults("pressure:r20:n0:f65530"),
+			WithProc(NewProc("idle", GUPS(InSuite("wm"), Scaled(1.0/32)), OnSockets(0), WithPhases(Measure(500)))),
+			WithProc(NewProc("gups", GUPS(InSuite("wm"), Scaled(1.0/32)), OnSockets(1), WithPhases(Measure(2000))))),
+		check: func(t *testing.T, sys *System, fo *FaultOutcome) {
+			if fo.OOMKills != 1 || !slices.Contains(fo.Actions, "r20:pressure node 0: oom-kill pid 1 (2560 frames on node)") {
+				t.Errorf("%d OOM kills, want the one of pid 1 (actions %q)", fo.OOMKills, fo.Actions)
+			}
+			if free := sys.k.Mem().FreeFrames(0); free <= 65530 {
+				t.Errorf("node 0 has %d free frames after the kill, want more than the floor 65530 (actions %q)", free, fo.Actions)
 			}
 		},
 	}} {

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"github.com/mitosis-project/mitosis-sim/internal/numa"
 	"github.com/mitosis-project/mitosis-sim/internal/pt"
 )
 
@@ -99,26 +98,4 @@ func TestRingMembersPanicsOnNonClosingRing(t *testing.T) {
 		}
 	}()
 	ringMembers(fx.pm, a)
-}
-
-func TestSysctlStrings(t *testing.T) {
-	for mode, want := range map[SysctlMode]string{
-		ModeDisabled:     "disabled",
-		ModePerProcess:   "per-process",
-		ModeFixedNode:    "fixed-node",
-		ModeAllProcesses: "all-processes",
-	} {
-		if got := mode.String(); got != want {
-			t.Errorf("mode %d = %q, want %q", int(mode), got, want)
-		}
-	}
-}
-
-func TestEffectiveMaskDoesNotMutateRequest(t *testing.T) {
-	req := []numa.NodeID{2, 1}
-	s := &Sysctl{Mode: ModePerProcess}
-	_ = s.EffectiveMask(req, 4)
-	if req[0] != 2 || req[1] != 1 {
-		t.Error("EffectiveMask mutated the request")
-	}
 }

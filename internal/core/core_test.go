@@ -495,14 +495,10 @@ func TestStrictAllocationFailureSurfacesError(t *testing.T) {
 	if !errors.Is(err, mem.ErrOutOfMemory) {
 		t.Fatalf("err = %v, want ErrOutOfMemory", err)
 	}
-	// With a page cache reservation it succeeds (§5.1).
-	fx.cache.SetTarget(16)
-	// Free one data frame... none are tracked here; instead reserve on
-	// node 3 is impossible (full). Verify reservation works on a node
-	// with room: node 2.
-	fx.cache.Refill()
+	// The failure is strict to the full node: a node with room still
+	// takes a replica.
 	if err := fx.space.SetMask(fx.ctx, []numa.NodeID{2}); err != nil {
-		t.Fatalf("replication with page cache: %v", err)
+		t.Fatalf("replication on node 2: %v", err)
 	}
 }
 
@@ -546,25 +542,6 @@ func TestPropagationModesCostDiffers(t *testing.T) {
 	walk := run(PropagateWalk)
 	if ring >= walk {
 		t.Errorf("ring propagation (%d cycles) not cheaper than walk (%d)", ring, walk)
-	}
-}
-
-func TestEffectiveMask(t *testing.T) {
-	req := []numa.NodeID{1, 2}
-	cases := []struct {
-		mode SysctlMode
-		want int
-	}{
-		{ModeDisabled, 0},
-		{ModeFixedNode, 0},
-		{ModePerProcess, 2},
-		{ModeAllProcesses, 4},
-	}
-	for _, c := range cases {
-		s := &Sysctl{Mode: c.mode}
-		if got := len(s.EffectiveMask(req, 4)); got != c.want {
-			t.Errorf("%v: mask len = %d, want %d", c.mode, got, c.want)
-		}
 	}
 }
 

@@ -1,79 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"github.com/mitosis-project/mitosis-sim/internal/numa"
-	"github.com/mitosis-project/mitosis-sim/internal/translate"
-)
-
-// SysctlMode is the system-wide Mitosis policy state (§6.1): the Linux
-// implementation exposes four states through sysctl.
-type SysctlMode int
-
-const (
-	// ModeDisabled turns Mitosis off for every process: behaviour is
-	// identical to the native backend.
-	ModeDisabled SysctlMode = iota
-	// ModePerProcess enables Mitosis only for processes that set a
-	// replication mask (via the libnuma/numactl extension, §6.2).
-	ModePerProcess
-	// ModeFixedNode forces all page-table allocations onto one node
-	// without replication — the knob the paper's §3.2 analysis uses to
-	// construct remote-page-table configurations.
-	ModeFixedNode
-	// ModeAllProcesses replicates page-tables for every process onto all
-	// sockets.
-	ModeAllProcesses
-)
-
-func (m SysctlMode) String() string {
-	switch m {
-	case ModeDisabled:
-		return "disabled"
-	case ModePerProcess:
-		return "per-process"
-	case ModeFixedNode:
-		return "fixed-node"
-	case ModeAllProcesses:
-		return "all-processes"
-	default:
-		return fmt.Sprintf("SysctlMode(%d)", int(m))
-	}
-}
-
-// Sysctl is the system-wide policy block, the simulator's
-// /proc/sys/vm/mitosis*. The kernel consults it when creating processes and
-// when processes change their masks.
-type Sysctl struct {
-	// Mode is the global state.
-	Mode SysctlMode
-	// FixedNode is the forced page-table node for ModeFixedNode.
-	FixedNode numa.NodeID
-	// PageCacheTarget is the per-node reservation (in frames) for the
-	// strict page-table allocations replication needs (§5.1).
-	PageCacheTarget uint64
-}
-
-// EffectiveMask resolves the replication mask for a process under this
-// sysctl: the process's own request (requested) filtered by the global
-// mode. sockets is the machine's socket count.
-func (s *Sysctl) EffectiveMask(requested []numa.NodeID, sockets int) []numa.NodeID {
-	switch s.Mode {
-	case ModeDisabled, ModeFixedNode:
-		return nil
-	case ModePerProcess:
-		return requested
-	case ModeAllProcesses:
-		all := make([]numa.NodeID, sockets)
-		for i := range all {
-			all[i] = numa.NodeID(i)
-		}
-		return all
-	default:
-		return nil
-	}
-}
+import "github.com/mitosis-project/mitosis-sim/internal/translate"
 
 // AutoPolicy is the counter-based automatic trigger sketched in §6.1 (left
 // as future work in the paper, implemented here as an extension): it

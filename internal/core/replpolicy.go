@@ -10,7 +10,7 @@ import (
 
 // This file defines the pluggable replication-policy surface. The paper's
 // Mitosis mechanism is policy-agnostic (§6: "the mechanism is independent
-// of the policy deciding when to replicate"); the static Sysctl modes are
+// of the policy deciding when to replicate"); a static per-process mask is
 // one point in the design space. Related work explores dynamic points:
 // numaPTE replicates and deprecates page-table replicas on demand from
 // access telemetry, and Phoenix co-orchestrates thread placement with
@@ -151,12 +151,12 @@ type ReclaimAdvisor interface {
 }
 
 // Static is the compatibility baseline: replication is decided once, up
-// front, through the Sysctl mode and per-process mask, and never revisited.
+// front, through the per-process mask, and never revisited.
 // Decide always returns nil, so attaching it perturbs no counter — a run
 // with Static is bit-identical to a run without a policy engine.
 type Static struct{}
 
-// NewStatic returns the static (sysctl-mask) policy.
+// NewStatic returns the static (per-process mask) policy.
 func NewStatic() *Static { return &Static{} }
 
 // Name implements ReplicationPolicy.

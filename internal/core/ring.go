@@ -14,8 +14,8 @@
 //   - Space manages a process's replication state: the per-socket root
 //     array consulted on context switch (§5.3), replica creation for an
 //     existing table, mask changes, and migration-by-replication (§5.5).
-//   - Policy (sysctl modes, per-process masks, the counter-based automatic
-//     trigger sketched in §6.1) lives in policy.go.
+//   - Policy (the counter-based automatic trigger sketched in §6.1) lives
+//     in policy.go; the pluggable runtime policies in replpolicy.go.
 package core
 
 import (

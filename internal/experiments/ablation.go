@@ -25,11 +25,8 @@ func RunAblationPropagation(cfg Config) (*metrics.Table, error) {
 		Columns: []string{"Strategy", "Kernel cycles", "vs ring"},
 	}
 	measure := func(prop core.Propagation) (numa.Cycles, error) {
-		k := cfg.newKernel(false)
+		k := cfg.newKernel(64)
 		k.Backend().SetPropagation(prop)
-		k.Sysctl().Mode = core.ModePerProcess
-		k.Sysctl().PageCacheTarget = 64
-		k.ApplySysctl()
 		p, err := k.CreateProcess(kernel.ProcessOpts{Name: "prop", Home: 0, DataPolicy: kernel.Interleave})
 		if err != nil {
 			return 0, err
@@ -110,8 +107,6 @@ func RunAblationFiveLevel(cfg Config) (*metrics.Table, error) {
 				return nil, err
 			}
 			if migrate {
-				k.Sysctl().Mode = core.ModePerProcess
-				k.ApplySysctl()
 				if err := k.MigratePT(p, k.Topology().NodeOf(wmSocketA), false); err != nil {
 					return nil, err
 				}
@@ -140,13 +135,8 @@ func RunAblationPageCache(cfg Config) (*metrics.Table, error) {
 		Title:   "Ablation: per-socket page cache for strict replica allocation (paper §5.1)",
 		Columns: []string{"Page cache", "replication on full node"},
 	}
-	for _, reserve := range []bool{false, true} {
-		k := cfg.newKernel(false)
-		k.Sysctl().Mode = core.ModePerProcess
-		if reserve {
-			k.Sysctl().PageCacheTarget = 256
-			k.ApplySysctl()
-		}
+	for _, reserve := range []uint64{0, 256} {
+		k := cfg.newKernel(reserve)
 		p, err := k.CreateProcess(kernel.ProcessOpts{Name: "pc", Home: 0})
 		if err != nil {
 			return nil, err
@@ -169,8 +159,8 @@ func RunAblationPageCache(cfg Config) (*metrics.Table, error) {
 			outcome = "failed: " + err.Error()
 		}
 		label := "off"
-		if reserve {
-			label = "256 pages/node"
+		if reserve > 0 {
+			label = fmt.Sprintf("%d pages/node", reserve)
 		}
 		t.AddRow(label, outcome)
 	}
@@ -187,10 +177,7 @@ func RunAblationAutoPolicy(cfg Config) (*metrics.Table, error) {
 		Title:   "Ablation: counter-based automatic replication policy (paper §6.1)",
 		Columns: []string{"Phase", "cycles/op", "walk%", "replicated"},
 	}
-	k := cfg.newKernel(false)
-	k.Sysctl().Mode = core.ModePerProcess
-	k.Sysctl().PageCacheTarget = 64
-	k.ApplySysctl()
+	k := cfg.newKernel(64)
 	w := cfg.workload(cloneMS("XSBench"))
 	p, err := k.CreateProcess(kernel.ProcessOpts{Name: "auto", Home: 0, DataLocality: w.DataLocality()})
 	if err != nil {

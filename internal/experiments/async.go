@@ -27,10 +27,7 @@ func RunAblationAsyncReplication(cfg Config) (*metrics.Table, error) {
 		Columns: []string{"Mode", "app blocked (Kcyc)", "copy work (Kcyc)", "steady cyc/op"},
 	}
 	for _, background := range []bool{false, true} {
-		k := cfg.newKernel(false)
-		k.Sysctl().Mode = core.ModePerProcess
-		k.Sysctl().PageCacheTarget = 64
-		k.ApplySysctl()
+		k := cfg.newKernel(64)
 		w := cfg.workload(cloneMS("XSBench"))
 		p, err := k.CreateProcess(kernel.ProcessOpts{Name: w.Name(), Home: 0, DataLocality: w.DataLocality()})
 		if err != nil {

@@ -70,11 +70,10 @@ func (c Config) fill() Config {
 	return c
 }
 
-// newKernel builds a fresh machine+kernel for one experiment run.
-func (c Config) newKernel(thp bool) *kernel.Kernel {
-	k := kernel.New(kernel.Config{FramesPerNode: c.FramesPerNode})
-	k.SetTHP(thp)
-	return k
+// newKernel builds a fresh machine+kernel for one experiment run, with
+// pageCacheTarget page-table frames reserved per node (§5.1).
+func (c Config) newKernel(pageCacheTarget uint64) *kernel.Kernel {
+	return kernel.New(kernel.Config{FramesPerNode: c.FramesPerNode, PageCacheTarget: pageCacheTarget})
 }
 
 // machine translates the experiment scale into a public machine spec (the

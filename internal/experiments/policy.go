@@ -76,7 +76,7 @@ func PolicyComparisonNames() []string {
 // while its data is local — the paper's workload-migration placement
 // (§3.2), which is exactly where a dynamic policy should replicate to the
 // one active socket instead of everywhere. "static" is the compatibility
-// baseline (full-machine mask decided up front, the Sysctl semantics);
+// baseline (full-machine per-process mask decided up front);
 // "ondemand" should end with strictly fewer replica pages while keeping
 // the remote-walk cycle fraction close. only filters the rows ("" or nil
 // selects all).
@@ -100,8 +100,8 @@ func RunPolicyComparison(cfg Config, only []string) (*PolicyComparison, error) {
 // spec: single-threaded GUPS on socket 0 with data bound local and every
 // page-table page forced to node 1 — the stranded-table configuration.
 // "none" runs without any policy; "static" pairs the never-acting Static
-// policy with an up-front full-machine mask (the pre-refactor sysctl
-// semantics); the dynamic policies start bare and act on telemetry.
+// policy with an up-front full-machine mask; the dynamic policies start
+// bare and act on telemetry.
 func PolicyScenario(cfg Config, name string) mitosis.Scenario {
 	cfg = cfg.fill()
 	opts := []mitosis.ProcOpt{

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	mitosis "github.com/mitosis-project/mitosis-sim"
-	"github.com/mitosis-project/mitosis-sim/internal/core"
 	"github.com/mitosis-project/mitosis-sim/internal/kernel"
 	"github.com/mitosis-project/mitosis-sim/internal/metrics"
 	"github.com/mitosis-project/mitosis-sim/internal/numa"
@@ -14,12 +13,11 @@ import (
 // (mmap with populate, mprotect, munmap) over a region of the given size,
 // with or without 4-way page-table replication.
 func vmaOpCycles(cfg Config, regionBytes uint64, replicate bool) (mmapCy, protectCy, unmapCy numa.Cycles, err error) {
-	k := cfg.newKernel(false)
+	var reserve uint64
 	if replicate {
-		k.Sysctl().Mode = core.ModePerProcess
-		k.Sysctl().PageCacheTarget = 128
-		k.ApplySysctl()
+		reserve = 128
 	}
+	k := cfg.newKernel(reserve)
 	// Interleave keeps multi-GB regions within per-node capacity.
 	p, err := k.CreateProcess(kernel.ProcessOpts{
 		Name:       "vma-bench",

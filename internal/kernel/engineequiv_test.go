@@ -69,8 +69,7 @@ func (w *stressWorkload) NewThread(env *workloads.Env, thread int) workloads.Ste
 // populated region, and the spanning 1GB mapping.
 func buildStressEnv(t *testing.T) (*workloads.Env, *stressWorkload) {
 	t.Helper()
-	k := kernel.New(kernel.Config{FramesPerNode: 1 << 16, Hardware: testHardware()}) // 4 nodes x 256MB = 1GB total
-	k.SetTHP(true)
+	k := kernel.New(kernel.Config{FramesPerNode: 1 << 16, Hardware: testHardware(), THP: true}) // 4 nodes x 256MB = 1GB total
 	// Fragment two nodes so THP population falls back to 4KB pages there.
 	r := rand.New(rand.NewSource(99))
 	k.Mem().Fragment(0, 0.5, r)

@@ -146,7 +146,7 @@ func (e *FaultEngine) Health() []ReplicaHealth {
 			continue
 		}
 		h.Nodes = p.space.ReplicaNodes()
-		want := e.k.sysctl.EffectiveMask(p.requestedMask, e.k.topo.Sockets())
+		want := p.requestedMask
 		missing := 0
 		for _, n := range want {
 			if !slices.Contains(h.Nodes, n) {
@@ -331,7 +331,10 @@ func (e *FaultEngine) offlineNode(round uint64, ev fault.Event) {
 		}
 		ctx := p.opCtx()
 		if pe := p.policyEngine; pe != nil {
-			e.stats.AbortedReplications += pe.AbortInflightOn(node)
+			if n := pe.AbortInflightOn(node); n > 0 {
+				e.stats.AbortedReplications += n
+				e.logf(round, "offline node %d: pid %d aborted %d in-flight replications", node, p.PID, n)
+			}
 		}
 		if mask := p.space.Mask(); slices.Contains(mask, node) {
 			keep := slices.DeleteFunc(slices.Clone(mask), func(n numa.NodeID) bool { return n == node })
@@ -440,7 +443,8 @@ func (e *FaultEngine) pressure(round uint64, ev fault.Event, current *Process) b
 		return false
 	}
 	// Rung 2: abort in-flight incremental replications, tearing down
-	// their partial copies.
+	// their partial copies. The torn-down frames refill the page-cache
+	// pool rung 1 drained, so drain it again before the floor check.
 	for i, p := range e.procs {
 		if _, dead := e.killed[i]; dead {
 			continue
@@ -452,6 +456,7 @@ func (e *FaultEngine) pressure(round uint64, ev fault.Event, current *Process) b
 			}
 		}
 	}
+	e.k.cache.Drain()
 	if e.k.pm.FreeFrames(node) > floor {
 		return false
 	}
@@ -471,6 +476,9 @@ func (e *FaultEngine) pressure(round uint64, ev fault.Event, current *Process) b
 			// remaining deficit resolves when the caller destroys it.
 			return true
 		}
+		// The idle victim's teardown parked its page-table frames in the
+		// drained pool, as rung 2's aborts did.
+		e.k.cache.Drain()
 	}
 	return false
 }

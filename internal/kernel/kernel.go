@@ -3,8 +3,8 @@
 // virtual address spaces (VMAs), demand paging with first-touch/interleaved
 // data placement, transparent huge pages with fragmentation fallback, an
 // AutoNUMA-style data-page migration scanner, a scheduler that can migrate
-// processes across sockets, and the sysctl + libnuma-style policy surface
-// of §6 of the Mitosis paper.
+// processes across sockets, and the per-process libnuma-style replication
+// control of §6 of the Mitosis paper.
 //
 // All page-table mutations flow through the Mitosis PV-Ops backend
 // (internal/core); with an empty replication mask the backend behaves
@@ -81,6 +81,11 @@ type Config struct {
 	// is the default x86-64 4-level backend. The paging depth comes from
 	// the backend (5 for x8664la57).
 	Hardware translate.Spec
+	// THP enables transparent huge pages system-wide.
+	THP bool
+	// PageCacheTarget is each node's page-table frame reservation for the
+	// strict allocations replication needs (§5.1); 0 reserves none.
+	PageCacheTarget uint64
 }
 
 // Kernel is the simulated OS instance plus the hardware it manages.
@@ -93,9 +98,7 @@ type Kernel struct {
 	cache   *mem.PageCache
 	costs   Costs
 	levels  uint8
-
-	sysctl core.Sysctl
-	thp    bool
+	thp     bool
 
 	// The fault path is sharded per process: each Process carries its own
 	// fault lock (its mmap_sem), so faults from different processes on
@@ -138,7 +141,7 @@ func New(cfg Config) *Kernel {
 		panic("kernel: invalid hardware spec: " + err.Error())
 	}
 	machine := hw.New(hw.Config{Topology: topo, Cost: cost, Mem: pm, Backend: thw})
-	cache := mem.NewPageCache(pm, 0)
+	cache := mem.NewPageCache(pm, cfg.PageCacheTarget)
 	k := &Kernel{
 		topo:    topo,
 		cost:    cost,
@@ -148,21 +151,23 @@ func New(cfg Config) *Kernel {
 		cache:   cache,
 		costs:   DefaultCosts(),
 		levels:  thw.Levels(),
+		thp:     cfg.THP,
 		nextPID: 1,
 		procs:   make(map[int]*Process),
 		current: make([]atomic.Pointer[Process], topo.Cores()),
 	}
 	machine.SetFaultHandler(k)
+	cache.Refill()
 	return k
 }
 
 // Reset restores the kernel and its machine to the state New returned
 // them in: no processes or VMs, PID/VM/interleave counters rewound,
-// sysctl and THP back to defaults, interference cleared, hardware caches
-// and physical memory pristine. Call it only at quiescence (no run in
-// flight). The reuse path for recycling a booted kernel across
-// independent runs: a reset kernel must be behaviourally
-// indistinguishable from a freshly built one.
+// interference cleared, hardware caches and physical memory pristine, and
+// the boot page-cache reservation refilled; THP keeps its boot setting.
+// Call it only at quiescence (no run in flight). The reuse path for
+// recycling a booted kernel across independent runs: a reset kernel must
+// be behaviourally indistinguishable from a freshly built one.
 func (k *Kernel) Reset() {
 	clear(k.procs)
 	for i := range k.current {
@@ -171,16 +176,15 @@ func (k *Kernel) Reset() {
 	k.nextPID = 1
 	k.nextVMID = 0
 	k.nextIntlv = 0
-	k.sysctl = core.Sysctl{}
-	k.thp = false
 	k.cost.ClearLoads()
 	k.backend.Reset()
 	// The page cache forgets its reserved frames first so physical memory
-	// can be reclaimed wholesale; the facade re-applies the sysctl target
-	// (Refill over empty memory reproduces the fresh-boot pool exactly).
+	// can be reclaimed wholesale; Refill over empty memory then reproduces
+	// the boot pool exactly, as in New.
 	k.cache.Reset()
 	k.pm.Reset()
 	k.machine.Reset()
+	k.cache.Refill()
 }
 
 // Topology returns the machine topology.
@@ -197,19 +201,6 @@ func (k *Kernel) Machine() *hw.Machine { return k.machine }
 
 // Backend returns the Mitosis PV-Ops backend.
 func (k *Kernel) Backend() *core.Backend { return k.backend }
-
-// Sysctl returns the mutable system-wide Mitosis policy (§6.1). Changing
-// PageCacheTarget takes effect via ApplySysctl.
-func (k *Kernel) Sysctl() *core.Sysctl { return &k.sysctl }
-
-// ApplySysctl propagates sysctl changes to the page cache reservation.
-func (k *Kernel) ApplySysctl() {
-	k.cache.SetTarget(k.sysctl.PageCacheTarget)
-	k.cache.Refill()
-}
-
-// SetTHP enables or disables transparent huge pages system-wide.
-func (k *Kernel) SetTHP(on bool) { k.thp = on }
 
 // THP reports whether transparent huge pages are enabled.
 func (k *Kernel) THP() bool { return k.thp }

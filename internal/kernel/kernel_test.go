@@ -5,17 +5,36 @@ import (
 	"math/rand"
 	"testing"
 
-	"github.com/mitosis-project/mitosis-sim/internal/core"
 	"github.com/mitosis-project/mitosis-sim/internal/numa"
 	"github.com/mitosis-project/mitosis-sim/internal/pt"
 )
 
 func newTestKernel(t testing.TB) *Kernel {
 	t.Helper()
-	return New(Config{
-		Topology:      numa.NewTopology(4, 2),
-		FramesPerNode: 16384, // 64MB per node
-	})
+	return New(testConfig())
+}
+
+// testConfig is the machine newTestKernel boots: 4 sockets of 2 cores,
+// 64MB per node.
+func testConfig() Config {
+	return Config{Topology: numa.NewTopology(4, 2), FramesPerNode: 16384}
+}
+
+// newPooledKernel is newTestKernel with 64 page-table frames reserved per
+// node, the reservation the facade boots with.
+func newPooledKernel(t testing.TB) *Kernel {
+	t.Helper()
+	cfg := testConfig()
+	cfg.PageCacheTarget = 64
+	return New(cfg)
+}
+
+// newTHPKernel is newTestKernel with transparent huge pages on.
+func newTHPKernel(t testing.TB) *Kernel {
+	t.Helper()
+	cfg := testConfig()
+	cfg.THP = true
+	return New(cfg)
 }
 
 func newProc(t testing.TB, k *Kernel, opts ProcessOpts) *Process {
@@ -169,8 +188,7 @@ func TestBindPolicy(t *testing.T) {
 }
 
 func TestTHPAllocatesHugePages(t *testing.T) {
-	k := newTestKernel(t)
-	k.SetTHP(true)
+	k := newTHPKernel(t)
 	p := newProc(t, k, ProcessOpts{Home: 0})
 	if err := k.RunOnSocket(p, 0); err != nil {
 		t.Fatal(err)
@@ -189,8 +207,7 @@ func TestTHPAllocatesHugePages(t *testing.T) {
 }
 
 func TestTHPFallbackUnderFragmentation(t *testing.T) {
-	k := newTestKernel(t)
-	k.SetTHP(true)
+	k := newTHPKernel(t)
 	// Fragment all nodes completely: no 2MB blocks anywhere.
 	r := rand.New(rand.NewSource(7))
 	for n := numa.NodeID(0); n < 4; n++ {
@@ -306,7 +323,6 @@ func TestAutoNUMAMigratesDataNotPT(t *testing.T) {
 
 func TestMigrateProcessWithMitosisPT(t *testing.T) {
 	k := newTestKernel(t)
-	k.Sysctl().Mode = core.ModePerProcess
 	p := newProc(t, k, ProcessOpts{Home: 0})
 	if err := k.RunOnSocket(p, 0); err != nil {
 		t.Fatal(err)
@@ -340,7 +356,7 @@ func TestMigrateProcessWithMitosisPT(t *testing.T) {
 	}
 }
 
-func TestReplicationViaSysctlModes(t *testing.T) {
+func TestReplicationViaMask(t *testing.T) {
 	k := newTestKernel(t)
 	p := newProc(t, k, ProcessOpts{Home: 0})
 	if err := k.RunOnSocket(p, 0); err != nil {
@@ -349,15 +365,6 @@ func TestReplicationViaSysctlModes(t *testing.T) {
 	if _, err := k.Mmap(p, 1<<20, MmapOpts{Writable: true, Populate: true}); err != nil {
 		t.Fatal(err)
 	}
-	// Disabled: mask request is ignored.
-	if err := p.SetReplicationMask([]numa.NodeID{1, 2}); err != nil {
-		t.Fatal(err)
-	}
-	if p.Space().Replicated() {
-		t.Error("replicated despite ModeDisabled")
-	}
-	// Per-process: honoured.
-	k.Sysctl().Mode = core.ModePerProcess
 	if err := p.SetReplicationMask([]numa.NodeID{1, 2}); err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +383,6 @@ func TestReplicationViaSysctlModes(t *testing.T) {
 
 func TestReplicatedProcessRunsEverywhere(t *testing.T) {
 	k := newTestKernel(t)
-	k.Sysctl().Mode = core.ModeAllProcesses
 	p := newProc(t, k, ProcessOpts{Home: 0})
 	if err := k.RunOnAllSockets(p); err != nil {
 		t.Fatal(err)
@@ -385,7 +391,7 @@ func TestReplicatedProcessRunsEverywhere(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.SetReplicationMask(nil); err != nil { // mode=All: mask irrelevant
+	if err := p.SetReplicationMask([]numa.NodeID{0, 1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(p.Space().ReplicaNodes()); got != 4 {
@@ -406,7 +412,6 @@ func TestReplicatedProcessRunsEverywhere(t *testing.T) {
 
 func TestDestroyProcessLeaksNothing(t *testing.T) {
 	k := newTestKernel(t)
-	k.Sysctl().Mode = core.ModeAllProcesses
 	var before [4]uint64
 	for n := 0; n < 4; n++ {
 		before[n] = k.pm.FreeFrames(numa.NodeID(n))
@@ -418,7 +423,7 @@ func TestDestroyProcessLeaksNothing(t *testing.T) {
 	if _, err := k.Mmap(p, 4<<20, MmapOpts{Writable: true, Populate: true}); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.SetReplicationMask(nil); err != nil {
+	if err := p.SetReplicationMask([]numa.NodeID{0, 1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
 	k.DestroyProcess(p)
@@ -433,8 +438,7 @@ func TestDestroyProcessLeaksNothing(t *testing.T) {
 }
 
 func TestSplitTHP(t *testing.T) {
-	k := newTestKernel(t)
-	k.SetTHP(true)
+	k := newTHPKernel(t)
 	p := newProc(t, k, ProcessOpts{Home: 0})
 	if err := k.RunOnSocket(p, 0); err != nil {
 		t.Fatal(err)
@@ -464,24 +468,62 @@ func TestMunmapBadAddress(t *testing.T) {
 	}
 }
 
-func TestPageCacheSysctl(t *testing.T) {
-	k := newTestKernel(t)
-	k.Sysctl().PageCacheTarget = 8
-	k.ApplySysctl()
-	if got := k.cache.Cached(0); got != 8 {
-		t.Errorf("cached = %d, want 8", got)
+// TestBootConfigSurvivesReset: the kernel boots with its THP setting and
+// page-cache reservation, and Reset restores both: it refills the pool
+// after wiping memory, so the machine matches a fresh boot. A zero config
+// reserves nothing.
+func TestBootConfigSurvivesReset(t *testing.T) {
+	cfg := testConfig()
+	cfg.THP = true
+	cfg.PageCacheTarget = 8
+	k := New(cfg)
+	fresh := New(cfg)
+	check := func(when string) {
+		t.Helper()
+		if !k.THP() {
+			t.Errorf("%s: THP off, want on", when)
+		}
+		for n := numa.NodeID(0); int(n) < k.topo.Nodes(); n++ {
+			if got := k.cache.Cached(n); got != 8 {
+				t.Errorf("%s: node %d reserves %d frames, want 8", when, n, got)
+			}
+			if got, want := k.pm.FreeFrames(n), fresh.pm.FreeFrames(n); got != want {
+				t.Errorf("%s: node %d has %d free frames, a fresh boot %d", when, n, got, want)
+			}
+		}
 	}
-	k.Sysctl().PageCacheTarget = 0
-	k.ApplySysctl()
-	if got := k.cache.Cached(0); got != 0 {
-		t.Errorf("cached = %d, want 0", got)
+	check("boot")
+
+	// A run that takes page-table frames from every node's pool.
+	p := newProc(t, k, ProcessOpts{Home: 0})
+	if err := k.RunOnAllSockets(p); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := k.Mmap(p, 4<<20, MmapOpts{Writable: true, THP: true, Populate: true}); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.SetReplicationMask([]numa.NodeID{0, 1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	if got := k.cache.Cached(3); got == 8 {
+		t.Fatal("the run took no frame from node 3's pool")
+	}
+	k.Reset()
+	check("after Reset")
+
+	zero := newTestKernel(t)
+	if zero.THP() {
+		t.Error("zero config: THP on, want off")
+	}
+	for n := numa.NodeID(0); int(n) < zero.topo.Nodes(); n++ {
+		if got := zero.cache.Cached(n); got != 0 {
+			t.Errorf("zero config: node %d reserves %d frames, want 0", n, got)
+		}
 	}
 }
 
-func TestFixedNodeSysctlMode(t *testing.T) {
+func TestFixedNodePTPolicy(t *testing.T) {
 	k := newTestKernel(t)
-	k.Sysctl().Mode = core.ModeFixedNode
-	k.Sysctl().FixedNode = 2
 	p := newProc(t, k, ProcessOpts{Home: 0, PTPolicy: PTFixed, PTNode: 2})
 	if err := k.RunOnSocket(p, 0); err != nil {
 		t.Fatal(err)

@@ -3,7 +3,6 @@ package kernel
 import (
 	"testing"
 
-	"github.com/mitosis-project/mitosis-sim/internal/core"
 	"github.com/mitosis-project/mitosis-sim/internal/numa"
 	"github.com/mitosis-project/mitosis-sim/internal/pt"
 )
@@ -86,7 +85,6 @@ func TestMigrationBlockedByBusyTarget(t *testing.T) {
 
 func TestPerProcessReplicationIndependent(t *testing.T) {
 	k := newTestKernel(t)
-	k.Sysctl().Mode = core.ModePerProcess
 	a := newProc(t, k, ProcessOpts{Name: "repl", Home: 0})
 	b := newProc(t, k, ProcessOpts{Name: "plain", Home: 1})
 	if err := k.RunOnSocket(a, 0); err != nil {
@@ -120,7 +118,6 @@ func TestPerProcessReplicationIndependent(t *testing.T) {
 
 func TestContextSwitchBetweenProcesses(t *testing.T) {
 	k := newTestKernel(t)
-	k.Sysctl().Mode = core.ModePerProcess
 	a := newProc(t, k, ProcessOpts{Name: "a", Home: 0})
 	b := newProc(t, k, ProcessOpts{Name: "b", Home: 0})
 	if err := k.RunOn(a, []numa.CoreID{0}); err != nil {

@@ -57,10 +57,7 @@ func tickRounds(t *testing.T, k *Kernel, p *Process, eng *PolicyEngine, base pt.
 }
 
 func TestPolicyEngineOnDemandReplicatesAndDeprecates(t *testing.T) {
-	k := newTestKernel(t)
-	k.Sysctl().Mode = core.ModePerProcess
-	k.Sysctl().PageCacheTarget = 64
-	k.ApplySysctl()
+	k := newPooledKernel(t)
 	// Threads on socket 2, table stranded on node 0: remote walks.
 	p, base := policyProc(t, k, 2, 0, 0, FirstTouch)
 	odCfg := core.DefaultOnDemandConfig()
@@ -125,10 +122,7 @@ func TestPolicyEngineOnDemandReplicatesAndDeprecates(t *testing.T) {
 }
 
 func TestPolicyEngineCostAdaptiveMigratesThreads(t *testing.T) {
-	k := newTestKernel(t)
-	k.Sysctl().Mode = core.ModePerProcess
-	k.Sysctl().PageCacheTarget = 64
-	k.ApplySysctl()
+	k := newPooledKernel(t)
 	// Threads on socket 2; table AND data on node 0: migrating the threads
 	// back is cheaper than copying the table next to remote data.
 	p, base := policyProc(t, k, 2, 0, 0, Bind)
@@ -153,10 +147,7 @@ func TestPolicyEngineCostAdaptiveMigratesThreads(t *testing.T) {
 }
 
 func TestDropReplica(t *testing.T) {
-	k := newTestKernel(t)
-	k.Sysctl().Mode = core.ModePerProcess
-	k.Sysctl().PageCacheTarget = 64
-	k.ApplySysctl()
+	k := newPooledKernel(t)
 	p := newProc(t, k, ProcessOpts{Home: 0})
 	if err := k.RunOnSocket(p, 0); err != nil {
 		t.Fatal(err)

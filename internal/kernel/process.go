@@ -106,8 +106,8 @@ type Process struct {
 	ptNode     numa.NodeID
 
 	// requestedMask is what the process asked for via
-	// numa_set_pgtable_replication_mask; the effective mask also depends
-	// on the sysctl mode.
+	// numa_set_pgtable_replication_mask; replica health compares the
+	// table's holders against it.
 	requestedMask []numa.NodeID
 
 	cores        []numa.CoreID
@@ -258,9 +258,8 @@ func (p *Process) SetPTPolicy(pol PTPolicy, node numa.NodeID) {
 }
 
 // SetReplicationMask is numa_set_pgtable_replication_mask (Listing 2): the
-// process requests replicas on the given nodes. The effective mask depends
-// on the system-wide sysctl mode; when it changes, existing tables are
-// replicated or collapsed immediately.
+// process requests replicas on the given nodes, and existing tables are
+// replicated or collapsed immediately. A nil mask collapses to the primary.
 func (p *Process) SetReplicationMask(nodes []numa.NodeID) error {
 	p.requestedMask = slices.Clone(nodes)
 	return p.applyReplication()
@@ -268,9 +267,8 @@ func (p *Process) SetReplicationMask(nodes []numa.NodeID) error {
 
 func (p *Process) applyReplication() error {
 	k := p.kernel
-	eff := k.sysctl.EffectiveMask(p.requestedMask, k.topo.Sockets())
 	ctx := p.opCtx()
-	if err := p.space.SetMask(ctx, eff); err != nil {
+	if err := p.space.SetMask(ctx, p.requestedMask); err != nil {
 		return err
 	}
 	// Eager replication stalls the caller: the copy cost lands on the

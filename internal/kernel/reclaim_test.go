@@ -11,7 +11,6 @@ import (
 
 func TestReclaimReplicasFreesMemory(t *testing.T) {
 	k := newTestKernel(t)
-	k.Sysctl().Mode = core.ModePerProcess
 	p := newProc(t, k, ProcessOpts{Home: 0})
 	if err := k.RunOnSocket(p, 0); err != nil {
 		t.Fatal(err)
@@ -46,7 +45,6 @@ func TestReclaimReplicasFreesMemory(t *testing.T) {
 
 func TestOOMFaultTriggersReclaim(t *testing.T) {
 	k := New(Config{Topology: numa.NewTopology(2, 1), FramesPerNode: 2048})
-	k.Sysctl().Mode = core.ModePerProcess
 	victim := newProc(t, k, ProcessOpts{Name: "victim", Home: 0})
 	if err := k.RunOn(victim, []numa.CoreID{0}); err != nil {
 		t.Fatal(err)
@@ -98,10 +96,7 @@ func TestOOMFaultTriggersReclaim(t *testing.T) {
 // incremental replication is a busy replica holder — collapsing its rings
 // would free pages the copy job still references.
 func TestReclaimSkipsMidIncrementalReplication(t *testing.T) {
-	k := newTestKernel(t)
-	k.Sysctl().Mode = core.ModePerProcess
-	k.Sysctl().PageCacheTarget = 64
-	k.ApplySysctl()
+	k := newPooledKernel(t)
 	p := newProc(t, k, ProcessOpts{Home: 0})
 	if err := k.RunOnSocket(p, 0); err != nil {
 		t.Fatal(err)
@@ -149,10 +144,7 @@ func TestReclaimSkipsMidIncrementalReplication(t *testing.T) {
 // TestAbortBackgroundReplicationUnpins: aborting a copy tears down the
 // partial replica and releases the reclaim pin.
 func TestAbortBackgroundReplicationUnpins(t *testing.T) {
-	k := newTestKernel(t)
-	k.Sysctl().Mode = core.ModePerProcess
-	k.Sysctl().PageCacheTarget = 64
-	k.ApplySysctl()
+	k := newPooledKernel(t)
 	p := newProc(t, k, ProcessOpts{Home: 0})
 	if err := k.RunOnSocket(p, 0); err != nil {
 		t.Fatal(err)
@@ -186,10 +178,7 @@ func TestAbortBackgroundReplicationUnpins(t *testing.T) {
 // TestReclaimConsultsPolicy: with a policy engine attached, memory
 // pressure tears down only the replicas the policy volunteers.
 func TestReclaimConsultsPolicy(t *testing.T) {
-	k := newTestKernel(t)
-	k.Sysctl().Mode = core.ModePerProcess
-	k.Sysctl().PageCacheTarget = 64
-	k.ApplySysctl()
+	k := newPooledKernel(t)
 	p := newProc(t, k, ProcessOpts{Home: 0})
 	if err := k.RunOnSocket(p, 0); err != nil {
 		t.Fatal(err)
@@ -224,7 +213,6 @@ func TestReclaimConsultsPolicy(t *testing.T) {
 
 func TestBackgroundReplicationKernelFlow(t *testing.T) {
 	k := newTestKernel(t)
-	k.Sysctl().Mode = core.ModePerProcess
 	p := newProc(t, k, ProcessOpts{Home: 0})
 	if err := k.RunOnAllSockets(p); err != nil {
 		t.Fatal(err)
@@ -281,7 +269,6 @@ func TestBackgroundReplicationKernelFlow(t *testing.T) {
 // state guarded by that process's fault lock; this pins the semantics.
 func TestReclaimFaultCoreIsPerProcess(t *testing.T) {
 	k := newTestKernel(t)
-	k.Sysctl().Mode = core.ModePerProcess
 	a := newProc(t, k, ProcessOpts{Name: "a", Home: 0})
 	b := newProc(t, k, ProcessOpts{Name: "b", Home: 1})
 	for i, pr := range []*Process{a, b} {

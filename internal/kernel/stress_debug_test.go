@@ -28,11 +28,7 @@ func TestStressSeedReproducer(t *testing.T) {
 	core.Debug = true
 	defer func() { core.Debug = false }()
 	r := rand.New(rand.NewSource(seed))
-	k := New(Config{Topology: numa.NewTopology(4, 2), FramesPerNode: 32768})
-	k.Sysctl().Mode = core.ModePerProcess
-	k.Sysctl().PageCacheTarget = 16
-	k.ApplySysctl()
-	k.SetTHP(r.Intn(2) == 0)
+	k := New(Config{Topology: numa.NewTopology(4, 2), FramesPerNode: 32768, THP: r.Intn(2) == 0, PageCacheTarget: 16})
 
 	p, err := k.CreateProcess(ProcessOpts{Name: "stress", Home: numa.SocketID(r.Intn(4))})
 	if err != nil {

@@ -15,8 +15,8 @@ func virtFixture(t *testing.T, thp bool, homeNode numa.NodeID) (*Kernel, *Proces
 	k := New(Config{
 		Topology:      numa.NewTopology(2, 2),
 		FramesPerNode: 1 << 15,
+		THP:           thp,
 	})
-	k.SetTHP(thp)
 	vm, err := k.CreateVM(homeNode)
 	if err != nil {
 		t.Fatal(err)

@@ -279,20 +279,13 @@ func TestPageCacheStrictFallback(t *testing.T) {
 	}
 }
 
-func TestPageCacheSetTargetShrinks(t *testing.T) {
+func TestPageCacheDrain(t *testing.T) {
 	pm := newTestMem(t, 1024)
 	pc := NewPageCache(pm, 8)
 	pc.Refill()
 	used := pm.FramesPerNode() - pm.FreeFrames(0)
 	if used != 8 {
 		t.Fatalf("used = %d, want 8", used)
-	}
-	pc.SetTarget(2)
-	if pc.Cached(0) != 2 {
-		t.Errorf("Cached(0) = %d, want 2", pc.Cached(0))
-	}
-	if got := pm.FramesPerNode() - pm.FreeFrames(0); got != 2 {
-		t.Errorf("used after shrink = %d, want 2", got)
 	}
 	pc.Drain()
 	if got := pm.FreeFrames(0); got != pm.FramesPerNode() {

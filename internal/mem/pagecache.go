@@ -12,10 +12,10 @@ import (
 // Mitosis requires *strict* allocation: a replica page-table page must live
 // on a specific socket's memory, and the allocation may fail if that node is
 // full. The paper sidesteps this by reserving pages per socket through a
-// sysctl-controlled page cache (§5.1). PageCache is that reservation pool:
-// page-table allocations first try the pool and fall back to the general
-// allocator, and freed page-table frames refill the pool up to its target
-// size.
+// sysctl-controlled page cache (§5.1). PageCache is that reservation pool,
+// sized once when it is built: page-table allocations first try the pool
+// and fall back to the general allocator, and freed page-table frames
+// refill the pool up to its target size.
 //
 // The pools are locked per node, mirroring the frame allocator: the fault
 // path is sharded per process, so page-table pages of different processes
@@ -41,24 +41,6 @@ func NewPageCache(pm *PhysMem, targetPerNode uint64) *PageCache {
 	}
 	return pc
 }
-
-// SetTarget changes the per-node target size, mirroring the paper's sysctl
-// knob. Shrinking releases surplus frames back to the allocator immediately.
-func (pc *PageCache) SetTarget(targetPerNode uint64) {
-	pc.target = targetPerNode
-	for n := range pc.pools {
-		pc.mus[n].Lock()
-		for uint64(len(pc.pools[n])) > pc.target {
-			f := pc.pools[n][len(pc.pools[n])-1]
-			pc.pools[n] = pc.pools[n][:len(pc.pools[n])-1]
-			pc.pm.Free(f)
-		}
-		pc.mus[n].Unlock()
-	}
-}
-
-// Target returns the per-node target size in frames.
-func (pc *PageCache) Target() uint64 { return pc.target }
 
 // Cached returns the number of frames currently reserved for node n.
 func (pc *PageCache) Cached(n numa.NodeID) int {
@@ -145,17 +127,15 @@ func (pc *PageCache) FreePT(f FrameID) {
 	pc.pm.Free(f)
 }
 
-// Reset forgets all reserved frames without freeing them and rewinds the
-// target to the just-built state. It is the companion of PhysMem.Reset,
-// which reclaims every frame wholesale: call pc.Reset first (so the pool
-// holds no stale frame IDs), then pm.Reset, then re-apply the sysctl
-// target and Refill — first-fit allocation over empty memory reproduces
-// the fresh-boot pool exactly.
+// Reset forgets all reserved frames without freeing them; the target
+// stays. It is the companion of PhysMem.Reset, which reclaims every frame
+// wholesale: call pc.Reset first (so the pool holds no stale frame IDs),
+// then pm.Reset, then Refill — first-fit allocation over empty memory
+// reproduces the fresh-boot pool exactly.
 func (pc *PageCache) Reset() {
 	for n := range pc.pools {
 		pc.pools[n] = pc.pools[n][:0]
 	}
-	pc.target = 0
 }
 
 // Drain releases all reserved frames back to the allocator.

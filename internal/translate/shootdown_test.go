@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"github.com/mitosis-project/mitosis-sim/internal/core"
 	"github.com/mitosis-project/mitosis-sim/internal/hw"
 	"github.com/mitosis-project/mitosis-sim/internal/kernel"
 	"github.com/mitosis-project/mitosis-sim/internal/numa"
@@ -47,7 +46,6 @@ func testShootdownAcrossRoots(t *testing.T, backend string) {
 		FramesPerNode: 1 << 16,
 		Hardware:      translate.Spec{Backend: backend},
 	})
-	k.Sysctl().Mode = core.ModePerProcess
 	p, err := k.CreateProcess(kernel.ProcessOpts{Name: "remask", Home: 0, PTPolicy: kernel.PTFixed, PTNode: 0})
 	if err != nil {
 		t.Fatal(err)
@@ -91,13 +89,13 @@ func testShootdownAcrossRoots(t *testing.T, backend string) {
 }
 
 func testSyscallShootdowns(t *testing.T, backend string, size pt.PageSize, pages int) {
+	thp := size == pt.Size2M
 	k := kernel.New(kernel.Config{
 		Topology:      numa.NewTopology(2, 1),
 		FramesPerNode: 1 << 16,
 		Hardware:      translate.Spec{Backend: backend},
+		THP:           thp,
 	})
-	thp := size == pt.Size2M
-	k.SetTHP(thp)
 	p, err := k.CreateProcess(kernel.ProcessOpts{Name: "shootdown", Home: 0})
 	if err != nil {
 		t.Fatal(err)

@@ -209,11 +209,10 @@ func TestRoundsCountsBarriers(t *testing.T) {
 func policyRun(t *testing.T, policyName string, mode Mode, ops int) (*Result, []kernel.ActionRecord, []kernel.ReplicaChange) {
 	t.Helper()
 	k := kernel.New(kernel.Config{
-		Topology:      numa.NewTopology(4, 1),
-		FramesPerNode: 65536,
+		Topology:        numa.NewTopology(4, 1),
+		FramesPerNode:   65536,
+		PageCacheTarget: 64,
 	})
-	k.Sysctl().PageCacheTarget = 64
-	k.ApplySysctl()
 	w := shrink(func() Workload { return NewGUPS() }())
 	p, err := k.CreateProcess(kernel.ProcessOpts{Name: w.Name(), Home: 0, DataLocality: w.DataLocality()})
 	if err != nil {
@@ -294,11 +293,10 @@ func TestStaticPolicyIsCounterTransparent(t *testing.T) {
 func TestPolicyMigrationRebindsEngine(t *testing.T) {
 	run := func(mode Mode) (*Result, []kernel.ActionRecord, numa.SocketID) {
 		k := kernel.New(kernel.Config{
-			Topology:      numa.NewTopology(4, 1),
-			FramesPerNode: 65536,
+			Topology:        numa.NewTopology(4, 1),
+			FramesPerNode:   65536,
+			PageCacheTarget: 64,
 		})
-		k.Sysctl().PageCacheTarget = 64
-		k.ApplySysctl()
 		w := shrink(func() Workload { return NewGUPS() }())
 		// Threads on socket 2; data and table land on node 0 (Bind +
 		// PTFixed): the cost model should migrate the threads to socket 0
@@ -354,11 +352,10 @@ func TestPolicyMigrationRebindsEngine(t *testing.T) {
 // against reclaim forever.
 func TestPolicyEngineReuseAcrossRuns(t *testing.T) {
 	k := kernel.New(kernel.Config{
-		Topology:      numa.NewTopology(4, 1),
-		FramesPerNode: 65536,
+		Topology:        numa.NewTopology(4, 1),
+		FramesPerNode:   65536,
+		PageCacheTarget: 64,
 	})
-	k.Sysctl().PageCacheTarget = 64
-	k.ApplySysctl()
 	w := shrink(func() Workload { return NewGUPS() }())
 	p, err := k.CreateProcess(kernel.ProcessOpts{Name: w.Name(), Home: 0, DataLocality: w.DataLocality()})
 	if err != nil {
