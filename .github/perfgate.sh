@@ -24,6 +24,7 @@ rows=(
 	BenchmarkMicroEngineParallelGUPS/par
 	BenchmarkMicroSweepCellPooled
 	BenchmarkMicroChurn
+	BenchmarkMicroPageTableAlloc
 )
 
 root=$(git rev-parse --show-toplevel)

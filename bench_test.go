@@ -507,6 +507,74 @@ func BenchmarkMicroSetPTEReplicated(b *testing.B) {
 	}
 }
 
+// BenchmarkMicroMemAlloc measures the frame allocator's single-frame path:
+// one op is one 4 KB AllocData and its Free, in bursts of 512 allocations
+// freed again in order, on one node of a 4 x 256 MB machine.
+func BenchmarkMicroMemAlloc(b *testing.B) {
+	b.ReportAllocs()
+	pm := mem.New(mem.Config{Topology: numa.FourSocketXeon(), FramesPerNode: 1 << 16})
+	frames := make([]mem.FrameID, 512)
+	paced(b, func(n int) {
+		for ; n > 0; n -= len(frames) {
+			burst := frames[:min(n, len(frames))]
+			for i := range burst {
+				f, err := pm.AllocData(0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				burst[i] = f
+			}
+			for _, f := range burst {
+				pm.Free(f)
+			}
+		}
+	})
+}
+
+// BenchmarkMicroMemHuge measures the 2 MB path: one op is one AllocHuge and
+// its FreeHuge. The next-fit cursor moves on every allocation, so the
+// blocks rotate through the node's 128 groups.
+func BenchmarkMicroMemHuge(b *testing.B) {
+	b.ReportAllocs()
+	pm := mem.New(mem.Config{Topology: numa.FourSocketXeon(), FramesPerNode: 1 << 16})
+	paced(b, func(n int) {
+		for range n {
+			f, err := pm.AllocHuge(0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			pm.FreeHuge(f)
+		}
+	})
+}
+
+// BenchmarkMicroPageTableAlloc measures the page-table frame path replicas
+// and first-touch tables take: one op hands a reserved frame out of the
+// page-cache pool through core.Backend.AllocPT, zeroed payload attached,
+// and parks it again through ReleasePT. Gated.
+func BenchmarkMicroPageTableAlloc(b *testing.B) {
+	b.ReportAllocs()
+	topo := numa.FourSocketXeon()
+	pm := mem.New(mem.Config{Topology: topo, FramesPerNode: 1 << 16})
+	cache := mem.NewPageCache(pm, 64)
+	cache.Refill()
+	be := core.NewBackend(pm, numa.NewCostModel(topo, numa.DefaultCostParams()), cache)
+	ctx := &pvops.OpCtx{Socket: 0}
+	spec := pvops.AllocSpec{Level: 1, Primary: 0}
+	paced(b, func(n int) {
+		for range n {
+			f, err := be.AllocPT(ctx, spec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			be.ReleasePT(ctx, f)
+		}
+	})
+	if cache.Cached(0) != 64 {
+		b.Fatalf("pool holds %d frames after the run, want 64", cache.Cached(0))
+	}
+}
+
 // BenchmarkMicroReplicateTable measures full-table replication (the
 // SetMask walk) for a 64MB address space.
 func BenchmarkMicroReplicateTable(b *testing.B) {

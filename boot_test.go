@@ -6,6 +6,10 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
+
+	"github.com/mitosis-project/mitosis-sim/internal/kernel"
+	"github.com/mitosis-project/mitosis-sim/internal/mem"
 )
 
 // TestMachineShapeLimits pins that a machine too large to boot is rejected
@@ -119,5 +123,56 @@ func TestBootFootprint(t *testing.T) {
 	}
 	if d := big - small; d >= 2*mb || d <= -2*mb {
 		t.Errorf("4 x 2GB and 4 x 512MB boots differ by %.1f MB of heap, want under 2 MB", float64(d)/mb)
+	}
+}
+
+// TestFrameMetaSize pins the per-frame metadata every frame of a touched
+// 2MB group pays for at 16 bytes: the table payload and the replica-ring
+// link live in page-table blocks, which exist only where tables have
+// lived. With both in the metadata chunk a frame cost 40 bytes.
+func TestFrameMetaSize(t *testing.T) {
+	if got := unsafe.Sizeof(mem.FrameMeta{}); got != 16 {
+		t.Errorf("FrameMeta is %d bytes, want 16", got)
+	}
+}
+
+// TestPopulateFootprint pins the host memory a populated 4KB page costs,
+// its leaf table's share included: 16 bytes of metadata plus 8 of leaf
+// table, 24.7 bytes measured on 256 MB. With the payload pointer and the
+// ring link in every frame's metadata it was 46.7.
+func TestPopulateFootprint(t *testing.T) {
+	const size = 256 << 20
+	sys := NewSystem(SystemConfig{})
+	k := sys.Kernel()
+	p, err := k.CreateProcess(kernel.ProcessOpts{Name: "populate", Home: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if _, err := k.Mmap(p, size, kernel.MmapOpts{Writable: true, Populate: true}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(sys)
+	perPage := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / (size / mem.FrameSize)
+	t.Logf("populating %d MB: %.1f B of heap per 4KB page", size>>20, perPage)
+	if perPage >= 36 {
+		t.Errorf("a populated 4KB page costs %.1f B of heap, want under 36", perPage)
+	}
+}
+
+// TestBootReservationHoldsNoTables pins that the page-cache reservation
+// (64 frames a node by default) holds frames, not tables: a 4 x 512MB boot
+// adds 616 KB of heap. With a zeroed 4KB table attached to every reserved
+// frame it added 1,629 KB.
+func TestBootReservationHoldsNoTables(t *testing.T) {
+	const kb = 1 << 10
+	heap := bootHeap(SystemConfig{MemoryPerNode: 512 << 20})
+	t.Logf("boot heap: 4 x 512MB +%d KB", heap/kb)
+	if heap >= 1024*kb {
+		t.Errorf("booting 4 x 512MB nodes added %d KB of heap, want under 1024 KB", heap/kb)
 	}
 }

@@ -43,6 +43,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 
@@ -72,11 +73,7 @@ func main() {
 
 	w := workloads.ByName(*name, *scenario)
 	if w == nil {
-		fmt.Fprintf(os.Stderr, "ptdump: unknown workload %q; known:", *name)
-		for _, x := range append(workloads.MultiSocketSuite(), workloads.MigrationSuite()...) {
-			fmt.Fprintf(os.Stderr, " %s", x.Name())
-		}
-		fmt.Fprintln(os.Stderr)
+		fmt.Fprintf(os.Stderr, "ptdump: unknown workload %q; known: %s\n", *name, strings.Join(suiteNames(*scenario), " "))
 		os.Exit(2)
 	}
 
@@ -160,6 +157,18 @@ func main() {
 			printFaultReport(k, feng)
 		}
 	}
+}
+
+// suiteNames returns the names of the workloads a -scenario value
+// selects, each once, in suite order.
+func suiteNames(scenario string) []string {
+	var names []string
+	for _, w := range workloads.Suite(scenario) {
+		if !slices.Contains(names, w.Name()) {
+			names = append(names, w.Name())
+		}
+	}
+	return names
 }
 
 // printFaultReport renders the fault engine's view of the machine:

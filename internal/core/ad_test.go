@@ -90,8 +90,8 @@ func TestRingMembersPanicsOnNonClosingRing(t *testing.T) {
 	a, _ := fx.pm.AllocPageTable(0, 1)
 	b, _ := fx.pm.AllocPageTable(1, 1)
 	// Manually corrupt: a -> b -> b (self-loop that never returns to a).
-	fx.pm.Meta(a).ReplicaNext = b
-	fx.pm.Meta(b).ReplicaNext = b
+	fx.pm.SetReplicaNext(a, b)
+	fx.pm.SetReplicaNext(b, b)
 	defer func() {
 		if recover() == nil {
 			t.Error("corrupt ring did not panic")

@@ -14,8 +14,8 @@ type Propagation int
 
 const (
 	// PropagateRing follows the circular replica list threaded through
-	// frame metadata: 2N memory references for N replicas (the paper's
-	// optimized design, Figure 8).
+	// the page-table frames' links: 2N memory references for N replicas
+	// (the paper's optimized design, Figure 8).
 	PropagateRing Propagation = iota
 	// PropagateWalk models the naive alternative the paper rejects:
 	// locating each replica's entry by walking that replica's page-table
@@ -159,7 +159,7 @@ func (b *Backend) SetPTE(ctx *pvops.OpCtx, ref pt.EntryRef, e pt.PTE) {
 	count(ctx, func(m *pvops.Meter) { m.PTEWrites++ })
 	charge(ctx, p.PTEStore)
 
-	for cur := b.pm.Meta(ref.Frame).ReplicaNext; cur != mem.NilFrame && cur != ref.Frame; cur = b.pm.Meta(cur).ReplicaNext {
+	for cur := b.pm.ReplicaNext(ref.Frame); cur != mem.NilFrame && cur != ref.Frame; cur = b.pm.ReplicaNext(cur) {
 		pt.WriteEntryRaw(b.pm, pt.EntryRef{Frame: cur, Index: ref.Index}, b.translate(cur, e))
 		atomic.AddUint64(&b.Stats.ReplicaStores, 1)
 		switch b.prop {
@@ -216,7 +216,7 @@ func (b *Backend) GatherAD(ctx *pvops.OpCtx, ref pt.EntryRef) pt.PTE {
 	e := pt.ReadEntry(b.pm, ref)
 	count(ctx, func(m *pvops.Meter) { m.PTEReads++ })
 	charge(ctx, p.PTELoad)
-	for cur := b.pm.Meta(ref.Frame).ReplicaNext; cur != mem.NilFrame && cur != ref.Frame; cur = b.pm.Meta(cur).ReplicaNext {
+	for cur := b.pm.ReplicaNext(ref.Frame); cur != mem.NilFrame && cur != ref.Frame; cur = b.pm.ReplicaNext(cur) {
 		re := pt.ReadEntry(b.pm, pt.EntryRef{Frame: cur, Index: ref.Index})
 		e |= re & (pt.FlagAccessed | pt.FlagDirty)
 		count(ctx, func(m *pvops.Meter) { m.PTEReads++; m.RingHops++ })

@@ -149,11 +149,11 @@ func TestRingOperations(t *testing.T) {
 	if got := ringSize(fx.pm, a); got != 2 {
 		t.Errorf("ring size after unlink = %d, want 2", got)
 	}
-	if fx.pm.Meta(b).ReplicaNext != mem.NilFrame {
+	if fx.pm.ReplicaNext(b) != mem.NilFrame {
 		t.Error("unlinked frame still points into ring")
 	}
 	ringUnlink(fx.pm, c)
-	if fx.pm.Meta(a).ReplicaNext != mem.NilFrame {
+	if fx.pm.ReplicaNext(a) != mem.NilFrame {
 		t.Error("two-member ring did not collapse to nil")
 	}
 }

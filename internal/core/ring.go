@@ -4,9 +4,12 @@
 // The implementation follows §5 and §6 of the paper:
 //
 //   - A circular linked list of replica page-table pages is threaded through
-//     the per-frame metadata (struct page in Linux, mem.FrameMeta here), so
-//     a store to any replica can reach all others in 2N memory references
-//     instead of the 4N a per-replica table walk would need (Figure 8).
+//     per-frame state, so a store to any replica can reach all others in 2N
+//     memory references instead of the 4N a per-replica table walk would
+//     need (Figure 8). The paper keeps the pointer in struct page; here it
+//     lives in mem's page-table block (mem.PhysMem.ReplicaNext), the role
+//     Linux's struct ptdesc plays next to struct page, so data frames do
+//     not pay for it.
 //   - All page-table mutations are intercepted at the PV-Ops layer: Backend
 //     is a drop-in replacement for the native pvops backend that eagerly
 //     propagates every PTE store to all replicas, translating upper-level
@@ -29,7 +32,7 @@ import (
 // itself. A frame with no replicas yields a single-element slice.
 func ringMembers(pm *mem.PhysMem, f mem.FrameID) []mem.FrameID {
 	members := []mem.FrameID{f}
-	for cur := pm.Meta(f).ReplicaNext; cur != mem.NilFrame && cur != f; cur = pm.Meta(cur).ReplicaNext {
+	for cur := pm.ReplicaNext(f); cur != mem.NilFrame && cur != f; cur = pm.ReplicaNext(cur) {
 		members = append(members, cur)
 		if len(members) > 64 {
 			panic(fmt.Sprintf("core: replica ring of frame %d does not close", f))
@@ -44,7 +47,7 @@ func ringMemberOn(pm *mem.PhysMem, f mem.FrameID, node numa.NodeID) (mem.FrameID
 	if pm.NodeOf(f) == node {
 		return f, true
 	}
-	for cur := pm.Meta(f).ReplicaNext; cur != mem.NilFrame && cur != f; cur = pm.Meta(cur).ReplicaNext {
+	for cur := pm.ReplicaNext(f); cur != mem.NilFrame && cur != f; cur = pm.ReplicaNext(cur) {
 		if pm.NodeOf(cur) == node {
 			return cur, true
 		}
@@ -55,43 +58,38 @@ func ringMemberOn(pm *mem.PhysMem, f mem.FrameID, node numa.NodeID) (mem.FrameID
 // ringInsert links newFrame into f's ring immediately after f. If f has no
 // ring yet, a two-element ring is formed.
 func ringInsert(pm *mem.PhysMem, f, newFrame mem.FrameID) {
-	fm := pm.Meta(f)
-	nm := pm.Meta(newFrame)
-	if nm.ReplicaNext != mem.NilFrame {
+	if pm.ReplicaNext(newFrame) != mem.NilFrame {
 		panic(fmt.Sprintf("core: frame %d is already in a ring", newFrame))
 	}
-	if fm.ReplicaNext == mem.NilFrame {
-		fm.ReplicaNext = newFrame
-		nm.ReplicaNext = f
-		return
+	next := pm.ReplicaNext(f)
+	if next == mem.NilFrame {
+		next = f
 	}
-	nm.ReplicaNext = fm.ReplicaNext
-	fm.ReplicaNext = newFrame
+	pm.SetReplicaNext(newFrame, next)
+	pm.SetReplicaNext(f, newFrame)
 }
 
 // ringUnlink removes f from its ring. If the ring collapses to a single
-// member, that member's ReplicaNext becomes NilFrame again.
+// member, that member's link becomes NilFrame again.
 func ringUnlink(pm *mem.PhysMem, f mem.FrameID) {
-	fm := pm.Meta(f)
-	if fm.ReplicaNext == mem.NilFrame {
+	next := pm.ReplicaNext(f)
+	if next == mem.NilFrame {
 		return // not in a ring
 	}
 	// Find predecessor.
 	pred := f
-	for pm.Meta(pred).ReplicaNext != f {
-		pred = pm.Meta(pred).ReplicaNext
+	for pm.ReplicaNext(pred) != f {
+		pred = pm.ReplicaNext(pred)
 		if pred == mem.NilFrame {
 			panic(fmt.Sprintf("core: frame %d ring is corrupt", f))
 		}
 	}
-	next := fm.ReplicaNext
 	if pred == next {
 		// Two-member ring collapses.
-		pm.Meta(pred).ReplicaNext = mem.NilFrame
-	} else {
-		pm.Meta(pred).ReplicaNext = next
+		next = mem.NilFrame
 	}
-	fm.ReplicaNext = mem.NilFrame
+	pm.SetReplicaNext(pred, next)
+	pm.SetReplicaNext(f, mem.NilFrame)
 }
 
 // ringSize returns the number of members in f's ring (1 if unreplicated).

@@ -185,7 +185,7 @@ func forensics(t *testing.T, k *Kernel, p *Process, va pt.VirtAddr, s numa.Socke
 			cur := st.Ref.Frame
 			for j := 0; j < 8; j++ {
 				ring += fmt.Sprintf("%d(n%d) ", cur, k.pm.NodeOf(cur))
-				nxt := k.pm.Meta(cur).ReplicaNext
+				nxt := k.pm.ReplicaNext(cur)
 				if nxt == mem.NilFrame || nxt == st.Ref.Frame {
 					break
 				}

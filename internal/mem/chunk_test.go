@@ -58,8 +58,8 @@ func TestMetaOfNeverAllocatedFrame(t *testing.T) {
 	pm := newTestMem(t, 1<<12)
 	f := FrameID(3<<12 + 700)
 	m := pm.Meta(f)
-	if m.Kind != KindFree || m.ReplicaNext != NilFrame || m.HugeHead || m.HugeTail || m.PTLevel != 0 {
-		t.Fatalf("never-allocated frame meta = %+v, want free with ReplicaNext NilFrame", *m)
+	if *m != (FrameMeta{}) || pm.ReplicaNext(f) != NilFrame {
+		t.Fatalf("never-allocated frame meta = %+v, link %d, want free and unlinked", *m, pm.ReplicaNext(f))
 	}
 	m.PTLevel = 3
 	if got := pm.Meta(f); got != m || got.PTLevel != 3 {
@@ -100,7 +100,7 @@ func TestMetaPointerSurvivesReset(t *testing.T) {
 	m := pm.Meta(f)
 	next := pm.Meta(f + 1) // same group, not yet allocated
 	pm.Reset()
-	if *m != (FrameMeta{Kind: KindFree, ReplicaNext: NilFrame}) {
+	if *m != (FrameMeta{}) {
 		t.Fatalf("meta after Reset = %+v, want pristine", *m)
 	}
 	g, err := pm.AllocPageTable(1, 3)
@@ -125,19 +125,26 @@ func TestMetaPointerSurvivesReset(t *testing.T) {
 // TestConcurrentFirstTouch runs one allocating goroutine per node, as the
 // parallel engine's per-socket faults do: each first-touches fresh 2MB
 // groups with data, page-table and huge allocations, creating their
-// chunks, while reader goroutines keep reading Meta and Table of frames
-// already handed out. Run under -race: readers must never need a lock.
+// chunks, while reader goroutines keep reading the Meta of frames already
+// handed out and the Table and ReplicaNext of those that hold a table. A
+// provisioning goroutine gives a guest table to one frame of each 64-frame
+// block of every huge page, so it creates page-table blocks in groups
+// whose frames the readers are reading. Run under -race: readers must
+// never need a lock.
 func TestConcurrentFirstTouch(t *testing.T) {
 	const nodes, readers = 4, 3
 	pm := New(Config{Topology: numa.NewTopology(nodes, 1), FramesPerNode: 1 << 15})
 	type handed struct {
 		f     FrameID
-		table bool
+		table bool // holds a table: KindPageTable at level 1, or a guest table
+		guest bool
 	}
 	// A frame reaches a reader only through this channel, so its
-	// allocation happens before every read of it.
+	// allocation (and its table's provisioning) happens before every read
+	// of it.
 	published := make(chan handed)
-	var allocators, done sync.WaitGroup
+	hugePages := make(chan FrameID)
+	var allocators, provisioner, done sync.WaitGroup
 	for n := range nodes {
 		allocators.Add(1)
 		go func(node numa.NodeID) {
@@ -150,7 +157,8 @@ func TestConcurrentFirstTouch(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				published <- handed{f + HugeFrames - 1, false}
+				published <- handed{f: f + HugeFrames - 1}
+				hugePages <- f
 				for j := range 12 {
 					d, err := pm.AllocData(node)
 					if err != nil {
@@ -163,12 +171,23 @@ func TestConcurrentFirstTouch(t *testing.T) {
 						return
 					}
 					atomic.StoreUint64(&pm.Table(tf)[j], uint64(d))
-					published <- handed{d, false}
-					published <- handed{tf, true}
+					published <- handed{f: d}
+					published <- handed{f: tf, table: true}
 				}
 			}
 		}(numa.NodeID(n))
 	}
+	provisioner.Add(1)
+	go func() {
+		defer provisioner.Done()
+		for base := range hugePages {
+			for b := range FrameID(HugeFrames / blockFrames) {
+				g := base + b*blockFrames + b
+				atomic.StoreUint64(&pm.ProvisionTable(g)[b], uint64(base))
+				published <- handed{f: g, table: true, guest: true}
+			}
+		}
+	}()
 	for range readers {
 		done.Add(1)
 		go func() {
@@ -181,10 +200,12 @@ func TestConcurrentFirstTouch(t *testing.T) {
 				for _, h := range seen {
 					m := pm.Meta(h.f)
 					switch {
-					case !h.table && m.Kind != KindData:
+					case (!h.table || h.guest) && m.Kind != KindData:
 						t.Errorf("data frame %d kind %v", h.f, m.Kind)
-					case h.table && (m.Kind != KindPageTable || m.PTLevel != 1 || m.ReplicaNext != NilFrame):
+					case h.table && !h.guest && (m.Kind != KindPageTable || m.PTLevel != 1):
 						t.Errorf("table frame %d meta %+v", h.f, *m)
+					case h.table && pm.ReplicaNext(h.f) != NilFrame:
+						t.Errorf("table frame %d linked to %d", h.f, pm.ReplicaNext(h.f))
 					case h.table:
 						_ = atomic.LoadUint64(&pm.Table(h.f)[0])
 					}
@@ -193,6 +214,8 @@ func TestConcurrentFirstTouch(t *testing.T) {
 		}()
 	}
 	allocators.Wait()
+	close(hugePages)
+	provisioner.Wait()
 	close(published)
 	done.Wait()
 	// 48 huge groups a node plus the partial groups the singles filled.

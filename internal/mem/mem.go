@@ -83,9 +83,13 @@ var ErrNoContiguous = errors.New("mem: no contiguous 2MB block available")
 // ErrNodeOffline is returned for allocations on a hot-removed node.
 var ErrNodeOffline = errors.New("mem: node is offline")
 
-// FrameMeta is the per-frame metadata, the simulator's struct page. Mitosis
-// threads its circular replica list through ReplicaNext exactly as the paper
-// stores replica pointers in struct page (§5.2, Figure 8).
+// FrameMeta is the per-frame metadata, the simulator's struct page: 16
+// bytes that every frame of a touched 2MB group pays for. The state only
+// page-table frames carry, the table payload and the link Mitosis threads
+// its circular replica list through (§5.2, Figure 8), lives in a
+// page-table block beside it (ReplicaNext, Table), the role Linux's
+// struct ptdesc plays next to struct page. The zero FrameMeta is a free,
+// never-touched frame.
 type FrameMeta struct {
 	// Kind says what the frame holds.
 	Kind Kind
@@ -93,11 +97,9 @@ type FrameMeta struct {
 	HugeHead bool
 	// HugeTail is true for the 511 non-head frames of a 2MB block.
 	HugeTail bool
-	// ReplicaNext links page-table replica frames into a circular list.
-	// NilFrame when the frame is not part of a replica set.
-	ReplicaNext FrameID
 	// PTLevel records the page-table level (1..5) for page-table frames,
-	// 0 otherwise. Used by dumps and by replica maintenance.
+	// 0 otherwise (and for frames parked in the page cache). Used by dumps
+	// and by replica maintenance.
 	PTLevel uint8
 	// AccessSocket is the socket that most recently touched this data
 	// frame; sampled by the machine for AutoNUMA-style migration. The
@@ -193,16 +195,18 @@ type PhysMem struct {
 	// divide on the access hot path; -1 otherwise.
 	nodeShift int
 	nodes     []nodeState
-	// chunks holds the frame metadata and page-table payloads of each 2MB
+	// chunks holds the frame metadata and page-table blocks of each 2MB
 	// group, indexed by global group number (frame / HugeFrames); nil for
 	// a group none of whose frames was ever handed out. A group's entry is
 	// written once, under its node's mutex, before the allocator returns
-	// the group's first frame, and is never cleared. Concurrent page
-	// walkers read it without a lock: a walker reaches a frame only
+	// the group's first frame, and is never cleared; each of the chunk's
+	// block pointers changes once, from emptyBlock to a block of its own,
+	// when the block's first table arrives. Concurrent page walkers read
+	// both without a lock: a walker reaches a frame only
 	// through the atomic PTE store that linked it into a parent entry
 	// (release/acquire via pt.WriteEntryRaw / pt.ReadEntry), and that store
-	// follows the chunk's creation and the payload store into it. Distinct
-	// payload slots never alias.
+	// follows the chunk's and the block's creation and the payload store
+	// into the block. Distinct payload slots never alias.
 	chunks []*groupChunk
 	// poison is a machine-wide bitmap of frames carrying an uncorrectable
 	// ECC error (one bit per frame, atomic word ops): injection marks a
@@ -215,25 +219,49 @@ type PhysMem struct {
 	poisonCount atomic.Int64
 }
 
-// groupChunk holds the metadata and page-table payload slots of the
-// HugeFrames frames of one 2MB group. Chunks are created when the
-// allocator first hands out a frame of their group, so host memory follows
-// the frames a run touches, not the machine's capacity; they are never
-// freed, which keeps every Meta pointer valid for the life of the PhysMem.
-// The payload pointers come first so the garbage collector's scan of a
-// chunk ends where the pointer-free metadata begins.
+// groupChunk holds the metadata of the HugeFrames frames of one 2MB group
+// and the pointers to its page-table blocks, emptyBlock until a frame of
+// the block holds a table. Chunks are created when the allocator first
+// hands out a frame of their group, so host memory follows the frames a
+// run touches, not the machine's capacity; they are never freed, which
+// keeps every Meta pointer valid for the life of the PhysMem. The block
+// pointers come first so the garbage collector's scan of a chunk ends
+// where the pointer-free metadata begins. A chunk is 8,256 bytes, which
+// the Go allocator rounds up to 9,472; DESIGN.md says why the pointers
+// still live here.
 type groupChunk struct {
-	tables [HugeFrames]*[PTEntries]uint64
+	blocks [HugeFrames / blockFrames]*ptBlock
 	meta   [HugeFrames]FrameMeta
 }
 
-// pristineMeta is a whole group of never-allocated frames' metadata.
-var pristineMeta = func() (m [HugeFrames]FrameMeta) {
-	for i := range m {
-		m[i].ReplicaNext = NilFrame
+// blockFrames is the number of consecutive frames a page-table block
+// covers.
+const blockFrames = 64
+
+// ptBlock holds the page-table state of blockFrames consecutive frames:
+// each frame's 512-entry payload while it holds a table, and its link in a
+// replica ring (NilFrame outside one). It is 1 KB, created the first time a
+// frame in it holds a table and never freed, so host memory pays for it
+// only where tables have lived. The payload pointers come first so the
+// garbage collector's scan of a block ends where the links begin.
+type ptBlock struct {
+	tables [blockFrames]*[PTEntries]uint64
+	next   [blockFrames]FrameID
+}
+
+// newBlock returns a block with no payloads and no links.
+func newBlock() *ptBlock {
+	b := new(ptBlock)
+	for i := range b.next {
+		b.next[i] = NilFrame
 	}
-	return m
-}()
+	return b
+}
+
+// emptyBlock stands in for every block no table has lived in yet: it holds
+// no payload and no link, and nothing writes it, so Table and ReplicaNext
+// read through it without a branch.
+var emptyBlock = newBlock()
 
 // Config configures a PhysMem.
 type Config struct {
@@ -337,24 +365,49 @@ func (pm *PhysMem) Meta(f FrameID) *FrameMeta {
 // simulator bug, not a runtime condition. The nil check (rather than a Kind
 // check) keeps this hot-path lookup free of the metadata the allocator
 // mutates, so concurrent walkers only touch the published table pointer.
+// Small enough to inline: pt.ReadEntry on the walk path makes no call.
 func (pm *PhysMem) Table(f FrameID) *[PTEntries]uint64 {
-	if c := pm.chunk(f); c != nil {
-		if t := c.tables[f%HugeFrames]; t != nil {
-			return t
-		}
+	if t := pm.block(f).tables[f%blockFrames]; t != nil {
+		return t
 	}
 	panic(frameError{pm, f})
 }
 
+// ReplicaNext returns the frame after page-table frame f in its replica
+// ring, or NilFrame when f is in none (as every frame without a table).
+// Like Table it takes no lock, so a caller running beside allocations may
+// pass only a frame that holds a table: the block of any other frame may
+// be being created.
+func (pm *PhysMem) ReplicaNext(f FrameID) FrameID {
+	return pm.block(f).next[f%blockFrames]
+}
+
+// SetReplicaNext links page-table frame f to next in its replica ring;
+// NilFrame takes f out of it. It panics if f holds no table: only page
+// tables are replicated. Free and Reset unlink the frames they release.
+func (pm *PhysMem) SetReplicaNext(f, next FrameID) {
+	b := pm.block(f)
+	if b.tables[f%blockFrames] == nil {
+		panic(frameError{pm, f})
+	}
+	b.next[f%blockFrames] = next
+}
+
 // chunk returns the chunk of frame f's group, nil if no frame of the group
-// was ever allocated. Small enough to inline: Table and the replica-ring
-// walk through Meta pay one load for it.
+// was ever allocated. Small enough to inline: Meta pays one load for it.
 func (pm *PhysMem) chunk(f FrameID) *groupChunk {
 	g := uint64(f) / HugeFrames
 	if g >= uint64(len(pm.chunks)) {
 		panic(frameError{pm, f})
 	}
 	return pm.chunks[g]
+}
+
+// block returns the page-table block of frame f, emptyBlock if no table
+// has lived in it yet. Frame f's group must have its chunk, as every frame
+// an allocation or Meta reached does.
+func (pm *PhysMem) block(f FrameID) *ptBlock {
+	return pm.chunk(f).blocks[f%HugeFrames/blockFrames]
 }
 
 // touch returns the chunk of frame f's group, creating it if no frame of
@@ -371,10 +424,54 @@ func (pm *PhysMem) touch(f FrameID) *groupChunk {
 func (pm *PhysMem) ensureChunk(g uint64) *groupChunk {
 	c := pm.chunks[g]
 	if c == nil {
-		c = &groupChunk{meta: pristineMeta}
+		c = new(groupChunk)
+		for i := range c.blocks {
+			c.blocks[i] = emptyBlock
+		}
 		pm.chunks[g] = c
 	}
 	return c
+}
+
+// ensureBlock returns frame f's page-table block, creating it when no
+// table has lived in it yet; the caller holds the owning node's mutex.
+func (pm *PhysMem) ensureBlock(f FrameID) *ptBlock {
+	b := &pm.chunk(f).blocks[f%HugeFrames/blockFrames]
+	if *b == emptyBlock {
+		*b = newBlock()
+	}
+	return *b
+}
+
+// dropTable parks frame f's payload, if it has one, in ns's pool and takes
+// f out of its replica ring; the caller holds ns.mu. A frame in a ring
+// always holds a table, so a frame without one has nothing to reset, and
+// emptyBlock is never written.
+func (pm *PhysMem) dropTable(ns *nodeState, f FrameID) {
+	b, i := pm.block(f), f%blockFrames
+	if t := b.tables[i]; t != nil {
+		ns.recycleTable(t)
+		b.tables[i] = nil
+		b.next[i] = NilFrame
+	}
+}
+
+// releaseGroup parks the payloads of every table in global group g and
+// unlinks its frames, leaving its blocks as newBlock made them; the caller
+// holds the owning node's mutex.
+func (pm *PhysMem) releaseGroup(ns *nodeState, g uint64) {
+	for _, b := range pm.chunks[g].blocks {
+		if b == emptyBlock {
+			continue
+		}
+		for i, t := range b.tables {
+			if t != nil {
+				ns.recycleTable(t)
+				b.tables[i] = nil
+			}
+			b.next[i] = NilFrame
+		}
+	}
 }
 
 // frameError is the panic value of a frame number beyond physical memory,
@@ -392,6 +489,9 @@ func (e frameError) Error() string {
 	kind := KindFree
 	if c := e.pm.chunks[uint64(e.f)/HugeFrames]; c != nil {
 		kind = c.meta[e.f%HugeFrames].Kind
+	}
+	if kind == KindPageTable {
+		return fmt.Sprintf("mem: frame %d is a reserved page-table frame without a table", e.f)
 	}
 	return fmt.Sprintf("mem: frame %d holds %v, not a page table", e.f, kind)
 }
@@ -412,7 +512,7 @@ func (pm *PhysMem) ProvisionTable(f FrameID) *[PTEntries]uint64 {
 	if c == nil || c.meta[f%HugeFrames].Kind == KindFree {
 		panic(fmt.Sprintf("mem: provisioning table storage on free frame %d", f))
 	}
-	t := &c.tables[f%HugeFrames]
+	t := &pm.ensureBlock(f).tables[f%blockFrames]
 	if *t == nil {
 		*t = ns.takeTable()
 	}
@@ -567,11 +667,20 @@ func (pm *PhysMem) AllocData(n numa.NodeID) (FrameID, error) {
 }
 
 // AllocPageTable allocates one 4KB frame on node n to hold a page-table page
-// of the given level (1 = leaf .. 5 = root of 5-level paging) and zeroes it.
+// of the given level (1 = leaf .. 5 = root of 5-level paging) with a zeroed
+// payload.
 func (pm *PhysMem) AllocPageTable(n numa.NodeID, level uint8) (FrameID, error) {
-	if level < 1 || level > 5 {
-		panic(fmt.Sprintf("mem: page-table level %d out of range [1,5]", level))
+	f, err := pm.reserveTableFrame(n)
+	if err == nil {
+		pm.attach(f, level)
 	}
+	return f, err
+}
+
+// reserveTableFrame allocates one 4KB frame on node n for a page table, at
+// level 0 and without a payload: the page cache parks such frames until
+// AllocPT hands one out through attach.
+func (pm *PhysMem) reserveTableFrame(n numa.NodeID) (FrameID, error) {
 	ns := pm.node(n)
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
@@ -579,12 +688,37 @@ func (pm *PhysMem) AllocPageTable(n numa.NodeID, level uint8) (FrameID, error) {
 	if err != nil {
 		return NilFrame, err
 	}
-	c := pm.chunk(f)
-	c.meta[f%HugeFrames].Kind = KindPageTable
-	c.meta[f%HugeFrames].PTLevel = level
-	c.tables[f%HugeFrames] = ns.takeTable()
+	pm.chunk(f).meta[f%HugeFrames].Kind = KindPageTable
 	ns.allocPT++
 	return f, nil
+}
+
+// attach gives page-table frame f a zeroed payload at the given level.
+func (pm *PhysMem) attach(f FrameID, level uint8) {
+	if level < 1 || level > 5 {
+		panic(fmt.Sprintf("mem: page-table level %d out of range [1,5]", level))
+	}
+	ns := pm.node(pm.NodeOf(f))
+	ns.mu.Lock()
+	defer ns.mu.Unlock()
+	pm.chunk(f).meta[f%HugeFrames].PTLevel = level
+	pm.ensureBlock(f).tables[f%blockFrames] = ns.takeTable()
+}
+
+// park returns page-table frame f to the state reserveTableFrame hands
+// out, level 0 without a payload, and reports whether it did: it refuses
+// a poisoned frame and a frame of an offline node, which must not be
+// handed out again.
+func (pm *PhysMem) park(f FrameID) bool {
+	ns := pm.node(pm.NodeOf(f))
+	ns.mu.Lock()
+	defer ns.mu.Unlock()
+	if ns.offline || pm.Poisoned(f) {
+		return false
+	}
+	pm.dropTable(ns, f)
+	pm.chunk(f).meta[f%HugeFrames].PTLevel = 0
+	return true
 }
 
 // AllocHuge allocates a 2MB block (512 contiguous frames) on node n and
@@ -639,7 +773,7 @@ func (pm *PhysMem) Free(f FrameID) {
 	if c == nil || c.meta[f%HugeFrames].Kind == KindFree {
 		panic(fmt.Sprintf("mem: double free of frame %d", f))
 	}
-	m, t := &c.meta[f%HugeFrames], &c.tables[f%HugeFrames]
+	m := &c.meta[f%HugeFrames]
 	if m.HugeHead || m.HugeTail {
 		panic(fmt.Sprintf("mem: frame %d belongs to a huge page; use FreeHuge", f))
 	}
@@ -651,21 +785,18 @@ func (pm *PhysMem) Free(f FrameID) {
 	}
 	// Data frames may carry provisioned guest-table storage; drop it so a
 	// reused frame never exposes a stale payload.
-	if *t != nil {
-		ns.recycleTable(*t)
-		*t = nil
-	}
+	pm.dropTable(ns, f)
 	if pm.Poisoned(f) {
 		// ECC page-offline: a poisoned frame never returns to the free
 		// pool. The bitmap bit stays set so the allocator can never hand
 		// it out again; the poison mark clears because the hardware error
 		// is now contained.
-		*m = FrameMeta{Kind: KindRetired, ReplicaNext: NilFrame}
+		*m = FrameMeta{Kind: KindRetired}
 		pm.ClearPoison(f)
 		ns.retired++
 		return
 	}
-	*m = FrameMeta{Kind: KindFree, ReplicaNext: NilFrame}
+	*m = FrameMeta{}
 	pm.clearBit(ns, uint64(f-ns.base))
 	ns.free++
 	g := int((f - ns.base) / HugeFrames)
@@ -690,23 +821,20 @@ func (pm *PhysMem) FreeHuge(base FrameID) {
 	if c == nil || base%HugeFrames != 0 || !c.meta[0].HugeHead {
 		panic(fmt.Sprintf("mem: frame %d is not a huge-page head", base))
 	}
+	pm.releaseGroup(ns, uint64(base)/HugeFrames)
 	retired := uint64(0)
 	for off := FrameID(0); off < HugeFrames; off++ {
 		f := base + off
 		m := &c.meta[off]
-		if t := c.tables[off]; t != nil {
-			ns.recycleTable(t)
-			c.tables[off] = nil
-		}
 		if pm.Poisoned(f) {
 			// A poisoned member retires in place; the rest of the block
 			// returns to the pool as 4KB frames.
-			*m = FrameMeta{Kind: KindRetired, ReplicaNext: NilFrame}
+			*m = FrameMeta{Kind: KindRetired}
 			pm.ClearPoison(f)
 			retired++
 			continue
 		}
-		*m = FrameMeta{Kind: KindFree, ReplicaNext: NilFrame}
+		*m = FrameMeta{}
 		pm.clearBit(ns, uint64(f-ns.base))
 	}
 	g := int((base - ns.base) / HugeFrames)
@@ -880,11 +1008,12 @@ func (pm *PhysMem) takeFromGroup(ns *nodeState, g int) FrameID {
 // independent runs; callers must be quiescent (no concurrent walkers or
 // allocations).
 //
-// Free and FreeHuge fully restore the metadata and payload slot of every
-// frame they release, so a 2MB group whose frames were never allocated —
-// or were all freed — is already pristine. Reset therefore only wipes
-// groups with live allocations, making its cost proportional to the run's
-// peak footprint rather than to machine size.
+// Free and FreeHuge fully restore the metadata, payload slot and ring link
+// of every frame they release, so a 2MB group whose frames were never
+// allocated — or were all freed — is already pristine. Reset therefore
+// only wipes groups with live allocations, making its cost proportional to
+// the run's peak footprint rather than to machine size. It keeps every
+// chunk and block it wipes.
 func (pm *PhysMem) Reset() {
 	for i := range pm.nodes {
 		ns := &pm.nodes[i]
@@ -897,14 +1026,9 @@ func (pm *PhysMem) Reset() {
 			for w := base / 64; w < base/64+HugeFrames/64; w++ {
 				ns.bitmap[w] = 0
 			}
-			c := pm.chunks[uint64(ns.base)/HugeFrames+uint64(g)]
-			for off := range c.tables {
-				if t := c.tables[off]; t != nil {
-					ns.recycleTable(t)
-					c.tables[off] = nil
-				}
-			}
-			c.meta = pristineMeta
+			global := uint64(ns.base)/HugeFrames + uint64(g)
+			pm.releaseGroup(ns, global)
+			pm.chunks[global].meta = [HugeFrames]FrameMeta{}
 			ns.groupFree[g] = HugeFrames
 		}
 		for w := range ns.partialMask {

@@ -15,7 +15,10 @@ import (
 // sysctl-controlled page cache (§5.1). PageCache is that reservation pool,
 // sized once when it is built: page-table allocations first try the pool
 // and fall back to the general allocator, and freed page-table frames
-// refill the pool up to its target size.
+// refill the pool up to its target size. The pool reserves frames, not
+// tables: a parked frame is a page-table frame at level 0 without a
+// payload, AllocPT attaches a zeroed payload when it hands the frame out,
+// and FreePT detaches it when it parks the frame again.
 //
 // The pools are locked per node, mirroring the frame allocator: the fault
 // path is sharded per process, so page-table pages of different processes
@@ -59,14 +62,10 @@ func (pc *PageCache) Refill() int {
 		node := numa.NodeID(n)
 		pc.mus[n].Lock()
 		for uint64(len(pc.pools[n])) < pc.target {
-			f, err := pc.pm.AllocPageTable(node, 1)
+			f, err := pc.pm.reserveTableFrame(node)
 			if err != nil {
 				break
 			}
-			// Parked frames carry level 0 so a stale pointer at a parked
-			// frame is distinguishable from any live table; AllocPT
-			// rewrites the level when the frame is handed out.
-			pc.pm.Meta(f).PTLevel = 0
 			pc.pools[n] = append(pc.pools[n], f)
 			total++
 		}
@@ -84,9 +83,7 @@ func (pc *PageCache) AllocPT(n numa.NodeID, level uint8) (FrameID, error) {
 		f := pc.pools[n][len(pc.pools[n])-1]
 		pc.pools[n] = pc.pools[n][:len(pc.pools[n])-1]
 		pc.mus[n].Unlock()
-		meta := pc.pm.Meta(f)
-		meta.PTLevel = level
-		clear(pc.pm.Table(f)[:])
+		pc.pm.attach(f, level)
 		return f, nil
 	}
 	pc.mus[n].Unlock()
@@ -101,24 +98,18 @@ func (pc *PageCache) FreePT(f FrameID) {
 	if meta.Kind != KindPageTable {
 		panic(fmt.Sprintf("mem: FreePT on frame %d of kind %v", f, meta.Kind))
 	}
-	if meta.ReplicaNext != NilFrame {
+	if pc.pm.ReplicaNext(f) != NilFrame {
 		panic(fmt.Sprintf("mem: FreePT on frame %d still linked in a replica ring", f))
 	}
 	if meta.PTLevel == 0 {
 		panic(fmt.Sprintf("mem: double FreePT of frame %d (already parked)", f))
 	}
 	n := pc.pm.NodeOf(f)
-	// Poisoned frames must retire (pm.Free handles that) and frames on an
-	// offlined node must not be parked for reuse — parking would hand a
-	// bad frame back out through AllocPT.
-	if pc.pm.Poisoned(f) || pc.pm.NodeOffline(n) {
-		pc.pm.Free(f)
-		return
-	}
 	pc.mus[n].Lock()
-	if uint64(len(pc.pools[n])) < pc.target {
-		meta.PTLevel = 0
-		clear(pc.pm.Table(f)[:])
+	// park refuses a poisoned frame, which must retire (pm.Free handles
+	// that), and a frame on an offlined node: parking either would hand a
+	// bad frame back out through AllocPT.
+	if uint64(len(pc.pools[n])) < pc.target && pc.pm.park(f) {
 		pc.pools[n] = append(pc.pools[n], f)
 		pc.mus[n].Unlock()
 		return

@@ -295,19 +295,23 @@ func scaleBytes(b uint64, f float64) uint64 {
 	return s / (2 << 20) * (2 << 20)
 }
 
-// ByName resolves a workload by its paper name within a scenario suite
-// ("ms" or "wm"); nil if unknown.
-func ByName(name, scenario string) Workload {
-	var suite []Workload
+// Suite returns the workloads a scenario selects: the multi-socket suite
+// for "ms", the workload-migration suite for "wm", and both, in that
+// order, for anything else.
+func Suite(scenario string) []Workload {
 	switch scenario {
 	case "ms":
-		suite = MultiSocketSuite()
+		return MultiSocketSuite()
 	case "wm":
-		suite = MigrationSuite()
-	default:
-		suite = append(MultiSocketSuite(), MigrationSuite()...)
+		return MigrationSuite()
 	}
-	for _, w := range suite {
+	return append(MultiSocketSuite(), MigrationSuite()...)
+}
+
+// ByName resolves a workload by its paper name within a scenario's suite
+// (see Suite); nil if unknown.
+func ByName(name, scenario string) Workload {
+	for _, w := range Suite(scenario) {
 		if w.Name() == name {
 			return w
 		}
