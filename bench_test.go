@@ -9,6 +9,7 @@ package mitosis_test
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 	"sync"
 	"testing"
@@ -290,6 +291,17 @@ func paceNsPerStep() float64 {
 // of the passes on either side of it; the row reports the ratios' 10th
 // percentile.
 func paced(b *testing.B, run func(n int)) {
+	pacedTimed(b, func(n int) time.Duration {
+		t0 := time.Now()
+		run(n)
+		return time.Since(t0)
+	})
+}
+
+// pacedTimed is paced for a row whose ops need set-up between them: run
+// does its n ops, stops and restarts b's timer around its set-up, and
+// returns the time its ops took.
+func pacedTimed(b *testing.B, run func(n int) time.Duration) {
 	b.ResetTimer()
 	b.StopTimer()
 	kernel := paceNsPerStep()
@@ -298,9 +310,7 @@ func paced(b *testing.B, run func(n int)) {
 	for done := 0; done < b.N; done += per {
 		n := min(per, b.N-done)
 		b.StartTimer()
-		t0 := time.Now()
-		run(n)
-		d := time.Since(t0)
+		d := run(n)
 		b.StopTimer()
 		next := paceNsPerStep()
 		ratios = append(ratios, float64(d.Nanoseconds())/float64(n)/((kernel+next)/2))
@@ -445,6 +455,79 @@ func BenchmarkMicroFaultStorm(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkMicroProcessExit measures exit: DestroyProcess of one churn
+// process (256 4 KB pages and four THP blocks, faulted in untimed) on a
+// THP node with 30% of its 2 MB groups fragmented, so some blocks fall
+// back to 4 KB pages. One op is one page (4 KB or 2 MB) that
+// DestroyProcess frees.
+func BenchmarkMicroProcessExit(b *testing.B) {
+	b.ReportAllocs()
+	k := kernel.New(kernel.Config{Topology: numa.NewTopology(1, 2), FramesPerNode: 1 << 15, THP: true})
+	k.Mem().Fragment(0, 0.3, rand.New(rand.NewSource(42)))
+	spawn := func() (*kernel.Process, int) {
+		p, err := k.CreateProcess(kernel.ProcessOpts{Name: "exit", Home: 0})
+		if err != nil {
+			b.Fatal(err)
+		}
+		pages := 0
+		for _, opts := range []kernel.MmapOpts{{Writable: true, Populate: true}, {Writable: true, THP: true, Populate: true}} {
+			length := uint64(256 << 12)
+			if opts.THP {
+				length = 4 << 21
+			}
+			base, err := k.Mmap(p, length, opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			p.Table().VisitLeaves(base, base+pt.VirtAddr(length), func(pt.VirtAddr, pt.PTE, pt.PageSize) { pages++ })
+		}
+		return p, pages
+	}
+	pacedTimed(b, func(n int) time.Duration {
+		var d time.Duration
+		for n > 0 {
+			b.StopTimer()
+			p, pages := spawn()
+			b.StartTimer()
+			t0 := time.Now()
+			k.DestroyProcess(p)
+			d += time.Since(t0)
+			n -= pages
+		}
+		return d
+	})
+}
+
+// BenchmarkMicroVisitLeaves measures the leaf iterator that exit, the
+// AutoNUMA scan and the tier tick walk with: pt.Table.VisitLeaves over a
+// populated 64 MB region of 4 KB pages. One op is one leaf visited.
+func BenchmarkMicroVisitLeaves(b *testing.B) {
+	b.ReportAllocs()
+	k := kernel.New(kernel.Config{FramesPerNode: 1 << 15})
+	p, err := k.CreateProcess(kernel.ProcessOpts{Name: "leaves", Home: 0})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const leaves = 64 << 20 >> 12
+	base, err := k.Mmap(p, leaves<<12, kernel.MmapOpts{Writable: true, Populate: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	t := p.Table()
+	var visited int
+	count := func(pt.VirtAddr, pt.PTE, pt.PageSize) { visited++ }
+	paced(b, func(n int) {
+		for n > 0 {
+			m := min(n, leaves)
+			t.VisitLeaves(base, base+pt.VirtAddr(m)<<12, count)
+			n -= m
+		}
+	})
+	if visited != b.N {
+		b.Fatalf("visited %d leaves, want %d", visited, b.N)
+	}
 }
 
 // BenchmarkMicroEngineParallelGUPS measures the round engine on a 4-socket

@@ -136,15 +136,17 @@ func (b *Backend) allocMaster(preferred numa.NodeID, level uint8) (mem.FrameID, 
 }
 
 // ReleasePT implements pvops.Backend: it frees the page and every replica
-// in its ring.
+// in its ring, in ring order from f. It walks the ring in place, reading
+// each member's successor before unlinking the member.
 func (b *Backend) ReleasePT(ctx *pvops.OpCtx, f mem.FrameID) {
 	p := b.cost.Params()
-	members := ringMembers(b.pm, f)
-	for _, m := range members {
-		ringUnlink(b.pm, m)
-		b.cache.FreePT(m)
+	for cur := f; cur != mem.NilFrame; {
+		next := b.pm.ReplicaNext(cur)
+		ringUnlink(b.pm, cur)
+		b.cache.FreePT(cur)
 		count(ctx, func(mt *pvops.Meter) { mt.PTFrees++ })
 		charge(ctx, p.PTAllocInit)
+		cur = next
 	}
 }
 
@@ -208,6 +210,12 @@ func (b *Backend) ReadPTE(ctx *pvops.OpCtx, ref pt.EntryRef) pt.PTE {
 	return pt.ReadEntry(b.pm, ref)
 }
 
+// ChargeReads implements pvops.Backend.
+func (b *Backend) ChargeReads(ctx *pvops.OpCtx, n int) {
+	count(ctx, func(m *pvops.Meter) { m.PTEReads += uint64(n) })
+	charge(ctx, numa.Cycles(n)*b.cost.Params().PTELoad)
+}
+
 // GatherAD implements pvops.Backend: reads the entry with Accessed/Dirty
 // OR-ed across all replicas (§5.4). The page walker sets those bits only in
 // the replica it walked, so a single-location read would under-report.
@@ -228,12 +236,15 @@ func (b *Backend) GatherAD(ctx *pvops.OpCtx, ref pt.EntryRef) pt.PTE {
 // ClearAD implements pvops.Backend: clears Accessed/Dirty in all replicas.
 func (b *Backend) ClearAD(ctx *pvops.OpCtx, ref pt.EntryRef) {
 	p := b.cost.Params()
-	for _, m := range ringMembers(b.pm, ref.Frame) {
-		r := pt.EntryRef{Frame: m, Index: ref.Index}
+	for cur := ref.Frame; ; {
+		r := pt.EntryRef{Frame: cur, Index: ref.Index}
 		e := pt.ReadEntry(b.pm, r)
 		pt.WriteEntryRaw(b.pm, r, e.ClearFlags(pt.FlagAccessed|pt.FlagDirty))
 		count(ctx, func(mt *pvops.Meter) { mt.PTEReads++; mt.PTEWrites++ })
 		charge(ctx, p.PTELoad+p.PTEStore)
+		if cur = b.pm.ReplicaNext(cur); cur == mem.NilFrame || cur == ref.Frame {
+			return
+		}
 	}
 }
 

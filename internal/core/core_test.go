@@ -560,3 +560,40 @@ func TestAutoPolicy(t *testing.T) {
 		t.Error("recommended despite negligible walk share")
 	}
 }
+
+// TestPageTableAllocFreeZeroAlloc pins that handing a page-table frame out
+// of the reservation pool and releasing it again allocates nothing on the
+// host, for an unreplicated table and for one with three replicas: the
+// release walks the replica ring in place. The pool holds the frames, so
+// after a warm-up pair their payloads are recycled too.
+func TestPageTableAllocFreeZeroAlloc(t *testing.T) {
+	for _, replicas := range [][]numa.NodeID{nil, {1, 2, 3}} {
+		topo := numa.NewTopology(4, 2)
+		pm := mem.New(mem.Config{Topology: topo, FramesPerNode: 8192})
+		cache := mem.NewPageCache(pm, 64)
+		cache.Refill()
+		be := NewBackend(pm, numa.NewCostModel(topo, numa.DefaultCostParams()), cache)
+		ctx := &pvops.OpCtx{Socket: 0, Meter: &pvops.Meter{}}
+		spec := pvops.AllocSpec{Level: 1, Primary: 0, Replicas: replicas}
+		pair := func() {
+			f, err := be.AllocPT(ctx, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := ringSize(pm, f); got != 1+len(replicas) {
+				t.Fatalf("ring of %d frames, want %d", got, 1+len(replicas))
+			}
+			be.ClearAD(ctx, pt.EntryRef{Frame: f, Index: 7})
+			be.ReleasePT(ctx, f)
+		}
+		pair()
+		if allocs := testing.AllocsPerRun(100, pair); allocs != 0 {
+			t.Errorf("%d replicas: alloc/release pair allocates %.1f times, want 0", len(replicas), allocs)
+		}
+		for n := numa.NodeID(0); n < 4; n++ {
+			if got := cache.Cached(n); got != 64 {
+				t.Errorf("%d replicas: node %d pool holds %d frames after the pairs, want 64", len(replicas), n, got)
+			}
+		}
+	}
+}

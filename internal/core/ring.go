@@ -94,5 +94,9 @@ func ringUnlink(pm *mem.PhysMem, f mem.FrameID) {
 
 // ringSize returns the number of members in f's ring (1 if unreplicated).
 func ringSize(pm *mem.PhysMem, f mem.FrameID) int {
-	return len(ringMembers(pm, f))
+	n := 1
+	for cur := pm.ReplicaNext(f); cur != mem.NilFrame && cur != f; cur = pm.ReplicaNext(cur) {
+		n++
+	}
+	return n
 }

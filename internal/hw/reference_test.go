@@ -43,12 +43,25 @@ func (m *Machine) refAccess(core numa.CoreID, va pt.VirtAddr, write bool) error 
 	return err
 }
 
-// refAccessBatch is AccessBatch as it was: outside the single-writer
-// bracket the batch folded its own samples at its end, with atomics.
+// refAccessBatch is AccessBatch as it was: every store walk buffered its
+// leaf line, a repeat of the line buffered last included, and outside the
+// single-writer bracket the batch folded its own samples at its end, with
+// atomics. Each op runs as a batch of one on an emptied buffer, so no walk
+// sees a line to skip, and its lines join the ones held back.
 func (m *Machine) refAccessBatch(core numa.CoreID, ops []AccessOp) error {
-	err := m.AccessBatch(core, ops)
+	c := m.core(core)
+	var err error
+	for i := range ops {
+		held := c.pending
+		c.pending = nil
+		err = m.AccessBatch(core, ops[i:i+1])
+		c.pending = append(held, c.pending...)
+		if err != nil {
+			break
+		}
+	}
 	if !m.singleWriter {
-		m.refFoldAtomic(m.core(core), m.topo.SocketOf(core))
+		m.refFoldAtomic(c, m.topo.SocketOf(core))
 	}
 	return err
 }

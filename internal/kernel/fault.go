@@ -55,17 +55,23 @@ func (k *Kernel) HandleFault(core numa.CoreID, va pt.VirtAddr, write bool) (numa
 // process's data/page-table placement policies. It returns the page size
 // installed (or found already present). Virtualized processes populate
 // their guest table instead (guest-kernel + hypervisor work).
+//
+// One descent of the primary table answers every question the fault asks
+// of it: whether va is already mapped, whether the 2MB block's PMD entry
+// is empty, and which table the mapping continues from (Mapper.MapAt).
 func (k *Kernel) populateOne(p *Process, v *VMA, va pt.VirtAddr, socket numa.SocketID) (pt.PageSize, error) {
 	if p.guest != nil {
 		return k.populateGuestOne(p, v, va, socket)
 	}
+	d := p.mapper.Table().Descend(va)
 	// Already mapped (e.g., racing fault or populate overlap)?
-	if _, size, ok := p.mapper.Table().Lookup(va); ok {
+	if size, ok := d.Mapped(); ok {
 		return size, nil
 	}
 	ctx := p.opCtx()
 	place := p.place(socket)
 	dataNode := p.dataNode(socket)
+	params := k.cost.Params()
 	flags := pt.FlagUser
 	if v.Writable {
 		flags |= pt.FlagWrite
@@ -77,16 +83,18 @@ func (k *Kernel) populateOne(p *Process, v *VMA, va pt.VirtAddr, socket numa.Soc
 	// page beats a remote 2MB page. The block must also be free of 4KB
 	// mappings (Linux's pmd_none check): under fragmentation an earlier
 	// fault in the block may have fallen back to 4KB, and a later huge
-	// allocation that happens to succeed would collide with it.
-	if k.thp && v.THP {
+	// allocation that happens to succeed would collide with it. va and the
+	// block's base share every index at levels >= 2, so the descent stopping
+	// at a missing entry there means no L1 table (and no leaf) covers the
+	// block.
+	if k.thp && v.THP && d.Level >= 2 {
 		hugeBase := pt.PageBase(va, pt.Size2M)
-		if hugeBase >= v.Start && hugeBase+pt.VirtAddr(pt.Size2M.Bytes()) <= v.End &&
-			pmdEmpty(p.mapper.Table(), hugeBase) {
+		if hugeBase >= v.Start && hugeBase+pt.VirtAddr(pt.Size2M.Bytes()) <= v.End {
 			if frame, err := k.pm.AllocHuge(dataNode); err == nil {
 				// Zeroing 2MB streams better than 512 separate pages.
-				p.Meter.Cycles += 256 * k.cost.Params().PageZero
+				p.Meter.Cycles += 256 * params.PageZero
 				p.Meter.Cycles += k.costs.FrameAlloc
-				if err := p.mapper.Map(ctx, hugeBase, pt.Size2M, frame, flags, place); err != nil {
+				if err := p.mapper.MapAt(ctx, d, hugeBase, pt.Size2M, frame, flags, place); err != nil {
 					k.pm.FreeHuge(frame)
 					return 0, fmt.Errorf("kernel: huge map at %#x: %w", uint64(hugeBase), err)
 				}
@@ -97,11 +105,20 @@ func (k *Kernel) populateOne(p *Process, v *VMA, va pt.VirtAddr, socket numa.Soc
 		}
 	}
 
-	frame, err := k.allocDataReclaiming(p, dataNode)
+	frame, err := k.allocDataWithFallback(dataNode)
 	if err != nil {
-		return 0, err
+		// Memory is exhausted everywhere: reclaim replicas once and retry
+		// (the direct-reclaim analogue). A teardown may free a replica page
+		// the descent passed through (a spread primary table's entries can
+		// point at replicas), so descend again.
+		if k.reclaimReplicas(p) == 0 {
+			return 0, err
+		}
+		if frame, err = k.allocDataWithFallback(dataNode); err != nil {
+			return 0, err
+		}
+		d = p.mapper.Table().Descend(va)
 	}
-	params := k.cost.Params()
 	zero := params.PageZero
 	if k.pm.NodeOf(frame) != dataNode {
 		// The allocation spilled off its placement node (exhaustion or a
@@ -114,9 +131,10 @@ func (k *Kernel) populateOne(p *Process, v *VMA, va pt.VirtAddr, socket numa.Soc
 	}
 	p.Meter.Cycles += zero + k.costs.FrameAlloc
 	base := pt.PageBase(va, pt.Size4K)
-	if err := p.mapper.Map(ctx, base, pt.Size4K, frame, flags, place); err != nil {
+	if err := p.mapper.MapAt(ctx, d, base, pt.Size4K, frame, flags, place); err != nil {
 		// Page-table page allocation can hit memory pressure too; replicas
-		// are reclaimable caches, so drop them and retry once.
+		// are reclaimable caches, so drop them and retry once, descending
+		// again from the root.
 		if errors.Is(err, mem.ErrOutOfMemory) && k.reclaimReplicas(p) > 0 {
 			err = p.mapper.Map(ctx, base, pt.Size4K, frame, flags, p.place(socket))
 		}
@@ -126,17 +144,6 @@ func (k *Kernel) populateOne(p *Process, v *VMA, va pt.VirtAddr, socket numa.Soc
 		}
 	}
 	return pt.Size4K, nil
-}
-
-// pmdEmpty reports whether no translation exists under the 2MB-aligned
-// block at hugeBase: the walk stops at a non-present entry at level 2 or
-// above, so no L1 table (and no leaf of any size) covers the block and a
-// huge mapping can be installed without colliding with existing pages —
-// the simulator's equivalent of Linux's pmd_none check on the THP fault
-// path.
-func pmdEmpty(t *pt.Table, hugeBase pt.VirtAddr) bool {
-	w := t.Walk(hugeBase)
-	return !w.OK && w.Steps[w.N-1].Level >= 2
 }
 
 // allocDataWithFallback tries the preferred node first, then the remaining

@@ -122,6 +122,9 @@ type Kernel struct {
 	// are atomic pointers.
 	current   []atomic.Pointer[Process]
 	nextIntlv int // machine-wide interleave cursor for fresh processes
+	// exitFrames is DestroyProcess's reusable batch of data frames to free
+	// (it runs only at quiescent points).
+	exitFrames []mem.FrameID
 }
 
 // New builds a kernel and its machine.

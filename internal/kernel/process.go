@@ -217,12 +217,28 @@ func (k *Kernel) DestroyProcess(p *Process) {
 		}
 	}
 	ctx := p.opCtx()
-	// Free data frames still mapped.
+	// Free data frames still mapped: a huge page at a time, 4KB frames a
+	// leaf table's worth at a time (FreeAll locks a node once per run of
+	// its frames, and frees commute, so the allocator ends as frame-by-frame
+	// frees in visit order would leave it).
+	batch := k.exitFrames[:0]
 	for _, v := range p.vmas {
-		p.forEachMapped(v, func(va pt.VirtAddr, leaf pt.PTE, size pt.PageSize) {
-			p.freeDataPage(leaf, size)
+		p.forEachMapped(v, func(_ pt.VirtAddr, leaf pt.PTE, size pt.PageSize) {
+			f := leaf.Frame()
+			meta := k.pm.Meta(f)
+			switch {
+			case size == pt.Size2M && meta.HugeHead:
+				k.pm.FreeHuge(f)
+			case meta.Kind == mem.KindData:
+				if batch = append(batch, f); len(batch) == mem.PTEntries {
+					k.pm.FreeAll(batch)
+					batch = batch[:0]
+				}
+			}
 		})
 	}
+	k.pm.FreeAll(batch)
+	k.exitFrames = batch[:0]
 	p.space.Collapse(ctx)
 	p.mapper.Destroy(ctx)
 	p.vmas = nil

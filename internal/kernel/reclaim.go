@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"github.com/mitosis-project/mitosis-sim/internal/core"
-	"github.com/mitosis-project/mitosis-sim/internal/mem"
 	"github.com/mitosis-project/mitosis-sim/internal/numa"
 	"github.com/mitosis-project/mitosis-sim/internal/pvops"
 )
@@ -157,19 +156,6 @@ func (k *Kernel) replicaHolderBusy(p, caller *Process) bool {
 		}
 	}
 	return false
-}
-
-// allocDataReclaiming allocates a data frame for p, reclaiming replicas
-// once if memory is exhausted everywhere (direct-reclaim analogue).
-func (k *Kernel) allocDataReclaiming(p *Process, preferred numa.NodeID) (mem.FrameID, error) {
-	f, err := k.allocDataWithFallback(preferred)
-	if err == nil {
-		return f, nil
-	}
-	if k.reclaimReplicas(p) == 0 {
-		return mem.NilFrame, err
-	}
-	return k.allocDataWithFallback(preferred)
 }
 
 // StartBackgroundReplication begins building a page-table replica for p on

@@ -99,14 +99,18 @@ func (p *Process) policyPTPages() int {
 // the hypervisor extends the nested table for the new guest memory. Guest
 // page-table pages are backed on the guest space's home node — the node
 // the guest "booted" on; the guest has no NUMA visibility, so first-touch
-// placement does not apply inside it.
+// placement does not apply inside it. As on the native path, one descent
+// of the primary guest tree answers the already-mapped and pmd_none
+// questions, and the mapping continues from it.
 func (k *Kernel) populateGuestOne(p *Process, v *VMA, va pt.VirtAddr, socket numa.SocketID) (pt.PageSize, error) {
-	if _, size, ok := p.guest.Lookup(va); ok {
+	d := p.guest.Descend(va)
+	if size, ok := d.Mapped(); ok {
 		return size, nil
 	}
 	vm := p.vm.vm
 	gptNode := p.guest.HomeNode()
 	dataNode := p.dataNode(socket)
+	params := k.cost.Params()
 	flags := pt.FlagUser
 	if v.Writable {
 		flags |= pt.FlagWrite
@@ -116,15 +120,15 @@ func (k *Kernel) populateGuestOne(p *Process, v *VMA, va pt.VirtAddr, socket num
 	// 2MB-contiguous guest-physical block with a single nested 2MB leaf,
 	// so the composed translation stays 2MB-grained end to end. As on the
 	// native path, the block must be free of existing guest 4KB mappings
-	// (the guest kernel's pmd_none check).
-	if k.thp && v.THP {
+	// (the guest kernel's pmd_none check): the descent stopped at a
+	// missing entry at level 2 or above.
+	if k.thp && v.THP && d.Level >= 2 {
 		hugeBase := pt.PageBase(va, pt.Size2M)
-		if hugeBase >= v.Start && hugeBase+pt.VirtAddr(pt.Size2M.Bytes()) <= v.End &&
-			p.guest.PMDEmpty(hugeBase) {
+		if hugeBase >= v.Start && hugeBase+pt.VirtAddr(pt.Size2M.Bytes()) <= v.End {
 			if gf, err := vm.AllocGuestHuge(dataNode); err == nil {
-				p.Meter.Cycles += 256 * k.cost.Params().PageZero
+				p.Meter.Cycles += 256 * params.PageZero
 				p.Meter.Cycles += k.costs.FrameAlloc
-				if err := p.guest.Map(hugeBase, gf, pt.Size2M, flags, gptNode); err != nil {
+				if err := p.guest.MapAt(d, hugeBase, gf, pt.Size2M, flags, gptNode); err != nil {
 					return 0, fmt.Errorf("kernel: guest huge map at %#x: %w", uint64(hugeBase), err)
 				}
 				p.Meter.Cycles += vm.DrainCycles()
@@ -138,7 +142,7 @@ func (k *Kernel) populateGuestOne(p *Process, v *VMA, va pt.VirtAddr, socket num
 	if err != nil {
 		// Host replicas are reclaimable caches (as on the native path):
 		// under memory pressure, collapse them and retry once before
-		// failing the guest fault.
+		// failing the guest fault. Reclaim leaves guest tables alone.
 		if errors.Is(err, mem.ErrOutOfMemory) && k.reclaimReplicas(p) > 0 {
 			gf, err = vm.AllocGuestFrame(dataNode)
 		}
@@ -146,9 +150,9 @@ func (k *Kernel) populateGuestOne(p *Process, v *VMA, va pt.VirtAddr, socket num
 			return 0, err
 		}
 	}
-	p.Meter.Cycles += k.cost.Params().PageZero + k.costs.FrameAlloc
+	p.Meter.Cycles += params.PageZero + k.costs.FrameAlloc
 	base := pt.PageBase(va, pt.Size4K)
-	if err := p.guest.Map(base, gf, pt.Size4K, flags, gptNode); err != nil {
+	if err := p.guest.MapAt(d, base, gf, pt.Size4K, flags, gptNode); err != nil {
 		return 0, fmt.Errorf("kernel: guest map at %#x: %w", uint64(base), err)
 	}
 	// Hypervisor work (nested-table growth, guest-table frame backing)

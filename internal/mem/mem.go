@@ -141,7 +141,10 @@ type nodeState struct {
 	allocData   uint64   // live data frames
 	allocPT     uint64   // live page-table frames
 	retired     uint64   // frames permanently retired after ECC poison
-	offline     bool     // node hot-removed: allocations refused
+	// offline marks the node hot-removed: allocations are refused. It is
+	// written under mu (SetOffline, Reset) and read atomically, so the
+	// fault path's placement check (NodeOffline) takes no lock.
+	offline atomic.Bool
 	// pressure is the usable-frame floor a fault-injected pressure wave
 	// reserves: single-frame allocation fails once free would drop to or
 	// below it, forcing the kernel's reclaim ladder to run.
@@ -606,15 +609,13 @@ func (pm *PhysMem) SetOffline(n numa.NodeID, off bool) {
 	ns := pm.node(n)
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	ns.offline = off
+	ns.offline.Store(off)
 }
 
-// NodeOffline reports whether node n is hot-removed.
+// NodeOffline reports whether node n is hot-removed. It reads the flag
+// without the node's mutex: the flag changes only at quiescent points.
 func (pm *PhysMem) NodeOffline(n numa.NodeID) bool {
-	ns := pm.node(n)
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	return ns.offline
+	return pm.node(n).offline.Load()
 }
 
 // SetPressure reserves a usable-frame floor on node n: single-frame
@@ -713,7 +714,7 @@ func (pm *PhysMem) park(f FrameID) bool {
 	ns := pm.node(pm.NodeOf(f))
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	if ns.offline || pm.Poisoned(f) {
+	if ns.offline.Load() || pm.Poisoned(f) {
 		return false
 	}
 	pm.dropTable(ns, f)
@@ -728,7 +729,7 @@ func (pm *PhysMem) AllocHuge(n numa.NodeID) (FrameID, error) {
 	ns := pm.node(n)
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	if ns.offline {
+	if ns.offline.Load() {
 		return NilFrame, ErrNodeOffline
 	}
 	if ns.pressure > 0 && ns.free < ns.pressure+HugeFrames {
@@ -747,8 +748,14 @@ func (pm *PhysMem) AllocHuge(n numa.NodeID) (FrameID, error) {
 	ns.nextGroup = (g + 1) % groups
 	base := ns.base + FrameID(uint64(g)*HugeFrames)
 	c := pm.ensureChunk(uint64(base) / HugeFrames)
-	for off := FrameID(0); off < HugeFrames; off++ {
-		pm.setBit(ns, uint64(base+off-ns.base))
+	words := ns.groupWords(g)
+	for i, w := range words {
+		if w != 0 {
+			panic(fmt.Sprintf("mem: free group %d holds allocated frames", g))
+		}
+		words[i] = ^uint64(0)
+	}
+	for off := range c.meta {
 		m := &c.meta[off]
 		m.Kind = KindData
 		m.HugeTail = off != 0
@@ -764,11 +771,39 @@ func (pm *PhysMem) AllocHuge(n numa.NodeID) (FrameID, error) {
 // Free releases a single data or page-table frame. Freeing a huge-page head
 // or tail through Free is a bug; use FreeHuge.
 func (pm *PhysMem) Free(f FrameID) {
-	pm.checkFrame(f)
-	n := pm.NodeOf(f)
+	ns := pm.node(pm.NodeOf(f))
+	ns.mu.Lock()
+	defer ns.mu.Unlock()
+	pm.free(ns, f)
+}
+
+// FreeAll releases every frame of frames as Free would, taking a node's
+// mutex once per run of consecutive frames on that node instead of once per
+// frame. The outcome equals Free's called in any order: each free clears
+// its own bitmap bit and adds one to counters, and a group's masks follow
+// its free count alone; a poisoned frame is retired, as Free retires it.
+func (pm *PhysMem) FreeAll(frames []FrameID) {
+	for len(frames) > 0 {
+		frames = frames[pm.freeRun(frames):]
+	}
+}
+
+// freeRun frees the leading run of frames that share the first frame's
+// node, under one acquisition of its mutex, and returns the run's length.
+func (pm *PhysMem) freeRun(frames []FrameID) int {
+	n := pm.NodeOf(frames[0])
 	ns := pm.node(n)
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
+	i := 0
+	for ; i < len(frames) && pm.NodeOf(frames[i]) == n; i++ {
+		pm.free(ns, frames[i])
+	}
+	return i
+}
+
+// free releases frame f of node ns, whose mutex the caller holds.
+func (pm *PhysMem) free(ns *nodeState, f FrameID) {
 	c := pm.chunk(f)
 	if c == nil || c.meta[f%HugeFrames].Kind == KindFree {
 		panic(fmt.Sprintf("mem: double free of frame %d", f))
@@ -822,22 +857,25 @@ func (pm *PhysMem) FreeHuge(base FrameID) {
 		panic(fmt.Sprintf("mem: frame %d is not a huge-page head", base))
 	}
 	pm.releaseGroup(ns, uint64(base)/HugeFrames)
-	retired := uint64(0)
-	for off := FrameID(0); off < HugeFrames; off++ {
-		f := base + off
-		m := &c.meta[off]
-		if pm.Poisoned(f) {
-			// A poisoned member retires in place; the rest of the block
-			// returns to the pool as 4KB frames.
-			*m = FrameMeta{Kind: KindRetired}
-			pm.ClearPoison(f)
-			retired++
-			continue
-		}
-		*m = FrameMeta{}
-		pm.clearBit(ns, uint64(f-ns.base))
-	}
 	g := int((base - ns.base) / HugeFrames)
+	c.meta = [HugeFrames]FrameMeta{}
+	retired := uint64(0)
+	words := ns.groupWords(g)
+	for i, w := range words {
+		if w != ^uint64(0) {
+			panic(fmt.Sprintf("mem: huge block at frame %d holds free frames", base))
+		}
+		// A poisoned member retires in place, its bitmap bit left set; the
+		// rest of the block returns to the pool as 4KB frames.
+		poisoned := atomic.LoadUint64(&pm.poison[uint64(base)/64+uint64(i)])
+		words[i] = poisoned
+		for ; poisoned != 0; poisoned &= poisoned - 1 {
+			off := i*64 + bits.TrailingZeros64(poisoned)
+			c.meta[off] = FrameMeta{Kind: KindRetired}
+			pm.ClearPoison(base + FrameID(off))
+			retired++
+		}
+	}
 	ns.groupFree[g] = HugeFrames - uint32(retired)
 	if retired == 0 {
 		maskSet(ns.freeMask, g)
@@ -904,7 +942,7 @@ func (pm *PhysMem) DefragNode(n numa.NodeID) {
 // the scans would have chosen (lowest-index candidate group, lowest free
 // frame within it).
 func (pm *PhysMem) allocSingle(ns *nodeState) (FrameID, error) {
-	if ns.offline {
+	if ns.offline.Load() {
 		return NilFrame, ErrNodeOffline
 	}
 	if ns.free == 0 || ns.free <= ns.pressure {
@@ -1042,7 +1080,7 @@ func (pm *PhysMem) Reset() {
 		ns.free = ns.frames
 		ns.allocData, ns.allocPT = 0, 0
 		ns.retired = 0
-		ns.offline = false
+		ns.offline.Store(false)
 		ns.pressure = 0
 		ns.nextGroup = 0
 		ns.scanWords = 0
@@ -1083,6 +1121,11 @@ func (pm *PhysMem) checkFrame(f FrameID) {
 	if uint64(f)/HugeFrames >= uint64(len(pm.chunks)) {
 		panic(frameError{pm, f})
 	}
+}
+
+// groupWords returns the HugeFrames/64 bitmap words of node-local group g.
+func (ns *nodeState) groupWords(g int) []uint64 {
+	return ns.bitmap[g*HugeFrames/64 : (g+1)*HugeFrames/64]
 }
 
 func (pm *PhysMem) testBit(ns *nodeState, i uint64) bool {

@@ -151,6 +151,101 @@ func TestHugeAlloc(t *testing.T) {
 	}
 }
 
+// TestFreeHugeRetiresPoisoned poisons two frames of a huge page, in
+// different bitmap words, and frees the page: both retire in place and
+// never come back, and the other 510 frames return as 4KB frames.
+func TestFreeHugeRetiresPoisoned(t *testing.T) {
+	pm := newTestMem(t, 2048)
+	base, err := pm.AllocHuge(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := []FrameID{base + 3, base + 300}
+	for _, f := range bad {
+		pm.SetPoison(f)
+	}
+	pm.FreeHuge(base)
+	if got := pm.Retired(0); got != 2 {
+		t.Errorf("Retired = %d, want 2", got)
+	}
+	if got := pm.FreeFrames(0); got != 2048-2 {
+		t.Errorf("FreeFrames = %d, want %d", got, 2048-2)
+	}
+	if got := pm.PoisonCount(); got != 0 {
+		t.Errorf("PoisonCount = %d, want 0", got)
+	}
+	for _, f := range bad {
+		if m := pm.Meta(f); m.Kind != KindRetired {
+			t.Errorf("frame %d is %v, want retired", f, m.Kind)
+		}
+	}
+	for range 2048 - 2 {
+		f, err := pm.AllocData(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f == bad[0] || f == bad[1] {
+			t.Fatalf("retired frame %d allocated again", f)
+		}
+	}
+	if _, err := pm.AllocData(0); err == nil {
+		t.Error("allocation beyond the live frames succeeded")
+	}
+}
+
+// TestFreeAllMatchesFree frees one random mix of 4KB frames of every node,
+// some poisoned, with FreeAll on one memory and frame by frame on its
+// twin: free and retired counts, and the frames every node hands out next,
+// must agree.
+func TestFreeAllMatchesFree(t *testing.T) {
+	ref, got := newTestMem(t, 2048), newTestMem(t, 2048)
+	rng := rand.New(rand.NewSource(5))
+	var frames []FrameID
+	poisoned := map[numa.NodeID]uint64{}
+	for range 3000 {
+		n := numa.NodeID(rng.Intn(4))
+		a, errA := ref.AllocData(n)
+		b, errB := got.AllocData(n)
+		if errA != nil || errB != nil || a != b {
+			t.Fatalf("twins diverged before the frees: %d (%v), %d (%v)", a, errA, b, errB)
+		}
+		if rng.Intn(3) == 0 {
+			continue
+		}
+		frames = append(frames, a)
+		if rng.Intn(40) == 0 {
+			ref.SetPoison(a)
+			got.SetPoison(a)
+			poisoned[n]++
+		}
+	}
+	rng.Shuffle(len(frames), func(i, j int) { frames[i], frames[j] = frames[j], frames[i] })
+	for _, f := range frames {
+		ref.Free(f)
+	}
+	got.FreeAll(frames)
+	for n := numa.NodeID(0); n < 4; n++ {
+		if a, b := ref.FreeFrames(n), got.FreeFrames(n); a != b {
+			t.Errorf("node %d: %d free frames, reference %d", n, b, a)
+		}
+		if a, b := ref.Retired(n), got.Retired(n); a != b || b != poisoned[n] {
+			t.Errorf("node %d: %d retired frames, reference %d, poisoned %d", n, b, a, poisoned[n])
+		}
+		for range 600 {
+			a, errA := ref.AllocData(n)
+			b, errB := got.AllocData(n)
+			if a != b || (errA == nil) != (errB == nil) {
+				t.Fatalf("node %d: allocated %d (%v), reference %d (%v)", n, b, errB, a, errA)
+			}
+		}
+		if _, err := got.AllocHuge(n); err == nil {
+			if _, err := ref.AllocHuge(n); err != nil {
+				t.Errorf("node %d: huge allocation succeeded, reference failed", n)
+			}
+		}
+	}
+}
+
 func TestHugeAllocAvoidsPartialGroups(t *testing.T) {
 	pm := newTestMem(t, 2048) // 4 groups per node
 	// A single-frame allocation should leave as many full groups as

@@ -159,8 +159,10 @@ func (m *CostModel) recompute() {
 // Topology returns the topology the model was built for.
 func (m *CostModel) Topology() *Topology { return m.topo }
 
-// Params returns the latency constants in use.
-func (m *CostModel) Params() CostParams { return m.params }
+// Params returns the latency constants in use. They never change after
+// NewCostModel, so callers read them in place, without copying the
+// struct, and must not write through the pointer.
+func (m *CostModel) Params() *CostParams { return &m.params }
 
 // SetLoaded marks memory node n as hogged (or not) by a bandwidth-heavy
 // interfering process. While loaded, DRAM accesses to n cost

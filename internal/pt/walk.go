@@ -150,30 +150,54 @@ func (t *Table) Walk(va VirtAddr) Walk {
 	return t.WalkFrom(va, t.levels, t.root)
 }
 
-// Lookup translates va, returning the leaf entry and page size. Unlike
-// Walk it records no per-step trace, so it is the cheap probe for hot
-// kernel paths (the fault handler's already-mapped check runs once per
-// page fault).
-func (t *Table) Lookup(va VirtAddr) (leaf PTE, size PageSize, ok bool) {
+// Descent is where a descent of a table for one address stopped: Entry,
+// at index Index(va, Level) of the table page Frame, is the first entry on
+// va's path that is not present or is a leaf. Every table from the root
+// down to Frame is present, so a write path can continue from Frame
+// instead of starting again at the root; and an address that shares va's
+// indices at every level from the root down to Level shares the whole
+// descent.
+type Descent struct {
+	Frame mem.FrameID
+	Level uint8
+	Entry PTE
+}
+
+// Mapped reports whether the descent ended at a present leaf, and the
+// leaf's page size. A PS bit above level 3 panics, as in Lookup.
+func (d Descent) Mapped() (PageSize, bool) {
+	if !d.Entry.Present() {
+		return Size4K, false
+	}
+	size, ok := SizeAtLevel(d.Level)
+	if !ok {
+		panic(fmt.Sprintf("pt: PS bit set at level %d", d.Level))
+	}
+	return size, true
+}
+
+// Descend reads va's path from the root down to the first entry that is
+// not present or is a leaf. Like Lookup it records no per-step trace.
+func (t *Table) Descend(va VirtAddr) Descent {
 	frame := t.root
-	for level := t.levels; level >= 1; level-- {
+	for level := t.levels; ; level-- {
 		e := ReadEntry(t.pm, EntryRef{Frame: frame, Index: Index(va, level)})
-		if !e.Present() {
-			return 0, Size4K, false
-		}
-		if level == 1 {
-			return e, Size4K, true
-		}
-		if e.Huge() {
-			size, sizeOK := SizeAtLevel(level)
-			if !sizeOK {
-				panic(fmt.Sprintf("pt: PS bit set at level %d", level))
-			}
-			return e, size, true
+		if level == 1 || !e.Present() || e.Huge() {
+			return Descent{Frame: frame, Level: level, Entry: e}
 		}
 		frame = e.Frame()
 	}
-	panic("pt: walk descended past level 1")
+}
+
+// Lookup translates va, returning the leaf entry and page size. Unlike
+// Walk it records no per-step trace, so it is the cheap probe for kernel
+// paths.
+func (t *Table) Lookup(va VirtAddr) (leaf PTE, size PageSize, ok bool) {
+	d := t.Descend(va)
+	if size, ok = d.Mapped(); !ok {
+		return 0, Size4K, false
+	}
+	return d.Entry, size, true
 }
 
 // VisitLeaves calls fn for every present leaf mapping that overlaps

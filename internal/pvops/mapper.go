@@ -78,37 +78,47 @@ func (mp *Mapper) Table() *pt.Table { return pt.NewTable(mp.pm, mp.root, mp.leve
 // bits (FlagPresent and, for 2MB pages, FlagHuge are added automatically).
 // Missing intermediate tables are allocated per place.
 func (mp *Mapper) Map(ctx *OpCtx, va pt.VirtAddr, size pt.PageSize, frame mem.FrameID, flags pt.PTE, place PTPlacement) error {
+	return mp.MapAt(ctx, mp.Table().Descend(va), va, size, frame, flags, place)
+}
+
+// MapAt is Map continuing from d, a descent of the primary table
+// (Table().Descend) for an address that shares va's indices at every
+// level from the root down to d.Level (va itself, or any address in va's
+// page), made since the table last changed. It charges
+// what a walk from the root charges: one ReadPTE load per level from the
+// root down to the leaf level, since every level below the first missing
+// entry is a fresh, empty table.
+func (mp *Mapper) MapAt(ctx *OpCtx, d pt.Descent, va pt.VirtAddr, size pt.PageSize, frame mem.FrameID, flags pt.PTE, place PTPlacement) error {
 	leafLevel := size.LeafLevel()
 	if uint64(va)%size.Bytes() != 0 {
 		panic(fmt.Sprintf("pvops: va %#x not aligned to %v", uint64(va), size))
 	}
-	cur := mp.root
-	for level := mp.levels; level > leafLevel; level-- {
-		ref := pt.EntryRef{Frame: cur, Index: pt.Index(va, level)}
-		e := mp.backend.ReadPTE(ctx, ref)
-		if e.Present() {
-			if e.Huge() {
-				return fmt.Errorf("%w: level %d at %#x", ErrHugeConflict, level, uint64(va))
-			}
-			cur = e.Frame()
-			continue
-		}
+	// A walk from the root reads every level down to the first missing
+	// entry or huge leaf, and no further than the leaf level.
+	stop := max(d.Level, leafLevel)
+	mp.backend.ChargeReads(ctx, int(mp.levels-stop+1))
+	switch {
+	case d.Entry.Present() && stop > leafLevel:
+		return fmt.Errorf("%w: level %d at %#x", ErrHugeConflict, stop, uint64(va))
+	case d.Entry.Present() || d.Level < leafLevel:
+		return fmt.Errorf("%w: %#x", ErrMapped, uint64(va))
+	}
+	cur := d.Frame
+	for level := d.Level; level > leafLevel; level-- {
 		child, err := mp.backend.AllocPT(ctx, AllocSpec{Level: level - 1, Primary: place.Primary, Replicas: place.Replicas})
 		if err != nil {
 			return fmt.Errorf("pvops: allocating level-%d table: %w", level-1, err)
 		}
-		mp.backend.SetPTE(ctx, ref, pt.NewPTE(child, pt.FlagPresent|pt.FlagWrite|pt.FlagUser))
+		mp.backend.SetPTE(ctx, pt.EntryRef{Frame: cur, Index: pt.Index(va, level)}, pt.NewPTE(child, pt.FlagPresent|pt.FlagWrite|pt.FlagUser))
+		// The walk reads the child's entry next; a fresh table holds none.
+		mp.backend.ChargeReads(ctx, 1)
 		cur = child
-	}
-	leafRef := pt.EntryRef{Frame: cur, Index: pt.Index(va, leafLevel)}
-	if old := mp.backend.ReadPTE(ctx, leafRef); old.Present() {
-		return fmt.Errorf("%w: %#x", ErrMapped, uint64(va))
 	}
 	e := pt.NewPTE(frame, flags|pt.FlagPresent)
 	if size != pt.Size4K {
 		e |= pt.FlagHuge
 	}
-	mp.backend.SetPTE(ctx, leafRef, e)
+	mp.backend.SetPTE(ctx, pt.EntryRef{Frame: cur, Index: pt.Index(va, leafLevel)}, e)
 	return nil
 }
 

@@ -78,6 +78,12 @@ func (n *Native) ReadPTE(ctx *OpCtx, ref pt.EntryRef) pt.PTE {
 	return pt.ReadEntry(n.pm, ref)
 }
 
+// ChargeReads implements Backend.
+func (n *Native) ChargeReads(ctx *OpCtx, reads int) {
+	ctx.count(func(m *Meter) { m.PTEReads += uint64(reads) })
+	ctx.charge(numa.Cycles(reads) * n.cost.Params().PTELoad)
+}
+
 // GatherAD implements Backend. With a single table it is a plain read.
 func (n *Native) GatherAD(ctx *OpCtx, ref pt.EntryRef) pt.PTE {
 	return n.ReadPTE(ctx, ref)

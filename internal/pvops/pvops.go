@@ -126,6 +126,11 @@ type Backend interface {
 	// bits in the result may be stale with respect to other replicas.
 	ReadPTE(ctx *OpCtx, ref pt.EntryRef) pt.PTE
 
+	// ChargeReads charges n ReadPTE loads that the caller made through a
+	// descent of the primary table (pt.Table.Descend): the cycles and
+	// counts n ReadPTE calls would have charged, without reading again.
+	ChargeReads(ctx *OpCtx, n int)
+
 	// GatherAD loads the entry at ref with the Accessed/Dirty bits OR-ed
 	// across all replicas — the "get" functions Mitosis adds to PV-Ops
 	// (§5.4) so that swapping and writeback observe correct hardware bits.

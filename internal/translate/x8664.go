@@ -100,7 +100,7 @@ func (c *walkerCore) walkOnce(ctx *Ctx, va pt.VirtAddr, write bool) (pt.PTE, pt.
 				// other sockets. Read walks leave the line shared. The
 				// ownership event is buffered; the machine applies it
 				// at the next deterministic coherence point.
-				*ctx.Pending = append(*ctx.Pending, mmucache.LineOf(frame, idx))
+				ctx.own(mmucache.LineOf(frame, idx))
 			}
 			size, sizeOK := pt.SizeAtLevel(level)
 			if !sizeOK {
@@ -181,7 +181,7 @@ func (c *walkerCore) walk2dOnce(ctx *Ctx, va pt.VirtAddr, write bool) (pt.PTE, p
 		if write {
 			// Store walks own the guest leaf line exclusively, like the
 			// native Dirty-bit protocol.
-			*ctx.Pending = append(*ctx.Pending, mmucache.LineOf(hostFrame, idx))
+			ctx.own(mmucache.LineOf(hostFrame, idx))
 		}
 		// Final: nested-translate the gPA of va's 4KB page inside the
 		// guest leaf.

@@ -320,7 +320,14 @@ func (gs *GuestSpace) writeGuest(gf GuestFrame, idx int, e pt.PTE) {
 // intermediate pages backed replica-locally. 2MB mappings require gframe
 // to be the base of an AllocGuestHuge block.
 func (gs *GuestSpace) Map(gva pt.VirtAddr, gframe GuestFrame, size pt.PageSize, flags pt.PTE, ptNode numa.NodeID) error {
-	if err := gs.mapInTree(gs.primary, ptNode, gva, gframe, size, flags); err != nil {
+	return gs.MapAt(gs.Descend(gva), gva, gframe, size, flags, ptNode)
+}
+
+// MapAt is Map continuing the primary tree from d, a Descend of an address
+// that shares gva's indices at every level from the root down to d.Level,
+// made since the guest table last changed.
+func (gs *GuestSpace) MapAt(d pt.Descent, gva pt.VirtAddr, gframe GuestFrame, size pt.PageSize, flags pt.PTE, ptNode numa.NodeID) error {
+	if err := gs.mapFrom(d, ptNode, gva, gframe, size, flags); err != nil {
 		return err
 	}
 	// Replica trees update in ascending node order: intermediate-page
@@ -328,7 +335,7 @@ func (gs *GuestSpace) Map(gva pt.VirtAddr, gframe GuestFrame, size pt.PageSize, 
 	// iteration order is part of the bit-identical replay contract (a Go
 	// map range would randomize it).
 	for _, node := range gs.replicaNodesSorted() {
-		if err := gs.mapInTree(gs.replicas[node], node, gva, gframe, size, flags); err != nil {
+		if err := gs.mapFrom(gs.descendTree(gs.replicas[node], gva), node, gva, gframe, size, flags); err != nil {
 			return err
 		}
 	}
@@ -345,31 +352,49 @@ func (gs *GuestSpace) replicaNodesSorted() []numa.NodeID {
 	return nodes
 }
 
-func (gs *GuestSpace) mapInTree(root GuestFrame, node numa.NodeID, gva pt.VirtAddr, gframe GuestFrame, size pt.PageSize, flags pt.PTE) error {
+// Descend reads gva's path in the primary guest tree from the root down to
+// the first entry that is not present or is a leaf. The result's Frame is
+// a guest frame number.
+func (gs *GuestSpace) Descend(gva pt.VirtAddr) pt.Descent {
+	return gs.descendTree(gs.primary, gva)
+}
+
+// descendTree is Descend in the guest tree rooted at root.
+func (gs *GuestSpace) descendTree(root GuestFrame, gva pt.VirtAddr) pt.Descent {
+	cur := root
+	for level := uint8(4); ; level-- {
+		e := gs.readGuest(cur, pt.Index(gva, level))
+		if level == 1 || !e.Present() || e.Huge() {
+			return pt.Descent{Frame: mem.FrameID(cur), Level: level, Entry: e}
+		}
+		cur = GuestFrame(e.Frame())
+	}
+}
+
+// mapFrom installs gva -> gframe in the tree d descended, allocating the
+// missing tables below d.Level on node.
+func (gs *GuestSpace) mapFrom(d pt.Descent, node numa.NodeID, gva pt.VirtAddr, gframe GuestFrame, size pt.PageSize, flags pt.PTE) error {
 	leafLevel := size.LeafLevel()
 	if uint64(gva)%size.Bytes() != 0 {
 		panic(fmt.Sprintf("virt: gva %#x not aligned to %v", uint64(gva), size))
 	}
-	cur := root
-	for level := uint8(4); level > leafLevel; level-- {
-		idx := pt.Index(gva, level)
-		e := gs.readGuest(cur, idx)
-		if !e.Present() {
-			child, err := gs.vm.AllocGuestTablePage(node)
-			if err != nil {
-				return err
-			}
-			// The child's storage is provisioned before this atomic store
-			// publishes it: concurrent walkers acquire the table pointer
-			// through the entry load.
-			gs.writeGuest(cur, idx, pt.NewPTE(mem.FrameID(child), pt.FlagPresent|pt.FlagWrite|pt.FlagUser))
-			cur = child
-			continue
+	switch {
+	case d.Entry.Present() && d.Level > leafLevel:
+		return fmt.Errorf("virt: mapping %#x: level-%d huge leaf in the way", uint64(gva), d.Level)
+	case d.Entry.Present() || d.Level < leafLevel:
+		return fmt.Errorf("virt: mapping %#x: already mapped", uint64(gva))
+	}
+	cur := GuestFrame(d.Frame)
+	for level := d.Level; level > leafLevel; level-- {
+		child, err := gs.vm.AllocGuestTablePage(node)
+		if err != nil {
+			return err
 		}
-		if e.Huge() {
-			return fmt.Errorf("virt: mapping %#x: level-%d huge leaf in the way", uint64(gva), level)
-		}
-		cur = GuestFrame(e.Frame())
+		// The child's storage is provisioned before this atomic store
+		// publishes it: concurrent walkers acquire the table pointer
+		// through the entry load.
+		gs.writeGuest(cur, pt.Index(gva, level), pt.NewPTE(mem.FrameID(child), pt.FlagPresent|pt.FlagWrite|pt.FlagUser))
+		cur = child
 	}
 	e := pt.NewPTE(mem.FrameID(gframe), flags|pt.FlagPresent)
 	if size != pt.Size4K {
@@ -382,47 +407,12 @@ func (gs *GuestSpace) mapInTree(root GuestFrame, node numa.NodeID, gva pt.VirtAd
 // Lookup translates gva through the primary guest tree, returning the
 // guest leaf entry and its page size.
 func (gs *GuestSpace) Lookup(gva pt.VirtAddr) (pt.PTE, pt.PageSize, bool) {
-	cur := gs.primary
-	for level := uint8(4); level >= 1; level-- {
-		e := gs.readGuest(cur, pt.Index(gva, level))
-		if !e.Present() {
-			return 0, pt.Size4K, false
-		}
-		if level == 1 {
-			return e, pt.Size4K, true
-		}
-		if e.Huge() {
-			size, ok := pt.SizeAtLevel(level)
-			if !ok {
-				panic(fmt.Sprintf("virt: PS bit at guest level %d", level))
-			}
-			return e, size, true
-		}
-		cur = GuestFrame(e.Frame())
+	d := gs.Descend(gva)
+	size, ok := d.Mapped()
+	if !ok {
+		return 0, pt.Size4K, false
 	}
-	panic("virt: guest lookup descended past level 1")
-}
-
-// PMDEmpty reports whether no guest translation exists under the
-// 2MB-aligned block covering gva: the primary guest walk stops at a
-// non-present entry at level 2 or above, so no guest L1 table (and no
-// leaf) covers the block and a guest huge mapping can be installed
-// without colliding with existing 4KB guest pages — the guest kernel's
-// pmd_none check on its THP fault path.
-func (gs *GuestSpace) PMDEmpty(gva pt.VirtAddr) bool {
-	cur := gs.primary
-	for level := uint8(4); level >= 2; level-- {
-		e := gs.readGuest(cur, pt.Index(gva, level))
-		if !e.Present() {
-			return true
-		}
-		if e.Huge() {
-			return false
-		}
-		cur = GuestFrame(e.Frame())
-	}
-	// The walk reached a live L1 table: 4KB guest pages exist here.
-	return false
+	return d.Entry, size, true
 }
 
 // ReplicateGuest builds a guest-table replica backed by guest frames on
