@@ -25,6 +25,8 @@ rows=(
 	BenchmarkMicroSweepCellPooled
 	BenchmarkMicroChurn
 	BenchmarkMicroPageTableAlloc
+	BenchmarkMicroTierTick
+	BenchmarkMicroPolicyTick
 )
 
 root=$(git rev-parse --show-toplevel)

@@ -687,20 +687,68 @@ func BenchmarkMicroReplicateTable(b *testing.B) {
 // expander, ticked after set-up with hotcold-ptpin. A tick walks every
 // mapped page into the tracker and hands the snapshot to the policy; from
 // the fourth tick the unsampled pages are cold and the mover demotes 64 of
-// them a tick. Every 60 ticks the machine is booted afresh, untimed.
+// them a tick. Every 60 ticks the machine is booted afresh, untimed. One
+// op is one tick. Gated.
 func BenchmarkMicroTierTick(b *testing.B) {
 	b.ReportAllocs()
 	const ticksPerBoot = 60
 	var te *kernel.TierEngine
-	for i := 0; i < b.N; i++ {
-		if i%ticksPerBoot == 0 {
-			b.StopTimer()
-			te = newTierTickEngine(b)
-			b.StartTimer()
+	ticks := 0
+	pacedTimed(b, func(n int) time.Duration {
+		var d time.Duration
+		for ; n > 0; n-- {
+			if ticks%ticksPerBoot == 0 {
+				b.StopTimer()
+				te = newTierTickEngine(b)
+				b.StartTimer()
+			}
+			ticks++
+			t0 := time.Now()
+			if err := te.Tick((ticks-1)%ticksPerBoot + 1); err != nil {
+				b.Fatal(err)
+			}
+			d += time.Since(t0)
 		}
-		if err := te.Tick(i%ticksPerBoot + 1); err != nil {
-			b.Fatal(err)
+		return d
+	})
+}
+
+// BenchmarkMicroPolicyTick measures one replication-policy tick: ondemand
+// over a process of 1 GB of 4 KB pages, populated untimed, on the default
+// four-socket machine. With no walks between ticks the policy never acts,
+// so a tick is its telemetry: per-socket counter deltas, free frames and
+// the page-table page count a replica would cost. One op is one tick.
+// Gated.
+func BenchmarkMicroPolicyTick(b *testing.B) {
+	b.ReportAllocs()
+	k := kernel.New(kernel.Config{FramesPerNode: 1 << 19})
+	p, err := k.CreateProcess(kernel.ProcessOpts{Name: "policy", Home: 0})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := k.RunOn(p, []numa.CoreID{0}); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := k.Mmap(p, 1<<30, kernel.MmapOpts{Writable: true, Populate: true}); err != nil {
+		b.Fatal(err)
+	}
+	pol, err := k.NewPolicy("ondemand")
+	if err != nil {
+		b.Fatal(err)
+	}
+	pe := k.AttachPolicy(p, pol, kernel.PolicyEngineConfig{})
+	pe.RunStart()
+	round := 0
+	paced(b, func(n int) {
+		for ; n > 0; n-- {
+			round++
+			if err := pe.Tick(round); err != nil {
+				b.Fatal(err)
+			}
 		}
+	})
+	if log := pe.ActionLog(); len(log) != 0 {
+		b.Fatalf("ondemand acted without walks: %v", log)
 	}
 }
 

@@ -25,9 +25,8 @@ func TestGatherADIsUnionOverReplicas(t *testing.T) {
 		// way per-socket page walkers would.
 		wantA, wantD := false, false
 		for i, root := range roots {
-			tbl := pt.NewTable(fx.pm, root, 4)
-			w := tbl.Walk(va)
-			if !w.OK {
+			ref, leaf, ok := leafRef(pt.NewTable(fx.pm, root, 4), va)
+			if !ok {
 				return false
 			}
 			var flags pt.PTE
@@ -40,7 +39,7 @@ func TestGatherADIsUnionOverReplicas(t *testing.T) {
 				wantD = true
 			}
 			if flags != 0 {
-				pt.WriteEntryRaw(fx.pm, w.TerminalRef(), w.Terminal().WithFlags(flags))
+				pt.WriteEntryRaw(fx.pm, ref, leaf.WithFlags(flags))
 			}
 		}
 		got, err := fx.mp.GatherAD(fx.ctx, va, pt.Size4K)
@@ -77,8 +76,8 @@ func TestValidateDetectsCorruption(t *testing.T) {
 	}
 	// Corrupt an interior entry: point the L3 slot at a data frame.
 	data, _ := fx.pm.AllocData(2)
-	w := fx.mp.Table().Walk(0x1000)
-	l3Ref := w.Steps[1].Ref
+	l3 := pt.ReadEntry(fx.pm, pt.EntryRef{Frame: fx.mp.Root(), Index: pt.Index(0x1000, 4)}).Frame()
+	l3Ref := pt.EntryRef{Frame: l3, Index: pt.Index(0x1000, 3)}
 	pt.WriteEntryRaw(fx.pm, l3Ref, pt.NewPTE(data, pt.FlagPresent|pt.FlagWrite))
 	if err := fx.space.Validate(); err == nil {
 		t.Fatal("validation missed a dangling interior pointer")
@@ -98,4 +97,14 @@ func TestRingMembersPanicsOnNonClosingRing(t *testing.T) {
 		}
 	}()
 	ringMembers(fx.pm, a)
+}
+
+// leafRef descends tbl for va and returns the location and value of its
+// leaf entry, or false if va is not mapped.
+func leafRef(tbl *pt.Table, va pt.VirtAddr) (pt.EntryRef, pt.PTE, bool) {
+	d := tbl.Descend(va)
+	if _, ok := d.Mapped(); !ok {
+		return pt.EntryRef{}, 0, false
+	}
+	return pt.EntryRef{Frame: d.Frame, Index: pt.Index(va, d.Level)}, d.Entry, true
 }

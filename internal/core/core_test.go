@@ -24,13 +24,19 @@ type fixture struct {
 
 func newFixture(t testing.TB, primary numa.NodeID) *fixture {
 	t.Helper()
+	return newFixtureLevels(t, primary, 4)
+}
+
+// newFixtureLevels is newFixture with a levels-deep table.
+func newFixtureLevels(t testing.TB, primary numa.NodeID, levels uint8) *fixture {
+	t.Helper()
 	topo := numa.NewTopology(4, 2)
 	pm := mem.New(mem.Config{Topology: topo, FramesPerNode: 8192})
 	cost := numa.NewCostModel(topo, numa.DefaultCostParams())
 	cache := mem.NewPageCache(pm, 0)
 	be := NewBackend(pm, cost, cache)
 	ctx := &pvops.OpCtx{Socket: 0, Meter: &pvops.Meter{}}
-	mp, err := pvops.NewMapper(ctx, pm, be, 4, pvops.PTPlacement{Primary: primary})
+	mp, err := pvops.NewMapper(ctx, pm, be, levels, pvops.PTPlacement{Primary: primary})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +63,7 @@ func (fx *fixture) mapPage(t testing.TB, va pt.VirtAddr, dataNode numa.NodeID) m
 func (fx *fixture) allRoots() []*pt.Table {
 	var tables []*pt.Table
 	for _, f := range ringMembers(fx.pm, fx.mp.Root()) {
-		tables = append(tables, pt.NewTable(fx.pm, f, 4))
+		tables = append(tables, pt.NewTable(fx.pm, f, fx.mp.Levels()))
 	}
 	return tables
 }
@@ -445,13 +451,11 @@ func TestADBitsORedAcrossReplicas(t *testing.T) {
 	// Hardware (the page walker) sets A/D in exactly one replica — here,
 	// socket 2's copy, written raw just as the walker does.
 	root2 := fx.space.RootFor(2)
-	tbl2 := pt.NewTable(fx.pm, root2, 4)
-	w := tbl2.Walk(va)
-	if !w.OK {
-		t.Fatal("walk failed")
+	ref, leaf, ok := leafRef(pt.NewTable(fx.pm, root2, 4), va)
+	if !ok {
+		t.Fatal("descent found no leaf")
 	}
-	leafRef := w.TerminalRef()
-	pt.WriteEntryRaw(fx.pm, leafRef, w.Terminal().WithFlags(pt.FlagAccessed|pt.FlagDirty))
+	pt.WriteEntryRaw(fx.pm, ref, leaf.WithFlags(pt.FlagAccessed|pt.FlagDirty))
 
 	// A structural read through the primary does not see the bits...
 	e, _, err := fx.mp.ReadLeaf(fx.ctx, va, pt.Size4K)

@@ -181,8 +181,8 @@ func (ir *IncrementalReplication) sweep() {
 		return
 	}
 	t := pt.NewTable(s.pm, root, s.mapper.Levels())
-	t.Visit(func(level uint8, ref pt.EntryRef, e pt.PTE) bool {
-		if level == 1 || e.Huge() || s.pm.Meta(e.Frame()).Kind != mem.KindPageTable {
+	t.VisitInterior(func(level uint8, ref pt.EntryRef, e pt.PTE) bool {
+		if s.pm.Meta(e.Frame()).Kind != mem.KindPageTable {
 			return true
 		}
 		// Interior pointers within the replica tree resolve to local

@@ -85,13 +85,12 @@ func TestReplicaEquivalenceUnderRandomOps(t *testing.T) {
 					continue
 				}
 				roots := ringMembers(fx.pm, fx.mp.Root())
-				tbl := pt.NewTable(fx.pm, roots[r.Intn(len(roots))], 4)
-				w := tbl.Walk(va)
-				if !w.OK {
-					t.Logf("walk of mapped va failed")
+				ref, leaf, ok := leafRef(pt.NewTable(fx.pm, roots[r.Intn(len(roots))], 4), va)
+				if !ok {
+					t.Logf("descent of mapped va found no leaf")
 					return false
 				}
-				pt.WriteEntryRaw(fx.pm, w.TerminalRef(), w.Terminal().WithFlags(pt.FlagAccessed))
+				pt.WriteEntryRaw(fx.pm, ref, leaf.WithFlags(pt.FlagAccessed))
 				got, err := fx.mp.GatherAD(fx.ctx, va, pt.Size4K)
 				if err != nil || !got.Accessed() {
 					t.Logf("GatherAD lost the accessed bit: %v err=%v", got, err)

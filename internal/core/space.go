@@ -106,22 +106,36 @@ func (s *Space) SetMask(ctx *pvops.OpCtx, nodes []numa.NodeID) error {
 	return nil
 }
 
-// treePages collects the primary tree's page-table frames (root first).
-func (s *Space) treePages() []mem.FrameID {
+// forEachTreePage calls fn with each page-table frame of the primary tree:
+// the root, then the tables below it in depth-first order. It reads no
+// leaf table.
+func (s *Space) forEachTreePage(fn func(mem.FrameID)) {
 	t := s.mapper.Table()
-	pages := []mem.FrameID{t.Root()}
-	t.Visit(func(level uint8, _ pt.EntryRef, e pt.PTE) bool {
-		if level > 1 && !e.Huge() && s.pm.Meta(e.Frame()).Kind == mem.KindPageTable {
-			pages = append(pages, e.Frame())
+	fn(t.Root())
+	t.VisitInterior(func(_ uint8, _ pt.EntryRef, e pt.PTE) bool {
+		if s.pm.Meta(e.Frame()).Kind == mem.KindPageTable {
+			fn(e.Frame())
 		}
 		return true
 	})
+}
+
+// treePages collects the primary tree's page-table frames (root first).
+func (s *Space) treePages() []mem.FrameID {
+	var pages []mem.FrameID
+	s.forEachTreePage(func(f mem.FrameID) { pages = append(pages, f) })
 	return pages
 }
 
 // PTPageCount returns the number of pages in the primary table tree — the
-// size of the copy a replication commits to (policy cost input).
-func (s *Space) PTPageCount() int { return len(s.treePages()) }
+// size of the copy a replication commits to (policy cost input). It costs
+// the table pages above the leaves, not the mapped pages, and allocates
+// nothing.
+func (s *Space) PTPageCount() int {
+	n := 0
+	s.forEachTreePage(func(mem.FrameID) { n++ })
+	return n
+}
 
 // pureOn reports whether every page of the primary tree lives on node.
 func (s *Space) pureOn(node numa.NodeID) bool {
@@ -316,15 +330,7 @@ func (s *Space) teardownNode(ctx *pvops.OpCtx, node numa.NodeID) {
 	p := s.backend.cost.Params()
 	// Collect the primary tree's pages first; freeing while visiting
 	// would invalidate the traversal.
-	var pages []mem.FrameID
-	t := s.mapper.Table()
-	pages = append(pages, t.Root())
-	t.Visit(func(level uint8, _ pt.EntryRef, e pt.PTE) bool {
-		if level > 1 && !e.Huge() && s.pm.Meta(e.Frame()).Kind == mem.KindPageTable {
-			pages = append(pages, e.Frame())
-		}
-		return true
-	})
+	pages := s.treePages()
 	// doomed maps each to-be-freed frame to the canonical (primary-chain)
 	// page it replicates. doomedOrder keeps the frames in traversal order:
 	// the free order below feeds the page-cache pool, so it must be
@@ -389,10 +395,7 @@ func (s *Space) Validate() error {
 	for _, root := range ringMembers(s.pm, s.mapper.Root()) {
 		t := pt.NewTable(s.pm, root, s.mapper.Levels())
 		var fail error
-		t.Visit(func(level uint8, ref pt.EntryRef, e pt.PTE) bool {
-			if level == 1 || e.Huge() {
-				return true
-			}
+		t.VisitInterior(func(level uint8, ref pt.EntryRef, e pt.PTE) bool {
 			meta := s.pm.Meta(e.Frame())
 			if meta.Kind != mem.KindPageTable || meta.PTLevel != level-1 {
 				fail = fmt.Errorf("core: root %d: L%d entry (frame %d idx %d) -> frame %d kind=%v level=%d",

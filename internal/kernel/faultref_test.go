@@ -103,11 +103,40 @@ func refLookup(t *pt.Table, va pt.VirtAddr) (pt.PTE, pt.PageSize, bool) {
 	panic("kernel: reference lookup descended past level 1")
 }
 
+// refStep is one entry a reference walk read.
+type refStep struct {
+	level uint8
+	ref   pt.EntryRef
+	entry pt.PTE
+}
+
+// refWalk is the software walk the old fault path made: it reads va's
+// path from the root, recording every entry it reads, down to the first
+// entry that is not present or is a leaf, and reports whether that entry
+// is a present leaf.
+func refWalk(t *pt.Table, va pt.VirtAddr) ([]refStep, bool) {
+	var steps []refStep
+	frame := t.Root()
+	for level := t.Levels(); level >= 1; level-- {
+		ref := pt.EntryRef{Frame: frame, Index: pt.Index(va, level)}
+		e := pt.ReadEntry(t.Mem(), ref)
+		steps = append(steps, refStep{level, ref, e})
+		if !e.Present() {
+			return steps, false
+		}
+		if level == 1 || e.Huge() {
+			return steps, true
+		}
+		frame = e.Frame()
+	}
+	panic("kernel: reference walk descended past level 1")
+}
+
 // refPMDEmpty is the old pmd_none check: a full walk of the block's base
 // stops at a missing entry at level 2 or above.
 func refPMDEmpty(t *pt.Table, hugeBase pt.VirtAddr) bool {
-	w := t.Walk(hugeBase)
-	return !w.OK && w.Steps[w.N-1].Level >= 2
+	steps, ok := refWalk(t, hugeBase)
+	return !ok && steps[len(steps)-1].level >= 2
 }
 
 // refMap is Mapper.Map as it was: a walk from the root that reads every
@@ -300,6 +329,33 @@ func (k *Kernel) refDestroyProcess(p *Process) {
 	delete(k.procs, p.PID)
 }
 
+// refMunmap is Munmap as it was: every leaf's frame is freed after the
+// visit, one Free (and one lock) per 4KB frame.
+func (k *Kernel) refMunmap(p *Process, va pt.VirtAddr) error {
+	v := p.findVMA(va)
+	if v == nil || v.Start != va {
+		return fmt.Errorf("%w: munmap(%#x)", ErrBadAddress, uint64(va))
+	}
+	core := k.callCore(p)
+	ctx := p.opCtx()
+	k.machine.AddCycles(core, k.costs.SyscallEntry)
+	var unmapped []pt.VirtAddr
+	var freed []pvops.LeafVisit
+	p.mapper.VisitLeaves(ctx, v.Start, v.End, func(lv pvops.LeafVisit) (pt.PTE, bool) {
+		p.Meter.Cycles += k.costs.PTEVisit + k.costs.FrameFree
+		unmapped = append(unmapped, lv.VA)
+		freed = append(freed, lv)
+		return 0, true
+	})
+	for _, lv := range freed {
+		p.freeDataPage(lv.Old, lv.Size)
+	}
+	k.machine.ShootdownRange(core, unmapped, p.cores)
+	p.removeVMA(v)
+	k.machine.AddCycles(core, drainMeterCycles(p))
+	return nil
+}
+
 // pathEntries lists what va's translation reads: every entry on va's path
 // in the primary table and each replica (ring order from the primary
 // root) for a native process; in the guest trees, with the host frame
@@ -309,9 +365,9 @@ func pathEntries(k *Kernel, p *Process, va pt.VirtAddr) []uint64 {
 	if p.guest == nil {
 		root := p.mapper.Root()
 		for r := root; ; {
-			w := pt.NewTable(k.pm, r, k.levels).Walk(va)
-			for _, s := range w.Steps[:w.N] {
-				out = append(out, uint64(s.Ref.Frame), uint64(s.Ref.Index), uint64(s.Entry))
+			steps, _ := refWalk(pt.NewTable(k.pm, r, k.levels), va)
+			for _, s := range steps {
+				out = append(out, uint64(s.ref.Frame), uint64(s.ref.Index), uint64(s.entry))
 			}
 			if r = k.pm.ReplicaNext(r); r == mem.NilFrame || r == root {
 				return out
@@ -538,5 +594,88 @@ func compareFreeFrames(t *testing.T, at string, ref, got *Kernel) {
 		if a, b := ref.pm.FreeFrames(n), got.pm.FreeFrames(n); a != b {
 			t.Fatalf("%s: node %d has %d free frames, reference %d", at, n, b, a)
 		}
+	}
+}
+
+// TestMunmapMatchesReference faults random pages of every VMA on twin
+// kernels (the native cases of TestFaultPathMatchesReference), poisons a 4KB data frame (and a frame of a huge page where
+// there is one), and unmaps every VMA: the reference frame by frame, the
+// other through FreeAll in leaf-table runs. After each munmap the twins
+// must agree on every node's free and retired frames and on the calling
+// core's cycles; at the end, allocating every frame each node still has
+// must hand out the same frames in the same order, which compares the
+// allocators' bitmaps.
+func TestMunmapMatchesReference(t *testing.T) {
+	for i, c := range faultRefCases() {
+		if c.name == "vm" {
+			continue // Munmap does not reach guest tables
+		}
+		t.Run(c.name, func(t *testing.T) {
+			refK, refProcs := c.build(t)
+			gotK, gotProcs := c.build(t)
+			rng := rand.New(rand.NewSource(int64(200 + i)))
+			sockets := refK.topo.Sockets()
+			for range 1500 {
+				pi := rng.Intn(len(refProcs))
+				vi := rng.Intn(len(refProcs[pi].vmas))
+				v := refProcs[pi].vmas[vi]
+				va := v.Start + pt.VirtAddr(rng.Int63n(int64(v.End-v.Start)))
+				socket := numa.SocketID(rng.Intn(sockets))
+				_, refErr := refK.populateOne(refProcs[pi], v, va, socket)
+				_, gotErr := gotK.populateOne(gotProcs[pi], gotProcs[pi].vmas[vi], va, socket)
+				if (refErr == nil) != (gotErr == nil) {
+					t.Fatalf("fault at %#x: got %v, reference %v", uint64(va), gotErr, refErr)
+				}
+			}
+			poisonOne(refK, refProcs[0])
+			poisonOne(gotK, gotProcs[0])
+			var before, after, retired uint64
+			for n := numa.NodeID(0); int(n) < refK.topo.Nodes(); n++ {
+				before += refK.pm.FreeFrames(n)
+			}
+			for pi := range refProcs {
+				ref, got := refProcs[pi], gotProcs[pi]
+				for len(ref.vmas) > 0 {
+					base := ref.vmas[0].Start
+					if err := refK.refMunmap(ref, base); err != nil {
+						t.Fatal(err)
+					}
+					if err := gotK.Munmap(got, base); err != nil {
+						t.Fatal(err)
+					}
+					at := fmt.Sprintf("munmap(%#x)", uint64(base))
+					compareFreeFrames(t, at, refK, gotK)
+					for n := numa.NodeID(0); int(n) < refK.topo.Nodes(); n++ {
+						if a, b := refK.pm.Retired(n), gotK.pm.Retired(n); a != b {
+							t.Fatalf("%s: node %d retired %d frames, reference %d", at, n, b, a)
+						}
+					}
+					c := refK.callCore(ref)
+					if a, b := refK.machine.Stats(c).Cycles, gotK.machine.Stats(c).Cycles; a != b {
+						t.Fatalf("%s: core %d at %d cycles, reference %d", at, c, b, a)
+					}
+				}
+			}
+			for n := numa.NodeID(0); int(n) < refK.topo.Nodes(); n++ {
+				after += refK.pm.FreeFrames(n)
+				retired += refK.pm.Retired(n)
+			}
+			t.Logf("munmap freed %d frames and retired %d", after-before, retired)
+			if after <= before || retired == 0 {
+				t.Fatal("the munmaps freed or retired nothing")
+			}
+			for n := numa.NodeID(0); int(n) < refK.topo.Nodes(); n++ {
+				for {
+					a, errA := refK.pm.AllocData(n)
+					b, errB := gotK.pm.AllocData(n)
+					if a != b || (errA == nil) != (errB == nil) {
+						t.Fatalf("node %d allocated frame %d (%v), reference %d (%v)", n, b, errB, a, errA)
+					}
+					if errA != nil {
+						break
+					}
+				}
+			}
+		})
 	}
 }

@@ -20,6 +20,8 @@ import (
 	"github.com/mitosis-project/mitosis-sim/internal/hw"
 	"github.com/mitosis-project/mitosis-sim/internal/mem"
 	"github.com/mitosis-project/mitosis-sim/internal/numa"
+	"github.com/mitosis-project/mitosis-sim/internal/pt"
+	"github.com/mitosis-project/mitosis-sim/internal/tier"
 	"github.com/mitosis-project/mitosis-sim/internal/translate"
 )
 
@@ -122,9 +124,14 @@ type Kernel struct {
 	// are atomic pointers.
 	current   []atomic.Pointer[Process]
 	nextIntlv int // machine-wide interleave cursor for fresh processes
-	// exitFrames is DestroyProcess's reusable batch of data frames to free
-	// (it runs only at quiescent points).
-	exitFrames []mem.FrameID
+	// freeBatch is the reusable batch of data frames DestroyProcess and
+	// Munmap free, and unmapVAs Munmap's reusable list of pages to shoot
+	// down; neither runs beside another.
+	freeBatch []mem.FrameID
+	unmapVAs  []pt.VirtAddr
+	// tierViews is the tier engines' snapshot buffer (TierEngine.snapshot),
+	// kept across Reset so a pooled kernel does not regrow it every run.
+	tierViews []tier.PageView
 }
 
 // New builds a kernel and its machine.

@@ -176,22 +176,20 @@ func TestStressSeedReproducer(t *testing.T) {
 func forensics(t *testing.T, k *Kernel, p *Process, va pt.VirtAddr, s numa.SocketID) {
 	t.Helper()
 	dump := func(label string, root mem.FrameID) {
-		tbl := pt.NewTable(k.pm, root, k.levels)
-		w := tbl.Walk(va)
-		t.Logf("%s root=%d(node %d): steps=%d ok=%v", label, root, k.pm.NodeOf(root), w.N, w.OK)
-		for i := 0; i < w.N; i++ {
-			st := w.Steps[i]
+		steps, ok := refWalk(pt.NewTable(k.pm, root, k.levels), va)
+		t.Logf("%s root=%d(node %d): steps=%d ok=%v", label, root, k.pm.NodeOf(root), len(steps), ok)
+		for _, st := range steps {
 			ring := ""
-			cur := st.Ref.Frame
+			cur := st.ref.Frame
 			for j := 0; j < 8; j++ {
 				ring += fmt.Sprintf("%d(n%d) ", cur, k.pm.NodeOf(cur))
 				nxt := k.pm.ReplicaNext(cur)
-				if nxt == mem.NilFrame || nxt == st.Ref.Frame {
+				if nxt == mem.NilFrame || nxt == st.ref.Frame {
 					break
 				}
 				cur = nxt
 			}
-			t.Logf("  L%d frame=%d idx=%d entry=%v ring=[%s]", st.Level, st.Ref.Frame, st.Ref.Index, st.Entry, ring)
+			t.Logf("  L%d frame=%d idx=%d entry=%v ring=[%s]", st.level, st.ref.Frame, st.ref.Index, st.entry, ring)
 		}
 	}
 	dump("primary", p.Mapper().Root())

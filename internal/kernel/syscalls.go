@@ -80,23 +80,15 @@ func (k *Kernel) Munmap(p *Process, va pt.VirtAddr) error {
 	ctx := p.opCtx()
 	k.machine.AddCycles(core, k.costs.SyscallEntry)
 
-	var unmapped []pt.VirtAddr
-	var freed []struct {
-		leaf pt.PTE
-		size pt.PageSize
-	}
+	unmapped, batch := k.unmapVAs[:0], k.freeBatch[:0]
 	p.mapper.VisitLeaves(ctx, v.Start, v.End, func(lv pvops.LeafVisit) (pt.PTE, bool) {
 		p.Meter.Cycles += k.costs.PTEVisit + k.costs.FrameFree
 		unmapped = append(unmapped, lv.VA)
-		freed = append(freed, struct {
-			leaf pt.PTE
-			size pt.PageSize
-		}{lv.Old, lv.Size})
+		batch = k.queueDataFree(batch, lv.Old, lv.Size)
 		return 0, true
 	})
-	for _, f := range freed {
-		p.freeDataPage(f.leaf, f.size)
-	}
+	k.pm.FreeAll(batch)
+	k.unmapVAs, k.freeBatch = unmapped[:0], batch[:0]
 	k.machine.ShootdownRange(core, unmapped, p.cores)
 	p.removeVMA(v)
 	k.machine.AddCycles(core, drainMeterCycles(p))

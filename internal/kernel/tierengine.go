@@ -29,11 +29,13 @@ type TierEngineConfig struct {
 //     sample stream — and feeds them to the tier.Tracker's decayed scores.
 //   - Policy: the snapshot (pages in VA order, per-tier hot/cold histogram,
 //     page-table placement) goes to Policy.Decide.
-//   - Mover: at most StepPages 4KB pages of the returned actions apply per
-//     tick, through the same remap + TLB-shootdown path AutoNUMA data
+//   - Mover: Decide hands each candidate to the engine, which applies it
+//     at once, through the same remap + TLB-shootdown path AutoNUMA data
 //     migration uses, so counters stay bit-identical across engine modes.
-//     Remaining candidates are re-emitted by the policy on later ticks —
-//     its input state persists.
+//     At most StepPages 4KB pages move per tick: the first candidate that
+//     does not fit, or an apply that errs, stops the policy. Remaining
+//     candidates are re-emitted by the policy on later ticks — its input
+//     state persists.
 //
 // All of it runs at quiescent points; like PolicyEngine, the engine owns no
 // locks and must only be ticked from the workload engine's barrier.
@@ -44,12 +46,19 @@ type TierEngine struct {
 	tracker *tier.Tracker
 	cfg     TierEngineConfig
 
-	log       []ActionRecord
-	hist      tier.Histogram // last tick's histogram
-	promoted  uint64         // 4KB pages promoted
-	demoted   uint64         // 4KB pages demoted
-	ptMoves   int
-	pageViews []tier.PageView // scratch, reused across ticks
+	log      []ActionRecord
+	hist     tier.Histogram // last tick's histogram
+	promoted uint64         // 4KB pages promoted
+	demoted  uint64         // 4KB pages demoted
+	ptMoves  int
+
+	tel   tier.Telemetry         // the tick's snapshot, reused
+	tiers []numa.MemTier         // the tier of each node
+	move  func(tier.Action) bool // e.moveOne, bound once
+	// round, budget and err are the tick's state while Decide runs.
+	round  int
+	budget int
+	err    error
 }
 
 // AttachTierPolicy installs a tiering engine for p. Like AttachPolicy, the
@@ -62,6 +71,13 @@ func (k *Kernel) AttachTierPolicy(p *Process, pol tier.Policy, cfg TierEngineCon
 	e := &TierEngine{
 		k: k, p: p, policy: pol, cfg: cfg,
 		tracker: tier.NewTracker(cfg.Tracker),
+	}
+	e.move = e.moveOne
+	for n := range numa.NodeID(k.topo.Nodes()) {
+		e.tiers = append(e.tiers, k.topo.TierOf(n))
+		if int(n) >= k.topo.DRAMNodes() {
+			e.tel.TierNodes = append(e.tel.TierNodes, n)
+		}
 	}
 	p.tierEngine = e
 	return e
@@ -86,26 +102,10 @@ func (e *TierEngine) Moved() (promoted, demoted uint64, ptMoves int) {
 // actions.
 func (e *TierEngine) Tick(round int) error {
 	t := e.snapshot(round)
-	budget := e.cfg.StepPages
-	for _, a := range e.policy.Decide(t) {
-		if budget <= 0 {
-			break
-		}
-		applied, pages, err := e.apply(a, &budget)
-		if err != nil {
-			return err
-		}
-		if applied {
-			e.log = append(e.log, ActionRecord{Round: round, Action: a})
-			switch a.Kind {
-			case tier.Promote:
-				e.promoted += pages
-			case tier.Demote:
-				e.demoted += pages
-			case tier.MovePT:
-				e.ptMoves++
-			}
-		}
+	e.round, e.budget, e.err = round, e.cfg.StepPages, nil
+	e.policy.Decide(t, e.move)
+	if e.err != nil {
+		return e.err
 	}
 	// Data moves bill the process meter; drain it to the canonical core so
 	// both engine modes charge the same core at the same barrier.
@@ -115,41 +115,63 @@ func (e *TierEngine) Tick(round int) error {
 	return nil
 }
 
-// snapshot builds the tick's telemetry: the Tracker step.
+// moveOne is the mover, the sink the policy's Decide emits to: it applies
+// a under the tick's remaining budget and logs it if it took effect. It
+// returns false, telling the policy to stop, once the budget is spent or
+// an apply has failed; a candidate emitted after that is not applied.
+func (e *TierEngine) moveOne(a tier.Action) bool {
+	if e.budget <= 0 || e.err != nil {
+		return false
+	}
+	applied, pages, err := e.apply(a, &e.budget)
+	if err != nil {
+		e.err = err
+		return false
+	}
+	if applied {
+		e.log = append(e.log, ActionRecord{Round: e.round, Action: a})
+		switch a.Kind {
+		case tier.Promote:
+			e.promoted += pages
+		case tier.Demote:
+			e.demoted += pages
+		case tier.MovePT:
+			e.ptMoves++
+		}
+	}
+	return e.budget > 0
+}
+
+// snapshot builds the tick's telemetry: the Tracker step. The page views
+// go into the kernel's buffer, which every tier engine's tick reuses, also
+// across Reset.
 func (e *TierEngine) snapshot(round int) *tier.Telemetry {
 	k, p := e.k, e.p
-	views := e.pageViews[:0]
+	views := k.tierViews[:0]
 	var hist tier.Histogram
 	for _, v := range p.vmas {
 		p.forEachMapped(v, func(va pt.VirtAddr, leaf pt.PTE, size pt.PageSize) {
 			f := leaf.Frame()
 			meta := k.pm.Meta(f)
 			samples := meta.LocalAccesses + meta.RemoteAccesses
-			meta.LocalAccesses, meta.RemoteAccesses = 0, 0
-			score, idle, hot, cold := e.tracker.Observe(va, samples)
+			if meta.LocalAccesses|meta.RemoteAccesses != 0 {
+				// Clearing only sampled frames spares the rest a store.
+				meta.LocalAccesses, meta.RemoteAccesses = 0, 0
+			}
+			_, _, hot, cold := e.tracker.Observe(va, samples)
 			node := k.pm.NodeOf(f)
-			tk := k.topo.TierOf(node)
-			hist.Add(tk, hot, uint64(size.Bytes()>>pt.PageShift4K))
-			views = append(views, tier.PageView{
-				VA: va, Size: size, Node: node, Tier: tk,
-				Score: score, Idle: idle, Hot: hot, Cold: cold,
-			})
+			tk := e.tiers[node]
+			hist.Add(tk, hot, size.Bytes()>>pt.PageShift4K)
+			views = append(views, tier.PageView{VA: va, Size: size, Node: node, Tier: tk, Hot: hot, Cold: cold})
 		})
 	}
-	e.pageViews = views
+	k.tierViews = views
 	e.hist = hist
 	primary := p.space.PrimaryNode()
-	t := &tier.Telemetry{
-		Round:    round,
-		Pages:    views,
-		Hist:     hist,
-		PTNode:   primary,
-		PTTier:   k.topo.TierOf(primary),
-		HomeNode: k.topo.NodeOf(p.home),
-	}
-	for n := k.topo.DRAMNodes(); n < k.topo.Nodes(); n++ {
-		t.TierNodes = append(t.TierNodes, numa.NodeID(n))
-	}
+	t := &e.tel
+	t.Round, t.Pages, t.Hist = round, views, hist
+	t.PTNode, t.PTTier = primary, k.topo.TierOf(primary)
+	t.HomeNode = k.topo.NodeOf(p.home)
 	return t
 }
 

@@ -116,19 +116,3 @@ func TestPageSizeStrings(t *testing.T) {
 		t.Error("unknown page size produced empty string")
 	}
 }
-
-func TestWalkTerminalOnEmptyWalk(t *testing.T) {
-	var w Walk
-	if w.Terminal() != 0 {
-		t.Error("empty walk terminal not zero")
-	}
-	if ref := w.TerminalRef(); ref.Frame != mem.NilFrame {
-		t.Error("empty walk ref not nil")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Frame on failed walk did not panic")
-		}
-	}()
-	w.Frame(0)
-}

@@ -89,6 +89,34 @@ func TestPageSizes(t *testing.T) {
 	}
 }
 
+// TestHelperPanics pins the checks and messages of Index, Bytes and
+// LeafLevel on out-of-range arguments.
+func TestHelperPanics(t *testing.T) {
+	for _, c := range []struct {
+		want string
+		f    func()
+	}{
+		{"pt: level 0 out of range [1,5]", func() { Index(0, 0) }},
+		{"pt: level 6 out of range [1,5]", func() { Index(0, 6) }},
+		{"pt: unknown page size 3", func() { PageSize(3).Bytes() }},
+		{"pt: unknown page size -1", func() { PageSize(-1).Bytes() }},
+		{"pt: unknown page size 3", func() { PageSize(3).LeafLevel() }},
+		{"pt: unknown page size -1", func() { PageSize(-1).LeafLevel() }},
+	} {
+		func() {
+			defer func() {
+				if got := recover(); got != c.want {
+					t.Errorf("panic %v, want %q", got, c.want)
+				}
+			}()
+			c.f()
+		}()
+	}
+	for level := uint8(1); level <= 5; level++ {
+		Index(1<<56, level) // no panic
+	}
+}
+
 // buildTable hand-constructs a small 4-level table mapping one 4KB page and
 // one 2MB page, bypassing pvops (raw writes are fine inside pt tests).
 func buildTable(t *testing.T, pm *mem.PhysMem) (*Table, VirtAddr, VirtAddr, mem.FrameID, mem.FrameID) {
@@ -126,84 +154,55 @@ func buildTable(t *testing.T, pm *mem.PhysMem) (*Table, VirtAddr, VirtAddr, mem.
 	return NewTable(pm, root, 4), va4k, va2m, data, hugeBase
 }
 
-func TestWalk4K(t *testing.T) {
+func TestDescend4K(t *testing.T) {
 	pm := newTestMem(t)
 	tbl, va4k, _, data, _ := buildTable(t, pm)
 
-	w := tbl.Walk(va4k)
-	if !w.OK {
-		t.Fatal("walk failed")
+	d := tbl.Descend(va4k)
+	if d.Level != 1 || pm.Meta(d.Frame).PTLevel != 1 {
+		t.Errorf("descent stopped at level %d in a level-%d table, want the leaf table", d.Level, pm.Meta(d.Frame).PTLevel)
 	}
-	if w.N != 4 {
-		t.Errorf("walk steps = %d, want 4", w.N)
+	if size, ok := d.Mapped(); !ok || size != Size4K {
+		t.Errorf("Mapped = (%v, %v), want (4KB, true)", size, ok)
 	}
-	if w.Size != Size4K {
-		t.Errorf("size = %v, want 4KB", w.Size)
-	}
-	if got := w.Terminal().Frame(); got != data {
+	if got := d.Entry.Frame(); got != data {
 		t.Errorf("leaf frame = %d, want %d", got, data)
 	}
-	if got := w.Frame(va4k); got != data {
-		t.Errorf("Frame = %d, want %d", got, data)
-	}
-	// Step levels descend 4..1.
-	for i, s := range w.Steps[:w.N] {
-		if want := uint8(4 - i); s.Level != want {
-			t.Errorf("step %d level = %d, want %d", i, s.Level, want)
-		}
+	if leaf, size, ok := tbl.Lookup(va4k + 0x123); !ok || size != Size4K || leaf != d.Entry {
+		t.Errorf("Lookup = (%v, %v, %v), want the descent's leaf", leaf, size, ok)
 	}
 }
 
-func TestWalk2M(t *testing.T) {
+func TestDescend2M(t *testing.T) {
 	pm := newTestMem(t)
 	tbl, _, va2m, _, hugeBase := buildTable(t, pm)
 
-	w := tbl.Walk(va2m + 0x5123) // offset inside the huge page
-	if !w.OK {
-		t.Fatal("walk failed")
+	d := tbl.Descend(va2m + 0x5123) // offset inside the huge page
+	if d.Level != 2 {
+		t.Errorf("descent stopped at level %d, want 2 (the PS bit ends it)", d.Level)
 	}
-	if w.N != 3 {
-		t.Errorf("walk steps = %d, want 3 (PS bit terminates at L2)", w.N)
+	leaf, size, ok := tbl.Lookup(va2m + 0x5123)
+	if !ok || size != Size2M || leaf != d.Entry {
+		t.Fatalf("Lookup = (%v, %v, %v), want the descent's 2MB leaf", leaf, size, ok)
 	}
-	if w.Size != Size2M {
-		t.Errorf("size = %v, want 2MB", w.Size)
-	}
-	// Frame adjusts for the 4KB-frame offset inside the 2MB page.
-	wantFrame := hugeBase + mem.FrameID(0x5123>>12)
-	if got := w.Frame(va2m + 0x5123); got != wantFrame {
-		t.Errorf("Frame = %d, want %d", got, wantFrame)
+	if got := leaf.Frame(); got != hugeBase {
+		t.Errorf("leaf frame = %d, want %d", got, hugeBase)
 	}
 }
 
-func TestWalkNotPresent(t *testing.T) {
+func TestDescendNotPresent(t *testing.T) {
 	pm := newTestMem(t)
 	tbl, va4k, _, _, _ := buildTable(t, pm)
 
-	w := tbl.Walk(va4k + 0x200000) // different L2 index, not mapped
-	if w.OK {
-		t.Fatal("walk should fail")
+	d := tbl.Descend(va4k + 0x200000) // different L2 index, not mapped
+	if _, ok := d.Mapped(); ok {
+		t.Fatal("descent should find no leaf")
 	}
-	if w.N != 3 {
-		t.Errorf("failed walk steps = %d, want 3", w.N)
+	if d.Level != 2 || d.Entry != 0 {
+		t.Errorf("descent stopped at level %d on %v, want the empty level-2 entry", d.Level, d.Entry)
 	}
 	if _, _, ok := tbl.Lookup(va4k + 0x200000); ok {
 		t.Error("Lookup should fail")
-	}
-}
-
-func TestWalkFromMidLevel(t *testing.T) {
-	pm := newTestMem(t)
-	tbl, va4k, _, data, _ := buildTable(t, pm)
-
-	// Simulate a PSC hit that skips to level 2: find the L2 frame first.
-	full := tbl.Walk(va4k)
-	l2Frame := full.Steps[2].Ref.Frame
-	w := tbl.WalkFrom(va4k, 2, l2Frame)
-	if !w.OK || w.N != 2 {
-		t.Fatalf("partial walk: ok=%v n=%d, want ok 2 steps", w.OK, w.N)
-	}
-	if got := w.Terminal().Frame(); got != data {
-		t.Errorf("partial walk leaf = %d, want %d", got, data)
 	}
 }
 
@@ -302,10 +301,9 @@ func TestMaxVirtAddr(t *testing.T) {
 	if got := t5.MaxVirtAddr(); got != 1<<57 {
 		t.Errorf("5-level MaxVirtAddr = %#x, want 1<<57", uint64(got))
 	}
-	mustPanic(t, "va beyond range", func() { t4.Walk(1 << 48) })
 }
 
-func TestFiveLevelWalk(t *testing.T) {
+func TestFiveLevelDescend(t *testing.T) {
 	pm := newTestMem(t)
 	alloc := func(level uint8) mem.FrameID {
 		f, err := pm.AllocPageTable(0, level)
@@ -330,12 +328,12 @@ func TestFiveLevelWalk(t *testing.T) {
 	WriteEntryRaw(pm, EntryRef{l1, Index(va, 1)}, NewPTE(data, FlagPresent))
 
 	tbl := NewTable(pm, root, 5)
-	w := tbl.Walk(va)
-	if !w.OK || w.N != 5 {
-		t.Fatalf("5-level walk: ok=%v n=%d", w.OK, w.N)
+	d := tbl.Descend(va)
+	if d.Frame != l1 || d.Level != 1 {
+		t.Fatalf("5-level descent stopped at frame %d level %d, want %d level 1", d.Frame, d.Level, l1)
 	}
-	if got := w.Frame(va); got != data {
-		t.Errorf("frame = %d, want %d", got, data)
+	if leaf, _, ok := tbl.Lookup(va); !ok || leaf.Frame() != data {
+		t.Errorf("Lookup = (%v, %v), want frame %d", leaf, ok, data)
 	}
 }
 

@@ -64,33 +64,30 @@ const (
 	Size1G
 )
 
-// Bytes returns the page size in bytes.
+// Bytes returns the page size in bytes: 4KB shifted left by one level's
+// index bits per step up from Size4K.
 func (s PageSize) Bytes() uint64 {
-	switch s {
-	case Size4K:
-		return 4 << 10
-	case Size2M:
-		return 2 << 20
-	case Size1G:
-		return 1 << 30
-	default:
-		panic(fmt.Sprintf("pt: unknown page size %d", int(s)))
+	if uint(s) > uint(Size1G) {
+		badSize(s)
 	}
+	return 4 << 10 << (EntryBits * uint(s))
 }
 
 // LeafLevel returns the page-table level at which this page size terminates
 // the walk (1 for 4KB, 2 for 2MB, 3 for 1GB).
 func (s PageSize) LeafLevel() uint8 {
-	switch s {
-	case Size4K:
-		return 1
-	case Size2M:
-		return 2
-	case Size1G:
-		return 3
-	default:
-		panic(fmt.Sprintf("pt: unknown page size %d", int(s)))
+	if uint(s) > uint(Size1G) {
+		badSize(s)
 	}
+	return uint8(s) + 1
+}
+
+// badSize panics on a page size outside Size4K..Size1G. It formats in a
+// call of its own so that Bytes and LeafLevel stay small enough to inline.
+//
+//go:noinline
+func badSize(s PageSize) {
+	panic(fmt.Sprintf("pt: unknown page size %d", int(s)))
 }
 
 // SizeAtLevel is the inverse of LeafLevel: the page size of a leaf entry
@@ -191,10 +188,18 @@ func (e PTE) String() string {
 // Index extracts the table index used at the given level (1 = leaf) for
 // virtual address va: 9 bits starting at bit 12 + 9*(level-1).
 func Index(va VirtAddr, level uint8) int {
-	if level < 1 || level > 5 {
-		panic(fmt.Sprintf("pt: level %d out of range [1,5]", level))
+	if level-1 > 4 { // level 0 wraps around
+		badLevel(level)
 	}
-	return int((uint64(va) >> (PageShift4K + EntryBits*(uint64(level)-1))) & 511)
+	return int((uint64(va) >> (PageShift4K + EntryBits*uint64(level-1))) & 511)
+}
+
+// badLevel panics on a level outside [1,5]; a call of its own keeps Index
+// inlinable.
+//
+//go:noinline
+func badLevel(level uint8) {
+	panic(fmt.Sprintf("pt: level %d out of range [1,5]", level))
 }
 
 // PageOffset returns the offset of va within a page of size s.

@@ -7,7 +7,7 @@ import (
 // TestRebuildAfterResetIdentical pins the machine-recycling contract at
 // the page-table layer: rebuilding the same table on a Reset PhysMem
 // lands on the same frames and produces a structurally identical tree —
-// same walks, same snapshot — as the first build. The pt layer itself is
+// same descents, same snapshot — as the first build. The pt layer itself is
 // stateless over PhysMem, so this is the end-to-end check that nothing
 // about table storage survives Reset.
 func TestRebuildAfterResetIdentical(t *testing.T) {
@@ -15,8 +15,8 @@ func TestRebuildAfterResetIdentical(t *testing.T) {
 	tbl, va4k, va2m, data, huge := buildTable(t, pm)
 	wantRoot := tbl.Root()
 	wantSnap := Snapshot(tbl).Format()
-	wantWalk4k := tbl.Walk(va4k)
-	wantWalk2m := tbl.Walk(va2m)
+	wantDescent4k := tbl.Descend(va4k)
+	wantDescent2m := tbl.Descend(va2m)
 
 	pm.Reset()
 	tbl2, va4k2, va2m2, data2, huge2 := buildTable(t, pm)
@@ -32,10 +32,10 @@ func TestRebuildAfterResetIdentical(t *testing.T) {
 	if got := Snapshot(tbl2).Format(); got != wantSnap {
 		t.Errorf("rebuilt snapshot differs:\nfirst:\n%s\nrebuilt:\n%s", wantSnap, got)
 	}
-	if got := tbl2.Walk(va4k); got != wantWalk4k {
-		t.Errorf("4K walk differs after rebuild:\nfirst:   %+v\nrebuilt: %+v", wantWalk4k, got)
+	if got := tbl2.Descend(va4k); got != wantDescent4k {
+		t.Errorf("4K descent differs after rebuild:\nfirst:   %+v\nrebuilt: %+v", wantDescent4k, got)
 	}
-	if got := tbl2.Walk(va2m); got != wantWalk2m {
-		t.Errorf("2M walk differs after rebuild:\nfirst:   %+v\nrebuilt: %+v", wantWalk2m, got)
+	if got := tbl2.Descend(va2m); got != wantDescent2m {
+		t.Errorf("2M descent differs after rebuild:\nfirst:   %+v\nrebuilt: %+v", wantDescent2m, got)
 	}
 }

@@ -10,58 +10,6 @@ import (
 // MaxLevels is the deepest supported paging mode (Intel 5-level paging).
 const MaxLevels = 5
 
-// Step records one page-table access performed during a walk: which table
-// frame was read, at which index, and at which level (root level first).
-type Step struct {
-	Level uint8
-	Ref   EntryRef
-	Entry PTE
-}
-
-// Walk is the result of a software page-table walk. The hardware walker
-// (package hw) replays Steps to charge per-access memory costs.
-type Walk struct {
-	// Steps lists the table accesses from the root level down to the
-	// terminal entry; Steps[N-1].Entry is the terminal entry.
-	Steps [MaxLevels]Step
-	// N is the number of valid steps.
-	N int
-	// OK reports whether the walk reached a present leaf entry.
-	OK bool
-	// Size is the page size of the final translation (valid when OK).
-	Size PageSize
-}
-
-// Terminal returns the last entry examined. For a successful walk this is
-// the leaf PTE; for a failed walk, the first non-present entry.
-func (w *Walk) Terminal() PTE {
-	if w.N == 0 {
-		return 0
-	}
-	return w.Steps[w.N-1].Entry
-}
-
-// TerminalRef returns the location of the last entry examined.
-func (w *Walk) TerminalRef() EntryRef {
-	if w.N == 0 {
-		return EntryRef{Frame: mem.NilFrame}
-	}
-	return w.Steps[w.N-1].Ref
-}
-
-// Frame returns the translated physical frame for a successful walk,
-// adjusted for the in-page offset of huge pages (the base frame of the huge
-// mapping plus the 4KB-frame offset of va inside it).
-func (w *Walk) Frame(va VirtAddr) mem.FrameID {
-	if !w.OK {
-		panic("pt: Frame on failed walk")
-	}
-	leaf := w.Terminal()
-	base := leaf.Frame()
-	off := PageOffset(va, w.Size) >> PageShift4K
-	return base + mem.FrameID(off)
-}
-
 // Table is a radix page-table rooted at a physical frame, with 4 or 5
 // levels. Table performs reads only; see package doc for the write path.
 type Table struct {
@@ -104,52 +52,6 @@ func (t *Table) MaxVirtAddr() VirtAddr {
 	return VirtAddr(1) << (PageShift4K + EntryBits*uint64(t.levels))
 }
 
-// WalkFrom performs a software walk for va starting at the given level and
-// table frame. It is the building block for both full walks and
-// MMU-cache-accelerated partial walks.
-func (t *Table) WalkFrom(va VirtAddr, startLevel uint8, startFrame mem.FrameID) Walk {
-	var w Walk
-	frame := startFrame
-	for level := startLevel; level >= 1; level-- {
-		idx := Index(va, level)
-		ref := EntryRef{Frame: frame, Index: idx}
-		e := ReadEntry(t.pm, ref)
-		w.Steps[w.N] = Step{Level: level, Ref: ref, Entry: e}
-		w.N++
-		if !e.Present() {
-			return w
-		}
-		if level == 1 {
-			w.OK = true
-			w.Size = Size4K
-			return w
-		}
-		if e.Huge() {
-			switch level {
-			case 2:
-				w.OK = true
-				w.Size = Size2M
-			case 3:
-				w.OK = true
-				w.Size = Size1G
-			default:
-				panic(fmt.Sprintf("pt: PS bit set at level %d", level))
-			}
-			return w
-		}
-		frame = e.Frame()
-	}
-	return w
-}
-
-// Walk performs a full software walk from the root for va.
-func (t *Table) Walk(va VirtAddr) Walk {
-	if va >= t.MaxVirtAddr() {
-		panic(fmt.Sprintf("pt: va %#x beyond %d-level range", uint64(va), t.levels))
-	}
-	return t.WalkFrom(va, t.levels, t.root)
-}
-
 // Descent is where a descent of a table for one address stopped: Entry,
 // at index Index(va, Level) of the table page Frame, is the first entry on
 // va's path that is not present or is a leaf. Every table from the root
@@ -177,7 +79,7 @@ func (d Descent) Mapped() (PageSize, bool) {
 }
 
 // Descend reads va's path from the root down to the first entry that is
-// not present or is a leaf. Like Lookup it records no per-step trace.
+// not present or is a leaf.
 func (t *Table) Descend(va VirtAddr) Descent {
 	frame := t.root
 	for level := t.levels; ; level-- {
@@ -189,9 +91,8 @@ func (t *Table) Descend(va VirtAddr) Descent {
 	}
 }
 
-// Lookup translates va, returning the leaf entry and page size. Unlike
-// Walk it records no per-step trace, so it is the cheap probe for kernel
-// paths.
+// Lookup translates va, returning the leaf entry and page size: the cheap
+// probe for kernel paths.
 func (t *Table) Lookup(va VirtAddr) (leaf PTE, size PageSize, ok bool) {
 	d := t.Descend(va)
 	if size, ok = d.Mapped(); !ok {
@@ -272,6 +173,35 @@ func (t *Table) visit(frame mem.FrameID, level uint8, fn func(uint8, EntryRef, P
 	return true
 }
 
+// VisitInterior walks the tree like Visit but reports only the present
+// entries that point at a lower-level table (neither level 1 nor huge), in
+// Visit's order. It never reads a level-1 table, so it costs the table
+// pages above the leaves, not the mapped pages: the traversal for callers
+// that need the table pages and not the leaves. If fn returns false the
+// traversal stops.
+func (t *Table) VisitInterior(fn func(level uint8, ref EntryRef, e PTE) bool) {
+	t.visitInterior(t.root, t.levels, fn)
+}
+
+// visitInterior visits the table page at frame, at the given level (2 or
+// above), descending only into children above level 1.
+func (t *Table) visitInterior(frame mem.FrameID, level uint8, fn func(uint8, EntryRef, PTE) bool) bool {
+	tbl := t.pm.Table(frame)
+	for i := 0; i < mem.PTEntries; i++ {
+		e := PTE(tbl[i])
+		if !e.Present() || e.Huge() {
+			continue
+		}
+		if !fn(level, EntryRef{Frame: frame, Index: i}, e) {
+			return false
+		}
+		if level > 2 && !t.visitInterior(e.Frame(), level-1, fn) {
+			return false
+		}
+	}
+	return true
+}
+
 // CountEntries returns the number of present entries per level (index 0
 // unused; index L holds the count at level L).
 func (t *Table) CountEntries() [MaxLevels + 1]int {
@@ -286,10 +216,8 @@ func (t *Table) CountEntries() [MaxLevels + 1]int {
 // Pages returns the page-table frames per level, including the root.
 func (t *Table) Pages() map[uint8][]mem.FrameID {
 	pages := map[uint8][]mem.FrameID{t.levels: {t.root}}
-	t.Visit(func(level uint8, _ EntryRef, e PTE) bool {
-		if level > 1 && !e.Huge() {
-			pages[level-1] = append(pages[level-1], e.Frame())
-		}
+	t.VisitInterior(func(level uint8, _ EntryRef, e PTE) bool {
+		pages[level-1] = append(pages[level-1], e.Frame())
 		return true
 	})
 	return pages

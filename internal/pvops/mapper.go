@@ -277,11 +277,8 @@ func (mp *Mapper) visitRange(ctx *OpCtx, frame mem.FrameID, level uint8, start, 
 // them separately. The mapper must not be used afterwards.
 func (mp *Mapper) Destroy(ctx *OpCtx) {
 	var frames []mem.FrameID
-	t := mp.Table()
-	t.Visit(func(level uint8, _ pt.EntryRef, e pt.PTE) bool {
-		if level > 1 && !e.Huge() {
-			frames = append(frames, e.Frame())
-		}
+	mp.Table().VisitInterior(func(_ uint8, _ pt.EntryRef, e pt.PTE) bool {
+		frames = append(frames, e.Frame())
 		return true
 	})
 	frames = append(frames, mp.root)

@@ -48,11 +48,10 @@ type HotColdConfig struct {
 // to the home DRAM node, cold pages ride the demotion ladder one rung down
 // (DRAM -> TierNodes[0] -> TierNodes[1] -> ...), and page-tables follow the
 // configured PTMode. Candidates are emitted promotions first (latency wins
-// beat capacity wins), each group in VA order; the engine's mover applies a
-// bounded prefix per tick.
+// beat capacity wins), each group in VA order, until the engine's mover
+// has spent its per-tick budget.
 type HotCold struct {
 	cfg HotColdConfig
-	out []Action // Decide's result, reused by the next Decide
 }
 
 // NewHotCold builds the policy.
@@ -62,14 +61,13 @@ func NewHotCold(cfg HotColdConfig) *HotCold { return &HotCold{cfg: cfg} }
 func (h *HotCold) Name() string { return "hotcold-" + h.cfg.PT.String() }
 
 // Decide implements Policy.
-func (h *HotCold) Decide(t *Telemetry) []Action {
-	out := h.out[:0]
+func (h *HotCold) Decide(t *Telemetry, emit func(Action) bool) {
 	// Page-table placement first: a moving table repoints every walker, so
 	// it should not queue behind data moves in the per-tick budget.
 	switch h.cfg.PT {
 	case PTPin:
-		if t.PTTier != numa.TierDRAM {
-			out = append(out, Action{Kind: MovePT, Target: t.HomeNode})
+		if t.PTTier != numa.TierDRAM && !emit(Action{Kind: MovePT, Target: t.HomeNode}) {
+			return
 		}
 	case PTDemote:
 		if t.PTTier == numa.TierDRAM && len(t.TierNodes) > 0 {
@@ -78,28 +76,34 @@ func (h *HotCold) Decide(t *Telemetry) []Action {
 			for i := 0; i < NumTiers; i++ {
 				cold += t.Hist.Cold[i]
 			}
-			if total > 0 && cold*2 >= total {
-				out = append(out, Action{Kind: MovePT, Target: t.TierNodes[0]})
+			if total > 0 && cold*2 >= total && !emit(Action{Kind: MovePT, Target: t.TierNodes[0]}) {
+				return
 			}
 		}
 	}
-	// Promotions: hot pages living on a slow tier move to home DRAM.
-	for _, pv := range t.Pages {
-		if pv.Tier != numa.TierDRAM && pv.Hot {
-			out = append(out, Action{Kind: Promote, VA: pv.VA, Size: pv.Size, Target: t.HomeNode})
+	// Promotions: hot pages living on a slow tier move to home DRAM. The
+	// histogram counts such pages, so a tick without any skips the pass.
+	if t.Hist.Hot[numa.TierCXL]+t.Hist.Hot[numa.TierNVM] > 0 {
+		for i := range t.Pages {
+			pv := &t.Pages[i]
+			if pv.Tier != numa.TierDRAM && pv.Hot && !emit(Action{Kind: Promote, VA: pv.VA, Size: pv.Size, Target: t.HomeNode}) {
+				return
+			}
 		}
 	}
-	// Demotions: cold pages move one rung down the ladder.
-	for _, pv := range t.Pages {
+	// Demotions: cold pages move one rung down the ladder, if there is one.
+	if len(t.TierNodes) == 0 {
+		return
+	}
+	for i := range t.Pages {
+		pv := &t.Pages[i]
 		if !pv.Cold || pv.Hot {
 			continue
 		}
-		if target, ok := demoteTarget(pv.Node, pv.Tier, t.TierNodes); ok {
-			out = append(out, Action{Kind: Demote, VA: pv.VA, Size: pv.Size, Target: target})
+		if target, ok := demoteTarget(pv.Node, pv.Tier, t.TierNodes); ok && !emit(Action{Kind: Demote, VA: pv.VA, Size: pv.Size, Target: target}) {
+			return
 		}
 	}
-	h.out = out
-	return out
 }
 
 // demoteTarget returns the next-slower node for a page on node/tier: the

@@ -4,10 +4,10 @@
 //
 // The package is deliberately mechanism-free, mirroring internal/core's
 // replication policies: it sees an abstract, deterministic snapshot of the
-// address space (Telemetry, pages in VA order) and returns Actions; the
+// address space (Telemetry, pages in VA order) and emits Actions; the
 // kernel's TierEngine owns the walk that builds the snapshot and the Mover
-// that applies the actions (bounded pages per tick, remap + shootdown
-// through the normal coherence path). Splitting this way keeps the policy
+// that applies each action as it is emitted (bounded pages per tick, remap
+// + shootdown through the normal coherence path). Splitting this way keeps the policy
 // unit-testable without a kernel and keeps the determinism contract in one
 // place — the engine ticks at round barriers only, and everything here is
 // pure computation over the snapshot.
@@ -74,13 +74,9 @@ type PageView struct {
 	// Node is the memory node backing the page; Tier its media tier.
 	Node numa.NodeID
 	Tier numa.MemTier
-	// Score is the tracker's decayed access score; Idle the consecutive
-	// ticks the page went unsampled.
-	Score uint64
-	Idle  int
-	// Hot and Cold are the tracker's classification (Score >= HotThreshold
-	// resp. Idle >= ColdTicks). A page can be neither: warm pages neither
-	// promote nor demote.
+	// Hot and Cold are the tracker's classification (decayed score >=
+	// HotThreshold resp. idle ticks >= ColdTicks). A page can be neither:
+	// warm pages neither promote nor demote.
 	Hot, Cold bool
 }
 
@@ -146,14 +142,17 @@ func (a Action) String() string {
 	return fmt.Sprintf("%v@%#x->n%d", a.Kind, uint64(a.VA), a.Target)
 }
 
-// Policy decides tier placement from one tick's snapshot. Decide must be a
-// pure function of the telemetry and the policy's own deterministic state:
-// the engine ticks it at round barriers in every engine mode, and the
-// resulting action sequence is part of the replayable counter stream. The
-// mover bounds how many of the returned actions are applied per tick;
-// policies should emit candidates in priority order. The returned slice is
-// valid until the next Decide, so a policy may reuse it across ticks.
+// Policy decides tier placement from one tick's snapshot. Decide hands its
+// candidates to emit in priority order; emit is the mover, which applies
+// each one at once and returns false when the tick's page budget is spent
+// or an apply failed, and Decide then returns without emitting more. So a
+// tick costs the candidates the budget reaches, not every candidate.
+// Applying an action does not change the telemetry, so the candidates do
+// not depend on how many were applied. Decide must be a pure function of
+// the telemetry and the policy's own deterministic state: the engine ticks
+// it at round barriers in every engine mode, and the applied action
+// sequence is part of the replayable counter stream.
 type Policy interface {
 	Name() string
-	Decide(t *Telemetry) []Action
+	Decide(t *Telemetry, emit func(Action) bool)
 }

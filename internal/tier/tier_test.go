@@ -122,7 +122,8 @@ func TestTrackerMatchesMap(t *testing.T) {
 
 func telemetryFixture() *Telemetry {
 	// 2-socket machine, CXL node 2 and NVM node 3; process home node 0.
-	return &Telemetry{
+	// Hist is filled from Pages below, as the engine's snapshot fills it.
+	t := &Telemetry{
 		Round:     1,
 		HomeNode:  0,
 		PTNode:    0,
@@ -136,11 +137,26 @@ func telemetryFixture() *Telemetry {
 			{VA: 0x5000, Size: pt.Size4K, Node: 0, Tier: numa.TierDRAM},             // warm: stays
 		},
 	}
+	for _, pv := range t.Pages {
+		t.Hist.Add(pv.Tier, pv.Hot, 1)
+	}
+	return t
+}
+
+// decideAll collects every candidate Decide emits when the sink never
+// stops it.
+func decideAll(p Policy, t *Telemetry) []Action {
+	var out []Action
+	p.Decide(t, func(a Action) bool {
+		out = append(out, a)
+		return true
+	})
+	return out
 }
 
 func TestHotColdDecide(t *testing.T) {
 	pol := NewHotCold(HotColdConfig{PT: PTPin})
-	got := pol.Decide(telemetryFixture())
+	got := decideAll(pol, telemetryFixture())
 	want := []Action{
 		{Kind: Promote, VA: 0x1000, Size: pt.Size4K, Target: 0},
 		{Kind: Demote, VA: 0x2000, Size: pt.Size4K, Target: 2},
@@ -154,17 +170,28 @@ func TestHotColdDecide(t *testing.T) {
 			t.Errorf("action %d = %v, want %v", i, got[i], want[i])
 		}
 	}
+	// A sink that refuses more stops the policy at once.
+	for stop := 1; stop <= len(want); stop++ {
+		var emitted []Action
+		pol.Decide(telemetryFixture(), func(a Action) bool {
+			emitted = append(emitted, a)
+			return len(emitted) < stop
+		})
+		if len(emitted) != stop || emitted[stop-1] != want[stop-1] {
+			t.Errorf("sink stopping after %d actions saw %v", stop, emitted)
+		}
+	}
 }
 
 func TestHotColdPTPinRecovers(t *testing.T) {
 	tel := telemetryFixture()
 	tel.PTNode, tel.PTTier = 2, numa.TierCXL
-	got := NewHotCold(HotColdConfig{PT: PTPin}).Decide(tel)
+	got := decideAll(NewHotCold(HotColdConfig{PT: PTPin}), tel)
 	if len(got) == 0 || got[0].Kind != MovePT || got[0].Target != tel.HomeNode {
 		t.Fatalf("pinned policy with PT on CXL: first action = %v, want movept->n0", got)
 	}
 	// Float mode leaves the stranded table alone.
-	for _, a := range NewHotCold(HotColdConfig{PT: PTFloat}).Decide(tel) {
+	for _, a := range decideAll(NewHotCold(HotColdConfig{PT: PTFloat}), tel) {
 		if a.Kind == MovePT {
 			t.Fatalf("float policy moved the page-table: %v", a)
 		}
@@ -172,12 +199,8 @@ func TestHotColdPTPinRecovers(t *testing.T) {
 }
 
 func TestHotColdPTDemote(t *testing.T) {
-	tel := telemetryFixture()
-	// Majority-cold footprint: 3 cold of 5 pages.
-	for _, pv := range tel.Pages {
-		tel.Hist.Add(pv.Tier, pv.Hot, 1)
-	}
-	got := NewHotCold(HotColdConfig{PT: PTDemote}).Decide(tel)
+	tel := telemetryFixture() // majority-cold footprint: 4 not hot of 5
+	got := decideAll(NewHotCold(HotColdConfig{PT: PTDemote}), tel)
 	if len(got) == 0 || got[0].Kind != MovePT || got[0].Target != 2 {
 		t.Fatalf("demote policy on cold footprint: first action = %v, want movept->n2", got)
 	}

@@ -29,8 +29,11 @@ type pageState struct {
 }
 
 // blockPages is the number of 4KB pages a tracker block covers: one 2MB
-// region, so a block is 8KB of state.
-const blockPages = 1 << pt.EntryBits
+// region (blockBytes), so a block is 8KB of state.
+const (
+	blockPages = 1 << pt.EntryBits
+	blockBytes = blockPages << pt.PageShift4K
+)
 
 // block holds the states of the 4KB pages of one 2MB region, indexed by
 // page. A page never observed holds the zero state.
@@ -52,14 +55,18 @@ type block [blockPages]pageState
 type Tracker struct {
 	cfg    TrackerConfig
 	blocks map[pt.VirtAddr]*block
-	// lastBase and last cache the most recently observed block.
+	// lastBase and last cache the most recently observed block; lastBase
+	// starts at noBlock, which no block's base equals.
 	lastBase pt.VirtAddr
 	last     *block
 }
 
+// noBlock is a lastBase that matches no block: block bases are 2MB-aligned.
+const noBlock pt.VirtAddr = 1
+
 // NewTracker builds a tracker; zero-value config fields take defaults.
 func NewTracker(cfg TrackerConfig) *Tracker {
-	return &Tracker{cfg: cfg.withDefaults(), blocks: make(map[pt.VirtAddr]*block)}
+	return &Tracker{cfg: cfg.withDefaults(), blocks: make(map[pt.VirtAddr]*block), lastBase: noBlock}
 }
 
 // Config returns the tracker's effective configuration.
@@ -81,16 +88,24 @@ func (t *Tracker) Observe(va pt.VirtAddr, samples uint32) (score uint64, idle in
 }
 
 // state returns the history of the 4KB page at va, creating its block on
-// first use.
+// first use. Small enough to inline into Observe: only a change of block
+// pays a call.
 func (t *Tracker) state(va pt.VirtAddr) *pageState {
-	base := pt.PageBase(va, pt.Size2M)
-	if t.last == nil || base != t.lastBase {
-		b := t.blocks[base]
-		if b == nil {
-			b = new(block)
-			t.blocks[base] = b
-		}
-		t.lastBase, t.last = base, b
+	if va&^(blockBytes-1) != t.lastBase {
+		t.load(va)
 	}
-	return &t.last[(va-base)>>pt.PageShift4K]
+	return &t.last[(va>>pt.PageShift4K)&(blockPages-1)]
+}
+
+// load caches the block holding va, creating it on first use.
+//
+//go:noinline
+func (t *Tracker) load(va pt.VirtAddr) {
+	base := va &^ (blockBytes - 1)
+	b := t.blocks[base]
+	if b == nil {
+		b = new(block)
+		t.blocks[base] = b
+	}
+	t.lastBase, t.last = base, b
 }
