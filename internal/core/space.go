@@ -60,13 +60,18 @@ func (s *Space) RootFor(socket numa.SocketID) mem.FrameID {
 
 // ReplicaNodes returns the set of nodes holding a copy of the root table,
 // including the primary's node, in ascending order.
-func (s *Space) ReplicaNodes() []numa.NodeID {
-	var nodes []numa.NodeID
-	for _, f := range ringMembers(s.pm, s.mapper.Root()) {
-		nodes = append(nodes, s.pm.NodeOf(f))
+func (s *Space) ReplicaNodes() []numa.NodeID { return s.AppendReplicaNodes(nil) }
+
+// AppendReplicaNodes appends ReplicaNodes to buf and returns it, sorting
+// only the appended part; with room in buf it allocates nothing.
+func (s *Space) AppendReplicaNodes(buf []numa.NodeID) []numa.NodeID {
+	n, root := len(buf), s.mapper.Root()
+	buf = append(buf, s.pm.NodeOf(root))
+	for f := s.pm.ReplicaNext(root); f != mem.NilFrame && f != root; f = s.pm.ReplicaNext(f) {
+		buf = append(buf, s.pm.NodeOf(f))
 	}
-	slices.Sort(nodes)
-	return nodes
+	slices.Sort(buf[n:])
+	return buf
 }
 
 // SetMask installs a new replication mask: replicas are created on nodes

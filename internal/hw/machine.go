@@ -317,7 +317,8 @@ func (m *Machine) Stats(core numa.CoreID) CoreStats { return m.core(core).stats 
 // quiescent point (no batch in flight on s's cores).
 func (m *Machine) SocketStats(s numa.SocketID) CoreStats {
 	var agg CoreStats
-	for _, c := range m.topo.CoresOf(s) {
+	first := int(m.topo.FirstCoreOf(s))
+	for c := first; c < first+m.topo.CoresPerSocket(); c++ {
 		agg.Merge(&m.cores[c].stats)
 	}
 	return agg

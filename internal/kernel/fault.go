@@ -22,9 +22,10 @@ var ErrPermission = errors.New("kernel: write to read-only mapping")
 // process serialize on that process's fault lock (its mmap_sem), while
 // faults of different processes proceed concurrently — they share no
 // address-space state, and the allocator/page-cache structures they do
-// share are locked per node. The already-mapped check in populateOne
+// share are locked per node. The already-mapped check in populate
 // resolves the race where two cores fault on the same page (the loser finds
 // the winner's translation and simply retries its walk).
+// A process in a VM populates its guest table (guestSpace.populate).
 func (k *Kernel) HandleFault(core numa.CoreID, va pt.VirtAddr, write bool) (numa.Cycles, error) {
 	// The current[] slot is an atomic pointer: scheduling writes happen
 	// only at quiescent points, so the load needs no lock.
@@ -45,24 +46,21 @@ func (k *Kernel) HandleFault(core numa.CoreID, va pt.VirtAddr, write bool) (numa
 	if write && !v.Writable {
 		return k.costs.FaultEntry, fmt.Errorf("%w: %#x", ErrPermission, uint64(va))
 	}
-	if _, err := k.populateOne(p, v, va, k.topo.SocketOf(core)); err != nil {
+	if _, err := p.as.populate(v, va, k.topo.SocketOf(core)); err != nil {
 		return k.costs.FaultEntry, err
 	}
 	return k.costs.FaultEntry + drainMeterCycles(p), nil
 }
 
-// populateOne maps the page covering va inside v, honouring THP and the
+// populate maps the page covering va inside v, honouring THP and the
 // process's data/page-table placement policies. It returns the page size
-// installed (or found already present). Virtualized processes populate
-// their guest table instead (guest-kernel + hypervisor work).
+// installed (or found already present).
 //
 // One descent of the primary table answers every question the fault asks
 // of it: whether va is already mapped, whether the 2MB block's PMD entry
 // is empty, and which table the mapping continues from (Mapper.MapAt).
-func (k *Kernel) populateOne(p *Process, v *VMA, va pt.VirtAddr, socket numa.SocketID) (pt.PageSize, error) {
-	if p.guest != nil {
-		return k.populateGuestOne(p, v, va, socket)
-	}
+func (a nativeSpace) populate(v *VMA, va pt.VirtAddr, socket numa.SocketID) (pt.PageSize, error) {
+	k, p := a.p.kernel, a.p
 	d := p.mapper.Table().Descend(va)
 	// Already mapped (e.g., racing fault or populate overlap)?
 	if size, ok := d.Mapped(); ok {
@@ -161,24 +159,4 @@ func (k *Kernel) allocDataWithFallback(preferred numa.NodeID) (mem.FrameID, erro
 		}
 	}
 	return mem.NilFrame, mem.ErrOutOfMemory
-}
-
-// SplitTHP splits the 2MB mapping covering va into 4KB mappings (the
-// khugepaged-reverse path used when memory pressure or mprotect splits a
-// region). The backing frames stay in place; only the translation changes.
-func (k *Kernel) SplitTHP(p *Process, va pt.VirtAddr) error {
-	leaf, size, ok := p.mapper.Table().Lookup(va)
-	if !ok || size != pt.Size2M {
-		return fmt.Errorf("%w: no 2MB mapping at %#x", ErrBadAddress, uint64(va))
-	}
-	ctx := p.opCtx()
-	core := k.callCore(p)
-	socket := k.topo.SocketOf(core)
-	if err := p.mapper.SplitHuge(ctx, pt.PageBase(va, pt.Size2M), p.place(socket)); err != nil {
-		return err
-	}
-	k.pm.SplitHuge(leaf.Frame())
-	k.machine.ShootdownPage(core, pt.PageBase(va, pt.Size2M), p.cores)
-	k.machine.AddCycles(core, drainMeterCycles(p))
-	return nil
 }

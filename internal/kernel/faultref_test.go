@@ -14,12 +14,12 @@ import (
 	"github.com/mitosis-project/mitosis-sim/internal/virt"
 )
 
-// refPopulateOne is populateOne as it was before a fault made one descent:
+// refPopulateOne is nativeSpace.populate as it was before a fault made one descent:
 // an already-mapped Lookup, a pmd_none check by a full walk of the block's
 // base, and a Map that walks again from the root reading every level
 // through the backend, with the cost constants copied by value.
 func (k *Kernel) refPopulateOne(p *Process, v *VMA, va pt.VirtAddr, socket numa.SocketID) (pt.PageSize, error) {
-	if p.guest != nil {
+	if p.GuestSpace() != nil {
 		return k.refPopulateGuestOne(p, v, va, socket)
 	}
 	if _, size, ok := refLookup(p.mapper.Table(), va); ok {
@@ -174,15 +174,15 @@ func refMap(mp *pvops.Mapper, ctx *pvops.OpCtx, va pt.VirtAddr, size pt.PageSize
 	return nil
 }
 
-// refPopulateGuestOne is populateGuestOne as it was: a guest Lookup, a
+// refPopulateGuestOne is guestSpace.populate as it was: a guest Lookup, a
 // guest pmd_none walk, and a guest Map that walks the primary and every
 // replica tree from its root.
 func (k *Kernel) refPopulateGuestOne(p *Process, v *VMA, va pt.VirtAddr, socket numa.SocketID) (pt.PageSize, error) {
-	gs := p.guest
+	gs := p.GuestSpace()
 	if _, size, ok := refGuestLookup(k, gs, va); ok {
 		return size, nil
 	}
-	vm := p.vm.vm
+	vm := p.VM().vm
 	gptNode := gs.HomeNode()
 	dataNode := p.dataNode(socket)
 	flags := pt.FlagUser
@@ -242,7 +242,12 @@ func refReadGuest(k *Kernel, gs *virt.GuestSpace, gf virt.GuestFrame, idx int) p
 
 func refGuestLookup(k *Kernel, gs *virt.GuestSpace, gva pt.VirtAddr) (pt.PTE, pt.PageSize, bool) {
 	roots, _ := guestRoots(k, gs)
-	cur := roots[0]
+	return refGuestLookupIn(k, gs, roots[0], gva)
+}
+
+// refGuestLookupIn is refGuestLookup in the guest tree rooted at root.
+func refGuestLookupIn(k *Kernel, gs *virt.GuestSpace, root virt.GuestFrame, gva pt.VirtAddr) (pt.PTE, pt.PageSize, bool) {
+	cur := root
 	for level := uint8(4); level >= 1; level-- {
 		e := refReadGuest(k, gs, cur, pt.Index(gva, level))
 		if !e.Present() {
@@ -309,8 +314,14 @@ func refGuestMap(k *Kernel, gs *virt.GuestSpace, gva pt.VirtAddr, gframe virt.Gu
 }
 
 // refDestroyProcess is DestroyProcess as it was: one Free (and one lock)
-// per data frame.
+// per data frame. A process in a VM exits through DestroyProcess: the
+// batched frees it pins are the native path's, and the guest exit has a
+// model test of its own (TestGuestExitFreesItsFrames).
 func (k *Kernel) refDestroyProcess(p *Process) {
+	if p.GuestSpace() != nil {
+		k.DestroyProcess(p)
+		return
+	}
 	for _, c := range p.cores {
 		if k.current[c].Load() == p {
 			k.current[c].Store(nil)
@@ -362,7 +373,8 @@ func (k *Kernel) refMunmap(p *Process, va pt.VirtAddr) error {
 // behind the guest leaf, for a virtualized one.
 func pathEntries(k *Kernel, p *Process, va pt.VirtAddr) []uint64 {
 	var out []uint64
-	if p.guest == nil {
+	gs := p.GuestSpace()
+	if gs == nil {
 		root := p.mapper.Root()
 		for r := root; ; {
 			steps, _ := refWalk(pt.NewTable(k.pm, r, k.levels), va)
@@ -374,16 +386,16 @@ func pathEntries(k *Kernel, p *Process, va pt.VirtAddr) []uint64 {
 			}
 		}
 	}
-	roots, _ := guestRoots(k, p.guest)
+	roots, _ := guestRoots(k, gs)
 	for _, cur := range roots {
 		for level := uint8(4); level >= 1; level-- {
-			e := refReadGuest(k, p.guest, cur, pt.Index(va, level))
+			e := refReadGuest(k, gs, cur, pt.Index(va, level))
 			out = append(out, uint64(cur), uint64(e))
 			if !e.Present() {
 				break
 			}
 			if level == 1 || e.Huge() {
-				out = append(out, uint64(p.guest.VM().HostFrameOf(virt.GuestFrame(e.Frame()))))
+				out = append(out, uint64(gs.VM().HostFrameOf(virt.GuestFrame(e.Frame()))))
 				break
 			}
 			cur = virt.GuestFrame(e.Frame())
@@ -492,12 +504,12 @@ func faultRefCases() []faultRefCase {
 }
 
 // TestFaultPathMatchesReference drives the old fault path (refPopulateOne
-// and refPopulateGuestOne above) and populateOne on twin kernels with one
-// seeded fault sequence: random pages of random VMAs faulted from random
-// sockets, re-faults of mapped pages included. After every fault the twins
-// must agree on the result, the process's meter, the entries along the
-// address's path in every table copy (the leaf's frame with them) and the
-// free frames of every node. The cases cover 4KB faults into empty VMAs
+// and refPopulateGuestOne above) and the address space's populate on twin
+// kernels with one seeded fault sequence: random pages of random VMAs
+// faulted from random sockets, re-faults of mapped pages included. After
+// every fault the twins must agree on the result, the process's meter,
+// the entries along the address's path in every table copy (the leaf's
+// frame with them) and the free frames of every node. The cases cover 4KB faults into empty VMAs
 // and existing leaf tables; THP faults that get a block, that fall back
 // under fragmentation or a pressure floor, and whose block already holds a
 // 4KB page; a fully replicated process and a PTFixed one; a pressure floor
@@ -507,7 +519,8 @@ func faultRefCases() []faultRefCase {
 // Then both twins destroy their processes, the first with a poisoned data
 // frame (a 4KB one, and one inside a huge page where there is one), the
 // reference one frame at a time, and allocate 64 frames per node: the
-// frames and every node's retired count must agree.
+// frames and every node's retired count must agree. (The vm case's exit
+// runs DestroyProcess on both twins; TestGuestExitFreesItsFrames checks it.)
 func TestFaultPathMatchesReference(t *testing.T) {
 	for i, c := range faultRefCases() {
 		t.Run(c.name, func(t *testing.T) {
@@ -524,7 +537,7 @@ func TestFaultPathMatchesReference(t *testing.T) {
 				va := v.Start + pt.VirtAddr(rng.Int63n(int64(v.End-v.Start)))
 				socket := numa.SocketID(rng.Intn(sockets))
 				refSize, refErr := refK.refPopulateOne(ref, v, va, socket)
-				gotSize, gotErr := gotK.populateOne(got, got.vmas[vi], va, socket)
+				gotSize, gotErr := got.as.populate(got.vmas[vi], va, socket)
 				if (refErr == nil) != (gotErr == nil) || refSize != gotSize {
 					t.Fatalf("step %d: fault at %#x: got (%v, %v), reference (%v, %v)", step, uint64(va), gotSize, gotErr, refSize, refErr)
 				}
@@ -598,18 +611,17 @@ func compareFreeFrames(t *testing.T, at string, ref, got *Kernel) {
 }
 
 // TestMunmapMatchesReference faults random pages of every VMA on twin
-// kernels (the native cases of TestFaultPathMatchesReference), poisons a 4KB data frame (and a frame of a huge page where
-// there is one), and unmaps every VMA: the reference frame by frame, the
-// other through FreeAll in leaf-table runs. After each munmap the twins
-// must agree on every node's free and retired frames and on the calling
-// core's cycles; at the end, allocating every frame each node still has
-// must hand out the same frames in the same order, which compares the
-// allocators' bitmaps.
+// kernels (the cases of TestFaultPathMatchesReference), poisons a 4KB data
+// frame (and a frame of a huge page where there is one), and unmaps every
+// VMA: the reference frame by frame, the other through FreeAll in
+// leaf-table runs. After each munmap the twins must agree on every node's
+// free and retired frames and on the calling core's cycles; at the end,
+// allocating every frame each node still has must hand out the same frames
+// in the same order, which compares the allocators' bitmaps. The vm case
+// has no older path to replay: its munmaps are checked against a model
+// (checkGuestMunmaps).
 func TestMunmapMatchesReference(t *testing.T) {
 	for i, c := range faultRefCases() {
-		if c.name == "vm" {
-			continue // Munmap does not reach guest tables
-		}
 		t.Run(c.name, func(t *testing.T) {
 			refK, refProcs := c.build(t)
 			gotK, gotProcs := c.build(t)
@@ -621,11 +633,15 @@ func TestMunmapMatchesReference(t *testing.T) {
 				v := refProcs[pi].vmas[vi]
 				va := v.Start + pt.VirtAddr(rng.Int63n(int64(v.End-v.Start)))
 				socket := numa.SocketID(rng.Intn(sockets))
-				_, refErr := refK.populateOne(refProcs[pi], v, va, socket)
-				_, gotErr := gotK.populateOne(gotProcs[pi], gotProcs[pi].vmas[vi], va, socket)
+				_, refErr := refProcs[pi].as.populate(v, va, socket)
+				_, gotErr := gotProcs[pi].as.populate(gotProcs[pi].vmas[vi], va, socket)
 				if (refErr == nil) != (gotErr == nil) {
 					t.Fatalf("fault at %#x: got %v, reference %v", uint64(va), gotErr, refErr)
 				}
+			}
+			if gotProcs[0].GuestSpace() != nil {
+				checkGuestMunmaps(t, gotK, gotProcs[0])
+				return
 			}
 			poisonOne(refK, refProcs[0])
 			poisonOne(gotK, gotProcs[0])
@@ -677,5 +693,107 @@ func TestMunmapMatchesReference(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// guestLeaf is one guest data page: its VA and size and the host frame
+// backing its first 4KB.
+type guestLeaf struct {
+	va   pt.VirtAddr
+	size pt.PageSize
+	host mem.FrameID
+}
+
+// guestLeaves lists p's guest data pages in [start, end), read through the
+// primary guest table.
+func guestLeaves(k *Kernel, p *Process, start, end pt.VirtAddr) []guestLeaf {
+	gs := p.GuestSpace()
+	var out []guestLeaf
+	for va := start; va < end; {
+		e, size, ok := refGuestLookup(k, gs, va)
+		if !ok {
+			va += pt.VirtAddr(pt.Size4K.Bytes())
+			continue
+		}
+		out = append(out, guestLeaf{va, size, gs.VM().HostFrameOf(virt.GuestFrame(e.Frame()))})
+		va = pt.PageBase(va, size) + pt.VirtAddr(size.Bytes())
+	}
+	return out
+}
+
+// frameStates returns the metadata of every frame of the machine.
+func frameStates(k *Kernel) []mem.FrameMeta {
+	out := make([]mem.FrameMeta, k.pm.TotalFrames())
+	for f := range out {
+		out[f] = *k.pm.Meta(mem.FrameID(f))
+	}
+	return out
+}
+
+// checkGuestMunmaps poisons the host backing of p's first 4KB guest page
+// and the last frame of its first 2MB one, then unmaps every VMA of p, a
+// process in a VM. After each munmap no guest entry of the range may be
+// present in the primary guest table or any replica, every host frame that
+// backed a guest data page of the range must be free (retired if it was
+// poisoned), and no other frame may have changed state.
+func checkGuestMunmaps(t *testing.T, k *Kernel, p *Process) {
+	t.Helper()
+	var small, huge bool
+	for _, v := range p.vmas {
+		for _, l := range guestLeaves(k, p, v.Start, v.End) {
+			switch {
+			case l.size == pt.Size4K && !small:
+				k.pm.SetPoison(l.host)
+				small = true
+			case l.size == pt.Size2M && !huge:
+				k.pm.SetPoison(l.host + mem.HugeFrames - 1)
+				huge = true
+			}
+		}
+	}
+	if !small || !huge {
+		t.Fatalf("faults mapped no 4KB (%v) or 2MB (%v) guest page", small, huge)
+	}
+	var freed, retired int
+	for len(p.vmas) > 0 {
+		v := p.vmas[0]
+		backing := map[mem.FrameID]bool{}
+		for _, l := range guestLeaves(k, p, v.Start, v.End) {
+			for f := l.host; f < l.host+mem.FrameID(l.size.Bytes()>>pt.PageShift4K); f++ {
+				backing[f] = k.pm.Poisoned(f)
+			}
+		}
+		before := frameStates(k)
+		if err := k.Munmap(p, v.Start); err != nil {
+			t.Fatal(err)
+		}
+		at := fmt.Sprintf("munmap(%#x)", uint64(v.Start))
+		for f, m := range frameStates(k) {
+			poisoned, backed := backing[mem.FrameID(f)]
+			switch {
+			case !backed && m != before[f]:
+				t.Fatalf("%s: frame %d changed from %+v to %+v", at, f, before[f], m)
+			case backed && poisoned && m.Kind != mem.KindRetired:
+				t.Fatalf("%s: poisoned frame %d is %v, want retired", at, f, m.Kind)
+			case backed && !poisoned && m.Kind != mem.KindFree:
+				t.Fatalf("%s: frame %d is %v, want free", at, f, m.Kind)
+			case backed && poisoned:
+				retired++
+			case backed:
+				freed++
+			}
+		}
+		roots, nodes := guestRoots(k, p.GuestSpace())
+		for i, root := range roots {
+			for va := v.Start; va < v.End; va += pt.VirtAddr(pt.Size4K.Bytes()) {
+				if _, _, ok := refGuestLookupIn(k, p.GuestSpace(), root, va); ok {
+					t.Fatalf("%s: %#x still mapped in the guest table on node %d", at, uint64(va), nodes[i])
+				}
+			}
+		}
+	}
+	t.Logf("munmap freed %d host frames and retired %d", freed, retired)
+	if freed == 0 || retired != 2 {
+		t.Fatalf("the munmaps freed %d frames and retired %d, want some and 2", freed, retired)
 	}
 }

@@ -115,9 +115,8 @@ type Kernel struct {
 	// concurrent OOM faults must not collapse the same victim twice.
 	reclaimMu sync.Mutex
 
-	nextPID  int
-	nextVMID int
-	procs    map[int]*Process
+	nextPID int
+	procs   map[int]*Process
 	// current is the per-core scheduled process. Writes happen only at
 	// quiescent points (loadContexts, Deschedule, DestroyProcess); reads
 	// happen from concurrent fault handlers without any lock, so the slots
@@ -172,7 +171,7 @@ func New(cfg Config) *Kernel {
 }
 
 // Reset restores the kernel and its machine to the state New returned
-// them in: no processes or VMs, PID/VM/interleave counters rewound,
+// them in: no processes or VMs, PID and interleave counters rewound,
 // interference cleared, hardware caches and physical memory pristine, and
 // the boot page-cache reservation refilled; THP keeps its boot setting.
 // Call it only at quiescence (no run in flight). The reuse path for
@@ -184,7 +183,6 @@ func (k *Kernel) Reset() {
 		k.current[i].Store(nil)
 	}
 	k.nextPID = 1
-	k.nextVMID = 0
 	k.nextIntlv = 0
 	k.cost.ClearLoads()
 	k.backend.Reset()

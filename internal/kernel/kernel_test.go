@@ -384,7 +384,7 @@ func TestReplicationViaMask(t *testing.T) {
 func TestReplicatedProcessRunsEverywhere(t *testing.T) {
 	k := newTestKernel(t)
 	p := newProc(t, k, ProcessOpts{Home: 0})
-	if err := k.RunOnAllSockets(p); err != nil {
+	if err := k.RunOn(p, everyCore(k)); err != nil {
 		t.Fatal(err)
 	}
 	base, err := k.Mmap(p, 1<<20, MmapOpts{Writable: true, Populate: true})
@@ -437,29 +437,6 @@ func TestDestroyProcessLeaksNothing(t *testing.T) {
 	}
 }
 
-func TestSplitTHP(t *testing.T) {
-	k := newTHPKernel(t)
-	p := newProc(t, k, ProcessOpts{Home: 0})
-	if err := k.RunOnSocket(p, 0); err != nil {
-		t.Fatal(err)
-	}
-	base, err := k.Mmap(p, 2<<20, MmapOpts{Writable: true, THP: true, Populate: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := k.SplitTHP(p, base); err != nil {
-		t.Fatal(err)
-	}
-	_, size, ok := p.Table().Lookup(base + 0x5000)
-	if !ok || size != pt.Size4K {
-		t.Fatalf("post-split: ok=%v size=%v, want 4KB", ok, size)
-	}
-	// The region remains fully usable and freeable.
-	if err := k.Munmap(p, base); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMunmapBadAddress(t *testing.T) {
 	k := newTestKernel(t)
 	p := newProc(t, k, ProcessOpts{Home: 0})
@@ -496,7 +473,7 @@ func TestBootConfigSurvivesReset(t *testing.T) {
 
 	// A run that takes page-table frames from every node's pool.
 	p := newProc(t, k, ProcessOpts{Home: 0})
-	if err := k.RunOnAllSockets(p); err != nil {
+	if err := k.RunOn(p, everyCore(k)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := k.Mmap(p, 4<<20, MmapOpts{Writable: true, THP: true, Populate: true}); err != nil {
@@ -542,4 +519,13 @@ func TestFixedNodePTPolicy(t *testing.T) {
 			t.Errorf("PT pages on node %d: %d, want 0", n, got)
 		}
 	}
+}
+
+// everyCore lists every core of the machine, for RunOn.
+func everyCore(k *Kernel) []numa.CoreID {
+	cores := make([]numa.CoreID, k.topo.Cores())
+	for i := range cores {
+		cores[i] = numa.CoreID(i)
+	}
+	return cores
 }

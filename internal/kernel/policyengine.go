@@ -51,6 +51,12 @@ type PolicyEngine struct {
 	log      []ActionRecord
 	timeline []ReplicaChange
 	bgCycles numa.Cycles
+
+	// t is the telemetry every tick refills in place, and nodes the tick's
+	// replica nodes: the policies read the telemetry only inside Decide,
+	// so a native process's tick allocates nothing.
+	t     core.Telemetry
+	nodes []numa.NodeID
 }
 
 // ReplicaChange is one change point of a policy engine's replica-count
@@ -79,6 +85,7 @@ func (k *Kernel) AttachPolicy(p *Process, pol core.ReplicationPolicy, cfg Policy
 	e := &PolicyEngine{
 		k: k, p: p, policy: pol, cfg: cfg,
 		prev: make([]hw.CoreStats, k.topo.Sockets()),
+		t:    core.Telemetry{Sockets: make([]core.SocketSample, k.topo.Sockets())},
 	}
 	p.policyEngine = e
 	return e
@@ -188,7 +195,8 @@ func (e *PolicyEngine) Tick(round int) error {
 			e.log = append(e.log, ActionRecord{Round: round, Action: a})
 		}
 	}
-	n := len(e.p.ReplicaNodes())
+	e.nodes = e.p.as.replicaNodes(e.nodes[:0])
+	n := len(e.nodes)
 	if len(e.timeline) == 0 || e.timeline[len(e.timeline)-1].Replicas != n {
 		e.timeline = append(e.timeline, ReplicaChange{Round: round, Replicas: n})
 	}
@@ -224,30 +232,18 @@ func (e *PolicyEngine) drainBg(job *bgJob) {
 	job.ctx.Meter.Cycles = 0
 }
 
-// telemetry assembles the tick's per-socket deltas and replication state.
+// telemetry assembles the tick's per-socket deltas and replication state
+// in e.t.
 func (e *PolicyEngine) telemetry(round int) *core.Telemetry {
-	k, p := e.k, e.p
+	k, p, t := e.k, e.p, &e.t
 	topo := k.topo
-	primary := p.space.PrimaryNode()
-	mask := slices.Clone(p.space.Mask())
-	if p.guest != nil {
-		// Virtualized process: the guest home plays the primary, and the
-		// droppable replica set is every other node holding a gPT or ePT
-		// copy.
-		primary = p.guest.HomeNode()
-		mask = slices.DeleteFunc(p.ReplicaNodes(), func(n numa.NodeID) bool { return n == primary })
-	}
-	t := &core.Telemetry{
-		Round:         round,
-		PrimaryNode:   primary,
-		PrimarySocket: topo.SocketOfNode(primary),
-		Mask:          mask,
-		PTPages:       p.policyPTPages(),
-		Sockets:       make([]core.SocketSample, topo.Sockets()),
-	}
+	p.as.policyState(t)
+	t.Round, t.PrimarySocket = round, topo.SocketOfNode(t.PrimaryNode)
+	t.InFlight = t.InFlight[:0]
 	for _, job := range e.inflight {
 		t.InFlight = append(t.InFlight, job.ir.Node())
 	}
+	t.MemFree, t.MemPressure, t.Offline = t.MemFree[:0], t.MemPressure[:0], t.Offline[:0]
 	for n := 0; n < topo.Nodes(); n++ {
 		id := numa.NodeID(n)
 		t.MemFree = append(t.MemFree, k.pm.FreeFrames(id))
@@ -256,7 +252,7 @@ func (e *PolicyEngine) telemetry(round int) *core.Telemetry {
 			t.Offline = append(t.Offline, id)
 		}
 	}
-	replicated := p.ReplicaNodes()
+	e.nodes = p.as.replicaNodes(e.nodes[:0])
 	for s := 0; s < topo.Sockets(); s++ {
 		sid := numa.SocketID(s)
 		cur := k.machine.SocketStats(sid)
@@ -265,7 +261,7 @@ func (e *PolicyEngine) telemetry(round int) *core.Telemetry {
 			Socket:     sid,
 			Node:       node,
 			RunsCores:  e.runsOn(sid),
-			HasReplica: slices.Contains(replicated, node),
+			HasReplica: slices.Contains(e.nodes, node),
 			CoreStats:  cur.Sub(e.prev[s]),
 		}
 		e.prev[s] = cur
@@ -287,41 +283,16 @@ func (e *PolicyEngine) runsOn(s numa.SocketID) bool {
 // (redundant actions — replica already present, node already bare — are
 // validated away without logging).
 func (e *PolicyEngine) apply(a core.Action) (bool, error) {
-	k, p := e.k, e.p
-	if p.guest != nil {
-		return e.applyVirt(a)
-	}
 	switch a.Kind {
 	case core.ActionReplicate:
-		if a.Node == p.space.PrimaryNode() || slices.Contains(p.space.Mask(), a.Node) {
-			return false, nil
-		}
-		for _, job := range e.inflight {
-			if job.ir.Node() == a.Node {
-				return false, nil
-			}
-		}
-		ir, ctx, err := k.StartBackgroundReplication(p, a.Node)
-		if err != nil {
-			// Strict allocation failure under memory pressure: skip the
-			// action rather than kill the run — mirroring the mid-copy
-			// failure path, the policy re-requests once memory frees up.
-			return false, nil
-		}
-		if ir.Done() {
-			// Raced with an existing replica; nothing to drive.
-			k.endBackgroundReplication(p)
-			return false, nil
-		}
-		e.inflight = append(e.inflight, &bgJob{ir: ir, ctx: ctx})
-		return true, nil
+		return e.p.as.replicate(e, a.Node)
 	case core.ActionDrop:
-		return k.DropReplica(p, a.Node)
+		return e.p.as.drop(a.Node)
 	case core.ActionMigrate:
-		if e.runsOn(a.Socket) && len(e.socketsOf()) == 1 {
+		if e.runsOnlyOn(a.Socket) {
 			return false, nil
 		}
-		if err := k.MigrateProcess(p, a.Socket, MigrateOpts{}); err != nil {
+		if err := e.k.MigrateProcess(e.p, a.Socket, MigrateOpts{}); err != nil {
 			return false, fmt.Errorf("kernel: policy migrate to socket %d: %w", a.Socket, err)
 		}
 		return true, nil
@@ -330,50 +301,60 @@ func (e *PolicyEngine) apply(a core.Action) (bool, error) {
 	}
 }
 
-// applyVirt executes one action for a virtualized process: replicate and
-// drop act on the guest and/or nested tables per the process's configured
-// policy layers (gPT and ePT are driven independently when a layer
-// selector narrows them), applied eagerly at the round barrier — the VM
-// dimensions have no incremental-copy machinery, so the copy stalls the
-// vCPU like an explicit mask change would.
-func (e *PolicyEngine) applyVirt(a core.Action) (bool, error) {
-	k, p := e.k, e.p
-	switch a.Kind {
-	case core.ActionReplicate:
-		applied, err := k.ReplicateVMNode(p, a.Node, p.vmPolicyLayers)
-		if err != nil {
-			// Allocation pressure mid-copy: swallow the error (the policy
-			// re-requests once memory frees up) but keep `applied` — a
-			// partially applied both-layers action did repoint roots and
-			// must appear in the log.
-			return applied, nil
-		}
-		return applied, nil
-	case core.ActionDrop:
-		return k.DropVMReplica(p, a.Node, p.vmPolicyLayers)
-	case core.ActionMigrate:
-		if e.runsOn(a.Socket) && len(e.socketsOf()) == 1 {
+// replicate starts an incremental replication (§6.1) onto node, which the
+// engine steps at its ticks.
+func (a nativeSpace) replicate(e *PolicyEngine, node numa.NodeID) (bool, error) {
+	k, p := e.k, a.p
+	if node == p.space.PrimaryNode() || slices.Contains(p.space.Mask(), node) {
+		return false, nil
+	}
+	for _, job := range e.inflight {
+		if job.ir.Node() == node {
 			return false, nil
 		}
-		if err := k.MigrateProcess(p, a.Socket, MigrateOpts{}); err != nil {
-			return false, fmt.Errorf("kernel: policy migrate to socket %d: %w", a.Socket, err)
-		}
-		return true, nil
-	default:
-		return false, fmt.Errorf("kernel: unknown policy action %v", a.Kind)
 	}
+	ir, ctx, err := k.StartBackgroundReplication(p, node)
+	if err != nil {
+		// Strict allocation failure under memory pressure: skip the
+		// action rather than kill the run — mirroring the mid-copy
+		// failure path, the policy re-requests once memory frees up.
+		return false, nil
+	}
+	if ir.Done() {
+		// Raced with an existing replica; nothing to drive.
+		k.endBackgroundReplication(p)
+		return false, nil
+	}
+	e.inflight = append(e.inflight, &bgJob{ir: ir, ctx: ctx})
+	return true, nil
 }
 
-// socketsOf lists the distinct sockets the process currently runs on.
-func (e *PolicyEngine) socketsOf() []numa.SocketID {
-	var out []numa.SocketID
+func (a nativeSpace) drop(node numa.NodeID) (bool, error) { return a.p.kernel.DropReplica(a.p, node) }
+
+// replicate copies the guest and/or nested tables onto node, per the
+// process's policy layers, at once: the VM dimensions have no incremental
+// copy, so the copy stalls the vCPU as an explicit mask change would.
+func (g *guestSpace) replicate(_ *PolicyEngine, node numa.NodeID) (bool, error) {
+	// Allocation pressure mid-copy: swallow the error (the policy
+	// re-requests once memory frees up) but keep applied — a partially
+	// applied both-layers action did repoint roots and must appear in the
+	// log.
+	applied, _ := g.p.kernel.ReplicateVMNode(g.p, node, g.layers)
+	return applied, nil
+}
+
+func (g *guestSpace) drop(node numa.NodeID) (bool, error) {
+	return g.p.kernel.DropVMReplica(g.p, node, g.layers)
+}
+
+// runsOnlyOn reports whether the process runs on socket s and nowhere else.
+func (e *PolicyEngine) runsOnlyOn(s numa.SocketID) bool {
 	for _, c := range e.p.cores {
-		s := e.k.topo.SocketOf(c)
-		if !slices.Contains(out, s) {
-			out = append(out, s)
+		if e.k.topo.SocketOf(c) != s {
+			return false
 		}
 	}
-	return out
+	return len(e.p.cores) > 0
 }
 
 // DropReplica tears down p's replica on node (a policy "deprecate"

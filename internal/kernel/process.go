@@ -10,7 +10,6 @@ import (
 	"github.com/mitosis-project/mitosis-sim/internal/numa"
 	"github.com/mitosis-project/mitosis-sim/internal/pt"
 	"github.com/mitosis-project/mitosis-sim/internal/pvops"
-	"github.com/mitosis-project/mitosis-sim/internal/virt"
 )
 
 // DataPolicy selects where data pages are allocated on a fault — the
@@ -89,16 +88,13 @@ type Process struct {
 	Name string
 
 	kernel *Kernel
+	// as is the address space every process-wide path goes through. A
+	// process in a VM keeps mapper and space (its host page table)
+	// allocated but empty: translation happens in the guest dimension.
+	as     addrSpace
 	mapper *pvops.Mapper
 	space  *core.Space
 	vmas   []*VMA
-
-	// vm and guest are set for virtualized processes: the VM the process
-	// runs in and its guest page-table. The host mapper/space above stay
-	// allocated but empty — translation happens in the guest dimension.
-	vm             *VM
-	guest          *virt.GuestSpace
-	vmPolicyLayers string
 
 	dataPolicy DataPolicy
 	bindNode   numa.NodeID
@@ -183,6 +179,7 @@ func (k *Kernel) CreateProcess(opts ProcessOpts) (*Process, error) {
 	}
 	p.mapper = mp
 	p.space = core.NewSpace(k.pm, k.backend, mp)
+	p.as = nativeSpace{p}
 	if opts.VM != nil {
 		if k.levels != 4 {
 			return nil, fmt.Errorf("kernel: guest processes require 4-level paging (kernel runs %d-level)", k.levels)
@@ -199,16 +196,16 @@ func (k *Kernel) CreateProcess(opts ProcessOpts) (*Process, error) {
 		if err != nil {
 			return nil, fmt.Errorf("kernel: creating guest space: %w", err)
 		}
-		p.vm = opts.VM
-		p.guest = gs
-		p.vmPolicyLayers = layers
+		p.as = &guestSpace{p: p, vm: opts.VM, gs: gs, layers: layers}
 	}
 	k.procs[p.PID] = p
 	return p, nil
 }
 
 // DestroyProcess tears down the process: unmaps everything, frees all
-// page-table pages and replicas, and releases its cores.
+// page-table pages and replicas, and releases its cores. A process in a VM
+// frees its guest data frames, its guest tables and its unused host root;
+// the VM keeps its nested tables.
 func (k *Kernel) DestroyProcess(p *Process) {
 	for _, c := range p.cores {
 		if k.current[c].Load() == p {
@@ -216,9 +213,18 @@ func (k *Kernel) DestroyProcess(p *Process) {
 			k.machine.ClearContext(c)
 		}
 	}
+	p.as.destroy()
+	p.vmas = nil
+	delete(k.procs, p.PID)
+}
+
+// destroy frees the data frames still mapped, then the tables and their
+// replicas.
+func (a nativeSpace) destroy() {
+	k, p := a.p.kernel, a.p
 	ctx := p.opCtx()
-	// Free data frames still mapped, as queueDataFree does; the switch is
-	// inline here because a call per leaf costs exit about 5%.
+	// Free data frames still mapped, as release does; the switch is inline
+	// here because a call per leaf costs exit about 5%.
 	batch := k.freeBatch[:0]
 	for _, v := range p.vmas {
 		p.forEachMapped(v, func(_ pt.VirtAddr, leaf pt.PTE, size pt.PageSize) {
@@ -239,8 +245,6 @@ func (k *Kernel) DestroyProcess(p *Process) {
 	k.freeBatch = batch[:0]
 	p.space.Collapse(ctx)
 	p.mapper.Destroy(ctx)
-	p.vmas = nil
-	delete(k.procs, p.PID)
 }
 
 // Space returns the process's Mitosis replication state.
@@ -248,9 +252,6 @@ func (p *Process) Space() *core.Space { return p.space }
 
 // PolicyEngine returns the attached replication-policy engine, or nil.
 func (p *Process) PolicyEngine() *PolicyEngine { return p.policyEngine }
-
-// TierEngine returns the attached memory-tiering engine, or nil.
-func (p *Process) TierEngine() *TierEngine { return p.tierEngine }
 
 // Mapper returns the process's page-table mapper.
 func (p *Process) Mapper() *pvops.Mapper { return p.mapper }
@@ -274,15 +275,14 @@ func (p *Process) SetPTPolicy(pol PTPolicy, node numa.NodeID) {
 // SetReplicationMask is numa_set_pgtable_replication_mask (Listing 2): the
 // process requests replicas on the given nodes, and existing tables are
 // replicated or collapsed immediately. A nil mask collapses to the primary.
+// A process in a VM is refused: its tables replicate through the VM calls.
 func (p *Process) SetReplicationMask(nodes []numa.NodeID) error {
+	if err := hostTablesOnly(p, "replication mask"); err != nil {
+		return err
+	}
 	p.requestedMask = slices.Clone(nodes)
-	return p.applyReplication()
-}
-
-func (p *Process) applyReplication() error {
 	k := p.kernel
-	ctx := p.opCtx()
-	if err := p.space.SetMask(ctx, p.requestedMask); err != nil {
+	if err := p.space.SetMask(p.opCtx(), p.requestedMask); err != nil {
 		return err
 	}
 	// Eager replication stalls the caller: the copy cost lands on the
@@ -349,28 +349,6 @@ func (p *Process) dataNode(s numa.SocketID) numa.NodeID {
 	default:
 		return p.kernel.topo.NodeOf(s)
 	}
-}
-
-// queueDataFree frees the data frame(s) behind a leaf entry as
-// freeDataPage does, but batched: a huge page at once, 4KB frames through
-// batch, which it hands to FreeAll a leaf table's worth at a time. FreeAll
-// locks a node once per run of its frames, and frees commute, so the
-// allocator ends as frame-by-frame frees in visit order would leave it.
-// The caller frees what is left in the returned batch. Munmap frees with
-// it; DestroyProcess has the same switch inline.
-func (k *Kernel) queueDataFree(batch []mem.FrameID, leaf pt.PTE, size pt.PageSize) []mem.FrameID {
-	f := leaf.Frame()
-	meta := k.pm.Meta(f)
-	switch {
-	case size == pt.Size2M && meta.HugeHead:
-		k.pm.FreeHuge(f)
-	case meta.Kind == mem.KindData:
-		if batch = append(batch, f); len(batch) == mem.PTEntries {
-			k.pm.FreeAll(batch)
-			batch = batch[:0]
-		}
-	}
-	return batch
 }
 
 // freeDataPage releases the data frame(s) behind a leaf entry.

@@ -214,7 +214,7 @@ func TestReclaimConsultsPolicy(t *testing.T) {
 func TestBackgroundReplicationKernelFlow(t *testing.T) {
 	k := newTestKernel(t)
 	p := newProc(t, k, ProcessOpts{Home: 0})
-	if err := k.RunOnAllSockets(p); err != nil {
+	if err := k.RunOn(p, everyCore(k)); err != nil {
 		t.Fatal(err)
 	}
 	base, err := k.Mmap(p, 8<<20, MmapOpts{Writable: true, Populate: true})

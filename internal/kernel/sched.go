@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/mitosis-project/mitosis-sim/internal/numa"
 )
@@ -17,7 +18,7 @@ func (k *Kernel) RunOn(p *Process, cores []numa.CoreID) error {
 		}
 	}
 	for _, c := range p.cores {
-		if !containsCore(cores, c) {
+		if !slices.Contains(cores, c) {
 			k.current[c].Store(nil)
 			k.machine.ClearContext(c)
 		}
@@ -33,16 +34,6 @@ func (k *Kernel) RunOn(p *Process, cores []numa.CoreID) error {
 // RunOnSocket schedules p on every core of one socket.
 func (k *Kernel) RunOnSocket(p *Process, s numa.SocketID) error {
 	return k.RunOn(p, k.topo.CoresOf(s))
-}
-
-// RunOnAllSockets schedules p across the whole machine (the multi-socket
-// scenario of §3.1/§8.1).
-func (k *Kernel) RunOnAllSockets(p *Process) error {
-	cores := make([]numa.CoreID, 0, k.topo.Cores())
-	for c := numa.CoreID(0); int(c) < k.topo.Cores(); c++ {
-		cores = append(cores, c)
-	}
-	return k.RunOn(p, cores)
 }
 
 // Deschedule removes p from all cores.
@@ -63,12 +54,7 @@ func (k *Kernel) Deschedule(p *Process) {
 func (k *Kernel) loadContexts(p *Process) {
 	for _, c := range p.cores {
 		k.current[c].Store(p)
-		s := k.topo.SocketOf(c)
-		if p.guest != nil {
-			k.machine.LoadVirtContext(c, p.guest.GuestRootFor(s), p.vm.vm.NestedRootFor(s), 4, p.vm.vm.NestedLevels())
-		} else {
-			k.machine.LoadContext(c, p.space.RootFor(s), k.levels)
-		}
+		p.as.loadContext(c, k.topo.SocketOf(c))
 		k.machine.SetDataLocality(c, p.dataLocality)
 	}
 }
@@ -95,8 +81,15 @@ type MigrateOpts struct {
 
 // MigrateProcess moves p from its current socket to target: the workload
 // migration scenario (§3.2, §8.2). The process's cores move; data and
-// page-tables move only as requested by opts.
+// page-tables move only as requested by opts. Data migration moves
+// host-mapped data only, so a process in a VM leaves its guest data where
+// it is; its page tables cannot follow (hostTablesOnly).
 func (k *Kernel) MigrateProcess(p *Process, target numa.SocketID, opts MigrateOpts) error {
+	if opts.PageTables {
+		if err := hostTablesOnly(p, "page-table migration"); err != nil {
+			return err
+		}
+	}
 	n := len(p.cores)
 	if n == 0 {
 		n = 1
@@ -130,8 +123,12 @@ func (k *Kernel) MigrateProcess(p *Process, target numa.SocketID, opts MigrateOp
 // replication machinery (§5.5) without moving the process itself, and
 // reloads CR3 on its cores. This is the "+M" recovery step of the paper's
 // workload-migration experiments: the process and its data already sit on
-// one socket while the page-tables are stranded on another.
+// one socket while the page-tables are stranded on another. A process in a
+// VM is refused (hostTablesOnly).
 func (k *Kernel) MigratePT(p *Process, target numa.NodeID, keepOrigin bool) error {
+	if err := hostTablesOnly(p, "page-table migration"); err != nil {
+		return err
+	}
 	if err := p.space.Migrate(p.opCtx(), target, keepOrigin); err != nil {
 		return fmt.Errorf("kernel: page-table migration: %w", err)
 	}
@@ -147,13 +144,4 @@ func (k *Kernel) MigratePT(p *Process, target numa.NodeID, keepOrigin bool) erro
 // the cost model's interference factor.
 func (k *Kernel) SetInterference(n numa.NodeID, on bool) {
 	k.cost.SetLoaded(n, on)
-}
-
-func containsCore(cores []numa.CoreID, c numa.CoreID) bool {
-	for _, x := range cores {
-		if x == c {
-			return true
-		}
-	}
-	return false
 }

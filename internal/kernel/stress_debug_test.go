@@ -84,7 +84,7 @@ func TestStressSeedReproducer(t *testing.T) {
 
 	for op := 0; op < 60; op++ {
 		var what string
-		switch r.Intn(12) {
+		switch r.Intn(11) {
 		case 0, 1, 2:
 			what = "mmap"
 			size := uint64(r.Intn(63)+1) * 4096 * uint64(r.Intn(8)+1)
@@ -154,18 +154,6 @@ func TestStressSeedReproducer(t *testing.T) {
 		case 10:
 			what = "autonuma"
 			k.AutoNUMAScan(p, DefaultAutoNUMAConfig())
-		case 11:
-			what = "thp-split"
-			if len(regions) == 0 {
-				continue
-			}
-			v := regions[r.Intn(len(regions))]
-			va := v.base + pt.VirtAddr(uint64(r.Intn(int(v.size/4096)))*4096)
-			if _, size, ok := p.Table().Lookup(va); ok && size == pt.Size2M {
-				if err := k.SplitTHP(p, va); err != nil {
-					t.Fatal(err)
-				}
-			}
 		}
 		t.Logf("op %d: %s (mask=%v primary=%d)", op, what, p.Space().Mask(), p.Space().PrimaryNode())
 		check(op, what)

@@ -54,7 +54,7 @@ func TestKernelStressRandomSyscalls(t *testing.T) {
 		var regions []region
 
 		for op := 0; op < 60; op++ {
-			switch r.Intn(12) {
+			switch r.Intn(11) {
 			case 0, 1, 2: // mmap
 				size := uint64(r.Intn(63)+1) * 4096 * uint64(r.Intn(8)+1)
 				base, err := k.Mmap(p, size, MmapOpts{
@@ -130,18 +130,6 @@ func TestKernelStressRandomSyscalls(t *testing.T) {
 				}
 			case 10: // AutoNUMA scan
 				k.AutoNUMAScan(p, DefaultAutoNUMAConfig())
-			case 11: // THP split of a random huge mapping
-				if len(regions) == 0 {
-					continue
-				}
-				v := regions[r.Intn(len(regions))]
-				va := v.base + pt.VirtAddr(uint64(r.Intn(int(v.size/4096)))*4096)
-				if _, size, ok := p.Table().Lookup(va); ok && size == pt.Size2M {
-					if err := k.SplitTHP(p, va); err != nil {
-						t.Logf("split: %v", err)
-						return false
-					}
-				}
 			}
 		}
 

@@ -54,7 +54,7 @@ func (k *Kernel) Mmap(p *Process, length uint64, opts MmapOpts) (pt.VirtAddr, er
 	if opts.Populate {
 		socket := k.topo.SocketOf(core)
 		for va := v.Start; va < v.End; {
-			stepped, err := k.populateOne(p, v, va, socket)
+			stepped, err := p.as.populate(v, va, socket)
 			if err != nil {
 				return 0, fmt.Errorf("kernel: mmap populate at %#x: %w", uint64(va), err)
 			}
@@ -70,21 +70,22 @@ func (k *Kernel) Mmap(p *Process, length uint64, opts MmapOpts) (pt.VirtAddr, er
 // Munmap removes the VMA starting at va, unmapping and freeing every
 // present page, then issuing one batched TLB shootdown for the range.
 // The PTE loop iterates each page-table page once (Linux's zap_pte_range),
-// not a root-to-leaf walk per page.
+// not a root-to-leaf walk per page. In a VM it clears the guest entries in
+// every guest-table copy and gives each guest data frame's host backing
+// back through the nested table.
 func (k *Kernel) Munmap(p *Process, va pt.VirtAddr) error {
 	v := p.findVMA(va)
 	if v == nil || v.Start != va {
 		return fmt.Errorf("%w: munmap(%#x)", ErrBadAddress, uint64(va))
 	}
 	core := k.callCore(p)
-	ctx := p.opCtx()
 	k.machine.AddCycles(core, k.costs.SyscallEntry)
 
 	unmapped, batch := k.unmapVAs[:0], k.freeBatch[:0]
-	p.mapper.VisitLeaves(ctx, v.Start, v.End, func(lv pvops.LeafVisit) (pt.PTE, bool) {
+	p.as.visitLeaves(v.Start, v.End, func(lv pvops.LeafVisit) (pt.PTE, bool) {
 		p.Meter.Cycles += k.costs.PTEVisit + k.costs.FrameFree
 		unmapped = append(unmapped, lv.VA)
-		batch = k.queueDataFree(batch, lv.Old, lv.Size)
+		batch = p.as.release(batch, lv.Old, lv.Size)
 		return 0, true
 	})
 	k.pm.FreeAll(batch)
@@ -97,18 +98,18 @@ func (k *Kernel) Munmap(p *Process, va pt.VirtAddr) error {
 
 // Mprotect changes the write permission of every present page in the VMA
 // starting at va: the read-modify-write PTE loop of §8.3.2, one batched
-// shootdown at the end (Linux's change_protection + flush_tlb_range).
+// shootdown at the end (Linux's change_protection + flush_tlb_range). In a
+// VM it rewrites the guest entries in every guest-table copy.
 func (k *Kernel) Mprotect(p *Process, va pt.VirtAddr, writable bool) error {
 	v := p.findVMA(va)
 	if v == nil || v.Start != va {
 		return fmt.Errorf("%w: mprotect(%#x)", ErrBadAddress, uint64(va))
 	}
 	core := k.callCore(p)
-	ctx := p.opCtx()
 	k.machine.AddCycles(core, k.costs.SyscallEntry)
 
 	var changed []pt.VirtAddr
-	p.mapper.VisitLeaves(ctx, v.Start, v.End, func(lv pvops.LeafVisit) (pt.PTE, bool) {
+	p.as.visitLeaves(v.Start, v.End, func(lv pvops.LeafVisit) (pt.PTE, bool) {
 		p.Meter.Cycles += k.costs.PTEVisit
 		changed = append(changed, lv.VA)
 		if writable {

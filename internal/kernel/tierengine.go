@@ -203,7 +203,7 @@ func (e *TierEngine) apply(a tier.Action, budget *int) (bool, uint64, error) {
 		if p.policyEngine != nil && p.policyEngine.InFlight() > 0 {
 			return false, 0, nil
 		}
-		ptPages := p.policyPTPages()
+		ptPages := p.space.PTPageCount()
 		if ptPages > *budget {
 			*budget = 0
 			return false, 0, nil

@@ -18,10 +18,7 @@ import (
 // address spaces are guest page-tables, their faults populate guest
 // mappings backed by nested translations, and their TLB misses perform the
 // hardware's two-dimensional walk.
-type VM struct {
-	vm *virt.VM
-	id int
-}
+type VM struct{ vm *virt.VM }
 
 // Virt exposes the underlying virt.VM (experiments, advanced use).
 func (v *VM) Virt() *virt.VM { return v.vm }
@@ -41,8 +38,7 @@ func (k *Kernel) CreateVM(home numa.NodeID) (*VM, error) {
 	if err != nil {
 		return nil, fmt.Errorf("kernel: creating VM: %w", err)
 	}
-	k.nextVMID++
-	return &VM{vm: v, id: k.nextVMID}, nil
+	return &VM{vm: v}, nil
 }
 
 // VM policy-layer selectors: which page-table dimensions a runtime
@@ -56,44 +52,30 @@ const (
 	VMLayerBoth = "both"
 )
 
-// Virtualized reports whether the process runs inside a VM.
-func (p *Process) Virtualized() bool { return p.guest != nil }
-
 // GuestSpace returns the process's guest page-table, or nil for native
 // processes.
-func (p *Process) GuestSpace() *virt.GuestSpace { return p.guest }
+func (p *Process) GuestSpace() *virt.GuestSpace {
+	if g, ok := p.as.(*guestSpace); ok {
+		return g.gs
+	}
+	return nil
+}
 
 // VM returns the machine the process runs in, or nil for native processes.
-func (p *Process) VM() *VM { return p.vm }
+func (p *Process) VM() *VM {
+	if g, ok := p.as.(*guestSpace); ok {
+		return g.vm
+	}
+	return nil
+}
 
 // ReplicaNodes returns the nodes holding a copy of the process's
 // translation structures: the host page-table replica set for native
 // processes, the union of guest- and nested-table replica nodes for
 // virtualized ones.
-func (p *Process) ReplicaNodes() []numa.NodeID {
-	if p.guest == nil {
-		return p.space.ReplicaNodes()
-	}
-	nodes := slices.Clone(p.guest.ReplicaNodes())
-	for _, n := range p.vm.vm.NestedReplicaNodes() {
-		if !slices.Contains(nodes, n) {
-			nodes = append(nodes, n)
-		}
-	}
-	slices.Sort(nodes)
-	return nodes
-}
+func (p *Process) ReplicaNodes() []numa.NodeID { return p.as.replicaNodes(nil) }
 
-// policyPTPages returns the page-table page count replication policies
-// price their copies against.
-func (p *Process) policyPTPages() int {
-	if p.guest == nil {
-		return p.space.PTPageCount()
-	}
-	return p.guest.PTPageCount()
-}
-
-// populateGuestOne is the virtualized counterpart of populateOne: the
+// populate is the virtualized counterpart of nativeSpace.populate: the
 // guest kernel maps the faulting page in the guest table (backed by a
 // guest frame whose host backing follows the process's data policy), and
 // the hypervisor extends the nested table for the new guest memory. Guest
@@ -102,13 +84,14 @@ func (p *Process) policyPTPages() int {
 // placement does not apply inside it. As on the native path, one descent
 // of the primary guest tree answers the already-mapped and pmd_none
 // questions, and the mapping continues from it.
-func (k *Kernel) populateGuestOne(p *Process, v *VMA, va pt.VirtAddr, socket numa.SocketID) (pt.PageSize, error) {
-	d := p.guest.Descend(va)
+func (g *guestSpace) populate(v *VMA, va pt.VirtAddr, socket numa.SocketID) (pt.PageSize, error) {
+	k, p := g.p.kernel, g.p
+	d := g.gs.Descend(va)
 	if size, ok := d.Mapped(); ok {
 		return size, nil
 	}
-	vm := p.vm.vm
-	gptNode := p.guest.HomeNode()
+	vm := g.vm.vm
+	gptNode := g.gs.HomeNode()
 	dataNode := p.dataNode(socket)
 	params := k.cost.Params()
 	flags := pt.FlagUser
@@ -128,7 +111,7 @@ func (k *Kernel) populateGuestOne(p *Process, v *VMA, va pt.VirtAddr, socket num
 			if gf, err := vm.AllocGuestHuge(dataNode); err == nil {
 				p.Meter.Cycles += 256 * params.PageZero
 				p.Meter.Cycles += k.costs.FrameAlloc
-				if err := p.guest.MapAt(d, hugeBase, gf, pt.Size2M, flags, gptNode); err != nil {
+				if err := g.gs.MapAt(d, hugeBase, gf, pt.Size2M, flags, gptNode); err != nil {
 					return 0, fmt.Errorf("kernel: guest huge map at %#x: %w", uint64(hugeBase), err)
 				}
 				p.Meter.Cycles += vm.DrainCycles()
@@ -152,7 +135,7 @@ func (k *Kernel) populateGuestOne(p *Process, v *VMA, va pt.VirtAddr, socket num
 	}
 	p.Meter.Cycles += params.PageZero + k.costs.FrameAlloc
 	base := pt.PageBase(va, pt.Size4K)
-	if err := p.guest.MapAt(d, base, gf, pt.Size4K, flags, gptNode); err != nil {
+	if err := g.gs.MapAt(d, base, gf, pt.Size4K, flags, gptNode); err != nil {
 		return 0, fmt.Errorf("kernel: guest map at %#x: %w", uint64(base), err)
 	}
 	// Hypervisor work (nested-table growth, guest-table frame backing)
@@ -182,7 +165,8 @@ func normalizeVMLayers(layers string) (string, error) {
 // replication is applied eagerly at quiescent points. Reports whether any
 // replica was actually created.
 func (k *Kernel) ReplicateVMNode(p *Process, node numa.NodeID, layers string) (applied bool, err error) {
-	if p.guest == nil {
+	g, ok := p.as.(*guestSpace)
+	if !ok {
 		return false, fmt.Errorf("kernel: process %d is not virtualized", p.PID)
 	}
 	layers, err = normalizeVMLayers(layers)
@@ -195,12 +179,12 @@ func (k *Kernel) ReplicateVMNode(p *Process, node numa.NodeID, layers string) (a
 	// already repointed.
 	defer func() {
 		if applied {
-			k.finishVMOp(p)
+			k.finishVMOp(g)
 		}
 	}()
-	vm := p.vm.vm
-	if layers != VMLayerEPT && node != p.guest.HomeNode() && !slices.Contains(p.guest.ReplicaNodes(), node) {
-		if err := p.guest.ReplicateGuest([]numa.NodeID{node}); err != nil {
+	vm := g.vm.vm
+	if layers != VMLayerEPT && node != g.gs.HomeNode() && !slices.Contains(g.gs.ReplicaNodes(), node) {
+		if err := g.gs.ReplicateGuest([]numa.NodeID{node}); err != nil {
 			return applied, err
 		}
 		applied = true
@@ -219,7 +203,8 @@ func (k *Kernel) ReplicateVMNode(p *Process, node numa.NodeID, layers string) (a
 // DropVMReplica tears down node's replicas in the selected dimensions.
 // Reports whether anything was dropped.
 func (k *Kernel) DropVMReplica(p *Process, node numa.NodeID, layers string) (applied bool, err error) {
-	if p.guest == nil {
+	g, ok := p.as.(*guestSpace)
+	if !ok {
 		return false, fmt.Errorf("kernel: process %d is not virtualized", p.PID)
 	}
 	layers, err = normalizeVMLayers(layers)
@@ -228,11 +213,11 @@ func (k *Kernel) DropVMReplica(p *Process, node numa.NodeID, layers string) (app
 	}
 	defer func() {
 		if applied {
-			k.finishVMOp(p)
+			k.finishVMOp(g)
 		}
 	}()
-	vm := p.vm.vm
-	if layers != VMLayerEPT && p.guest.DropGuestReplica(node) {
+	vm := g.vm.vm
+	if layers != VMLayerEPT && g.gs.DropGuestReplica(node) {
 		applied = true
 	}
 	if layers != VMLayerGPT && vm.NestedSpace() != nil && slices.Contains(vm.NestedSpace().Mask(), node) {
@@ -249,7 +234,7 @@ func (k *Kernel) DropVMReplica(p *Process, node numa.NodeID, layers string) (app
 // process runs on (plus the VM home): "gpt", "ept" or "both" — the static
 // §7.4 configurations. Nodes not hosting a vCPU are left alone.
 func (k *Kernel) ReplicateVM(p *Process, layers string) error {
-	if p.guest == nil {
+	if p.VM() == nil {
 		return fmt.Errorf("kernel: process %d is not virtualized", p.PID)
 	}
 	layers, err := normalizeVMLayers(layers)
@@ -275,9 +260,10 @@ func (k *Kernel) ReplicateVM(p *Process, layers string) error {
 // finishVMOp bills accumulated hypervisor/guest-kernel cycles to the
 // process's first core and reloads the virtualized contexts so each vCPU
 // picks up its socket-local guest and nested roots.
-func (k *Kernel) finishVMOp(p *Process) {
+func (k *Kernel) finishVMOp(g *guestSpace) {
+	p := g.p
 	k.reloadContexts(p)
-	cy := drainMeterCycles(p) + p.vm.vm.DrainCycles()
+	cy := drainMeterCycles(p) + g.vm.vm.DrainCycles()
 	if len(p.cores) > 0 {
 		k.machine.AddCycles(k.callCore(p), cy)
 	}

@@ -1,8 +1,12 @@
 package kernel
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
+	"github.com/mitosis-project/mitosis-sim/internal/mem"
 	"github.com/mitosis-project/mitosis-sim/internal/numa"
 	"github.com/mitosis-project/mitosis-sim/internal/pt"
 )
@@ -214,5 +218,99 @@ func TestVMLayersIndependent(t *testing.T) {
 	}
 	if got := p.ReplicaNodes(); len(got) != 1 {
 		t.Errorf("replica nodes after drops = %v, want home only", got)
+	}
+}
+
+// TestGuestExitFreesItsFrames: the exit of a process in a VM frees every
+// frame its guest data pages and guest-table trees (primary and replicas)
+// took, and its host root. Only the nested table's pages, grown for the
+// process's guest memory and replicated with it, stay with the VM.
+func TestGuestExitFreesItsFrames(t *testing.T) {
+	for _, thp := range []bool{false, true} {
+		t.Run(fmt.Sprintf("thp=%v", thp), func(t *testing.T) {
+			k := New(Config{Topology: numa.NewTopology(2, 2), FramesPerNode: 1 << 15, THP: thp})
+			vm, err := k.CreateVM(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := frameStates(k)
+			p := newProc(t, k, ProcessOpts{Home: 0, VM: vm})
+			if err := k.RunOn(p, []numa.CoreID{0, 2}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := k.Mmap(p, 64<<12, MmapOpts{Writable: true, Populate: true}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := k.Mmap(p, 4<<20, MmapOpts{Writable: true, THP: thp, Populate: true}); err != nil {
+				t.Fatal(err)
+			}
+			if err := k.ReplicateVM(p, VMLayerBoth); err != nil {
+				t.Fatal(err)
+			}
+			if got := p.GuestSpace().ReplicaNodes(); len(got) != 2 {
+				t.Fatalf("guest tables on nodes %v, want both", got)
+			}
+			taken := 0
+			for f, m := range frameStates(k) {
+				if m.Kind != before[f].Kind {
+					taken++
+				}
+			}
+			k.DestroyProcess(p)
+			// The nested tables: every root's tree, replicas included.
+			nested := map[mem.FrameID]bool{}
+			for s := numa.SocketID(0); int(s) < k.topo.Sockets(); s++ {
+				root := vm.Virt().NestedRootFor(s)
+				nested[root] = true
+				pt.NewTable(k.pm, root, vm.Virt().NestedLevels()).VisitInterior(func(_ uint8, _ pt.EntryRef, e pt.PTE) bool {
+					nested[e.Frame()] = true
+					return true
+				})
+			}
+			kept := 0
+			for f, m := range frameStates(k) {
+				switch {
+				case m == before[f]:
+				case !nested[mem.FrameID(f)]:
+					t.Fatalf("frame %d went from %+v to %+v and is no nested-table page", f, before[f], m)
+				default:
+					kept++
+				}
+			}
+			t.Logf("the process took %d frames; the VM kept %d nested-table pages", taken, kept)
+			if kept == 0 || kept >= taken {
+				t.Fatalf("the VM kept %d of the %d frames the process took", kept, taken)
+			}
+		})
+	}
+}
+
+// TestVMProcessRejectsHostTableCalls: a process in a VM keeps its host
+// page table empty, so replicating or migrating that table is refused with
+// an error naming the process and the VM calls to use, and nothing moves.
+func TestVMProcessRejectsHostTableCalls(t *testing.T) {
+	k, p := virtFixture(t, false, 1)
+	if _, err := k.Mmap(p, 16<<12, MmapOpts{Writable: true, Populate: true}); err != nil {
+		t.Fatal(err)
+	}
+	cores := slices.Clone(p.Cores())
+	for name, call := range map[string]func() error{
+		"SetReplicationMask": func() error { return p.SetReplicationMask([]numa.NodeID{0, 1}) },
+		"MigratePT":          func() error { return k.MigratePT(p, 0, false) },
+		"MigrateProcess":     func() error { return k.MigrateProcess(p, 1, MigrateOpts{Data: true, PageTables: true}) },
+	} {
+		err := call()
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("process %d %q", p.PID, p.Name)) || !strings.Contains(err.Error(), "vm.replication") {
+			t.Errorf("%s: err %v, want a refusal naming the process and vm.replication", name, err)
+		}
+	}
+	if got := p.Space().ReplicaNodes(); !slices.Equal(got, []numa.NodeID{1}) {
+		t.Errorf("host table on nodes %v, want [1]", got)
+	}
+	if got := p.ReplicaNodes(); !slices.Equal(got, []numa.NodeID{1}) {
+		t.Errorf("guest and nested tables on nodes %v, want [1]", got)
+	}
+	if !slices.Equal(p.Cores(), cores) {
+		t.Errorf("process moved to cores %v from %v", p.Cores(), cores)
 	}
 }

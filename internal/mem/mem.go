@@ -887,24 +887,6 @@ func (pm *PhysMem) FreeHuge(base FrameID) {
 	ns.retired += retired
 }
 
-// SplitHuge converts an allocated 2MB block into 512 independent 4KB data
-// frames (used when the kernel splits a THP mapping). The frames remain
-// allocated; only the huge markers are cleared.
-func (pm *PhysMem) SplitHuge(base FrameID) {
-	pm.checkFrame(base)
-	ns := pm.node(pm.NodeOf(base))
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	c := pm.chunk(base)
-	if c == nil || base%HugeFrames != 0 || !c.meta[0].HugeHead {
-		panic(fmt.Sprintf("mem: frame %d is not a huge-page head", base))
-	}
-	c.meta[0].HugeHead = false
-	for off := 1; off < HugeFrames; off++ {
-		c.meta[off].HugeTail = false
-	}
-}
-
 // Fragment marks approximately fraction of node n's 2MB groups as
 // fragmented, excluding them from huge-page allocation. This injects the
 // "aged system" condition of the paper's Figure 11 experiment. The rng makes

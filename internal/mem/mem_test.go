@@ -273,25 +273,6 @@ func TestSinglesPreferBrokenGroups(t *testing.T) {
 	}
 }
 
-func TestSplitHuge(t *testing.T) {
-	pm := newTestMem(t, 2048)
-	base, err := pm.AllocHuge(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pm.SplitHuge(base)
-	if pm.Meta(base).HugeHead || pm.Meta(base+1).HugeTail {
-		t.Error("split huge page still carries huge markers")
-	}
-	// Frames are now individually freeable.
-	for off := FrameID(0); off < HugeFrames; off++ {
-		pm.Free(base + off)
-	}
-	if got := pm.FreeFrames(2); got != 2048 {
-		t.Errorf("FreeFrames = %d, want 2048", got)
-	}
-}
-
 func TestFragmentBlocksHugeAllocation(t *testing.T) {
 	pm := newTestMem(t, 2048)
 	r := rand.New(rand.NewSource(42))

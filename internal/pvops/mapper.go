@@ -191,28 +191,6 @@ func (mp *Mapper) ClearAD(ctx *OpCtx, va pt.VirtAddr, size pt.PageSize) error {
 	return nil
 }
 
-// SplitHuge replaces the 2MB leaf at va with a freshly allocated level-1
-// table mapping the same 512 frames as 4KB pages, preserving flags. The
-// new table page is placed per place. This is the page-table half of a THP
-// split; the caller handles frame metadata and TLB shootdown.
-func (mp *Mapper) SplitHuge(ctx *OpCtx, va pt.VirtAddr, place PTPlacement) error {
-	ref, old, err := mp.leafRef(ctx, va, pt.Size2M)
-	if err != nil {
-		return err
-	}
-	child, err := mp.backend.AllocPT(ctx, AllocSpec{Level: 1, Primary: place.Primary, Replicas: place.Replicas})
-	if err != nil {
-		return fmt.Errorf("pvops: allocating split table: %w", err)
-	}
-	base := old.Frame()
-	flags := old.Flags().ClearFlags(pt.FlagHuge)
-	for i := 0; i < mem.PTEntries; i++ {
-		mp.backend.SetPTE(ctx, pt.EntryRef{Frame: child, Index: i}, pt.NewPTE(base+mem.FrameID(i), flags))
-	}
-	mp.backend.SetPTE(ctx, ref, pt.NewPTE(child, pt.FlagPresent|pt.FlagWrite|pt.FlagUser))
-	return nil
-}
-
 // LeafVisit is the callback of VisitLeaves: one present leaf mapping.
 type LeafVisit struct {
 	VA   pt.VirtAddr

@@ -144,35 +144,6 @@ func TestMapperHugeMap(t *testing.T) {
 	}
 }
 
-func TestMapperSplitHuge(t *testing.T) {
-	fx := newFixture(t)
-	mp := newMapper(t, fx)
-	base, err := fx.pm.AllocHuge(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	va := pt.VirtAddr(0x40000000)
-	if err := mp.Map(fx.ctx, va, pt.Size2M, base, pt.FlagWrite, PTPlacement{Primary: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := mp.SplitHuge(fx.ctx, va, PTPlacement{Primary: 1}); err != nil {
-		t.Fatal(err)
-	}
-	// All 512 4KB translations exist and target consecutive frames.
-	for i := 0; i < 512; i += 101 {
-		leaf, size, ok := mp.Table().Lookup(va + pt.VirtAddr(i*4096))
-		if !ok || size != pt.Size4K {
-			t.Fatalf("post-split lookup %d: ok=%v size=%v", i, ok, size)
-		}
-		if got := leaf.Frame(); got != base+mem.FrameID(i) {
-			t.Errorf("post-split frame %d = %d, want %d", i, got, base+mem.FrameID(i))
-		}
-		if !leaf.Writable() {
-			t.Errorf("post-split entry %d lost write flag", i)
-		}
-	}
-}
-
 func TestMapperRemap(t *testing.T) {
 	fx := newFixture(t)
 	mp := newMapper(t, fx)

@@ -17,15 +17,22 @@ import (
 // every page of a populated region, so both cache writable translations.
 // After mprotect(read-only) a store must fault on both cores, and after
 // munmap any access must. The regions sit on each side of the 33-page
-// full-flush threshold, mapped with 4 KB pages and with THP. The remask
-// case unmaps while a core runs on another root than the one it cached
-// the region under.
+// full-flush threshold, mapped with 4 KB pages and with THP, by a native
+// process and by one in a VM whose guest and nested tables are replicated
+// on both sockets. The remask case unmaps while a core runs on another
+// root than the one it cached the region under.
 func TestSyscallsLeaveNoStaleTranslation(t *testing.T) {
 	for _, backend := range []string{translate.BackendX8664, translate.BackendX8664LA57, translate.BackendVictima} {
 		for _, size := range []pt.PageSize{pt.Size4K, pt.Size2M} {
 			for _, pages := range []int{8, 64} {
 				t.Run(fmt.Sprintf("%s/%dx%v", backend, pages, size), func(t *testing.T) {
-					testSyscallShootdowns(t, backend, size, pages)
+					testSyscallShootdowns(t, backend, size, pages, false)
+				})
+				t.Run(fmt.Sprintf("%s/vm/%dx%v", backend, pages, size), func(t *testing.T) {
+					if backend == translate.BackendX8664LA57 {
+						t.Skip("a VM needs 4-level paging: its guest tables are 4-level")
+					}
+					testSyscallShootdowns(t, backend, size, pages, true)
 				})
 			}
 		}
@@ -88,7 +95,7 @@ func testShootdownAcrossRoots(t *testing.T, backend string) {
 	}
 }
 
-func testSyscallShootdowns(t *testing.T, backend string, size pt.PageSize, pages int) {
+func testSyscallShootdowns(t *testing.T, backend string, size pt.PageSize, pages int, inVM bool) {
 	thp := size == pt.Size2M
 	k := kernel.New(kernel.Config{
 		Topology:      numa.NewTopology(2, 1),
@@ -96,7 +103,15 @@ func testSyscallShootdowns(t *testing.T, backend string, size pt.PageSize, pages
 		Hardware:      translate.Spec{Backend: backend},
 		THP:           thp,
 	})
-	p, err := k.CreateProcess(kernel.ProcessOpts{Name: "shootdown", Home: 0})
+	opts := kernel.ProcessOpts{Name: "shootdown", Home: 0}
+	if inVM {
+		vm, err := k.CreateVM(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.VM = vm
+	}
+	p, err := k.CreateProcess(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +123,17 @@ func testSyscallShootdowns(t *testing.T, backend string, size pt.PageSize, pages
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, got, ok := p.Table().Lookup(base); !ok || got != size {
+	lookup := p.Table().Lookup
+	if inVM {
+		if err := k.ReplicateVM(p, kernel.VMLayerBoth); err != nil {
+			t.Fatal(err)
+		}
+		if got := p.ReplicaNodes(); len(got) != 2 {
+			t.Fatalf("guest and nested tables on nodes %v, want both", got)
+		}
+		lookup = p.GuestSpace().Lookup
+	}
+	if _, got, ok := lookup(base); !ok || got != size {
 		t.Fatalf("region mapped with %v pages (present %v), want %v", got, ok, size)
 	}
 	m := k.Machine()

@@ -14,10 +14,10 @@
 //   - GuestSpace: a guest process's page-table, stored in guest-physical
 //     frames, with optional per-socket guest-table replicas (gPT
 //     replication needs guest-visible NUMA, exactly as §7.4 observes).
-//   - Walk2D: a software two-dimensional walker with per-access NUMA cycle
-//     costs, used by unit tests and as the reference for the hardware
-//     walker (hw.Machine performs the TLB-integrated 2D walk in the main
-//     access path; this package supplies it with roots and table storage).
+//
+// hw.Machine performs the TLB-integrated two-dimensional walk in the main
+// access path; this package supplies it with roots and table storage. The
+// package's tests keep a software walker of their own (Walk2D).
 //
 // Guest page-table pages live in guest *data* frames, but their payloads
 // are provisioned into the physical memory's table storage
@@ -181,15 +181,25 @@ func (vm *VM) hostFrameOf(gf GuestFrame) mem.FrameID {
 // shadow of the nested translation). Call it only at quiescent points.
 func (vm *VM) HostFrameOf(gf GuestFrame) mem.FrameID { return vm.hostFrameOf(gf) }
 
-// freeGuestFrame releases the host frame behind gf and removes its nested
-// mapping (guest-table replica teardown).
-func (vm *VM) freeGuestFrame(gf GuestFrame) {
+// FreeGuestPage gives the host backing of the guest page at gf back
+// through the nested table: a 4KB frame from AllocGuestFrame or
+// AllocGuestTablePage, or a 2MB block from AllocGuestHuge. The nested leaf
+// goes and the host memory returns to the allocator, as free-page
+// reporting returns a guest's freed pages to the host. Guest frame numbers
+// are not reused, so the guest keeps no free list.
+func (vm *VM) FreeGuestPage(gf GuestFrame, size pt.PageSize) {
 	hf := vm.hostFrameOf(gf)
-	if _, err := vm.npt.Unmap(vm.ctx, gpaOf(gf), pt.Size4K); err != nil {
+	if _, err := vm.npt.Unmap(vm.ctx, gpaOf(gf), size); err != nil {
 		panic(fmt.Sprintf("virt: unmapping guest frame %d: %v", gf, err))
 	}
-	vm.pm.Free(hf)
-	vm.backing[gf] = mem.NilFrame
+	if size == pt.Size4K {
+		vm.pm.Free(hf)
+	} else {
+		vm.pm.FreeHuge(hf)
+	}
+	for i := range GuestFrame(size.Bytes() >> pt.PageShift4K) {
+		vm.backing[gf+i] = mem.NilFrame
+	}
 }
 
 // ReplicateNested replicates the nested page-table on the given nodes via
@@ -415,6 +425,42 @@ func (gs *GuestSpace) Lookup(gva pt.VirtAddr) (pt.PTE, pt.PageSize, bool) {
 	return d.Entry, size, true
 }
 
+// VisitLeaves calls fn for each present leaf of the primary guest tree in
+// [start, end), in address order (the visit's Ref stays zero: guest tables
+// are addressed by guest frame). An entry fn returns with true replaces
+// the leaf in the primary and in every replica tree, whose shapes mirror
+// the primary's: the guest kernel's munmap and mprotect write every copy,
+// as MapAt does. Each step descends from the root and skips what the
+// missing or leaf entry it stops at covers.
+func (gs *GuestSpace) VisitLeaves(start, end pt.VirtAddr, fn func(pvops.LeafVisit) (pt.PTE, bool)) {
+	for va := start; va < end; {
+		d := gs.Descend(va)
+		span := pt.VirtAddr(1) << (pt.PageShift4K + pt.EntryBits*uint64(d.Level-1))
+		va &^= span - 1
+		if size, ok := d.Mapped(); ok {
+			if e, store := fn(pvops.LeafVisit{VA: va, Size: size, Old: d.Entry}); store {
+				idx := pt.Index(va, d.Level)
+				gs.writeGuest(GuestFrame(d.Frame), idx, e)
+				for _, root := range gs.replicas {
+					gs.writeGuest(GuestFrame(gs.descendTree(root, va).Frame), idx, e)
+				}
+			}
+		}
+		va += span
+	}
+}
+
+// Destroy frees every guest-table tree, replicas in ascending node order,
+// then the primary: the guest kernel's free_pgtables at exit. The data
+// frames the leaves map are the caller's to free. The guest space must not
+// be used afterwards.
+func (gs *GuestSpace) Destroy() {
+	for _, node := range gs.replicaNodesSorted() {
+		gs.DropGuestReplica(node)
+	}
+	gs.freeGuestTree(gs.primary, 4)
+}
+
 // ReplicateGuest builds a guest-table replica backed by guest frames on
 // each given node (guest-visible NUMA), so each socket's vCPU walks a
 // socket-local guest table.
@@ -477,7 +523,7 @@ func (gs *GuestSpace) freeGuestTree(root GuestFrame, level uint8) {
 			gs.freeGuestTree(GuestFrame(e.Frame()), level-1)
 		}
 	}
-	gs.vm.freeGuestFrame(root)
+	gs.vm.FreeGuestPage(root, pt.Size4K)
 }
 
 func (gs *GuestSpace) copyGuestTree(src GuestFrame, level uint8, node numa.NodeID) (GuestFrame, error) {
