@@ -27,6 +27,7 @@ rows=(
 	BenchmarkMicroPageTableAlloc
 	BenchmarkMicroTierTick
 	BenchmarkMicroPolicyTick
+	BenchmarkMicroWalk/2d
 )
 
 root=$(git rev-parse --show-toplevel)

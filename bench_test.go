@@ -22,6 +22,7 @@ import (
 	"github.com/mitosis-project/mitosis-sim/internal/kernel"
 	"github.com/mitosis-project/mitosis-sim/internal/mem"
 	"github.com/mitosis-project/mitosis-sim/internal/metrics"
+	"github.com/mitosis-project/mitosis-sim/internal/mmucache"
 	"github.com/mitosis-project/mitosis-sim/internal/numa"
 	"github.com/mitosis-project/mitosis-sim/internal/pt"
 	"github.com/mitosis-project/mitosis-sim/internal/pvops"
@@ -631,6 +632,79 @@ func BenchmarkMicroMemHuge(b *testing.B) {
 	})
 }
 
+// BenchmarkMicroWalk measures one page walk of each translation backend:
+// translate.Core.WalkOnce, as the machine calls it on a TLB miss, on a
+// fresh core of the backend with a private LLC, over the 4,096 populated
+// 4 KB pages of a 16 MB region in a seeded random order. The process runs
+// on socket 0 of the default machine; 2d is a process in a VM on the
+// default backend, whose walk translates every guest level through the
+// nested table. One op is one walk; no op allocates. 2d is gated: it is
+// most of fleet's walk time.
+func BenchmarkMicroWalk(b *testing.B) {
+	for _, c := range []struct {
+		name, backend string
+		vm            bool
+	}{
+		{"x8664", translate.BackendX8664, false},
+		{"x8664la57", translate.BackendX8664LA57, false},
+		{"victima", translate.BackendVictima, false},
+		{"2d", translate.BackendX8664, true},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			k := kernel.New(kernel.Config{FramesPerNode: 1 << 16, Hardware: translate.Spec{Backend: c.backend}})
+			opts := kernel.ProcessOpts{Name: "walk", Home: 0}
+			if c.vm {
+				vm, err := k.CreateVM(0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				opts.VM = vm
+			}
+			p, err := k.CreateProcess(opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := k.RunOn(p, []numa.CoreID{0}); err != nil {
+				b.Fatal(err)
+			}
+			const pages = 4096
+			base, err := k.Mmap(p, pages<<pt.PageShift4K, kernel.MmapOpts{Writable: true, Populate: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			vas := make([]pt.VirtAddr, pages)
+			for i, j := range rand.New(rand.NewSource(42)).Perm(pages) {
+				vas[i] = base + pt.VirtAddr(j)<<pt.PageShift4K
+			}
+			m := k.Machine()
+			var stats translate.CoreStats
+			var pending []mmucache.LineID
+			ctx := translate.Ctx{
+				Core: 0, Socket: 0, Home: 0,
+				CR3: m.ContextRoot(0), Levels: m.Backend().Levels(),
+				LLC: mmucache.NewLLC(mmucache.DefaultLLCConfig()), Owned: true,
+				Stats: &stats, Pending: &pending,
+			}
+			if c.vm {
+				ctx.Virt, ctx.Levels = true, 4
+				ctx.GuestRoot = p.GuestSpace().GuestRootFor(0)
+				ctx.NestedLevels = p.VM().Virt().NestedLevels()
+			}
+			xc := m.Backend().NewCore(0)
+			i := 0
+			paced(b, func(n int) {
+				for ; n > 0; n-- {
+					if _, _, _, ok := xc.WalkOnce(&ctx, vas[i], false); !ok {
+						b.Fatalf("walk of %#x faulted", uint64(vas[i]))
+					}
+					i = (i + 1) % pages
+				}
+			})
+		})
+	}
+}
+
 // BenchmarkMicroPageTableAlloc measures the page-table frame path replicas
 // and first-touch tables take: one op hands a reserved frame out of the
 // page-cache pool through core.Backend.AllocPT, zeroed payload attached,
@@ -684,11 +758,11 @@ func BenchmarkMicroReplicateTable(b *testing.B) {
 
 // BenchmarkMicroTierTick measures one tiering-engine tick: a 10,240-page
 // GUPS (1/8 scale) on socket 0 of a two-socket machine with a CXL
-// expander, ticked after set-up with hotcold-ptpin. A tick walks every
-// mapped page into the tracker and hands the snapshot to the policy; from
-// the fourth tick the unsampled pages are cold and the mover demotes 64 of
-// them a tick. Every 60 ticks the machine is booted afresh, untimed. One
-// op is one tick. Gated.
+// expander, ticked after set-up with hotcold-ptpin. The first tick walks
+// every mapped page into the tracker; the fourth turns the unsampled pages
+// cold, and from then on a tick is the 64 pages the mover demotes and the
+// scan that finds them. Every 60 ticks the machine is booted afresh,
+// untimed. One op is one tick. Gated.
 func BenchmarkMicroTierTick(b *testing.B) {
 	b.ReportAllocs()
 	const ticksPerBoot = 60

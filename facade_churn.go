@@ -304,6 +304,9 @@ func RunChurn(c Churn) (*ChurnResult, error) {
 	k := sys.k
 	topo := k.Topology()
 	m := k.Machine()
+	// Churn reads no access sample.
+	m.SetSampling(false)
+	defer m.SetSampling(true)
 
 	if c.Fragmentation > 0 {
 		r := rand.New(rand.NewSource(c.Seed))

@@ -366,6 +366,27 @@ func Run(sc Scenario, opts ...RunOpt) (*RunResult, error) {
 	return NewSystem(sc.Machine).Run(sc, opts...)
 }
 
+// alwaysSample keeps sampling on in runs that read no sample; tests set it
+// to check that such runs return what they return with samples taken.
+var alwaysSample bool
+
+// readsSamples reports whether anything in the scenario reads access
+// samples: an AutoNUMA phase or a tier policy. Both read the samples
+// set-up takes, so the answer holds for the whole run.
+func (sc *Scenario) readsSamples() bool {
+	for _, ps := range sc.Processes {
+		if ps.Tiering.wants() {
+			return true
+		}
+		for _, ph := range ps.Phases {
+			if ph.AutoNUMA {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // Run executes the scenario on this system. The scenario's Machine
 // section must be zero (inherit this machine) or describe it exactly;
 // otherwise the run would not be reproducible from its own record. The
@@ -394,6 +415,11 @@ func (s *System) Run(sc Scenario, opts ...RunOpt) (*RunResult, error) {
 	topo := k.Topology()
 	m := k.Machine()
 	rr := &RunResult{Scenario: sc, Engine: rc.mode.String(), Hardware: s.Hardware()}
+	if !sc.readsSamples() && !alwaysSample {
+		// Nothing in the run reads a sample, so the machine takes none.
+		m.SetSampling(false)
+		defer m.SetSampling(true)
+	}
 
 	if sc.Fragmentation > 0 {
 		r := rand.New(rand.NewSource(sc.Seed))

@@ -92,14 +92,14 @@ type coreState struct {
 	// applies them to other sockets' LLCs at a deterministic point; events
 	// accumulate across batches until then.
 	pending []mmucache.LineID
-	// samples buffers this core's AutoNUMA access samples (one per data
-	// access). Like pending, a barrier folds them into FrameMeta in
-	// canonical core order (FoldSampling), so the hot path appends to a
-	// core-private slice instead of updating a shared frame-metadata cache
-	// line per op. Fold order reproduces the sequential engine's update
-	// order exactly, so AutoNUMA observes identical state at every
-	// quiescent point.
-	samples []sample
+	// samples buffers this core's access samples (one per data access
+	// while sampling is on). Like pending, a barrier folds them into
+	// FrameMeta in canonical core order (FoldSampling), so the hot path
+	// appends to a core-private slice instead of updating a shared
+	// frame-metadata cache line per op. Fold order reproduces the
+	// sequential engine's update order exactly, so AutoNUMA and the tier
+	// tracker observe identical state at every quiescent point.
+	samples []Sample
 	// busy is 1 while an AccessBatch executes on this core;
 	// engaged is 1 for the whole duration of a parallel engine run
 	// (BeginConcurrent/EndConcurrent), covering the instants between a
@@ -122,14 +122,23 @@ func rngSeed(i int) uint64 {
 	return uint64(i)*0x9E3779B97F4A7C15 + 0x243F6A8885A308D3
 }
 
-// sample is a run of buffered AutoNUMA access samples: count consecutive
-// accesses to the same frame with the same locality. Run-length encoding
-// keeps tight loops (the TLB-hit fast path re-touching one page) from
-// growing the buffer at all.
-type sample struct {
-	frame mem.FrameID
-	count uint32
-	local bool
+// Sample is a run of buffered access samples: Count consecutive data
+// accesses by one core to Frame, the 4KB frame the access touched, inside
+// the page mapped at VA (its base), all local or all remote. Run-length
+// encoding keeps tight loops (the TLB-hit fast path re-touching one page)
+// from growing the buffer at all.
+type Sample struct {
+	Frame mem.FrameID
+	VA    pt.VirtAddr
+	Count uint32
+	Local bool
+}
+
+// SampleSink receives the samples a barrier folds, core by core in the
+// fold's order: the kernel hands them to the tier engine of the process
+// running on the core. runs is only valid during the call.
+type SampleSink interface {
+	FoldedSamples(core numa.CoreID, runs []Sample)
 }
 
 // Config assembles a Machine.
@@ -151,6 +160,9 @@ type Machine struct {
 	cores   []coreState
 	llcs    []*mmucache.LLC
 	fault   FaultHandler
+	sink    SampleSink
+	// sampling is whether data accesses buffer samples (SetSampling).
+	sampling bool
 	// cPipeline/cLLCHit cache the immutable cost constants so the
 	// per-op path loads a field instead of calling through the cost model.
 	cPipeline numa.Cycles
@@ -201,6 +213,7 @@ func New(cfg Config) *Machine {
 		cPipeline: cfg.Cost.PipelineOp(),
 		cLLCHit:   cfg.Cost.LLCHit(),
 		dramNodes: cfg.Topology.DRAMNodes(),
+		sampling:  true,
 	}
 	for i := range m.llcs {
 		m.llcs[i] = mmucache.NewLLC(mmucache.DefaultLLCConfig())
@@ -239,6 +252,15 @@ func (m *Machine) Backend() translate.Backend { return m.backend }
 
 // SetFaultHandler installs the kernel's fault entry point.
 func (m *Machine) SetFaultHandler(h FaultHandler) { m.fault = h }
+
+// SetSampleSink installs the receiver of folded samples.
+func (m *Machine) SetSampleSink(s SampleSink) { m.sink = s }
+
+// SetSampling turns access sampling on or off. Sampling is on after New
+// and Reset; a run that nothing reads samples from turns it off for its
+// duration, so its accesses buffer nothing and its barriers fold nothing.
+// Call it only at a quiescent point with the sample buffers folded.
+func (m *Machine) SetSampling(on bool) { m.sampling = on }
 
 // LoadContext is the context-switch: it programs the core's page-table
 // root (write_cr3) and flushes the core's translation caches. With
@@ -372,6 +394,7 @@ func (m *Machine) Reset() {
 		l.Reset()
 	}
 	m.singleWriter = false
+	m.sampling = true
 }
 
 // AddCycles charges extra cycles to a core: the kernel uses it to bill
@@ -490,10 +513,8 @@ func (m *Machine) accessOne(c *coreState, core numa.CoreID, socket numa.SocketID
 
 	entry, probeCy, ok := c.xc.Probe(&c.tctx, va, write)
 	cycles += probeCy
-	var frame mem.FrameID
 	node := numa.InvalidNode
 	if ok {
-		frame = entry.Frame(va)
 		node = entry.Node
 	} else {
 		leaf, size, walkCy, err := m.walk(c, core, va, write, st)
@@ -510,9 +531,9 @@ func (m *Machine) accessOne(c *coreState, core numa.CoreID, socket numa.SocketID
 		// cache InvalidNode and recompute per access below.
 		node = m.pm.NodeOfRange(leaf.Frame(), size.Bytes()>>pt.PageShift4K)
 		c.xc.Fill(&c.tctx, va, leaf, size, node)
-		e := tlb.Entry{VPN: uint64(va) >> uint(sizeShift(size)), Leaf: leaf, Size: size}
-		frame = e.Frame(va)
+		entry = &tlb.Entry{VPN: uint64(va) >> uint(sizeShift(size)), Leaf: leaf, Size: size}
 	}
+	frame := entry.Frame(va)
 	if node == numa.InvalidNode {
 		node = m.pm.NodeOf(frame)
 	}
@@ -538,13 +559,16 @@ func (m *Machine) accessOne(c *coreState, core numa.CoreID, socket numa.SocketID
 		}
 	}
 
-	// Buffer the access sample for the kernel's NUMA balancer (AutoNUMA);
-	// folded into FrameMeta at the next quiescent point. Consecutive
-	// samples of the same frame collapse into one run.
-	if n := len(c.samples); n > 0 && c.samples[n-1].frame == frame && c.samples[n-1].local == local {
-		c.samples[n-1].count++
-	} else {
-		c.samples = append(c.samples, sample{frame: frame, count: 1, local: local})
+	// Buffer the access sample for AutoNUMA and the tier tracker; folded
+	// into FrameMeta at the next quiescent point. Consecutive samples of
+	// the same frame collapse into one run: between two folds a frame
+	// backs one page, since data frames are freed only at barriers.
+	if m.sampling {
+		if n := len(c.samples); n > 0 && c.samples[n-1].Frame == frame && c.samples[n-1].Local == local {
+			c.samples[n-1].Count++
+		} else {
+			c.samples = append(c.samples, Sample{Frame: frame, VA: pt.PageBase(va, entry.Size), Count: 1, Local: local})
+		}
 	}
 
 	st.Cycles += cycles
@@ -597,18 +621,25 @@ func (m *Machine) DrainCoherence(cores []numa.CoreID) {
 	m.FoldSampling(cores)
 }
 
-// FoldSampling folds the AutoNUMA access samples buffered by the given
-// cores into frame metadata, in core order, and clears the buffers. Call
-// it only at quiescent points (round barriers): the fold mutates shared
-// FrameMeta without atomics. Folding per-core buffers in canonical core
-// order reproduces the sequential engine's update order exactly, which
-// keeps AutoNUMA decisions — and therefore all counters — bit-identical
-// across engine modes.
+// FoldSampling folds the access samples buffered by the given cores into
+// frame metadata, in core order, hands each core's runs to the sample
+// sink, and clears the buffers. Call it only at quiescent points (round
+// barriers): the fold mutates shared FrameMeta without atomics. Folding
+// per-core buffers in canonical core order reproduces the sequential
+// engine's update order exactly, which keeps AutoNUMA and tiering
+// decisions — and therefore all counters — bit-identical across engine
+// modes.
 func (m *Machine) FoldSampling(cores []numa.CoreID) {
 	for _, core := range cores {
 		c := m.core(core)
+		if len(c.samples) == 0 {
+			continue
+		}
 		for _, s := range c.samples {
-			m.pm.SampleAccess(s.frame, c.tctx.Socket, s.local, s.count)
+			m.pm.SampleAccess(s.Frame, c.tctx.Socket, s.Local, s.Count)
+		}
+		if m.sink != nil {
+			m.sink.FoldedSamples(core, c.samples)
 		}
 		c.samples = c.samples[:0]
 	}

@@ -90,12 +90,12 @@ func (m *Machine) refInvalidateOthers(owner numa.SocketID, line mmucache.LineID)
 
 func (m *Machine) refFoldAtomic(c *coreState, socket numa.SocketID) {
 	for _, s := range c.samples {
-		meta := m.pm.Meta(s.frame)
+		meta := m.pm.Meta(s.Frame)
 		atomic.StoreInt32(&meta.AccessSocket, int32(socket))
-		if s.local {
-			atomic.AddUint32(&meta.LocalAccesses, s.count)
+		if s.Local {
+			atomic.AddUint32(&meta.LocalAccesses, s.Count)
 		} else {
-			atomic.AddUint32(&meta.RemoteAccesses, s.count)
+			atomic.AddUint32(&meta.RemoteAccesses, s.Count)
 		}
 	}
 	c.samples = c.samples[:0]

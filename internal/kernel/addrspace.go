@@ -110,14 +110,10 @@ func (g *guestSpace) loadContext(c numa.CoreID, s numa.SocketID) {
 
 // replicaNodes is the union of the guest- and nested-table replica nodes.
 func (g *guestSpace) replicaNodes(buf []numa.NodeID) []numa.NodeID {
-	buf = append(buf, g.gs.ReplicaNodes()...)
-	for _, n := range g.vm.vm.NestedReplicaNodes() {
-		if !slices.Contains(buf, n) {
-			buf = append(buf, n)
-		}
-	}
-	slices.Sort(buf)
-	return buf
+	n := len(buf)
+	buf = g.vm.vm.AppendNestedReplicaNodes(g.gs.AppendReplicaNodes(buf))
+	slices.Sort(buf[n:])
+	return append(buf[:n], slices.Compact(buf[n:])...)
 }
 
 // policyState: the guest home plays the primary, and every other node

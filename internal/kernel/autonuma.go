@@ -98,6 +98,7 @@ func (k *Kernel) migrateDataPage(p *Process, va pt.VirtAddr, size pt.PageSize, t
 		return err
 	}
 	p.Meter.Cycles += pages * k.costs.PageCopy
+	p.tierMapped(va, size, newFrame)
 	p.freeDataPage(old, size)
 	core := k.callCore(p)
 	k.machine.ShootdownPage(core, va, p.cores)

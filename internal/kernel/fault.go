@@ -96,6 +96,7 @@ func (a nativeSpace) populate(v *VMA, va pt.VirtAddr, socket numa.SocketID) (pt.
 					k.pm.FreeHuge(frame)
 					return 0, fmt.Errorf("kernel: huge map at %#x: %w", uint64(hugeBase), err)
 				}
+				p.tierMapped(hugeBase, pt.Size2M, frame)
 				return pt.Size2M, nil
 			}
 			// Fragmentation or memory pressure: fall back to 4KB, the
@@ -141,6 +142,7 @@ func (a nativeSpace) populate(v *VMA, va pt.VirtAddr, socket numa.SocketID) (pt.
 			return 0, fmt.Errorf("kernel: map at %#x: %w", uint64(base), err)
 		}
 	}
+	p.tierMapped(base, pt.Size4K, frame)
 	return pt.Size4K, nil
 }
 

@@ -225,6 +225,7 @@ func (e *FaultEngine) poisonData(round uint64, ev fault.Event) {
 		e.logf(round, "skip %v: unmap %#x: %v", ev, uint64(t.va), err)
 		return
 	}
+	p.tierUnmapped(t.va)
 	frame := leaf.Frame()
 	e.k.pm.SetPoison(frame)
 	e.stats.MCEs++

@@ -124,13 +124,16 @@ type Kernel struct {
 	current   []atomic.Pointer[Process]
 	nextIntlv int // machine-wide interleave cursor for fresh processes
 	// freeBatch is the reusable batch of data frames DestroyProcess and
-	// Munmap free, and unmapVAs Munmap's reusable list of pages to shoot
-	// down; neither runs beside another.
+	// Munmap free, and unmapVAs the reusable list of pages Munmap and
+	// Mprotect shoot down; none of them runs beside another.
 	freeBatch []mem.FrameID
 	unmapVAs  []pt.VirtAddr
-	// tierViews is the tier engines' snapshot buffer (TierEngine.snapshot),
-	// kept across Reset so a pooled kernel does not regrow it every run.
-	tierViews []tier.PageView
+	protect   protectVisit
+	// trackers are the tier trackers of the engines attached since the
+	// last Reset, and spareTrackers those Reset has freed, which
+	// AttachTierPolicy reuses so a pooled kernel's engines do not regrow
+	// their state every run.
+	trackers, spareTrackers []*tier.Tracker
 }
 
 // New builds a kernel and its machine.
@@ -165,7 +168,10 @@ func New(cfg Config) *Kernel {
 		procs:   make(map[int]*Process),
 		current: make([]atomic.Pointer[Process], topo.Cores()),
 	}
+	k.protect.k = k
+	k.protect.visit = k.protect.leaf
 	machine.SetFaultHandler(k)
+	machine.SetSampleSink(k)
 	cache.Refill()
 	return k
 }
@@ -184,6 +190,8 @@ func (k *Kernel) Reset() {
 	}
 	k.nextPID = 1
 	k.nextIntlv = 0
+	k.spareTrackers = append(k.spareTrackers, k.trackers...)
+	k.trackers = k.trackers[:0]
 	k.cost.ClearLoads()
 	k.backend.Reset()
 	// The page cache forgets its reserved frames first so physical memory

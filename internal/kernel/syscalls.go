@@ -85,6 +85,7 @@ func (k *Kernel) Munmap(p *Process, va pt.VirtAddr) error {
 	p.as.visitLeaves(v.Start, v.End, func(lv pvops.LeafVisit) (pt.PTE, bool) {
 		p.Meter.Cycles += k.costs.PTEVisit + k.costs.FrameFree
 		unmapped = append(unmapped, lv.VA)
+		p.tierUnmapped(lv.VA)
 		batch = p.as.release(batch, lv.Old, lv.Size)
 		return 0, true
 	})
@@ -108,19 +109,34 @@ func (k *Kernel) Mprotect(p *Process, va pt.VirtAddr, writable bool) error {
 	core := k.callCore(p)
 	k.machine.AddCycles(core, k.costs.SyscallEntry)
 
-	var changed []pt.VirtAddr
-	p.as.visitLeaves(v.Start, v.End, func(lv pvops.LeafVisit) (pt.PTE, bool) {
-		p.Meter.Cycles += k.costs.PTEVisit
-		changed = append(changed, lv.VA)
-		if writable {
-			return lv.Old.WithFlags(pt.FlagWrite), true
-		}
-		return lv.Old.ClearFlags(pt.FlagWrite), true
-	})
+	k.protect.p, k.protect.writable, k.unmapVAs = p, writable, k.unmapVAs[:0]
+	p.as.visitLeaves(v.Start, v.End, k.protect.visit)
+	k.protect.p = nil
 	v.Writable = writable
-	k.machine.ShootdownRange(core, changed, p.cores)
+	k.machine.ShootdownRange(core, k.unmapVAs, p.cores)
 	k.machine.AddCycles(core, drainMeterCycles(p))
 	return nil
+}
+
+// protectVisit is Mprotect's leaf visitor, which collects the pages it
+// rewrites in the kernel's unmapVAs. It lives in the kernel with visit
+// bound once, because a closure handed to the address space would be
+// allocated on every call.
+type protectVisit struct {
+	k        *Kernel
+	p        *Process
+	writable bool
+	visit    func(pvops.LeafVisit) (pt.PTE, bool)
+}
+
+// leaf sets or clears one leaf's write bit in every copy.
+func (pr *protectVisit) leaf(lv pvops.LeafVisit) (pt.PTE, bool) {
+	pr.p.Meter.Cycles += pr.k.costs.PTEVisit
+	pr.k.unmapVAs = append(pr.k.unmapVAs, lv.VA)
+	if pr.writable {
+		return lv.Old.WithFlags(pt.FlagWrite), true
+	}
+	return lv.Old.ClearFlags(pt.FlagWrite), true
 }
 
 // callCore resolves which core executes a syscall for p: its first core,

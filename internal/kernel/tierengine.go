@@ -3,6 +3,8 @@ package kernel
 import (
 	"fmt"
 
+	"github.com/mitosis-project/mitosis-sim/internal/hw"
+	"github.com/mitosis-project/mitosis-sim/internal/mem"
 	"github.com/mitosis-project/mitosis-sim/internal/numa"
 	"github.com/mitosis-project/mitosis-sim/internal/pt"
 	"github.com/mitosis-project/mitosis-sim/internal/tier"
@@ -22,13 +24,17 @@ type TierEngineConfig struct {
 // TierEngine ticks a tier.Policy for one process at the round barriers of
 // the workload engine, implementing the memtier Tracker/Policy/Mover split:
 //
-//   - Tracker: each tick it walks the process's VMAs in VA order (the same
-//     deterministic walk AutoNUMA scans use), consumes the barrier-folded
-//     access samples from mem.FrameMeta — reading and clearing them, so a
-//     concurrent AutoNUMA phase pre-action and a tier policy split the same
-//     sample stream — and feeds them to the tier.Tracker's decayed scores.
-//   - Policy: the snapshot (pages in VA order, per-tier hot/cold histogram,
-//     page-table placement) goes to Policy.Decide.
+//   - Tracker: the kernel reports the process's leaf installs, removals and
+//     remaps to the tier.Tracker as they happen, and the machine's barrier
+//     fold reports each page it saw sampled. A tick reads and clears the
+//     folded access samples in mem.FrameMeta of each sampled page's current
+//     leaf — so a concurrent AutoNUMA phase pre-action and a tier policy
+//     split the same sample stream — and the tracker decays every other
+//     page lazily. The first tick after attach hands the tracker every
+//     mapped page with the samples set-up left in FrameMeta, in one walk.
+//   - Policy: the tick's telemetry (the tracker's classification, the
+//     per-tier hot/cold histogram, page-table placement) goes to
+//     Policy.Decide, which pulls candidates from the tracker in VA order.
 //   - Mover: Decide hands each candidate to the engine, which applies it
 //     at once, through the same remap + TLB-shootdown path AutoNUMA data
 //     migration uses, so counters stay bit-identical across engine modes.
@@ -37,14 +43,20 @@ type TierEngineConfig struct {
 //     candidates are re-emitted by the policy on later ticks — its input
 //     state persists.
 //
-// All of it runs at quiescent points; like PolicyEngine, the engine owns no
-// locks and must only be ticked from the workload engine's barrier.
+// So a tick costs the pages sampled and the leaves changed since the last
+// one, plus the candidates the budget reaches. All of it runs at quiescent
+// points or under the process's fault lock; like PolicyEngine, the engine
+// owns no locks and must only be ticked from the workload engine's
+// barrier.
 type TierEngine struct {
 	k       *Kernel
 	p       *Process
 	policy  tier.Policy
 	tracker *tier.Tracker
 	cfg     TierEngineConfig
+	// built is set by the first tick's walk; until then the tracker
+	// ignores reports.
+	built bool
 
 	log      []ActionRecord
 	hist     tier.Histogram // last tick's histogram
@@ -52,9 +64,9 @@ type TierEngine struct {
 	demoted  uint64         // 4KB pages demoted
 	ptMoves  int
 
-	tel   tier.Telemetry         // the tick's snapshot, reused
-	tiers []numa.MemTier         // the tier of each node
-	move  func(tier.Action) bool // e.moveOne, bound once
+	tel  tier.Telemetry         // the tick's telemetry, reused
+	move func(tier.Action) bool // e.moveOne, bound once
+	read func(uint64) uint32    // e.samples, bound once
 	// round, budget and err are the tick's state while Decide runs.
 	round  int
 	budget int
@@ -68,16 +80,22 @@ func (k *Kernel) AttachTierPolicy(p *Process, pol tier.Policy, cfg TierEngineCon
 	if cfg.StepPages <= 0 {
 		cfg.StepPages = 64
 	}
-	e := &TierEngine{
-		k: k, p: p, policy: pol, cfg: cfg,
-		tracker: tier.NewTracker(cfg.Tracker),
-	}
-	e.move = e.moveOne
-	for n := range numa.NodeID(k.topo.Nodes()) {
-		e.tiers = append(e.tiers, k.topo.TierOf(n))
-		if int(n) >= k.topo.DRAMNodes() {
-			e.tel.TierNodes = append(e.tel.TierNodes, n)
+	e := &TierEngine{k: k, p: p, policy: pol, cfg: cfg}
+	if n := len(k.spareTrackers); n > 0 {
+		e.tracker, k.spareTrackers = k.spareTrackers[n-1], k.spareTrackers[:n-1]
+		e.tracker.Reset(cfg.Tracker)
+	} else {
+		tiers := make([]numa.MemTier, k.topo.Nodes())
+		for n := range tiers {
+			tiers[n] = k.topo.TierOf(numa.NodeID(n))
 		}
+		e.tracker = tier.NewTracker(cfg.Tracker, tiers)
+	}
+	k.trackers = append(k.trackers, e.tracker)
+	e.move, e.read = e.moveOne, e.samples
+	e.tel.Pages = e.tracker
+	for n := k.topo.DRAMNodes(); n < k.topo.Nodes(); n++ {
+		e.tel.TierNodes = append(e.tel.TierNodes, numa.NodeID(n))
 	}
 	p.tierEngine = e
 	return e
@@ -101,7 +119,16 @@ func (e *TierEngine) Moved() (promoted, demoted uint64, ptMoves int) {
 // Tick runs one tiering tick at a round barrier; round stamps the tick's
 // actions.
 func (e *TierEngine) Tick(round int) error {
-	t := e.snapshot(round)
+	if !e.built {
+		e.build()
+	}
+	e.tracker.Tick(e.read)
+	e.hist = e.tracker.Histogram()
+	k, p, t := e.k, e.p, &e.tel
+	primary := p.space.PrimaryNode()
+	t.Round, t.Hist = round, e.hist
+	t.PTNode, t.PTTier = primary, k.topo.TierOf(primary)
+	t.HomeNode = k.topo.NodeOf(p.home)
 	e.round, e.budget, e.err = round, e.cfg.StepPages, nil
 	e.policy.Decide(t, e.move)
 	if e.err != nil {
@@ -109,10 +136,62 @@ func (e *TierEngine) Tick(round int) error {
 	}
 	// Data moves bill the process meter; drain it to the canonical core so
 	// both engine modes charge the same core at the same barrier.
-	if len(e.p.cores) > 0 {
-		e.k.machine.AddCycles(e.k.callCore(e.p), drainMeterCycles(e.p))
+	if len(p.cores) > 0 {
+		k.machine.AddCycles(k.callCore(p), drainMeterCycles(p))
 	}
 	return nil
+}
+
+// build hands the tracker every mapped page, each reported sampled so the
+// first tick reads what set-up folded into FrameMeta.
+func (e *TierEngine) build() {
+	e.built = true
+	for _, v := range e.p.vmas {
+		e.p.forEachMapped(v, func(va pt.VirtAddr, leaf pt.PTE, size pt.PageSize) {
+			f := leaf.Frame()
+			e.tracker.Map(va, size, e.k.pm.NodeOf(f), uint64(f))
+			e.tracker.Sampled(va)
+		})
+	}
+}
+
+// samples returns and clears the samples folded into frame, the frame of
+// a page's current leaf as the kernel last reported it: the head frame of
+// a huge page.
+func (e *TierEngine) samples(frame uint64) uint32 {
+	meta := e.k.pm.Meta(mem.FrameID(frame))
+	n := meta.LocalAccesses + meta.RemoteAccesses
+	if n != 0 {
+		meta.LocalAccesses, meta.RemoteAccesses = 0, 0
+	}
+	return n
+}
+
+// tierMapped reports a leaf of p installed at va, or remapped there, to
+// its tier engine.
+func (p *Process) tierMapped(va pt.VirtAddr, size pt.PageSize, frame mem.FrameID) {
+	if e := p.tierEngine; e != nil && e.built {
+		e.tracker.Map(va, size, p.kernel.pm.NodeOf(frame), uint64(frame))
+	}
+}
+
+// tierUnmapped reports the leaf of p at va removed to its tier engine.
+func (p *Process) tierUnmapped(va pt.VirtAddr) {
+	if e := p.tierEngine; e != nil && e.built {
+		e.tracker.Unmap(va)
+	}
+}
+
+// FoldedSamples implements hw.SampleSink: the runs a barrier folded for a
+// core go to the tier engine of the process running there.
+func (k *Kernel) FoldedSamples(core numa.CoreID, runs []hw.Sample) {
+	p := k.current[core].Load()
+	if p == nil || p.tierEngine == nil || !p.tierEngine.built {
+		return
+	}
+	for i := range runs {
+		p.tierEngine.tracker.Sampled(runs[i].VA)
+	}
 }
 
 // moveOne is the mover, the sink the policy's Decide emits to: it applies
@@ -140,39 +219,6 @@ func (e *TierEngine) moveOne(a tier.Action) bool {
 		}
 	}
 	return e.budget > 0
-}
-
-// snapshot builds the tick's telemetry: the Tracker step. The page views
-// go into the kernel's buffer, which every tier engine's tick reuses, also
-// across Reset.
-func (e *TierEngine) snapshot(round int) *tier.Telemetry {
-	k, p := e.k, e.p
-	views := k.tierViews[:0]
-	var hist tier.Histogram
-	for _, v := range p.vmas {
-		p.forEachMapped(v, func(va pt.VirtAddr, leaf pt.PTE, size pt.PageSize) {
-			f := leaf.Frame()
-			meta := k.pm.Meta(f)
-			samples := meta.LocalAccesses + meta.RemoteAccesses
-			if meta.LocalAccesses|meta.RemoteAccesses != 0 {
-				// Clearing only sampled frames spares the rest a store.
-				meta.LocalAccesses, meta.RemoteAccesses = 0, 0
-			}
-			_, _, hot, cold := e.tracker.Observe(va, samples)
-			node := k.pm.NodeOf(f)
-			tk := e.tiers[node]
-			hist.Add(tk, hot, size.Bytes()>>pt.PageShift4K)
-			views = append(views, tier.PageView{VA: va, Size: size, Node: node, Tier: tk, Hot: hot, Cold: cold})
-		})
-	}
-	k.tierViews = views
-	e.hist = hist
-	primary := p.space.PrimaryNode()
-	t := &e.tel
-	t.Round, t.Pages, t.Hist = round, views, hist
-	t.PTNode, t.PTTier = primary, k.topo.TierOf(primary)
-	t.HomeNode = k.topo.NodeOf(p.home)
-	return t
 }
 
 // apply executes one action under the remaining page budget, reporting

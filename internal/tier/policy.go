@@ -84,26 +84,27 @@ func (h *HotCold) Decide(t *Telemetry, emit func(Action) bool) {
 	// Promotions: hot pages living on a slow tier move to home DRAM. The
 	// histogram counts such pages, so a tick without any skips the pass.
 	if t.Hist.Hot[numa.TierCXL]+t.Hist.Hot[numa.TierNVM] > 0 {
-		for i := range t.Pages {
-			pv := &t.Pages[i]
-			if pv.Tier != numa.TierDRAM && pv.Hot && !emit(Action{Kind: Promote, VA: pv.VA, Size: pv.Size, Target: t.HomeNode}) {
-				return
-			}
+		var slow NodeMask
+		for _, n := range t.TierNodes {
+			slow |= 1 << n
 		}
-	}
-	// Demotions: cold pages move one rung down the ladder, if there is one.
-	if len(t.TierNodes) == 0 {
-		return
-	}
-	for i := range t.Pages {
-		pv := &t.Pages[i]
-		if !pv.Cold || pv.Hot {
-			continue
+		promote := func(pv PageView) bool {
+			return emit(Action{Kind: Promote, VA: pv.VA, Size: pv.Size, Target: t.HomeNode})
 		}
-		if target, ok := demoteTarget(pv.Node, pv.Tier, t.TierNodes); ok && !emit(Action{Kind: Demote, VA: pv.VA, Size: pv.Size, Target: target}) {
+		if !t.Pages.Scan(Hot, slow, promote) {
 			return
 		}
 	}
+	// Demotions: cold pages move one rung down the ladder, if there is
+	// one; pages on its last rung have nowhere to go.
+	if len(t.TierNodes) == 0 {
+		return
+	}
+	above := ^NodeMask(0) &^ (1 << t.TierNodes[len(t.TierNodes)-1])
+	t.Pages.Scan(Cold, above, func(pv PageView) bool {
+		target, ok := demoteTarget(pv.Node, pv.Tier, t.TierNodes)
+		return !ok || emit(Action{Kind: Demote, VA: pv.VA, Size: pv.Size, Target: target})
+	})
 }
 
 // demoteTarget returns the next-slower node for a page on node/tier: the

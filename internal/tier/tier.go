@@ -3,14 +3,15 @@
 // whose memory nodes span DRAM, CXL and NVM tiers (numa.MemTier).
 //
 // The package is deliberately mechanism-free, mirroring internal/core's
-// replication policies: it sees an abstract, deterministic snapshot of the
-// address space (Telemetry, pages in VA order) and emits Actions; the
-// kernel's TierEngine owns the walk that builds the snapshot and the Mover
-// that applies each action as it is emitted (bounded pages per tick, remap
-// + shootdown through the normal coherence path). Splitting this way keeps the policy
+// replication policies: the policy sees an abstract, deterministic view of
+// the address space (Telemetry, whose pages it pulls from the tracker in
+// VA order) and emits Actions; the kernel's TierEngine feeds the tracker
+// the samples and leaf changes it sees and owns the Mover that applies
+// each action as it is emitted (bounded pages per tick, remap + shootdown
+// through the normal coherence path). Splitting this way keeps the policy
 // unit-testable without a kernel and keeps the determinism contract in one
 // place — the engine ticks at round barriers only, and everything here is
-// pure computation over the snapshot.
+// pure computation over the tracker's state.
 //
 // The structure follows the memtier split in intel/cri-resource-manager:
 // Tracker (who is hot), Policy (who should move), Mover (bounded copying) —
@@ -56,37 +57,35 @@ func (h *Histogram) Total() uint64 {
 	return n
 }
 
-// OnSlowTiers returns the pages living on non-DRAM tiers.
-func (h *Histogram) OnSlowTiers() uint64 {
-	var n uint64
-	for i := 1; i < NumTiers; i++ {
-		n += h.Hot[i] + h.Cold[i]
-	}
-	return n
-}
-
-// PageView is one mapped page as the policy sees it: placement plus the
-// tracker's classification. Views arrive in ascending VA order — part of
-// the determinism contract.
+// PageView is one mapped page as the policy sees it: its placement. Views
+// arrive in ascending VA order — part of the determinism contract.
 type PageView struct {
 	VA   pt.VirtAddr
 	Size pt.PageSize
 	// Node is the memory node backing the page; Tier its media tier.
 	Node numa.NodeID
 	Tier numa.MemTier
-	// Hot and Cold are the tracker's classification (decayed score >=
-	// HotThreshold resp. idle ticks >= ColdTicks). A page can be neither:
-	// warm pages neither promote nor demote.
-	Hot, Cold bool
 }
 
-// Telemetry is one tick's snapshot handed to the policy.
+// PageSource is the tracker's classification of a process's mapped pages,
+// which a policy pulls candidates from. *Tracker implements it.
+type PageSource interface {
+	// Scan calls yield with each mapped page of class c (Hot or Cold) on a
+	// node in nodes, in ascending VA order, until yield returns false. It
+	// reports whether it went through every such page. A page the caller
+	// moves to another node while the scan runs is not yielded again.
+	Scan(c Class, nodes NodeMask, yield func(PageView) bool) bool
+}
+
+// Telemetry is one tick's view handed to the policy.
 type Telemetry struct {
 	// Round is the engine round the barrier closed.
 	Round int
-	// Pages lists the process's mapped data pages in VA order.
-	Pages []PageView
-	// Hist is the tick's per-tier hot/cold histogram over Pages.
+	// Pages is the tracker's classification of the process's mapped data
+	// pages as of this tick.
+	Pages PageSource
+	// Hist is the tick's per-tier hot/cold histogram over the mapped
+	// pages, taken before the policy acts.
 	Hist Histogram
 	// PTNode is the node holding the primary page-table; PTTier its tier.
 	// Replicas are capped to DRAM sockets by the kernel, so the primary is
@@ -142,16 +141,17 @@ func (a Action) String() string {
 	return fmt.Sprintf("%v@%#x->n%d", a.Kind, uint64(a.VA), a.Target)
 }
 
-// Policy decides tier placement from one tick's snapshot. Decide hands its
-// candidates to emit in priority order; emit is the mover, which applies
-// each one at once and returns false when the tick's page budget is spent
-// or an apply failed, and Decide then returns without emitting more. So a
-// tick costs the candidates the budget reaches, not every candidate.
-// Applying an action does not change the telemetry, so the candidates do
-// not depend on how many were applied. Decide must be a pure function of
-// the telemetry and the policy's own deterministic state: the engine ticks
-// it at round barriers in every engine mode, and the applied action
-// sequence is part of the replayable counter stream.
+// Policy decides tier placement from one tick's telemetry. Decide pulls
+// its candidates from t.Pages and hands them to emit in priority order;
+// emit is the mover, which applies each one at once and returns false when
+// the tick's page budget is spent or an apply failed, and Decide then
+// returns without emitting more. So a tick costs the candidates the budget
+// reaches, not every page. Applying an action changes neither the
+// histogram nor the classification of a page not yet pulled, so the
+// candidates do not depend on how many were applied. Decide must be a
+// pure function of the telemetry and the policy's own deterministic state:
+// the engine ticks it at round barriers in every engine mode, and the
+// applied action sequence is part of the replayable counter stream.
 type Policy interface {
 	Name() string
 	Decide(t *Telemetry, emit func(Action) bool)

@@ -1,7 +1,9 @@
 package tier
 
 import (
+	"maps"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -9,36 +11,62 @@ import (
 	"github.com/mitosis-project/mitosis-sim/internal/pt"
 )
 
-func TestTrackerDecayAndClassification(t *testing.T) {
-	tr := NewTracker(TrackerConfig{HotThreshold: 8, ColdTicks: 3})
-	va := pt.VirtAddr(0x1000)
+// current returns the page's history brought up to the tracker's last
+// tick, without changing the tracker.
+func (t *Tracker) current(va pt.VirtAddr) pageState {
+	b, i := t.locate(va)
+	st := b.pages[i]
+	if st.flags&mapped != 0 {
+		t.advance(&st, t.now)
+	}
+	return st
+}
 
-	score, _, hot, _ := tr.Observe(va, 10)
-	if score != 10 || !hot {
-		t.Fatalf("after 10 samples: score=%d hot=%v, want 10/true", score, hot)
+func TestTrackerDecayAndClassification(t *testing.T) {
+	tr := NewTracker(TrackerConfig{HotThreshold: 8, ColdTicks: 3}, []numa.MemTier{numa.TierDRAM})
+	va := pt.VirtAddr(0x1000)
+	tr.Map(va, pt.Size4K, 0, 1)
+	samples := uint32(10)
+	tick := func() pageState {
+		t.Helper()
+		if samples > 0 {
+			tr.Sampled(va)
+		}
+		tr.Tick(func(uint64) uint32 { n := samples; samples = 0; return n })
+		return tr.current(va)
+	}
+
+	if st := tick(); st.score != 10 || st.class != Hot {
+		t.Fatalf("after 10 samples: score=%d class=%d, want 10/hot", st.score, st.class)
 	}
 	// Quarter-life decay: 10 - 10/4 + 0 = 8, still hot; then 6, no longer.
-	score, idle, hot, cold := tr.Observe(va, 0)
-	if score != 8 || idle != 1 || !hot || cold {
-		t.Fatalf("decay tick 1: score=%d idle=%d hot=%v cold=%v", score, idle, hot, cold)
+	if st := tick(); st.score != 8 || st.idle != 1 || st.class != Hot {
+		t.Fatalf("decay tick 1: %+v", st)
 	}
-	score, idle, hot, cold = tr.Observe(va, 0)
-	if score != 6 || idle != 2 || hot || cold {
-		t.Fatalf("decay tick 2: score=%d idle=%d hot=%v cold=%v", score, idle, hot, cold)
+	if st := tick(); st.score != 6 || st.idle != 2 || st.class != Warm {
+		t.Fatalf("decay tick 2: %+v", st)
 	}
-	_, idle, _, cold = tr.Observe(va, 0)
-	if idle != 3 || !cold {
-		t.Fatalf("decay tick 3: idle=%d cold=%v, want 3/true", idle, cold)
+	if st := tick(); st.idle != 3 || st.class != Cold {
+		t.Fatalf("decay tick 3: %+v", st)
 	}
 	// A fresh sample resets the idle streak.
-	_, idle, _, cold = tr.Observe(va, 2)
-	if idle != 0 || cold {
-		t.Fatalf("resample: idle=%d cold=%v, want 0/false", idle, cold)
+	samples = 2
+	if st := tick(); st.idle != 0 || st.class != Warm {
+		t.Fatalf("resample: %+v", st)
+	}
+	// An unmapped page stops ageing; mapped again, it resumes.
+	tr.Unmap(va)
+	tick()
+	tick()
+	tr.Map(va, pt.Size4K, 0, 2)
+	if st := tick(); st.idle != 1 || st.score != 5 {
+		t.Fatalf("remapped after two unmapped ticks: %+v, want idle 1, score 5", st)
 	}
 }
 
-// mapTracker is the map-keyed tracker the block tracker replaced, kept as
-// its reference.
+// mapTracker is the eager tracker the lazy one replaced, kept as its
+// reference: a map of per-page states, every mapped page observed every
+// tick.
 type mapTracker struct {
 	cfg   TrackerConfig
 	pages map[pt.VirtAddr]pageState
@@ -54,91 +82,180 @@ func (t *mapTracker) Observe(va pt.VirtAddr, samples uint32) (score uint64, idle
 		st.idle = 0
 	}
 	t.pages[va] = st
-	return st.score, st.idle, st.score >= t.cfg.HotThreshold, st.idle >= t.cfg.ColdTicks
+	return st.score, int(st.idle), st.score >= t.cfg.HotThreshold, st.idle >= uint32(t.cfg.ColdTicks)
 }
 
-// TestTrackerMatchesMap drives the block tracker and the map reference with
-// one seeded sequence of observations of 4KB and huge page bases across
-// several 2MB blocks: ticks that sweep the pages in VA order, as the
-// engine does, and bursts in random order. Pages sampled rarely run long
-// idle streaks before their next sample.
+// TestTrackerMatchesMap drives the lazy tracker and the eager map
+// reference with one seeded stream of leaf installs, removals, remaps and
+// samples of 4KB and 2MB pages across several 2MB blocks, and compares
+// after every tick each page's score, idle streak and class, the
+// histogram, and what Scan yields for every class and several node sets.
+// Pages sampled rarely run long idle streaks, scores rise far past the
+// wheel's horizon, and configurations include a hot score whose decay
+// stops at the threshold and a cold streak longer than the horizon.
 func TestTrackerMatchesMap(t *testing.T) {
-	cfg := TrackerConfig{HotThreshold: 8, ColdTicks: 4}
-	tr := NewTracker(cfg)
-	ref := &mapTracker{cfg: tr.Config(), pages: make(map[pt.VirtAddr]pageState)}
-	rng := rand.New(rand.NewSource(17))
-
-	type page struct {
-		va   pt.VirtAddr
-		heat int // out of 100: the chance a tick samples the page
-	}
-	var pages []page
-	// Block 0's base equals the tracker's zero cache key.
-	for _, blk := range []struct {
-		base pt.VirtAddr
-		huge bool // one 2MB page rather than scattered 4KB pages
-	}{{0, false}, {0x40000000, false}, {0x40200000, true}, {0x40600000, false}, {0x7f0000000, false}, {0x7f0200000, true}} {
-		if blk.huge {
-			pages = append(pages, page{blk.base, 20})
-			continue
+	// Nodes 0 and 1 are DRAM, 2 CXL and 3 NVM.
+	tiers := []numa.MemTier{numa.TierDRAM, numa.TierDRAM, numa.TierCXL, numa.TierNVM}
+	var tr *Tracker
+	for _, cfg := range []TrackerConfig{{}, {HotThreshold: 2, ColdTicks: 1}, {HotThreshold: 100, ColdTicks: 70}, {HotThreshold: 3, ColdTicks: 2}} {
+		// The first configuration gets a new tracker, the others the
+		// previous one reset, blocks and buffers reused.
+		if tr == nil {
+			tr = NewTracker(cfg, tiers)
+		} else {
+			tr.Reset(cfg)
 		}
-		for i := 0; i < 512; i++ {
-			if rng.Intn(4) == 0 {
-				pages = append(pages, page{blk.base + pt.VirtAddr(i)<<pt.PageShift4K, []int{1, 5, 30, 90}[rng.Intn(4)]})
+		ref := &mapTracker{cfg: tr.cfg, pages: make(map[pt.VirtAddr]pageState)}
+		rng := rand.New(rand.NewSource(17 + int64(cfg.ColdTicks)))
+
+		type page struct {
+			va   pt.VirtAddr
+			size pt.PageSize
+			heat int // out of 100: the chance a tick samples the page
+		}
+		var pages []page
+		for _, blk := range []struct {
+			base pt.VirtAddr
+			huge bool // one 2MB page rather than scattered 4KB pages
+		}{{0, false}, {0x40000000, false}, {0x40200000, true}, {0x40600000, false}, {0x7f0000000, false}, {0x7f0200000, true}} {
+			if blk.huge {
+				pages = append(pages, page{blk.base, pt.Size2M, 20})
+				continue
+			}
+			for i := 0; i < 512; i++ {
+				if rng.Intn(4) == 0 {
+					pages = append(pages, page{blk.base + pt.VirtAddr(i)<<pt.PageShift4K, pt.Size4K, []int{1, 5, 30, 90}[rng.Intn(4)]})
+				}
+			}
+		}
+		sort.Slice(pages, func(i, j int) bool { return pages[i].va < pages[j].va })
+
+		type live struct {
+			size  pt.PageSize
+			node  numa.NodeID
+			frame uint64 // a fresh handle at every install and remap
+		}
+		mappedAt := map[pt.VirtAddr]live{}
+		frames := uint64(0)
+		pending := map[uint64]uint32{} // samples in each frame
+		read := func(frame uint64) uint32 {
+			n := pending[frame]
+			delete(pending, frame)
+			return n
+		}
+		for tick := 1; tick <= 300; tick++ {
+			for _, p := range pages {
+				l, on := mappedAt[p.va]
+				switch r := rng.Intn(1000); {
+				case !on && r < 300:
+					frames++
+					l = live{p.size, numa.NodeID(rng.Intn(len(tiers))), frames}
+					mappedAt[p.va] = l
+					tr.Map(p.va, l.size, l.node, l.frame)
+				case on && r < 8:
+					delete(mappedAt, p.va)
+					delete(pending, l.frame)
+					tr.Unmap(p.va)
+				case on && r < 20:
+					frames++
+					delete(pending, l.frame)
+					l.node, l.frame = numa.NodeID(rng.Intn(len(tiers))), frames
+					mappedAt[p.va] = l
+					tr.Map(p.va, l.size, l.node, l.frame)
+				}
+				if l, on := mappedAt[p.va]; on && rng.Intn(100) < p.heat {
+					n := uint32(1 + rng.Intn(20))
+					if rng.Intn(50) == 0 {
+						n <<= 20 // far past the wheel's horizon
+					}
+					pending[l.frame] += n
+					tr.Sampled(p.va)
+				} else if rng.Intn(200) == 0 {
+					tr.Sampled(p.va) // a report with nothing in the frame
+				}
+			}
+			observed := maps.Clone(pending)
+			tr.Tick(read)
+
+			var hist Histogram
+			want := map[Class][]PageView{}
+			for _, p := range pages {
+				l, on := mappedAt[p.va]
+				if !on {
+					continue
+				}
+				score, idle, hot, cold := ref.Observe(p.va, observed[l.frame])
+				class := Warm
+				switch {
+				case hot:
+					class = Hot
+				case cold:
+					class = Cold
+				}
+				st := tr.current(p.va)
+				if st.score != score || int(st.idle) != idle || st.class != class {
+					t.Fatalf("%+v tick %d page %#x: score %d idle %d class %d, eager reference %d %d %d",
+						cfg, tick, uint64(p.va), st.score, st.idle, st.class, score, idle, class)
+				}
+				hist.Add(tiers[l.node], hot, l.size.Bytes()>>pt.PageShift4K)
+				want[class] = append(want[class], PageView{VA: p.va, Size: l.size, Node: l.node, Tier: tiers[l.node]})
+			}
+			if got := tr.Histogram(); got != hist {
+				t.Fatalf("%+v tick %d: histogram %+v, eager reference %+v", cfg, tick, got, hist)
+			}
+			for _, c := range []Class{Hot, Cold} {
+				for _, nodes := range []NodeMask{^NodeMask(0), 1 << 2, 1<<0 | 1<<3} {
+					var got, exp []PageView
+					tr.Scan(c, nodes, func(pv PageView) bool { got = append(got, pv); return true })
+					for _, pv := range want[c] {
+						if nodes&(1<<pv.Node) != 0 {
+							exp = append(exp, pv)
+						}
+					}
+					if !slices.Equal(got, exp) {
+						t.Fatalf("%+v tick %d: Scan(%d, %b) = %v, eager reference %v", cfg, tick, c, nodes, got, exp)
+					}
+				}
 			}
 		}
 	}
-	pages = append(pages, page{0xc0000000, 20}) // a 1GB page
-	sort.Slice(pages, func(i, j int) bool { return pages[i].va < pages[j].va })
+}
 
-	check := func(va pt.VirtAddr, samples uint32) {
-		t.Helper()
-		s, i, h, c := tr.Observe(va, samples)
-		rs, ri, rh, rc := ref.Observe(va, samples)
-		if s != rs || i != ri || h != rh || c != rc {
-			t.Fatalf("Observe(%#x, %d) = (%d, %d, %v, %v), map reference (%d, %d, %v, %v)",
-				uint64(va), samples, s, i, h, c, rs, ri, rh, rc)
+// pageList is a PageSource over a fixed list of pages in VA order.
+type pageList []struct {
+	PageView
+	class Class
+}
+
+func (l pageList) Scan(c Class, nodes NodeMask, yield func(PageView) bool) bool {
+	for _, p := range l {
+		if p.class == c && nodes&(1<<p.Node) != 0 && !yield(p.PageView) {
+			return false
 		}
 	}
-	sample := func(p page) uint32 {
-		if rng.Intn(100) >= p.heat {
-			return 0
-		}
-		return uint32(1 + rng.Intn(20))
-	}
-	for tick := 0; tick < 200; tick++ {
-		if tick%10 == 9 {
-			for n := 0; n < 500; n++ {
-				p := pages[rng.Intn(len(pages))]
-				check(p.va, sample(p))
-			}
-			continue
-		}
-		for _, p := range pages {
-			check(p.va, sample(p))
-		}
-	}
+	return true
 }
 
 func telemetryFixture() *Telemetry {
 	// 2-socket machine, CXL node 2 and NVM node 3; process home node 0.
-	// Hist is filled from Pages below, as the engine's snapshot fills it.
+	// Hist is filled from the pages below, as the tracker fills it.
+	pages := pageList{
+		{PageView{VA: 0x1000, Size: pt.Size4K, Node: 2, Tier: numa.TierCXL}, Hot},   // promote
+		{PageView{VA: 0x2000, Size: pt.Size4K, Node: 0, Tier: numa.TierDRAM}, Cold}, // demote to 2
+		{PageView{VA: 0x3000, Size: pt.Size4K, Node: 2, Tier: numa.TierCXL}, Cold},  // demote to 3
+		{PageView{VA: 0x4000, Size: pt.Size4K, Node: 3, Tier: numa.TierNVM}, Cold},  // last rung: stays
+		{PageView{VA: 0x5000, Size: pt.Size4K, Node: 0, Tier: numa.TierDRAM}, Warm}, // warm: stays
+	}
 	t := &Telemetry{
 		Round:     1,
 		HomeNode:  0,
 		PTNode:    0,
 		PTTier:    numa.TierDRAM,
 		TierNodes: []numa.NodeID{2, 3},
-		Pages: []PageView{
-			{VA: 0x1000, Size: pt.Size4K, Node: 2, Tier: numa.TierCXL, Hot: true},   // promote
-			{VA: 0x2000, Size: pt.Size4K, Node: 0, Tier: numa.TierDRAM, Cold: true}, // demote to 2
-			{VA: 0x3000, Size: pt.Size4K, Node: 2, Tier: numa.TierCXL, Cold: true},  // demote to 3
-			{VA: 0x4000, Size: pt.Size4K, Node: 3, Tier: numa.TierNVM, Cold: true},  // last rung: stays
-			{VA: 0x5000, Size: pt.Size4K, Node: 0, Tier: numa.TierDRAM},             // warm: stays
-		},
+		Pages:     pages,
 	}
-	for _, pv := range t.Pages {
-		t.Hist.Add(pv.Tier, pv.Hot, 1)
+	for _, p := range pages {
+		t.Hist.Add(p.Tier, p.class == Hot, 1)
 	}
 	return t
 }
@@ -213,9 +330,6 @@ func TestHistogram(t *testing.T) {
 	h.Add(numa.TierNVM, false, 2)
 	if h.Total() != 10 {
 		t.Errorf("Total() = %d, want 10", h.Total())
-	}
-	if h.OnSlowTiers() != 7 {
-		t.Errorf("OnSlowTiers() = %d, want 7", h.OnSlowTiers())
 	}
 }
 

@@ -215,11 +215,15 @@ func (vm *VM) ReplicateNested(nodes []numa.NodeID) error {
 
 // NestedReplicaNodes returns the nodes holding a copy of the nested table
 // (the primary's node included), ascending.
-func (vm *VM) NestedReplicaNodes() []numa.NodeID {
+func (vm *VM) NestedReplicaNodes() []numa.NodeID { return vm.AppendNestedReplicaNodes(nil) }
+
+// AppendNestedReplicaNodes appends NestedReplicaNodes to buf and returns
+// it; with room in buf it allocates nothing.
+func (vm *VM) AppendNestedReplicaNodes(buf []numa.NodeID) []numa.NodeID {
 	if vm.nspace == nil {
-		return []numa.NodeID{vm.homeNode}
+		return append(buf, vm.homeNode)
 	}
-	return vm.nspace.ReplicaNodes()
+	return vm.nspace.AppendReplicaNodes(buf)
 }
 
 // NestedRootFor returns the nested-table root the given socket's hardware
@@ -279,13 +283,18 @@ func (gs *GuestSpace) GuestRootFor(socket numa.SocketID) uint64 {
 
 // ReplicaNodes returns the nodes holding a copy of the guest table (the
 // home node included), ascending.
-func (gs *GuestSpace) ReplicaNodes() []numa.NodeID {
-	nodes := []numa.NodeID{gs.homeNode}
-	for n := range gs.replicas {
-		nodes = append(nodes, n)
+func (gs *GuestSpace) ReplicaNodes() []numa.NodeID { return gs.AppendReplicaNodes(nil) }
+
+// AppendReplicaNodes appends ReplicaNodes to buf and returns it, sorting
+// only the appended part; with room in buf it allocates nothing.
+func (gs *GuestSpace) AppendReplicaNodes(buf []numa.NodeID) []numa.NodeID {
+	n := len(buf)
+	buf = append(buf, gs.homeNode)
+	for r := range gs.replicas {
+		buf = append(buf, r)
 	}
-	slices.Sort(nodes)
-	return nodes
+	slices.Sort(buf[n:])
+	return buf
 }
 
 // PTPageCount returns the number of guest page-table pages in the primary
