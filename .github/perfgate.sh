@@ -28,6 +28,9 @@ rows=(
 	BenchmarkMicroTierTick
 	BenchmarkMicroPolicyTick
 	BenchmarkMicroWalk/2d
+	BenchmarkMicroCostDRAM
+	BenchmarkMicroEmptyRound
+	BenchmarkMicroFaultTick
 )
 
 root=$(git rev-parse --show-toplevel)

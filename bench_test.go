@@ -18,13 +18,16 @@ import (
 	mitosis "github.com/mitosis-project/mitosis-sim"
 	"github.com/mitosis-project/mitosis-sim/internal/core"
 	"github.com/mitosis-project/mitosis-sim/internal/experiments"
+	"github.com/mitosis-project/mitosis-sim/internal/fault"
 	"github.com/mitosis-project/mitosis-sim/internal/hw"
+	"github.com/mitosis-project/mitosis-sim/internal/hw/hwtest"
 	"github.com/mitosis-project/mitosis-sim/internal/kernel"
 	"github.com/mitosis-project/mitosis-sim/internal/mem"
 	"github.com/mitosis-project/mitosis-sim/internal/metrics"
 	"github.com/mitosis-project/mitosis-sim/internal/mmucache"
 	"github.com/mitosis-project/mitosis-sim/internal/numa"
 	"github.com/mitosis-project/mitosis-sim/internal/pt"
+	"github.com/mitosis-project/mitosis-sim/internal/pt/pttest"
 	"github.com/mitosis-project/mitosis-sim/internal/pvops"
 	"github.com/mitosis-project/mitosis-sim/internal/tier"
 	"github.com/mitosis-project/mitosis-sim/internal/translate"
@@ -339,12 +342,12 @@ func BenchmarkMicroAccessTLBHit(b *testing.B) {
 		b.Fatal(err)
 	}
 	m := k.Machine()
-	if err := m.Access(0, base, false); err != nil {
+	if err := hwtest.Access(m, 0, base, false); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := m.Access(0, base, false); err != nil {
+		if err := hwtest.Access(m, 0, base, false); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -569,6 +572,37 @@ func BenchmarkMicroEngineParallelGUPS(b *testing.B) {
 	}
 }
 
+// emptyRounds is a round-loop driver that issues no op and ends the run
+// after rounds rounds.
+type emptyRounds struct{ rounds int }
+
+func (d emptyRounds) Batch(int, []hw.AccessOp) int { return 0 }
+
+func (d emptyRounds) Barrier(round int) ([]numa.CoreID, bool, error) {
+	return nil, round >= d.rounds, nil
+}
+
+// BenchmarkMicroEmptyRound measures the round barrier alone: one op is
+// one round of workloads.Loop, on the Sequential engine, in which none of
+// the four threads (one on each socket of the default machine) issues an
+// op, so a round is the batch requests, the machine's coherence barrier
+// and the barrier hook. Gated.
+func BenchmarkMicroEmptyRound(b *testing.B) {
+	b.ReportAllocs()
+	k := kernel.New(kernel.Config{FramesPerNode: 1 << 16})
+	topo := k.Topology()
+	cores := make([]numa.CoreID, topo.Sockets())
+	for s := range cores {
+		cores[s] = topo.FirstCoreOf(numa.SocketID(s))
+	}
+	loop := workloads.Loop{Name: "empty", Mode: workloads.Sequential, Batch: 1}
+	paced(b, func(n int) {
+		if _, err := loop.Run(k.Machine(), cores, emptyRounds{n}); err != nil {
+			b.Fatal(err)
+		}
+	})
+}
+
 // BenchmarkMicroSetPTEReplicated measures one PTE store propagated to four
 // replicas through the ring.
 func BenchmarkMicroSetPTEReplicated(b *testing.B) {
@@ -632,6 +666,36 @@ func BenchmarkMicroMemHuge(b *testing.B) {
 	})
 }
 
+// BenchmarkMicroCostDRAM measures the NUMA cost table: one op is one
+// CostModel.DRAM lookup, over 4,096 seeded (socket, node) pairs of the
+// default four-socket machine, local and remote mixed. Gated.
+func BenchmarkMicroCostDRAM(b *testing.B) {
+	b.ReportAllocs()
+	topo := numa.FourSocketXeon()
+	cost := numa.NewCostModel(topo, numa.DefaultCostParams())
+	rng := rand.New(rand.NewSource(42))
+	type pair struct {
+		s numa.SocketID
+		n numa.NodeID
+	}
+	const npairs = 4096 // a power of two: the index wraps with a mask
+	pairs := make([]pair, npairs)
+	for i := range pairs {
+		pairs[i] = pair{numa.SocketID(rng.Intn(topo.Sockets())), numa.NodeID(rng.Intn(topo.Nodes()))}
+	}
+	var sink numa.Cycles
+	i := 0
+	paced(b, func(n int) {
+		for ; n > 0; n-- {
+			sink += cost.DRAM(pairs[i].s, pairs[i].n)
+			i = (i + 1) & (npairs - 1)
+		}
+	})
+	if sink == 0 {
+		b.Fatal("the cost table charged no cycles")
+	}
+}
+
 // BenchmarkMicroWalk measures one page walk of each translation backend:
 // translate.Core.WalkOnce, as the machine calls it on a TLB miss, on a
 // fresh core of the backend with a private LLC, over the 4,096 populated
@@ -687,9 +751,8 @@ func BenchmarkMicroWalk(b *testing.B) {
 				Stats: &stats, Pending: &pending,
 			}
 			if c.vm {
-				ctx.Virt, ctx.Levels = true, 4
+				ctx.Virt, ctx.Levels, ctx.NestedLevels = true, 4, 4
 				ctx.GuestRoot = p.GuestSpace().GuestRootFor(0)
-				ctx.NestedLevels = p.VM().Virt().NestedLevels()
 			}
 			xc := m.Backend().NewCore(0)
 			i := 0
@@ -823,6 +886,42 @@ func BenchmarkMicroPolicyTick(b *testing.B) {
 	})
 	if log := pe.ActionLog(); len(log) != 0 {
 		b.Fatalf("ondemand acted without walks: %v", log)
+	}
+}
+
+// BenchmarkMicroFaultTick measures one fault-engine tick at a barrier no
+// event is due at: the plan's only event lies beyond the run, as the
+// benchmark harness's kernel.fault_tick_us times it, over a 64 MB
+// populated process on the default machine. One op is one tick. Gated.
+func BenchmarkMicroFaultTick(b *testing.B) {
+	b.ReportAllocs()
+	k := kernel.New(kernel.Config{FramesPerNode: 1 << 16})
+	p, err := k.CreateProcess(kernel.ProcessOpts{Name: "faults", Home: 0})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := k.RunOn(p, []numa.CoreID{0}); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := k.Mmap(p, 64<<20, kernel.MmapOpts{Writable: true, Populate: true}); err != nil {
+		b.Fatal(err)
+	}
+	plan, err := fault.ParsePlan(fmt.Sprintf("poison-pt:r%d:p0:n0", uint64(1)<<40))
+	if err != nil {
+		b.Fatal(err)
+	}
+	fe := k.AttachFaultEngine(plan, []*kernel.Process{p}, []string{p.Name})
+	round := uint64(0)
+	paced(b, func(n int) {
+		for ; n > 0; n-- {
+			round++
+			if err := fe.Tick(round, p); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	if st := fe.Stats(); st.Injected != 0 {
+		b.Fatalf("a tick injected %d events before the plan's round", st.Injected)
 	}
 }
 
@@ -1040,7 +1139,7 @@ func TestDemandFaultZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("4 KB demand fault allocates %.1f times per fault, want 0", allocs)
 	}
-	if _, size, ok := p.Table().Lookup(va - 1); !ok || size != pt.Size4K {
+	if _, size, ok := pttest.Lookup(p.Table(), va-1); !ok || size != pt.Size4K {
 		t.Fatalf("last faulted page not mapped at 4 KB: ok %v, size %v", ok, size)
 	}
 }

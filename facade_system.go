@@ -243,15 +243,6 @@ func (c SystemConfig) checkShape() error {
 	return nil
 }
 
-// nodes returns the normalized machine's total memory node count
-// (DRAM nodes plus tier nodes) — the range node-valued spec fields
-// validate against.
-func (c SystemConfig) nodes() int {
-	n := c.normalize()
-	tiers, _ := parseTiers(n.Tiers)
-	return n.Sockets + len(tiers)
-}
-
 // System is a simulated NUMA machine running the Mitosis-enabled kernel.
 type System struct {
 	k   *kernel.Kernel

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/mitosis-project/mitosis-sim/internal/mem/memtest"
 	"github.com/mitosis-project/mitosis-sim/internal/numa"
 )
 
@@ -51,7 +52,7 @@ func checkOfflineEmpty(t *testing.T, sys *System, node int, fo *FaultOutcome) {
 	if !pm.NodeOffline(n) {
 		t.Errorf("node %d not marked offline", node)
 	}
-	if pt, data := pm.AllocatedPT(n), pm.AllocatedData(n); pt != 0 || data != 0 {
+	if pt, data := memtest.AllocatedPT(pm, n), memtest.AllocatedData(pm, n); pt != 0 || data != 0 {
 		t.Errorf("offline node %d still holds %d PT + %d data frames (actions %v)", node, pt, data, fo.Actions)
 	}
 }

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"github.com/mitosis-project/mitosis-sim/internal/pt"
+	"github.com/mitosis-project/mitosis-sim/internal/pt/pttest"
 )
 
 // TestGatherADIsUnionOverReplicas is the §5.4 correctness property: for any
@@ -42,22 +44,17 @@ func TestGatherADIsUnionOverReplicas(t *testing.T) {
 				pt.WriteEntryRaw(fx.pm, ref, leaf.WithFlags(flags))
 			}
 		}
-		got, err := fx.mp.GatherAD(fx.ctx, va, pt.Size4K)
-		if err != nil {
-			return false
-		}
-		if got.Accessed() != wantA || got.Dirty() != wantD {
-			t.Logf("gather = A:%v D:%v, want A:%v D:%v", got.Accessed(), got.Dirty(), wantA, wantD)
+		got := fx.be.GatherAD(fx.ctx, fx.primaryRef(va))
+		if got.Accessed() != wantA || (got&pt.FlagDirty != 0) != wantD {
+			t.Logf("gather = A:%v D:%v, want A:%v D:%v", got.Accessed(), got&pt.FlagDirty != 0, wantA, wantD)
 			return false
 		}
 		// Reset clears every replica.
-		if err := fx.mp.ClearAD(fx.ctx, va, pt.Size4K); err != nil {
-			return false
-		}
+		fx.be.ClearAD(fx.ctx, fx.primaryRef(va))
 		for _, root := range roots {
 			tbl := pt.NewTable(fx.pm, root, 4)
-			leaf, _, ok := tbl.Lookup(va)
-			if !ok || leaf.Accessed() || leaf.Dirty() {
+			leaf, _, ok := pttest.Lookup(tbl, va)
+			if !ok || leaf.Accessed() || leaf&pt.FlagDirty != 0 {
 				return false
 			}
 		}
@@ -107,4 +104,14 @@ func leafRef(tbl *pt.Table, va pt.VirtAddr) (pt.EntryRef, pt.PTE, bool) {
 		return pt.EntryRef{}, 0, false
 	}
 	return pt.EntryRef{Frame: d.Frame, Index: pt.Index(va, d.Level)}, d.Entry, true
+}
+
+// primaryRef returns where va's leaf lives in the primary table, the entry
+// the backend's A/D operations (§5.4) take.
+func (fx *fixture) primaryRef(va pt.VirtAddr) pt.EntryRef {
+	ref, _, ok := leafRef(fx.mp.Table(), va)
+	if !ok {
+		panic(fmt.Sprintf("core test: %#x is not mapped", uint64(va)))
+	}
+	return ref
 }

@@ -5,9 +5,12 @@ import (
 	"testing"
 
 	"github.com/mitosis-project/mitosis-sim/internal/mem"
+	"github.com/mitosis-project/mitosis-sim/internal/mem/memtest"
 	"github.com/mitosis-project/mitosis-sim/internal/numa"
 	"github.com/mitosis-project/mitosis-sim/internal/pt"
+	"github.com/mitosis-project/mitosis-sim/internal/pt/pttest"
 	"github.com/mitosis-project/mitosis-sim/internal/pvops"
+	"github.com/mitosis-project/mitosis-sim/internal/pvops/pvopstest"
 	"github.com/mitosis-project/mitosis-sim/internal/translate"
 )
 
@@ -68,6 +71,14 @@ func (fx *fixture) allRoots() []*pt.Table {
 	return tables
 }
 
+// writeProtect clears the write permission of va's 4KB leaf through the
+// mapper's leaf visitor, the store path mprotect takes.
+func writeProtect(ctx *pvops.OpCtx, mp *pvops.Mapper, va pt.VirtAddr) {
+	mp.VisitLeaves(ctx, va, va+pt.VirtAddr(pt.Size4K.Bytes()), func(lv pvops.LeafVisit) (pt.PTE, bool) {
+		return lv.Old.ClearFlags(pt.FlagWrite), true
+	})
+}
+
 // assertEquivalent checks the central replica-equivalence invariant: every
 // replica translates every va in vas identically (same frame, same
 // permission flags, same page size).
@@ -75,9 +86,9 @@ func assertEquivalent(t *testing.T, fx *fixture, vas []pt.VirtAddr) {
 	t.Helper()
 	tables := fx.allRoots()
 	for _, va := range vas {
-		ref, refSize, refOK := tables[0].Lookup(va)
+		ref, refSize, refOK := pttest.Lookup(tables[0], va)
 		for i, tbl := range tables[1:] {
-			e, size, ok := tbl.Lookup(va)
+			e, size, ok := pttest.Lookup(tbl, va)
 			if ok != refOK {
 				t.Fatalf("replica %d: lookup(%#x) ok=%v, primary ok=%v", i+1, uint64(va), ok, refOK)
 			}
@@ -187,9 +198,7 @@ func TestBackendNativeEquivalenceWhenOff(t *testing.T) {
 		}
 		for i := 0; i < 100; i += 3 {
 			va := pt.VirtAddr(uint64(i) * 0x201000)
-			if _, err := mp.Protect(ctx, va, pt.Size4K, 0, pt.FlagWrite); err != nil {
-				t.Fatal(err)
-			}
+			writeProtect(ctx, mp, va)
 		}
 		for i := 0; i < 100; i += 7 {
 			va := pt.VirtAddr(uint64(i) * 0x201000)
@@ -202,7 +211,7 @@ func TestBackendNativeEquivalenceWhenOff(t *testing.T) {
 
 	pmN := mem.New(mem.Config{Topology: topo, FramesPerNode: 8192})
 	costN := numa.NewCostModel(topo, numa.DefaultCostParams())
-	tN := runOps(pvops.NewNative(pmN, costN), pmN)
+	tN := runOps(pvopstest.NewNative(pmN, costN), pmN)
 
 	pmM := mem.New(mem.Config{Topology: topo, FramesPerNode: 8192})
 	costM := numa.NewCostModel(topo, numa.DefaultCostParams())
@@ -212,8 +221,8 @@ func TestBackendNativeEquivalenceWhenOff(t *testing.T) {
 	// sequences are identical).
 	for i := 0; i < 100; i++ {
 		va := pt.VirtAddr(uint64(i) * 0x201000)
-		eN, sN, okN := tN.Lookup(va)
-		eM, sM, okM := tM.Lookup(va)
+		eN, sN, okN := pttest.Lookup(tN, va)
+		eM, sM, okM := pttest.Lookup(tM, va)
 		if okN != okM || sN != sM || (okN && eN != eM) {
 			t.Fatalf("divergence at %#x: native (%v,%v,%v) vs mitosis (%v,%v,%v)",
 				uint64(va), eN, sN, okN, eM, sM, okM)
@@ -274,17 +283,15 @@ func TestUnmapAndProtectPropagate(t *testing.T) {
 		}
 	}
 	for i := 1; i < 50; i += 2 {
-		if _, err := fx.mp.Protect(fx.ctx, vas[i], pt.Size4K, 0, pt.FlagWrite); err != nil {
-			t.Fatal(err)
-		}
+		writeProtect(fx.ctx, fx.mp, vas[i])
 	}
 	assertEquivalent(t, fx, vas)
 	// Unmapped in every replica:
 	for _, tbl := range fx.allRoots() {
-		if _, _, ok := tbl.Lookup(vas[0]); ok {
+		if _, _, ok := pttest.Lookup(tbl, vas[0]); ok {
 			t.Error("unmapped va still present in a replica")
 		}
-		e, _, ok := tbl.Lookup(vas[1])
+		e, _, ok := pttest.Lookup(tbl, vas[1])
 		if !ok || e.Writable() {
 			t.Error("protect not propagated to a replica")
 		}
@@ -332,7 +339,7 @@ func TestSetMaskPartialAndShrink(t *testing.T) {
 	}
 	assertEquivalent(t, fx, vas)
 
-	ptPagesOnNode3 := fx.pm.AllocatedPT(3)
+	ptPagesOnNode3 := memtest.AllocatedPT(fx.pm, 3)
 	if ptPagesOnNode3 == 0 {
 		t.Fatal("no replica pages on node 3")
 	}
@@ -340,7 +347,7 @@ func TestSetMaskPartialAndShrink(t *testing.T) {
 	if err := fx.space.SetMask(fx.ctx, []numa.NodeID{1}); err != nil {
 		t.Fatal(err)
 	}
-	if got := fx.pm.AllocatedPT(3); got != 0 {
+	if got := memtest.AllocatedPT(fx.pm, 3); got != 0 {
 		t.Errorf("node 3 still holds %d PT pages after mask shrink", got)
 	}
 	assertEquivalent(t, fx, vas)
@@ -366,8 +373,8 @@ func TestCollapseRestoresSingleTable(t *testing.T) {
 		t.Errorf("root ring size = %d, want 1", got)
 	}
 	for n := numa.NodeID(0); n < 4; n++ {
-		if n != 2 && fx.pm.AllocatedPT(n) != 0 {
-			t.Errorf("node %d holds %d PT pages after Collapse", n, fx.pm.AllocatedPT(n))
+		if n != 2 && memtest.AllocatedPT(fx.pm, n) != 0 {
+			t.Errorf("node %d holds %d PT pages after Collapse", n, memtest.AllocatedPT(fx.pm, n))
 		}
 	}
 	assertEquivalent(t, fx, vas)
@@ -381,7 +388,7 @@ func TestMigrationMovesTable(t *testing.T) {
 		fx.mapPage(t, va, 0)
 		vas = append(vas, va)
 	}
-	ptOn0 := fx.pm.AllocatedPT(0)
+	ptOn0 := memtest.AllocatedPT(fx.pm, 0)
 	if ptOn0 == 0 {
 		t.Fatal("no PT pages on origin")
 	}
@@ -392,16 +399,16 @@ func TestMigrationMovesTable(t *testing.T) {
 		t.Errorf("primary node = %d, want 3", got)
 	}
 	// Eager free: origin node keeps no page-table pages.
-	if got := fx.pm.AllocatedPT(0); got != 0 {
+	if got := memtest.AllocatedPT(fx.pm, 0); got != 0 {
 		t.Errorf("origin still holds %d PT pages", got)
 	}
-	if got := fx.pm.AllocatedPT(3); got != ptOn0 {
+	if got := memtest.AllocatedPT(fx.pm, 3); got != ptOn0 {
 		t.Errorf("target holds %d PT pages, want %d", got, ptOn0)
 	}
 	assertEquivalent(t, fx, vas)
 
 	// Translations still resolve to the same data frames.
-	e, _, ok := fx.mp.Table().Lookup(vas[7])
+	e, _, ok := pttest.Lookup(fx.mp.Table(), vas[7])
 	if !ok {
 		t.Fatal("translation lost after migration")
 	}
@@ -421,14 +428,14 @@ func TestMigrationKeepOrigin(t *testing.T) {
 	if got := fx.space.PrimaryNode(); got != 1 {
 		t.Errorf("primary node = %d, want 1", got)
 	}
-	if fx.pm.AllocatedPT(0) == 0 {
+	if memtest.AllocatedPT(fx.pm, 0) == 0 {
 		t.Error("origin replica freed despite keepOrigin")
 	}
 	// The kept origin must stay consistent with future updates.
 	va := pt.VirtAddr(0x100000)
 	fx.mapPage(t, va, 1)
 	for _, tbl := range fx.allRoots() {
-		if _, _, ok := tbl.Lookup(va); !ok {
+		if _, _, ok := pttest.Lookup(tbl, va); !ok {
 			t.Error("update not propagated to kept origin replica")
 		}
 	}
@@ -458,30 +465,19 @@ func TestADBitsORedAcrossReplicas(t *testing.T) {
 	pt.WriteEntryRaw(fx.pm, ref, leaf.WithFlags(pt.FlagAccessed|pt.FlagDirty))
 
 	// A structural read through the primary does not see the bits...
-	e, _, err := fx.mp.ReadLeaf(fx.ctx, va, pt.Size4K)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Accessed() || e.Dirty() {
+	e := fx.be.ReadPTE(fx.ctx, fx.primaryRef(va))
+	if e.Accessed() || e&pt.FlagDirty != 0 {
 		t.Error("primary copy unexpectedly carries A/D bits")
 	}
 	// ...but GatherAD ORs them in (§5.4).
-	e, err = fx.mp.GatherAD(fx.ctx, va, pt.Size4K)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !e.Accessed() || !e.Dirty() {
+	e = fx.be.GatherAD(fx.ctx, fx.primaryRef(va))
+	if !e.Accessed() || e&pt.FlagDirty == 0 {
 		t.Errorf("GatherAD = %v, want A and D set", e)
 	}
 	// ClearAD resets every replica.
-	if err := fx.mp.ClearAD(fx.ctx, va, pt.Size4K); err != nil {
-		t.Fatal(err)
-	}
-	e, err = fx.mp.GatherAD(fx.ctx, va, pt.Size4K)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Accessed() || e.Dirty() {
+	fx.be.ClearAD(fx.ctx, fx.primaryRef(va))
+	e = fx.be.GatherAD(fx.ctx, fx.primaryRef(va))
+	if e.Accessed() || e&pt.FlagDirty != 0 {
 		t.Errorf("A/D bits survive ClearAD: %v", e)
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"github.com/mitosis-project/mitosis-sim/internal/numa"
 	"github.com/mitosis-project/mitosis-sim/internal/pt"
+	"github.com/mitosis-project/mitosis-sim/internal/pt/pttest"
 	"github.com/mitosis-project/mitosis-sim/internal/pvops"
 )
 
@@ -77,8 +78,8 @@ func TestIncrementalReplicaCorrectWhilePartial(t *testing.T) {
 	// (through remote pointers into the primary).
 	tbl := pt.NewTable(fx.pm, root, 4)
 	for _, va := range vas {
-		pe, _, pok := fx.mp.Table().Lookup(va)
-		re, _, rok := tbl.Lookup(va)
+		pe, _, pok := pttest.Lookup(fx.mp.Table(), va)
+		re, _, rok := pttest.Lookup(tbl, va)
 		if pok != rok || (pok && pe.Frame() != re.Frame()) {
 			t.Fatalf("partial replica mistranslates %#x", uint64(va))
 		}
@@ -116,7 +117,7 @@ func TestIncrementalSweepCatchesConcurrentMappings(t *testing.T) {
 	root := fx.space.RootFor(3)
 	tbl := pt.NewTable(fx.pm, root, 4)
 	for _, va := range extra {
-		if _, _, ok := tbl.Lookup(va); !ok {
+		if _, _, ok := pttest.Lookup(tbl, va); !ok {
 			t.Errorf("replica missing concurrent mapping %#x", uint64(va))
 		}
 	}

@@ -6,8 +6,10 @@ import (
 	"testing/quick"
 
 	"github.com/mitosis-project/mitosis-sim/internal/mem"
+	"github.com/mitosis-project/mitosis-sim/internal/mem/memtest"
 	"github.com/mitosis-project/mitosis-sim/internal/numa"
 	"github.com/mitosis-project/mitosis-sim/internal/pt"
+	"github.com/mitosis-project/mitosis-sim/internal/pt/pttest"
 	"github.com/mitosis-project/mitosis-sim/internal/pvops"
 )
 
@@ -60,10 +62,7 @@ func TestReplicaEquivalenceUnderRandomOps(t *testing.T) {
 				if !mapped[va] {
 					continue
 				}
-				if _, err := fx.mp.Protect(fx.ctx, va, pt.Size4K, 0, pt.FlagWrite); err != nil {
-					t.Logf("protect: %v", err)
-					return false
-				}
+				writeProtect(fx.ctx, fx.mp, va)
 			case 7: // setmask
 				var nodes []numa.NodeID
 				for n := numa.NodeID(0); n < 4; n++ {
@@ -91,9 +90,8 @@ func TestReplicaEquivalenceUnderRandomOps(t *testing.T) {
 					return false
 				}
 				pt.WriteEntryRaw(fx.pm, ref, leaf.WithFlags(pt.FlagAccessed))
-				got, err := fx.mp.GatherAD(fx.ctx, va, pt.Size4K)
-				if err != nil || !got.Accessed() {
-					t.Logf("GatherAD lost the accessed bit: %v err=%v", got, err)
+				if got := fx.be.GatherAD(fx.ctx, fx.primaryRef(va)); !got.Accessed() {
+					t.Logf("GatherAD lost the accessed bit: %v", got)
 					return false
 				}
 			}
@@ -102,13 +100,13 @@ func TestReplicaEquivalenceUnderRandomOps(t *testing.T) {
 		// Verify invariant 1: replica equivalence over the whole VA pool.
 		tables := fx.allRoots()
 		for _, va := range vaPool {
-			e0, s0, ok0 := tables[0].Lookup(va)
+			e0, s0, ok0 := pttest.Lookup(tables[0], va)
 			if ok0 != mapped[va] {
 				t.Logf("primary lookup(%#x) = %v, tracker says %v", uint64(va), ok0, mapped[va])
 				return false
 			}
 			for _, tbl := range tables[1:] {
-				e, s, ok := tbl.Lookup(va)
+				e, s, ok := pttest.Lookup(tbl, va)
 				if ok != ok0 {
 					t.Logf("replica diverges on presence at %#x", uint64(va))
 					return false
@@ -218,11 +216,11 @@ func TestNoPTLeaksUnderRandomLifecycles(t *testing.T) {
 			fx.pm.Free(f)
 		}
 		for n := numa.NodeID(0); n < 4; n++ {
-			if fx.pm.AllocatedPT(n) != 0 {
-				t.Logf("node %d leaked %d PT pages", n, fx.pm.AllocatedPT(n))
+			if memtest.AllocatedPT(fx.pm, n) != 0 {
+				t.Logf("node %d leaked %d PT pages", n, memtest.AllocatedPT(fx.pm, n))
 				return false
 			}
-			if fx.pm.FreeFrames(n) != fx.pm.FramesPerNode() {
+			if fx.pm.FreeFrames(n) != fx.pm.TotalFrames()/uint64(fx.topo.Nodes()) {
 				t.Logf("node %d leaked frames", n)
 				return false
 			}

@@ -33,9 +33,6 @@ func NewSpace(pm *mem.PhysMem, backend *Backend, mapper *pvops.Mapper) *Space {
 	return &Space{pm: pm, backend: backend, mapper: mapper}
 }
 
-// Mapper returns the underlying mapper.
-func (s *Space) Mapper() *pvops.Mapper { return s.mapper }
-
 // PrimaryNode returns the node holding the primary (master) table.
 func (s *Space) PrimaryNode() numa.NodeID { return s.pm.NodeOf(s.mapper.Root()) }
 
@@ -185,17 +182,6 @@ func (s *Space) canonicalize(ctx *pvops.OpCtx) error {
 		}
 	}
 	return nil
-}
-
-// Replicate is a convenience for SetMask over every node of the machine —
-// full replication, the configuration the paper's multi-socket experiments
-// use.
-func (s *Space) Replicate(ctx *pvops.OpCtx) error {
-	all := make([]numa.NodeID, s.pm.Topology().Nodes())
-	for i := range all {
-		all[i] = numa.NodeID(i)
-	}
-	return s.SetMask(ctx, all)
 }
 
 // Collapse tears down every replica, leaving only the primary table.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	mitosis "github.com/mitosis-project/mitosis-sim"
+	"github.com/mitosis-project/mitosis-sim/internal/hw/hwtest"
 	"github.com/mitosis-project/mitosis-sim/internal/kernel"
 	"github.com/mitosis-project/mitosis-sim/internal/numa"
 )
@@ -248,7 +249,7 @@ func TestFiveLevelHardwareWalksItsGeometry(t *testing.T) {
 		}
 		m := k.Machine()
 		before := m.Stats(0)
-		if err := m.Access(0, base, false); err != nil {
+		if err := hwtest.Access(m, 0, base, false); err != nil {
 			t.Fatal(err)
 		}
 		d := m.Stats(0).Sub(before)

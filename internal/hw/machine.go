@@ -410,20 +410,6 @@ type AccessOp struct {
 	Write bool
 }
 
-// Access executes one memory operation on core at va: a batch of one op
-// followed by a barrier on core (DrainCoherence), so cross-socket
-// coherence (store walks invalidating page-table lines cached by other
-// sockets) and the op's AutoNUMA sample take effect before it returns.
-// A sequence of Access calls therefore behaves exactly like the original
-// per-op engine. Call it only where DrainCoherence may run: from the one
-// goroutine driving the machine, with no batch in flight on any core.
-func (m *Machine) Access(core numa.CoreID, va pt.VirtAddr, write bool) error {
-	op := [1]AccessOp{{VA: va, Write: write}}
-	err := m.AccessBatch(core, op[:])
-	m.DrainCoherence([]numa.CoreID{core})
-	return err
-}
-
 // AccessBatch executes a batch of memory operations on core, amortizing the
 // per-op overhead (core and context resolution) across the batch. It
 // consults the translation caches, walks the page-table on a miss (taking
@@ -728,21 +714,6 @@ func (m *Machine) ShootdownRange(initiator numa.CoreID, vas []pt.VirtAddr, targe
 	}
 	if others > 0 {
 		init.stats.Cycles += ipiCost
-	}
-}
-
-// FlushAll flushes core's translation caches (global shootdown on that
-// core).
-func (m *Machine) FlushAll(core numa.CoreID) {
-	c := m.core(core)
-	c.xc.FlushContext(&c.tctx)
-}
-
-// FlushLLCs empties all per-socket page-table line caches (used between
-// experiment phases).
-func (m *Machine) FlushLLCs() {
-	for _, l := range m.llcs {
-		l.Flush()
 	}
 }
 

@@ -7,7 +7,9 @@ import (
 	"github.com/mitosis-project/mitosis-sim/internal/mem"
 	"github.com/mitosis-project/mitosis-sim/internal/numa"
 	"github.com/mitosis-project/mitosis-sim/internal/pt"
+	"github.com/mitosis-project/mitosis-sim/internal/pt/pttest"
 	"github.com/mitosis-project/mitosis-sim/internal/pvops"
+	"github.com/mitosis-project/mitosis-sim/internal/pvops/pvopstest"
 	"github.com/mitosis-project/mitosis-sim/internal/translate"
 )
 
@@ -22,12 +24,20 @@ type fixture struct {
 
 func newFixture(t testing.TB) *fixture {
 	t.Helper()
+	return newFixtureOn(t, translate.Spec{})
+}
+
+// newFixtureOn is newFixture on the backend spec describes, with a table
+// as deep as the backend's paging.
+func newFixtureOn(t testing.TB, spec translate.Spec) *fixture {
+	t.Helper()
 	topo := numa.NewTopology(4, 2)
 	pm := mem.New(mem.Config{Topology: topo, FramesPerNode: 8192})
 	cost := numa.NewCostModel(topo, numa.DefaultCostParams())
-	m := New(Config{Topology: topo, Cost: cost, Mem: pm, Backend: newBackend(t, translate.Spec{}, topo, cost, pm)})
+	be := newBackend(t, spec, topo, cost, pm)
+	m := New(Config{Topology: topo, Cost: cost, Mem: pm, Backend: be})
 	ctx := &pvops.OpCtx{Socket: 0}
-	mp, err := pvops.NewMapper(ctx, pm, pvops.NewNative(pm, cost), 4, pvops.PTPlacement{Primary: 0})
+	mp, err := pvops.NewMapper(ctx, pm, pvopstest.NewNative(pm, cost), be.Levels(), pvops.PTPlacement{Primary: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,12 +173,12 @@ func TestFaultAndRetry(t *testing.T) {
 		t.Errorf("fault stats = %+v", s)
 	}
 	// Mapped now; translation resolved.
-	leaf, _, ok := fx.mp.Table().Lookup(0x7000)
+	leaf, _, ok := pttest.Lookup(fx.mp.Table(), 0x7000)
 	if !ok {
 		t.Fatal("fault did not map the page")
 	}
 	// The walker set A and D (write access) via raw stores.
-	if !leaf.Accessed() || !leaf.Dirty() {
+	if !leaf.Accessed() || leaf&pt.FlagDirty == 0 {
 		t.Errorf("leaf = %v, want A+D set by walker", leaf)
 	}
 }
@@ -223,7 +233,9 @@ func TestInterferenceInflatesWalk(t *testing.T) {
 
 	fx.m.ResetStats()
 	fx.m.FlushAll(0)
-	fx.m.FlushLLCs()
+	for _, l := range fx.m.llcs {
+		l.Reset()
+	}
 	fx.cost.SetLoaded(1, true)
 	if err := fx.m.Access(0, va, false); err != nil {
 		t.Fatal(err)
@@ -320,32 +332,38 @@ func TestWriteWalkInvalidatesOtherSockets(t *testing.T) {
 	}
 }
 
+// TestShootdownInvalidatesTargets: a page shootdown makes the initiator
+// and every target re-walk, and once the page is unmapped no core finds a
+// stale translation for it.
 func TestShootdownInvalidatesTargets(t *testing.T) {
-	fx := newFixture(t)
-	va := pt.VirtAddr(0x1000)
-	fx.mapPage(t, va, 0)
-	fx.m.LoadContext(0, fx.mp.Root(), 4)
-	fx.m.LoadContext(1, fx.mp.Root(), 4)
-	if err := fx.m.Access(0, va, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := fx.m.Access(1, va, false); err != nil {
-		t.Fatal(err)
-	}
+	forEachBackend(t, func(t *testing.T, fx *fixture) {
+		va := pt.VirtAddr(0x1000)
+		fx.mapPage(t, va, 0)
+		fx.load(0, 1)
+		if err := fx.m.Access(0, va, false); err != nil {
+			t.Fatal(err)
+		}
+		if err := fx.m.Access(1, va, false); err != nil {
+			t.Fatal(err)
+		}
 
-	fx.m.ShootdownPage(0, va, []numa.CoreID{0, 1})
-	// Both cores re-walk.
-	w0 := fx.m.Stats(0).Walks
-	w1 := fx.m.Stats(1).Walks
-	if err := fx.m.Access(0, va, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := fx.m.Access(1, va, false); err != nil {
-		t.Fatal(err)
-	}
-	if fx.m.Stats(0).Walks != w0+1 || fx.m.Stats(1).Walks != w1+1 {
-		t.Error("shootdown did not force re-walks")
-	}
+		fx.m.ShootdownPage(0, va, []numa.CoreID{0, 1})
+		// Both cores re-walk.
+		w0 := fx.m.Stats(0).Walks
+		w1 := fx.m.Stats(1).Walks
+		if err := fx.m.Access(0, va, false); err != nil {
+			t.Fatal(err)
+		}
+		if err := fx.m.Access(1, va, false); err != nil {
+			t.Fatal(err)
+		}
+		if fx.m.Stats(0).Walks != w0+1 || fx.m.Stats(1).Walks != w1+1 {
+			t.Error("shootdown did not force re-walks")
+		}
+		fx.unmap(t, va)
+		fx.m.ShootdownPage(0, va, []numa.CoreID{0, 1})
+		fx.assertNoStale(t, []pt.VirtAddr{va}, 0, 1)
+	})
 }
 
 func TestHugePageWalkShorter(t *testing.T) {

@@ -11,7 +11,9 @@ import (
 	"github.com/mitosis-project/mitosis-sim/internal/mmucache"
 	"github.com/mitosis-project/mitosis-sim/internal/numa"
 	"github.com/mitosis-project/mitosis-sim/internal/pt"
+	"github.com/mitosis-project/mitosis-sim/internal/pt/pttest"
 	"github.com/mitosis-project/mitosis-sim/internal/pvops"
+	"github.com/mitosis-project/mitosis-sim/internal/pvops/pvopstest"
 	"github.com/mitosis-project/mitosis-sim/internal/tlb"
 	"github.com/mitosis-project/mitosis-sim/internal/translate"
 )
@@ -132,7 +134,7 @@ func newRefRig(t *testing.T, sockets int) *refRig {
 	m := New(Config{Topology: topo, Cost: cost, Mem: pm, Backend: newBackend(t, spec, topo, cost, pm)})
 	ctx := &pvops.OpCtx{}
 	levels := m.Backend().Levels()
-	mp, err := pvops.NewMapper(ctx, pm, pvops.NewNative(pm, cost), levels, pvops.PTPlacement{Primary: 0})
+	mp, err := pvops.NewMapper(ctx, pm, pvopstest.NewNative(pm, cost), levels, pvops.PTPlacement{Primary: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +168,7 @@ func (r *refRig) HandleFault(core numa.CoreID, va pt.VirtAddr, _ bool) (numa.Cyc
 // frameOf is the data frame an access to va samples (NilFrame while the
 // page is unmapped).
 func (r *refRig) frameOf(va pt.VirtAddr) mem.FrameID {
-	leaf, size, ok := r.mp.Table().Lookup(va)
+	leaf, size, ok := pttest.Lookup(r.mp.Table(), va)
 	if !ok {
 		return mem.NilFrame
 	}

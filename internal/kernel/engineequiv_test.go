@@ -16,6 +16,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/mitosis-project/mitosis-sim/internal/hw/hwtest"
 	"github.com/mitosis-project/mitosis-sim/internal/kernel"
 	"github.com/mitosis-project/mitosis-sim/internal/numa"
 	"github.com/mitosis-project/mitosis-sim/internal/pt"
@@ -125,7 +126,7 @@ func TestEngineEquivalence1GFragmented(t *testing.T) {
 	// giant-page access translates to the expected spanning frame range.
 	env, _ := buildStressEnv(t)
 	m := env.K.Machine()
-	if err := m.Access(env.P.Cores()[0], giantVA+pt.VirtAddr(3)<<28, false); err != nil {
+	if err := hwtest.Access(m, env.P.Cores()[0], giantVA+pt.VirtAddr(3)<<28, false); err != nil {
 		t.Fatalf("1GB mapping access failed: %v", err)
 	}
 }

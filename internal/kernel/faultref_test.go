@@ -178,12 +178,12 @@ func refMap(mp *pvops.Mapper, ctx *pvops.OpCtx, va pt.VirtAddr, size pt.PageSize
 // guest pmd_none walk, and a guest Map that walks the primary and every
 // replica tree from its root.
 func (k *Kernel) refPopulateGuestOne(p *Process, v *VMA, va pt.VirtAddr, socket numa.SocketID) (pt.PageSize, error) {
-	gs := p.GuestSpace()
-	if _, size, ok := refGuestLookup(k, gs, va); ok {
+	g := p.as.(*guestSpace)
+	if _, size, ok := refGuestLookup(k, g, va); ok {
 		return size, nil
 	}
 	vm := p.VM().vm
-	gptNode := gs.HomeNode()
+	gptNode := g.gs.HomeNode()
 	dataNode := p.dataNode(socket)
 	flags := pt.FlagUser
 	if v.Writable {
@@ -192,11 +192,11 @@ func (k *Kernel) refPopulateGuestOne(p *Process, v *VMA, va pt.VirtAddr, socket 
 	if k.thp && v.THP {
 		hugeBase := pt.PageBase(va, pt.Size2M)
 		if hugeBase >= v.Start && hugeBase+pt.VirtAddr(pt.Size2M.Bytes()) <= v.End &&
-			refGuestPMDEmpty(k, gs, hugeBase) {
+			refGuestPMDEmpty(k, g, hugeBase) {
 			if gf, err := vm.AllocGuestHuge(dataNode); err == nil {
 				p.Meter.Cycles += 256 * k.refParams().PageZero
 				p.Meter.Cycles += k.costs.FrameAlloc
-				if err := refGuestMap(k, gs, hugeBase, gf, pt.Size2M, flags, gptNode); err != nil {
+				if err := refGuestMap(k, g, hugeBase, gf, pt.Size2M, flags, gptNode); err != nil {
 					return 0, fmt.Errorf("kernel: guest huge map at %#x: %w", uint64(hugeBase), err)
 				}
 				p.Meter.Cycles += vm.DrainCycles()
@@ -215,41 +215,54 @@ func (k *Kernel) refPopulateGuestOne(p *Process, v *VMA, va pt.VirtAddr, socket 
 	}
 	p.Meter.Cycles += k.refParams().PageZero + k.costs.FrameAlloc
 	base := pt.PageBase(va, pt.Size4K)
-	if err := refGuestMap(k, gs, base, gf, pt.Size4K, flags, gptNode); err != nil {
+	if err := refGuestMap(k, g, base, gf, pt.Size4K, flags, gptNode); err != nil {
 		return 0, fmt.Errorf("kernel: guest map at %#x: %w", uint64(base), err)
 	}
 	p.Meter.Cycles += vm.DrainCycles()
 	return pt.Size4K, nil
 }
 
-// guestRoots returns the roots of gs's guest trees: the primary, then one
+// guestRoots returns the roots of g's guest trees: the primary, then one
 // replica per node in ascending node order.
-func guestRoots(k *Kernel, gs *virt.GuestSpace) ([]virt.GuestFrame, []numa.NodeID) {
-	roots := []virt.GuestFrame{virt.GuestFrame(gs.GuestRootFor(k.topo.SocketOfNode(gs.HomeNode())))}
-	nodes := []numa.NodeID{gs.HomeNode()}
-	for _, n := range gs.ReplicaNodes() {
-		if n != gs.HomeNode() {
-			roots = append(roots, virt.GuestFrame(gs.GuestRootFor(k.topo.SocketOfNode(n))))
+func guestRoots(k *Kernel, g *guestSpace) ([]virt.GuestFrame, []numa.NodeID) {
+	roots := []virt.GuestFrame{virt.GuestFrame(g.gs.GuestRootFor(k.topo.SocketOfNode(g.gs.HomeNode())))}
+	nodes := []numa.NodeID{g.gs.HomeNode()}
+	for _, n := range g.gs.ReplicaNodes() {
+		if n != g.gs.HomeNode() {
+			roots = append(roots, virt.GuestFrame(g.gs.GuestRootFor(k.topo.SocketOfNode(n))))
 			nodes = append(nodes, n)
 		}
 	}
 	return roots, nodes
 }
 
-func refReadGuest(k *Kernel, gs *virt.GuestSpace, gf virt.GuestFrame, idx int) pt.PTE {
-	return pt.ReadEntry(k.pm, pt.EntryRef{Frame: gs.VM().HostFrameOf(gf), Index: idx})
+// refHostFrame returns the host frame behind guest frame gf: the nested
+// table's translation of gf's guest-physical address.
+func refHostFrame(k *Kernel, g *guestSpace, gf virt.GuestFrame) mem.FrameID {
+	vm := g.vm.vm
+	gpa := pt.VirtAddr(uint64(gf) << pt.PageShift4K)
+	d := pt.NewTable(k.pm, vm.NestedRootFor(0), vm.NestedLevels()).Descend(gpa)
+	size, ok := d.Mapped()
+	if !ok {
+		panic(fmt.Sprintf("kernel: guest frame %d has no host backing", gf))
+	}
+	return d.Entry.Frame() + mem.FrameID(pt.PageOffset(gpa, size)>>pt.PageShift4K)
 }
 
-func refGuestLookup(k *Kernel, gs *virt.GuestSpace, gva pt.VirtAddr) (pt.PTE, pt.PageSize, bool) {
-	roots, _ := guestRoots(k, gs)
-	return refGuestLookupIn(k, gs, roots[0], gva)
+func refReadGuest(k *Kernel, g *guestSpace, gf virt.GuestFrame, idx int) pt.PTE {
+	return pt.ReadEntry(k.pm, pt.EntryRef{Frame: refHostFrame(k, g, gf), Index: idx})
+}
+
+func refGuestLookup(k *Kernel, g *guestSpace, gva pt.VirtAddr) (pt.PTE, pt.PageSize, bool) {
+	roots, _ := guestRoots(k, g)
+	return refGuestLookupIn(k, g, roots[0], gva)
 }
 
 // refGuestLookupIn is refGuestLookup in the guest tree rooted at root.
-func refGuestLookupIn(k *Kernel, gs *virt.GuestSpace, root virt.GuestFrame, gva pt.VirtAddr) (pt.PTE, pt.PageSize, bool) {
+func refGuestLookupIn(k *Kernel, g *guestSpace, root virt.GuestFrame, gva pt.VirtAddr) (pt.PTE, pt.PageSize, bool) {
 	cur := root
 	for level := uint8(4); level >= 1; level-- {
-		e := refReadGuest(k, gs, cur, pt.Index(gva, level))
+		e := refReadGuest(k, g, cur, pt.Index(gva, level))
 		if !e.Present() {
 			return 0, pt.Size4K, false
 		}
@@ -262,11 +275,11 @@ func refGuestLookupIn(k *Kernel, gs *virt.GuestSpace, root virt.GuestFrame, gva 
 	panic("kernel: reference guest lookup descended past level 1")
 }
 
-func refGuestPMDEmpty(k *Kernel, gs *virt.GuestSpace, gva pt.VirtAddr) bool {
-	roots, _ := guestRoots(k, gs)
+func refGuestPMDEmpty(k *Kernel, g *guestSpace, gva pt.VirtAddr) bool {
+	roots, _ := guestRoots(k, g)
 	cur := roots[0]
 	for level := uint8(4); level >= 2; level-- {
-		e := refReadGuest(k, gs, cur, pt.Index(gva, level))
+		e := refReadGuest(k, g, cur, pt.Index(gva, level))
 		if !e.Present() {
 			return true
 		}
@@ -280,21 +293,21 @@ func refGuestPMDEmpty(k *Kernel, gs *virt.GuestSpace, gva pt.VirtAddr) bool {
 
 // refGuestMap is GuestSpace.Map as it was: each tree, primary first, is
 // walked from its root, its missing tables allocated on the tree's node.
-func refGuestMap(k *Kernel, gs *virt.GuestSpace, gva pt.VirtAddr, gframe virt.GuestFrame, size pt.PageSize, flags pt.PTE, ptNode numa.NodeID) error {
-	roots, nodes := guestRoots(k, gs)
+func refGuestMap(k *Kernel, g *guestSpace, gva pt.VirtAddr, gframe virt.GuestFrame, size pt.PageSize, flags pt.PTE, ptNode numa.NodeID) error {
+	roots, nodes := guestRoots(k, g)
 	nodes[0] = ptNode
 	for i, root := range roots {
 		leafLevel := size.LeafLevel()
 		cur := root
 		for level := uint8(4); level > leafLevel; level-- {
 			idx := pt.Index(gva, level)
-			e := refReadGuest(k, gs, cur, idx)
+			e := refReadGuest(k, g, cur, idx)
 			if !e.Present() {
-				child, err := gs.VM().AllocGuestTablePage(nodes[i])
+				child, err := g.vm.vm.AllocGuestTablePage(nodes[i])
 				if err != nil {
 					return err
 				}
-				pt.WriteEntryRaw(k.pm, pt.EntryRef{Frame: gs.VM().HostFrameOf(cur), Index: idx},
+				pt.WriteEntryRaw(k.pm, pt.EntryRef{Frame: refHostFrame(k, g, cur), Index: idx},
 					pt.NewPTE(mem.FrameID(child), pt.FlagPresent|pt.FlagWrite|pt.FlagUser))
 				cur = child
 				continue
@@ -308,7 +321,7 @@ func refGuestMap(k *Kernel, gs *virt.GuestSpace, gva pt.VirtAddr, gframe virt.Gu
 		if size != pt.Size4K {
 			e |= pt.FlagHuge
 		}
-		pt.WriteEntryRaw(k.pm, pt.EntryRef{Frame: gs.VM().HostFrameOf(cur), Index: pt.Index(gva, leafLevel)}, e)
+		pt.WriteEntryRaw(k.pm, pt.EntryRef{Frame: refHostFrame(k, g, cur), Index: pt.Index(gva, leafLevel)}, e)
 	}
 	return nil
 }
@@ -373,8 +386,8 @@ func (k *Kernel) refMunmap(p *Process, va pt.VirtAddr) error {
 // behind the guest leaf, for a virtualized one.
 func pathEntries(k *Kernel, p *Process, va pt.VirtAddr) []uint64 {
 	var out []uint64
-	gs := p.GuestSpace()
-	if gs == nil {
+	g, ok := p.as.(*guestSpace)
+	if !ok {
 		root := p.mapper.Root()
 		for r := root; ; {
 			steps, _ := refWalk(pt.NewTable(k.pm, r, k.levels), va)
@@ -386,16 +399,16 @@ func pathEntries(k *Kernel, p *Process, va pt.VirtAddr) []uint64 {
 			}
 		}
 	}
-	roots, _ := guestRoots(k, gs)
+	roots, _ := guestRoots(k, g)
 	for _, cur := range roots {
 		for level := uint8(4); level >= 1; level-- {
-			e := refReadGuest(k, gs, cur, pt.Index(va, level))
+			e := refReadGuest(k, g, cur, pt.Index(va, level))
 			out = append(out, uint64(cur), uint64(e))
 			if !e.Present() {
 				break
 			}
 			if level == 1 || e.Huge() {
-				out = append(out, uint64(gs.VM().HostFrameOf(virt.GuestFrame(e.Frame()))))
+				out = append(out, uint64(refHostFrame(k, g, virt.GuestFrame(e.Frame()))))
 				break
 			}
 			cur = virt.GuestFrame(e.Frame())
@@ -707,15 +720,15 @@ type guestLeaf struct {
 // guestLeaves lists p's guest data pages in [start, end), read through the
 // primary guest table.
 func guestLeaves(k *Kernel, p *Process, start, end pt.VirtAddr) []guestLeaf {
-	gs := p.GuestSpace()
+	g := p.as.(*guestSpace)
 	var out []guestLeaf
 	for va := start; va < end; {
-		e, size, ok := refGuestLookup(k, gs, va)
+		e, size, ok := refGuestLookup(k, g, va)
 		if !ok {
 			va += pt.VirtAddr(pt.Size4K.Bytes())
 			continue
 		}
-		out = append(out, guestLeaf{va, size, gs.VM().HostFrameOf(virt.GuestFrame(e.Frame()))})
+		out = append(out, guestLeaf{va, size, refHostFrame(k, g, virt.GuestFrame(e.Frame()))})
 		va = pt.PageBase(va, size) + pt.VirtAddr(size.Bytes())
 	}
 	return out
@@ -783,10 +796,10 @@ func checkGuestMunmaps(t *testing.T, k *Kernel, p *Process) {
 				freed++
 			}
 		}
-		roots, nodes := guestRoots(k, p.GuestSpace())
+		roots, nodes := guestRoots(k, p.as.(*guestSpace))
 		for i, root := range roots {
 			for va := v.Start; va < v.End; va += pt.VirtAddr(pt.Size4K.Bytes()) {
-				if _, _, ok := refGuestLookupIn(k, p.GuestSpace(), root, va); ok {
+				if _, _, ok := refGuestLookupIn(k, p.as.(*guestSpace), root, va); ok {
 					t.Fatalf("%s: %#x still mapped in the guest table on node %d", at, uint64(va), nodes[i])
 				}
 			}

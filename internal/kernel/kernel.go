@@ -206,9 +206,6 @@ func (k *Kernel) Reset() {
 // Topology returns the machine topology.
 func (k *Kernel) Topology() *numa.Topology { return k.topo }
 
-// Cost returns the cost model (experiments toggle interference on it).
-func (k *Kernel) Cost() *numa.CostModel { return k.cost }
-
 // Mem returns physical memory.
 func (k *Kernel) Mem() *mem.PhysMem { return k.pm }
 

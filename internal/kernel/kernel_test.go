@@ -5,8 +5,11 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/mitosis-project/mitosis-sim/internal/hw/hwtest"
+	"github.com/mitosis-project/mitosis-sim/internal/mem/memtest"
 	"github.com/mitosis-project/mitosis-sim/internal/numa"
 	"github.com/mitosis-project/mitosis-sim/internal/pt"
+	"github.com/mitosis-project/mitosis-sim/internal/pt/pttest"
 )
 
 func newTestKernel(t testing.TB) *Kernel {
@@ -49,11 +52,11 @@ func newProc(t testing.TB, k *Kernel, opts ProcessOpts) *Process {
 func TestCreateProcessRootPlacement(t *testing.T) {
 	k := newTestKernel(t)
 	p := newProc(t, k, ProcessOpts{Name: "a", Home: 2})
-	if got := k.pm.NodeOf(p.Mapper().Root()); got != 2 {
+	if got := k.pm.NodeOf(p.mapper.Root()); got != 2 {
 		t.Errorf("root on node %d, want 2 (home socket)", got)
 	}
 	q := newProc(t, k, ProcessOpts{Name: "b", Home: 0, PTPolicy: PTFixed, PTNode: 3})
-	if got := k.pm.NodeOf(q.Mapper().Root()); got != 3 {
+	if got := k.pm.NodeOf(q.mapper.Root()); got != 3 {
 		t.Errorf("root on node %d, want 3 (fixed)", got)
 	}
 }
@@ -69,10 +72,10 @@ func TestMmapAndFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Demand paging: access faults the page in.
-	if err := k.machine.Access(p.Cores()[0], base+0x123, true); err != nil {
+	if err := hwtest.Access(k.machine, p.Cores()[0], base+0x123, true); err != nil {
 		t.Fatal(err)
 	}
-	leaf, size, ok := p.Table().Lookup(base)
+	leaf, size, ok := pttest.Lookup(p.Table(), base)
 	if !ok || size != pt.Size4K {
 		t.Fatalf("lookup after fault: ok=%v size=%v", ok, size)
 	}
@@ -95,7 +98,7 @@ func TestFaultOutsideVMA(t *testing.T) {
 	if err := k.RunOnSocket(p, 0); err != nil {
 		t.Fatal(err)
 	}
-	err := k.machine.Access(p.Cores()[0], 0xdead000, false)
+	err := hwtest.Access(k.machine, p.Cores()[0], 0xdead000, false)
 	if err == nil {
 		t.Fatal("expected segfault")
 	}
@@ -111,11 +114,11 @@ func TestWriteToReadOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := k.machine.Access(p.Cores()[0], base, true); err == nil {
+	if err := hwtest.Access(k.machine, p.Cores()[0], base, true); err == nil {
 		t.Fatal("expected permission fault")
 	}
 	// Reads still work.
-	if err := k.machine.Access(p.Cores()[0], base, false); err != nil {
+	if err := hwtest.Access(k.machine, p.Cores()[0], base, false); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -132,11 +135,11 @@ func TestMmapPopulate(t *testing.T) {
 	}
 	// Every page is mapped; accesses take no faults.
 	for off := uint64(0); off < 4<<20; off += 4096 {
-		if _, _, ok := p.Table().Lookup(base + pt.VirtAddr(off)); !ok {
+		if _, _, ok := pttest.Lookup(p.Table(), base+pt.VirtAddr(off)); !ok {
 			t.Fatalf("page at +%#x not populated", off)
 		}
 	}
-	if err := k.machine.Access(p.Cores()[0], base+0x5000, false); err != nil {
+	if err := hwtest.Access(k.machine, p.Cores()[0], base+0x5000, false); err != nil {
 		t.Fatal(err)
 	}
 	if got := k.machine.Stats(p.Cores()[0]).Faults; got != 0 {
@@ -156,7 +159,7 @@ func TestInterleavePolicy(t *testing.T) {
 	}
 	counts := make(map[numa.NodeID]int)
 	for off := uint64(0); off < 1<<20; off += 4096 {
-		leaf, _, ok := p.Table().Lookup(base + pt.VirtAddr(off))
+		leaf, _, ok := pttest.Lookup(p.Table(), base+pt.VirtAddr(off))
 		if !ok {
 			t.Fatal("unpopulated page")
 		}
@@ -180,7 +183,7 @@ func TestBindPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	for off := uint64(0); off < 1<<20; off += 4096 {
-		leaf, _, _ := p.Table().Lookup(base + pt.VirtAddr(off))
+		leaf, _, _ := pttest.Lookup(p.Table(), base+pt.VirtAddr(off))
 		if got := k.pm.NodeOf(leaf.Frame()); got != 3 {
 			t.Fatalf("page on node %d, want 3", got)
 		}
@@ -197,7 +200,7 @@ func TestTHPAllocatesHugePages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	leaf, size, ok := p.Table().Lookup(base + 0x300000)
+	leaf, size, ok := pttest.Lookup(p.Table(), base+0x300000)
 	if !ok || size != pt.Size2M {
 		t.Fatalf("lookup: ok=%v size=%v, want 2MB", ok, size)
 	}
@@ -221,7 +224,7 @@ func TestTHPFallbackUnderFragmentation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, size, ok := p.Table().Lookup(base)
+	_, size, ok := pttest.Lookup(p.Table(), base)
 	if !ok || size != pt.Size4K {
 		t.Fatalf("lookup: ok=%v size=%v, want 4KB fallback", ok, size)
 	}
@@ -241,7 +244,7 @@ func TestMunmapFreesEverything(t *testing.T) {
 	if err := k.Munmap(p, base); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := p.Table().Lookup(base); ok {
+	if _, _, ok := pttest.Lookup(p.Table(), base); ok {
 		t.Error("translation survives munmap")
 	}
 	// Data frames returned (page-table pages may remain, as in Linux).
@@ -251,7 +254,7 @@ func TestMunmapFreesEverything(t *testing.T) {
 		t.Errorf("data frames not freed: before=%d after=%d", freeBefore, freed)
 	}
 	// Accessing the unmapped region now segfaults.
-	if err := k.machine.Access(p.Cores()[0], base, false); err == nil {
+	if err := hwtest.Access(k.machine, p.Cores()[0], base, false); err == nil {
 		t.Error("access to unmapped region succeeded")
 	}
 }
@@ -267,14 +270,14 @@ func TestMprotect(t *testing.T) {
 		t.Fatal(err)
 	}
 	core0 := p.Cores()[0]
-	if err := k.machine.Access(core0, base, true); err != nil {
+	if err := hwtest.Access(k.machine, core0, base, true); err != nil {
 		t.Fatal(err)
 	}
 	if err := k.Mprotect(p, base, false); err != nil {
 		t.Fatal(err)
 	}
 	// Writes now fault with a permission error.
-	if err := k.machine.Access(core0, base, true); err == nil {
+	if err := hwtest.Access(k.machine, core0, base, true); err == nil {
 		t.Error("write allowed after mprotect(PROT_READ)")
 	}
 }
@@ -290,7 +293,7 @@ func TestAutoNUMAMigratesDataNotPT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ptOn0 := k.pm.AllocatedPT(0)
+	ptOn0 := memtest.AllocatedPT(k.pm, 0)
 	if err := k.RunOnSocket(p, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +301,7 @@ func TestAutoNUMAMigratesDataNotPT(t *testing.T) {
 	c := p.Cores()[0]
 	for off := uint64(0); off < 1<<20; off += 4096 {
 		for i := 0; i < 5; i++ {
-			if err := k.machine.Access(c, base+pt.VirtAddr(off), false); err != nil {
+			if err := hwtest.Access(k.machine, c, base+pt.VirtAddr(off), false); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -308,15 +311,15 @@ func TestAutoNUMAMigratesDataNotPT(t *testing.T) {
 		t.Fatal("AutoNUMA migrated nothing")
 	}
 	// Data now on node 2.
-	leaf, _, _ := p.Table().Lookup(base)
+	leaf, _, _ := pttest.Lookup(p.Table(), base)
 	if got := k.pm.NodeOf(leaf.Frame()); got != 2 {
 		t.Errorf("data on node %d after AutoNUMA, want 2", got)
 	}
 	// Page-tables did NOT move (the paper's key observation).
-	if got := k.pm.AllocatedPT(0); got != ptOn0 {
+	if got := memtest.AllocatedPT(k.pm, 0); got != ptOn0 {
 		t.Errorf("PT pages on node 0 changed: %d -> %d", ptOn0, got)
 	}
-	if got := k.pm.AllocatedPT(2); got != 0 {
+	if got := memtest.AllocatedPT(k.pm, 2); got != 0 {
 		t.Errorf("PT pages appeared on node 2: %d", got)
 	}
 }
@@ -334,16 +337,16 @@ func TestMigrateProcessWithMitosisPT(t *testing.T) {
 	if err := k.MigrateProcess(p, 3, MigrateOpts{Data: true, PageTables: true}); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Home(); got != 3 {
+	if got := p.home; got != 3 {
 		t.Errorf("home = %d, want 3", got)
 	}
-	if got := k.pm.NodeOf(p.Mapper().Root()); got != 3 {
+	if got := k.pm.NodeOf(p.mapper.Root()); got != 3 {
 		t.Errorf("root on node %d, want 3", got)
 	}
-	if got := k.pm.AllocatedPT(0); got != 0 {
+	if got := memtest.AllocatedPT(k.pm, 0); got != 0 {
 		t.Errorf("origin keeps %d PT pages", got)
 	}
-	leaf, _, ok := p.Table().Lookup(base)
+	leaf, _, ok := pttest.Lookup(p.Table(), base)
 	if !ok {
 		t.Fatal("translation lost in migration")
 	}
@@ -351,7 +354,7 @@ func TestMigrateProcessWithMitosisPT(t *testing.T) {
 		t.Errorf("data on node %d, want 3", got)
 	}
 	// The core runs with the migrated table.
-	if err := k.machine.Access(p.Cores()[0], base, true); err != nil {
+	if err := hwtest.Access(k.machine, p.Cores()[0], base, true); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -404,7 +407,7 @@ func TestReplicatedProcessRunsEverywhere(t *testing.T) {
 		if got := k.pm.NodeOf(root); got != k.topo.NodeOf(s) {
 			t.Errorf("socket %d CR3 on node %d", s, got)
 		}
-		if err := k.machine.Access(c, base+pt.VirtAddr(uint64(s)*4096), true); err != nil {
+		if err := hwtest.Access(k.machine, c, base+pt.VirtAddr(uint64(s)*4096), true); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -511,11 +514,11 @@ func TestFixedNodePTPolicy(t *testing.T) {
 	}
 	_ = base
 	// All PT pages on node 2, none elsewhere.
-	if k.pm.AllocatedPT(2) == 0 {
+	if memtest.AllocatedPT(k.pm, 2) == 0 {
 		t.Error("no PT pages on fixed node")
 	}
 	for _, n := range []numa.NodeID{0, 1, 3} {
-		if got := k.pm.AllocatedPT(n); got != 0 {
+		if got := memtest.AllocatedPT(k.pm, n); got != 0 {
 			t.Errorf("PT pages on node %d: %d, want 0", n, got)
 		}
 	}

@@ -3,8 +3,10 @@ package kernel
 import (
 	"testing"
 
+	"github.com/mitosis-project/mitosis-sim/internal/hw/hwtest"
 	"github.com/mitosis-project/mitosis-sim/internal/numa"
 	"github.com/mitosis-project/mitosis-sim/internal/pt"
+	"github.com/mitosis-project/mitosis-sim/internal/pt/pttest"
 )
 
 func TestTwoProcessesIsolated(t *testing.T) {
@@ -30,8 +32,8 @@ func TestTwoProcessesIsolated(t *testing.T) {
 	if baseA != baseB {
 		t.Fatalf("mmap bases differ (%#x vs %#x); expected identical layout", uint64(baseA), uint64(baseB))
 	}
-	la, _, okA := a.Table().Lookup(baseA)
-	lb, _, okB := b.Table().Lookup(baseB)
+	la, _, okA := pttest.Lookup(a.Table(), baseA)
+	lb, _, okB := pttest.Lookup(b.Table(), baseB)
 	if !okA || !okB {
 		t.Fatal("lookups failed")
 	}
@@ -39,10 +41,10 @@ func TestTwoProcessesIsolated(t *testing.T) {
 		t.Error("two processes share a data frame")
 	}
 	// Each core accesses its own process's memory.
-	if err := k.machine.Access(a.Cores()[0], baseA, true); err != nil {
+	if err := hwtest.Access(k.machine, a.Cores()[0], baseA, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := k.machine.Access(b.Cores()[0], baseB, true); err != nil {
+	if err := hwtest.Access(k.machine, b.Cores()[0], baseB, true); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -110,8 +112,8 @@ func TestPerProcessReplicationIndependent(t *testing.T) {
 	}
 	// Destroying the replicated process does not disturb the other.
 	k.DestroyProcess(a)
-	base := b.VMAs()[0].Start
-	if err := k.machine.Access(b.Cores()[0], base, true); err != nil {
+	base := b.vmas[0].Start
+	if err := hwtest.Access(k.machine, b.Cores()[0], base, true); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -127,7 +129,7 @@ func TestContextSwitchBetweenProcesses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := k.machine.Access(0, baseA, true); err != nil {
+	if err := hwtest.Access(k.machine, 0, baseA, true); err != nil {
 		t.Fatal(err)
 	}
 	// Switch the core to b: the TLB flush must prevent a's stale
@@ -140,14 +142,14 @@ func TestContextSwitchBetweenProcesses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := k.machine.Access(0, baseB, true); err != nil {
+	if err := hwtest.Access(k.machine, 0, baseB, true); err != nil {
 		t.Fatal(err)
 	}
-	lb, _, ok := b.Table().Lookup(baseB)
+	lb, _, ok := pttest.Lookup(b.Table(), baseB)
 	if !ok {
 		t.Fatal("b's fault did not map")
 	}
-	la, _, _ := a.Table().Lookup(baseA)
+	la, _, _ := pttest.Lookup(a.Table(), baseA)
 	if la.Frame() == lb.Frame() {
 		t.Error("processes share a frame after context switch")
 	}

@@ -6,6 +6,7 @@ import (
 
 	"github.com/mitosis-project/mitosis-sim/internal/core"
 	"github.com/mitosis-project/mitosis-sim/internal/hw"
+	"github.com/mitosis-project/mitosis-sim/internal/mem/memtest"
 	"github.com/mitosis-project/mitosis-sim/internal/numa"
 	"github.com/mitosis-project/mitosis-sim/internal/pt"
 )
@@ -63,7 +64,7 @@ func TestPolicyEngineOnDemandReplicatesAndDeprecates(t *testing.T) {
 	odCfg := core.DefaultOnDemandConfig()
 	odCfg.ColdTicks = 3
 	eng := k.AttachPolicy(p, core.NewOnDemand(odCfg), PolicyEngineConfig{StepPages: 8})
-	if p.PolicyEngine() != eng {
+	if p.policyEngine != eng {
 		t.Fatal("engine not registered with process")
 	}
 
@@ -126,7 +127,7 @@ func TestPolicyEngineCostAdaptiveMigratesThreads(t *testing.T) {
 	// Threads on socket 2; table AND data on node 0: migrating the threads
 	// back is cheaper than copying the table next to remote data.
 	p, base := policyProc(t, k, 2, 0, 0, Bind)
-	eng := k.AttachPolicy(p, core.NewCostAdaptive(core.DefaultCostAdaptiveConfig(), k.Cost()), PolicyEngineConfig{})
+	eng := k.AttachPolicy(p, core.NewCostAdaptive(core.DefaultCostAdaptiveConfig(), k.cost), PolicyEngineConfig{})
 
 	tickRounds(t, k, p, eng, base, 8)
 	if got := k.topo.SocketOf(p.Cores()[0]); got != 0 {
@@ -155,7 +156,7 @@ func TestDropReplica(t *testing.T) {
 	if _, err := k.Mmap(p, 4<<20, MmapOpts{Writable: true, Populate: true}); err != nil {
 		t.Fatal(err)
 	}
-	before := k.pm.AllocatedPT(2) // page-cache reservation baseline
+	before := memtest.AllocatedPT(k.pm, 2) // page-cache reservation baseline
 	if err := p.SetReplicationMask([]numa.NodeID{1, 2}); err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +167,7 @@ func TestDropReplica(t *testing.T) {
 	if got := p.Space().Mask(); !slices.Equal(got, []numa.NodeID{1}) {
 		t.Errorf("mask after drop = %v, want [1]", got)
 	}
-	if got := k.pm.AllocatedPT(2); got != before {
+	if got := memtest.AllocatedPT(k.pm, 2); got != before {
 		t.Errorf("node 2 keeps %d PT pages after drop, want %d (reservation only)", got, before)
 	}
 	// Dropping a node without a replica (or the primary) is a no-op.

@@ -250,20 +250,11 @@ func (a nativeSpace) destroy() {
 // Space returns the process's Mitosis replication state.
 func (p *Process) Space() *core.Space { return p.space }
 
-// PolicyEngine returns the attached replication-policy engine, or nil.
-func (p *Process) PolicyEngine() *PolicyEngine { return p.policyEngine }
-
-// Mapper returns the process's page-table mapper.
-func (p *Process) Mapper() *pvops.Mapper { return p.mapper }
-
 // Table returns a read-only view of the primary page-table.
 func (p *Process) Table() *pt.Table { return p.mapper.Table() }
 
 // Cores returns the cores the process is scheduled on.
 func (p *Process) Cores() []numa.CoreID { return p.cores }
-
-// Home returns the process's home socket.
-func (p *Process) Home() numa.SocketID { return p.home }
 
 // SetPTPolicy changes the page-table placement policy for future
 // allocations (the paper's forced-socket knob).

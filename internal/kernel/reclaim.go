@@ -168,11 +168,20 @@ func (k *Kernel) replicaHolderBusy(p, caller *Process) bool {
 // (replicaHolderBusy), so memory-pressure reclaim will not collapse the
 // rings under it. Balance every successful Start with either
 // FinishBackgroundReplication or AbortBackgroundReplication.
+//
+// A table that first touch spread over several nodes is first rebuilt on
+// a new root, and its old pages are freed; the process's cores then reload
+// CR3 so no core walks from the freed root. A table the start leaves in
+// place reloads nothing, since a reload costs every core a context switch.
 func (k *Kernel) StartBackgroundReplication(p *Process, node numa.NodeID) (*core.IncrementalReplication, *pvops.OpCtx, error) {
 	bgCtx := &pvops.OpCtx{Socket: k.topo.SocketOfNode(node), Meter: &pvops.Meter{}}
+	root := p.mapper.Root()
 	ir, err := p.space.StartIncrementalReplication(bgCtx, node)
 	if err != nil {
 		return nil, nil, fmt.Errorf("kernel: background replication: %w", err)
+	}
+	if p.mapper.Root() != root {
+		k.reloadContexts(p)
 	}
 	p.bgRepl++
 	return ir, bgCtx, nil

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"github.com/mitosis-project/mitosis-sim/internal/core"
+	"github.com/mitosis-project/mitosis-sim/internal/hw/hwtest"
+	"github.com/mitosis-project/mitosis-sim/internal/mem/memtest"
 	"github.com/mitosis-project/mitosis-sim/internal/numa"
 	"github.com/mitosis-project/mitosis-sim/internal/pt"
 )
@@ -21,7 +23,7 @@ func TestReclaimReplicasFreesMemory(t *testing.T) {
 	if err := p.SetReplicationMask([]numa.NodeID{0, 1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	replicaPT := k.pm.AllocatedPT(1) + k.pm.AllocatedPT(2) + k.pm.AllocatedPT(3)
+	replicaPT := memtest.AllocatedPT(k.pm, 1) + memtest.AllocatedPT(k.pm, 2) + memtest.AllocatedPT(k.pm, 3)
 	if replicaPT == 0 {
 		t.Fatal("no replica pages created")
 	}
@@ -33,12 +35,12 @@ func TestReclaimReplicasFreesMemory(t *testing.T) {
 		t.Error("process still replicated after reclaim")
 	}
 	for _, n := range []numa.NodeID{1, 2, 3} {
-		if got := k.pm.AllocatedPT(n); got != 0 {
+		if got := memtest.AllocatedPT(k.pm, n); got != 0 {
 			t.Errorf("node %d keeps %d PT pages after reclaim", n, got)
 		}
 	}
 	// The process still runs correctly on the single table.
-	if err := k.machine.Access(p.Cores()[0], p.VMAs()[0].Start, true); err != nil {
+	if err := hwtest.Access(k.machine, p.Cores()[0], p.vmas[0].Start, true); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -72,7 +74,7 @@ func TestOOMFaultTriggersReclaim(t *testing.T) {
 	}
 	faulted := uint64(0)
 	for off := uint64(0); off < size; off += 4096 {
-		if err := k.machine.Access(1, base+pt.VirtAddr(off), true); err != nil {
+		if err := hwtest.Access(k.machine, 1, base+pt.VirtAddr(off), true); err != nil {
 			break // genuine OOM once nothing is left to reclaim
 		}
 		faulted++
@@ -152,7 +154,7 @@ func TestAbortBackgroundReplicationUnpins(t *testing.T) {
 	if _, err := k.Mmap(p, 8<<20, MmapOpts{Writable: true, Populate: true}); err != nil {
 		t.Fatal(err)
 	}
-	baseline := k.pm.AllocatedPT(3)
+	baseline := memtest.AllocatedPT(k.pm, 3)
 	ir, bgCtx, err := k.StartBackgroundReplication(p, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +169,7 @@ func TestAbortBackgroundReplicationUnpins(t *testing.T) {
 	if k.replicaHolderBusy(p, nil) {
 		t.Error("still pinned after abort")
 	}
-	if got := k.pm.AllocatedPT(3); got != baseline {
+	if got := memtest.AllocatedPT(k.pm, 3); got != baseline {
 		t.Errorf("partial replica leaked: node 3 has %d PT pages, want %d", got, baseline)
 	}
 	if slices.Contains(p.Space().Mask(), 3) {
@@ -233,7 +235,7 @@ func TestBackgroundReplicationKernelFlow(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The app keeps making progress while the copy runs.
-		if err := k.machine.Access(appCore, base, false); err != nil {
+		if err := hwtest.Access(k.machine, appCore, base, false); err != nil {
 			t.Fatal(err)
 		}
 		if done {
@@ -255,9 +257,71 @@ func TestBackgroundReplicationKernelFlow(t *testing.T) {
 	if got := k.pm.NodeOf(k.machine.ContextRoot(c2)); got != 2 {
 		t.Errorf("socket 2 CR3 on node %d after finish, want 2", got)
 	}
-	if err := k.machine.Access(c2, base, true); err != nil {
+	if err := hwtest.Access(k.machine, c2, base, true); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestBackgroundReplicationOfSpreadTableReloadsCR3: first touch from two
+// sockets spreads an unreplicated table over their nodes, so starting a
+// background replica first rebuilds the primary on a new root and frees
+// the old table pages. The process's cores must then run on the new root:
+// walking from the freed one reads a frame that holds no table.
+func TestBackgroundReplicationOfSpreadTableReloadsCR3(t *testing.T) {
+	k := newPooledKernel(t)
+	p := newProc(t, k, ProcessOpts{Home: 0})
+	cores := []numa.CoreID{k.topo.FirstCoreOf(0), k.topo.FirstCoreOf(1)}
+	if err := k.RunOn(p, cores); err != nil {
+		t.Fatal(err)
+	}
+	const size = 8 << 20
+	base, err := k.Mmap(p, size, MmapOpts{Writable: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var vas []pt.VirtAddr
+	for off := pt.VirtAddr(0); off < size; off += pt.VirtAddr(pt.Size4K.Bytes()) {
+		vas = append(vas, base+off)
+	}
+	half := len(vas) / 2
+	for i, va := range vas {
+		if err := hwtest.Access(k.machine, cores[i/half], va, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nodes := map[numa.NodeID]bool{}
+	p.Table().VisitInterior(func(_ uint8, _ pt.EntryRef, e pt.PTE) bool {
+		nodes[k.pm.NodeOf(e.Frame())] = true
+		return true
+	})
+	if !nodes[0] || !nodes[1] {
+		t.Fatalf("table pages on nodes %v, want nodes 0 and 1", nodes)
+	}
+	oldRoot := p.mapper.Root()
+	ir, bgCtx, err := k.StartBackgroundReplication(p, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.mapper.Root() == oldRoot {
+		t.Fatal("starting the replica did not rebuild the spread table")
+	}
+	for _, c := range cores {
+		if got, want := k.machine.ContextRoot(c), p.space.RootFor(k.topo.SocketOf(c)); got != want {
+			t.Errorf("core %d CR3 = %d after the start, want the new root %d", c, got, want)
+		}
+	}
+	k.machine.ShootdownRange(cores[0], vas, cores)
+	for i, va := range vas {
+		if err := hwtest.Access(k.machine, cores[i/half], va, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for done := false; !done; {
+		if done, err = ir.Step(bgCtx, 64); err != nil {
+			t.Fatal(err)
+		}
+	}
+	k.FinishBackgroundReplication(p, ir)
 }
 
 // TestReclaimFaultCoreIsPerProcess: the faulting-core exemption reclaim

@@ -10,8 +10,10 @@ import (
 	"github.com/mitosis-project/mitosis-sim/internal/mem"
 
 	"github.com/mitosis-project/mitosis-sim/internal/core"
+	"github.com/mitosis-project/mitosis-sim/internal/hw/hwtest"
 	"github.com/mitosis-project/mitosis-sim/internal/numa"
 	"github.com/mitosis-project/mitosis-sim/internal/pt"
+	"github.com/mitosis-project/mitosis-sim/internal/pt/pttest"
 )
 
 // TestStressSeedReproducer replays a failing stress seed with per-op
@@ -34,7 +36,7 @@ func TestStressSeedReproducer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := k.RunOnSocket(p, p.Home()); err != nil {
+	if err := k.RunOnSocket(p, p.home); err != nil {
 		t.Fatal(err)
 	}
 
@@ -70,8 +72,8 @@ func TestStressSeedReproducer(t *testing.T) {
 			for _, v := range regions {
 				for off := uint64(0); off < v.size; off += 4096 {
 					va := v.base + pt.VirtAddr(off)
-					pe, _, pok := primary.Lookup(va)
-					e, _, ok := tbl.Lookup(va)
+					pe, _, pok := pttest.Lookup(primary, va)
+					e, _, ok := pttest.Lookup(tbl, va)
 					if ok != pok || (ok && e.Frame() != pe.Frame()) {
 						forensics(t, k, p, va, s)
 						t.Fatalf("op %d (%s): divergence at %#x on socket %d (primary ok=%v, replica ok=%v)",
@@ -123,7 +125,7 @@ func TestStressSeedReproducer(t *testing.T) {
 			v := regions[r.Intn(len(regions))]
 			for i := 0; i < 8; i++ {
 				va := v.base + pt.VirtAddr(uint64(r.Intn(int(v.size/4096)))*4096)
-				if err := k.machine.Access(p.Cores()[0], va, r.Intn(2) == 0); err != nil {
+				if err := hwtest.Access(k.machine, p.Cores()[0], va, r.Intn(2) == 0); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -180,6 +182,6 @@ func forensics(t *testing.T, k *Kernel, p *Process, va pt.VirtAddr, s numa.Socke
 			t.Logf("  L%d frame=%d idx=%d entry=%v ring=[%s]", st.level, st.ref.Frame, st.ref.Index, st.entry, ring)
 		}
 	}
-	dump("primary", p.Mapper().Root())
+	dump("primary", p.mapper.Root())
 	dump("replica", p.Space().RootFor(s))
 }

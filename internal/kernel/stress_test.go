@@ -6,8 +6,10 @@ import (
 	"testing/quick"
 
 	"github.com/mitosis-project/mitosis-sim/internal/core"
+	"github.com/mitosis-project/mitosis-sim/internal/hw/hwtest"
 	"github.com/mitosis-project/mitosis-sim/internal/numa"
 	"github.com/mitosis-project/mitosis-sim/internal/pt"
+	"github.com/mitosis-project/mitosis-sim/internal/pt/pttest"
 )
 
 // TestKernelStressRandomSyscalls drives the whole stack — mmap, munmap,
@@ -42,7 +44,7 @@ func TestKernelStressRandomSyscalls(t *testing.T) {
 			t.Log(err)
 			return false
 		}
-		if err := k.RunOnSocket(p, p.Home()); err != nil {
+		if err := k.RunOnSocket(p, p.home); err != nil {
 			t.Log(err)
 			return false
 		}
@@ -97,7 +99,7 @@ func TestKernelStressRandomSyscalls(t *testing.T) {
 				v := regions[r.Intn(len(regions))]
 				for i := 0; i < 8; i++ {
 					va := v.base + pt.VirtAddr(uint64(r.Intn(int(v.size/4096)))*4096)
-					if err := k.machine.Access(p.Cores()[0], va, r.Intn(2) == 0); err != nil {
+					if err := hwtest.Access(k.machine, p.Cores()[0], va, r.Intn(2) == 0); err != nil {
 						t.Logf("access: %v", err)
 						return false
 					}
@@ -143,9 +145,9 @@ func TestKernelStressRandomSyscalls(t *testing.T) {
 		for _, v := range regions {
 			for off := uint64(0); off < v.size; off += 4096 {
 				va := v.base + pt.VirtAddr(off)
-				pe, _, pok := primary.Lookup(va)
+				pe, _, pok := pttest.Lookup(primary, va)
 				for _, tbl := range roots {
-					e, _, ok := tbl.Lookup(va)
+					e, _, ok := pttest.Lookup(tbl, va)
 					if ok != pok || (ok && e.Frame() != pe.Frame()) {
 						t.Logf("replica divergence at %#x", uint64(va))
 						return false

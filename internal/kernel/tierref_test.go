@@ -11,6 +11,7 @@ import (
 	"github.com/mitosis-project/mitosis-sim/internal/hw"
 	"github.com/mitosis-project/mitosis-sim/internal/numa"
 	"github.com/mitosis-project/mitosis-sim/internal/pt"
+	"github.com/mitosis-project/mitosis-sim/internal/pt/pttest"
 	"github.com/mitosis-project/mitosis-sim/internal/tier"
 )
 
@@ -169,7 +170,11 @@ func (e *refTierEngine) snapshot() *refTelemetry {
 			hot, cold := e.observe(va, samples)
 			node := k.pm.NodeOf(f)
 			tk := k.topo.TierOf(node)
-			hist.Add(tk, hot, uint64(size.Bytes()>>pt.PageShift4K))
+			if pages := uint64(size.Bytes() >> pt.PageShift4K); hot {
+				hist.Hot[tk] += pages
+			} else {
+				hist.Cold[tk] += pages
+			}
 			views = append(views, refView{VA: va, Size: size, Node: node, Tier: tk, Hot: hot, Cold: cold})
 		})
 	}
@@ -410,7 +415,7 @@ func compareTierClasses(t *testing.T, at string, ref *refTierEngine, got *TierEn
 // the sample sink, as a run taken on core.
 func plantSamples(k *Kernel, c numa.CoreID, va pt.VirtAddr, n uint32) {
 	p := k.current[c].Load()
-	leaf, _, ok := p.mapper.Table().Lookup(va)
+	leaf, _, ok := pttest.Lookup(p.mapper.Table(), va)
 	if !ok {
 		panic(fmt.Sprintf("plantSamples: %#x unmapped", uint64(va)))
 	}
@@ -534,7 +539,7 @@ func (r *tierRun) access(rng *rand.Rand, round int, ev *tierScenarioEvents) erro
 				va = vas[rng.Intn(len(vas))]
 			case x < 9:
 				huge := p.vmas[1] // the THP VMA
-				off := pt.VirtAddr(rng.Int63n(int64(huge.Len()))) &^ 63
+				off := pt.VirtAddr(rng.Int63n(int64(huge.End-huge.Start))) &^ 63
 				va = huge.Start + off
 				if off%pt.VirtAddr(pt.Size2M.Bytes()) >= pt.VirtAddr(pt.Size4K.Bytes()) && ev != nil {
 					ev.hugeTailOps++
@@ -603,8 +608,9 @@ func (r *tierRun) event(t *testing.T, round int, ev *tierScenarioEvents) {
 // TestTierEngineMatchesFullWalk runs the kernel's tier engine, which
 // tracks only what the barrier fold and the kernel's leaf-change reports
 // tell it, beside the reference engine, which observes every mapped page
-// every tick from a full walk, on twin systems driven by real accesses.
-// The scenario covers samples taken during set-up before attach, demand
+// every tick from a full walk, on twin systems driven by real accesses
+// from a core of each socket, so first touch spreads the table and the
+// policy engine's background replicas rebuild it. The scenario covers samples taken during set-up before attach, demand
 // faults and an mmap with populate mid-run, a munmap and a re-mmap at the
 // same VA, THP leaves touched at every offset, poison-data discard and
 // refault, AutoNUMA scans sharing the sample stream, a migrate_to phase,
@@ -630,7 +636,7 @@ func TestTierEngineMatchesFullWalk(t *testing.T) {
 					for i := range twins {
 						r := &tierRun{}
 						spec := tierTwinSpec{
-							tiers: ladders[name], mode: mode, cores: []numa.CoreID{0, 1},
+							tiers: ladders[name], mode: mode, cores: []numa.CoreID{0, 2},
 							cfg: TierEngineConfig{StepPages: 48},
 							setup: func(tw *tierTwin) {
 								var err error

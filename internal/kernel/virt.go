@@ -20,13 +20,6 @@ import (
 // hardware's two-dimensional walk.
 type VM struct{ vm *virt.VM }
 
-// Virt exposes the underlying virt.VM (experiments, advanced use).
-func (v *VM) Virt() *virt.VM { return v.vm }
-
-// HomeNode returns the node the hypervisor builds the VM's nested tables
-// on.
-func (v *VM) HomeNode() numa.NodeID { return v.vm.HomeNode() }
-
 // CreateVM builds a VM whose nested page-table lives on home — the
 // hypervisor's own first-touch node. The construction cycles accumulate on
 // the VM's meter and are billed to the first guest fault.
@@ -34,7 +27,7 @@ func (k *Kernel) CreateVM(home numa.NodeID) (*VM, error) {
 	if home < 0 || int(home) >= k.topo.Nodes() {
 		return nil, fmt.Errorf("kernel: VM home node %d out of range [0,%d)", home, k.topo.Nodes())
 	}
-	v, err := virt.NewVM(k.pm, k.cost, k.backend, home)
+	v, err := virt.NewVM(k.pm, k.backend, home)
 	if err != nil {
 		return nil, fmt.Errorf("kernel: creating VM: %w", err)
 	}
@@ -220,7 +213,7 @@ func (k *Kernel) DropVMReplica(p *Process, node numa.NodeID, layers string) (app
 	if layers != VMLayerEPT && g.gs.DropGuestReplica(node) {
 		applied = true
 	}
-	if layers != VMLayerGPT && vm.NestedSpace() != nil && slices.Contains(vm.NestedSpace().Mask(), node) {
+	if layers != VMLayerGPT && slices.Contains(vm.NestedSpace().Mask(), node) {
 		mask := slices.DeleteFunc(slices.Clone(vm.NestedSpace().Mask()), func(n numa.NodeID) bool { return n == node })
 		if err := vm.ReplicateNested(mask); err != nil {
 			return applied, err

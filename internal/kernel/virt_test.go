@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/mitosis-project/mitosis-sim/internal/hw/hwtest"
 	"github.com/mitosis-project/mitosis-sim/internal/mem"
 	"github.com/mitosis-project/mitosis-sim/internal/numa"
 	"github.com/mitosis-project/mitosis-sim/internal/pt"
@@ -52,7 +53,7 @@ func TestGuestProcessFaultsAndTranslates(t *testing.T) {
 	core0 := p.Cores()[0]
 	m := k.Machine()
 	for i := 0; i < 64; i++ {
-		if err := m.Access(core0, base+pt.VirtAddr(i<<12), true); err != nil {
+		if err := hwtest.Access(m, core0, base+pt.VirtAddr(i<<12), true); err != nil {
 			t.Fatalf("access %d: %v", i, err)
 		}
 	}
@@ -67,17 +68,26 @@ func TestGuestProcessFaultsAndTranslates(t *testing.T) {
 		t.Errorf("guest/nested walk cycle split missing: guest=%d nested=%d",
 			st.GuestWalkCycles, st.NestedWalkCycles)
 	}
-	if _, _, ok := p.GuestSpace().Lookup(base); !ok {
+	if _, ok := p.GuestSpace().Descend(base).Mapped(); !ok {
 		t.Error("guest table holds no mapping after fault")
 	}
 	// Repeat accesses hit the TLB: no further walks.
 	before := m.Stats(core0).Walks
-	if err := m.Access(core0, base, false); err != nil {
+	if err := hwtest.Access(m, core0, base, false); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.Stats(core0).Walks; got != before {
 		t.Errorf("re-access walked again (%d -> %d); vTLB not caching the composed leaf", before, got)
 	}
+}
+
+// coldCaches empties the machine's translation and page-table line caches
+// (Machine.Reset), reloads p's contexts and zeroes the counters, so the
+// walks that follow start cold.
+func coldCaches(k *Kernel, p *Process) {
+	k.machine.Reset()
+	k.reloadContexts(p)
+	k.machine.ResetStats()
 }
 
 // A cold 2D walk of a 4KB guest page over a 4KB-nested VM performs the
@@ -90,9 +100,9 @@ func TestGuestWalkWorstCase24Accesses(t *testing.T) {
 	}
 	core0 := p.Cores()[0]
 	m := k.Machine()
-	m.FlushAll(core0)
+	k.reloadContexts(p) // flushes core0's translation caches
 	m.ResetStats()
-	if err := m.Access(core0, base, false); err != nil {
+	if err := hwtest.Access(m, core0, base, false); err != nil {
 		t.Fatal(err)
 	}
 	st := m.Stats(core0)
@@ -112,14 +122,14 @@ func TestGuestWalkHugeLeaf18Accesses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, size, ok := p.GuestSpace().Lookup(base); !ok || size != pt.Size2M {
+	if size, ok := p.GuestSpace().Descend(base).Mapped(); !ok || size != pt.Size2M {
 		t.Fatalf("guest mapping at %#x: ok=%v size=%v, want a 2MB leaf", uint64(base), ok, size)
 	}
 	core0 := p.Cores()[0]
 	m := k.Machine()
-	m.FlushAll(core0)
+	k.reloadContexts(p) // flushes core0's translation caches
 	m.ResetStats()
-	if err := m.Access(core0, base+0x1000, false); err != nil {
+	if err := hwtest.Access(m, core0, base+0x1000, false); err != nil {
 		t.Fatal(err)
 	}
 	st := m.Stats(core0)
@@ -128,7 +138,7 @@ func TestGuestWalkHugeLeaf18Accesses(t *testing.T) {
 	}
 	// Another 4KB page of the same 2MB mapping hits the TLB entry.
 	before := m.Stats(core0).Walks
-	if err := m.Access(core0, base+0x1F5000, true); err != nil {
+	if err := hwtest.Access(m, core0, base+0x1F5000, true); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.Stats(core0).Walks; got != before {
@@ -147,11 +157,9 @@ func TestReplicateVMRecoversLocality(t *testing.T) {
 	core0 := p.Cores()[0]
 	m := k.Machine()
 
-	m.FlushAll(core0)
-	m.FlushLLCs()
-	m.ResetStats()
+	coldCaches(k, p)
 	for i := 0; i < 128; i++ {
-		if err := m.Access(core0, base+pt.VirtAddr(i<<12), false); err != nil {
+		if err := hwtest.Access(m, core0, base+pt.VirtAddr(i<<12), false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -167,10 +175,9 @@ func TestReplicateVMRecoversLocality(t *testing.T) {
 	if len(nodes) != 2 {
 		t.Fatalf("replica nodes = %v, want both nodes", nodes)
 	}
-	m.FlushLLCs()
-	m.ResetStats()
+	coldCaches(k, p)
 	for i := 0; i < 128; i++ {
-		if err := m.Access(core0, base+pt.VirtAddr(i<<12), false); err != nil {
+		if err := hwtest.Access(m, core0, base+pt.VirtAddr(i<<12), false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -197,20 +204,20 @@ func TestVMLayersIndependent(t *testing.T) {
 	if got := p.GuestSpace().ReplicaNodes(); len(got) != 2 {
 		t.Errorf("guest replica nodes = %v, want both", got)
 	}
-	if got := p.VM().Virt().NestedReplicaNodes(); len(got) != 1 {
+	if got := p.VM().vm.NestedReplicaNodes(); len(got) != 1 {
 		t.Errorf("nested replica nodes = %v, want home only", got)
 	}
 	if _, err := k.ReplicateVMNode(p, 0, VMLayerEPT); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.VM().Virt().NestedReplicaNodes(); len(got) != 2 {
+	if got := p.VM().vm.NestedReplicaNodes(); len(got) != 2 {
 		t.Errorf("nested replica nodes after ept = %v, want both", got)
 	}
 	// Drop them independently again.
 	if applied, err := k.DropVMReplica(p, 0, VMLayerGPT); err != nil || !applied {
 		t.Fatalf("gpt drop: applied=%v err=%v", applied, err)
 	}
-	if got := p.VM().Virt().NestedReplicaNodes(); len(got) != 2 {
+	if got := p.VM().vm.NestedReplicaNodes(); len(got) != 2 {
 		t.Errorf("gpt drop also dropped nested: %v", got)
 	}
 	if applied, err := k.DropVMReplica(p, 0, VMLayerEPT); err != nil || !applied {
@@ -260,9 +267,9 @@ func TestGuestExitFreesItsFrames(t *testing.T) {
 			// The nested tables: every root's tree, replicas included.
 			nested := map[mem.FrameID]bool{}
 			for s := numa.SocketID(0); int(s) < k.topo.Sockets(); s++ {
-				root := vm.Virt().NestedRootFor(s)
+				root := vm.vm.NestedRootFor(s)
 				nested[root] = true
-				pt.NewTable(k.pm, root, vm.Virt().NestedLevels()).VisitInterior(func(_ uint8, _ pt.EntryRef, e pt.PTE) bool {
+				pt.NewTable(k.pm, root, vm.vm.NestedLevels()).VisitInterior(func(_ uint8, _ pt.EntryRef, e pt.PTE) bool {
 					nested[e.Frame()] = true
 					return true
 				})

@@ -19,9 +19,6 @@ type VMA struct {
 	THP bool
 }
 
-// Len returns the region size in bytes.
-func (v *VMA) Len() uint64 { return uint64(v.End - v.Start) }
-
 // Contains reports whether va falls inside the VMA.
 func (v *VMA) Contains(va pt.VirtAddr) bool { return va >= v.Start && va < v.End }
 
@@ -57,9 +54,6 @@ func (p *Process) removeVMA(v *VMA) {
 		}
 	}
 }
-
-// VMAs returns the process's memory areas in address order.
-func (p *Process) VMAs() []*VMA { return p.vmas }
 
 // ForEachMappedPage visits every present leaf mapping of the process in
 // VA order — the same deterministic walk the AutoNUMA scanner and the

@@ -82,7 +82,7 @@ func (r *layoutRef) check(op string) {
 			r.t.Fatalf("%s: frame %d is %+v in the model, but its group has no chunk", op, f, fm)
 		}
 	}
-	per := r.pm.FramesPerNode()
+	per := r.pm.framesPerNode
 	used := make([][2]uint64, len(r.pm.nodes)) // data, page table
 	for g, c := range r.pm.chunks {
 		if c == nil {

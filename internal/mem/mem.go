@@ -35,9 +35,6 @@ const FrameSize = 4096
 // HugeFrames is the number of 4KB frames composing one 2MB huge page.
 const HugeFrames = 512
 
-// HugeSize is the size of a 2MB huge page in bytes.
-const HugeSize = FrameSize * HugeFrames
-
 // PTEntries is the number of 8-byte entries in one page-table page.
 const PTEntries = 512
 
@@ -138,8 +135,6 @@ type nodeState struct {
 	freeMask    []uint64 // groups with free == HugeFrames
 	fragMask    []uint64 // groups excluded from huge allocation (injection)
 	nextGroup   int      // next-fit hint for huge-block scan (group index)
-	allocData   uint64   // live data frames
-	allocPT     uint64   // live page-table frames
 	retired     uint64   // frames permanently retired after ECC poison
 	// offline marks the node hot-removed: allocations are refused. It is
 	// written under mu (SetOffline, Reset) and read atomically, so the
@@ -184,9 +179,8 @@ func (ns *nodeState) takeTable() *[PTEntries]uint64 {
 	return new([PTEntries]uint64)
 }
 
-func maskSet(m []uint64, g int)       { m[g>>6] |= 1 << (uint(g) & 63) }
-func maskClear(m []uint64, g int)     { m[g>>6] &^= 1 << (uint(g) & 63) }
-func maskTest(m []uint64, g int) bool { return m[g>>6]&(1<<(uint(g)&63)) != 0 }
+func maskSet(m []uint64, g int)   { m[g>>6] |= 1 << (uint(g) & 63) }
+func maskClear(m []uint64, g int) { m[g>>6] &^= 1 << (uint(g) & 63) }
 
 // PhysMem is the machine's physical memory: a per-node frame allocator plus
 // global frame metadata and page-table page payloads.
@@ -318,9 +312,6 @@ func New(cfg Config) *PhysMem {
 
 // Topology returns the topology this memory was built for.
 func (pm *PhysMem) Topology() *numa.Topology { return pm.topo }
-
-// FramesPerNode returns the per-node capacity in frames.
-func (pm *PhysMem) FramesPerNode() uint64 { return pm.framesPerNode }
 
 // TotalFrames returns the machine-wide frame count.
 func (pm *PhysMem) TotalFrames() uint64 {
@@ -637,22 +628,6 @@ func (pm *PhysMem) PressureFrames(n numa.NodeID) uint64 {
 	return ns.pressure
 }
 
-// AllocatedPT returns the number of live page-table frames on node n.
-func (pm *PhysMem) AllocatedPT(n numa.NodeID) uint64 {
-	ns := pm.node(n)
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	return ns.allocPT
-}
-
-// AllocatedData returns the number of live data frames on node n.
-func (pm *PhysMem) AllocatedData(n numa.NodeID) uint64 {
-	ns := pm.node(n)
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	return ns.allocData
-}
-
 // AllocData allocates one 4KB data frame on node n.
 func (pm *PhysMem) AllocData(n numa.NodeID) (FrameID, error) {
 	ns := pm.node(n)
@@ -663,7 +638,6 @@ func (pm *PhysMem) AllocData(n numa.NodeID) (FrameID, error) {
 		return NilFrame, err
 	}
 	pm.chunk(f).meta[f%HugeFrames].Kind = KindData
-	ns.allocData++
 	return f, nil
 }
 
@@ -690,7 +664,6 @@ func (pm *PhysMem) reserveTableFrame(n numa.NodeID) (FrameID, error) {
 		return NilFrame, err
 	}
 	pm.chunk(f).meta[f%HugeFrames].Kind = KindPageTable
-	ns.allocPT++
 	return f, nil
 }
 
@@ -764,7 +737,6 @@ func (pm *PhysMem) AllocHuge(n numa.NodeID) (FrameID, error) {
 	ns.groupFree[g] = 0
 	maskClear(ns.freeMask, g)
 	ns.free -= HugeFrames
-	ns.allocData += HugeFrames
 	return base, nil
 }
 
@@ -811,12 +783,6 @@ func (pm *PhysMem) free(ns *nodeState, f FrameID) {
 	m := &c.meta[f%HugeFrames]
 	if m.HugeHead || m.HugeTail {
 		panic(fmt.Sprintf("mem: frame %d belongs to a huge page; use FreeHuge", f))
-	}
-	switch m.Kind {
-	case KindData:
-		ns.allocData--
-	case KindPageTable:
-		ns.allocPT--
 	}
 	// Data frames may carry provisioned guest-table storage; drop it so a
 	// reused frame never exposes a stale payload.
@@ -883,7 +849,6 @@ func (pm *PhysMem) FreeHuge(base FrameID) {
 		maskSet(ns.partialMask, g)
 	}
 	ns.free += HugeFrames - retired
-	ns.allocData -= HugeFrames
 	ns.retired += retired
 }
 
@@ -902,16 +867,6 @@ func (pm *PhysMem) Fragment(n numa.NodeID, fraction float64, r *rand.Rand) {
 		if r.Float64() < fraction {
 			maskSet(ns.fragMask, g)
 		}
-	}
-}
-
-// DefragNode clears all fragmentation marks on node n.
-func (pm *PhysMem) DefragNode(n numa.NodeID) {
-	ns := pm.node(n)
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	for i := range ns.fragMask {
-		ns.fragMask[i] = 0
 	}
 }
 
@@ -1060,7 +1015,6 @@ func (pm *PhysMem) Reset() {
 			maskSet(ns.freeMask, g)
 		}
 		ns.free = ns.frames
-		ns.allocData, ns.allocPT = 0, 0
 		ns.retired = 0
 		ns.offline.Store(false)
 		ns.pressure = 0
@@ -1076,20 +1030,6 @@ func (pm *PhysMem) Reset() {
 		}
 		pm.poisonCount.Store(0)
 	}
-}
-
-// ScanWords returns the cumulative number of allocator mask/bitmap words
-// examined across all nodes — the op-count hook regression tests use to
-// assert allocation stays O(1) under churn.
-func (pm *PhysMem) ScanWords() uint64 {
-	var total uint64
-	for i := range pm.nodes {
-		ns := &pm.nodes[i]
-		ns.mu.Lock()
-		total += ns.scanWords
-		ns.mu.Unlock()
-	}
-	return total
 }
 
 func (pm *PhysMem) node(n numa.NodeID) *nodeState {

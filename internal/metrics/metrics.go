@@ -116,9 +116,6 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// F formats a float compactly (3 significant decimals).
-func F(v float64) string { return fmt.Sprintf("%.3f", v) }
-
 // X formats a speedup/overhead factor the way the paper annotates bars.
 func X(v float64) string { return fmt.Sprintf("%.2fx", v) }
 

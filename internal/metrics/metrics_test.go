@@ -58,9 +58,6 @@ func TestTableRowArityPanics(t *testing.T) {
 }
 
 func TestFormatters(t *testing.T) {
-	if F(1.23456) != "1.235" {
-		t.Errorf("F = %s", F(1.23456))
-	}
 	if X(3.239) != "3.24x" {
 		t.Errorf("X = %s", X(3.239))
 	}

@@ -248,16 +248,6 @@ func (l *LLC) invalidate(id LineID) {
 	}
 }
 
-// Flush empties the cache; recency order is kept.
-func (l *LLC) Flush() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for i := range l.sets {
-		l.sets[i].valid = 0
-	}
-	l.resident = 0
-}
-
 // Reset restores the LLC to its just-built state: lines invalidated, LRU
 // permutations back to identity, counters zeroed. Callers must be
 // quiescent (no concurrent accesses); this is the reuse path for

@@ -156,9 +156,6 @@ func (m *CostModel) recompute() {
 	}
 }
 
-// Topology returns the topology the model was built for.
-func (m *CostModel) Topology() *Topology { return m.topo }
-
 // Params returns the latency constants in use. They never change after
 // NewCostModel, so callers read them in place, without copying the
 // struct, and must not write through the pointer.
@@ -170,11 +167,6 @@ func (m *CostModel) Params() *CostParams { return &m.params }
 func (m *CostModel) SetLoaded(n NodeID, loaded bool) {
 	m.loaded[m.checkNode(n)] = loaded
 	m.recompute()
-}
-
-// Loaded reports whether node n currently has an interfering bandwidth hog.
-func (m *CostModel) Loaded(n NodeID) bool {
-	return m.loaded[m.checkNode(n)]
 }
 
 // ClearLoads removes all interference marks.
@@ -223,7 +215,3 @@ func (m *CostModel) checkNode(n NodeID) int {
 // four sockets with 14 cores each (hyper-threading not modelled; the
 // simulator schedules one logical thread per core).
 func FourSocketXeon() *Topology { return NewTopology(4, 14) }
-
-// TwoSocket returns a small two-socket topology used by the workload
-// migration experiments' diagrams (Figure 5 shows the 2-socket case).
-func TwoSocket() *Topology { return NewTopology(2, 14) }

@@ -91,16 +91,16 @@ func TestCostModelLocalRemote(t *testing.T) {
 }
 
 func TestCostModelInterference(t *testing.T) {
-	topo := TwoSocket()
+	topo := NewTopology(2, 14)
 	p := DefaultCostParams()
 	p.InterferenceFactor = 2.0
 	m := NewCostModel(topo, p)
 
 	m.SetLoaded(1, true)
-	if !m.Loaded(1) {
+	if !m.loaded[1] {
 		t.Fatal("node 1 should be loaded")
 	}
-	if m.Loaded(0) {
+	if m.loaded[0] {
 		t.Fatal("node 0 should not be loaded")
 	}
 	if got := m.DRAM(0, 1); got != 1160 {
@@ -114,7 +114,7 @@ func TestCostModelInterference(t *testing.T) {
 	}
 
 	m.ClearLoads()
-	if m.Loaded(1) {
+	if m.loaded[1] {
 		t.Fatal("ClearLoads should clear node 1")
 	}
 	if got := m.DRAM(0, 1); got != 580 {
@@ -123,7 +123,7 @@ func TestCostModelInterference(t *testing.T) {
 }
 
 func TestCostModelValidation(t *testing.T) {
-	topo := TwoSocket()
+	topo := NewTopology(2, 14)
 	mustPanic(t, "zero latencies", func() { NewCostModel(topo, CostParams{}) })
 	mustPanic(t, "remote below local", func() {
 		NewCostModel(topo, CostParams{LocalDRAM: 500, RemoteDRAM: 100, InterferenceFactor: 1})
@@ -151,7 +151,7 @@ func TestRemoteNeverCheaperThanLocal(t *testing.T) {
 				}
 				// Compare like with like: only when both targets have the
 				// same load state must remote be at least as expensive.
-				if m.Loaded(n) == m.Loaded(topo.NodeOf(s)) && m.DRAM(s, n) < local {
+				if m.loaded[n] == m.loaded[topo.NodeOf(s)] && m.DRAM(s, n) < local {
 					return false
 				}
 			}

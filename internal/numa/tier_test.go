@@ -74,7 +74,7 @@ func TestFlatTableUnchangedByTierExtension(t *testing.T) {
 				if s == SocketID(n) {
 					want = p.LocalDRAM
 				}
-				if m.Loaded(n) {
+				if m.loaded[n] {
 					want = Cycles(float64(want) * p.InterferenceFactor)
 				}
 				if got := m.DRAM(s, n); got != want {
@@ -90,7 +90,7 @@ func TestFlatTableUnchangedByTierExtension(t *testing.T) {
 	check("loaded nodes 0,2")
 	m.ClearLoads()
 	for n := NodeID(0); int(n) < topo.Nodes(); n++ {
-		if m.Loaded(n) {
+		if m.loaded[n] {
 			t.Errorf("ClearLoads left node %d loaded", n)
 		}
 	}

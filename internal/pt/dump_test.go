@@ -62,7 +62,7 @@ func TestDumpFormatShape(t *testing.T) {
 }
 
 func TestDumpFormatFiveLevel(t *testing.T) {
-	pm := mem.New(mem.Config{Topology: numa.TwoSocket(), FramesPerNode: 2048})
+	pm := mem.New(mem.Config{Topology: numa.NewTopology(2, 14), FramesPerNode: 2048})
 	root, err := pm.AllocPageTable(1, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +83,7 @@ func TestDumpFormatFiveLevel(t *testing.T) {
 }
 
 func TestRemoteLeafFractionEmptyTable(t *testing.T) {
-	pm := mem.New(mem.Config{Topology: numa.TwoSocket(), FramesPerNode: 1024})
+	pm := mem.New(mem.Config{Topology: numa.NewTopology(2, 14), FramesPerNode: 1024})
 	root, _ := pm.AllocPageTable(0, 4)
 	d := Snapshot(NewTable(pm, root, 4))
 	if got := d.RemoteLeafFraction(0); got != 0 {

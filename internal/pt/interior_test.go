@@ -51,7 +51,7 @@ func randomTree(t *testing.T, rng *rand.Rand, levels uint8) *Table {
 		g := top + VirtAddr(rng.Intn(4))<<30
 		switch rng.Intn(6) {
 		case 0:
-			if _, _, ok := tbl.Lookup(g); ok || tbl.Descend(g).Level < 3 {
+			if _, ok := tbl.Descend(g).Mapped(); ok || tbl.Descend(g).Level < 3 {
 				continue // the 1GB range already holds a mapping or a table
 			}
 			mapRaw(t, tbl, g, Size1G, frame)

@@ -18,17 +18,18 @@ type leafAt struct {
 func (l leafAt) String() string { return fmt.Sprintf("%#x:%v:%v", uint64(l.va), l.size, l.leaf) }
 
 // lookupLeaves is the per-page range walk VisitLeaves replaced, kept as its
-// reference: a Lookup from the root at every 4KB address of [start, end),
+// reference: a descent from the root at every 4KB address of [start, end),
 // stepping past each leaf it finds.
 func lookupLeaves(t *Table, start, end VirtAddr) []leafAt {
 	var out []leafAt
 	for va := start; va < end; {
-		leaf, size, ok := t.Lookup(va)
+		d := t.Descend(va)
+		size, ok := d.Mapped()
 		if !ok {
 			va += VirtAddr(Size4K.Bytes())
 			continue
 		}
-		out = append(out, leafAt{PageBase(va, size), leaf, size})
+		out = append(out, leafAt{PageBase(va, size), d.Entry, size})
 		va = PageBase(va, size) + VirtAddr(size.Bytes())
 	}
 	return out
@@ -80,7 +81,7 @@ func mapRaw(t *testing.T, tbl *Table, va VirtAddr, size PageSize, frame mem.Fram
 }
 
 // TestVisitLeavesMatchesLookup checks that the depth-first range walk
-// reports the same (VA, leaf, size) sequence as the per-page Lookup loop,
+// reports the same (VA, leaf, size) sequence as the per-page descent loop,
 // on 4- and 5-level tables holding 4KB, 2MB and 1GB leaves and holes, for
 // ranges that start or end inside huge leaves and gaps, span top-level
 // entries, or are empty.
@@ -141,7 +142,7 @@ func TestVisitLeavesMatchesLookup(t *testing.T) {
 					t.Errorf("%s [%#x, %#x):\n got  %v\n want %v", c.name, uint64(c.start), uint64(c.end), got, want)
 				}
 			}
-			if got := visitedLeaves(tbl, 0, tbl.MaxVirtAddr()+1); len(got) != int(frame-1) {
+			if got := visitedLeaves(tbl, 0, VirtAddr(1)<<(PageShift4K+EntryBits*uint64(tbl.Levels()))+1); len(got) != int(frame-1) {
 				t.Errorf("whole address space: %d leaves, want %d", len(got), frame-1)
 			}
 		})
@@ -149,7 +150,7 @@ func TestVisitLeavesMatchesLookup(t *testing.T) {
 }
 
 // TestVisitLeavesPanicsOnPSAboveLevel3 checks that a range walk over a
-// malformed entry panics as a Lookup through it does.
+// malformed entry panics as Mapped on a descent through it does.
 func TestVisitLeavesPanicsOnPSAboveLevel3(t *testing.T) {
 	tbl := newRawTable(t, newTestMem(t), 4)
 	va := VirtAddr(1) << 39

@@ -18,10 +18,10 @@ func newTestMem(t testing.TB) *mem.PhysMem {
 
 func TestPTEEncoding(t *testing.T) {
 	e := NewPTE(0x1234, FlagPresent|FlagWrite|FlagUser)
-	if !e.Present() || !e.Writable() || !e.User() {
+	if !e.Present() || !e.Writable() || e&FlagUser == 0 {
 		t.Errorf("flags lost: %v", e)
 	}
-	if e.Accessed() || e.Dirty() || e.Huge() {
+	if e.Accessed() || e&FlagDirty != 0 || e.Huge() {
 		t.Errorf("unexpected flags set: %v", e)
 	}
 	if got := e.Frame(); got != 0x1234 {
@@ -32,11 +32,11 @@ func TestPTEEncoding(t *testing.T) {
 func TestPTEFlagOps(t *testing.T) {
 	e := NewPTE(99, FlagPresent)
 	e = e.WithFlags(FlagAccessed | FlagDirty)
-	if !e.Accessed() || !e.Dirty() {
+	if !e.Accessed() || e&FlagDirty == 0 {
 		t.Errorf("WithFlags failed: %v", e)
 	}
 	e = e.ClearFlags(FlagAccessed)
-	if e.Accessed() || !e.Dirty() {
+	if e.Accessed() || e&FlagDirty == 0 {
 		t.Errorf("ClearFlags failed: %v", e)
 	}
 	if e.Frame() != 99 {
@@ -168,8 +168,8 @@ func TestDescend4K(t *testing.T) {
 	if got := d.Entry.Frame(); got != data {
 		t.Errorf("leaf frame = %d, want %d", got, data)
 	}
-	if leaf, size, ok := tbl.Lookup(va4k + 0x123); !ok || size != Size4K || leaf != d.Entry {
-		t.Errorf("Lookup = (%v, %v, %v), want the descent's leaf", leaf, size, ok)
+	if other := tbl.Descend(va4k + 0x123); other != d {
+		t.Errorf("descent of an address in the same page = %+v, want %+v", other, d)
 	}
 }
 
@@ -181,11 +181,10 @@ func TestDescend2M(t *testing.T) {
 	if d.Level != 2 {
 		t.Errorf("descent stopped at level %d, want 2 (the PS bit ends it)", d.Level)
 	}
-	leaf, size, ok := tbl.Lookup(va2m + 0x5123)
-	if !ok || size != Size2M || leaf != d.Entry {
-		t.Fatalf("Lookup = (%v, %v, %v), want the descent's 2MB leaf", leaf, size, ok)
+	if size, ok := d.Mapped(); !ok || size != Size2M {
+		t.Fatalf("Mapped = (%v, %v), want (2MB, true)", size, ok)
 	}
-	if got := leaf.Frame(); got != hugeBase {
+	if got := d.Entry.Frame(); got != hugeBase {
 		t.Errorf("leaf frame = %d, want %d", got, hugeBase)
 	}
 }
@@ -200,9 +199,6 @@ func TestDescendNotPresent(t *testing.T) {
 	}
 	if d.Level != 2 || d.Entry != 0 {
 		t.Errorf("descent stopped at level %d on %v, want the empty level-2 entry", d.Level, d.Entry)
-	}
-	if _, _, ok := tbl.Lookup(va4k + 0x200000); ok {
-		t.Error("Lookup should fail")
 	}
 }
 
@@ -289,20 +285,6 @@ func TestNewTableValidation(t *testing.T) {
 	mustPanic(t, "bad levels", func() { NewTable(pm, ptf, 3) })
 }
 
-func TestMaxVirtAddr(t *testing.T) {
-	pm := newTestMem(t)
-	root4, _ := pm.AllocPageTable(0, 4)
-	t4 := NewTable(pm, root4, 4)
-	if got := t4.MaxVirtAddr(); got != 1<<48 {
-		t.Errorf("4-level MaxVirtAddr = %#x, want 1<<48", uint64(got))
-	}
-	root5, _ := pm.AllocPageTable(0, 5)
-	t5 := NewTable(pm, root5, 5)
-	if got := t5.MaxVirtAddr(); got != 1<<57 {
-		t.Errorf("5-level MaxVirtAddr = %#x, want 1<<57", uint64(got))
-	}
-}
-
 func TestFiveLevelDescend(t *testing.T) {
 	pm := newTestMem(t)
 	alloc := func(level uint8) mem.FrameID {
@@ -332,8 +314,8 @@ func TestFiveLevelDescend(t *testing.T) {
 	if d.Frame != l1 || d.Level != 1 {
 		t.Fatalf("5-level descent stopped at frame %d level %d, want %d level 1", d.Frame, d.Level, l1)
 	}
-	if leaf, _, ok := tbl.Lookup(va); !ok || leaf.Frame() != data {
-		t.Errorf("Lookup = (%v, %v), want frame %d", leaf, ok, data)
+	if _, ok := d.Mapped(); !ok || d.Entry.Frame() != data {
+		t.Errorf("descent leaf = (%v, %v), want frame %d", d.Entry, ok, data)
 	}
 }
 

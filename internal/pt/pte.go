@@ -141,14 +141,8 @@ func (e PTE) Present() bool { return e&FlagPresent != 0 }
 // Writable reports whether the entry permits writes.
 func (e PTE) Writable() bool { return e&FlagWrite != 0 }
 
-// User reports whether the entry permits user-mode access.
-func (e PTE) User() bool { return e&FlagUser != 0 }
-
 // Accessed reports whether the hardware accessed bit is set.
 func (e PTE) Accessed() bool { return e&FlagAccessed != 0 }
-
-// Dirty reports whether the hardware dirty bit is set.
-func (e PTE) Dirty() bool { return e&FlagDirty != 0 }
 
 // Huge reports whether the PS bit is set (the entry is a 2MB/1GB leaf).
 func (e PTE) Huge() bool { return e&FlagHuge != 0 }

@@ -47,11 +47,6 @@ func (t *Table) Levels() uint8 { return t.levels }
 // Mem returns the physical memory the table lives in.
 func (t *Table) Mem() *mem.PhysMem { return t.pm }
 
-// MaxVirtAddr returns one past the highest translatable virtual address.
-func (t *Table) MaxVirtAddr() VirtAddr {
-	return VirtAddr(1) << (PageShift4K + EntryBits*uint64(t.levels))
-}
-
 // Descent is where a descent of a table for one address stopped: Entry,
 // at index Index(va, Level) of the table page Frame, is the first entry on
 // va's path that is not present or is a leaf. Every table from the root
@@ -66,7 +61,7 @@ type Descent struct {
 }
 
 // Mapped reports whether the descent ended at a present leaf, and the
-// leaf's page size. A PS bit above level 3 panics, as in Lookup.
+// leaf's page size. A PS bit above level 3 panics.
 func (d Descent) Mapped() (PageSize, bool) {
 	if !d.Entry.Present() {
 		return Size4K, false
@@ -91,23 +86,13 @@ func (t *Table) Descend(va VirtAddr) Descent {
 	}
 }
 
-// Lookup translates va, returning the leaf entry and page size: the cheap
-// probe for kernel paths.
-func (t *Table) Lookup(va VirtAddr) (leaf PTE, size PageSize, ok bool) {
-	d := t.Descend(va)
-	if size, ok = d.Mapped(); !ok {
-		return 0, Size4K, false
-	}
-	return d.Entry, size, true
-}
-
 // VisitLeaves calls fn for every present leaf mapping that overlaps
 // [start, end), in ascending VA order, with the page base, the leaf entry
 // and the page size; a huge leaf covering start is reported at its base,
-// below start. The leaves are those a Lookup at each 4KB step of the range
+// below start. The leaves are those a Descend at each 4KB step of the range
 // finds, stepping past every leaf found, but the walk goes depth-first: it
 // reads each table page once and skips every non-present subtree. fn must
-// not modify the table. A PS bit above level 3 panics, as in Lookup.
+// not modify the table. A PS bit above level 3 panics, as in Mapped.
 func (t *Table) VisitLeaves(start, end VirtAddr, fn func(va VirtAddr, leaf PTE, size PageSize)) {
 	if start < end {
 		t.visitLeaves(t.root, t.levels, 0, start, end, fn)
@@ -200,25 +185,4 @@ func (t *Table) visitInterior(frame mem.FrameID, level uint8, fn func(uint8, Ent
 		}
 	}
 	return true
-}
-
-// CountEntries returns the number of present entries per level (index 0
-// unused; index L holds the count at level L).
-func (t *Table) CountEntries() [MaxLevels + 1]int {
-	var counts [MaxLevels + 1]int
-	t.Visit(func(level uint8, _ EntryRef, _ PTE) bool {
-		counts[level]++
-		return true
-	})
-	return counts
-}
-
-// Pages returns the page-table frames per level, including the root.
-func (t *Table) Pages() map[uint8][]mem.FrameID {
-	pages := map[uint8][]mem.FrameID{t.levels: {t.root}}
-	t.VisitInterior(func(level uint8, _ EntryRef, e PTE) bool {
-		pages[level-1] = append(pages[level-1], e.Frame())
-		return true
-	})
-	return pages
 }

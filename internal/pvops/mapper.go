@@ -135,18 +135,6 @@ func (mp *Mapper) Unmap(ctx *OpCtx, va pt.VirtAddr, size pt.PageSize) (pt.PTE, e
 	return old, nil
 }
 
-// Protect rewrites the leaf entry for va: set bits are OR-ed in, clear bits
-// are removed. It returns the new entry.
-func (mp *Mapper) Protect(ctx *OpCtx, va pt.VirtAddr, size pt.PageSize, set, clearBits pt.PTE) (pt.PTE, error) {
-	ref, old, err := mp.leafRef(ctx, va, size)
-	if err != nil {
-		return 0, err
-	}
-	e := old.WithFlags(set).ClearFlags(clearBits)
-	mp.backend.SetPTE(ctx, ref, e)
-	return e, nil
-}
-
 // Remap changes the target frame of an existing leaf mapping (data-page
 // migration) and returns the old entry. Flags are preserved except that the
 // hardware Accessed/Dirty bits are cleared for the new location.
@@ -158,37 +146,6 @@ func (mp *Mapper) Remap(ctx *OpCtx, va pt.VirtAddr, size pt.PageSize, newFrame m
 	e := pt.NewPTE(newFrame, old.Flags()).ClearFlags(pt.FlagAccessed | pt.FlagDirty)
 	mp.backend.SetPTE(ctx, ref, e)
 	return old, nil
-}
-
-// ReadLeaf returns the leaf entry for va with hardware bits OR-ed across
-// replicas, plus its location.
-func (mp *Mapper) ReadLeaf(ctx *OpCtx, va pt.VirtAddr, size pt.PageSize) (pt.PTE, pt.EntryRef, error) {
-	ref, old, err := mp.leafRef(ctx, va, size)
-	if err != nil {
-		return 0, pt.EntryRef{Frame: mem.NilFrame}, err
-	}
-	return old, ref, nil
-}
-
-// GatherAD returns va's leaf entry with the hardware Accessed/Dirty bits
-// OR-ed across all replicas.
-func (mp *Mapper) GatherAD(ctx *OpCtx, va pt.VirtAddr, size pt.PageSize) (pt.PTE, error) {
-	ref, _, err := mp.leafRef(ctx, va, size)
-	if err != nil {
-		return 0, err
-	}
-	return mp.backend.GatherAD(ctx, ref), nil
-}
-
-// ClearAD clears the hardware Accessed/Dirty bits of va's leaf entry in all
-// replicas.
-func (mp *Mapper) ClearAD(ctx *OpCtx, va pt.VirtAddr, size pt.PageSize) error {
-	ref, _, err := mp.leafRef(ctx, va, size)
-	if err != nil {
-		return err
-	}
-	mp.backend.ClearAD(ctx, ref)
-	return nil
 }
 
 // LeafVisit is the callback of VisitLeaves: one present leaf mapping.

@@ -9,10 +9,13 @@
 //
 //   - Backend is the interface (alloc/release page-table pages, set/read
 //     PTEs, clear hardware bits).
-//   - Native is the pass-through backend with identical behaviour to an
-//     unmodified kernel.
 //   - The Mitosis backend lives in internal/core and propagates every store
-//     to all replicas via the circular replica list.
+//     to all replicas via the circular replica list. It is the one backend
+//     the simulator runs; with replication off it behaves as an unmodified
+//     kernel would.
+//   - The pass-through backend of an unmodified kernel, Native, lives in
+//     the test-support package pvopstest: tests hold the Mitosis backend
+//     to it.
 //
 // Backends charge simulated cycle costs through the OpCtx passed to every
 // operation, so microbenchmarks (paper Table 5) can measure the overhead of
@@ -26,8 +29,8 @@ import (
 )
 
 // Meter accumulates the cost of page-table operations performed under one
-// OpCtx. The kernel snapshots and differences meters to attribute cycles to
-// system calls.
+// OpCtx. The kernel reads and resets a meter's cycles to bill them to the
+// core that did the work.
 type Meter struct {
 	// Cycles is the total simulated cycle cost charged.
 	Cycles numa.Cycles
@@ -43,28 +46,6 @@ type Meter struct {
 	PTFrees uint64
 }
 
-// Add merges other into m.
-func (m *Meter) Add(other Meter) {
-	m.Cycles += other.Cycles
-	m.PTEWrites += other.PTEWrites
-	m.PTEReads += other.PTEReads
-	m.RingHops += other.RingHops
-	m.PTAllocs += other.PTAllocs
-	m.PTFrees += other.PTFrees
-}
-
-// Sub returns m minus other, for snapshot differencing.
-func (m Meter) Sub(other Meter) Meter {
-	return Meter{
-		Cycles:    m.Cycles - other.Cycles,
-		PTEWrites: m.PTEWrites - other.PTEWrites,
-		PTEReads:  m.PTEReads - other.PTEReads,
-		RingHops:  m.RingHops - other.RingHops,
-		PTAllocs:  m.PTAllocs - other.PTAllocs,
-		PTFrees:   m.PTFrees - other.PTFrees,
-	}
-}
-
 // OpCtx carries the execution context of a page-table operation: which
 // socket's core is executing the kernel code (costs are relative to it) and
 // where to accumulate the cost.
@@ -73,20 +54,6 @@ type OpCtx struct {
 	Socket numa.SocketID
 	// Meter receives the operation's cost; may be nil to discard.
 	Meter *Meter
-}
-
-// charge adds cycles to the context's meter, if any.
-func (c *OpCtx) charge(cy numa.Cycles) {
-	if c.Meter != nil {
-		c.Meter.Cycles += cy
-	}
-}
-
-// count applies fn to the meter, if any.
-func (c *OpCtx) count(fn func(*Meter)) {
-	if c.Meter != nil {
-		fn(c.Meter)
-	}
 }
 
 // AllocSpec tells a backend where a new page-table page must live. The

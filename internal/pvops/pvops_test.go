@@ -1,4 +1,4 @@
-package pvops
+package pvops_test
 
 import (
 	"errors"
@@ -7,13 +7,16 @@ import (
 	"github.com/mitosis-project/mitosis-sim/internal/mem"
 	"github.com/mitosis-project/mitosis-sim/internal/numa"
 	"github.com/mitosis-project/mitosis-sim/internal/pt"
+	"github.com/mitosis-project/mitosis-sim/internal/pt/pttest"
+	"github.com/mitosis-project/mitosis-sim/internal/pvops"
+	"github.com/mitosis-project/mitosis-sim/internal/pvops/pvopstest"
 )
 
 type fixture struct {
 	pm   *mem.PhysMem
 	cost *numa.CostModel
-	be   *Native
-	ctx  *OpCtx
+	be   *pvopstest.Native
+	ctx  *pvops.OpCtx
 }
 
 func newFixture(t testing.TB) *fixture {
@@ -24,14 +27,14 @@ func newFixture(t testing.TB) *fixture {
 	return &fixture{
 		pm:   pm,
 		cost: cost,
-		be:   NewNative(pm, cost),
-		ctx:  &OpCtx{Socket: 0, Meter: &Meter{}},
+		be:   pvopstest.NewNative(pm, cost),
+		ctx:  &pvops.OpCtx{Socket: 0, Meter: &pvops.Meter{}},
 	}
 }
 
-func newMapper(t testing.TB, fx *fixture) *Mapper {
+func newMapper(t testing.TB, fx *fixture) *pvops.Mapper {
 	t.Helper()
-	mp, err := NewMapper(fx.ctx, fx.pm, fx.be, 4, PTPlacement{Primary: 0})
+	mp, err := pvops.NewMapper(fx.ctx, fx.pm, fx.be, 4, pvops.PTPlacement{Primary: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,18 +47,18 @@ func TestMapperMapLookup(t *testing.T) {
 
 	data, _ := fx.pm.AllocData(1)
 	va := pt.VirtAddr(0x7f0000400000)
-	if err := mp.Map(fx.ctx, va, pt.Size4K, data, pt.FlagWrite|pt.FlagUser, PTPlacement{Primary: 0}); err != nil {
+	if err := mp.Map(fx.ctx, va, pt.Size4K, data, pt.FlagWrite|pt.FlagUser, pvops.PTPlacement{Primary: 0}); err != nil {
 		t.Fatal(err)
 	}
 
-	leaf, size, ok := mp.Table().Lookup(va)
+	leaf, size, ok := pttest.Lookup(mp.Table(), va)
 	if !ok || size != pt.Size4K {
 		t.Fatalf("Lookup: ok=%v size=%v", ok, size)
 	}
 	if leaf.Frame() != data {
 		t.Errorf("leaf frame = %d, want %d", leaf.Frame(), data)
 	}
-	if !leaf.Writable() || !leaf.User() {
+	if !leaf.Writable() || leaf&pt.FlagUser == 0 {
 		t.Errorf("leaf flags lost: %v", leaf)
 	}
 }
@@ -65,12 +68,12 @@ func TestMapperDoubleMapFails(t *testing.T) {
 	mp := newMapper(t, fx)
 	data, _ := fx.pm.AllocData(0)
 	va := pt.VirtAddr(0x1000)
-	if err := mp.Map(fx.ctx, va, pt.Size4K, data, 0, PTPlacement{Primary: 0}); err != nil {
+	if err := mp.Map(fx.ctx, va, pt.Size4K, data, 0, pvops.PTPlacement{Primary: 0}); err != nil {
 		t.Fatal(err)
 	}
-	err := mp.Map(fx.ctx, va, pt.Size4K, data, 0, PTPlacement{Primary: 0})
-	if !errors.Is(err, ErrMapped) {
-		t.Fatalf("err = %v, want ErrMapped", err)
+	err := mp.Map(fx.ctx, va, pt.Size4K, data, 0, pvops.PTPlacement{Primary: 0})
+	if !errors.Is(err, pvops.ErrMapped) {
+		t.Fatalf("err = %v, want pvops.ErrMapped", err)
 	}
 }
 
@@ -79,7 +82,7 @@ func TestMapperUnmap(t *testing.T) {
 	mp := newMapper(t, fx)
 	data, _ := fx.pm.AllocData(0)
 	va := pt.VirtAddr(0x2000)
-	if err := mp.Map(fx.ctx, va, pt.Size4K, data, pt.FlagWrite, PTPlacement{Primary: 0}); err != nil {
+	if err := mp.Map(fx.ctx, va, pt.Size4K, data, pt.FlagWrite, pvops.PTPlacement{Primary: 0}); err != nil {
 		t.Fatal(err)
 	}
 	old, err := mp.Unmap(fx.ctx, va, pt.Size4K)
@@ -89,32 +92,11 @@ func TestMapperUnmap(t *testing.T) {
 	if old.Frame() != data {
 		t.Errorf("unmap returned frame %d, want %d", old.Frame(), data)
 	}
-	if _, _, ok := mp.Table().Lookup(va); ok {
+	if _, _, ok := pttest.Lookup(mp.Table(), va); ok {
 		t.Error("translation survives unmap")
 	}
-	if _, err := mp.Unmap(fx.ctx, va, pt.Size4K); !errors.Is(err, ErrNotMapped) {
-		t.Errorf("second unmap err = %v, want ErrNotMapped", err)
-	}
-}
-
-func TestMapperProtect(t *testing.T) {
-	fx := newFixture(t)
-	mp := newMapper(t, fx)
-	data, _ := fx.pm.AllocData(0)
-	va := pt.VirtAddr(0x3000)
-	if err := mp.Map(fx.ctx, va, pt.Size4K, data, pt.FlagWrite, PTPlacement{Primary: 0}); err != nil {
-		t.Fatal(err)
-	}
-	e, err := mp.Protect(fx.ctx, va, pt.Size4K, 0, pt.FlagWrite)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Writable() {
-		t.Error("write flag not cleared")
-	}
-	leaf, _, _ := mp.Table().Lookup(va)
-	if leaf.Writable() {
-		t.Error("write flag not cleared in table")
+	if _, err := mp.Unmap(fx.ctx, va, pt.Size4K); !errors.Is(err, pvops.ErrNotMapped) {
+		t.Errorf("second unmap err = %v, want pvops.ErrNotMapped", err)
 	}
 }
 
@@ -126,10 +108,10 @@ func TestMapperHugeMap(t *testing.T) {
 		t.Fatal(err)
 	}
 	va := pt.VirtAddr(0x40000000) // 1GB, 2MB-aligned
-	if err := mp.Map(fx.ctx, va, pt.Size2M, base, pt.FlagWrite, PTPlacement{Primary: 2}); err != nil {
+	if err := mp.Map(fx.ctx, va, pt.Size2M, base, pt.FlagWrite, pvops.PTPlacement{Primary: 2}); err != nil {
 		t.Fatal(err)
 	}
-	leaf, size, ok := mp.Table().Lookup(va + 0x12345)
+	leaf, size, ok := pttest.Lookup(mp.Table(), va+0x12345)
 	if !ok || size != pt.Size2M {
 		t.Fatalf("huge lookup: ok=%v size=%v", ok, size)
 	}
@@ -138,9 +120,9 @@ func TestMapperHugeMap(t *testing.T) {
 	}
 	// Mapping a 4KB page inside the huge range must fail.
 	data, _ := fx.pm.AllocData(0)
-	err = mp.Map(fx.ctx, va+0x1000, pt.Size4K, data, 0, PTPlacement{Primary: 0})
-	if !errors.Is(err, ErrHugeConflict) {
-		t.Errorf("err = %v, want ErrHugeConflict", err)
+	err = mp.Map(fx.ctx, va+0x1000, pt.Size4K, data, 0, pvops.PTPlacement{Primary: 0})
+	if !errors.Is(err, pvops.ErrHugeConflict) {
+		t.Errorf("err = %v, want pvops.ErrHugeConflict", err)
 	}
 }
 
@@ -150,7 +132,7 @@ func TestMapperRemap(t *testing.T) {
 	oldF, _ := fx.pm.AllocData(0)
 	newF, _ := fx.pm.AllocData(3)
 	va := pt.VirtAddr(0x5000)
-	if err := mp.Map(fx.ctx, va, pt.Size4K, oldF, pt.FlagWrite|pt.FlagAccessed|pt.FlagDirty, PTPlacement{Primary: 0}); err != nil {
+	if err := mp.Map(fx.ctx, va, pt.Size4K, oldF, pt.FlagWrite|pt.FlagAccessed|pt.FlagDirty, pvops.PTPlacement{Primary: 0}); err != nil {
 		t.Fatal(err)
 	}
 	old, err := mp.Remap(fx.ctx, va, pt.Size4K, newF)
@@ -160,11 +142,11 @@ func TestMapperRemap(t *testing.T) {
 	if old.Frame() != oldF {
 		t.Errorf("Remap old frame = %d, want %d", old.Frame(), oldF)
 	}
-	leaf, _, _ := mp.Table().Lookup(va)
+	leaf, _, _ := pttest.Lookup(mp.Table(), va)
 	if leaf.Frame() != newF {
 		t.Errorf("new frame = %d, want %d", leaf.Frame(), newF)
 	}
-	if leaf.Accessed() || leaf.Dirty() {
+	if leaf.Accessed() || leaf&pt.FlagDirty != 0 {
 		t.Error("Remap must clear A/D bits")
 	}
 	if !leaf.Writable() {
@@ -184,7 +166,7 @@ func TestMapperDestroyFreesAllTables(t *testing.T) {
 		f, _ := fx.pm.AllocData(numa.NodeID(i % 4))
 		datas = append(datas, f)
 		va := pt.VirtAddr(uint64(i) * (1 << 30)) // spread across L3 entries
-		if err := mp.Map(fx.ctx, va, pt.Size4K, f, 0, PTPlacement{Primary: numa.NodeID(i % 4)}); err != nil {
+		if err := mp.Map(fx.ctx, va, pt.Size4K, f, 0, pvops.PTPlacement{Primary: numa.NodeID(i % 4)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -201,7 +183,7 @@ func TestMapperDestroyFreesAllTables(t *testing.T) {
 
 func TestMapperPTPlacement(t *testing.T) {
 	fx := newFixture(t)
-	mp, err := NewMapper(fx.ctx, fx.pm, fx.be, 4, PTPlacement{Primary: 2})
+	mp, err := pvops.NewMapper(fx.ctx, fx.pm, fx.be, 4, pvops.PTPlacement{Primary: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,29 +191,27 @@ func TestMapperPTPlacement(t *testing.T) {
 		t.Errorf("root on node %d, want 2", got)
 	}
 	data, _ := fx.pm.AllocData(3)
-	if err := mp.Map(fx.ctx, 0x1000, pt.Size4K, data, 0, PTPlacement{Primary: 3}); err != nil {
+	if err := mp.Map(fx.ctx, 0x1000, pt.Size4K, data, 0, pvops.PTPlacement{Primary: 3}); err != nil {
 		t.Fatal(err)
 	}
 	// Every intermediate table created by the Map must live on node 3.
-	pages := mp.Table().Pages()
-	for _, lvl := range []uint8{3, 2, 1} {
-		for _, f := range pages[lvl] {
-			if got := fx.pm.NodeOf(f); got != 3 {
-				t.Errorf("level-%d table on node %d, want 3", lvl, got)
-			}
+	mp.Table().VisitInterior(func(level uint8, _ pt.EntryRef, e pt.PTE) bool {
+		if got := fx.pm.NodeOf(e.Frame()); got != 3 {
+			t.Errorf("level-%d table on node %d, want 3", level-1, got)
 		}
-	}
+		return true
+	})
 }
 
 func TestMeterAccounting(t *testing.T) {
 	fx := newFixture(t)
 	mp := newMapper(t, fx)
-	start := *fx.ctx.Meter
+	*fx.ctx.Meter = pvops.Meter{}
 	data, _ := fx.pm.AllocData(0)
-	if err := mp.Map(fx.ctx, 0x1000, pt.Size4K, data, 0, PTPlacement{Primary: 0}); err != nil {
+	if err := mp.Map(fx.ctx, 0x1000, pt.Size4K, data, 0, pvops.PTPlacement{Primary: 0}); err != nil {
 		t.Fatal(err)
 	}
-	d := fx.ctx.Meter.Sub(start)
+	d := *fx.ctx.Meter
 	if d.PTAllocs != 3 {
 		t.Errorf("PTAllocs = %d, want 3 (L3,L2,L1)", d.PTAllocs)
 	}
@@ -243,12 +223,12 @@ func TestMeterAccounting(t *testing.T) {
 	}
 
 	// A second map in the same L1 table allocates nothing.
-	start = *fx.ctx.Meter
+	*fx.ctx.Meter = pvops.Meter{}
 	data2, _ := fx.pm.AllocData(0)
-	if err := mp.Map(fx.ctx, 0x2000, pt.Size4K, data2, 0, PTPlacement{Primary: 0}); err != nil {
+	if err := mp.Map(fx.ctx, 0x2000, pt.Size4K, data2, 0, pvops.PTPlacement{Primary: 0}); err != nil {
 		t.Fatal(err)
 	}
-	d = fx.ctx.Meter.Sub(start)
+	d = *fx.ctx.Meter
 	if d.PTAllocs != 0 {
 		t.Errorf("second map PTAllocs = %d, want 0", d.PTAllocs)
 	}
@@ -262,14 +242,13 @@ func TestNativeClearAD(t *testing.T) {
 	mp := newMapper(t, fx)
 	data, _ := fx.pm.AllocData(0)
 	va := pt.VirtAddr(0x9000)
-	if err := mp.Map(fx.ctx, va, pt.Size4K, data, pt.FlagAccessed|pt.FlagDirty, PTPlacement{Primary: 0}); err != nil {
+	if err := mp.Map(fx.ctx, va, pt.Size4K, data, pt.FlagAccessed|pt.FlagDirty, pvops.PTPlacement{Primary: 0}); err != nil {
 		t.Fatal(err)
 	}
-	if err := mp.ClearAD(fx.ctx, va, pt.Size4K); err != nil {
-		t.Fatal(err)
-	}
-	leaf, _, _ := mp.Table().Lookup(va)
-	if leaf.Accessed() || leaf.Dirty() {
+	d := mp.Table().Descend(va)
+	fx.be.ClearAD(fx.ctx, pt.EntryRef{Frame: d.Frame, Index: pt.Index(va, d.Level)})
+	leaf, _, _ := pttest.Lookup(mp.Table(), va)
+	if leaf.Accessed() || leaf&pt.FlagDirty != 0 {
 		t.Errorf("A/D bits survive ClearAD: %v", leaf)
 	}
 	if !leaf.Present() {
@@ -286,20 +265,5 @@ func TestMapperAlignmentPanics(t *testing.T) {
 			t.Error("expected panic on unaligned huge map")
 		}
 	}()
-	_ = mp.Map(fx.ctx, 0x1000, pt.Size2M, data, 0, PTPlacement{Primary: 0})
-}
-
-func TestMeterSubAdd(t *testing.T) {
-	a := Meter{Cycles: 100, PTEWrites: 5, PTEReads: 3, RingHops: 2, PTAllocs: 1, PTFrees: 1}
-	b := Meter{Cycles: 40, PTEWrites: 2, PTEReads: 1, RingHops: 1}
-	d := a.Sub(b)
-	if d.Cycles != 60 || d.PTEWrites != 3 || d.PTEReads != 2 || d.RingHops != 1 || d.PTAllocs != 1 {
-		t.Errorf("Sub = %+v", d)
-	}
-	var m Meter
-	m.Add(a)
-	m.Add(b)
-	if m.Cycles != 140 || m.PTEWrites != 7 {
-		t.Errorf("Add = %+v", m)
-	}
+	_ = mp.Map(fx.ctx, 0x1000, pt.Size2M, data, 0, pvops.PTPlacement{Primary: 0})
 }

@@ -1,16 +1,20 @@
-package pvops
+// Package pvopstest holds test support for the pvops interface: Native,
+// the pass-through backend that the Mitosis backend (internal/core) must be
+// indistinguishable from when replication is off (§5.2). Only tests import
+// it.
+package pvopstest
 
 import (
 	"github.com/mitosis-project/mitosis-sim/internal/mem"
 	"github.com/mitosis-project/mitosis-sim/internal/numa"
 	"github.com/mitosis-project/mitosis-sim/internal/pt"
+	"github.com/mitosis-project/mitosis-sim/internal/pvops"
 )
 
 // Native is the pass-through backend: behaviour identical to an unmodified
 // kernel. Page-table pages are allocated only on the primary node and PTE
-// stores touch exactly one location. The paper stresses that the Mitosis
-// backend must be indistinguishable from native when replication is off;
-// tests assert that equivalence against this implementation.
+// stores touch exactly one location. Tests compare the Mitosis backend with
+// it.
 //
 // Kernel-side PTE loads and stores are charged the cached-access constants
 // of the cost model (PTELoad/PTEStore), not DRAM latency: unlike the
@@ -24,7 +28,7 @@ type Native struct {
 // NewNative returns a native backend over the given memory and cost model.
 func NewNative(pm *mem.PhysMem, cost *numa.CostModel) *Native {
 	if pm == nil || cost == nil {
-		panic("pvops: NewNative requires memory and cost model")
+		panic("pvopstest: NewNative requires memory and cost model")
 	}
 	return &Native{pm: pm, cost: cost}
 }
@@ -35,7 +39,7 @@ func (n *Native) Name() string { return "native" }
 // AllocPT implements Backend. The replica set in spec is ignored: native
 // kernels have exactly one page-table. The preferred node is tried first
 // with fallback to any node with memory, as in Linux.
-func (n *Native) AllocPT(ctx *OpCtx, spec AllocSpec) (mem.FrameID, error) {
+func (n *Native) AllocPT(ctx *pvops.OpCtx, spec pvops.AllocSpec) (mem.FrameID, error) {
 	f, err := n.pm.AllocPageTable(spec.Primary, spec.Level)
 	if err != nil {
 		for node := 0; node < n.pm.Topology().Nodes(); node++ {
@@ -43,59 +47,73 @@ func (n *Native) AllocPT(ctx *OpCtx, spec AllocSpec) (mem.FrameID, error) {
 				continue
 			}
 			if f, err2 := n.pm.AllocPageTable(numa.NodeID(node), spec.Level); err2 == nil {
-				ctx.count(func(m *Meter) { m.PTAllocs++ })
+				count(ctx, func(m *pvops.Meter) { m.PTAllocs++ })
 				p := n.cost.Params()
-				ctx.charge(p.PTAllocInit + p.PageZero)
+				charge(ctx, p.PTAllocInit+p.PageZero)
 				return f, nil
 			}
 		}
 		return mem.NilFrame, err
 	}
-	ctx.count(func(m *Meter) { m.PTAllocs++ })
+	count(ctx, func(m *pvops.Meter) { m.PTAllocs++ })
 	p := n.cost.Params()
-	ctx.charge(p.PTAllocInit + p.PageZero)
+	charge(ctx, p.PTAllocInit+p.PageZero)
 	return f, nil
 }
 
 // ReleasePT implements Backend.
-func (n *Native) ReleasePT(ctx *OpCtx, f mem.FrameID) {
+func (n *Native) ReleasePT(ctx *pvops.OpCtx, f mem.FrameID) {
 	n.pm.Free(f)
-	ctx.count(func(m *Meter) { m.PTFrees++ })
-	ctx.charge(n.cost.Params().PTAllocInit)
+	count(ctx, func(m *pvops.Meter) { m.PTFrees++ })
+	charge(ctx, n.cost.Params().PTAllocInit)
 }
 
 // SetPTE implements Backend.
-func (n *Native) SetPTE(ctx *OpCtx, ref pt.EntryRef, e pt.PTE) {
+func (n *Native) SetPTE(ctx *pvops.OpCtx, ref pt.EntryRef, e pt.PTE) {
 	pt.WriteEntryRaw(n.pm, ref, e)
-	ctx.count(func(m *Meter) { m.PTEWrites++ })
-	ctx.charge(n.cost.Params().PTEStore)
+	count(ctx, func(m *pvops.Meter) { m.PTEWrites++ })
+	charge(ctx, n.cost.Params().PTEStore)
 }
 
 // ReadPTE implements Backend.
-func (n *Native) ReadPTE(ctx *OpCtx, ref pt.EntryRef) pt.PTE {
-	ctx.count(func(m *Meter) { m.PTEReads++ })
-	ctx.charge(n.cost.Params().PTELoad)
+func (n *Native) ReadPTE(ctx *pvops.OpCtx, ref pt.EntryRef) pt.PTE {
+	count(ctx, func(m *pvops.Meter) { m.PTEReads++ })
+	charge(ctx, n.cost.Params().PTELoad)
 	return pt.ReadEntry(n.pm, ref)
 }
 
 // ChargeReads implements Backend.
-func (n *Native) ChargeReads(ctx *OpCtx, reads int) {
-	ctx.count(func(m *Meter) { m.PTEReads += uint64(reads) })
-	ctx.charge(numa.Cycles(reads) * n.cost.Params().PTELoad)
+func (n *Native) ChargeReads(ctx *pvops.OpCtx, reads int) {
+	count(ctx, func(m *pvops.Meter) { m.PTEReads += uint64(reads) })
+	charge(ctx, numa.Cycles(reads)*n.cost.Params().PTELoad)
 }
 
 // GatherAD implements Backend. With a single table it is a plain read.
-func (n *Native) GatherAD(ctx *OpCtx, ref pt.EntryRef) pt.PTE {
+func (n *Native) GatherAD(ctx *pvops.OpCtx, ref pt.EntryRef) pt.PTE {
 	return n.ReadPTE(ctx, ref)
 }
 
 // ClearAD implements Backend.
-func (n *Native) ClearAD(ctx *OpCtx, ref pt.EntryRef) {
+func (n *Native) ClearAD(ctx *pvops.OpCtx, ref pt.EntryRef) {
 	e := pt.ReadEntry(n.pm, ref)
 	pt.WriteEntryRaw(n.pm, ref, e.ClearFlags(pt.FlagAccessed|pt.FlagDirty))
-	ctx.count(func(m *Meter) { m.PTEReads++; m.PTEWrites++ })
+	count(ctx, func(m *pvops.Meter) { m.PTEReads++; m.PTEWrites++ })
 	p := n.cost.Params()
-	ctx.charge(p.PTELoad + p.PTEStore)
+	charge(ctx, p.PTELoad+p.PTEStore)
 }
 
-var _ Backend = (*Native)(nil)
+// charge adds cycles to the context's meter, if any.
+func charge(ctx *pvops.OpCtx, cy numa.Cycles) {
+	if ctx.Meter != nil {
+		ctx.Meter.Cycles += cy
+	}
+}
+
+// count applies fn to the context's meter, if any.
+func count(ctx *pvops.OpCtx, fn func(*pvops.Meter)) {
+	if ctx.Meter != nil {
+		fn(ctx.Meter)
+	}
+}
+
+var _ pvops.Backend = (*Native)(nil)

@@ -1,4 +1,4 @@
-package pvops
+package pvops_test
 
 import (
 	"math/rand"
@@ -8,12 +8,15 @@ import (
 	"github.com/mitosis-project/mitosis-sim/internal/mem"
 	"github.com/mitosis-project/mitosis-sim/internal/numa"
 	"github.com/mitosis-project/mitosis-sim/internal/pt"
+	"github.com/mitosis-project/mitosis-sim/internal/pt/pttest"
+	"github.com/mitosis-project/mitosis-sim/internal/pvops"
+	"github.com/mitosis-project/mitosis-sim/internal/pvops/pvopstest"
 )
 
 func TestVisitLeavesOrderAndBounds(t *testing.T) {
 	fx := newFixture(t)
 	mp := newMapper(t, fx)
-	place := PTPlacement{Primary: 0}
+	place := pvops.PTPlacement{Primary: 0}
 
 	// Map pages across several L1/L2 boundaries.
 	var mapped []pt.VirtAddr
@@ -28,7 +31,7 @@ func TestVisitLeavesOrderAndBounds(t *testing.T) {
 	}
 
 	var seen []pt.VirtAddr
-	mp.VisitLeaves(fx.ctx, 0, pt.VirtAddr(1)<<40, func(lv LeafVisit) (pt.PTE, bool) {
+	mp.VisitLeaves(fx.ctx, 0, pt.VirtAddr(1)<<40, func(lv pvops.LeafVisit) (pt.PTE, bool) {
 		seen = append(seen, lv.VA)
 		if lv.Size != pt.Size4K {
 			t.Errorf("size = %v at %#x", lv.Size, uint64(lv.VA))
@@ -49,7 +52,7 @@ func TestVisitLeavesOrderAndBounds(t *testing.T) {
 
 	// Bounded visit sees only in-range leaves.
 	var bounded []pt.VirtAddr
-	mp.VisitLeaves(fx.ctx, mapped[3], mapped[10]+1, func(lv LeafVisit) (pt.PTE, bool) {
+	mp.VisitLeaves(fx.ctx, mapped[3], mapped[10]+1, func(lv pvops.LeafVisit) (pt.PTE, bool) {
 		bounded = append(bounded, lv.VA)
 		return 0, false
 	})
@@ -61,18 +64,18 @@ func TestVisitLeavesOrderAndBounds(t *testing.T) {
 func TestVisitLeavesRewrite(t *testing.T) {
 	fx := newFixture(t)
 	mp := newMapper(t, fx)
-	place := PTPlacement{Primary: 0}
+	place := pvops.PTPlacement{Primary: 0}
 	for i := 0; i < 10; i++ {
 		f, _ := fx.pm.AllocData(0)
 		if err := mp.Map(fx.ctx, pt.VirtAddr(0x1000*uint64(i+1)), pt.Size4K, f, pt.FlagWrite, place); err != nil {
 			t.Fatal(err)
 		}
 	}
-	mp.VisitLeaves(fx.ctx, 0, 1<<20, func(lv LeafVisit) (pt.PTE, bool) {
+	mp.VisitLeaves(fx.ctx, 0, 1<<20, func(lv pvops.LeafVisit) (pt.PTE, bool) {
 		return lv.Old.ClearFlags(pt.FlagWrite), true
 	})
 	for i := 0; i < 10; i++ {
-		leaf, _, ok := mp.Table().Lookup(pt.VirtAddr(0x1000 * uint64(i+1)))
+		leaf, _, ok := pttest.Lookup(mp.Table(), pt.VirtAddr(0x1000*uint64(i+1)))
 		if !ok || leaf.Writable() {
 			t.Errorf("page %d: ok=%v writable=%v, want read-only", i, ok, leaf.Writable())
 		}
@@ -82,7 +85,7 @@ func TestVisitLeavesRewrite(t *testing.T) {
 func TestVisitLeavesHugePages(t *testing.T) {
 	fx := newFixture(t)
 	mp := newMapper(t, fx)
-	place := PTPlacement{Primary: 0}
+	place := pvops.PTPlacement{Primary: 0}
 	h, err := fx.pm.AllocHuge(0)
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +98,7 @@ func TestVisitLeavesHugePages(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sizes []pt.PageSize
-	mp.VisitLeaves(fx.ctx, 0x40000000, 0x40400000, func(lv LeafVisit) (pt.PTE, bool) {
+	mp.VisitLeaves(fx.ctx, 0x40000000, 0x40400000, func(lv pvops.LeafVisit) (pt.PTE, bool) {
 		sizes = append(sizes, lv.Size)
 		return 0, false
 	})
@@ -112,8 +115,8 @@ func TestVisitLeavesMatchesLookup(t *testing.T) {
 		topo := numa.NewTopology(2, 1)
 		pm := mem.New(mem.Config{Topology: topo, FramesPerNode: 8192})
 		cost := numa.NewCostModel(topo, numa.DefaultCostParams())
-		ctx := &OpCtx{Socket: 0}
-		mp, err := NewMapper(ctx, pm, NewNative(pm, cost), 4, PTPlacement{Primary: 0})
+		ctx := &pvops.OpCtx{Socket: 0}
+		mp, err := pvops.NewMapper(ctx, pm, pvopstest.NewNative(pm, cost), 4, pvops.PTPlacement{Primary: 0})
 		if err != nil {
 			return false
 		}
@@ -127,7 +130,7 @@ func TestVisitLeavesMatchesLookup(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			if err := mp.Map(ctx, va, pt.Size4K, fr, 0, PTPlacement{Primary: 0}); err != nil {
+			if err := mp.Map(ctx, va, pt.Size4K, fr, 0, pvops.PTPlacement{Primary: 0}); err != nil {
 				return false
 			}
 			mapped[va] = true
@@ -138,7 +141,7 @@ func TestVisitLeavesMatchesLookup(t *testing.T) {
 			start, end = end, start+4096
 		}
 		visited := map[pt.VirtAddr]bool{}
-		mp.VisitLeaves(ctx, start, end, func(lv LeafVisit) (pt.PTE, bool) {
+		mp.VisitLeaves(ctx, start, end, func(lv pvops.LeafVisit) (pt.PTE, bool) {
 			visited[lv.VA] = true
 			return 0, false
 		})

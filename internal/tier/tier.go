@@ -39,15 +39,6 @@ type Histogram struct {
 	Cold [NumTiers]uint64 `json:"cold"`
 }
 
-// Add accounts pages 4KB units on tier t under the given hotness.
-func (h *Histogram) Add(t numa.MemTier, hot bool, pages uint64) {
-	if hot {
-		h.Hot[t] += pages
-	} else {
-		h.Cold[t] += pages
-	}
-}
-
 // Total returns the histogram's page count.
 func (h *Histogram) Total() uint64 {
 	var n uint64

@@ -479,14 +479,6 @@ func (t *TLB) Reset() {
 	t.Stats = Stats{}
 }
 
-// HitRate returns the fraction of lookups served from any level.
-func (s *Stats) HitRate() float64 {
-	if s.Lookups == 0 {
-		return 0
-	}
-	return float64(s.L1Hits+s.L2Hits) / float64(s.Lookups)
-}
-
 func shiftOf(size pt.PageSize) int {
 	switch size {
 	case pt.Size4K:

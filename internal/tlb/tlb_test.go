@@ -142,9 +142,6 @@ func TestStats(t *testing.T) {
 	if s.Lookups != 2 || s.Misses != 1 || s.L1Hits != 1 {
 		t.Errorf("stats = %+v", s)
 	}
-	if got := s.HitRate(); got != 0.5 {
-		t.Errorf("HitRate = %v, want 0.5", got)
-	}
 	tl.ResetStats()
 	if tl.Stats.Lookups != 0 {
 		t.Error("ResetStats did not zero counters")

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/mitosis-project/mitosis-sim/internal/hw"
+	"github.com/mitosis-project/mitosis-sim/internal/hw/hwtest"
 	"github.com/mitosis-project/mitosis-sim/internal/kernel"
 	"github.com/mitosis-project/mitosis-sim/internal/numa"
 	"github.com/mitosis-project/mitosis-sim/internal/pt"
@@ -69,7 +70,7 @@ func testShootdownAcrossRoots(t *testing.T, backend string) {
 	m := k.Machine()
 	primary := m.ContextRoot(c)
 	for i := range pages {
-		if err := m.Access(c, base+pt.VirtAddr(uint64(i)*pt.Size4K.Bytes()), false); err != nil {
+		if err := hwtest.Access(m, c, base+pt.VirtAddr(uint64(i)*pt.Size4K.Bytes()), false); err != nil {
 			t.Fatalf("load of page %d: %v", i, err)
 		}
 	}
@@ -89,7 +90,7 @@ func testShootdownAcrossRoots(t *testing.T, backend string) {
 		t.Fatalf("core runs on root %d after dropping the replica, want the primary %d", m.ContextRoot(c), primary)
 	}
 	for i := range pages {
-		if err := m.Access(c, base+pt.VirtAddr(uint64(i)*pt.Size4K.Bytes()), false); !errors.Is(err, hw.ErrSegfault) {
+		if err := hwtest.Access(m, c, base+pt.VirtAddr(uint64(i)*pt.Size4K.Bytes()), false); !errors.Is(err, hw.ErrSegfault) {
 			t.Fatalf("load of unmapped page %d: err %v, want a fault", i, err)
 		}
 	}
@@ -123,7 +124,7 @@ func testSyscallShootdowns(t *testing.T, backend string, size pt.PageSize, pages
 	if err != nil {
 		t.Fatal(err)
 	}
-	lookup := p.Table().Lookup
+	descend := p.Table().Descend
 	if inVM {
 		if err := k.ReplicateVM(p, kernel.VMLayerBoth); err != nil {
 			t.Fatal(err)
@@ -131,9 +132,9 @@ func testSyscallShootdowns(t *testing.T, backend string, size pt.PageSize, pages
 		if got := p.ReplicaNodes(); len(got) != 2 {
 			t.Fatalf("guest and nested tables on nodes %v, want both", got)
 		}
-		lookup = p.GuestSpace().Lookup
+		descend = p.GuestSpace().Descend
 	}
-	if _, got, ok := lookup(base); !ok || got != size {
+	if got, ok := descend(base).Mapped(); !ok || got != size {
 		t.Fatalf("region mapped with %v pages (present %v), want %v", got, ok, size)
 	}
 	m := k.Machine()
@@ -142,7 +143,7 @@ func testSyscallShootdowns(t *testing.T, backend string, size pt.PageSize, pages
 		t.Helper()
 		for _, c := range cores {
 			for i := range pages {
-				err := m.Access(c, base+pt.VirtAddr(uint64(i)*size.Bytes()), write)
+				err := hwtest.Access(m, c, base+pt.VirtAddr(uint64(i)*size.Bytes()), write)
 				ok := err == nil
 				if wantFault {
 					ok = errors.Is(err, hw.ErrSegfault)

@@ -9,15 +9,19 @@
 // The package provides:
 //
 //   - VM: guest-physical memory backed by host frames through a nested
-//     page-table built on the host's PV-Ops backend — so the nested table
-//     replicates across sockets with the ordinary Mitosis machinery.
+//     page-table built on the host's Mitosis backend (core.Backend), so the
+//     nested table replicates across sockets with the ordinary Mitosis
+//     machinery. A VM always has that machinery: there is no native-backend
+//     VM, as there is no native-backend host.
 //   - GuestSpace: a guest process's page-table, stored in guest-physical
 //     frames, with optional per-socket guest-table replicas (gPT
 //     replication needs guest-visible NUMA, exactly as §7.4 observes).
 //
 // hw.Machine performs the TLB-integrated two-dimensional walk in the main
 // access path; this package supplies it with roots and table storage. The
-// package's tests keep a software walker of their own (Walk2D).
+// package's tests keep a software walker of their own (Walk2D) and the
+// whole-address Map; production code maps through MapAt from the descent
+// its fault path already made.
 //
 // Guest page-table pages live in guest *data* frames, but their payloads
 // are provisioned into the physical memory's table storage
@@ -46,14 +50,11 @@ func gpaOf(f GuestFrame) pt.VirtAddr { return pt.VirtAddr(uint64(f) << 12) }
 // VM is one virtual machine: a guest-physical address space backed by host
 // frames via a nested page-table.
 type VM struct {
-	pm      *mem.PhysMem
-	cost    *numa.CostModel
-	backend pvops.Backend
+	pm *mem.PhysMem
 	// npt translates guest-physical addresses (as pt.VirtAddr) to host
 	// frames.
 	npt *pvops.Mapper
-	// nspace manages nested-table replication when the backend is the
-	// Mitosis backend.
+	// nspace manages nested-table replication.
 	nspace *core.Space
 	ctx    *pvops.OpCtx
 	// homeNode is where the hypervisor builds the VM's nested-table pages
@@ -67,24 +68,19 @@ type VM struct {
 	backing []mem.FrameID
 }
 
-// NewVM creates a VM whose nested page-table root lives on hostNode. When
-// backend is a *core.Backend, the nested table can be replicated with
-// ReplicateNested.
-func NewVM(pm *mem.PhysMem, cost *numa.CostModel, backend pvops.Backend, hostNode numa.NodeID) (*VM, error) {
+// NewVM creates a VM whose nested page-table root lives on hostNode. The
+// nested table is built on the Mitosis backend, so ReplicateNested can
+// replicate it.
+func NewVM(pm *mem.PhysMem, backend *core.Backend, hostNode numa.NodeID) (*VM, error) {
 	ctx := &pvops.OpCtx{Socket: pm.Topology().SocketOfNode(hostNode), Meter: &pvops.Meter{}}
 	npt, err := pvops.NewMapper(ctx, pm, backend, 4, pvops.PTPlacement{Primary: hostNode})
 	if err != nil {
 		return nil, fmt.Errorf("virt: creating nested table: %w", err)
 	}
-	vm := &VM{pm: pm, cost: cost, backend: backend, npt: npt, ctx: ctx, homeNode: hostNode}
-	if mb, ok := backend.(*core.Backend); ok {
-		vm.nspace = core.NewSpace(pm, mb, npt)
-	}
-	return vm, nil
+	return &VM{pm: pm, npt: npt, nspace: core.NewSpace(pm, backend, npt), ctx: ctx, homeNode: hostNode}, nil
 }
 
-// NestedSpace returns the replication manager for the nested table, or nil
-// when the VM runs on the native backend.
+// NestedSpace returns the replication manager for the nested table.
 func (vm *VM) NestedSpace() *core.Space { return vm.nspace }
 
 // HomeNode returns the node the hypervisor builds the VM's nested tables on.
@@ -106,11 +102,7 @@ func (vm *VM) DrainCycles() numa.Cycles {
 // hypervisor state built on the VM's home node, replicated per the current
 // nested mask.
 func (vm *VM) nestedPlace() pvops.PTPlacement {
-	place := pvops.PTPlacement{Primary: vm.homeNode}
-	if vm.nspace != nil {
-		place.Replicas = vm.nspace.Mask()
-	}
-	return place
+	return pvops.PTPlacement{Primary: vm.homeNode, Replicas: vm.nspace.Mask()}
 }
 
 // AllocGuestFrame extends guest-physical memory by one frame backed by a
@@ -177,10 +169,6 @@ func (vm *VM) hostFrameOf(gf GuestFrame) mem.FrameID {
 	return vm.backing[gf]
 }
 
-// HostFrameOf returns the host frame backing a guest frame (the software
-// shadow of the nested translation). Call it only at quiescent points.
-func (vm *VM) HostFrameOf(gf GuestFrame) mem.FrameID { return vm.hostFrameOf(gf) }
-
 // FreeGuestPage gives the host backing of the guest page at gf back
 // through the nested table: a 4KB frame from AllocGuestFrame or
 // AllocGuestTablePage, or a 2MB block from AllocGuestHuge. The nested leaf
@@ -207,9 +195,6 @@ func (vm *VM) FreeGuestPage(gf GuestFrame, size pt.PageSize) {
 // replicate both guest page-tables and nested page-tables independently").
 // It is a full SetMask: nodes absent from the list lose their replicas.
 func (vm *VM) ReplicateNested(nodes []numa.NodeID) error {
-	if vm.nspace == nil {
-		return fmt.Errorf("virt: nested replication requires the Mitosis backend")
-	}
 	return vm.nspace.SetMask(vm.ctx, nodes)
 }
 
@@ -220,19 +205,13 @@ func (vm *VM) NestedReplicaNodes() []numa.NodeID { return vm.AppendNestedReplica
 // AppendNestedReplicaNodes appends NestedReplicaNodes to buf and returns
 // it; with room in buf it allocates nothing.
 func (vm *VM) AppendNestedReplicaNodes(buf []numa.NodeID) []numa.NodeID {
-	if vm.nspace == nil {
-		return append(buf, vm.homeNode)
-	}
 	return vm.nspace.AppendReplicaNodes(buf)
 }
 
 // NestedRootFor returns the nested-table root the given socket's hardware
 // would use (the per-socket nCR3 of §5.3 applied to the nested dimension).
 func (vm *VM) NestedRootFor(socket numa.SocketID) mem.FrameID {
-	if vm.nspace != nil {
-		return vm.nspace.RootFor(socket)
-	}
-	return vm.npt.Root()
+	return vm.nspace.RootFor(socket)
 }
 
 // GuestSpace is a guest process's address space: a 4-level guest page-table
@@ -268,9 +247,6 @@ func (vm *VM) NewGuestSpace(homeNode numa.NodeID) (*GuestSpace, error) {
 	}
 	return gs, nil
 }
-
-// VM returns the machine the guest space lives in.
-func (gs *GuestSpace) VM() *VM { return gs.vm }
 
 // HomeNode returns the node unreplicated guest-table frames are backed on.
 func (gs *GuestSpace) HomeNode() numa.NodeID { return gs.homeNode }
@@ -332,19 +308,15 @@ func (gs *GuestSpace) writeGuest(gf GuestFrame, idx int, e pt.PTE) {
 	pt.WriteEntryRaw(gs.vm.pm, pt.EntryRef{Frame: gs.gptTable(gf), Index: idx}, e)
 }
 
-// Map installs gva -> gframe at the given page size in the guest table
-// (guest-kernel work), allocating intermediate guest-table frames on
-// ptNode for the primary tree. Replicas, if any, are updated eagerly — the
-// guest-level equivalent of the eager PV-Ops propagation — with their
-// intermediate pages backed replica-locally. 2MB mappings require gframe
-// to be the base of an AllocGuestHuge block.
-func (gs *GuestSpace) Map(gva pt.VirtAddr, gframe GuestFrame, size pt.PageSize, flags pt.PTE, ptNode numa.NodeID) error {
-	return gs.MapAt(gs.Descend(gva), gva, gframe, size, flags, ptNode)
-}
-
-// MapAt is Map continuing the primary tree from d, a Descend of an address
-// that shares gva's indices at every level from the root down to d.Level,
-// made since the guest table last changed.
+// MapAt installs gva -> gframe at the given page size in the guest table
+// (guest-kernel work), continuing the primary tree from d, a Descend of an
+// address that shares gva's indices at every level from the root down to
+// d.Level, made since the guest table last changed. Missing intermediate
+// guest-table frames of the primary tree are allocated on ptNode. Replicas,
+// if any, are updated eagerly — the guest-level equivalent of the eager
+// PV-Ops propagation — with their intermediate pages backed
+// replica-locally. 2MB mappings require gframe to be the base of an
+// AllocGuestHuge block.
 func (gs *GuestSpace) MapAt(d pt.Descent, gva pt.VirtAddr, gframe GuestFrame, size pt.PageSize, flags pt.PTE, ptNode numa.NodeID) error {
 	if err := gs.mapFrom(d, ptNode, gva, gframe, size, flags); err != nil {
 		return err
@@ -421,17 +393,6 @@ func (gs *GuestSpace) mapFrom(d pt.Descent, node numa.NodeID, gva pt.VirtAddr, g
 	}
 	gs.writeGuest(cur, pt.Index(gva, leafLevel), e)
 	return nil
-}
-
-// Lookup translates gva through the primary guest tree, returning the
-// guest leaf entry and its page size.
-func (gs *GuestSpace) Lookup(gva pt.VirtAddr) (pt.PTE, pt.PageSize, bool) {
-	d := gs.Descend(gva)
-	size, ok := d.Mapped()
-	if !ok {
-		return 0, pt.Size4K, false
-	}
-	return d.Entry, size, true
 }
 
 // VisitLeaves calls fn for each present leaf of the primary guest tree in

@@ -7,7 +7,6 @@ import (
 	"github.com/mitosis-project/mitosis-sim/internal/mem"
 	"github.com/mitosis-project/mitosis-sim/internal/numa"
 	"github.com/mitosis-project/mitosis-sim/internal/pt"
-	"github.com/mitosis-project/mitosis-sim/internal/pvops"
 )
 
 type fixture struct {
@@ -23,7 +22,7 @@ func newFixture(t testing.TB, hostNode numa.NodeID) *fixture {
 	pm := mem.New(mem.Config{Topology: topo, FramesPerNode: 16384})
 	cost := numa.NewCostModel(topo, numa.DefaultCostParams())
 	be := core.NewBackend(pm, cost, mem.NewPageCache(pm, 0))
-	vm, err := NewVM(pm, cost, be, hostNode)
+	vm, err := NewVM(pm, be, hostNode)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +55,7 @@ func TestWalk2DTranslates(t *testing.T) {
 	fx := newFixture(t, 0)
 	gs, vas := buildGuest(t, fx, 0, 0, 20)
 	for _, va := range vas {
-		res, err := fx.vm.Walk2D(gs, 0, va)
+		res, err := fx.vm.Walk2D(fx.cost, gs, 0, va)
 		if err != nil {
 			t.Fatalf("walk %#x: %v", uint64(va), err)
 		}
@@ -73,7 +72,7 @@ func TestWalk2DTranslates(t *testing.T) {
 func TestWalk2DFaults(t *testing.T) {
 	fx := newFixture(t, 0)
 	gs, _ := buildGuest(t, fx, 0, 0, 1)
-	if _, err := fx.vm.Walk2D(gs, 0, 0x123456789000); err == nil {
+	if _, err := fx.vm.Walk2D(fx.cost, gs, 0, 0x123456789000); err == nil {
 		t.Fatal("walk of unmapped gva succeeded")
 	}
 }
@@ -81,7 +80,7 @@ func TestWalk2DFaults(t *testing.T) {
 func TestNestedWalkAllLocalWhenEverythingLocal(t *testing.T) {
 	fx := newFixture(t, 0)
 	gs, vas := buildGuest(t, fx, 0, 0, 5)
-	res, err := fx.vm.Walk2D(gs, 0, vas[0])
+	res, err := fx.vm.Walk2D(fx.cost, gs, 0, vas[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +94,7 @@ func TestRemoteNestedTableAmplifies(t *testing.T) {
 	// every nested-level access is remote — 20 of 24.
 	fx := newFixture(t, 1)
 	gs, vas := buildGuest(t, fx, 0, 0, 5)
-	res, err := fx.vm.Walk2D(gs, 0, vas[0])
+	res, err := fx.vm.Walk2D(fx.cost, gs, 0, vas[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +109,7 @@ func TestReplicateNestedRestoresLocality(t *testing.T) {
 	if err := fx.vm.ReplicateNested([]numa.NodeID{0, 1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := fx.vm.Walk2D(gs, 0, vas[0])
+	res, err := fx.vm.Walk2D(fx.cost, gs, 0, vas[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +127,7 @@ func TestReplicateNestedRestoresLocality(t *testing.T) {
 		t.Fatal(err)
 	}
 	for s := numa.SocketID(0); s < 4; s++ {
-		res, err := fx.vm.Walk2D(gs, s, va)
+		res, err := fx.vm.Walk2D(fx.cost, gs, s, va)
 		if err != nil {
 			t.Fatalf("socket %d: %v", s, err)
 		}
@@ -144,7 +143,7 @@ func TestReplicateGuestTables(t *testing.T) {
 	fx := newFixture(t, 0)
 	gs, vas := buildGuest(t, fx, 1, 0, 10)
 
-	before, err := fx.vm.Walk2D(gs, 0, vas[3])
+	before, err := fx.vm.Walk2D(fx.cost, gs, 0, vas[3])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +153,7 @@ func TestReplicateGuestTables(t *testing.T) {
 	if err := gs.ReplicateGuest([]numa.NodeID{0}); err != nil {
 		t.Fatal(err)
 	}
-	after, err := fx.vm.Walk2D(gs, 0, vas[3])
+	after, err := fx.vm.Walk2D(fx.cost, gs, 0, vas[3])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +176,7 @@ func TestReplicateGuestTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range []numa.SocketID{0, 1} {
-		if _, err := fx.vm.Walk2D(gs, s, va); err != nil {
+		if _, err := fx.vm.Walk2D(fx.cost, gs, s, va); err != nil {
 			t.Fatalf("socket %d: new mapping missing from replica: %v", s, err)
 		}
 	}
@@ -189,7 +188,7 @@ func TestBothLevelsReplicated(t *testing.T) {
 	fx := newFixture(t, 1)
 	gs, vas := buildGuest(t, fx, 1, 1, 8)
 
-	worst, err := fx.vm.Walk2D(gs, 0, vas[0])
+	worst, err := fx.vm.Walk2D(fx.cost, gs, 0, vas[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +201,7 @@ func TestBothLevelsReplicated(t *testing.T) {
 	if err := gs.ReplicateGuest([]numa.NodeID{0}); err != nil {
 		t.Fatal(err)
 	}
-	best, err := fx.vm.Walk2D(gs, 0, vas[0])
+	best, err := fx.vm.Walk2D(fx.cost, gs, 0, vas[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,22 +213,6 @@ func TestBothLevelsReplicated(t *testing.T) {
 	}
 	if best.Cycles >= worst.Cycles {
 		t.Errorf("replicated walk (%d cycles) not cheaper than worst case (%d)", best.Cycles, worst.Cycles)
-	}
-}
-
-func TestNativeBackendVMHasNoNestedSpace(t *testing.T) {
-	topo := numa.NewTopology(2, 1)
-	pm := mem.New(mem.Config{Topology: topo, FramesPerNode: 4096})
-	cost := numa.NewCostModel(topo, numa.DefaultCostParams())
-	vm, err := NewVM(pm, cost, pvops.NewNative(pm, cost), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vm.NestedSpace() != nil {
-		t.Error("native VM has a nested replication space")
-	}
-	if err := vm.ReplicateNested([]numa.NodeID{1}); err == nil {
-		t.Error("nested replication succeeded on native backend")
 	}
 }
 
@@ -253,7 +236,7 @@ func TestWalk2DGuestHugeLeaf(t *testing.T) {
 	// Probe an offset inside the huge page: the composed translation must
 	// land on the right 4KB host frame.
 	off := pt.VirtAddr(0x1F5000)
-	res, err := fx.vm.Walk2D(gs, 0, va+off)
+	res, err := fx.vm.Walk2D(fx.cost, gs, 0, va+off)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,18 +246,18 @@ func TestWalk2DGuestHugeLeaf(t *testing.T) {
 	if res.Size != pt.Size2M {
 		t.Errorf("effective size = %v, want 2MB", res.Size)
 	}
-	want := fx.vm.HostFrameOf(gf) + mem.FrameID(uint64(off)>>12)
+	want := fx.vm.hostFrameOf(gf) + mem.FrameID(uint64(off)>>12)
 	if res.HostFrame != want {
 		t.Errorf("host frame = %d, want %d (base + in-page offset)", res.HostFrame, want)
 	}
 	// The pre-fix walker descended into the huge leaf as if it were a
 	// table pointer; the base of the page must also translate correctly.
-	res0, err := fx.vm.Walk2D(gs, 0, va)
+	res0, err := fx.vm.Walk2D(fx.cost, gs, 0, va)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res0.HostFrame != fx.vm.HostFrameOf(gf) {
-		t.Errorf("host frame at base = %d, want %d", res0.HostFrame, fx.vm.HostFrameOf(gf))
+	if res0.HostFrame != fx.vm.hostFrameOf(gf) {
+		t.Errorf("host frame at base = %d, want %d", res0.HostFrame, fx.vm.hostFrameOf(gf))
 	}
 }
 
@@ -301,14 +284,14 @@ func TestWalk2DGuestHugeOverNested4K(t *testing.T) {
 				t.Skipf("guest frame run not 2MB-aligned (starts at %d)", gf)
 			}
 		}
-		hfs = append(hfs, fx.vm.HostFrameOf(gf))
+		hfs = append(hfs, fx.vm.hostFrameOf(gf))
 	}
 	va := pt.VirtAddr(0x80000000)
 	if err := gs.Map(va, first, pt.Size2M, pt.FlagWrite|pt.FlagUser, 0); err != nil {
 		t.Fatal(err)
 	}
 	off := pt.VirtAddr(37 << 12)
-	res, err := fx.vm.Walk2D(gs, 0, va+off)
+	res, err := fx.vm.Walk2D(fx.cost, gs, 0, va+off)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +322,7 @@ func TestNptTranslateMalformed(t *testing.T) {
 			break
 		}
 	}
-	if _, err := fx.vm.Walk2D(gs, 0, vas[0]); err == nil {
+	if _, err := fx.vm.Walk2D(fx.cost, gs, 0, vas[0]); err == nil {
 		t.Fatal("walk over malformed nested table succeeded")
 	}
 }
@@ -352,7 +335,7 @@ func TestDropGuestReplica(t *testing.T) {
 	if err := gs.ReplicateGuest([]numa.NodeID{0}); err != nil {
 		t.Fatal(err)
 	}
-	before, err := fx.vm.Walk2D(gs, 0, vas[0])
+	before, err := fx.vm.Walk2D(fx.cost, gs, 0, vas[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +345,7 @@ func TestDropGuestReplica(t *testing.T) {
 	if gs.DropGuestReplica(0) {
 		t.Fatal("second drop reported a replica")
 	}
-	after, err := fx.vm.Walk2D(gs, 0, vas[0])
+	after, err := fx.vm.Walk2D(fx.cost, gs, 0, vas[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,12 +33,12 @@ type Walk2DResult struct {
 // Nested huge leaves (PS at level 2 or 3) terminate the walk early,
 // composing the in-page offset; a PS bit anywhere else is a malformed
 // tree.
-func (vm *VM) nptTranslate(socket numa.SocketID, gpa pt.VirtAddr, res *Walk2DResult) (mem.FrameID, pt.PageSize, error) {
+func (vm *VM) nptTranslate(cost *numa.CostModel, socket numa.SocketID, gpa pt.VirtAddr, res *Walk2DResult) (mem.FrameID, pt.PageSize, error) {
 	frame := vm.NestedRootFor(socket)
 	for level := vm.npt.Levels(); level >= 1; level-- {
 		res.Accesses++
 		node := vm.pm.NodeOf(frame)
-		res.Cycles += vm.cost.DRAM(socket, node)
+		res.Cycles += cost.DRAM(socket, node)
 		if node != vm.pm.Topology().NodeOf(socket) {
 			res.RemoteAccesses++
 		}
@@ -63,27 +63,27 @@ func (vm *VM) nptTranslate(socket numa.SocketID, gpa pt.VirtAddr, res *Walk2DRes
 }
 
 // Walk2D performs the full two-dimensional walk for gva on the given
-// socket: for each guest level, the guest-table page's gPA is translated
-// through the nested table and the guest entry is read; the final leaf gPA
-// is translated once more. No TLB or MMU-cache acceleration is modelled —
-// this is the worst-case walk the paper's §7.4 quotes at 24 accesses (4KB
-// pages end to end; huge leaves in either dimension shorten it). The
-// hardware path (hw.Machine) performs the same walk with TLB caching of
-// the resulting gVA->hPA leaf.
-func (vm *VM) Walk2D(gs *GuestSpace, socket numa.SocketID, gva pt.VirtAddr) (Walk2DResult, error) {
+// socket, charging cost's DRAM latencies: for each guest level, the
+// guest-table page's gPA is translated through the nested table and the
+// guest entry is read; the final leaf gPA is translated once more. No TLB
+// or MMU-cache acceleration is modelled — this is the worst-case walk the
+// paper's §7.4 quotes at 24 accesses (4KB pages end to end; huge leaves in
+// either dimension shorten it). The hardware path (hw.Machine) performs the
+// same walk with TLB caching of the resulting gVA->hPA leaf.
+func (vm *VM) Walk2D(cost *numa.CostModel, gs *GuestSpace, socket numa.SocketID, gva pt.VirtAddr) (Walk2DResult, error) {
 	var res Walk2DResult
 	topo := vm.pm.Topology()
 	cur := gs.roots[socket]
 	for level := uint8(4); level >= 1; level-- {
 		// Translate the guest-table page's gPA through the nested table.
-		hostFrame, _, err := vm.nptTranslate(socket, gpaOf(cur), &res)
+		hostFrame, _, err := vm.nptTranslate(cost, socket, gpaOf(cur), &res)
 		if err != nil {
 			return res, err
 		}
 		// Read the guest entry from the backing host frame.
 		res.Accesses++
 		node := vm.pm.NodeOf(hostFrame)
-		res.Cycles += vm.cost.DRAM(socket, node)
+		res.Cycles += cost.DRAM(socket, node)
 		if node != topo.NodeOf(socket) {
 			res.RemoteAccesses++
 		}
@@ -103,7 +103,7 @@ func (vm *VM) Walk2D(gs *GuestSpace, socket numa.SocketID, gva pt.VirtAddr) (Wal
 		// Final: translate the gPA of the 4KB page containing gva (the
 		// guest leaf's base plus the in-page offset, 4KB-truncated).
 		gpa := gpaOf(GuestFrame(e.Frame())) + pt.VirtAddr(pt.PageOffset(gva, gsize)&^uint64(pt.Size4K.Bytes()-1))
-		final, nsize, err := vm.nptTranslate(socket, gpa, &res)
+		final, nsize, err := vm.nptTranslate(cost, socket, gpa, &res)
 		if err != nil {
 			return res, err
 		}

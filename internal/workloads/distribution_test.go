@@ -37,8 +37,8 @@ func TestAllAddressesInBounds(t *testing.T) {
 			vas, _, env := collectSteps(t, w, 5000)
 			for _, va := range vas {
 				inRegion := false
-				for _, vma := range env.P.VMAs() {
-					if vma.Contains(va) {
+				for _, r := range env.regions {
+					if va >= r.Base && uint64(va-r.Base) < r.Size {
 						inRegion = true
 						break
 					}

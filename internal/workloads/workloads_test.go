@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/mitosis-project/mitosis-sim/internal/kernel"
+	"github.com/mitosis-project/mitosis-sim/internal/mem/memtest"
 	"github.com/mitosis-project/mitosis-sim/internal/numa"
 	"github.com/mitosis-project/mitosis-sim/internal/pt"
 )
@@ -134,11 +135,11 @@ func TestInitSingleSkewsPlacement(t *testing.T) {
 	_ = env
 	// Single-threaded init: all data and page-tables on socket 0's node.
 	for n := numa.NodeID(1); n < 4; n++ {
-		if got := k.Mem().AllocatedPT(n); got != 0 {
+		if got := memtest.AllocatedPT(k.Mem(), n); got != 0 {
 			t.Errorf("node %d has %d PT pages after single-threaded init", n, got)
 		}
 	}
-	if k.Mem().AllocatedPT(0) == 0 {
+	if memtest.AllocatedPT(k.Mem(), 0) == 0 {
 		t.Error("no PT pages on init socket")
 	}
 }
@@ -150,7 +151,7 @@ func TestInitPartitionedSpreadsPlacement(t *testing.T) {
 	_ = env
 	spread := 0
 	for n := numa.NodeID(0); n < 4; n++ {
-		if k.Mem().AllocatedPT(n) > 0 {
+		if memtest.AllocatedPT(k.Mem(), n) > 0 {
 			spread++
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/mitosis-project/mitosis-sim/internal/hw/hwtest"
 	"github.com/mitosis-project/mitosis-sim/internal/mem"
 	"github.com/mitosis-project/mitosis-sim/internal/pt"
 )
@@ -108,7 +109,7 @@ func TestReaderlessRunTakesNoSample(t *testing.T) {
 			va, frame = v, f
 		}
 	})
-	if err := sys.Kernel().Machine().Access(p.Cores()[0], va, false); err != nil {
+	if err := hwtest.Access(sys.Kernel().Machine(), p.Cores()[0], va, false); err != nil {
 		t.Fatal(err)
 	}
 	if meta := pm.Meta(frame); meta.LocalAccesses+meta.RemoteAccesses != 1 {
