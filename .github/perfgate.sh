@@ -31,6 +31,7 @@ rows=(
 	BenchmarkMicroCostDRAM
 	BenchmarkMicroEmptyRound
 	BenchmarkMicroFaultTick
+	BenchmarkMicroSetPTEReplicated
 )
 
 root=$(git rev-parse --show-toplevel)

@@ -603,8 +603,8 @@ func BenchmarkMicroEmptyRound(b *testing.B) {
 	})
 }
 
-// BenchmarkMicroSetPTEReplicated measures one PTE store propagated to four
-// replicas through the ring.
+// BenchmarkMicroSetPTEReplicated measures one PTE store propagated through
+// a four-copy replica ring (§5.2), metered as every kernel store is.
 func BenchmarkMicroSetPTEReplicated(b *testing.B) {
 	b.ReportAllocs()
 	topo := numa.FourSocketXeon()
@@ -612,17 +612,20 @@ func BenchmarkMicroSetPTEReplicated(b *testing.B) {
 	cost := numa.NewCostModel(topo, numa.DefaultCostParams())
 	cache := mem.NewPageCache(pm, 0)
 	be := core.NewBackend(pm, cost, cache)
-	ctx := &pvops.OpCtx{Socket: 0}
+	ctx := &pvops.OpCtx{Meter: &pvops.Meter{}}
 	f, err := be.AllocPT(ctx, pvops.AllocSpec{Level: 1, Primary: 0, Replicas: []numa.NodeID{1, 2, 3}})
 	if err != nil {
 		b.Fatal(err)
 	}
 	data, _ := pm.AllocData(0)
 	e := pt.NewPTE(data, pt.FlagPresent|pt.FlagWrite)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		be.SetPTE(ctx, pt.EntryRef{Frame: f, Index: i & 511}, e)
-	}
+	i := 0
+	paced(b, func(n int) {
+		for ; n > 0; n-- {
+			be.SetPTE(ctx, pt.EntryRef{Frame: f, Index: i & 511}, e)
+			i++
+		}
+	})
 }
 
 // BenchmarkMicroMemAlloc measures the frame allocator's single-frame path:
@@ -779,7 +782,7 @@ func BenchmarkMicroPageTableAlloc(b *testing.B) {
 	cache := mem.NewPageCache(pm, 64)
 	cache.Refill()
 	be := core.NewBackend(pm, numa.NewCostModel(topo, numa.DefaultCostParams()), cache)
-	ctx := &pvops.OpCtx{Socket: 0}
+	ctx := &pvops.OpCtx{}
 	spec := pvops.AllocSpec{Level: 1, Primary: 0}
 	paced(b, func(n int) {
 		for range n {

@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -26,8 +27,8 @@ const modulePath = "github.com/mitosis-project/mitosis-sim"
 // reason it stays. An entry that production code references again, or that
 // no longer exists, fails the test, so the list cannot go stale.
 var keep = map[string]string{
-	"internal/hw.Machine.LLCStats": "the per-socket page-table line caches' counters, which no production API reports: " +
-		"the root's coherence test and workloads' set-up equivalence test compare them",
+	"internal/hw.Machine.LLCResident": "the lines each socket's page-table line cache holds, which no production API reports: " +
+		"workloads' set-up equivalence test compares them",
 	"internal/kernel.Process.GuestSpace": "a VM process's guest page table, which no production API exposes: " +
 		"BenchmarkMicroWalk/2d reads its guest root and translate's shootdown test descends it",
 	"internal/mem.PageCache.Cached": "the page-cache pool's occupancy, which no production API reports: " +
@@ -46,14 +47,7 @@ var keep = map[string]string{
 // interface, constants of an iota group, and test-support packages, which
 // no production file may import.
 func TestNoTestOnlyDeclarations(t *testing.T) {
-	root, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := newLoader(root)
-	if err := l.loadAll(); err != nil {
-		t.Fatal(err)
-	}
+	l := loadModule(t)
 	for _, imp := range l.testSupportImports() {
 		t.Errorf("production file imports a test-support package: %s", imp)
 	}
@@ -73,6 +67,31 @@ func TestNoTestOnlyDeclarations(t *testing.T) {
 	for key := range stale {
 		t.Errorf("allowlist entry %s is stale: production code references it, or it is gone", key)
 	}
+}
+
+var (
+	loadOnce sync.Once
+	loaded   *loader
+	loadErr  error
+)
+
+// loadModule type-checks the module and benchmark/ once for every guard in
+// this package.
+func loadModule(t *testing.T) *loader {
+	t.Helper()
+	loadOnce.Do(func() {
+		root, err := filepath.Abs(filepath.Join("..", ".."))
+		if err != nil {
+			loadErr = err
+			return
+		}
+		loaded = newLoader(root)
+		loadErr = loaded.loadAll()
+	})
+	if loadErr != nil {
+		t.Fatal(loadErr)
+	}
+	return loaded
 }
 
 // loader type-checks the module's packages from their non-test files and
@@ -161,9 +180,10 @@ func (l *loader) load(path string) (*pkg, error) {
 		return nil, err
 	}
 	p := &pkg{path: path, rel: rel, info: &types.Info{
-		Defs:  map[*ast.Ident]types.Object{},
-		Uses:  map[*ast.Ident]types.Object{},
-		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}}
 	for _, name := range bp.GoFiles {
 		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
@@ -291,17 +311,25 @@ func inAny(spans []span, pos token.Pos) bool {
 }
 
 func (l *loader) newDecl(p *pkg, obj types.Object, n ast.Node) decl {
+	d := l.declOf(p, recvName(obj), obj)
+	d.from, d.to = n.Pos(), n.End()
+	return d
+}
+
+// declOf keys obj by its package, its owner (a receiver's or struct's
+// type name, "" for none) and its name, and records its position.
+func (l *loader) declOf(p *pkg, owner string, obj types.Object) decl {
 	name := p.rel
 	if name == "." {
 		name = "mitosis"
 	}
 	name += "."
-	if r := recvName(obj); r != "" {
-		name += r + "."
+	if owner != "" {
+		name += owner + "."
 	}
 	pos := l.fset.Position(obj.Pos())
 	rel, _ := filepath.Rel(l.root, pos.Filename)
-	return decl{key: name + obj.Name(), pos: fmt.Sprintf("%s:%d", filepath.ToSlash(rel), pos.Line), from: n.Pos(), to: n.End()}
+	return decl{key: name + obj.Name(), pos: fmt.Sprintf("%s:%d", filepath.ToSlash(rel), pos.Line)}
 }
 
 // rootAPI reports whether a declaration belongs to the root package's

@@ -74,15 +74,15 @@ var targets = []targetInfo{
 	{"fig1", "composite motivation summary: stranded tables vs replicated"},
 	{"fig3", "page-table placement dump across sockets"},
 	{"fig4", "remote page-walk fractions per configuration"},
-	{"fig6", "multi-socket 4KB speedups over stranded baseline"},
-	{"fig9a", "workload-migration slowdowns, 4KB pages"},
-	{"fig9b", "workload-migration slowdowns, THP"},
-	{"fig10a", "multi-socket Mitosis speedups, 4KB pages"},
-	{"fig10b", "multi-socket Mitosis speedups, THP"},
-	{"fig11", "TLB and page-walk breakdown under migration"},
+	{"fig6", "workload-migration placement analysis, 7 configurations x 8 workloads, 4KB pages"},
+	{"fig9a", "multi-socket evaluation, 4KB pages"},
+	{"fig9b", "multi-socket evaluation, 2MB THP"},
+	{"fig10a", "workload-migration evaluation, 4KB pages"},
+	{"fig10b", "workload-migration evaluation, 2MB THP"},
+	{"fig11", "2MB THP under heavy memory fragmentation"},
 	{"table4", "per-workload page-table sizes and replication overhead"},
 	{"table5", "VMA-operation costs with and without replication"},
-	{"table6", "virtualized gPT/ePT replication ladder"},
+	{"table6", "end-to-end overhead of Mitosis (LP-LD, initialization included)"},
 	{"ablations", "design ablations: propagation, 5-level, page cache, policies, async, virt"},
 	{"policy", "runtime replication-policy comparison (none/static/ondemand/costadaptive)"},
 	{"scenario", "canonical declarative scenario, replayable via BENCH_scenario.json"},

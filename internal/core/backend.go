@@ -39,19 +39,14 @@ type Backend struct {
 	Stats BackendStats
 }
 
-// BackendStats counts replica maintenance work. The counters are bumped
-// with atomic adds: the fault path is sharded per process, so two
-// processes' page-table operations may increment them concurrently.
-// Read them only at quiescence (all simulated counters are reported from
-// quiescent points).
+// BackendStats counts replica maintenance work. The counter is bumped
+// with an atomic add: the fault path is sharded per process, so two
+// processes' page-table operations may increment it concurrently. Read it
+// only at quiescence (all simulated counters are reported from quiescent
+// points).
 type BackendStats struct {
-	// ReplicaStores counts PTE stores into non-primary replicas.
-	ReplicaStores uint64
 	// ReplicaPTPages counts page-table pages allocated for replicas.
 	ReplicaPTPages uint64
-	// TranslatedPointers counts upper-level entries rewritten to point at
-	// a replica-local child instead of the primary child.
-	TranslatedPointers uint64
 }
 
 // NewBackend creates a Mitosis backend. The page cache provides the strict
@@ -94,7 +89,6 @@ func (b *Backend) AllocPT(ctx *pvops.OpCtx, spec pvops.AllocSpec) (mem.FrameID, 
 	if err != nil {
 		return mem.NilFrame, err
 	}
-	count(ctx, func(m *pvops.Meter) { m.PTAllocs++ })
 	charge(ctx, p.PTAllocInit+p.PageZero)
 
 	for _, node := range spec.Replicas {
@@ -111,7 +105,6 @@ func (b *Backend) AllocPT(ctx *pvops.OpCtx, spec pvops.AllocSpec) (mem.FrameID, 
 		}
 		ringInsert(b.pm, master, rep)
 		atomic.AddUint64(&b.Stats.ReplicaPTPages, 1)
-		count(ctx, func(m *pvops.Meter) { m.PTAllocs++ })
 		charge(ctx, p.PTAllocInit+p.PageZero)
 	}
 	return master, nil
@@ -144,7 +137,6 @@ func (b *Backend) ReleasePT(ctx *pvops.OpCtx, f mem.FrameID) {
 		next := b.pm.ReplicaNext(cur)
 		ringUnlink(b.pm, cur)
 		b.cache.FreePT(cur)
-		count(ctx, func(mt *pvops.Meter) { mt.PTFrees++ })
 		charge(ctx, p.PTAllocInit)
 		cur = next
 	}
@@ -158,25 +150,18 @@ func (b *Backend) ReleasePT(ctx *pvops.OpCtx, f mem.FrameID) {
 func (b *Backend) SetPTE(ctx *pvops.OpCtx, ref pt.EntryRef, e pt.PTE) {
 	p := b.cost.Params()
 	pt.WriteEntryRaw(b.pm, ref, b.translate(ref.Frame, e))
-	count(ctx, func(m *pvops.Meter) { m.PTEWrites++ })
 	charge(ctx, p.PTEStore)
 
 	for cur := b.pm.ReplicaNext(ref.Frame); cur != mem.NilFrame && cur != ref.Frame; cur = b.pm.ReplicaNext(cur) {
 		pt.WriteEntryRaw(b.pm, pt.EntryRef{Frame: cur, Index: ref.Index}, b.translate(cur, e))
-		atomic.AddUint64(&b.Stats.ReplicaStores, 1)
 		switch b.prop {
 		case PropagateRing:
 			// One metadata pointer chase plus one store per replica: the
 			// 2N scheme.
-			count(ctx, func(m *pvops.Meter) { m.PTEWrites++; m.RingHops++ })
 			charge(ctx, p.RingHop+p.PTEStore)
 		case PropagateWalk:
 			// The rejected 4N scheme: locate the replica's entry by
 			// walking its table from the root (depth loads), then store.
-			count(ctx, func(m *pvops.Meter) {
-				m.PTEWrites++
-				m.PTEReads += uint64(b.depth)
-			})
 			charge(ctx, numa.Cycles(b.depth)*p.PTELoad+p.PTEStore)
 		}
 	}
@@ -199,20 +184,17 @@ func (b *Backend) translate(dst mem.FrameID, e pt.PTE) pt.PTE {
 	if !ok || local == target {
 		return e
 	}
-	atomic.AddUint64(&b.Stats.TranslatedPointers, 1)
 	return pt.NewPTE(local, e.Flags())
 }
 
 // ReadPTE implements pvops.Backend: a structural read of a single location.
 func (b *Backend) ReadPTE(ctx *pvops.OpCtx, ref pt.EntryRef) pt.PTE {
-	count(ctx, func(m *pvops.Meter) { m.PTEReads++ })
 	charge(ctx, b.cost.Params().PTELoad)
 	return pt.ReadEntry(b.pm, ref)
 }
 
 // ChargeReads implements pvops.Backend.
 func (b *Backend) ChargeReads(ctx *pvops.OpCtx, n int) {
-	count(ctx, func(m *pvops.Meter) { m.PTEReads += uint64(n) })
 	charge(ctx, numa.Cycles(n)*b.cost.Params().PTELoad)
 }
 
@@ -222,12 +204,10 @@ func (b *Backend) ChargeReads(ctx *pvops.OpCtx, n int) {
 func (b *Backend) GatherAD(ctx *pvops.OpCtx, ref pt.EntryRef) pt.PTE {
 	p := b.cost.Params()
 	e := pt.ReadEntry(b.pm, ref)
-	count(ctx, func(m *pvops.Meter) { m.PTEReads++ })
 	charge(ctx, p.PTELoad)
 	for cur := b.pm.ReplicaNext(ref.Frame); cur != mem.NilFrame && cur != ref.Frame; cur = b.pm.ReplicaNext(cur) {
 		re := pt.ReadEntry(b.pm, pt.EntryRef{Frame: cur, Index: ref.Index})
 		e |= re & (pt.FlagAccessed | pt.FlagDirty)
-		count(ctx, func(m *pvops.Meter) { m.PTEReads++; m.RingHops++ })
 		charge(ctx, p.RingHop+p.PTELoad)
 	}
 	return e
@@ -240,7 +220,6 @@ func (b *Backend) ClearAD(ctx *pvops.OpCtx, ref pt.EntryRef) {
 		r := pt.EntryRef{Frame: cur, Index: ref.Index}
 		e := pt.ReadEntry(b.pm, r)
 		pt.WriteEntryRaw(b.pm, r, e.ClearFlags(pt.FlagAccessed|pt.FlagDirty))
-		count(ctx, func(mt *pvops.Meter) { mt.PTEReads++; mt.PTEWrites++ })
 		charge(ctx, p.PTELoad+p.PTEStore)
 		if cur = b.pm.ReplicaNext(cur); cur == mem.NilFrame || cur == ref.Frame {
 			return
@@ -251,12 +230,6 @@ func (b *Backend) ClearAD(ctx *pvops.OpCtx, ref pt.EntryRef) {
 func charge(ctx *pvops.OpCtx, cy numa.Cycles) {
 	if ctx.Meter != nil {
 		ctx.Meter.Cycles += cy
-	}
-}
-
-func count(ctx *pvops.OpCtx, fn func(*pvops.Meter)) {
-	if ctx.Meter != nil {
-		fn(ctx.Meter)
 	}
 }
 

@@ -38,7 +38,7 @@ func newFixtureLevels(t testing.TB, primary numa.NodeID, levels uint8) *fixture 
 	cost := numa.NewCostModel(topo, numa.DefaultCostParams())
 	cache := mem.NewPageCache(pm, 0)
 	be := NewBackend(pm, cost, cache)
-	ctx := &pvops.OpCtx{Socket: 0, Meter: &pvops.Meter{}}
+	ctx := &pvops.OpCtx{Meter: &pvops.Meter{}}
 	mp, err := pvops.NewMapper(ctx, pm, be, levels, pvops.PTPlacement{Primary: primary})
 	if err != nil {
 		t.Fatal(err)
@@ -180,7 +180,7 @@ func TestBackendNativeEquivalenceWhenOff(t *testing.T) {
 	// tables to the native backend for the same operation sequence.
 	topo := numa.NewTopology(4, 2)
 	runOps := func(be pvops.Backend, pm *mem.PhysMem) *pt.Table {
-		ctx := &pvops.OpCtx{Socket: 1}
+		ctx := &pvops.OpCtx{}
 		mp, err := pvops.NewMapper(ctx, pm, be, 4, pvops.PTPlacement{Primary: 1})
 		if err != nil {
 			t.Fatal(err)
@@ -502,17 +502,29 @@ func TestStrictAllocationFailureSurfacesError(t *testing.T) {
 	}
 }
 
-func TestReplicaStoreStats(t *testing.T) {
+// TestLeafStoreReachesEveryReplica: a leaf store into a replicated table
+// lands in the primary's leaf table and in each of the three replicas' own.
+func TestLeafStoreReachesEveryReplica(t *testing.T) {
 	fx := newFixture(t, 0)
 	fx.mapPage(t, 0x1000, 0)
 	if err := fx.space.Replicate(fx.ctx); err != nil {
 		t.Fatal(err)
 	}
-	before := fx.be.Stats.ReplicaStores
-	fx.mapPage(t, 0x2000, 0)
-	// One leaf store propagated to 3 replicas.
-	if got := fx.be.Stats.ReplicaStores - before; got != 3 {
-		t.Errorf("replica stores = %d, want 3", got)
+	data := fx.mapPage(t, 0x2000, 0)
+	tables := fx.allRoots()
+	if len(tables) != 4 {
+		t.Fatalf("%d copies of the table, want 4", len(tables))
+	}
+	leafTables := map[mem.FrameID]bool{}
+	for i, tbl := range tables {
+		ref, leaf, ok := leafRef(tbl, 0x2000)
+		if !ok || leaf.Frame() != data {
+			t.Errorf("copy %d maps 0x2000 to %v (present %v), want frame %d", i, leaf, ok, data)
+		}
+		leafTables[ref.Frame] = true
+	}
+	if len(leafTables) != 4 {
+		t.Errorf("the store reached %d distinct leaf tables, want 4", len(leafTables))
 	}
 }
 
@@ -527,7 +539,7 @@ func TestPropagationModesCostDiffers(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := pvops.Meter{}
-		ctx := &pvops.OpCtx{Socket: 0, Meter: &m}
+		ctx := &pvops.OpCtx{Meter: &m}
 		for i := 1; i < 200; i++ {
 			f, _ := fx.pm.AllocData(0)
 			va := pt.VirtAddr(0x400000 + uint64(i)*0x1000)
@@ -573,7 +585,7 @@ func TestPageTableAllocFreeZeroAlloc(t *testing.T) {
 		cache := mem.NewPageCache(pm, 64)
 		cache.Refill()
 		be := NewBackend(pm, numa.NewCostModel(topo, numa.DefaultCostParams()), cache)
-		ctx := &pvops.OpCtx{Socket: 0, Meter: &pvops.Meter{}}
+		ctx := &pvops.OpCtx{Meter: &pvops.Meter{}}
 		spec := pvops.AllocSpec{Level: 1, Primary: 0, Replicas: replicas}
 		pair := func() {
 			f, err := be.AllocPT(ctx, spec)

@@ -29,8 +29,6 @@ type IncrementalReplication struct {
 	queue   []incWork
 	done    bool
 	aborted bool
-	// PagesCopied counts replica pages created so far.
-	PagesCopied int
 }
 
 // incWork is one pending copy: source page and, if the source was reached
@@ -110,7 +108,6 @@ func (ir *IncrementalReplication) Step(ctx *pvops.OpCtx, maxPages int) (bool, er
 			return false, fmt.Errorf("core: incremental replica on node %d: %w", ir.node, err)
 		}
 		s.backend.Stats.ReplicaPTPages++
-		count(ctx, func(m *pvops.Meter) { m.PTAllocs++ })
 		charge(ctx, p.PTAllocInit+p.PageZero)
 
 		src := s.pm.Table(work.src)
@@ -120,12 +117,10 @@ func (ir *IncrementalReplication) Step(ctx *pvops.OpCtx, maxPages int) (bool, er
 			if !e.Present() {
 				continue
 			}
-			count(ctx, func(m *pvops.Meter) { m.PTEReads++; m.PTEWrites++ })
 			charge(ctx, p.PTELoad+p.PTEStore)
 			if work.level > 1 && !e.Huge() && s.pm.Meta(e.Frame()).Kind == mem.KindPageTable {
 				if member, ok := ringMemberOn(s.pm, e.Frame(), ir.node); ok {
 					dst[i] = uint64(pt.NewPTE(member, e.Flags()))
-					s.backend.Stats.TranslatedPointers++
 					continue
 				}
 				// Point at the primary child for now — correct but
@@ -142,7 +137,6 @@ func (ir *IncrementalReplication) Step(ctx *pvops.OpCtx, maxPages int) (bool, er
 		}
 		ringInsert(s.pm, work.src, copyFrame)
 		ir.fixParent(ctx, work, copyFrame)
-		ir.PagesCopied++
 	}
 	if len(ir.queue) > 0 {
 		return false, nil
@@ -167,8 +161,6 @@ func (ir *IncrementalReplication) fixParent(ctx *pvops.OpCtx, work incWork, chil
 	s := ir.space
 	e := pt.ReadEntry(s.pm, work.parent)
 	pt.WriteEntryRaw(s.pm, work.parent, pt.NewPTE(child, e.Flags()))
-	s.backend.Stats.TranslatedPointers++
-	count(ctx, func(m *pvops.Meter) { m.PTEReads++; m.PTEWrites++ })
 	charge(ctx, s.backend.cost.Params().PTELoad+s.backend.cost.Params().PTEStore)
 }
 

@@ -68,9 +68,8 @@ func (a Action) String() string {
 // hardware counters of the socket's cores since the previous tick, plus the
 // replication state the policy needs to interpret them.
 type SocketSample struct {
-	// Socket and its attached memory node.
-	Socket numa.SocketID
-	Node   numa.NodeID
+	// Node is the socket's attached memory node.
+	Node numa.NodeID
 	// RunsCores reports whether the process has cores scheduled on this
 	// socket this round.
 	RunsCores bool
@@ -97,8 +96,6 @@ func (s *SocketSample) RemoteWalkCycleFraction() float64 {
 // Telemetry is one tick's input to a policy: per-socket samples plus the
 // process's replication state.
 type Telemetry struct {
-	// Round is the engine round the tick fired on (1-based).
-	Round int
 	// PrimaryNode holds the primary table; PrimarySocket is its socket.
 	PrimaryNode   numa.NodeID
 	PrimarySocket numa.SocketID

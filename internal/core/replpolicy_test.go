@@ -11,13 +11,11 @@ import (
 // running cores with a local table.
 func tele() *Telemetry {
 	t := &Telemetry{
-		Round:         1,
 		PrimaryNode:   0,
 		PrimarySocket: 0,
 		Sockets:       make([]SocketSample, 4),
 	}
 	for i := range t.Sockets {
-		t.Sockets[i].Socket = numa.SocketID(i)
 		t.Sockets[i].Node = numa.NodeID(i)
 	}
 	t.Sockets[0].RunsCores = true

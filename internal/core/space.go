@@ -177,7 +177,6 @@ func (s *Space) canonicalize(ctx *pvops.OpCtx) error {
 			freed[m] = true
 			ringUnlink(s.pm, m)
 			s.backend.cache.FreePT(m)
-			count(ctx, func(mt *pvops.Meter) { mt.PTFrees++ })
 			charge(ctx, p.PTAllocInit)
 		}
 	}
@@ -275,7 +274,6 @@ func (s *Space) copyTree(ctx *pvops.OpCtx, f mem.FrameID, level uint8, node numa
 		return mem.NilFrame, fmt.Errorf("core: replicating level-%d table on node %d: %w", level, node, err)
 	}
 	s.backend.Stats.ReplicaPTPages++
-	count(ctx, func(m *pvops.Meter) { m.PTAllocs++ })
 	charge(ctx, p.PTAllocInit+p.PageZero)
 
 	src := s.pm.Table(f)
@@ -285,7 +283,6 @@ func (s *Space) copyTree(ctx *pvops.OpCtx, f mem.FrameID, level uint8, node numa
 		if !e.Present() {
 			continue
 		}
-		count(ctx, func(m *pvops.Meter) { m.PTEReads++; m.PTEWrites++ })
 		charge(ctx, p.PTELoad+p.PTEStore)
 		if level > 1 && !e.Huge() && s.pm.Meta(e.Frame()).Kind == mem.KindPageTable {
 			childCopy, err := s.copyTree(ctx, e.Frame(), level-1, node, reuse)
@@ -293,7 +290,6 @@ func (s *Space) copyTree(ctx *pvops.OpCtx, f mem.FrameID, level uint8, node numa
 				return mem.NilFrame, err
 			}
 			dst[i] = uint64(pt.NewPTE(childCopy, e.Flags()))
-			s.backend.Stats.TranslatedPointers++
 			continue
 		}
 		dst[i] = uint64(e)
@@ -361,7 +357,6 @@ func (s *Space) teardownNode(ctx *pvops.OpCtx, node numa.NodeID) {
 					target = local
 				}
 				tbl[i] = uint64(pt.NewPTE(target, e.Flags()))
-				count(ctx, func(mt *pvops.Meter) { mt.PTEWrites++ })
 				charge(ctx, p.PTEStore)
 			}
 		}
@@ -369,7 +364,6 @@ func (s *Space) teardownNode(ctx *pvops.OpCtx, node numa.NodeID) {
 	for _, member := range doomedOrder {
 		ringUnlink(s.pm, member)
 		s.backend.cache.FreePT(member)
-		count(ctx, func(m *pvops.Meter) { m.PTFrees++ })
 		charge(ctx, p.PTAllocInit)
 	}
 }

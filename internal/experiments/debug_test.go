@@ -49,9 +49,9 @@ func TestDebugMS2MCanneal(t *testing.T) {
 		t.Logf("%s: ops=%d makespan=%d walk%%=%.1f walks=%d memacc=%d llchit=%d remote=%d",
 			pol.Name, res.Ops, res.Cycles, res.WalkCycleFraction()*100,
 			res.Walks, res.WalkMemAccesses, res.WalkLLCHits, res.WalkRemoteAccesses)
-		for s := 0; s < 4; s++ {
-			ls := k.Machine().LLCStats(numa.SocketID(s))
-			t.Logf("  llc[%d]: hits=%d misses=%d inval=%d", s, ls.Hits, ls.Misses, ls.Invalidates)
+		for s := numa.SocketID(0); s < 4; s++ {
+			ss := k.Machine().SocketStats(s)
+			t.Logf("  llc[%d]: walk hits=%d walk misses=%d resident=%d", s, ss.WalkLLCHits, ss.WalkMemAccesses, k.Machine().LLCResident(s))
 		}
 	}
 }

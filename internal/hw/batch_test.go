@@ -2,6 +2,7 @@ package hw
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"github.com/mitosis-project/mitosis-sim/internal/numa"
@@ -58,11 +59,20 @@ func TestAccessBatchMatchesAccess(t *testing.T) {
 	if s, b := single.m.TLBStats(0), batched.m.TLBStats(0); s != b {
 		t.Errorf("TLB stats diverged:\nsingle: %+v\nbatch:  %+v", s, b)
 	}
-	for s := numa.SocketID(0); int(s) < single.topo.Sockets(); s++ {
-		if ss, bs := single.m.LLCStats(s), batched.m.LLCStats(s); ss != bs {
-			t.Errorf("socket %d LLC stats diverged:\nsingle: %+v\nbatch:  %+v", s, ss, bs)
+	if s := llcDiff(single.m, batched.m); s >= 0 {
+		t.Errorf("socket %d LLC diverged: single holds %d lines, batch %d", s, single.m.llcs[s].Resident(), batched.m.llcs[s].Resident())
+	}
+}
+
+// llcDiff returns the first socket whose page-table line cache differs
+// between two machines — lines, validity, recency or residency — or -1.
+func llcDiff(a, b *Machine) int {
+	for s := range a.llcs {
+		if !reflect.DeepEqual(a.llcs[s], b.llcs[s]) {
+			return s
 		}
 	}
+	return -1
 }
 
 func TestAccessBatchRequiresContext(t *testing.T) {
@@ -114,15 +124,16 @@ func TestDeferredCoherence(t *testing.T) {
 	}
 
 	// A write walk in a batch buffers the exclusive-ownership event.
+	held := fx.m.llcs[1].Resident()
 	fx.m.FlushAll(core0)
 	if err := fx.m.AccessBatch(core0, []AccessOp{{VA: va, Write: true}}); err != nil {
 		t.Fatal(err)
 	}
-	if got := fx.m.LLCStats(1).Invalidates; got != 0 {
-		t.Errorf("socket 1 saw %d invalidates before the coherence apply", got)
+	if got := fx.m.llcs[1].Resident(); got != held {
+		t.Errorf("socket 1 lost %d lines before the coherence apply", held-got)
 	}
 	fx.m.DrainCoherence([]numa.CoreID{core0})
-	if got := fx.m.LLCStats(1).Invalidates; got == 0 {
+	if got := fx.m.llcs[1].Resident(); got >= held {
 		t.Error("coherence apply did not invalidate socket 1's line")
 	}
 }
@@ -146,6 +157,7 @@ func TestCoherenceAccumulatesAcrossBatches(t *testing.T) {
 		}
 	}
 	// Two separate batches on socket 0, one store walk each.
+	held := fx.m.llcs[1].Resident()
 	fx.m.FlushAll(core0)
 	if err := fx.m.AccessBatch(core0, []AccessOp{{VA: va1, Write: true}}); err != nil {
 		t.Fatal(err)
@@ -154,8 +166,8 @@ func TestCoherenceAccumulatesAcrossBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	fx.m.DrainCoherence([]numa.CoreID{core0})
-	if got := fx.m.LLCStats(1).Invalidates; got != 2 {
-		t.Errorf("socket 1 invalidates = %d after drain, want 2 (both batches' events)", got)
+	if got := held - fx.m.llcs[1].Resident(); got != 2 {
+		t.Errorf("socket 1 lost %d lines in the drain, want 2 (both batches' events)", got)
 	}
 }
 
@@ -165,21 +177,27 @@ func TestApplyCoherenceToSkipsOwnSocket(t *testing.T) {
 	fx := newFixture(t)
 	va := pt.VirtAddr(0x1000)
 	fx.mapPage(t, va, 0)
-	core0 := numa.CoreID(0)
+	core0, core1 := numa.CoreID(0), numa.CoreID(2) // sockets 0 and 1
 	fx.m.LoadContext(core0, fx.mp.Root(), 4)
+	fx.m.LoadContext(core1, fx.mp.Root(), 4)
+	// Socket 1 caches the page's lines with a read walk.
+	if err := fx.m.Access(core1, va, false); err != nil {
+		t.Fatal(err)
+	}
 	if err := fx.m.AccessBatch(core0, []AccessOp{{VA: va, Write: true}}); err != nil {
 		t.Fatal(err)
 	}
+	own := fx.m.llcs[0].Resident()
 	fx.m.ApplyCoherenceTo(0, []numa.CoreID{core0})
-	if got := fx.m.LLCStats(0).Invalidates; got != 0 {
-		t.Errorf("own-socket apply invalidated %d lines, want 0", got)
+	if got := fx.m.llcs[0].Resident(); got != own {
+		t.Errorf("own-socket apply invalidated %d lines, want 0", own-got)
 	}
-	fx.m.ApplyCoherenceTo(1, []numa.CoreID{core0})
 	fx.m.ClearCoherence([]numa.CoreID{core0})
-	// After the clear, a drain applies nothing.
-	before := fx.m.LLCStats(1).Invalidates
+	// After the clear, a drain applies nothing: socket 1 keeps the line
+	// the store walk took.
+	held := fx.m.llcs[1].Resident()
 	fx.m.DrainCoherence([]numa.CoreID{core0})
-	if got := fx.m.LLCStats(1).Invalidates; got != before {
+	if got := fx.m.llcs[1].Resident(); got != held {
 		t.Error("DrainCoherence applied events after ClearCoherence")
 	}
 }

@@ -349,8 +349,9 @@ func (m *Machine) SocketStats(s numa.SocketID) CoreStats {
 // TLBStats returns core's TLB counters.
 func (m *Machine) TLBStats(core numa.CoreID) tlb.Stats { return m.core(core).xc.TLBStats() }
 
-// LLCStats returns socket's page-table-line cache counters.
-func (m *Machine) LLCStats(s numa.SocketID) mmucache.LLCStats { return m.llcs[s].Stats }
+// LLCResident returns the number of lines socket s's page-table-line cache
+// holds. Call it only at a quiescent point.
+func (m *Machine) LLCResident(s numa.SocketID) int { return m.llcs[s].Resident() }
 
 // ResetStats zeroes all counters on all cores (not the cache contents).
 func (m *Machine) ResetStats() {
@@ -358,9 +359,6 @@ func (m *Machine) ResetStats() {
 		m.cores[i].stats = CoreStats{}
 		m.cores[i].xc.ResetStats()
 		m.cores[i].faultLat = FaultLatHist{}
-	}
-	for _, l := range m.llcs {
-		l.Stats = mmucache.LLCStats{}
 	}
 }
 

@@ -36,7 +36,7 @@ func newFixtureOn(t testing.TB, spec translate.Spec) *fixture {
 	cost := numa.NewCostModel(topo, numa.DefaultCostParams())
 	be := newBackend(t, spec, topo, cost, pm)
 	m := New(Config{Topology: topo, Cost: cost, Mem: pm, Backend: be})
-	ctx := &pvops.OpCtx{Socket: 0}
+	ctx := &pvops.OpCtx{}
 	mp, err := pvops.NewMapper(ctx, pm, pvopstest.NewNative(pm, cost), be.Levels(), pvops.PTPlacement{Primary: 0})
 	if err != nil {
 		t.Fatal(err)
@@ -117,9 +117,8 @@ func TestAccessCountsWalksAndTLBHits(t *testing.T) {
 	if s.Ops != 2 {
 		t.Errorf("Ops = %d, want 2", s.Ops)
 	}
-	ts := fx.m.TLBStats(0)
-	if ts.L1Hits != 1 {
-		t.Errorf("TLB L1Hits = %d, want 1", ts.L1Hits)
+	if ts := fx.m.TLBStats(0); ts.Lookups != 2 || ts.Misses != 1 {
+		t.Errorf("TLB stats = %+v, want 2 lookups and 1 miss", ts)
 	}
 }
 
@@ -314,11 +313,12 @@ func TestWriteWalkInvalidatesOtherSockets(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Write walk on socket 0 invalidates socket 1's leaf line.
+	held := fx.m.llcs[1].Resident()
 	fx.m.FlushAll(core0)
 	if err := fx.m.Access(core0, va, true); err != nil {
 		t.Fatal(err)
 	}
-	if got := fx.m.LLCStats(1).Invalidates; got == 0 {
+	if got := fx.m.llcs[1].Resident(); got >= held {
 		t.Error("write walk did not invalidate the other socket's LLC")
 	}
 	// Socket 1's next walk misses the leaf line again.

@@ -121,8 +121,7 @@ type Kernel struct {
 	// quiescent points (loadContexts, Deschedule, DestroyProcess); reads
 	// happen from concurrent fault handlers without any lock, so the slots
 	// are atomic pointers.
-	current   []atomic.Pointer[Process]
-	nextIntlv int // machine-wide interleave cursor for fresh processes
+	current []atomic.Pointer[Process]
 	// freeBatch is the reusable batch of data frames DestroyProcess and
 	// Munmap free, and unmapVAs the reusable list of pages Munmap and
 	// Mprotect shoot down; none of them runs beside another.
@@ -189,7 +188,6 @@ func (k *Kernel) Reset() {
 		k.current[i].Store(nil)
 	}
 	k.nextPID = 1
-	k.nextIntlv = 0
 	k.spareTrackers = append(k.spareTrackers, k.trackers...)
 	k.trackers = k.trackers[:0]
 	k.cost.ClearLoads()

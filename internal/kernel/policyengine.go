@@ -185,7 +185,7 @@ func (e *PolicyEngine) AbortAllInflight() int {
 // round barrier. round stamps the tick's actions and timeline entry.
 func (e *PolicyEngine) Tick(round int) error {
 	e.advanceInflight()
-	t := e.telemetry(round)
+	t := e.telemetry()
 	for _, a := range e.policy.Decide(t) {
 		applied, err := e.apply(a)
 		if err != nil {
@@ -234,11 +234,11 @@ func (e *PolicyEngine) drainBg(job *bgJob) {
 
 // telemetry assembles the tick's per-socket deltas and replication state
 // in e.t.
-func (e *PolicyEngine) telemetry(round int) *core.Telemetry {
+func (e *PolicyEngine) telemetry() *core.Telemetry {
 	k, p, t := e.k, e.p, &e.t
 	topo := k.topo
 	p.as.policyState(t)
-	t.Round, t.PrimarySocket = round, topo.SocketOfNode(t.PrimaryNode)
+	t.PrimarySocket = topo.SocketOfNode(t.PrimaryNode)
 	t.InFlight = t.InFlight[:0]
 	for _, job := range e.inflight {
 		t.InFlight = append(t.InFlight, job.ir.Node())
@@ -258,7 +258,6 @@ func (e *PolicyEngine) telemetry(round int) *core.Telemetry {
 		cur := k.machine.SocketStats(sid)
 		node := topo.NodeOf(sid)
 		t.Sockets[s] = core.SocketSample{
-			Socket:     sid,
 			Node:       node,
 			RunsCores:  e.runsOn(sid),
 			HasReplica: slices.Contains(e.nodes, node),

@@ -172,7 +172,7 @@ func (k *Kernel) CreateProcess(opts ProcessOpts) (*Process, error) {
 	if p.ptPolicy == PTFixed {
 		rootNode = p.ptNode
 	}
-	ctx := &pvops.OpCtx{Socket: opts.Home, Meter: &p.Meter}
+	ctx := &pvops.OpCtx{Meter: &p.Meter}
 	mp, err := pvops.NewMapper(ctx, k.pm, k.backend, k.levels, pvops.PTPlacement{Primary: rootNode})
 	if err != nil {
 		return nil, fmt.Errorf("kernel: creating process: %w", err)
@@ -286,16 +286,15 @@ func (p *Process) SetReplicationMask(nodes []numa.NodeID) error {
 }
 
 // opCtx returns the kernel execution context for work done on behalf of
-// the process, billed to its meter, executing on its home socket. It is
-// the process's one reusable context, rewritten on every call, so the
-// demand-fault path allocates none. That is safe because every caller
-// holds the process's fault lock or runs at a quiescent point, so no two
-// goroutines use it at once; and a nested call made while an outer caller
-// still holds the context (reclaim collapsing the faulting process's own
-// replicas) rewrites the same socket and meter, since the home socket
-// changes only in RunOn, which no holder calls.
+// the process, billed to its meter. It is the process's one reusable
+// context, rewritten on every call, so the demand-fault path allocates
+// none. That is safe because every caller holds the process's fault lock
+// or runs at a quiescent point, so no two goroutines use it at once; and
+// a nested call made while an outer caller still holds the context
+// (reclaim collapsing the faulting process's own replicas) rewrites the
+// same meter.
 func (p *Process) opCtx() *pvops.OpCtx {
-	p.ctx = pvops.OpCtx{Socket: p.home, Meter: &p.Meter}
+	p.ctx = pvops.OpCtx{Meter: &p.Meter}
 	return &p.ctx
 }
 

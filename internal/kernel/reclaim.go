@@ -174,7 +174,7 @@ func (k *Kernel) replicaHolderBusy(p, caller *Process) bool {
 // CR3 so no core walks from the freed root. A table the start leaves in
 // place reloads nothing, since a reload costs every core a context switch.
 func (k *Kernel) StartBackgroundReplication(p *Process, node numa.NodeID) (*core.IncrementalReplication, *pvops.OpCtx, error) {
-	bgCtx := &pvops.OpCtx{Socket: k.topo.SocketOfNode(node), Meter: &pvops.Meter{}}
+	bgCtx := &pvops.OpCtx{Meter: &pvops.Meter{}}
 	root := p.mapper.Root()
 	ir, err := p.space.StartIncrementalReplication(bgCtx, node)
 	if err != nil {

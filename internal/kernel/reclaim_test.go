@@ -200,7 +200,6 @@ func TestReclaimConsultsPolicy(t *testing.T) {
 		Sockets: make([]core.SocketSample, 4),
 	}
 	for i := range tl.Sockets {
-		tl.Sockets[i].Socket = numa.SocketID(i)
 		tl.Sockets[i].Node = numa.NodeID(i)
 	}
 	tl.Sockets[1].Walks = 1000

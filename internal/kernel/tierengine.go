@@ -125,9 +125,8 @@ func (e *TierEngine) Tick(round int) error {
 	e.tracker.Tick(e.read)
 	e.hist = e.tracker.Histogram()
 	k, p, t := e.k, e.p, &e.tel
-	primary := p.space.PrimaryNode()
-	t.Round, t.Hist = round, e.hist
-	t.PTNode, t.PTTier = primary, k.topo.TierOf(primary)
+	t.Hist = e.hist
+	t.PTTier = k.topo.TierOf(p.space.PrimaryNode())
 	t.HomeNode = k.topo.NodeOf(p.home)
 	e.round, e.budget, e.err = round, e.cfg.StepPages, nil
 	e.policy.Decide(t, e.move)

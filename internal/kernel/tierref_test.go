@@ -29,7 +29,6 @@ type refView struct {
 type refTelemetry struct {
 	Pages     []refView
 	Hist      tier.Histogram
-	PTNode    numa.NodeID
 	PTTier    numa.MemTier
 	HomeNode  numa.NodeID
 	TierNodes []numa.NodeID
@@ -183,7 +182,6 @@ func (e *refTierEngine) snapshot() *refTelemetry {
 	t := &refTelemetry{
 		Pages:    views,
 		Hist:     hist,
-		PTNode:   primary,
 		PTTier:   k.topo.TierOf(primary),
 		HomeNode: k.topo.NodeOf(p.home),
 	}

@@ -75,24 +75,13 @@ func bit(w int) uint64 { return 1 << (w & 63) }
 // resident lines, so an invalidation aimed at an empty cache returns at
 // once.
 type LLC struct {
-	// mu guards sets, resident and Stats: an LLC is shared by every core
-	// of its socket, and remote sockets' write walks invalidate lines in
-	// it.
+	// mu guards sets and resident: an LLC is shared by every core of its
+	// socket, and remote sockets' write walks invalidate lines in it.
 	mu   sync.Mutex
 	sets []llcSet
 	mask uint64
 	// resident counts the valid lines across all sets.
 	resident int
-	// Stats counts cache behaviour. Read it (or assign to it) only at
-	// quiescent points; concurrent updates go through the methods below.
-	Stats LLCStats
-}
-
-// LLCStats counts LLC behaviour.
-type LLCStats struct {
-	Hits        uint64
-	Misses      uint64
-	Invalidates uint64
 }
 
 // maxLLCWays is the widest set a uint64 valid mask holds.
@@ -133,8 +122,9 @@ func (l *LLC) fill(s *llcSet, id LineID) {
 	s.lines[w] = id
 }
 
-// Resident returns the number of lines the cache holds. Like Stats, read
-// it only at quiescent points or under the single-writer discipline.
+// Resident returns the number of lines the cache holds; the coherence
+// barrier skips a cache that holds none. Read it only at quiescent points
+// or under the single-writer discipline.
 func (l *LLC) Resident() int { return l.resident }
 
 // Access looks up line id, inserting it on a miss. It returns true on hit.
@@ -162,16 +152,14 @@ func (l *LLC) access(id LineID) bool {
 	s := l.set(id)
 	if w := s.find(id); w >= 0 {
 		promote(s.order, uint8(w))
-		l.Stats.Hits++
 		return true
 	}
 	l.fill(s, id)
-	l.Stats.Misses++
 	return false
 }
 
-// Probe looks up line id WITHOUT inserting on a miss: a hit touches LRU
-// and counts; a miss counts and leaves the set untouched. The
+// Probe looks up line id WITHOUT inserting on a miss: a hit touches LRU;
+// a miss leaves the set untouched. The
 // Victima-style backends use it to test whether a software-managed TLB
 // block is still LLC-resident — a probe must not conjure up a line
 // whose payload the prober does not have.
@@ -190,16 +178,13 @@ func (l *LLC) probe(id LineID) bool {
 	s := l.set(id)
 	if w := s.find(id); w >= 0 {
 		promote(s.order, uint8(w))
-		l.Stats.Hits++
 		return true
 	}
-	l.Stats.Misses++
 	return false
 }
 
-// Insert installs (or touches) line id without hit/miss accounting —
-// the fill half of a Probe/Insert pair, whose miss the Probe already
-// counted.
+// Insert installs (or touches) line id: the fill half of a Probe/Insert
+// pair.
 func (l *LLC) Insert(id LineID) {
 	l.mu.Lock()
 	l.insert(id)
@@ -242,16 +227,15 @@ func (l *LLC) invalidate(id LineID) {
 		if line == id && s.valid&bit(w) != 0 {
 			s.valid &^= bit(w)
 			l.resident--
-			l.Stats.Invalidates++
 			return
 		}
 	}
 }
 
 // Reset restores the LLC to its just-built state: lines invalidated, LRU
-// permutations back to identity, counters zeroed. Callers must be
-// quiescent (no concurrent accesses); this is the reuse path for
-// recycling a machine between independent runs.
+// permutations back to identity. Callers must be quiescent (no concurrent
+// accesses); this is the reuse path for recycling a machine between
+// independent runs.
 func (l *LLC) Reset() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -262,5 +246,4 @@ func (l *LLC) Reset() {
 		identity(s.order)
 	}
 	l.resident = 0
-	l.Stats = LLCStats{}
 }

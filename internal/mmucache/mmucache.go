@@ -52,8 +52,6 @@ func DefaultPSCConfig() PSCConfig {
 // shift-down LRU scanned in recency order.
 type PSC struct {
 	rows [pt.MaxLevels + 1]pscRow
-	// Stats counts hits by level.
-	Stats PSCStats
 }
 
 // pscRow is one level's cache. Each way keeps one packed tag word (the VA
@@ -82,12 +80,6 @@ func (r *pscRow) find(tag uint64) int {
 		}
 	}
 	return -1
-}
-
-// PSCStats counts PSC behaviour.
-type PSCStats struct {
-	Hits   [pt.MaxLevels + 1]uint64
-	Misses uint64
 }
 
 // MaxPSCEntries is the widest row NewPSC accepts: recency is a uint8
@@ -170,11 +162,9 @@ func (p *PSC) Lookup(va pt.VirtAddr, startLevel uint8) (resumeLevel uint8, child
 		}
 		if w := r.find(tagOf(va, l)); w >= 0 {
 			promote(r.order, uint8(w))
-			p.Stats.Hits[l]++
 			return l - 1, r.child[w], true
 		}
 	}
-	p.Stats.Misses++
 	return 0, mem.NilFrame, false
 }
 
@@ -222,8 +212,8 @@ func (p *PSC) Flush() {
 }
 
 // Reset restores the PSC to its just-built state: entries cleared, LRU
-// permutations back to identity, counters zeroed. This is the reuse path
-// for recycling a machine between independent runs.
+// permutations back to identity. This is the reuse path for recycling a
+// machine between independent runs.
 func (p *PSC) Reset() {
 	for l := range p.rows {
 		r := &p.rows[l]
@@ -231,5 +221,4 @@ func (p *PSC) Reset() {
 		clear(r.child)
 		identity(r.order)
 	}
-	p.Stats = PSCStats{}
 }

@@ -123,9 +123,8 @@ func TestLLCHitMiss(t *testing.T) {
 	if !l.Access(id) {
 		t.Fatal("second access should hit")
 	}
-	s := l.Stats
-	if s.Hits != 1 || s.Misses != 1 {
-		t.Errorf("stats = %+v", s)
+	if n := l.Resident(); n != 1 {
+		t.Errorf("Resident() = %d, want 1", n)
 	}
 }
 
@@ -145,19 +144,23 @@ func TestLLCEviction(t *testing.T) {
 
 func TestLLCInvalidate(t *testing.T) {
 	l := NewLLC(LLCConfig{Lines: 64, Ways: 4})
-	id := LineID(77)
+	id, other := LineID(77), LineID(78)
 	l.Access(id)
+	l.Access(other)
 	l.Invalidate(id)
-	if l.Stats.Invalidates != 1 {
-		t.Errorf("Invalidates = %d, want 1", l.Stats.Invalidates)
+	if n := l.Resident(); n != 1 {
+		t.Errorf("Resident() = %d after one invalidation of two lines, want 1", n)
+	}
+	// Invalidating an absent line is a no-op.
+	l.Invalidate(LineID(999999))
+	if n := l.Resident(); n != 1 {
+		t.Errorf("Resident() = %d after invalidating an absent line, want 1", n)
 	}
 	if l.Access(id) {
 		t.Error("invalidated line still hits")
 	}
-	// Invalidating an absent line is a no-op.
-	l.Invalidate(LineID(999999))
-	if l.Stats.Invalidates != 1 {
-		t.Error("counted invalidation of absent line")
+	if !l.Access(other) {
+		t.Error("the other line did not survive")
 	}
 }
 

@@ -24,7 +24,6 @@ type refPSCEntry struct {
 type refPSC struct {
 	levels [pt.MaxLevels + 1][]refPSCEntry
 	order  [pt.MaxLevels + 1][]uint8
-	Stats  PSCStats
 }
 
 func newRefPSC(cfg PSCConfig) *refPSC {
@@ -66,12 +65,10 @@ func (p *refPSC) Lookup(va pt.VirtAddr, startLevel uint8) (uint8, mem.FrameID, b
 			if e := &arr[idx]; e.valid && e.tag == tag {
 				child := e.child
 				refTouch(p.order[l], oi)
-				p.Stats.Hits[l]++
 				return l - 1, child, true
 			}
 		}
 	}
-	p.Stats.Misses++
 	return 0, mem.NilFrame, false
 }
 
@@ -120,15 +117,11 @@ func (p *refPSC) Reset() {
 			p.order[l][w] = uint8(w)
 		}
 	}
-	p.Stats = PSCStats{}
 }
 
 // samePSC reports the first difference between a PSC and its reference:
-// counters, each row's recency permutation, and every valid way.
+// each row's recency permutation and every valid way.
 func samePSC(p *PSC, r *refPSC) error {
-	if p.Stats != r.Stats {
-		return fmt.Errorf("stats %+v, reference %+v", p.Stats, r.Stats)
-	}
 	for l := range r.levels {
 		row := &p.rows[l]
 		if string(row.order) != string(r.order[l]) {
@@ -160,8 +153,8 @@ func refPSCVA(r *rand.Rand) pt.VirtAddr {
 // reference with one seeded random sequence — lookups from every start
 // level, the walker's fresh re-cache of every level a miss descended,
 // same-key and new-key Inserts at every row, flushes and resets — and
-// compares every return value, the counters and every row's recency order
-// and valid ways after each step.
+// compares every lookup's resume level, child and hit, and every row's
+// recency order and valid ways after each step.
 func TestPSCMatchesReference(t *testing.T) {
 	small := PSCConfig{}
 	small.EntriesPerLevel[2] = 4
@@ -225,9 +218,8 @@ type refLLCSet struct {
 // refLLC is the pre-packing LLC without its mutex: the reference for
 // both the locked and the owned paths.
 type refLLC struct {
-	sets  []refLLCSet
-	mask  uint64
-	Stats LLCStats
+	sets []refLLCSet
+	mask uint64
 }
 
 func newRefLLC(cfg LLCConfig) *refLLC {
@@ -251,7 +243,6 @@ func (l *refLLC) Access(id LineID) bool {
 	for oi, idx := range s.order {
 		if s.valid[idx] && s.lines[idx] == id {
 			refTouch(s.order, oi)
-			l.Stats.Hits++
 			return true
 		}
 	}
@@ -259,7 +250,6 @@ func (l *refLLC) Access(id LineID) bool {
 	idx := s.order[last]
 	s.lines[idx], s.valid[idx] = id, true
 	refTouch(s.order, last)
-	l.Stats.Misses++
 	return false
 }
 
@@ -268,11 +258,9 @@ func (l *refLLC) Probe(id LineID) bool {
 	for oi, idx := range s.order {
 		if s.valid[idx] && s.lines[idx] == id {
 			refTouch(s.order, oi)
-			l.Stats.Hits++
 			return true
 		}
 	}
-	l.Stats.Misses++
 	return false
 }
 
@@ -295,7 +283,6 @@ func (l *refLLC) Invalidate(id LineID) {
 	for i := range s.lines {
 		if s.valid[i] && s.lines[i] == id {
 			s.valid[i] = false
-			l.Stats.Invalidates++
 			break
 		}
 	}
@@ -320,16 +307,12 @@ func (l *refLLC) Reset() {
 			s.order[w] = uint8(w)
 		}
 	}
-	l.Stats = LLCStats{}
 }
 
 // sameLLC reports the first difference between an LLC and its reference:
-// counters, the resident-line count, each set's recency permutation, and
-// every valid way.
+// the resident-line count, each set's recency permutation, and every
+// valid way.
 func sameLLC(l *LLC, r *refLLC) error {
-	if l.Stats != r.Stats {
-		return fmt.Errorf("stats %+v, reference %+v", l.Stats, r.Stats)
-	}
 	resident := 0
 	for i := range r.sets {
 		s, rs := &l.sets[i], &r.sets[i]
@@ -377,7 +360,7 @@ func refLines(r *rand.Rand) []LineID {
 // TestLLCMatchesReference drives the LLC and the recency-order-scan
 // reference with one seeded random sequence of Access, Probe, Insert and
 // Invalidate, each on the locked or the owned path at random, with
-// flushes and resets, and compares every return value, the counters, the
+// flushes and resets, and compares every access's and probe's hit, the
 // resident count, every set's recency order and every valid way after
 // each step.
 func TestLLCMatchesReference(t *testing.T) {

@@ -152,7 +152,6 @@ func (mp *Mapper) Remap(ctx *OpCtx, va pt.VirtAddr, size pt.PageSize, newFrame m
 type LeafVisit struct {
 	VA   pt.VirtAddr
 	Size pt.PageSize
-	Ref  pt.EntryRef
 	Old  pt.PTE
 }
 
@@ -190,7 +189,7 @@ func (mp *Mapper) visitRange(ctx *OpCtx, frame mem.FrameID, level uint8, start, 
 			case 3:
 				size = pt.Size1G
 			}
-			if newE, store := fn(LeafVisit{VA: entryVA, Size: size, Ref: ref, Old: e}); store {
+			if newE, store := fn(LeafVisit{VA: entryVA, Size: size, Old: e}); store {
 				mp.backend.SetPTE(ctx, ref, newE)
 			}
 			continue

@@ -34,24 +34,11 @@ import (
 type Meter struct {
 	// Cycles is the total simulated cycle cost charged.
 	Cycles numa.Cycles
-	// PTEWrites counts individual PTE stores (including replica stores).
-	PTEWrites uint64
-	// PTEReads counts individual PTE loads (including replica loads).
-	PTEReads uint64
-	// RingHops counts replica-ring pointer dereferences.
-	RingHops uint64
-	// PTAllocs counts page-table page allocations (including replicas).
-	PTAllocs uint64
-	// PTFrees counts page-table page releases (including replicas).
-	PTFrees uint64
 }
 
-// OpCtx carries the execution context of a page-table operation: which
-// socket's core is executing the kernel code (costs are relative to it) and
-// where to accumulate the cost.
+// OpCtx carries the execution context of a page-table operation: where to
+// accumulate its cost.
 type OpCtx struct {
-	// Socket is the socket executing the operation.
-	Socket numa.SocketID
 	// Meter receives the operation's cost; may be nil to discard.
 	Meter *Meter
 }
@@ -94,8 +81,8 @@ type Backend interface {
 	ReadPTE(ctx *OpCtx, ref pt.EntryRef) pt.PTE
 
 	// ChargeReads charges n ReadPTE loads that the caller made through a
-	// descent of the primary table (pt.Table.Descend): the cycles and
-	// counts n ReadPTE calls would have charged, without reading again.
+	// descent of the primary table (pt.Table.Descend): the cycles n
+	// ReadPTE calls would have charged, without reading again.
 	ChargeReads(ctx *OpCtx, n int)
 
 	// GatherAD loads the entry at ref with the Accessed/Dirty bits OR-ed

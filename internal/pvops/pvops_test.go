@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/mitosis-project/mitosis-sim/internal/mem"
+	"github.com/mitosis-project/mitosis-sim/internal/mem/memtest"
 	"github.com/mitosis-project/mitosis-sim/internal/numa"
 	"github.com/mitosis-project/mitosis-sim/internal/pt"
 	"github.com/mitosis-project/mitosis-sim/internal/pt/pttest"
@@ -28,7 +29,7 @@ func newFixture(t testing.TB) *fixture {
 		pm:   pm,
 		cost: cost,
 		be:   pvopstest.NewNative(pm, cost),
-		ctx:  &pvops.OpCtx{Socket: 0, Meter: &pvops.Meter{}},
+		ctx:  &pvops.OpCtx{Meter: &pvops.Meter{}},
 	}
 }
 
@@ -203,37 +204,41 @@ func TestMapperPTPlacement(t *testing.T) {
 	})
 }
 
+// TestMeterAccounting: a map charges one page-table allocation per missing
+// table, one store per entry it writes and one load per level its walk
+// reads, and allocates the tables it charges for.
 func TestMeterAccounting(t *testing.T) {
 	fx := newFixture(t)
 	mp := newMapper(t, fx)
+	p := fx.cost.Params()
+	ptPages := memtest.AllocatedPT(fx.pm, 0)
 	*fx.ctx.Meter = pvops.Meter{}
 	data, _ := fx.pm.AllocData(0)
 	if err := mp.Map(fx.ctx, 0x1000, pt.Size4K, data, 0, pvops.PTPlacement{Primary: 0}); err != nil {
 		t.Fatal(err)
 	}
-	d := *fx.ctx.Meter
-	if d.PTAllocs != 3 {
-		t.Errorf("PTAllocs = %d, want 3 (L3,L2,L1)", d.PTAllocs)
+	if got := memtest.AllocatedPT(fx.pm, 0) - ptPages; got != 3 {
+		t.Errorf("allocated %d page-table pages, want 3 (L3,L2,L1)", got)
 	}
-	if d.PTEWrites != 4 {
-		t.Errorf("PTEWrites = %d, want 4 (3 inner + leaf)", d.PTEWrites)
-	}
-	if d.Cycles == 0 {
-		t.Error("no cycles charged")
+	// Three tables, four stores (3 inner + leaf), and four loads: the
+	// root's entry and each fresh table's.
+	if got, want := fx.ctx.Meter.Cycles, 3*(p.PTAllocInit+p.PageZero)+4*p.PTEStore+4*p.PTELoad; got != want {
+		t.Errorf("first map charged %d cycles, want %d", got, want)
 	}
 
-	// A second map in the same L1 table allocates nothing.
+	// A second map in the same L1 table allocates nothing: a four-level
+	// walk and the leaf store.
+	ptPages = memtest.AllocatedPT(fx.pm, 0)
 	*fx.ctx.Meter = pvops.Meter{}
 	data2, _ := fx.pm.AllocData(0)
 	if err := mp.Map(fx.ctx, 0x2000, pt.Size4K, data2, 0, pvops.PTPlacement{Primary: 0}); err != nil {
 		t.Fatal(err)
 	}
-	d = *fx.ctx.Meter
-	if d.PTAllocs != 0 {
-		t.Errorf("second map PTAllocs = %d, want 0", d.PTAllocs)
+	if got := memtest.AllocatedPT(fx.pm, 0) - ptPages; got != 0 {
+		t.Errorf("second map allocated %d page-table pages, want 0", got)
 	}
-	if d.PTEWrites != 1 {
-		t.Errorf("second map PTEWrites = %d, want 1", d.PTEWrites)
+	if got, want := fx.ctx.Meter.Cycles, p.PTEStore+4*p.PTELoad; got != want {
+		t.Errorf("second map charged %d cycles, want %d", got, want)
 	}
 }
 

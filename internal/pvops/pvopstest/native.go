@@ -47,7 +47,6 @@ func (n *Native) AllocPT(ctx *pvops.OpCtx, spec pvops.AllocSpec) (mem.FrameID, e
 				continue
 			}
 			if f, err2 := n.pm.AllocPageTable(numa.NodeID(node), spec.Level); err2 == nil {
-				count(ctx, func(m *pvops.Meter) { m.PTAllocs++ })
 				p := n.cost.Params()
 				charge(ctx, p.PTAllocInit+p.PageZero)
 				return f, nil
@@ -55,7 +54,6 @@ func (n *Native) AllocPT(ctx *pvops.OpCtx, spec pvops.AllocSpec) (mem.FrameID, e
 		}
 		return mem.NilFrame, err
 	}
-	count(ctx, func(m *pvops.Meter) { m.PTAllocs++ })
 	p := n.cost.Params()
 	charge(ctx, p.PTAllocInit+p.PageZero)
 	return f, nil
@@ -64,27 +62,23 @@ func (n *Native) AllocPT(ctx *pvops.OpCtx, spec pvops.AllocSpec) (mem.FrameID, e
 // ReleasePT implements Backend.
 func (n *Native) ReleasePT(ctx *pvops.OpCtx, f mem.FrameID) {
 	n.pm.Free(f)
-	count(ctx, func(m *pvops.Meter) { m.PTFrees++ })
 	charge(ctx, n.cost.Params().PTAllocInit)
 }
 
 // SetPTE implements Backend.
 func (n *Native) SetPTE(ctx *pvops.OpCtx, ref pt.EntryRef, e pt.PTE) {
 	pt.WriteEntryRaw(n.pm, ref, e)
-	count(ctx, func(m *pvops.Meter) { m.PTEWrites++ })
 	charge(ctx, n.cost.Params().PTEStore)
 }
 
 // ReadPTE implements Backend.
 func (n *Native) ReadPTE(ctx *pvops.OpCtx, ref pt.EntryRef) pt.PTE {
-	count(ctx, func(m *pvops.Meter) { m.PTEReads++ })
 	charge(ctx, n.cost.Params().PTELoad)
 	return pt.ReadEntry(n.pm, ref)
 }
 
 // ChargeReads implements Backend.
 func (n *Native) ChargeReads(ctx *pvops.OpCtx, reads int) {
-	count(ctx, func(m *pvops.Meter) { m.PTEReads += uint64(reads) })
 	charge(ctx, numa.Cycles(reads)*n.cost.Params().PTELoad)
 }
 
@@ -97,7 +91,6 @@ func (n *Native) GatherAD(ctx *pvops.OpCtx, ref pt.EntryRef) pt.PTE {
 func (n *Native) ClearAD(ctx *pvops.OpCtx, ref pt.EntryRef) {
 	e := pt.ReadEntry(n.pm, ref)
 	pt.WriteEntryRaw(n.pm, ref, e.ClearFlags(pt.FlagAccessed|pt.FlagDirty))
-	count(ctx, func(m *pvops.Meter) { m.PTEReads++; m.PTEWrites++ })
 	p := n.cost.Params()
 	charge(ctx, p.PTELoad+p.PTEStore)
 }
@@ -106,13 +99,6 @@ func (n *Native) ClearAD(ctx *pvops.OpCtx, ref pt.EntryRef) {
 func charge(ctx *pvops.OpCtx, cy numa.Cycles) {
 	if ctx.Meter != nil {
 		ctx.Meter.Cycles += cy
-	}
-}
-
-// count applies fn to the context's meter, if any.
-func count(ctx *pvops.OpCtx, fn func(*pvops.Meter)) {
-	if ctx.Meter != nil {
-		fn(ctx.Meter)
 	}
 }
 

@@ -115,7 +115,7 @@ func TestVisitLeavesMatchesLookup(t *testing.T) {
 		topo := numa.NewTopology(2, 1)
 		pm := mem.New(mem.Config{Topology: topo, FramesPerNode: 8192})
 		cost := numa.NewCostModel(topo, numa.DefaultCostParams())
-		ctx := &pvops.OpCtx{Socket: 0}
+		ctx := &pvops.OpCtx{}
 		mp, err := pvops.NewMapper(ctx, pm, pvopstest.NewNative(pm, cost), 4, pvops.PTPlacement{Primary: 0})
 		if err != nil {
 			return false

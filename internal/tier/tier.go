@@ -70,18 +70,15 @@ type PageSource interface {
 
 // Telemetry is one tick's view handed to the policy.
 type Telemetry struct {
-	// Round is the engine round the barrier closed.
-	Round int
 	// Pages is the tracker's classification of the process's mapped data
 	// pages as of this tick.
 	Pages PageSource
 	// Hist is the tick's per-tier hot/cold histogram over the mapped
 	// pages, taken before the policy acts.
 	Hist Histogram
-	// PTNode is the node holding the primary page-table; PTTier its tier.
+	// PTTier is the tier of the node holding the primary page-table.
 	// Replicas are capped to DRAM sockets by the kernel, so the primary is
 	// the only table copy that can sit on a slow tier.
-	PTNode numa.NodeID
 	PTTier numa.MemTier
 	// HomeNode is the DRAM node of the process's home socket — the promote
 	// target.

@@ -247,9 +247,7 @@ func telemetryFixture() *Telemetry {
 		{PageView{VA: 0x5000, Size: pt.Size4K, Node: 0, Tier: numa.TierDRAM}, Warm}, // warm: stays
 	}
 	t := &Telemetry{
-		Round:     1,
 		HomeNode:  0,
-		PTNode:    0,
 		PTTier:    numa.TierDRAM,
 		TierNodes: []numa.NodeID{2, 3},
 		Pages:     pages,
@@ -302,7 +300,7 @@ func TestHotColdDecide(t *testing.T) {
 
 func TestHotColdPTPinRecovers(t *testing.T) {
 	tel := telemetryFixture()
-	tel.PTNode, tel.PTTier = 2, numa.TierCXL
+	tel.PTTier = numa.TierCXL
 	got := decideAll(NewHotCold(HotColdConfig{PT: PTPin}), tel)
 	if len(got) == 0 || got[0].Kind != MovePT || got[0].Target != tel.HomeNode {
 		t.Fatalf("pinned policy with PT on CXL: first action = %v, want movept->n0", got)

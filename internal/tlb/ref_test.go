@@ -121,15 +121,10 @@ func (a *refArray) insertFresh(e refEntry) {
 	a.pop[e.Size]++
 }
 
-func (a *refArray) invalidate(vpn uint64, size pt.PageSize) bool {
-	if a.pop[size] == 0 {
-		return false
-	}
-	if a.set(vpn).invalidate(vpn, size) {
+func (a *refArray) invalidate(vpn uint64, size pt.PageSize) {
+	if a.pop[size] != 0 && a.set(vpn).invalidate(vpn, size) {
 		a.pop[size]--
-		return true
 	}
-	return false
 }
 
 func (a *refArray) flush() {
@@ -172,21 +167,18 @@ func (t *refTLB) Lookup(va pt.VirtAddr) (*refEntry, HitLevel) {
 
 	if t.l1x4k.pop[pt.Size4K] != 0 {
 		if e, ok := t.l1x4k.set(vpn4k).lookup(vpn4k, pt.Size4K); ok {
-			t.Stats.L1Hits++
 			return e, HitL1
 		}
 	}
 	if t.l1x2m.pop[pt.Size2M] != 0 {
 		vpn2m := uint64(va) >> 21
 		if e, ok := t.l1x2m.set(vpn2m).lookup(vpn2m, pt.Size2M); ok {
-			t.Stats.L1Hits++
 			return e, HitL1
 		}
 	}
 	if t.l1x2m.pop[pt.Size1G] != 0 {
 		vpn1g := uint64(va) >> 30
 		if e, ok := t.l1x2m.set(vpn1g).lookup(vpn1g, pt.Size1G); ok {
-			t.Stats.L1Hits++
 			return e, HitL1
 		}
 	}
@@ -196,7 +188,6 @@ func (t *refTLB) Lookup(va pt.VirtAddr) (*refEntry, HitLevel) {
 	}
 	if t.l2.pop[pt.Size4K] != 0 {
 		if e, ok := t.l2.set(vpn4k).lookup(vpn4k, pt.Size4K); ok {
-			t.Stats.L2Hits++
 			hit := *e
 			t.l1x4k.insert(hit)
 			return t.l1x4k.set(vpn4k).mru(), HitL2
@@ -205,7 +196,6 @@ func (t *refTLB) Lookup(va pt.VirtAddr) (*refEntry, HitLevel) {
 	if t.l2.pop[pt.Size2M] != 0 {
 		vpn2m := uint64(va) >> 21
 		if e, ok := t.l2.set(vpn2m).lookup(vpn2m, pt.Size2M); ok {
-			t.Stats.L2Hits++
 			hit := *e
 			t.l1x2m.insert(hit)
 			return t.l1x2m.set(vpn2m).mru(), HitL2
@@ -214,7 +204,6 @@ func (t *refTLB) Lookup(va pt.VirtAddr) (*refEntry, HitLevel) {
 	if t.l2.pop[pt.Size1G] != 0 {
 		vpn1g := uint64(va) >> 30
 		if e, ok := t.l2.set(vpn1g).lookup(vpn1g, pt.Size1G); ok {
-			t.Stats.L2Hits++
 			hit := *e
 			t.l1x2m.insert(hit)
 			return t.l1x2m.set(vpn1g).mru(), HitL2
@@ -241,29 +230,13 @@ func (t *refTLB) InvalidatePage(va pt.VirtAddr) {
 	vpn4k := uint64(va) >> pt.PageShift4K
 	vpn2m := uint64(va) >> 21
 	vpn1g := uint64(va) >> 30
-	hit := false
-	if t.l1x4k.invalidate(vpn4k, pt.Size4K) {
-		hit = true
-	}
-	if t.l1x2m.invalidate(vpn2m, pt.Size2M) {
-		hit = true
-	}
-	if t.l1x2m.invalidate(vpn1g, pt.Size1G) {
-		hit = true
-	}
+	t.l1x4k.invalidate(vpn4k, pt.Size4K)
+	t.l1x2m.invalidate(vpn2m, pt.Size2M)
+	t.l1x2m.invalidate(vpn1g, pt.Size1G)
 	if t.l2 != nil {
-		if t.l2.invalidate(vpn4k, pt.Size4K) {
-			hit = true
-		}
-		if t.l2.invalidate(vpn2m, pt.Size2M) {
-			hit = true
-		}
-		if t.l2.invalidate(vpn1g, pt.Size1G) {
-			hit = true
-		}
-	}
-	if hit {
-		t.Stats.PageInval++
+		t.l2.invalidate(vpn4k, pt.Size4K)
+		t.l2.invalidate(vpn2m, pt.Size2M)
+		t.l2.invalidate(vpn1g, pt.Size1G)
 	}
 }
 
@@ -273,7 +246,6 @@ func (t *refTLB) Flush() {
 	if t.l2 != nil {
 		t.l2.flush()
 	}
-	t.Stats.Flushes++
 }
 
 func (t *refTLB) Reset() {
@@ -361,8 +333,9 @@ func refVA(r *rand.Rand) pt.VirtAddr {
 // reference with one seeded random sequence — lookups (with L2→L1
 // promotion), fresh fills after a miss, same-key and new-key inserts at
 // the array level, page invalidations, flushes and resets, at all three
-// page sizes — and compares every return value, the counters, every
-// set's recency order and every valid way after each step.
+// page sizes — and compares every lookup's hit level and entry, the
+// lookup and miss counters, every set's recency order and every valid way
+// after each step.
 func TestTLBMatchesReference(t *testing.T) {
 	configs := map[string]Config{
 		"small":   testConfig(),

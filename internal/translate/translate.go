@@ -88,9 +88,9 @@ type Ctx struct {
 
 // own buffers a store walk's ownership of line, unless line is already the
 // last one buffered. Skipping the repeat is exact: applying the buffer
-// only invalidates lines in other sockets' LLCs and counts those that were
-// resident, and nothing inserts a line between two entries of one core's
-// buffer, so a repeated line finds nothing left to invalidate.
+// only invalidates lines in other sockets' LLCs, and nothing inserts a
+// line between two entries of one core's buffer, so a repeated line finds
+// nothing left to invalidate.
 func (c *Ctx) own(line mmucache.LineID) {
 	p := c.Pending
 	if n := len(*p); n == 0 || (*p)[n-1] != line {

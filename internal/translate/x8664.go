@@ -19,7 +19,6 @@ const fullFlushThreshold = 33
 // memory, the cost model, and the cached cost constants the per-read
 // path loads instead of calling through the model.
 type walker struct {
-	topo    *numa.Topology
 	cost    *numa.CostModel
 	pm      *mem.PhysMem
 	cLLCHit numa.Cycles
@@ -31,7 +30,6 @@ type walker struct {
 
 func newWalker(deps Deps) walker {
 	return walker{
-		topo:      deps.Topo,
 		cost:      deps.Cost,
 		pm:        deps.Mem,
 		cLLCHit:   deps.Cost.LLCHit(),

@@ -72,7 +72,7 @@ type VM struct {
 // nested table is built on the Mitosis backend, so ReplicateNested can
 // replicate it.
 func NewVM(pm *mem.PhysMem, backend *core.Backend, hostNode numa.NodeID) (*VM, error) {
-	ctx := &pvops.OpCtx{Socket: pm.Topology().SocketOfNode(hostNode), Meter: &pvops.Meter{}}
+	ctx := &pvops.OpCtx{Meter: &pvops.Meter{}}
 	npt, err := pvops.NewMapper(ctx, pm, backend, 4, pvops.PTPlacement{Primary: hostNode})
 	if err != nil {
 		return nil, fmt.Errorf("virt: creating nested table: %w", err)

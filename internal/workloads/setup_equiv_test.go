@@ -9,7 +9,6 @@ import (
 	"github.com/mitosis-project/mitosis-sim/internal/hw"
 	"github.com/mitosis-project/mitosis-sim/internal/kernel"
 	"github.com/mitosis-project/mitosis-sim/internal/mem"
-	"github.com/mitosis-project/mitosis-sim/internal/mmucache"
 	"github.com/mitosis-project/mitosis-sim/internal/numa"
 	"github.com/mitosis-project/mitosis-sim/internal/pt"
 	"github.com/mitosis-project/mitosis-sim/internal/tlb"
@@ -58,7 +57,7 @@ func refInitRegion(e *Env, name string, style InitStyle) error {
 type setupState struct {
 	Cores []hw.CoreStats
 	TLBs  []tlb.Stats
-	LLCs  []mmucache.LLCStats
+	LLCs  []int // lines each socket's LLC holds
 	Meta  []mem.FrameMeta
 }
 
@@ -71,7 +70,7 @@ func captureSetup(k *kernel.Kernel) setupState {
 		st.TLBs = append(st.TLBs, m.TLBStats(numa.CoreID(c)))
 	}
 	for s := 0; s < topo.Sockets(); s++ {
-		st.LLCs = append(st.LLCs, m.LLCStats(numa.SocketID(s)))
+		st.LLCs = append(st.LLCs, m.LLCResident(numa.SocketID(s)))
 	}
 	pm := k.Mem()
 	for f := uint64(0); f < pm.TotalFrames(); f++ {
@@ -83,8 +82,9 @@ func captureSetup(k *kernel.Kernel) setupState {
 // TestSetupMatchesBatchAndDrain runs the round-loop InitRegion and the
 // reference batch-and-drain set-up on twin fresh two-socket machines, for
 // both init styles, with a native and a virtualized process. Set-up must
-// leave equal per-core counters, TLB statistics, per-socket LLC
-// statistics and frame metadata, and a following 2,000-op run must
+// leave equal per-core counters (their WalkLLCHits and WalkMemAccesses are
+// the walks' LLC hits and misses), TLB statistics, per-socket LLC
+// residency and frame metadata, and a following 2,000-op run must
 // produce equal results. MITOSIS_TEST_BACKEND selects the translation
 // backend (virtualized processes fall back to 4-level paging under la57,
 // whose guests are unsupported).

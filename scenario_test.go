@@ -8,7 +8,7 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/mitosis-project/mitosis-sim/internal/numa"
+	"github.com/mitosis-project/mitosis-sim/internal/pt"
 	"github.com/mitosis-project/mitosis-sim/internal/workloads"
 )
 
@@ -533,21 +533,30 @@ func TestAccessBatchDrainsOnReturn(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var before [4]uint64
-	for s := range before {
-		before[s] = m.LLCStats(numa.SocketID(s)).Invalidates
-	}
 	// Worker 0's store walks take the same lines exclusively.
 	if err := p.AccessBatch(0, writes); err != nil {
 		t.Fatal(err)
 	}
-	for s := 1; s < 4; s++ {
-		if got := m.LLCStats(numa.SocketID(s)).Invalidates; got == before[s] {
-			t.Errorf("socket %d: no invalidations had landed when AccessBatch returned", s)
-		}
+	// Each worker re-walks the pages after a shootdown of them on its core:
+	// a socket whose copies were invalidated reads page-table lines from
+	// DRAM again, and socket 0, which kept its copies, reads none.
+	vas := make([]pt.VirtAddr, len(reads))
+	for i, op := range reads {
+		vas[i] = pt.VirtAddr(op.VA)
 	}
-	if got := m.LLCStats(0).Invalidates; got != before[0] {
-		t.Errorf("socket 0 invalidated %d of its own lines", got-before[0])
+	for w, core := range p.p.Cores() {
+		m.ShootdownRange(core, vas, nil)
+		before := m.Stats(core).WalkMemAccesses
+		if err := p.AccessBatch(w, reads); err != nil {
+			t.Fatal(err)
+		}
+		dram := m.Stats(core).WalkMemAccesses - before
+		switch {
+		case w == 0 && dram != 0:
+			t.Errorf("socket 0 lost its own lines: its walks read %d page-table lines from DRAM", dram)
+		case w > 0 && dram == 0:
+			t.Errorf("socket %d: no invalidations had landed when AccessBatch returned", w)
+		}
 	}
 	if err := p.ReplicatePageTables(); err != nil {
 		t.Fatal(err)
